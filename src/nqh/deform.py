@@ -38,6 +38,7 @@ from .exactlin import (
     pairing,
     sqrt_in_K,
     subspace_intersection,
+    word_index,
 )
 from .algebra import (
     GradedLinMap,
@@ -230,12 +231,8 @@ def _matrix_on_component(presentation, big, n):
     g = presentation.ngens
     cols = []
     for w in words:
-        vec = [ZERO] * (g ** n)
-        from .exactlin import word_index
-
-        vec[word_index(w, g)] = ONE
-        image = [sum((big[r][c] * vec[c] for c in range(g ** n) if vec[c]),
-                     start=ZERO) for r in range(g ** n)]
+        col = word_index(w, g)
+        image = [row[col] for row in big]
         tensor = TensorElement.from_coordinates(image, g, n)
         cols.append(presentation.reduce_mod_ideal(tensor, n))
     return [[cols[j][i] for j in range(len(words))] for i in range(len(words))]

@@ -47,7 +47,10 @@ def parse_tensor(obj, names, degree=None):
 
 def parse_presentation(doc):
     try:
-        names = list(doc["generators"])
+        names = doc["generators"]
+        if isinstance(names, str):
+            raise ParseError("generators must be a list of names, not a string")
+        names = list(names)
     except (KeyError, TypeError) as exc:
         raise ParseError("missing generators") from exc
     if not names or not all(isinstance(n, str) for n in names):

@@ -2,9 +2,28 @@
 
 A presentation stores its relation space as an RREF subspace of V (x) V in
 word coordinates, so two presentations with the same generators are equal
-exactly when their relation subspaces coincide.  Degree-n components are
-computed as quotients of V^(x)n by the two-sided degree-n piece of the
-relation ideal.
+exactly when their relation subspaces coincide.
+
+Graded components are built degree by degree from the recurrence
+
+    A_n = (A_{n-1} (x) V) / image(A_{n-2} (x) R)
+
+(Polishchuk-Positselski, *Quadratic Algebras*, ch. 1).  It holds because the
+degree-n piece of the ideal is I_n = I_{n-1} (x) V + V^(x)(n-2) (x) R, and
+V^(x)(n-2) is spanned modulo I_{n-2} by the basis words of A_{n-2}.  Degree n
+keeps its basis words, a map from their word indices to positions, and one
+sparse eliminator over the words w a with w a basis word of A_{n-1} and a a
+letter; the eliminator's rows are the normal forms of u (x) r for u a basis
+word of A_{n-2} and r a relation.  The ambient is dim A_{n-1} * g columns
+instead of g^n.  Normal forms are memoised per word and computed as
+nf_n(w) = reduce(nf_{n-1}(w[:-1]) (x) w[-1]).
+
+Every eliminator pivots on the lex-smallest word of a row, and lex order on
+words of one length is compatible with concatenation on both sides.  So a
+word is a pivot here exactly when it is the smallest word of some element of
+I_n: the basis words are the words that lead no element of I_n, and the
+normal form of a tensor is its unique representative supported on them.
+Both depend only on I_n and the word order, not on how I_n was spanned.
 """
 
 from __future__ import annotations
@@ -13,6 +32,7 @@ from dataclasses import dataclass
 
 from .errors import BoundExceeded, DegreeMismatch, DimensionMismatch
 from .exactlin import (
+    ONE,
     ZERO,
     SparseEliminator,
     Subspace,
@@ -25,10 +45,24 @@ from .exactlin import (
 DEGREE_BOUND = 8
 
 
+class _Component:
+    """One graded component: basis words, their positions keyed by word
+    index, the eliminator of the relation image, and memoised normal forms
+    of words ({word index: coefficient} over the basis words)."""
+
+    __slots__ = ("words", "position", "elim", "normal_forms")
+
+    def __init__(self, words, g, elim):
+        self.words = words
+        self.position = {word_index(w, g): k for k, w in enumerate(words)}
+        self.elim = elim
+        self.normal_forms = {}
+
+
 class QuadraticPresentation:
     """Generators of degree 1 plus a subspace of quadratic relations."""
 
-    __slots__ = ("generators", "relations", "_dim_cache", "_ideal_cache")
+    __slots__ = ("generators", "relations", "_components")
 
     def __init__(self, generators, relations):
         generators = tuple(generators)
@@ -49,8 +83,7 @@ class QuadraticPresentation:
             space = Subspace.from_rows(rows, g * g)
         self.generators = generators
         self.relations = space
-        self._dim_cache = {}
-        self._ideal_cache = {}
+        self._components = []
 
     @property
     def ngens(self):
@@ -64,83 +97,85 @@ class QuadraticPresentation:
     def index_of(self, name):
         return self.generators.index(name)
 
-    def _ideal_eliminator(self, n):
-        """Forward eliminator spanning sum_i V^i (x) R (x) V^(n-2-i)."""
-        cached = self._ideal_cache.get(n)
-        if cached is not None:
-            return cached
+    def _component(self, n):
+        components = self._components
+        while len(components) <= n:
+            components.append(self._next_component(len(components)))
+        return components[n]
+
+    def _next_component(self, n):
+        """Degree n from degrees n-1 and n-2, which must already be built."""
         g = self.ngens
         elim = SparseEliminator()
-        if n >= 2 and self.relations.dim:
-            sparse_rels = []
-            for row in self.relations.basis:
-                sparse_rels.append([(idx, c) for idx, c in enumerate(row) if c])
-            for i in range(n - 1):
-                left_count = g ** i
-                right_count = g ** (n - 2 - i)
-                right_block = g ** (n - 2 - i)
-                for rel in sparse_rels:
-                    for left in range(left_count):
-                        base = left * (g * g)
-                        for right in range(right_count):
-                            row = {}
-                            for idx, coeff in rel:
-                                col = (base + idx) * right_block + right
-                                row[col] = coeff
-                            elim.add(row)
-        self._ideal_cache[n] = elim
-        return elim
+        if n < 2:
+            comp = _Component(words_of_length(g, n), g, elim)
+            comp.normal_forms = {w: {word_index(w, g): ONE} for w in comp.words}
+            return comp
+        relations = [[(divmod(idx, g), c) for idx, c in enumerate(row) if c]
+                     for row in self.relations.basis]
+        for u in self._components[n - 2].words:
+            for rel in relations:
+                elim.add(self._image((u + ab, c) for ab, c in rel))
+        pivots = elim.pivots
+        words = [w + (b,) for w in self._components[n - 1].words for b in range(g)
+                 if word_index(w, g) * g + b not in pivots]
+        return _Component(words, g, elim)
+
+    def _image(self, terms):
+        """The image of sum c * w in A_{n-1} (x) V, for (w, c) pairs with
+        len(w) = n >= 1: sum c * nf_{n-1}(w[:-1]) (x) w[-1], keyed by the word
+        indices that are the columns of the degree-n eliminator."""
+        g = self.ngens
+        row = {}
+        for w, c in terms:
+            for col, v in self._normal_form(w[:-1]).items():
+                col = col * g + w[-1]
+                acc = row.get(col)
+                row[col] = c * v if acc is None else acc + c * v
+        return row
+
+    def _normal_form(self, word):
+        """nf_n(w) = reduce(nf_{n-1}(w[:-1]) (x) w[-1]), memoised per word."""
+        comp = self._components[len(word)]
+        nf = comp.normal_forms.get(word)
+        if nf is None:
+            nf = comp.elim.reduce(self._image([(word, ONE)]))
+            comp.normal_forms[word] = nf
+        return nf
+
+    def _residue(self, element, n):
+        """Normal form of a degree-n tensor, keyed by word index."""
+        comp = self._component(n)
+        if any(len(w) != n for w in element.terms):
+            raise DegreeMismatch("element is not homogeneous of degree n")
+        if n == 0:
+            return {0: c for c in element.terms.values() if c}
+        return comp.elim.reduce(self._image(element.terms.items()))
 
     def component_dim(self, n):
         if n < 0:
             raise DegreeMismatch("negative degree")
-        cached = self._dim_cache.get(n)
-        if cached is None:
-            g = self.ngens
-            if n == 0:
-                cached = 1
-            elif n == 1:
-                cached = g
-            else:
-                cached = g ** n - self._ideal_eliminator(n).rank
-            self._dim_cache[n] = cached
-        return cached
+        return len(self._component(n).words)
 
     def component_basis_words(self, n):
         """Words giving coset representatives of the degree-n component.
 
-        The representatives are the non-pivot words of the relation-ideal
-        eliminator, in deglex order.
+        These are the degree-n words, in deglex order, that are not the
+        smallest word of any element of the degree-n piece of the ideal;
+        the module docstring explains why the recurrence finds exactly them.
         """
-        g = self.ngens
-        if n == 0:
-            return [()]
-        if n == 1:
-            return [(a,) for a in range(g)]
-        elim = self._ideal_eliminator(n)
-        words = words_of_length(g, n)
-        return [w for i, w in enumerate(words) if i not in elim.pivots]
+        return list(self._component(n).words)
 
     def reduce_mod_ideal(self, element, n):
         """Coordinates of a degree-n tensor in the component basis."""
-        g = self.ngens
-        elim = self._ideal_eliminator(n)
-        row = {word_index(w, g): c for w, c in element.terms.items() if c}
-        for w in element.terms:
-            if len(w) != n:
-                raise DegreeMismatch("element is not homogeneous of degree n")
-        residue = elim.reduce(row)
-        basis_words = self.component_basis_words(n)
-        pos = {word_index(w, g): k for k, w in enumerate(basis_words)}
-        vec = [ZERO] * len(basis_words)
-        for col, coeff in residue.items():
-            vec[pos[col]] = coeff
+        position = self._component(n).position
+        vec = [ZERO] * len(position)
+        for col, coeff in self._residue(element, n).items():
+            vec[position[col]] = coeff
         return vec
 
     def in_ideal(self, element, n):
-        g = self.ngens
-        row = {word_index(w, g): c for w, c in element.terms.items()}
-        return self._ideal_eliminator(n).contains(row)
+        return not self._residue(element, n)
 
     def __eq__(self, other):
         return (

@@ -50,6 +50,14 @@ def test_malformed_json_is_exit_2(capsys, tmp_path):
     assert main(["clifford", str(path)]) == 2
 
 
+def test_string_generators_is_exit_2(capsys, tmp_path):
+    doc = {"generators": "xy", "relations": [{"x y": "1", "y x": "1"}]}
+    path = tmp_path / "string_generators.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check-presentation", str(path)]) == 2
+    assert "not a string" in capsys.readouterr().err
+
+
 def test_koszul_dual_command(capsys, presentation_file):
     assert main(["koszul-dual", presentation_file]) == 0
     out = capsys.readouterr().out

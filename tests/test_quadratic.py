@@ -1,7 +1,17 @@
+import random
+
 import pytest
 
 from nqh.errors import BoundExceeded, DegreeMismatch
-from nqh.exactlin import ONE, Scalar, TensorElement
+from nqh.exactlin import (
+    ONE,
+    Scalar,
+    SparseEliminator,
+    TensorElement,
+    ZERO,
+    word_index,
+    words_of_length,
+)
 from nqh.quadratic import (
     QuadraticPresentation,
     check_central,
@@ -9,6 +19,59 @@ from nqh.quadratic import (
     hilbert_profile,
     koszul_dual,
 )
+
+ORACLE_MAX_DEGREE = 5
+
+
+def tensor_power_ideal(presentation, n):
+    """Test oracle: an eliminator spanning sum_i V^i (x) R (x) V^(n-2-i)
+    inside all of V^(x)n (g^n columns), the route the package does not use.
+    Only meant for small n."""
+    assert n <= ORACLE_MAX_DEGREE
+    g = presentation.ngens
+    elim = SparseEliminator()
+    for row in presentation.relations.basis:
+        rel = [(idx, c) for idx, c in enumerate(row) if c]
+        for i in range(n - 1):
+            right_count = g ** (n - 2 - i)
+            for left in range(g ** i):
+                for right in range(right_count):
+                    elim.add({(left * g * g + idx) * right_count + right: c
+                              for idx, c in rel})
+    return elim
+
+
+def word_row(element, g):
+    return {word_index(w, g): c for w, c in element.terms.items()}
+
+
+def oracle_reduce(elim, basis_words, element, g):
+    """Coordinates of a tensor in the oracle's non-pivot word basis."""
+    residue = elim.reduce(word_row(element, g))
+    position = {word_index(w, g): k for k, w in enumerate(basis_words)}
+    vec = [ZERO] * len(basis_words)
+    for col, coeff in residue.items():
+        vec[position[col]] = coeff
+    return vec
+
+
+def skew_presentation(seed, g=3):
+    """Relations x_i x_j + q_ij x_j x_i with seeded q_ij = +-1."""
+    rng = random.Random(seed)
+    relations = []
+    for i in range(g):
+        for j in range(i + 1, g):
+            q = rng.choice((1, -1))
+            relations.append(TensorElement({(i, j): ONE, (j, i): Scalar(q)}))
+    return QuadraticPresentation([f"x{k + 1}" for k in range(g)], relations)
+
+
+def random_tensor(rng, g, n, nterms=4):
+    terms = {}
+    for _ in range(nterms):
+        word = tuple(rng.randrange(g) for _ in range(n))
+        terms[word] = Scalar(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randrange(2))
+    return TensorElement(terms)
 
 
 @pytest.fixture
@@ -50,9 +113,45 @@ def test_profile_bound(km1):
 
 def test_quotient_dimension_consistency(km1):
     g = km1.ngens
-    for n in range(2, 6):
-        ideal_rank = km1._ideal_eliminator(n).rank
+    for n in range(2, ORACLE_MAX_DEGREE + 1):
+        ideal_rank = tensor_power_ideal(km1, n).rank
         assert graded_dim(km1, n) + ideal_rank == g ** n
+
+
+def _differential_inputs():
+    km1 = QuadraticPresentation(
+        ["x1", "x2"], [TensorElement({(0, 1): ONE, (1, 0): ONE})])
+    plane = QuadraticPresentation(
+        ["x1", "x2"], [TensorElement({(0, 1): ONE, (1, 0): Scalar(-1)})])
+    inputs = [("km1", km1), ("km1-dual", koszul_dual(km1)),
+              ("free", QuadraticPresentation(["a", "b"], [])),
+              ("plane", plane)]
+    for seed in range(4):
+        skew = skew_presentation(seed)
+        inputs.append((f"skew3-{seed}", skew))
+        inputs.append((f"skew3-{seed}-dual", koszul_dual(skew)))
+    return [pytest.param(name, pres, id=name) for name, pres in inputs]
+
+
+@pytest.mark.parametrize("name,pres", _differential_inputs())
+def test_components_match_tensor_power_oracle(name, pres):
+    g = pres.ngens
+    rng = random.Random(name)
+    for n in range(ORACLE_MAX_DEGREE + 1):
+        elim = tensor_power_ideal(pres, n)
+        expected_words = [w for i, w in enumerate(words_of_length(g, n))
+                          if i not in elim.pivots]
+        assert pres.component_dim(n) == g ** n - elim.rank
+        assert pres.component_basis_words(n) == expected_words
+        for _ in range(6):
+            element = random_tensor(rng, g, n)
+            vec = pres.reduce_mod_ideal(element, n)
+            assert vec == oracle_reduce(elim, expected_words, element, g)
+            assert pres.in_ideal(element, n) == elim.contains(word_row(element, g))
+            # subtracting the normal form leaves an element of the ideal
+            normal = TensorElement(dict(zip(expected_words, vec)))
+            assert pres.in_ideal(element - normal, n)
+            assert elim.contains(word_row(element - normal, g))
 
 
 def test_koszul_dual_relations(km1):
