@@ -28,10 +28,13 @@ from .exactlin import (
     Scalar,
     SparseEliminator,
     Subspace,
+    is_stacked_inverse,
     matrix_inverse,
     matrix_mul,
     nullspace,
     rref_rows,
+    stacked_inverse,
+    transpose,
 )
 
 
@@ -469,20 +472,6 @@ def verify_hom_M2(hom):
     return True
 
 
-def _stack_matrix(entries, E):
-    """Dense 2n x 2n block matrix B[(i,r),(k,s)] = Mat(entries[k][i])[r][s]."""
-    n = E.dim
-    dense = [[entries[k][i].dense() for i in range(2)] for k in range(2)]
-    big = [[ZERO] * (2 * n) for _ in range(2 * n)]
-    for i in range(2):
-        for k in range(2):
-            block = dense[k][i]
-            for r in range(n):
-                for s in range(n):
-                    big[i * n + r][k * n + s] = block[r][s]
-    return big
-
-
 def _def11_solve(known, unknown_side):
     """Solve the inverse/t-inverse pair of equations for the unknown table.
 
@@ -491,89 +480,24 @@ def _def11_solve(known, unknown_side):
     sum_k phi_jk sigma_ik = delta_ij; for unknown_side="t-inverse" the roles
     are swapped (the known table sits in the phi slot).
     """
-    if unknown_side == "inverse":
-        candidate = _def11_solve_transposed(known)
-        if candidate is not None and _def11_check(known, candidate):
-            return candidate
-        return None
-
-    assert unknown_side == "t-inverse"
-    # unknown psi with sum_k psi_ki theta_kj = delta_ij: transposing every
-    # entry matrix (positions unchanged) turns this into the column-solved
-    # shape, and the solution transposes back.
-    transposed_known = MatrixHom(
-        [[_transpose_map(known.entries[i][j]) for j in range(2)] for i in range(2)]
-    )
-    solved = _def11_solve_transposed(transposed_known)
-    if solved is None:
-        return None
-    candidate = MatrixHom(
-        [[_transpose_map(solved.entries[i][j]) for j in range(2)] for i in range(2)]
-    )
-    if _def11_check(candidate, known):
-        return candidate
-    return None
-
-
-def _cols_from(matrix):
-    n = len(matrix)
-    return [[matrix[r][c] for r in range(n)] for c in range(n)]
-
-
-def _transpose_map(linmap):
-    dense = linmap.dense()
-    n = len(dense)
-    transposed = [[dense[c][r] for c in range(n)] for r in range(n)]
-    return GradedLinMap.from_matrix(linmap.source, linmap.target,
-                                    _cols_from(transposed))
-
-
-def _def11_solve_transposed(known):
-    """Solve sum_k theta_kj^T psi_ki^T = delta: same block shape as inverse."""
     E = known.algebra
-    n = E.dim
-    big = _stack_matrix(known.entries, E)
-    big_inv = matrix_inverse(big)
-    if big_inv is None:
+    mats = [[entry.dense() for entry in row] for row in known.entries]
+    if unknown_side == "inverse":
+        solved = stacked_inverse(mats)
+        ok = solved is not None and is_stacked_inverse(mats, solved)
+    else:
+        assert unknown_side == "t-inverse"
+        # unknown psi with sum_k psi_ki theta_kj = delta_ij: transposing every
+        # entry matrix (positions unchanged) turns this into the inverse
+        # shape, and the solution transposes back.
+        solved = stacked_inverse([[transpose(m) for m in row] for row in mats])
+        if solved is not None:
+            solved = [[transpose(m) for m in row] for row in solved]
+        ok = solved is not None and is_stacked_inverse(solved, mats)
+    if not ok:
         return None
-    mats = [[[[ZERO] * n for _ in range(n)] for _ in range(2)] for _ in range(2)]
-    for j in range(2):
-        for c in range(n):
-            rhs = [ZERO] * (2 * n)
-            rhs[j * n + c] = ONE
-            sol = [sum((big_inv[r][t] * rhs[t] for t in range(2 * n)), start=ZERO)
-                   for r in range(2 * n)]
-            for k in range(2):
-                for r in range(n):
-                    mats[k][j][r][c] = sol[k * n + r]
-    return MatrixHom([[GradedLinMap.from_matrix(E, E, _cols_from(mats[k][j]))
-                       for j in range(2)] for k in range(2)])
-
-
-def _def11_check(sigma, phi):
-    """Both defining identities, as exact matrix equations."""
-    E = sigma.algebra
-    n = E.dim
-    s = [[sigma.entries[i][j].dense() for j in range(2)] for i in range(2)]
-    p = [[phi.entries[i][j].dense() for j in range(2)] for i in range(2)]
-    ident = [[ONE if a == b else ZERO for b in range(n)] for a in range(n)]
-    zero = [[ZERO] * n for _ in range(n)]
-    for i in range(2):
-        for j in range(2):
-            acc = [[ZERO] * n for _ in range(n)]
-            for k in range(2):
-                prod = matrix_mul(s[k][i], p[k][j])
-                acc = [[acc[r][c] + prod[r][c] for c in range(n)] for r in range(n)]
-            expect = ident if i == j else zero
-            if acc != expect:
-                return False
-            acc = [[ZERO] * n for _ in range(n)]
-            for k in range(2):
-                prod = matrix_mul(p[j][k], s[i][k])
-                acc = [[acc[r][c] + prod[r][c] for c in range(n)] for r in range(n)]
-            if acc != expect:
-                return False
-    return True
+    return MatrixHom([[GradedLinMap.from_matrix(E, E, transpose(m)) for m in row]
+                      for row in solved])
 
 
 def t_invert_hom(sigma):

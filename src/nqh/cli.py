@@ -2,7 +2,7 @@
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 input or
 parse error.  All reports are byte-deterministic: fixed key order, no
-timestamps, scenario output buffered per scenario even when --jobs > 1.
+timestamps.  Scenarios run one after another in one thread.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import scenarios as scenario_registry
 from .errors import NqhError, ParseError
@@ -207,18 +206,8 @@ def cmd_reproduce(args):
     if not ids:
         print("warning: scenario registry is empty")
         return 0
-    jobs = max(1, args.jobs)
-    results = {}
-    if jobs == 1:
-        for scenario_id in ids:
-            results[scenario_id] = scenario_registry.run_scenario(scenario_id)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {scenario_id: pool.submit(
-                scenario_registry.run_scenario, scenario_id)
-                for scenario_id in ids}
-            for scenario_id, future in futures.items():
-                results[scenario_id] = future.result()
+    results = {scenario_id: scenario_registry.run_scenario(scenario_id)
+               for scenario_id in ids}
     all_ok = True
     lines = []
     payload = {}
@@ -287,7 +276,9 @@ def build_parser():
 
     p = sub.add_parser("reproduce", help="run registered worked examples")
     p.add_argument("id", help="a scenario id or 'all'")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted and ignored: scenarios run one after another"
+                        " (the work is pure Python, so threads gave no speedup)")
     p.set_defaults(func=cmd_reproduce)
     return parser
 

@@ -33,10 +33,13 @@ from .exactlin import (
     Scalar,
     Subspace,
     TensorElement,
-    matrix_inverse,
+    identity_matrix,
+    is_stacked_inverse,
+    matrix_add,
     matrix_mul,
     pairing,
     sqrt_in_K,
+    stacked_inverse,
     subspace_intersection,
     word_index,
 )
@@ -268,26 +271,28 @@ def _composition_conditions(data):
         return matrix_mul(a, b)
 
     def holds_on(t):
-        lhs1 = _madd(comp(t[1][0], t[0][0]), _scale(comp(t[1][1], t[0][0]), p11))
-        rhs1 = _madd(
-            _madd(_scale(comp(t[0][0], t[1][0]), p12),
-                  _scale(comp(t[0][1], t[1][0]), p12 * p11)),
-            _madd(_scale(comp(t[0][0], t[0][0]), p11),
-                  _scale(comp(t[0][1], t[0][0]), p11 * p11)),
+        lhs1 = matrix_add(comp(t[1][0], t[0][0]),
+                          _scale(comp(t[1][1], t[0][0]), p11))
+        rhs1 = matrix_add(
+            matrix_add(_scale(comp(t[0][0], t[1][0]), p12),
+                       _scale(comp(t[0][1], t[1][0]), p12 * p11)),
+            matrix_add(_scale(comp(t[0][0], t[0][0]), p11),
+                       _scale(comp(t[0][1], t[0][0]), p11 * p11)),
         )
         if lhs1 != rhs1:
             return False
         lhs2 = comp(t[1][1], t[0][1])
-        rhs2 = _madd(_scale(comp(t[0][1], t[1][1]), p12),
-                     _scale(comp(t[0][1], t[0][1]), p11))
+        rhs2 = matrix_add(_scale(comp(t[0][1], t[1][1]), p12),
+                          _scale(comp(t[0][1], t[0][1]), p11))
         if lhs2 != rhs2:
             return False
-        lhs3 = _madd(_scale(comp(t[1][1], t[0][0]), p12), comp(t[1][0], t[0][1]))
-        rhs3 = _madd(
-            _madd(_scale(comp(t[0][1], t[1][0]), p12 * p12),
-                  _scale(comp(t[0][0], t[1][1]), p12)),
-            _madd(_scale(comp(t[0][1], t[0][0]), p11 * p12),
-                  _scale(comp(t[0][0], t[0][1]), p11)),
+        lhs3 = matrix_add(_scale(comp(t[1][1], t[0][0]), p12),
+                          comp(t[1][0], t[0][1]))
+        rhs3 = matrix_add(
+            matrix_add(_scale(comp(t[0][1], t[1][0]), p12 * p12),
+                       _scale(comp(t[0][0], t[1][1]), p12)),
+            matrix_add(_scale(comp(t[0][1], t[0][0]), p11 * p12),
+                       _scale(comp(t[0][0], t[0][1]), p11)),
         )
         return lhs3 == rhs3
 
@@ -303,49 +308,18 @@ def _scale(matrix, coeff):
     return [[coeff * x for x in row] for row in matrix]
 
 
-def _madd(a, b):
-    return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
-
-
-def _identity(g):
-    return [[ONE if i == j else ZERO for j in range(g)] for i in range(g)]
-
-
 def invert_sigma(data):
     """The Def-1.1 inverse of sigma on generators, or None.
 
-    Solves sum_k sigma_ki phi_kj = delta_ij id on V, then checks the
-    second identity, relation preservation, and both identities on the
+    Solves sum_k sigma_ki phi_kj = delta_ij id on V, then checks both
+    identities on V, relation preservation, and both identities on the
     degree-2 component.
     """
     g = data.ngens
     s = data.sigma
-    big = [[ZERO] * (2 * g) for _ in range(2 * g)]
-    for i in range(2):
-        for k in range(2):
-            block = s[k][i]
-            for r in range(g):
-                for c in range(g):
-                    big[i * g + r][k * g + c] = block[r][c]
-    big_inv = matrix_inverse(big)
-    if big_inv is None:
+    phi = stacked_inverse(s)
+    if phi is None or not is_stacked_inverse(s, phi):
         return None
-    phi = [[[[ZERO] * g for _ in range(g)] for _ in range(2)] for _ in range(2)]
-    for j in range(2):
-        for c in range(g):
-            rhs_index = j * g + c
-            for k in range(2):
-                for r in range(g):
-                    phi[k][j][r][c] = big_inv[k * g + r][rhs_index]
-    # second Def-1.1 identity on V
-    for i in range(2):
-        for j in range(2):
-            acc = [[ZERO] * g for _ in range(g)]
-            for k in range(2):
-                acc = _madd(acc, matrix_mul(phi[j][k], s[i][k]))
-            expect = _identity(g) if i == j else [[ZERO] * g for _ in range(g)]
-            if acc != expect:
-                return None
     if not _sigma_preserves_relations(data.base, phi):
         return None
     # both identities on the degree-2 component
@@ -355,19 +329,8 @@ def invert_sigma(data):
           for i in range(2)]
     ep = [[_matrix_on_component(data.base, lifted_p[i][j], 2) for j in range(2)]
           for i in range(2)]
-    m = len(es[0][0])
-    ident = [[ONE if a == b else ZERO for b in range(m)] for a in range(m)]
-    zero = [[ZERO] * m for _ in range(m)]
-    for i in range(2):
-        for j in range(2):
-            acc1 = [[ZERO] * m for _ in range(m)]
-            acc2 = [[ZERO] * m for _ in range(m)]
-            for k in range(2):
-                acc1 = _madd(acc1, matrix_mul(es[k][i], ep[k][j]))
-                acc2 = _madd(acc2, matrix_mul(ep[j][k], es[i][k]))
-            expect = ident if i == j else zero
-            if acc1 != expect or acc2 != expect:
-                return None
+    if not is_stacked_inverse(es, ep):
+        return None
     return phi
 
 
@@ -421,14 +384,14 @@ def _centrality_conditions(data, lift, mixed_condition):
     s = data.sigma
 
     def holds_on(table, size):
-        ident = _identity(size)
-        if _madd(matrix_mul(table[0][0], table[0][0]),
-                 matrix_mul(table[1][0], table[1][0])) != ident:
+        ident = identity_matrix(size)
+        if matrix_add(matrix_mul(table[0][0], table[0][0]),
+                      matrix_mul(table[1][0], table[1][0])) != ident:
             return False
-        if _madd(matrix_mul(table[0][1], table[0][1]),
-                 matrix_mul(table[1][1], table[1][1])) != ident:
+        if matrix_add(matrix_mul(table[0][1], table[0][1]),
+                      matrix_mul(table[1][1], table[1][1])) != ident:
             return False
-        return mixed_condition(table, matrix_mul, _madd)
+        return mixed_condition(table, matrix_mul, matrix_add)
 
     if not holds_on(s, g):
         return False
@@ -717,11 +680,12 @@ def normalize_p11(data):
     s = data.sigma
     cinv = c.inverse()
     new_sigma = (
-        (_madd(s[0][0], _scale(s[0][1], half_p)), _scale(s[0][1], c)),
-        (_scale(_madd(_madd(s[1][0], _scale(s[1][1], half_p)),
-                      _madd(_scale(s[0][0], -half_p),
-                            _scale(s[0][1], -half_p * half_p))), cinv),
-         _madd(s[1][1], _scale(s[0][1], -half_p))),
+        (matrix_add(s[0][0], _scale(s[0][1], half_p)), _scale(s[0][1], c)),
+        (_scale(matrix_add(matrix_add(s[1][0], _scale(s[1][1], half_p)),
+                           matrix_add(_scale(s[0][0], -half_p),
+                                      _scale(s[0][1], -half_p * half_p))),
+                cinv),
+         matrix_add(s[1][1], _scale(s[0][1], -half_p))),
     )
     out = DoubleOreData(data.base, data.p12, ZERO, new_sigma)
     report, _ = validate_double_ore(out)

@@ -18,6 +18,14 @@ from .quadratic import QuadraticPresentation
 from .deform import DoubleOreData
 
 
+def _expect(obj, kind, what):
+    """``obj`` if it is a JSON object (kind dict) or array (kind list)."""
+    if not isinstance(obj, kind):
+        name = "object" if kind is dict else "array"
+        raise ParseError(f"{what} must be a JSON {name}")
+    return obj
+
+
 def parse_scalar(text):
     if not isinstance(text, str):
         if isinstance(text, int):
@@ -55,15 +63,16 @@ def parse_presentation(doc):
         raise ParseError("missing generators") from exc
     if not names or not all(isinstance(n, str) for n in names):
         raise ParseError("generators must be a nonempty list of names")
-    relations = [parse_tensor(rel, names, degree=2)
-                 for rel in doc.get("relations", [])]
+    relations = [parse_tensor(_expect(rel, dict, "a relation"), names, degree=2)
+                 for rel in _expect(doc.get("relations", []), list, "relations")]
     try:
         presentation = QuadraticPresentation(names, relations)
     except Exception as exc:
         raise ParseError(f"bad presentation: {exc}") from exc
     central = None
     if "central" in doc and doc["central"] is not None:
-        central = parse_tensor(doc["central"], names, degree=2)
+        central = parse_tensor(_expect(doc["central"], dict, "central"), names,
+                               degree=2)
     return presentation, central
 
 
@@ -72,7 +81,7 @@ def parse_double_ore(doc):
     try:
         p12 = parse_scalar(doc["p12"])
         p11 = parse_scalar(doc["p11"])
-        sigma_doc = doc["sigma"]
+        sigma_doc = _expect(doc["sigma"], dict, "sigma")
     except KeyError as exc:
         raise ParseError(f"missing double Ore field: {exc}") from exc
     g = presentation.ngens
@@ -84,11 +93,13 @@ def parse_double_ore(doc):
             if key not in sigma_doc:
                 raise ParseError(f"missing sigma table {key}")
             mat = [[Scalar(0)] * g for _ in range(g)]
-            for src, image in sigma_doc[key].items():
+            for src, image in _expect(sigma_doc[key], dict,
+                                      f"sigma table {key}").items():
                 if src not in presentation.generators:
                     raise ParseError(f"unknown generator {src!r} in sigma {key}")
                 col = presentation.index_of(src)
-                for dst, coeff in image.items():
+                for dst, coeff in _expect(image, dict,
+                                          f"sigma {key} image of {src}").items():
                     if dst not in presentation.generators:
                         raise ParseError(f"unknown generator {dst!r} in sigma {key}")
                     mat[presentation.index_of(dst)][col] = parse_scalar(coeff)
@@ -105,7 +116,7 @@ def parse_twist_file(doc):
     from .twist import GradedBasisM2, TwistingSystemM2
     from .algebra import GradedLinMap, MatrixHom
 
-    if "algebra" not in doc:
+    if "algebra" not in _expect(doc, dict, "a twisting-system file"):
         raise ParseError("missing algebra block")
     presentation, central = parse_presentation(doc["algebra"])
     if central is None:
@@ -114,11 +125,12 @@ def parse_twist_file(doc):
     E = clifford.algebra
     label_index = {lbl: k for k, lbl in enumerate(E.labels)}
     try:
+        members = _expect(doc["basis"], dict, "basis")
         basis = GradedBasisM2({
-            (0, 1): _matrix2(doc["basis"]["I0_1"]),
-            (0, 2): _matrix2(doc["basis"]["I0_2"]),
-            (1, 1): _matrix2(doc["basis"]["I1_1"]),
-            (1, 2): _matrix2(doc["basis"]["I1_2"]),
+            (0, 1): _matrix2(members["I0_1"]),
+            (0, 2): _matrix2(members["I0_2"]),
+            (1, 1): _matrix2(members["I1_1"]),
+            (1, 2): _matrix2(members["I1_2"]),
         })
     except KeyError as exc:
         raise ParseError(f"missing basis member: {exc}") from exc
@@ -126,18 +138,21 @@ def parse_twist_file(doc):
     for name in ("theta0", "theta1"):
         if name not in doc:
             raise ParseError(f"missing table {name}")
-        block = doc[name]
+        block = _expect(doc[name], list, name)
+        if len(block) != 2 or any(len(_expect(r, list, name)) != 2 for r in block):
+            raise ParseError(f"{name} must be a 2x2 table")
         entries = []
         for j in (0, 1):
             row = []
             for jp in (0, 1):
-                mapping = block[j][jp]
+                mapping = _expect(block[j][jp], dict, f"{name} entry")
                 cols = [dict() for _ in range(E.dim)]
                 for src, image in mapping.items():
                     if src not in label_index:
                         raise ParseError(f"unknown basis label {src!r}")
                     col = {}
-                    for dst, coeff in image.items():
+                    for dst, coeff in _expect(image, dict,
+                                              f"{name} image of {src}").items():
                         if dst not in label_index:
                             raise ParseError(f"unknown basis label {dst!r}")
                         col[label_index[dst]] = parse_scalar(coeff)
@@ -149,7 +164,9 @@ def parse_twist_file(doc):
 
 
 def _matrix2(rows):
-    if len(rows) != 2 or any(len(r) != 2 for r in rows):
+    _expect(rows, list, "a basis member")
+    if len(rows) != 2 or any(len(_expect(r, list, "a basis member row")) != 2
+                             for r in rows):
         raise ParseError("basis members must be 2x2")
     return tuple(tuple(parse_scalar(x) for x in row) for row in rows)
 

@@ -51,6 +51,7 @@ from .deform import (
     validate_double_ore,
 )
 from .twist import (
+    BlockLayout,
     SemiTrivialData,
     TwistingSystemM2,
     TwistingSystemProd,
@@ -357,23 +358,20 @@ def run_plus_case(data, z):
     twisted = twisted_big.total_degree_regrade()
 
     oracle = build_Bshriek_clifford(data, z)
-    dimE = E.dim
-
-    def pos(i, j, b):
-        return (i * 2 + (j - 1)) * dimE + b
-
+    layout = BlockLayout(E)
     unit_index = E.words.index(())
-    images = [{pos(1, 1, unit_index): ONE}, {pos(1, 2, unit_index): ONE}]
+    images = [{layout.index(1, 1, unit_index): ONE},
+              {layout.index(1, 2, unit_index): ONE}]
     for a in range(data.ngens):
-        images.append({pos(0, 1, E.words.index((a,))): ONE})
+        images.append({layout.index(0, 1, E.words.index((a,))): ONE})
     iso = extend_on_generators(oracle, twisted, images)
     iso_ok = verify_iso(iso)
     checks.add("oracle-isomorphism", iso_ok)
     if not iso_ok:
         raise IsoFailed("the deformation does not match the twisted matrix algebra")
 
-    e = vec_add(vec_scale({pos(0, 1, unit_index): ONE}, HALF),
-                vec_scale({pos(0, 2, unit_index): ONE}, HALF * I))
+    e = vec_add(vec_scale({layout.index(0, 1, unit_index): ONE}, HALF),
+                vec_scale({layout.index(0, 2, unit_index): ONE}, HALF * I))
     checks.add("full-idempotent", full_idempotent_check(twisted, e))
 
     xi1 = (GradedLinMap.identity(E) + theta0.entry(1, 2).scale(I)
@@ -457,15 +455,15 @@ def run_plus_case(data, z):
             target = {}
             svec = vec_sparse(list(s_rows[k]))
             for b, coeff in svec.items():
-                target[pos(0, 1, b)] = coeff * HALF
-                target[pos(0, 2, b)] = coeff * HALF * I
+                target[layout.index(0, 1, b)] = coeff * HALF
+                target[layout.index(0, 2, b)] = coeff * HALF * I
             cols.append(target)
         for k in range(M.dim):
             target = {}
             mvec = vec_sparse(list(m_rows[k]))
             for b, coeff in mvec.items():
-                target[pos(1, 1, b)] = coeff * HALF
-                target[pos(1, 2, b)] = coeff * HALF * minus_i
+                target[layout.index(1, 1, b)] = coeff * HALF
+                target[layout.index(1, 2, b)] = coeff * HALF * minus_i
             cols.append(target)
         # express each target in the corner basis
         corner_cols = []
@@ -548,10 +546,7 @@ def run_minus_case(data, z):
 
     Gamma = build_twisted_prod(system)
     checks.add("twisted-product-valid", verify_algebra(Gamma).ok)
-    dimE = E.dim
-
-    def pos(j, b):
-        return (j - 1) * dimE + b
+    layout = BlockLayout(E, epsilon)
 
     # the involution exchanging the two slots through the dual table
     xi = xi_automorphism(E, Scalar(-1))
@@ -559,17 +554,18 @@ def run_minus_case(data, z):
     s21xi = _compose(sd.entry(2, 1), xi)
     mu_cols = [None] * Gamma.dim
     for j in (1, 2):
-        for b in range(dimE):
+        for b in range(E.dim):
             bx = E.basis_vec(b)
             a1 = s11xi.apply(bx)
             a2 = s21xi.apply(bx)
             img = {}
             first, second = (a1, a2) if j == 1 else (a2, a1)
             for k, v in first.items():
-                img[pos(1, k)] = v
+                img[layout.index(0, 1, k)] = v
             for k, v in second.items():
-                img[pos(2, k)] = img.get(pos(2, k), ZERO) + v
-            mu_cols[pos(j, b)] = {k: v for k, v in img.items() if v}
+                key = layout.index(0, 2, k)
+                img[key] = img.get(key, ZERO) + v
+            mu_cols[layout.index(0, j, b)] = {k: v for k, v in img.items() if v}
     mu = GradedLinMap(Gamma, Gamma, mu_cols)
     mu_ok = verify_iso(mu) and mu.compose(mu) == GradedLinMap.identity(Gamma)
     checks.add("involution", mu_ok)
@@ -585,11 +581,11 @@ def run_minus_case(data, z):
     oracle = build_Bshriek_clifford(data, z)
     unit_index = E.words.index(())
     images = [
-        {Gamma.dim + pos(1, unit_index): ONE},
-        {Gamma.dim + pos(2, unit_index): ONE},
+        {Gamma.dim + layout.index(0, 1, unit_index): ONE},
+        {Gamma.dim + layout.index(0, 2, unit_index): ONE},
     ]
     for a in range(data.ngens):
-        images.append({pos(1, E.words.index((a,))): ONE})
+        images.append({layout.index(0, 1, E.words.index((a,))): ONE})
     iso = extend_on_generators(oracle, ST, images)
     iso_ok = verify_iso(iso)
     checks.add("oracle-isomorphism", iso_ok)
@@ -604,8 +600,8 @@ def run_minus_case(data, z):
         group_rank=1)
     ng_cols = [None] * NG.dim
     for j in (1, 2):
-        for b in range(dimE):
-            src = pos(j, b)
+        for b in range(E.dim):
+            src = layout.index(0, j, b)
             if E.degrees[b][0] == 0:
                 ng_cols[src] = {zero_idx.index(src): ONE}
             else:

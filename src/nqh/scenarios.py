@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import HALF, I, ONE, ZERO
+from .exactlin import I, ONE
 from .algebra import (
     RightModule,
     is_nilpotent_element,
     radical,
     spin,
     vec_add,
+    vec_dense,
     vec_eq,
     vec_scale,
     vec_sub,
@@ -33,6 +34,7 @@ from .knorrer import (
     run_plus_case,
     singularity_report,
 )
+from .twist import BlockLayout
 
 KM1_PRESENTATION = {
     "generators": ["x1", "x2"],
@@ -135,25 +137,10 @@ class ScenarioResult:
 
 
 def _pair_tools(result):
-    """Pair-coordinate helpers over the twisted product of a minus case."""
+    """The label index of E and the pair map (a, b) -> E x E of a minus case."""
     E = result.base.algebra
-    dim = E.dim
     index = {lbl: k for k, lbl in enumerate(E.labels)}
-
-    def pos(j, b):
-        return (j - 1) * dim + b
-
-    def pair_vec(a, b):
-        out = {}
-        for k, v in a.items():
-            out[pos(1, k)] = out.get(pos(1, k), ZERO) + v * HALF
-            out[pos(2, k)] = out.get(pos(2, k), ZERO) + v * HALF
-        for k, v in b.items():
-            out[pos(1, k)] = out.get(pos(1, k), ZERO) + v * HALF
-            out[pos(2, k)] = out.get(pos(2, k), ZERO) - v * HALF
-        return {k: v for k, v in out.items() if v}
-
-    return index, pos, pair_vec
+    return index, BlockLayout(E, result.theta_prod.epsilon).pair
 
 
 def _character_modules(algebra):
@@ -292,31 +279,25 @@ def run_ex_5_9():
     rad = radical(NG).dim
     checks.append(ScenarioCheck("zhang-radical", rad == 0, str(rad),
                                 "published"))
-    index, pos, pair_vec = _pair_tools(result)
+    index, pair = _pair_tools(result)
     one_v = {index["1"]: ONE}
     w_v = {index["x1*x2*"]: ONE}
     u_v = {index["x1*"]: ONE}
     v_v = {index["x2*"]: ONE}
     regular = RightModule.regular(NG)
     seeds = [
-        [pair_vec(vec_sub(one_v, w_v), {}), pair_vec(vec_sub(u_v, v_v), {})],
-        [pair_vec(vec_add(vec_scale(vec_add(one_v, w_v), I),
-                          vec_add(u_v, v_v)), {})],
-        [pair_vec(vec_sub(vec_scale(vec_add(one_v, w_v), I),
-                          vec_add(u_v, v_v)), {})],
-        [pair_vec({}, vec_add(vec_add(one_v, w_v), vec_add(u_v, v_v)))],
-        [pair_vec({}, vec_sub(vec_add(one_v, w_v), vec_add(u_v, v_v)))],
+        [pair(vec_sub(one_v, w_v), {}), pair(vec_sub(u_v, v_v), {})],
+        [pair(vec_add(vec_scale(vec_add(one_v, w_v), I),
+                      vec_add(u_v, v_v)), {})],
+        [pair(vec_sub(vec_scale(vec_add(one_v, w_v), I),
+                      vec_add(u_v, v_v)), {})],
+        [pair({}, vec_add(vec_add(one_v, w_v), vec_add(u_v, v_v)))],
+        [pair({}, vec_sub(vec_add(one_v, w_v), vec_add(u_v, v_v)))],
     ]
-
-    def dense(d):
-        out = [ZERO] * NG.dim
-        for k, v in d.items():
-            out[k] = v
-        return out
 
     modules = []
     for seed_list in seeds:
-        space = spin(regular, [dense(s) for s in seed_list])
+        space = spin(regular, [vec_dense(s, NG.dim) for s in seed_list])
         modules.append(RightModule.from_invariant_subspace(NG, space))
     dims_ok = [m.dim for m in modules] == [2, 1, 1, 1, 1]
     checks.append(ScenarioCheck("module-dims", dims_ok,
@@ -347,7 +328,7 @@ def run_prop_5_10():
                                 f"/{len(result.checks.items)} checks",
                                 "published"))
     NG = result.zhang
-    index, pos, pair_vec = _pair_tools(result)
+    index, pair = _pair_tools(result)
     one_v = {index["1"]: ONE}
     w_v = {index["x1*x2*"]: ONE}
     u_v = {index["x1*"]: ONE}
@@ -356,40 +337,40 @@ def run_prop_5_10():
     minus_w = {index["x1*x2*"]: -ONE}
     star = NG.mul
     printed = [
-        ("(x1*x2*,0)*(1,0)=(1,0)", pair_vec(w_v, {}), pair_vec(one_v, {}),
-         pair_vec(one_v, {})),
-        ("(x1*x2*,0)*(x1*x2*,0)=(x1*x2*,0)", pair_vec(w_v, {}),
-         pair_vec(w_v, {}), pair_vec(w_v, {})),
-        ("(x1*x2*,0)*(x1*,0)=(x1*,0)", pair_vec(w_v, {}), pair_vec(u_v, {}),
-         pair_vec(u_v, {})),
-        ("(x1*x2*,0)*(x2*,0)=(x2*,0)", pair_vec(w_v, {}), pair_vec(v_v, {}),
-         pair_vec(v_v, {})),
-        ("(x1*x2*,0)*(0,1)=(x1*x2*-1,0)", pair_vec(w_v, {}),
-         pair_vec({}, one_v), pair_vec(vec_sub(w_v, one_v), {})),
-        ("(x1*x2*,0)*(0,x1*x2*)=(1-x1*x2*,0)", pair_vec(w_v, {}),
-         pair_vec({}, w_v), pair_vec(vec_sub(one_v, w_v), {})),
-        ("(x1*x2*,0)*(0,x1*)=(x1*-x2*,0)", pair_vec(w_v, {}),
-         pair_vec({}, u_v), pair_vec(vec_sub(u_v, v_v), {})),
-        ("(x1*x2*,0)*(0,x2*)=(x2*-x1*,0)", pair_vec(w_v, {}),
-         pair_vec({}, v_v), pair_vec(vec_sub(v_v, u_v), {})),
-        ("(x1*,0)*(1,0)=(x1*,0)", pair_vec(u_v, {}), pair_vec(one_v, {}),
-         pair_vec(u_v, {})),
-        ("(x1*,0)*(x1*x2*,0)=(x2*,0)", pair_vec(u_v, {}), pair_vec(w_v, {}),
-         pair_vec(v_v, {})),
-        ("(x2*,0)*(1,0)=(x1*,0)", pair_vec(v_v, {}), pair_vec(one_v, {}),
-         pair_vec(u_v, {})),
-        ("(x2*,0)*(x1*x2*,0)=(x2*,0)", pair_vec(v_v, {}), pair_vec(w_v, {}),
-         pair_vec(v_v, {})),
-        ("(x2*,0)*(x1*,0)=(-1,0)", pair_vec(v_v, {}), pair_vec(u_v, {}),
-         pair_vec(minus_one, {})),
-        ("(x2*,0)*(x2*,0)=(-x1*x2*,0)", pair_vec(v_v, {}), pair_vec(v_v, {}),
-         pair_vec(minus_w, {})),
-        ("(x2*,0)*(0,1)=(x2*-x1*,0)", pair_vec(v_v, {}), pair_vec({}, one_v),
-         pair_vec(vec_sub(v_v, u_v), {})),
-        ("(x2*,0)*(0,x1*)=(x1*x2*-1,0)", pair_vec(v_v, {}), pair_vec({}, u_v),
-         pair_vec(vec_sub(w_v, one_v), {})),
-        ("(x2*,0)*(0,x2*)=(1-x1*x2*,0)", pair_vec(v_v, {}), pair_vec({}, v_v),
-         pair_vec(vec_sub(one_v, w_v), {})),
+        ("(x1*x2*,0)*(1,0)=(1,0)", pair(w_v, {}), pair(one_v, {}),
+         pair(one_v, {})),
+        ("(x1*x2*,0)*(x1*x2*,0)=(x1*x2*,0)", pair(w_v, {}),
+         pair(w_v, {}), pair(w_v, {})),
+        ("(x1*x2*,0)*(x1*,0)=(x1*,0)", pair(w_v, {}), pair(u_v, {}),
+         pair(u_v, {})),
+        ("(x1*x2*,0)*(x2*,0)=(x2*,0)", pair(w_v, {}), pair(v_v, {}),
+         pair(v_v, {})),
+        ("(x1*x2*,0)*(0,1)=(x1*x2*-1,0)", pair(w_v, {}),
+         pair({}, one_v), pair(vec_sub(w_v, one_v), {})),
+        ("(x1*x2*,0)*(0,x1*x2*)=(1-x1*x2*,0)", pair(w_v, {}),
+         pair({}, w_v), pair(vec_sub(one_v, w_v), {})),
+        ("(x1*x2*,0)*(0,x1*)=(x1*-x2*,0)", pair(w_v, {}),
+         pair({}, u_v), pair(vec_sub(u_v, v_v), {})),
+        ("(x1*x2*,0)*(0,x2*)=(x2*-x1*,0)", pair(w_v, {}),
+         pair({}, v_v), pair(vec_sub(v_v, u_v), {})),
+        ("(x1*,0)*(1,0)=(x1*,0)", pair(u_v, {}), pair(one_v, {}),
+         pair(u_v, {})),
+        ("(x1*,0)*(x1*x2*,0)=(x2*,0)", pair(u_v, {}), pair(w_v, {}),
+         pair(v_v, {})),
+        ("(x2*,0)*(1,0)=(x1*,0)", pair(v_v, {}), pair(one_v, {}),
+         pair(u_v, {})),
+        ("(x2*,0)*(x1*x2*,0)=(x2*,0)", pair(v_v, {}), pair(w_v, {}),
+         pair(v_v, {})),
+        ("(x2*,0)*(x1*,0)=(-1,0)", pair(v_v, {}), pair(u_v, {}),
+         pair(minus_one, {})),
+        ("(x2*,0)*(x2*,0)=(-x1*x2*,0)", pair(v_v, {}), pair(v_v, {}),
+         pair(minus_w, {})),
+        ("(x2*,0)*(0,1)=(x2*-x1*,0)", pair(v_v, {}), pair({}, one_v),
+         pair(vec_sub(v_v, u_v), {})),
+        ("(x2*,0)*(0,x1*)=(x1*x2*-1,0)", pair(v_v, {}), pair({}, u_v),
+         pair(vec_sub(w_v, one_v), {})),
+        ("(x2*,0)*(0,x2*)=(1-x1*x2*,0)", pair(v_v, {}), pair({}, v_v),
+         pair(vec_sub(one_v, w_v), {})),
     ]
     matched = 0
     all_ok = True
@@ -403,16 +384,16 @@ def run_prop_5_10():
     family_ok = True
     E = result.base.algebra
     for b in range(E.dim):
-        if not vec_eq(star(pair_vec(one_v, {}), pair_vec({b: ONE}, {})),
-                      pair_vec({b: ONE}, {})):
+        if not vec_eq(star(pair(one_v, {}), pair({b: ONE}, {})),
+                      pair({b: ONE}, {})):
             family_ok = False
-        if star(pair_vec(one_v, {}), pair_vec({}, {b: ONE})):
+        if star(pair(one_v, {}), pair({}, {b: ONE})):
             family_ok = False
-        if star(pair_vec(u_v, {}), pair_vec({}, {b: ONE})):
+        if star(pair(u_v, {}), pair({}, {b: ONE})):
             family_ok = False
     checks.append(ScenarioCheck("unit-and-annihilation-families", family_ok,
                                 str(family_ok), "published"))
-    witness = pair_vec(vec_sub(one_v, w_v), {})
+    witness = pair(vec_sub(one_v, w_v), {})
     nilp = (not star(witness, witness)) and is_nilpotent_element(NG, witness)
     checks.append(ScenarioCheck("nilpotent-witness", nilp,
                                 "(1 - x1*x2*, 0) squares to zero", "published"))

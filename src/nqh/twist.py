@@ -211,12 +211,81 @@ class TwistingSystemProd:
     t_inverse: object = None
 
 
+def _eps_coords(epsilon, u, v):
+    """(c_1, c_2) with c_1 eps_1 + c_2 eps_2 = (u, v) in k x k."""
+    e1, e2 = epsilon
+    det = e1[0] * e2[1] - e2[0] * e1[1]
+    if not det:
+        raise SingularBasis("basis of k x k must be linearly independent")
+    return ((u * e2[1] - e2[0] * v) / det, (e1[0] * v - u * e1[1]) / det)
+
+
+class BlockLayout:
+    """The basis of a 2x2 block construction over an algebra E.
+
+    M_2(E) has the basis I(i)_j e_b (i in {0, 1}, j in {1, 2}, b < dim E)
+    at index (2i + j - 1) dim E + b.  E x E has the basis eps_j e_b at the
+    same index with i = 0: it is the i = 0 half.  ``epsilon`` is None for
+    M_2(E) and the basis of k x k for E x E.
+    """
+
+    __slots__ = ("algebra", "epsilon", "halves")
+
+    def __init__(self, algebra, epsilon=None):
+        self.algebra = algebra
+        self.epsilon = epsilon
+        self.halves = (0, 1) if epsilon is None else (0,)
+
+    @property
+    def dim(self):
+        return 2 * len(self.halves) * self.algebra.dim
+
+    def index(self, i, j, b):
+        """The index of I(i)_j e_b, or of eps_j e_b when i = 0."""
+        return (2 * i + j - 1) * self.algebra.dim + b
+
+    def algebra_on(self, table, unit):
+        """The graded algebra with this basis: labels I{i}_{j}*e_b graded
+        (i, deg e_b) for M_2(E), labels e{j}*e_b graded deg e_b for E x E."""
+        E = self.algebra
+        labels = []
+        degrees = []
+        for i in self.halves:
+            for j in (1, 2):
+                for b in range(E.dim):
+                    if self.epsilon is None:
+                        labels.append(f"I{i}_{j}*{E.labels[b]}")
+                        degrees.append((i,) + E.degrees[b])
+                    else:
+                        labels.append(f"e{j}*{E.labels[b]}")
+                        degrees.append(E.degrees[b])
+        group_rank = 2 if self.epsilon is None else 1
+        return GradedAlgebra(labels, table, unit, degrees, group_rank=group_rank)
+
+    def pair(self, a, b):
+        """The vector of (a, b) in E x E on the basis eps_j e_b."""
+        out = {}
+        for vec, coords in ((a, _eps_coords(self.epsilon, ONE, ZERO)),
+                            (b, _eps_coords(self.epsilon, ZERO, ONE))):
+            for k, v in vec.items():
+                for j in (1, 2):
+                    key = self.index(0, j, k)
+                    out[key] = out.get(key, ZERO) + v * coords[j - 1]
+        return {k: v for k, v in out.items() if v}
+
+
 def _table_entry(table, j, jp):
     return table.entries[j - 1][jp - 1]
 
 
 def _apply(table, j, jp, vec):
     return table.entries[j - 1][jp - 1].apply(vec)
+
+
+def _unit_value_invertible(table):
+    """Whether the table sends 1 to an invertible 2x2 scalar matrix."""
+    v = table.value_at_unit()
+    return v is not None and bool(v[0][0] * v[1][1] - v[0][1] * v[1][0])
 
 
 def verify_twisting_M2(system):
@@ -233,16 +302,8 @@ def verify_twisting_M2(system):
     if any(inv is None for inv in inverses):
         return report
     system.t_inverses = tuple(inverses)
-    theta1_at_unit = system.theta[1].value_at_unit()
-    gl = theta1_at_unit is not None and bool(
-        theta1_at_unit[0][0] * theta1_at_unit[1][1]
-        - theta1_at_unit[0][1] * theta1_at_unit[1][0])
-    report.add("theta1-unit-invertible", gl)
-    theta0_at_unit = system.theta[0].value_at_unit()
-    gl0 = theta0_at_unit is not None and bool(
-        theta0_at_unit[0][0] * theta0_at_unit[1][1]
-        - theta0_at_unit[0][1] * theta0_at_unit[1][0])
-    report.add("theta0-unit-invertible", gl0)
+    report.add("theta1-unit-invertible", _unit_value_invertible(system.theta[1]))
+    report.add("theta0-unit-invertible", _unit_value_invertible(system.theta[0]))
 
     # the exchange identity, in its two-index form; inner applications are
     # hoisted per basis pair since they are reused across index tuples
@@ -374,10 +435,7 @@ def verify_twisting_suite(system):
     report.add("theta-phi-exchange", ok)
 
     # invertibility of the values at 1 propagates to the t-inverses
-    vals = [system.theta[i].value_at_unit() for i in (0, 1)]
-    phi_vals = [phis[i].value_at_unit() for i in (0, 1)]
-    ok2 = all(v is not None and bool(v[0][0] * v[1][1] - v[0][1] * v[1][0])
-              for v in vals + phi_vals)
+    ok2 = all(_unit_value_invertible(table) for table in (*system.theta, *phis))
     report.add("units-invertible", ok2)
 
     # gamma relations against theta(1) and phi(1)
@@ -449,34 +507,27 @@ def _theta_scalar(E, table, a, b):
 _phi_scalar = _theta_scalar
 
 
-def build_twisted_M2(system):
-    """The deformed algebra on the basis {I(i)_j e_b}, Z2 x Z2 graded."""
-    E = system.algebra
-    basis = system.basis
+def _twisted_algebra(layout, theta, lval, gamma, phi0):
+    """The twisted product on ``layout`` and its unit.
+
+    I(i)_j e_b * I(i')_j' e_b' = sum_{s,t} l^(ii')_{tjs} I(i+i')_t
+    theta^(i')_{sj'}(e_b) e_b' with l^(ii')_{tjs} = lval(i, i', t, j, s), and
+    the unit is sum_{j,s} gamma_s I(0)_j phi0_{sj}(1).  On E x E only i = 0
+    occurs and I(0)_j reads eps_j.
+    """
+    E = layout.algebra
     dim = E.dim
-
-    def pos(i, j, b):
-        return (i * 2 + (j - 1)) * dim + b
-
-    labels = []
-    degrees = []
-    for i in (0, 1):
+    table = [[{} for _ in range(layout.dim)] for _ in range(layout.dim)]
+    for i in layout.halves:
         for j in (1, 2):
-            for b in range(dim):
-                labels.append(f"I{i}_{j}*{E.labels[b]}")
-                degrees.append((i,) + E.degrees[b])
-    total = 4 * dim
-    table = [[{} for _ in range(total)] for _ in range(total)]
-    for i in (0, 1):
-        for j in (1, 2):
-            for ip in (0, 1):
+            for ip in layout.halves:
                 isum = (i + ip) % 2
                 for jp in (1, 2):
                     for b in range(dim):
                         bx = E.basis_vec(b)
                         pieces = {}
                         for s in (1, 2):
-                            img = _apply(system.theta[ip], s, jp, bx)
+                            img = _apply(theta[ip], s, jp, bx)
                             if img:
                                 pieces[s] = img
                         for bp in range(dim):
@@ -487,49 +538,45 @@ def build_twisted_M2(system):
                                 if not prod:
                                     continue
                                 for t in (1, 2):
-                                    coeff = basis.lval(i, ip, t, j, s)
+                                    coeff = lval(i, ip, t, j, s)
                                     if not coeff:
                                         continue
+                                    offset = layout.index(isum, t, 0)
                                     for k, c in prod.items():
-                                        key = pos(isum, t, k)
+                                        key = offset + k
                                         val = acc.get(key)
                                         val = c * coeff if val is None else val + c * coeff
                                         if val:
                                             acc[key] = val
                                         else:
                                             acc.pop(key, None)
-                            table[pos(i, j, b)][pos(ip, jp, bp)] = acc
-    if system.t_inverses is None:
-        raise NotTwistingSystem("verify the system before building")
-    phi0 = system.t_inverses[0]
+                            table[layout.index(i, j, b)][layout.index(ip, jp, bp)] = acc
     unit = {}
     for j in (1, 2):
+        offset = layout.index(0, j, 0)
         for s in (1, 2):
-            img = _apply(phi0, s, j, E.unit)
-            if img:
-                for k, c in img.items():
-                    key = pos(0, j, k)
-                    unit[key] = unit.get(key, ZERO) + basis.gamma[s - 1] * c
+            if not gamma[s - 1]:
+                continue
+            for k, c in _apply(phi0, s, j, E.unit).items():
+                unit[offset + k] = unit.get(offset + k, ZERO) + gamma[s - 1] * c
     unit = {k: v for k, v in unit.items() if v}
-    return GradedAlgebra(labels, table, unit, degrees, group_rank=2)
+    return layout.algebra_on(table, unit)
+
+
+def build_twisted_M2(system):
+    """The deformed algebra on the basis {I(i)_j e_b}, Z2 x Z2 graded."""
+    if system.t_inverses is None:
+        raise NotTwistingSystem("verify the system before building")
+    return _twisted_algebra(BlockLayout(system.algebra), system.theta,
+                            system.basis.lval, system.basis.gamma,
+                            system.t_inverses[0])
 
 
 def plain_m2(E, basis):
     """Ordinary matrix multiplication constants over the same basis."""
     dim = E.dim
-
-    def pos(i, j, b):
-        return (i * 2 + (j - 1)) * dim + b
-
-    labels = []
-    degrees = []
-    for i in (0, 1):
-        for j in (1, 2):
-            for b in range(dim):
-                labels.append(f"I{i}_{j}*{E.labels[b]}")
-                degrees.append((i,) + E.degrees[b])
-    total = 4 * dim
-    table = [[{} for _ in range(total)] for _ in range(total)]
+    layout = BlockLayout(E)
+    table = [[{} for _ in range(layout.dim)] for _ in range(layout.dim)]
     for i in (0, 1):
         for j in (1, 2):
             for ip in (0, 1):
@@ -544,17 +591,17 @@ def plain_m2(E, basis):
                                 if not coeff:
                                     continue
                                 for k, c in prod.items():
-                                    key = pos(isum, t, k)
+                                    key = layout.index(isum, t, k)
                                     acc[key] = acc.get(key, ZERO) + c * coeff
-                            table[pos(i, j, b)][pos(ip, jp, bp)] = {
+                            table[layout.index(i, j, b)][layout.index(ip, jp, bp)] = {
                                 k: v for k, v in acc.items() if v}
     gamma = basis.gamma
     unit = {}
     for j in (1, 2):
         if gamma[j - 1]:
             for k, c in E.unit.items():
-                unit[pos(0, j, k)] = gamma[j - 1] * c
-    return GradedAlgebra(labels, table, unit, degrees, group_rank=2)
+                unit[layout.index(0, j, k)] = gamma[j - 1] * c
+    return layout.algebra_on(table, unit)
 
 
 def trivial_system(E, basis):
@@ -564,6 +611,36 @@ def trivial_system(E, basis):
     return TwistingSystemM2(E, (table, table), basis)
 
 
+def _require_verified(system):
+    if system.t_inverses is None:
+        rep = verify_twisting_M2(system)
+        if not rep.ok:
+            raise NotTwistingSystem(str(rep.first_failure()))
+
+
+def _block_iso(system, new_system, old, coeff, names):
+    """Verify ``new_system`` and return it with the iso I(i)_j e_b ->
+    sum_s coeff(i, j, s) I(i)_s e_b from the twisted algebra of ``system``
+    (``old`` when prebuilt) to that of ``new_system``."""
+    rep = verify_twisting_M2(new_system)
+    if not rep.ok:
+        raise NotTwistingSystem(f"{names[0]} tables fail: {rep.first_failure()}")
+    if old is None:
+        old = build_twisted_M2(system)
+    new = build_twisted_M2(new_system)
+    layout = BlockLayout(system.algebra)
+    cols = []
+    for i in (0, 1):
+        for j in (1, 2):
+            coeffs = [(s, coeff(i, j, s)) for s in (1, 2)]
+            for b in range(layout.algebra.dim):
+                cols.append({layout.index(i, s, b): c for s, c in coeffs if c})
+    iso = GradedLinMap(old, new, cols)
+    if not verify_iso(iso):
+        raise NotTwistingSystem(f"{names[1]} map is not an isomorphism")
+    return new_system, iso
+
+
 def normalize_upsilon(system, old=None):
     """Rescale the tables so both send 1 to the identity matrix.
 
@@ -571,10 +648,7 @@ def normalize_upsilon(system, old=None):
     pass a prebuilt twisted algebra as ``old`` to avoid rebuilding it.
     """
     E = system.algebra
-    if system.t_inverses is None:
-        rep = verify_twisting_M2(system)
-        if not rep.ok:
-            raise NotTwistingSystem(str(rep.first_failure()))
+    _require_verified(system)
     new_tables = []
     for i in (0, 1):
         phi_at_1 = system.t_inverses[i].value_at_unit()
@@ -591,31 +665,9 @@ def normalize_upsilon(system, old=None):
                 entries[j - 1][k - 1] = acc
         new_tables.append(MatrixHom(entries))
     upsilon = TwistingSystemM2(E, tuple(new_tables), system.basis)
-    rep = verify_twisting_M2(upsilon)
-    if not rep.ok:
-        raise NotTwistingSystem(f"normalized tables fail: {rep.first_failure()}")
-    if old is None:
-        old = build_twisted_M2(system)
-    new = build_twisted_M2(upsilon)
-    dim = E.dim
-
-    def pos(i, j, b):
-        return (i * 2 + (j - 1)) * dim + b
-
-    cols = []
-    for i in (0, 1):
-        for j in (1, 2):
-            for b in range(dim):
-                img = {}
-                for s in (1, 2):
-                    coeff = _theta_scalar(E, system.theta[i], s, j)
-                    if coeff:
-                        img[pos(i, s, b)] = coeff
-                cols.append(img)
-    iso = GradedLinMap(old, new, cols)
-    if not verify_iso(iso):
-        raise NotTwistingSystem("normalization map is not an isomorphism")
-    return upsilon, iso
+    return _block_iso(system, upsilon, old,
+                      lambda i, j, s: _theta_scalar(E, system.theta[i], s, j),
+                      ("normalized", "normalization"))
 
 
 def rebase_omega(system, new_basis, old=None):
@@ -626,10 +678,7 @@ def rebase_omega(system, new_basis, old=None):
     pass a prebuilt twisted algebra as ``old`` to avoid rebuilding it.
     """
     E = system.algebra
-    if system.t_inverses is None:
-        rep = verify_twisting_M2(system)
-        if not rep.ok:
-            raise NotTwistingSystem(str(rep.first_failure()))
+    _require_verified(system)
     U = {}
     for i in (0, 1):
         if i == 0:
@@ -666,31 +715,8 @@ def rebase_omega(system, new_basis, old=None):
                 entries[a - 1][b - 1] = acc
         new_tables.append(MatrixHom(entries))
     omega = TwistingSystemM2(E, tuple(new_tables), new_basis)
-    rep = verify_twisting_M2(omega)
-    if not rep.ok:
-        raise NotTwistingSystem(f"rebased tables fail: {rep.first_failure()}")
-    if old is None:
-        old = build_twisted_M2(system)
-    new = build_twisted_M2(omega)
-    dim = E.dim
-
-    def pos(i, j, b):
-        return (i * 2 + (j - 1)) * dim + b
-
-    cols = []
-    for i in (0, 1):
-        for j in (1, 2):
-            for b in range(dim):
-                img = {}
-                for s in (1, 2):
-                    coeff = U[i][j - 1][s - 1]
-                    if coeff:
-                        img[pos(i, s, b)] = coeff
-                cols.append(img)
-    iso = GradedLinMap(old, new, cols)
-    if not verify_iso(iso):
-        raise NotTwistingSystem("rebase map is not an isomorphism")
-    return omega, iso
+    return _block_iso(system, omega, old, lambda i, j, s: U[i][j - 1][s - 1],
+                      ("rebased", "rebase"))
 
 
 # ---------------------------------------------------------------------------
@@ -702,15 +728,10 @@ def product_l_tensor(epsilon):
     e1, e2 = epsilon
     if not (e1[0] and e1[1] and e2[0] and e2[1]):
         raise SingularBasis("basis members must be invertible in k x k")
-    det = e1[0] * e2[1] - e2[0] * e1[1]
-    if not det:
-        raise SingularBasis("basis of k x k must be linearly independent")
     out = {}
     for j, ej in ((1, e1), (2, e2)):
         for jp, ejp in ((1, e1), (2, e2)):
-            prod = (ej[0] * ejp[0], ej[1] * ejp[1])
-            c1 = (prod[0] * e2[1] - e2[0] * prod[1]) / det
-            c2 = (e1[0] * prod[1] - prod[0] * e1[1]) / det
+            c1, c2 = _eps_coords(epsilon, ej[0] * ejp[0], ej[1] * ejp[1])
             out[(1, j, jp)] = c1
             out[(2, j, jp)] = c2
     return out
@@ -725,9 +746,7 @@ def verify_twisting_prod(system):
     if inv is None:
         return report
     system.t_inverse = inv
-    val = system.theta.value_at_unit()
-    report.add("theta-unit-invertible", val is not None and bool(
-        val[0][0] * val[1][1] - val[0][1] * val[1][0]))
+    report.add("theta-unit-invertible", _unit_value_invertible(system.theta))
     ok = True
     detail = ""
     for x in range(E.dim):
@@ -766,68 +785,14 @@ def verify_twisting_prod(system):
 
 def build_twisted_prod(system):
     """The twisted product on the basis {eps_j e_b}, graded by E's grading."""
-    E = system.algebra
-    dim = E.dim
-    ltens = system.l
-
-    def pos(j, b):
-        return (j - 1) * dim + b
-
-    labels = []
-    degrees = []
-    for j in (1, 2):
-        for b in range(dim):
-            labels.append(f"e{j}*{E.labels[b]}")
-            degrees.append(E.degrees[b])
-    total = 2 * dim
-    table = [[{} for _ in range(total)] for _ in range(total)]
-    for j in (1, 2):
-        for jp in (1, 2):
-            for b in range(dim):
-                bx = E.basis_vec(b)
-                pieces = {}
-                for s in (1, 2):
-                    img = _apply(system.theta, s, jp, bx)
-                    if img:
-                        pieces[s] = img
-                for bp in range(dim):
-                    by = E.basis_vec(bp)
-                    acc = {}
-                    for s, img in pieces.items():
-                        prod = E.mul(img, by)
-                        if not prod:
-                            continue
-                        for t in (1, 2):
-                            coeff = ltens[(t, j, s)]
-                            if not coeff:
-                                continue
-                            for k, c in prod.items():
-                                key = pos(t, k)
-                                val = acc.get(key)
-                                val = c * coeff if val is None else val + c * coeff
-                                if val:
-                                    acc[key] = val
-                                else:
-                                    acc.pop(key, None)
-                    table[pos(j, b)][pos(jp, bp)] = acc
     if system.t_inverse is None:
         raise NotTwistingSystem("verify the system before building")
-    # gamma: gamma_1 eps_1 + gamma_2 eps_2 = (1, 1)
-    e1, e2 = system.epsilon
-    det = e1[0] * e2[1] - e2[0] * e1[1]
-    g1 = (e2[1] - e2[0]) / det
-    g2 = (e1[0] - e1[1]) / det
-    unit = {}
-    for j in (1, 2):
-        for s, gcoeff in ((1, g1), (2, g2)):
-            if not gcoeff:
-                continue
-            img = _apply(system.t_inverse, s, j, E.unit)
-            for k, c in img.items():
-                key = pos(j, k)
-                unit[key] = unit.get(key, ZERO) + gcoeff * c
-    unit = {k: v for k, v in unit.items() if v}
-    return GradedAlgebra(labels, table, unit, degrees, group_rank=1)
+    ltens = system.l
+    return _twisted_algebra(BlockLayout(system.algebra, system.epsilon),
+                            (system.theta,),
+                            lambda i, ip, t, j, s: ltens[(t, j, s)],
+                            _eps_coords(system.epsilon, ONE, ONE),
+                            system.t_inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -846,23 +811,15 @@ class SemiTrivialData:
     psi: tuple                # psi[a][b] = ring vector for basis pair (a, b)
 
     def left_act(self, ring_vec, m_vec):
-        out = {}
-        for i, c in ring_vec.items():
-            mat = self.left[i]
-            for b, v in m_vec.items():
-                for r in range(self.module_dim):
-                    if mat[r][b]:
-                        acc = out.get(r, ZERO) + c * v * mat[r][b]
-                        if acc:
-                            out[r] = acc
-                        else:
-                            out.pop(r, None)
-        return out
+        return self._act(self.left, ring_vec, m_vec)
 
     def right_act(self, m_vec, ring_vec):
+        return self._act(self.right, ring_vec, m_vec)
+
+    def _act(self, mats, ring_vec, m_vec):
         out = {}
         for i, c in ring_vec.items():
-            mat = self.right[i]
+            mat = mats[i]
             for b, v in m_vec.items():
                 for r in range(self.module_dim):
                     if mat[r][b]:

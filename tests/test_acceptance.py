@@ -21,6 +21,7 @@ from nqh.algebra import (
     spin,
     strongly_graded_check,
     vec_add,
+    vec_dense,
     vec_eq,
     vec_scale,
     vec_sparse,
@@ -39,6 +40,7 @@ from nqh.knorrer import (
 from nqh.quadratic import QuadraticPresentation, graded_dim
 from nqh.rewrite import normal_form
 from nqh.twist import (
+    BlockLayout,
     TwistingSystemM2,
     TwistingSystemProd,
     build_twisted_M2,
@@ -178,19 +180,7 @@ def test_criterion_5_class_t_pipeline(double_ore_class_t, z_lift):
     ok &= radical(NG).dim == 0
     E = result.base.algebra
     index = {lbl: k for k, lbl in enumerate(E.labels)}
-
-    def pos(j, b):
-        return (j - 1) * E.dim + b
-
-    def pair_vec(a, b):
-        out = {}
-        for k, v in a.items():
-            out[pos(1, k)] = out.get(pos(1, k), ZERO) + v * HALF
-            out[pos(2, k)] = out.get(pos(2, k), ZERO) + v * HALF
-        for k, v in b.items():
-            out[pos(1, k)] = out.get(pos(1, k), ZERO) + v * HALF
-            out[pos(2, k)] = out.get(pos(2, k), ZERO) - v * HALF
-        return {k: v for k, v in out.items() if v}
+    pair = BlockLayout(E, result.theta_prod.epsilon).pair
 
     one_v = {index["1"]: ONE}
     w_v = {index["x1*x2*"]: ONE}
@@ -198,23 +188,17 @@ def test_criterion_5_class_t_pipeline(double_ore_class_t, z_lift):
     v_v = {index["x2*"]: ONE}
     regular = RightModule.regular(NG)
 
-    def dense(d):
-        out = [ZERO] * NG.dim
-        for k, v in d.items():
-            out[k] = v
-        return out
-
     seeds = [
-        [pair_vec(vec_sub(one_v, w_v), {}), pair_vec(vec_sub(u_v, v_v), {})],
-        [pair_vec(vec_add(vec_scale(vec_add(one_v, w_v), I),
-                          vec_add(u_v, v_v)), {})],
-        [pair_vec(vec_sub(vec_scale(vec_add(one_v, w_v), I),
-                          vec_add(u_v, v_v)), {})],
-        [pair_vec({}, vec_add(vec_add(one_v, w_v), vec_add(u_v, v_v)))],
-        [pair_vec({}, vec_sub(vec_add(one_v, w_v), vec_add(u_v, v_v)))],
+        [pair(vec_sub(one_v, w_v), {}), pair(vec_sub(u_v, v_v), {})],
+        [pair(vec_add(vec_scale(vec_add(one_v, w_v), I),
+                      vec_add(u_v, v_v)), {})],
+        [pair(vec_sub(vec_scale(vec_add(one_v, w_v), I),
+                      vec_add(u_v, v_v)), {})],
+        [pair({}, vec_add(vec_add(one_v, w_v), vec_add(u_v, v_v)))],
+        [pair({}, vec_sub(vec_add(one_v, w_v), vec_add(u_v, v_v)))],
     ]
     modules = [RightModule.from_invariant_subspace(
-        NG, spin(regular, [dense(s) for s in seed_list]))
+        NG, spin(regular, [vec_dense(s, NG.dim) for s in seed_list]))
         for seed_list in seeds]
     ok &= [m.dim for m in modules] == [2, 1, 1, 1, 1]
     ok &= verify_decomposition(NG, modules, [2, 1, 1, 1, 1])
@@ -238,19 +222,7 @@ def test_criterion_6_class_r_products(double_ore_class_r, z_lift):
     NG = result.zhang
     E = result.base.algebra
     index = {lbl: k for k, lbl in enumerate(E.labels)}
-
-    def pos(j, b):
-        return (j - 1) * E.dim + b
-
-    def pair_vec(a, b):
-        out = {}
-        for k, v in a.items():
-            out[pos(1, k)] = out.get(pos(1, k), ZERO) + v * HALF
-            out[pos(2, k)] = out.get(pos(2, k), ZERO) + v * HALF
-        for k, v in b.items():
-            out[pos(1, k)] = out.get(pos(1, k), ZERO) + v * HALF
-            out[pos(2, k)] = out.get(pos(2, k), ZERO) - v * HALF
-        return {k: v for k, v in out.items() if v}
+    pair = BlockLayout(E, result.theta_prod.epsilon).pair
 
     one_v = {index["1"]: ONE}
     w_v = {index["x1*x2*"]: ONE}
@@ -258,22 +230,22 @@ def test_criterion_6_class_r_products(double_ore_class_r, z_lift):
     v_v = {index["x2*"]: ONE}
     star = NG.mul
     printed = [
-        (pair_vec(v_v, {}), pair_vec(u_v, {}),
-         pair_vec({index["1"]: MINUS_ONE}, {})),
-        (pair_vec(v_v, {}), pair_vec(v_v, {}),
-         pair_vec({index["x1*x2*"]: MINUS_ONE}, {})),
-        (pair_vec(v_v, {}), pair_vec(one_v, {}), pair_vec(u_v, {})),
-        (pair_vec(w_v, {}), pair_vec(one_v, {}), pair_vec(one_v, {})),
-        (pair_vec(w_v, {}), pair_vec({}, one_v),
-         pair_vec(vec_sub(w_v, one_v), {})),
-        (pair_vec(w_v, {}), pair_vec({}, u_v),
-         pair_vec(vec_sub(u_v, v_v), {})),
-        (pair_vec(u_v, {}), pair_vec(w_v, {}), pair_vec(v_v, {})),
-        (pair_vec(w_v, {}), pair_vec(u_v, {}), pair_vec(u_v, {})),
+        (pair(v_v, {}), pair(u_v, {}),
+         pair({index["1"]: MINUS_ONE}, {})),
+        (pair(v_v, {}), pair(v_v, {}),
+         pair({index["x1*x2*"]: MINUS_ONE}, {})),
+        (pair(v_v, {}), pair(one_v, {}), pair(u_v, {})),
+        (pair(w_v, {}), pair(one_v, {}), pair(one_v, {})),
+        (pair(w_v, {}), pair({}, one_v),
+         pair(vec_sub(w_v, one_v), {})),
+        (pair(w_v, {}), pair({}, u_v),
+         pair(vec_sub(u_v, v_v), {})),
+        (pair(u_v, {}), pair(w_v, {}), pair(v_v, {})),
+        (pair(w_v, {}), pair(u_v, {}), pair(u_v, {})),
     ]
     matched = sum(vec_eq(star(x, y), want) for x, y, want in printed)
     ok &= matched == len(printed) and matched >= 6
-    witness = pair_vec(vec_sub(one_v, w_v), {})
+    witness = pair(vec_sub(one_v, w_v), {})
     ok &= not star(witness, witness)
     ok &= is_nilpotent_element(NG, witness)
     rad = radical(NG).dim

@@ -1,8 +1,15 @@
+import copy
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from perfbench.workloads import REGISTRY_DIGESTS  # noqa: E402
 
 from nqh import scenarios
 from nqh.cli import main
@@ -58,6 +65,68 @@ def test_string_generators_is_exit_2(capsys, tmp_path):
     assert "not a string" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("check-presentation", {"generators": ["x", "y"], "relations": ["x y"]}),
+    ("check-presentation", {"generators": ["x", "y"], "relations": "x y"}),
+    ("check-presentation", {**KM1_PRESENTATION, "central": ["x1 x1"]}),
+    ("double-ore", {**EX_4_10, "sigma": []}),
+    ("double-ore", {**EX_4_10, "sigma": {**EX_4_10["sigma"], "11": ["x1"]}}),
+    ("double-ore", {**EX_4_10,
+                    "sigma": {**EX_4_10["sigma"], "11": {"x1": ["x1"]}}}),
+], ids=["relation-string", "relations-string", "central-array", "sigma-array",
+        "sigma-table-array", "sigma-image-array"])
+def test_malformed_container_is_exit_2(capsys, tmp_path, command, doc):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 2
+    assert "must be a JSON" in capsys.readouterr().err
+
+
+def _twist_doc(labels):
+    identity_table = [
+        [{lbl: {lbl: "1"} for lbl in labels}, {}],
+        [{}, {lbl: {lbl: "1"} for lbl in labels}],
+    ]
+    return {
+        "algebra": KM1_PRESENTATION,
+        "basis": {
+            "I0_1": [["1", "0"], ["0", "1"]],
+            "I0_2": [["-i", "0"], ["0", "i"]],
+            "I1_1": [["0", "1"], ["1", "0"]],
+            "I1_2": [["0", "i"], ["-i", "0"]],
+        },
+        "theta0": identity_table,
+        "theta1": copy.deepcopy(identity_table),
+    }
+
+
+def _set(path, value):
+    def change(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+    return change
+
+
+@pytest.mark.parametrize("change", [
+    _set(["basis"], []),
+    _set(["basis", "I0_1"], 1),
+    _set(["basis", "I0_1", 1], "01"),
+    _set(["theta0"], {}),
+    _set(["theta0", 0, 1], []),
+    _set(["theta0", 0, 0, "1"], ["1"]),
+], ids=["basis-array", "basis-member-number", "basis-row-string",
+        "theta-object", "theta-entry-array", "theta-image-array"])
+def test_malformed_twist_file_is_exit_2(capsys, tmp_path, clifford_km1, change):
+    doc = _twist_doc(clifford_km1.algebra.labels)
+    change(doc)
+    path = tmp_path / "twist.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify-twist", str(path)]) == 2
+    assert "must be a JSON" in capsys.readouterr().err
+
+
 def test_koszul_dual_command(capsys, presentation_file):
     assert main(["koszul-dual", presentation_file]) == 0
     out = capsys.readouterr().out
@@ -105,24 +174,8 @@ def test_knorrer_json(capsys, double_ore_file):
 
 
 def test_verify_twist_command(capsys, tmp_path, clifford_km1):
-    labels = clifford_km1.algebra.labels
-    identity_table = [
-        [{lbl: {lbl: "1"} for lbl in labels}, {}],
-        [{}, {lbl: {lbl: "1"} for lbl in labels}],
-    ]
-    doc = {
-        "algebra": KM1_PRESENTATION,
-        "basis": {
-            "I0_1": [["1", "0"], ["0", "1"]],
-            "I0_2": [["-i", "0"], ["0", "i"]],
-            "I1_1": [["0", "1"], ["1", "0"]],
-            "I1_2": [["0", "i"], ["-i", "0"]],
-        },
-        "theta0": identity_table,
-        "theta1": identity_table,
-    }
     path = tmp_path / "twist.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(_twist_doc(clifford_km1.algebra.labels)))
     assert main(["verify-twist", str(path)]) == 0
     out = capsys.readouterr().out
     assert "[pass] exchange-identity" in out
@@ -176,6 +229,14 @@ def test_reproduce_all_deterministic_and_parallel_safe():
         [sys.executable, "-m", "nqh", "reproduce", "all", "--jobs", "2"],
         capture_output=True, check=True)
     assert first.stdout == second.stdout
+
+
+@pytest.mark.parametrize("scenario_id", sorted(REGISTRY_DIGESTS))
+def test_registry_report_bytes_match_recorded_digest(capsys, scenario_id):
+    assert main(["--json", "reproduce", scenario_id]) == 0
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode("utf-8")).hexdigest()
+            == REGISTRY_DIGESTS[scenario_id])
 
 
 def test_json_outputs_have_stable_key_order(capsys):

@@ -3,7 +3,7 @@ import pytest
 from conftest import diagonal_sigma
 
 from nqh.errors import WrongP
-from nqh.exactlin import HALF, I, ONE, Scalar, ZERO
+from nqh.exactlin import I, ONE, Scalar, ZERO
 from nqh.algebra import (
     GradedLinMap,
     RightModule,
@@ -13,6 +13,7 @@ from nqh.algebra import (
     radical,
     spin,
     vec_add,
+    vec_dense,
     vec_eq,
     vec_scale,
     vec_sparse,
@@ -27,6 +28,7 @@ from nqh.knorrer import (
     run_plus_case,
     singularity_report,
 )
+from nqh.twist import BlockLayout
 
 MINUS_ONE = Scalar(-1)
 
@@ -48,23 +50,8 @@ def minus_class_r(double_ore_class_r, z_lift):
 
 def pair_tools(result):
     E = result.base.algebra
-    dim = E.dim
     index = {lbl: k for k, lbl in enumerate(E.labels)}
-
-    def pos(j, b):
-        return (j - 1) * dim + b
-
-    def pair_vec(a, b):
-        out = {}
-        for k, v in a.items():
-            out[pos(1, k)] = out.get(pos(1, k), ZERO) + v * HALF
-            out[pos(2, k)] = out.get(pos(2, k), ZERO) + v * HALF
-        for k, v in b.items():
-            out[pos(1, k)] = out.get(pos(1, k), ZERO) + v * HALF
-            out[pos(2, k)] = out.get(pos(2, k), ZERO) - v * HALF
-        return {k: v for k, v in out.items() if v}
-
-    return index, pos, pair_vec
+    return index, BlockLayout(E, result.theta_prod.epsilon).pair
 
 
 def test_wrong_case_is_rejected(double_ore_class_z, double_ore_class_t, z_lift):
@@ -161,31 +148,25 @@ def test_minus_class_t_all_checks(minus_class_t):
 def test_minus_class_t_decomposition(minus_class_t):
     NG = minus_class_t.zhang
     assert radical(NG).dim == 0
-    index, pos, pair_vec = pair_tools(minus_class_t)
+    index, pair = pair_tools(minus_class_t)
     one_v = {index["1"]: ONE}
     w_v = {index["x1*x2*"]: ONE}
     u_v = {index["x1*"]: ONE}
     v_v = {index["x2*"]: ONE}
     regular = RightModule.regular(NG)
 
-    def dense(d):
-        out = [ZERO] * NG.dim
-        for k, v in d.items():
-            out[k] = v
-        return out
-
     seeds = [
-        [pair_vec(vec_sub(one_v, w_v), {}), pair_vec(vec_sub(u_v, v_v), {})],
-        [pair_vec(vec_add(vec_scale(vec_add(one_v, w_v), I),
-                          vec_add(u_v, v_v)), {})],
-        [pair_vec(vec_sub(vec_scale(vec_add(one_v, w_v), I),
-                          vec_add(u_v, v_v)), {})],
-        [pair_vec({}, vec_add(vec_add(one_v, w_v), vec_add(u_v, v_v)))],
-        [pair_vec({}, vec_sub(vec_add(one_v, w_v), vec_add(u_v, v_v)))],
+        [pair(vec_sub(one_v, w_v), {}), pair(vec_sub(u_v, v_v), {})],
+        [pair(vec_add(vec_scale(vec_add(one_v, w_v), I),
+                      vec_add(u_v, v_v)), {})],
+        [pair(vec_sub(vec_scale(vec_add(one_v, w_v), I),
+                      vec_add(u_v, v_v)), {})],
+        [pair({}, vec_add(vec_add(one_v, w_v), vec_add(u_v, v_v)))],
+        [pair({}, vec_sub(vec_add(one_v, w_v), vec_add(u_v, v_v)))],
     ]
     modules = []
     for seed_list in seeds:
-        space = spin(regular, [dense(s) for s in seed_list])
+        space = spin(regular, [vec_dense(s, NG.dim) for s in seed_list])
         modules.append(RightModule.from_invariant_subspace(NG, space))
     assert [m.dim for m in modules] == [2, 1, 1, 1, 1]
     assert all(m.verify() for m in modules)
@@ -204,24 +185,24 @@ def test_minus_class_t_decomposition(minus_class_t):
 
 def test_minus_class_r_products_and_radical(minus_class_r):
     NG = minus_class_r.zhang
-    index, pos, pair_vec = pair_tools(minus_class_r)
+    index, pair = pair_tools(minus_class_r)
     one_v = {index["1"]: ONE}
     w_v = {index["x1*x2*"]: ONE}
     u_v = {index["x1*"]: ONE}
     v_v = {index["x2*"]: ONE}
     star = NG.mul
-    assert vec_eq(star(pair_vec(v_v, {}), pair_vec(u_v, {})),
-                  pair_vec({index["1"]: MINUS_ONE}, {}))
-    assert vec_eq(star(pair_vec(v_v, {}), pair_vec(one_v, {})),
-                  pair_vec(u_v, {}))
-    assert vec_eq(star(pair_vec(w_v, {}), pair_vec({}, one_v)),
-                  pair_vec(vec_sub(w_v, one_v), {}))
+    assert vec_eq(star(pair(v_v, {}), pair(u_v, {})),
+                  pair({index["1"]: MINUS_ONE}, {}))
+    assert vec_eq(star(pair(v_v, {}), pair(one_v, {})),
+                  pair(u_v, {}))
+    assert vec_eq(star(pair(w_v, {}), pair({}, one_v)),
+                  pair(vec_sub(w_v, one_v), {}))
     # oracle-certified corrections of two misprinted row entries
-    assert vec_eq(star(pair_vec(u_v, {}), pair_vec(u_v, {})),
-                  pair_vec({index["1"]: MINUS_ONE}, {}))
-    assert vec_eq(star(pair_vec(u_v, {}), pair_vec(v_v, {})),
-                  pair_vec({index["x1*x2*"]: MINUS_ONE}, {}))
-    witness = pair_vec(vec_sub(one_v, w_v), {})
+    assert vec_eq(star(pair(u_v, {}), pair(u_v, {})),
+                  pair({index["1"]: MINUS_ONE}, {}))
+    assert vec_eq(star(pair(u_v, {}), pair(v_v, {})),
+                  pair({index["x1*x2*"]: MINUS_ONE}, {}))
+    witness = pair(vec_sub(one_v, w_v), {})
     assert not star(witness, witness)
     assert is_nilpotent_element(NG, witness)
     assert radical(NG).dim == 4
@@ -244,17 +225,17 @@ def test_minus_diagonal_involutions_factor(km1, z_lift):
     assert result.checks.ok
     E = result.base.algebra
     NG = result.zhang
-    index, pos, pair_vec = pair_tools(result)
+    index, pair = pair_tools(result)
     # componentwise products in pair coordinates: two commuting copies
     for b in range(E.dim):
         for bp in range(E.dim):
-            left = pair_vec({b: ONE}, {})
-            right = pair_vec({bp: ONE}, {})
-            assert vec_eq(NG.mul(left, right), pair_vec(E.table[b][bp], {}))
-            left = pair_vec({}, {b: ONE})
-            right = pair_vec({}, {bp: ONE})
-            assert vec_eq(NG.mul(left, right), pair_vec({}, E.table[b][bp]))
-            assert not NG.mul(pair_vec({b: ONE}, {}), pair_vec({}, {bp: ONE}))
+            left = pair({b: ONE}, {})
+            right = pair({bp: ONE}, {})
+            assert vec_eq(NG.mul(left, right), pair(E.table[b][bp], {}))
+            left = pair({}, {b: ONE})
+            right = pair({}, {bp: ONE})
+            assert vec_eq(NG.mul(left, right), pair({}, E.table[b][bp]))
+            assert not NG.mul(pair({b: ONE}, {}), pair({}, {bp: ONE}))
 
 
 def test_minus_normalized_entry_point(km1, z_lift):

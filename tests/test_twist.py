@@ -8,12 +8,15 @@ from nqh.algebra import (
     GradedAlgebra,
     GradedLinMap,
     MatrixHom,
+    vec_add,
     vec_eq,
+    vec_scale,
     verify_algebra,
     verify_iso,
     xi_automorphism,
 )
 from nqh.twist import (
+    BlockLayout,
     GradedBasisM2,
     SemiTrivialData,
     TwistingSystemM2,
@@ -190,10 +193,7 @@ def test_twisted_matrix_multiplication_table(plus_system, clifford_km1):
     twisted = build_twisted_M2(plus_system)
     assert verify_algebra(twisted).ok
     dim = E.dim
-
-    def pos(i, j, b):
-        return (i * 2 + (j - 1)) * dim + b
-
+    layout = BlockLayout(E)
     theta0 = plus_system.theta[0]
     theta1 = plus_system.theta[1]
     cells = {
@@ -226,9 +226,10 @@ def test_twisted_matrix_multiplication_table(plus_system, clifford_km1):
                                     piece = E.mul(
                                         table.entries[a - 1][b - 1].apply(x), y)
                                 for k, c in piece.items():
-                                    key = pos(isum, slot, k)
+                                    key = layout.index(isum, slot, k)
                                     want[key] = want.get(key, ZERO) + sign * c
-                            got = twisted.table[pos(i, j, x_idx)][pos(ip, jp, y_idx)]
+                            row = layout.index(i, j, x_idx)
+                            got = twisted.table[row][layout.index(ip, jp, y_idx)]
                             assert vec_eq(
                                 got, {k: v for k, v in want.items() if v})
 
@@ -357,31 +358,69 @@ def test_paper_minus_system(clifford_km1, double_ore_class_t):
     product = build_twisted_prod(system)
     assert verify_algebra(product).ok
     dim = E.dim
-
-    def pos(j, b):
-        return (j - 1) * dim + b
+    layout = BlockLayout(E, epsilon)
 
     # the four displayed product patterns
     for b in range(dim):
+        row1, row2 = layout.index(0, 1, b), layout.index(0, 2, b)
         for bp in range(dim):
-            want = {pos(1, k): v for k, v in E.table[b][bp].items()}
-            assert vec_eq(product.table[pos(1, b)][pos(1, bp)], want)
-            want = {pos(2, k): v for k, v in E.table[b][bp].items()}
-            assert vec_eq(product.table[pos(2, b)][pos(1, bp)], want)
+            col1, col2 = layout.index(0, 1, bp), layout.index(0, 2, bp)
+            want = {layout.index(0, 1, k): v for k, v in E.table[b][bp].items()}
+            assert vec_eq(product.table[row1][col1], want)
+            want = {layout.index(0, 2, k): v for k, v in E.table[b][bp].items()}
+            assert vec_eq(product.table[row2][col1], want)
             x = E.basis_vec(b)
             y = E.basis_vec(bp)
             t12 = E.mul(theta.entries[0][1].apply(x), y)
             t22 = E.mul(theta.entries[1][1].apply(x), y)
-            want = {pos(1, k): v for k, v in t12.items()}
-            for k, v in t22.items():
-                want[pos(2, k)] = want.get(pos(2, k), ZERO) + v
-            assert vec_eq(product.table[pos(1, b)][pos(2, bp)],
-                          {k: v for k, v in want.items() if v})
-            want = {pos(1, k): v for k, v in t22.items()}
-            for k, v in t12.items():
-                want[pos(2, k)] = want.get(pos(2, k), ZERO) + v
-            assert vec_eq(product.table[pos(2, b)][pos(2, bp)],
-                          {k: v for k, v in want.items() if v})
+            for row, first, second in ((row1, t12, t22), (row2, t22, t12)):
+                want = {layout.index(0, 1, k): v for k, v in first.items()}
+                for k, v in second.items():
+                    key = layout.index(0, 2, k)
+                    want[key] = want.get(key, ZERO) + v
+                assert vec_eq(product.table[row][col2],
+                              {k: v for k, v in want.items() if v})
+
+
+def test_block_layout_labels_both_builds(plus_system, clifford_km1,
+                                         double_ore_class_t):
+    E = clifford_km1.algebra
+    twisted = build_twisted_M2(plus_system)
+    layout = BlockLayout(E)
+    assert layout.dim == twisted.dim
+    for i in (0, 1):
+        for j in (1, 2):
+            for b in range(E.dim):
+                assert (twisted.labels[layout.index(i, j, b)]
+                        == f"I{i}_{j}*{E.labels[b]}")
+    epsilon = ((ONE, ONE), (ONE, MINUS_ONE))
+    system = TwistingSystemProd(E, minus_theta(clifford_km1, double_ore_class_t),
+                                epsilon, product_l_tensor(epsilon))
+    assert verify_twisting_prod(system).ok
+    product = build_twisted_prod(system)
+    layout = BlockLayout(E, epsilon)
+    assert layout.dim == product.dim
+    for j in (1, 2):
+        for b in range(E.dim):
+            assert product.labels[layout.index(0, j, b)] == f"e{j}*{E.labels[b]}"
+
+
+def test_pair_decodes_under_a_non_standard_epsilon(clifford_km1):
+    E = clifford_km1.algebra
+    epsilon = ((ONE, Scalar(2)), (ONE, MINUS_ONE))
+    layout = BlockLayout(E, epsilon)
+    for a in range(E.dim):
+        for b in range(E.dim):
+            vec = layout.pair(E.basis_vec(a), E.basis_vec(b))
+            slots = [{}, {}]
+            for j in (1, 2):
+                c_j = {k: vec.get(layout.index(0, j, k), ZERO)
+                       for k in range(E.dim)}
+                for slot in (0, 1):
+                    slots[slot] = vec_add(slots[slot],
+                                          vec_scale(c_j, epsilon[j - 1][slot]))
+            assert vec_eq(slots[0], E.basis_vec(a))
+            assert vec_eq(slots[1], E.basis_vec(b))
 
 
 # ---------------------------------------------------------------------------
