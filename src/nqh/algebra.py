@@ -119,24 +119,12 @@ class GradedAlgebra:
                         out.pop(k, None)
         return out
 
-    def power(self, u, n):
-        result = dict(self.unit)
-        for _ in range(n):
-            result = self.mul(result, u)
-        return result
-
     def basis_vec(self, i):
         return {i: ONE}
 
     def element_degree(self, vec):
         degs = {self.degrees[i] for i in vec}
         return degs.pop() if len(degs) == 1 else None
-
-    def left_mult_matrix(self, vec):
-        """Column-convention matrix of x -> vec * x."""
-        cols = [self.mul(vec, self.basis_vec(j)) for j in range(self.dim)]
-        return [[cols[j].get(i, ZERO) for j in range(self.dim)]
-                for i in range(self.dim)]
 
     def right_mult_rows(self, vec):
         """Row-convention action matrix of x -> x * vec."""

@@ -55,14 +55,6 @@ class SingularBasis(NqhError):
     pass
 
 
-class PsiNotBalanced(NqhError):
-    pass
-
-
-class PsiNotBimodule(NqhError):
-    pass
-
-
 class MuNotInvolution(NqhError):
     pass
 

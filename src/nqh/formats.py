@@ -111,7 +111,11 @@ def parse_double_ore(doc):
 
 def parse_twist_file(doc):
     """A twisting-system file: the deformation defining E, the graded basis
-    matrices, and the two theta tables over E's serialized basis labels."""
+    matrices, and the two theta tables over E's serialized basis labels.
+
+    The basis and both theta blocks are shape-checked before E is built;
+    only the label lookups need E.
+    """
     from .deform import build_clifford
     from .twist import GradedBasisM2, TwistingSystemM2
     from .algebra import GradedLinMap, MatrixHom
@@ -121,9 +125,6 @@ def parse_twist_file(doc):
     presentation, central = parse_presentation(doc["algebra"])
     if central is None:
         raise ParseError("the algebra block needs a central element")
-    clifford = build_clifford(presentation, central)
-    E = clifford.algebra
-    label_index = {lbl: k for k, lbl in enumerate(E.labels)}
     try:
         members = _expect(doc["basis"], dict, "basis")
         basis = GradedBasisM2({
@@ -134,33 +135,50 @@ def parse_twist_file(doc):
         })
     except KeyError as exc:
         raise ParseError(f"missing basis member: {exc}") from exc
+    blocks = [_theta_block(doc, name) for name in ("theta0", "theta1")]
+    clifford = build_clifford(presentation, central)
+    E = clifford.algebra
+    label_index = {lbl: k for k, lbl in enumerate(E.labels)}
+
+    def index(label):
+        if label not in label_index:
+            raise ParseError(f"unknown basis label {label!r}")
+        return label_index[label]
+
     tables = []
-    for name in ("theta0", "theta1"):
-        if name not in doc:
-            raise ParseError(f"missing table {name}")
-        block = _expect(doc[name], list, name)
-        if len(block) != 2 or any(len(_expect(r, list, name)) != 2 for r in block):
-            raise ParseError(f"{name} must be a 2x2 table")
+    for block in blocks:
         entries = []
-        for j in (0, 1):
+        for block_row in block:
             row = []
-            for jp in (0, 1):
-                mapping = _expect(block[j][jp], dict, f"{name} entry")
+            for mapping in block_row:
                 cols = [dict() for _ in range(E.dim)]
                 for src, image in mapping.items():
-                    if src not in label_index:
-                        raise ParseError(f"unknown basis label {src!r}")
-                    col = {}
-                    for dst, coeff in _expect(image, dict,
-                                              f"{name} image of {src}").items():
-                        if dst not in label_index:
-                            raise ParseError(f"unknown basis label {dst!r}")
-                        col[label_index[dst]] = parse_scalar(coeff)
-                    cols[label_index[src]] = col
+                    cols[index(src)] = {index(dst): c for dst, c in image.items()}
                 row.append(GradedLinMap(E, E, cols))
             entries.append(row)
         tables.append(MatrixHom(entries))
     return TwistingSystemM2(E, tuple(tables), basis), clifford
+
+
+def _theta_block(doc, name):
+    """The 2x2 table ``name`` of a twisting-system file, each entry as
+    {source label: {target label: Scalar}}."""
+    if name not in doc:
+        raise ParseError(f"missing table {name}")
+    block = _expect(doc[name], list, name)
+    if len(block) != 2 or any(len(_expect(r, list, name)) != 2 for r in block):
+        raise ParseError(f"{name} must be a 2x2 table")
+    entries = []
+    for block_row in block:
+        row = []
+        for entry in block_row:
+            mapping = {}
+            for src, image in _expect(entry, dict, f"{name} entry").items():
+                image = _expect(image, dict, f"{name} image of {src}")
+                mapping[src] = {dst: parse_scalar(c) for dst, c in image.items()}
+            row.append(mapping)
+        entries.append(row)
+    return entries
 
 
 def _matrix2(rows):

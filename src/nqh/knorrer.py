@@ -21,6 +21,7 @@ from .algebra import (
     GradedLinMap,
     MatrixHom,
     Report,
+    _HomogeneousLookup,
     corner_embedding,
     extend_on_generators,
     full_idempotent_check,
@@ -405,24 +406,22 @@ def run_plus_case(data, z):
     for i in range(S_alg.dim):
         s_vec = vec_sparse(list(s_rows[i]))
         phi1_s = phi1.apply(s_vec)
-        lmat = [[ZERO] * len(m_rows) for _ in range(len(m_rows))]
-        rmat = [[ZERO] * len(m_rows) for _ in range(len(m_rows))]
-        for b, mrow in enumerate(m_rows):
+        lcols = []
+        rcols = []
+        for mrow in m_rows:
             m_vec = vec_sparse(list(mrow))
             limg = E.mul(phi1_s, m_vec)
             coords, rem = M.reduce_with_coords(vec_dense(limg, E.dim))
             if any(rem):
                 psi_ok = False
-            for r, c in enumerate(coords):
-                lmat[r][b] = c
+            lcols.append(vec_sparse(coords))
             rimg = E.mul(m_vec, s_vec)
             coords, rem = M.reduce_with_coords(vec_dense(rimg, E.dim))
             if any(rem):
                 psi_ok = False
-            for r, c in enumerate(coords):
-                rmat[r][b] = c
-        left.append(lmat)
-        right.append(rmat)
+            rcols.append(vec_sparse(coords))
+        left.append(tuple(lcols))
+        right.append(tuple(rcols))
     psi = []
     for a, arow in enumerate(m_rows):
         row_entries = []
@@ -439,11 +438,14 @@ def run_plus_case(data, z):
     if not psi_ok:
         raise PipelineError("the eigenspace bimodule or pairing is not closed")
     shifted = [((d[0] + 1) % 2,) for d in m_degs]
-    st_data = SemiTrivialData(S_alg, len(m_rows), tuple(shifted),
-                              tuple(left), tuple(right), tuple(psi))
+    st_data = SemiTrivialData(S_alg, tuple(shifted), tuple(left), tuple(right),
+                              tuple(psi))
     Lambda_big = build_semitrivial(st_data)
     Lambda = Lambda_big.forget_first_regrade()
-    checks.add("semitrivial-valid", verify_algebra(Lambda_big).ok)
+    rep = verify_algebra(Lambda_big)
+    checks.add("semitrivial-valid", rep.ok)
+    if not rep.ok:
+        raise PipelineError(f"invalid semi-trivial extension: {rep.first_failure()}")
 
     # corner at e matches the semi-trivial extension
     corner_alg, inclusion = corner_embedding(twisted, e)
@@ -465,10 +467,14 @@ def run_plus_case(data, z):
                 target[layout.index(1, 1, b)] = coeff * HALF
                 target[layout.index(1, 2, b)] = coeff * HALF * minus_i
             cols.append(target)
-        # express each target in the corner basis
+        # express each target in the corner basis; corner_embedding takes
+        # its columns degree by degree, so each one is homogeneous
+        lookup = _HomogeneousLookup(
+            twisted, [vec_dense(col, twisted.dim) for col in inclusion],
+            [twisted.element_degree(col) for col in inclusion])
         corner_cols = []
         for target in cols:
-            coords = _coords_in_rows(twisted, inclusion, target)
+            coords = lookup.coords(target)
             if coords is None:
                 corner_ok = False
                 break
@@ -487,21 +493,6 @@ def run_plus_case(data, z):
         Lambda=Lambda, Lambda_bigraded=Lambda_big, corner_iso_ok=corner_ok,
         checks=checks,
     )
-
-
-def _coords_in_rows(algebra, inclusion_cols, target):
-    """Coordinates of a vector in the span of homogeneous columns."""
-    from .algebra import _HomogeneousLookup
-
-    rows = [vec_dense(col, algebra.dim) for col in inclusion_cols]
-    degs = []
-    for col in inclusion_cols:
-        deg = algebra.element_degree(col)
-        if deg is None:
-            return None
-        degs.append(deg)
-    lookup = _HomogeneousLookup(algebra, rows, degs)
-    return lookup.coords(target)
 
 
 def run_minus_case(data, z):
@@ -575,7 +566,10 @@ def run_minus_case(data, z):
     st_data = semitrivial_mu(Gamma, mu)
     ST_big = build_semitrivial(st_data)
     ST = ST_big.forget_first_regrade()
-    checks.add("semitrivial-valid", verify_algebra(ST_big).ok)
+    rep = verify_algebra(ST_big)
+    checks.add("semitrivial-valid", rep.ok)
+    if not rep.ok:
+        raise PipelineError(f"invalid semi-trivial extension: {rep.first_failure()}")
     checks.add("semitrivial-strongly-graded", strongly_graded_check(ST))
 
     oracle = build_Bshriek_clifford(data, z)

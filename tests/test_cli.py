@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -9,11 +10,11 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from perfbench.workloads import REGISTRY_DIGESTS  # noqa: E402
+from perfbench.workloads import REGISTRY_DIGESTS, generate, write_inputs  # noqa: E402
 
 from nqh import scenarios
 from nqh.cli import main
-from nqh.scenarios import EX_4_10, KM1_PRESENTATION, ScenarioCheck
+from nqh.scenarios import EX_4_10, EX_5_9, KM1_PRESENTATION, ScenarioCheck
 
 
 @pytest.fixture
@@ -118,13 +119,30 @@ def _set(path, value):
     _set(["theta0", 0, 0, "1"], ["1"]),
 ], ids=["basis-array", "basis-member-number", "basis-row-string",
         "theta-object", "theta-entry-array", "theta-image-array"])
-def test_malformed_twist_file_is_exit_2(capsys, tmp_path, clifford_km1, change):
+def test_malformed_twist_file_is_exit_2(capsys, monkeypatch, tmp_path,
+                                       clifford_km1, change):
     doc = _twist_doc(clifford_km1.algebra.labels)
     change(doc)
+
+    def no_build(*args):
+        pytest.fail("the deformation was built before the file was validated")
+
+    monkeypatch.setattr("nqh.deform.build_clifford", no_build)
     path = tmp_path / "twist.json"
     path.write_text(json.dumps(doc))
     assert main(["verify-twist", str(path)]) == 2
     assert "must be a JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["plus", "minus"])
+def test_knorrer_json_on_a_three_generator_base(capsys, tmp_path, case):
+    write_inputs(generate("skew3", 7), tmp_path)
+    assert main(["--json", "knorrer", str(tmp_path / f"{case}.json")]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["case"] == case
+    assert payload["checks"] and all(v is True for v in payload["checks"].values())
+    assert any(line.startswith("big deformation dim: 32,")
+               for line in payload["report"])
 
 
 def test_koszul_dual_command(capsys, presentation_file):
@@ -171,6 +189,26 @@ def test_knorrer_json(capsys, double_ore_file):
     payload = json.loads(capsys.readouterr().out)
     assert payload["isolated"] is True
     assert payload["big_radical_dim"] == 0
+
+
+def test_invalid_semitrivial_extension_is_exit_1(capsys, monkeypatch, tmp_path):
+    from nqh import knorrer
+    from nqh.exactlin import ONE
+
+    build = knorrer.build_semitrivial
+
+    def perturbed_build(data):
+        psi = [list(row) for row in data.psi]
+        psi[0][0] = {k: v + ONE for k, v in psi[0][0].items()}
+        return build(dataclasses.replace(data, psi=tuple(tuple(r) for r in psi)))
+
+    monkeypatch.setattr(knorrer, "build_semitrivial", perturbed_build)
+    path = tmp_path / "ex59.json"
+    path.write_text(json.dumps(EX_5_9))
+    assert main(["knorrer", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid semi-trivial extension" in err
+    assert "associativity fails at" in err
 
 
 def test_verify_twist_command(capsys, tmp_path, clifford_km1):

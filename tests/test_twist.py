@@ -1,7 +1,9 @@
+import dataclasses
 import random
 
 import pytest
 
+from nqh import knorrer
 from nqh.errors import MuNotInvolution, NotTwistingSystem, SingularBasis
 from nqh.exactlin import HALF, I, ONE, Scalar, ZERO
 from nqh.algebra import (
@@ -37,6 +39,7 @@ from nqh.twist import (
     verify_twisting_suite,
     zhang_twist,
 )
+from nqh.scenarios import run_scenario
 
 MINUS_ONE = Scalar(-1)
 
@@ -435,20 +438,12 @@ def group_algebra():
 def test_semitrivial_zero_pairing():
     E = group_algebra()
     m = E.dim
-    left = []
-    right = []
-    for i in range(E.dim):
-        mat_l = [[ZERO] * m for _ in range(m)]
-        mat_r = [[ZERO] * m for _ in range(m)]
-        for b in range(m):
-            for k, c in E.mul(E.basis_vec(i), E.basis_vec(b)).items():
-                mat_l[k][b] = c
-            for k, c in E.mul(E.basis_vec(b), E.basis_vec(i)).items():
-                mat_r[k][b] = c
-        left.append(mat_l)
-        right.append(mat_r)
+    left = tuple(tuple(E.mul(E.basis_vec(i), E.basis_vec(b)) for b in range(m))
+                 for i in range(E.dim))
+    right = tuple(tuple(E.mul(E.basis_vec(b), E.basis_vec(i)) for b in range(m))
+                  for i in range(E.dim))
     psi = tuple(tuple({} for _ in range(m)) for _ in range(m))
-    data = SemiTrivialData(E, m, ((1,), (0,)), tuple(left), tuple(right), psi)
+    data = SemiTrivialData(E, ((1,), (0,)), left, right, psi)
     extension = build_semitrivial(data)
     assert verify_algebra(extension).ok
     # the module part squares to zero
@@ -461,7 +456,7 @@ def test_semitrivial_multiplication_pairing():
     """Pairing with the ring multiplication on a one-dimensional ring
     doubles into the split quadratic extension."""
     line = GradedAlgebra(["1"], [[{0: ONE}]], {0: ONE}, [(0,)])
-    data = SemiTrivialData(line, 1, ((1,),), ([[ONE]],), ([[ONE]],),
+    data = SemiTrivialData(line, ((1,),), (({0: ONE},),), (({0: ONE},),),
                            (({0: ONE},),))
     extension = build_semitrivial(data)
     assert verify_algebra(extension).ok
@@ -469,6 +464,68 @@ def test_semitrivial_multiplication_pairing():
     from nqh.algebra import radical
 
     assert radical(extension).dim == 0
+
+
+def test_semitrivial_non_bimodule_fails_associativity():
+    """k^4 on four orthogonal idempotents acting on k^2 by (P, 1-P, 0, 0) on
+    the left and (0, 0, Q, 1-Q) on the right, with non-commuting
+    projections P and Q: each action alone is a unital module, but
+    (e_0 m) e_2 = QPm differs from e_0 (m e_2) = PQm."""
+    ring = GradedAlgebra(
+        ["e0", "e1", "e2", "e3"],
+        [[{i: ONE} if i == j else {} for j in range(4)] for i in range(4)],
+        {i: ONE for i in range(4)}, [(0,)] * 4)
+    p_cols = ({0: ONE}, {})               # P = [[1, 0], [0, 0]]
+    q_cols = ({0: ONE}, {0: ONE})         # Q = [[1, 1], [0, 0]]
+    p_comp = ({}, {1: ONE})               # 1 - P
+    q_comp = ({}, {0: MINUS_ONE, 1: ONE})  # 1 - Q
+    zero = ({}, {})
+    psi = (({}, {}), ({}, {}))
+    data = SemiTrivialData(ring, ((1,), (1,)), (p_cols, p_comp, zero, zero),
+                           (zero, zero, q_cols, q_comp), psi)
+    report = verify_algebra(build_semitrivial(data))
+    assert [item.passed for item in report.items] == [True, True, False]
+    assert report.first_failure().detail == "associativity fails at (0,5,2)"
+
+
+def _perturbed(data, field, rng):
+    """``data`` with one nonzero coefficient of one ``field`` vector
+    increased by 1; supports only shrink, so the grading stays valid."""
+    table = getattr(data, field)
+    spots = [(x, y) for x in range(len(table)) for y in range(len(table[x]))
+             if table[x][y]]
+    x, y = rng.choice(spots)
+    vec = dict(table[x][y])
+    k = rng.choice(sorted(vec))
+    vec[k] = vec[k] + ONE
+    if not vec[k]:
+        del vec[k]
+    rows = [list(row) for row in table]
+    rows[x][y] = vec
+    return dataclasses.replace(data, **{field: tuple(tuple(r) for r in rows)})
+
+
+@pytest.mark.parametrize("scenario_id", ["ex-4.10", "ex-4.9-2", "ex-5.9",
+                                         "prop-5.10"])
+def test_semitrivial_mutants_fail_verify_algebra(monkeypatch, scenario_id):
+    """verify_algebra of the built extension is the only certificate of the
+    semi-trivial data: a perturbed action or pairing must fail it."""
+    captured = []
+
+    def capture(data):
+        captured.append(data)
+        return build_semitrivial(data)
+
+    monkeypatch.setattr(knorrer, "build_semitrivial", capture)
+    assert run_scenario(scenario_id).ok
+    (data,) = captured
+    assert verify_algebra(build_semitrivial(data)).ok
+    rng = random.Random(f"semitrivial-mutant:{scenario_id}")
+    for field in ("left", "right", "psi"):
+        for _ in range(5):
+            report = verify_algebra(build_semitrivial(_perturbed(data, field, rng)))
+            passed = {item.name: item.passed for item in report.items}
+            assert passed["grading"] and not report.ok, (field, passed)
 
 
 def test_semitrivial_mu_requires_involution():
