@@ -1,6 +1,8 @@
 """Finite-dimensional graded algebras by structure constants.
 
-Elements are sparse coordinate dicts {basis index: Scalar}.  Gradings live
+Elements are sparse coordinate dicts {basis index: Scalar}, summed by the
+kernel ``exactlin.add_scaled``, so a computed element never stores a zero
+coefficient.  Gradings live
 over Z2^k (k = 1 or 2) with degrees stored as 0/1 tuples per basis element;
 every basis element is homogeneous.  Graded linear maps store the image of
 each source basis vector.  A 2x2 matrix of graded linear maps with common
@@ -23,11 +25,13 @@ from .errors import (
     ZeroScale,
 )
 from .exactlin import (
+    MINUS_ONE,
     ONE,
     ZERO,
     Scalar,
     SparseEliminator,
     Subspace,
+    add_scaled,
     is_stacked_inverse,
     matrix_inverse,
     matrix_mul,
@@ -39,27 +43,11 @@ from .exactlin import (
 
 
 def vec_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        acc = out.get(k)
-        acc = v if acc is None else acc + v
-        if acc:
-            out[k] = acc
-        else:
-            out.pop(k, None)
-    return out
+    return add_scaled(dict(a), b, ONE)
 
 
 def vec_sub(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        acc = out.get(k)
-        acc = -v if acc is None else acc - v
-        if acc:
-            out[k] = acc
-        else:
-            out.pop(k, None)
-    return out
+    return add_scaled(dict(a), b, MINUS_ONE)
 
 
 def vec_scale(a, coeff):
@@ -69,7 +57,7 @@ def vec_scale(a, coeff):
 
 
 def vec_eq(a, b):
-    return vec_sub(a, b) == {}
+    return all(a.get(k, ZERO) == b.get(k, ZERO) for k in a.keys() | b.keys())
 
 
 def vec_dense(a, dim):
@@ -109,14 +97,7 @@ class GradedAlgebra:
         for i, ci in u.items():
             row = table[i]
             for j, cj in v.items():
-                coeff = ci * cj
-                for k, ck in row[j].items():
-                    acc = out.get(k)
-                    acc = coeff * ck if acc is None else acc + coeff * ck
-                    if acc:
-                        out[k] = acc
-                    else:
-                        out.pop(k, None)
+                add_scaled(out, row[j], ci * cj)
         return out
 
     def basis_vec(self, i):
@@ -243,15 +224,27 @@ class Report:
 
 
 def verify_algebra(algebra):
-    """Unit, associativity and grading checks with first counterexamples."""
+    """Unit, associativity and grading checks with first counterexamples.
+
+    Every product is summed straight from the table rows by the kernel
+    ``add_scaled``: 1 e_i and e_i 1 are sum_u c_u table[u][i] and
+    sum_u c_u table[i][u] over the unit, (e_i e_j) e_k is sum_l c_l
+    table[l][k] over table[i][j], and e_i (e_j e_k) is sum_m c_m table[i][m]
+    over table[j][k].  Kernel-built dicts never store a zero coefficient, so
+    plain dict comparison is exact.  All dim^3 basis triples are checked.
+    """
     report = Report()
     dim = algebra.dim
+    table = algebra.table
     unit_ok = True
     unit_detail = ""
     for i in range(dim):
-        b = algebra.basis_vec(i)
-        if not vec_eq(algebra.mul(algebra.unit, b), b) or not vec_eq(
-                algebra.mul(b, algebra.unit), b):
+        left = {}
+        right = {}
+        for u, c in algebra.unit.items():
+            add_scaled(left, table[u][i], c)
+            add_scaled(right, table[i][u], c)
+        if left != {i: ONE} or right != {i: ONE}:
             unit_ok = False
             unit_detail = f"unit axiom fails at basis {i}"
             break
@@ -262,7 +255,7 @@ def verify_algebra(algebra):
     for i in range(dim):
         for j in range(dim):
             target = add_degrees(algebra.degrees[i], algebra.degrees[j])
-            for k in algebra.table[i][j]:
+            for k in table[i][j]:
                 if algebra.degrees[k] != target:
                     grading_ok = False
                     grading_detail = f"product ({i},{j}) hits degree of basis {k}"
@@ -277,11 +270,15 @@ def verify_algebra(algebra):
     assoc_detail = ""
     for i in range(dim):
         for j in range(dim):
-            left = algebra.table[i][j]
+            left = table[i][j]
             for k in range(dim):
-                lhs = algebra.mul(left, algebra.basis_vec(k))
-                rhs = algebra.mul(algebra.basis_vec(i), algebra.table[j][k])
-                if not vec_eq(lhs, rhs):
+                lhs = {}
+                for l, c in left.items():
+                    add_scaled(lhs, table[l][k], c)
+                rhs = {}
+                for m, c in table[j][k].items():
+                    add_scaled(rhs, table[i][m], c)
+                if lhs != rhs:
                     assoc_ok = False
                     assoc_detail = f"associativity fails at ({i},{j},{k})"
                     break
@@ -321,13 +318,7 @@ class GradedLinMap:
     def apply(self, vec):
         out = {}
         for i, c in vec.items():
-            for k, v in self.cols[i].items():
-                acc = out.get(k)
-                acc = c * v if acc is None else acc + c * v
-                if acc:
-                    out[k] = acc
-                else:
-                    out.pop(k, None)
+            add_scaled(out, self.cols[i], c)
         return out
 
     def compose(self, other):
@@ -416,10 +407,10 @@ class MatrixHom:
             row = []
             for j in range(2):
                 img = self.entries[i][j].apply(E.unit)
-                diff = vec_sub(img, vec_scale(E.unit, _scalar_multiple(E, img)))
-                if diff:
+                value = _scalar_multiple(E, img)
+                if not vec_eq(img, vec_scale(E.unit, value)):
                     return None
-                row.append(_scalar_multiple(E, img))
+                row.append(value)
             out.append(row)
         return out
 
@@ -453,8 +444,8 @@ def verify_hom_M2(hom):
                     direct = hom.entries[i][j].apply(product)
                     via = {}
                     for k in range(2):
-                        via = vec_add(via, E.mul(images_x[i][k],
-                                                 hom.entries[k][j].apply(by)))
+                        add_scaled(via, E.mul(images_x[i][k],
+                                              hom.entries[k][j].apply(by)), ONE)
                     if not vec_eq(direct, via):
                         return False
     return True
@@ -524,7 +515,7 @@ def extend_on_generators(data, target, images):
     for idx, relation in enumerate(data.relations):
         acc = {}
         for word, coeff in relation.terms.items():
-            acc = vec_add(acc, vec_scale(image_of(word), coeff))
+            add_scaled(acc, image_of(word), coeff)
         if acc:
             raise RelationViolated(idx)
     cols = [image_of(w) for w in data.algebra.words]
@@ -711,16 +702,9 @@ def hom_dim(m, n):
         an = n.action[a]
         for r in range(m.dim):
             for c in range(n.dim):
-                row = {}
-                for t in range(m.dim):
-                    if am[r][t]:
-                        key = t * n.dim + c
-                        row[key] = row.get(key, ZERO) + am[r][t]
-                for s in range(n.dim):
-                    if an[s][c]:
-                        key = r * n.dim + s
-                        row[key] = row.get(key, ZERO) - an[s][c]
-                row = {k: v for k, v in row.items() if v}
+                row = {t * n.dim + c: am[r][t] for t in range(m.dim) if am[r][t]}
+                add_scaled(row, {r * n.dim + s: an[s][c]
+                                 for s in range(n.dim) if an[s][c]}, MINUS_ONE)
                 if row:
                     elim.add(row)
     return unknowns - elim.rank

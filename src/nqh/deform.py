@@ -33,6 +33,7 @@ from .exactlin import (
     Scalar,
     Subspace,
     TensorElement,
+    add_scaled,
     identity_matrix,
     is_stacked_inverse,
     matrix_add,
@@ -48,8 +49,6 @@ from .algebra import (
     MatrixHom,
     Report,
     strongly_graded_check,
-    vec_add,
-    vec_scale,
     verify_algebra,
     verify_hom_M2,
 )
@@ -452,9 +451,7 @@ def b_presentation(data):
             for j in range(2):
                 col = data.sigma[i][j]
                 for b in range(g):
-                    if col[b][a]:
-                        key = (b + 2, j)
-                        terms[key] = terms.get(key, ZERO) - col[b][a]
+                    terms[(b + 2, j)] = -col[b][a]
             rels.append(TensorElement(terms))
     return QuadraticPresentation(names, rels)
 
@@ -518,7 +515,7 @@ def dualize_hom(data, clifford):
                 acc = {}
                 for k in range(2):
                     if prev[i][k] and last[k][j]:
-                        acc = vec_add(acc, E.mul(prev[i][k], last[k][j]))
+                        add_scaled(acc, E.mul(prev[i][k], last[k][j]), ONE)
                 out[i][j] = acc
         memo[word] = out
         return out
@@ -530,7 +527,7 @@ def dualize_hom(data, clifford):
             mat = word_image(word)
             for i in range(2):
                 for j in range(2):
-                    acc[i][j] = vec_add(acc[i][j], vec_scale(mat[i][j], coeff))
+                    add_scaled(acc[i][j], mat[i][j], coeff)
         if any(acc[i][j] for i in range(2) for j in range(2)):
             raise RelationViolated(idx, "dualized map does not kill a relation")
     cols = [[[None] * E.dim for _ in range(2)] for _ in range(2)]
@@ -574,10 +571,7 @@ def build_Bshriek_clifford(data, z):
             terms = {(a + 2, i): ONE}
             for j in range(2):
                 for b in range(g):
-                    coeff = transposed[j][i][b][a]
-                    if coeff:
-                        key = (j, b + 2)
-                        terms[key] = terms.get(key, ZERO) + coeff
+                    terms[(j, b + 2)] = transposed[j][i][b][a]
             assembled.append(TensorElement(terms))
     assembled_space = Subspace.from_rows(
         [r.coordinates(g + 2, 2) for r in assembled], (g + 2) ** 2)

@@ -13,7 +13,9 @@ Tensor words over a finite alphabet are tuples of generator indices; the
 empty tuple is the unit of the tensor algebra.  Words are ordered
 degree-lexicographically: first by length, then lexicographically by index.
 Free-algebra elements (TensorElement) map words to scalars with no zero
-coefficients stored.
+coefficients stored.  Every sparse vector of the package (a dict from keys
+to scalars) is summed by one in-place kernel, ``add_scaled``, which never
+stores a zero coefficient.
 
 Subspaces of K^n are kept as reduced-row-echelon bases, which makes equality
 and membership canonical.  A sparse forward eliminator is provided for rank
@@ -380,7 +382,27 @@ def sqrt_in_K(s):
 
 
 # ---------------------------------------------------------------------------
-# words and free-algebra elements
+# sparse vectors, words and free-algebra elements
+
+
+def add_scaled(out, vec, coeff):
+    """out += coeff * vec in place, for sparse dicts key -> Scalar; returns out.
+
+    A key whose sum cancels to zero is dropped and a zero product is never
+    stored, so a dict built by this kernel from {} holds no zero
+    coefficient and two such dicts are equal exactly when their vectors
+    are.  A zero ``coeff`` leaves ``out`` unchanged.
+    """
+    if not coeff:
+        return out
+    for k, v in vec.items():
+        acc = out.get(k)
+        acc = v * coeff if acc is None else acc + v * coeff
+        if acc:
+            out[k] = acc
+        else:
+            out.pop(k, None)
+    return out
 
 
 def deglex_key(word):
@@ -439,16 +461,8 @@ class TensorElement:
         return sorted(self.terms.items(), key=lambda kv: deglex_key(kv[0]))
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for word, coeff in other.terms.items():
-            acc = out.get(word)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                out[word] = acc
-            else:
-                out.pop(word, None)
         result = TensorElement.__new__(TensorElement)
-        result.terms = out
+        result.terms = add_scaled(dict(self.terms), other.terms, ONE)
         return result
 
     def __neg__(self):
@@ -834,7 +848,8 @@ class SparseEliminator:
     ambient spaces.  Rows are dicts column -> Scalar.  Insertion reduces
     only until the row acquires a fresh lead column (row echelon, not
     reduced), which keeps pivot rows sparse; membership reduction cancels
-    pivot leads until none remain.
+    pivot leads until none remain.  Every pivot row is scaled to lead 1, so
+    adding -row[lead] times it cancels the lead exactly.
     """
 
     __slots__ = ("pivots",)
@@ -852,16 +867,7 @@ class SparseEliminator:
                     hit = col
             if hit is None:
                 break
-            factor = row.pop(hit)
-            for col, val in pivots[hit].items():
-                if col == hit:
-                    continue
-                acc = row.get(col)
-                acc = -factor * val if acc is None else acc - factor * val
-                if acc:
-                    row[col] = acc
-                else:
-                    row.pop(col, None)
+            add_scaled(row, pivots[hit], -row[hit])
         return row
 
     def add(self, row):
@@ -877,16 +883,7 @@ class SparseEliminator:
                     row = {c: v * inv for c, v in row.items()}
                 pivots[lead] = row
                 return True
-            factor = row.pop(lead)
-            for col, val in pivot_row.items():
-                if col == lead:
-                    continue
-                acc = row.get(col)
-                acc = -factor * val if acc is None else acc - factor * val
-                if acc:
-                    row[col] = acc
-                else:
-                    row.pop(col, None)
+            add_scaled(row, pivot_row, -row[lead])
         return False
 
     def contains(self, row):

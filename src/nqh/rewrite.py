@@ -22,7 +22,7 @@ from .errors import (
     NotConfluent,
     NotOrientable,
 )
-from .exactlin import ONE, Scalar, TensorElement, deglex_key, rref_rows
+from .exactlin import ONE, Scalar, TensorElement, add_scaled, deglex_key, rref_rows
 
 RULE_CAP = 512
 NORMAL_WORD_CAP = 4096
@@ -118,14 +118,8 @@ class RewriteSystem:
             prefix, suffix = word[:pos], word[pos + length:]
             acc = {}
             for rhs_word, coeff in self.rules[sub].terms.items():
-                piece = self._nf_word(prefix + rhs_word + suffix)
-                for w, c in piece.terms.items():
-                    val = acc.get(w)
-                    val = coeff * c if val is None else val + coeff * c
-                    if val:
-                        acc[w] = val
-                    else:
-                        acc.pop(w, None)
+                add_scaled(acc, self._nf_word(prefix + rhs_word + suffix).terms,
+                           coeff)
             result = TensorElement(acc)
         self._nf_cache[word] = result
         return result
@@ -134,14 +128,7 @@ class RewriteSystem:
         """Normal form without the confluence-bound guard (internal use)."""
         acc = {}
         for word, coeff in element.terms.items():
-            piece = self._nf_word(word)
-            for w, c in piece.terms.items():
-                val = acc.get(w)
-                val = coeff * c if val is None else val + coeff * c
-                if val:
-                    acc[w] = val
-                else:
-                    acc.pop(w, None)
+            add_scaled(acc, self._nf_word(word).terms, coeff)
         return TensorElement(acc)
 
     def is_normal(self, word):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import I, ONE
+from .exactlin import I, ONE, add_scaled
 from .algebra import (
     RightModule,
     is_nilpotent_element,
@@ -287,8 +287,7 @@ def run_ex_5_9():
     regular = RightModule.regular(NG)
     seeds = [
         [pair(vec_sub(one_v, w_v), {}), pair(vec_sub(u_v, v_v), {})],
-        [pair(vec_add(vec_scale(vec_add(one_v, w_v), I),
-                      vec_add(u_v, v_v)), {})],
+        [pair(add_scaled(vec_add(u_v, v_v), vec_add(one_v, w_v), I), {})],
         [pair(vec_sub(vec_scale(vec_add(one_v, w_v), I),
                       vec_add(u_v, v_v)), {})],
         [pair({}, vec_add(vec_add(one_v, w_v), vec_add(u_v, v_v)))],

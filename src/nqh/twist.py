@@ -25,14 +25,22 @@ from .errors import (
     NotTwistingSystem,
     SingularBasis,
 )
-from .exactlin import ONE, ZERO, Scalar, matrix_inverse, matrix_mul, matrix_vec
+from .exactlin import (
+    ONE,
+    ZERO,
+    Scalar,
+    add_scaled,
+    matrix_inverse,
+    matrix_mul,
+    matrix_vec,
+)
 from .algebra import (
     GradedAlgebra,
     GradedLinMap,
     MatrixHom,
     Report,
+    _scalar_multiple,
     t_inverse_table,
-    vec_add,
     vec_eq,
     vec_scale,
     verify_iso,
@@ -272,14 +280,6 @@ class BlockLayout:
         return {k: v for k, v in out.items() if v}
 
 
-def _table_entry(table, j, jp):
-    return table.entries[j - 1][jp - 1]
-
-
-def _apply(table, j, jp, vec):
-    return table.entries[j - 1][jp - 1].apply(vec)
-
-
 def _unit_value_invertible(table):
     """Whether the table sends 1 to an invertible 2x2 scalar matrix."""
     v = table.value_at_unit()
@@ -316,17 +316,17 @@ def verify_twisting_M2(system):
                        for p in (1, 2) for a in (1, 2) for b in (1, 2)}
             for x in range(E.dim):
                 bx = E.basis_vec(x)
-                pre = [[_apply(ti, s, jp, bx) for jp in (1, 2)]
+                pre = [[ti.entry(s, jp).apply(bx) for jp in (1, 2)]
                        for s in (1, 2)]
-                post = [[_apply(tsum, p, t, bx) for t in (1, 2)]
+                post = [[tsum.entry(p, t).apply(bx) for t in (1, 2)]
                         for p in (1, 2)]
                 for y in range(E.dim):
                     by = E.basis_vec(y)
-                    tii_by = [[_apply(tii, u, jpp, by) for jpp in (1, 2)]
+                    tii_by = [[tii.entry(u, jpp).apply(by) for jpp in (1, 2)]
                               for u in (1, 2)]
                     inner = [[E.mul(pre[s][jp], by) for jp in range(2)]
                              for s in range(2)]
-                    lhs_app = [[[[_apply(tii, u, jpp, inner[s][jp])
+                    lhs_app = [[[[tii.entry(u, jpp).apply(inner[s][jp])
                                   for jpp in (1, 2)] for u in (1, 2)]
                                 for jp in range(2)] for s in range(2)]
                     rhs_app = [[[[E.mul(post[p][t], tii_by[u][jpp])
@@ -338,19 +338,15 @@ def verify_twisting_M2(system):
                                 lhs = {}
                                 for s in (1, 2):
                                     for u in (1, 2):
-                                        coeff = lcoeffs[(p, s, u)]
-                                        if coeff:
-                                            lhs = vec_add(lhs, vec_scale(
-                                                lhs_app[s - 1][jp - 1][u - 1][jpp - 1],
-                                                coeff))
+                                        add_scaled(
+                                            lhs, lhs_app[s - 1][jp - 1][u - 1][jpp - 1],
+                                            lcoeffs[(p, s, u)])
                                 rhs = {}
                                 for t in (1, 2):
                                     for u in (1, 2):
-                                        coeff = lcoeffs[(t, jp, u)]
-                                        if coeff:
-                                            rhs = vec_add(rhs, vec_scale(
-                                                rhs_app[p - 1][t - 1][u - 1][jpp - 1],
-                                                coeff))
+                                        add_scaled(
+                                            rhs, rhs_app[p - 1][t - 1][u - 1][jpp - 1],
+                                            lcoeffs[(t, jp, u)])
                                 if not vec_eq(lhs, rhs):
                                     exchange_ok = False
                                     if not detail:
@@ -393,17 +389,17 @@ def verify_twisting_suite(system):
             phi_ip = phis[ip]
             for x in range(E.dim):
                 bx = E.basis_vec(x)
-                phi_bx = [[_apply(phi_i, q, j, bx) for j in (1, 2)]
+                phi_bx = [[phi_i.entry(q, j).apply(bx) for j in (1, 2)]
                           for q in (1, 2)]
-                sum_phi = [[[[_apply(th_sum, p, t, phi_bx[q][j])
+                sum_phi = [[[[th_sum.entry(p, t).apply(phi_bx[q][j])
                               for j in range(2)] for q in range(2)]
                             for t in (1, 2)] for p in (1, 2)]
                 for y in range(E.dim):
                     by = E.basis_vec(y)
-                    phi_by = [[_apply(phi_ip, r, j, by) for j in (1, 2)]
+                    phi_by = [[phi_ip.entry(r, j).apply(by) for j in (1, 2)]
                               for r in (1, 2)]
-                    lhs_app = [[[_apply(th_ip, u, j + 1,
-                                        E.mul(bx, phi_by[r][j]))
+                    lhs_app = [[[th_ip.entry(u, j + 1).apply(
+                                     E.mul(bx, phi_by[r][j]))
                                  for j in range(2)] for u in (1, 2)]
                                for r in range(2)]
                     rhs_app = [[[[E.mul(sum_phi[p][t][q][j], by)
@@ -418,16 +414,13 @@ def verify_twisting_suite(system):
                                     if not coeff:
                                         continue
                                     for j in range(2):
-                                        lhs = vec_add(lhs, vec_scale(
-                                            lhs_app[r - 1][u - 1][j], coeff))
+                                        add_scaled(lhs, lhs_app[r - 1][u - 1][j], coeff)
                                 rhs = {}
                                 for t in (1, 2):
                                     for j in (1, 2):
-                                        coeff = basis.lval(i, ip, t, j, r)
-                                        if coeff:
-                                            rhs = vec_add(rhs, vec_scale(
-                                                rhs_app[p - 1][t - 1][q - 1][j - 1],
-                                                coeff))
+                                        add_scaled(
+                                            rhs, rhs_app[p - 1][t - 1][q - 1][j - 1],
+                                            basis.lval(i, ip, t, j, r))
                                 if not vec_eq(lhs, rhs):
                                     ok = False
     report.add("theta-phi-exchange", ok)
@@ -445,16 +438,12 @@ def verify_twisting_suite(system):
                     for s in (1, 2):
                         lhs = {}
                         for p in (1, 2):
-                            coeff = basis.lval(i, ip, p, q, r)
-                            if coeff:
-                                lhs = vec_add(lhs, vec_scale(
-                                    _apply(phis[(i + ip) % 2], p, s, E.unit), coeff))
+                            add_scaled(lhs, phis[(i + ip) % 2].entry(p, s).apply(E.unit),
+                                       basis.lval(i, ip, p, q, r))
                         rhs = {}
                         for j in (1, 2):
-                            coeff = basis.lval(i, ip, s, j, r)
-                            if coeff:
-                                rhs = vec_add(rhs, vec_scale(
-                                    _apply(phis[i], q, j, E.unit), coeff))
+                            add_scaled(rhs, phis[i].entry(q, j).apply(E.unit),
+                                       basis.lval(i, ip, s, j, r))
                         if not vec_eq(lhs, rhs):
                             ok3 = False
     report.add("gamma-phi-relation", ok3)
@@ -466,10 +455,9 @@ def verify_twisting_suite(system):
             lhs = {}
             for r in (1, 2):
                 for j in (1, 2):
-                    inner = E.mul(bx, _apply(phis[0], r, j, E.unit))
-                    lhs = vec_add(lhs, vec_scale(
-                        _apply(system.theta[0], v, j, inner),
-                        basis.gamma[r - 1]))
+                    inner = E.mul(bx, phis[0].entry(r, j).apply(E.unit))
+                    add_scaled(lhs, system.theta[0].entry(v, j).apply(inner),
+                               basis.gamma[r - 1])
             rhs = vec_scale(bx, basis.gamma[v - 1])
             if not vec_eq(lhs, rhs):
                 ok4 = False
@@ -486,20 +474,16 @@ def verify_twisting_suite(system):
                             lcoeff = basis.lval(0, i, s, j, t)
                             if not lcoeff:
                                 continue
-                            phi1 = _theta_scalar(E, phis[0], u, j)
-                            th1 = _theta_scalar(E, system.theta[i], t, q)
+                            phi1 = _scalar_multiple(
+                                E, phis[0].entry(u, j).apply(E.unit))
+                            th1 = _scalar_multiple(
+                                E, system.theta[i].entry(t, q).apply(E.unit))
                             total = total + basis.gamma[u - 1] * lcoeff * phi1 * th1
                 want = ONE if s == q else ZERO
                 if total != want:
                     ok5 = False
     report.add("gamma-unit-contraction", ok5)
     return report
-
-
-def _theta_scalar(E, table, a, b):
-    vec = _apply(table, a, b, E.unit)
-    k = next(iter(E.unit))
-    return vec.get(k, ZERO) / E.unit[k]
 
 
 def _twisted_algebra(layout, theta, lval, gamma, phi0):
@@ -522,7 +506,7 @@ def _twisted_algebra(layout, theta, lval, gamma, phi0):
                         bx = E.basis_vec(b)
                         pieces = {}
                         for s in (1, 2):
-                            img = _apply(theta[ip], s, jp, bx)
+                            img = theta[ip].entry(s, jp).apply(bx)
                             if img:
                                 pieces[s] = img
                         for bp in range(dim):
@@ -548,13 +532,11 @@ def _twisted_algebra(layout, theta, lval, gamma, phi0):
                             table[layout.index(i, j, b)][layout.index(ip, jp, bp)] = acc
     unit = {}
     for j in (1, 2):
-        offset = layout.index(0, j, 0)
+        part = {}
         for s in (1, 2):
-            if not gamma[s - 1]:
-                continue
-            for k, c in _apply(phi0, s, j, E.unit).items():
-                unit[offset + k] = unit.get(offset + k, ZERO) + gamma[s - 1] * c
-    unit = {k: v for k, v in unit.items() if v}
+            add_scaled(part, phi0.entry(s, j).apply(E.unit), gamma[s - 1])
+        offset = layout.index(0, j, 0)
+        unit.update((offset + k, c) for k, c in part.items())
     return layout.algebra_on(table, unit)
 
 
@@ -577,19 +559,16 @@ def plain_m2(E, basis):
             for ip in (0, 1):
                 isum = (i + ip) % 2
                 for jp in (1, 2):
+                    # the product lands in the blocks (isum, t), whose keys
+                    # are disjoint, so no two terms share a key
+                    coeffs = [(t, basis.lval(i, ip, t, j, jp)) for t in (1, 2)
+                              if basis.lval(i, ip, t, j, jp)]
                     for b in range(dim):
                         for bp in range(dim):
                             prod = E.table[b][bp]
-                            acc = {}
-                            for t in (1, 2):
-                                coeff = basis.lval(i, ip, t, j, jp)
-                                if not coeff:
-                                    continue
-                                for k, c in prod.items():
-                                    key = layout.index(isum, t, k)
-                                    acc[key] = acc.get(key, ZERO) + c * coeff
                             table[layout.index(i, j, b)][layout.index(ip, jp, bp)] = {
-                                k: v for k, v in acc.items() if v}
+                                layout.index(isum, t, k): c * coeff
+                                for t, coeff in coeffs for k, c in prod.items()}
     gamma = basis.gamma
     unit = {}
     for j in (1, 2):
@@ -656,12 +635,13 @@ def normalize_upsilon(system, old=None):
                 for m in (1, 2):
                     coeff = phi_at_1[k - 1][m - 1]
                     if coeff:
-                        acc = acc + _table_entry(system.theta[i], j, m).scale(coeff)
+                        acc = acc + system.theta[i].entry(j, m).scale(coeff)
                 entries[j - 1][k - 1] = acc
         new_tables.append(MatrixHom(entries))
     upsilon = TwistingSystemM2(E, tuple(new_tables), system.basis)
     return _block_iso(system, upsilon, old,
-                      lambda i, j, s: _theta_scalar(E, system.theta[i], s, j),
+                      lambda i, j, s: _scalar_multiple(
+                          E, system.theta[i].entry(s, j).apply(E.unit)),
                       ("normalized", "normalization"))
 
 
@@ -705,8 +685,7 @@ def rebase_omega(system, new_basis, old=None):
                     for q in (1, 2):
                         coeff = u[a - 1][p - 1] * uinv[q - 1][b - 1]
                         if coeff:
-                            acc = acc + _table_entry(
-                                system.theta[i], p, q).scale(coeff)
+                            acc = acc + system.theta[i].entry(p, q).scale(coeff)
                 entries[a - 1][b - 1] = acc
         new_tables.append(MatrixHom(entries))
     omega = TwistingSystemM2(E, tuple(new_tables), new_basis)
@@ -746,7 +725,7 @@ def verify_twisting_prod(system):
     detail = ""
     for x in range(E.dim):
         bx = E.basis_vec(x)
-        pre = [[_apply(system.theta, s, j, bx) for j in (1, 2)] for s in (1, 2)]
+        pre = [[system.theta.entry(s, j).apply(bx) for j in (1, 2)] for s in (1, 2)]
         for y in range(E.dim):
             by = E.basis_vec(y)
             for j in (1, 2):
@@ -759,17 +738,17 @@ def verify_twisting_prod(system):
                                 if not coeff:
                                     continue
                                 inner = E.mul(pre[s - 1][j - 1], by)
-                                lhs = vec_add(lhs, vec_scale(
-                                    _apply(system.theta, u, jp, inner), coeff))
+                                add_scaled(lhs, system.theta.entry(u, jp).apply(inner),
+                                           coeff)
                         rhs = {}
                         for t in (1, 2):
                             for u in (1, 2):
                                 coeff = ltens[(t, j, u)]
                                 if not coeff:
                                     continue
-                                term = E.mul(_apply(system.theta, p, t, bx),
-                                             _apply(system.theta, u, jp, by))
-                                rhs = vec_add(rhs, vec_scale(term, coeff))
+                                term = E.mul(system.theta.entry(p, t).apply(bx),
+                                             system.theta.entry(u, jp).apply(by))
+                                add_scaled(rhs, term, coeff)
                         if not vec_eq(lhs, rhs):
                             ok = False
                             if not detail:

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -7,6 +10,15 @@ settings.register_profile(
     "ci", derandomize=True, max_examples=60,
     suppress_health_check=[HealthCheck.too_slow])
 settings.load_profile("ci")
+
+
+@pytest.fixture(scope="session")
+def nqh_env():
+    """Environment for a ``python -m nqh`` subprocess: this checkout's
+    ``src`` leads PYTHONPATH, so the package need not be installed."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src")]
+    paths += [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
 
 
 def scalar_matrix(rows):

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from nqh import deform, knorrer
 from nqh.errors import RelationViolated, ZeroScale
 from nqh.exactlin import HALF, ONE, Scalar, ZERO
 from nqh.algebra import (
@@ -21,12 +24,14 @@ from nqh.algebra import (
     t_invert_hom,
     vec_eq,
     vec_sparse,
+    vec_sub,
     verify_algebra,
     verify_decomposition,
     verify_hom_M2,
     verify_iso,
     xi_automorphism,
 )
+from nqh.scenarios import run_scenario
 
 
 def matrix_algebra_2x2():
@@ -300,3 +305,131 @@ def test_corner_unit_and_rank_property():
     assert corner_alg.dim == rank
     assert vec_eq(corner_alg.mul(corner_alg.unit, corner_alg.unit),
                   corner_alg.unit)
+
+
+# ---------------------------------------------------------------------------
+# verify_algebra against the triple loop through mul
+
+
+def reference_verify_algebra(algebra):
+    """The triple loop through ``mul`` on one-hot basis vectors, compared by
+    a ``vec_sub``-based equality: the form verify_algebra had before it
+    summed table rows directly."""
+    def same(a, b):
+        return vec_sub(a, b) == {}
+
+    items = []
+    dim = algebra.dim
+    detail = ""
+    for i in range(dim):
+        b = algebra.basis_vec(i)
+        if not same(algebra.mul(algebra.unit, b), b) or not same(
+                algebra.mul(b, algebra.unit), b):
+            detail = f"unit axiom fails at basis {i}"
+            break
+    items.append(("unit", not detail, detail))
+    detail = ""
+    for i in range(dim):
+        for j in range(dim):
+            target = tuple((a + b) % 2 for a, b in
+                           zip(algebra.degrees[i], algebra.degrees[j]))
+            bad = [k for k in algebra.table[i][j] if algebra.degrees[k] != target]
+            if bad:
+                detail = f"product ({i},{j}) hits degree of basis {bad[0]}"
+                break
+        if detail:
+            break
+    items.append(("grading", not detail, detail))
+    detail = ""
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                lhs = algebra.mul(algebra.table[i][j], algebra.basis_vec(k))
+                rhs = algebra.mul(algebra.basis_vec(i), algebra.table[j][k])
+                if not same(lhs, rhs):
+                    detail = f"associativity fails at ({i},{j},{k})"
+                    break
+            if detail:
+                break
+        if detail:
+            break
+    items.append(("associativity", not detail, detail))
+    return items
+
+
+PIPELINE_SCENARIOS = ("ex-4.10", "ex-4.9-1", "ex-4.9-2", "ex-5.9", "prop-5.10")
+
+
+@pytest.fixture(scope="module")
+def pipeline_algebras():
+    """Every algebra that the five registry pipelines hand to verify_algebra."""
+    captured = []
+
+    def capture(algebra):
+        captured.append(algebra)
+        return verify_algebra(algebra)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(deform, "verify_algebra", capture)
+        patch.setattr(knorrer, "verify_algebra", capture)
+        for scenario_id in PIPELINE_SCENARIOS:
+            assert run_scenario(scenario_id).ok
+    return captured
+
+
+def _bumped(vec, key):
+    """``vec`` with the coefficient at ``key`` increased by 1."""
+    out = dict(vec)
+    out[key] = out.get(key, ZERO) + ONE
+    if not out[key]:
+        del out[key]
+    return out
+
+
+def _mutant(algebra, kind, rng):
+    """``algebra`` with one unit coefficient or one structure constant
+    bumped by 1: at a stored key (``"stored"``) or at any (i, j, k)."""
+    table = [list(row) for row in algebra.table]
+    unit = algebra.unit
+    dim = algebra.dim
+    if kind == "unit":
+        unit = _bumped(unit, rng.randrange(dim))
+    else:
+        if kind == "stored":
+            i, j, k = rng.choice([(i, j, k) for i in range(dim) for j in range(dim)
+                                  for k in sorted(table[i][j])])
+        else:
+            i, j, k = rng.randrange(dim), rng.randrange(dim), rng.randrange(dim)
+        table[i][j] = _bumped(table[i][j], k)
+    return GradedAlgebra(algebra.labels, table, unit, algebra.degrees,
+                         algebra.group_rank)
+
+
+def _items(report):
+    return [(item.name, item.passed, item.detail) for item in report.items]
+
+
+def test_verify_algebra_matches_the_reference_on_pipeline_algebras(
+        pipeline_algebras):
+    assert len(pipeline_algebras) == 33
+    for algebra in pipeline_algebras:
+        items = _items(verify_algebra(algebra))
+        assert items == reference_verify_algebra(algebra)
+        assert all(passed for _, passed, _ in items)
+
+
+def test_verify_algebra_matches_the_reference_on_mutants(pipeline_algebras):
+    rng = random.Random("verify-algebra-mutants")
+    kinds = ("unit", "stored", "any")
+    failed = {"unit": 0, "grading": 0, "associativity": 0}
+    count = 0
+    for n, algebra in enumerate(pipeline_algebras):
+        for kind in (kinds[n % 3], kinds[(n + 1) % 3]):
+            mutant = _mutant(algebra, kind, rng)
+            items = _items(verify_algebra(mutant))
+            assert items == reference_verify_algebra(mutant), (n, kind)
+            for name, passed, _ in items:
+                failed[name] += not passed
+            count += 1
+    assert count >= 40
+    assert all(failed.values()), failed

@@ -4,13 +4,10 @@ import hashlib
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-
-from perfbench.workloads import REGISTRY_DIGESTS, generate, write_inputs  # noqa: E402
+from perfbench.workloads import REGISTRY_DIGESTS, generate, write_inputs
 
 from nqh import scenarios
 from nqh.cli import main
@@ -259,13 +256,13 @@ def test_empty_registry_warns(capsys, monkeypatch):
     assert "warning" in capsys.readouterr().out
 
 
-def test_reproduce_all_deterministic_and_parallel_safe():
+def test_reproduce_all_deterministic_and_parallel_safe(nqh_env):
     first = subprocess.run(
         [sys.executable, "-m", "nqh", "reproduce", "all"],
-        capture_output=True, check=True)
+        capture_output=True, check=True, env=nqh_env)
     second = subprocess.run(
         [sys.executable, "-m", "nqh", "reproduce", "all", "--jobs", "2"],
-        capture_output=True, check=True)
+        capture_output=True, check=True, env=nqh_env)
     assert first.stdout == second.stdout
 
 

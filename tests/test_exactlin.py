@@ -17,6 +17,7 @@ from nqh.exactlin import (
     Subspace,
     TensorElement,
     ZERO,
+    add_scaled,
     matrix_inverse,
     matrix_mul,
     nullspace,
@@ -199,6 +200,47 @@ def test_sparse_eliminator_rank_and_membership():
     assert elim.rank == 2
     assert elim.contains({0: Scalar(5), 1: Scalar(-3)})
     assert not elim.contains({2: ONE})
+
+
+def test_add_scaled_updates_in_place():
+    out = {0: ONE, 1: Scalar(2)}
+    same = out
+    assert add_scaled(out, {1: ONE, 2: I}, Scalar(3)) is same
+    assert out == {0: ONE, 1: Scalar(5), 2: Scalar(0, 3)}
+
+
+def test_add_scaled_drops_a_cancelled_key():
+    out = {0: ONE, 1: Scalar(2)}
+    add_scaled(out, {1: ONE, 2: ONE}, Scalar(-2))
+    assert out == {0: ONE, 2: Scalar(-2)}
+    assert 1 not in out
+    add_scaled(out, {0: HALF}, Scalar(-2))
+    assert out == {2: Scalar(-2)}
+
+
+def test_add_scaled_leaves_absent_keys_absent():
+    out = {0: ONE}
+    add_scaled(out, {3: ZERO, 4: I}, R2)
+    assert out == {0: ONE, 4: IR2}
+    assert 3 not in out
+    assert add_scaled({}, {}, ONE) == {}
+
+
+def test_add_scaled_zero_coefficient_is_a_no_op():
+    out = {0: ONE, 1: I}
+    add_scaled(out, {0: MINUS_ONE, 2: ONE}, ZERO)
+    assert out == {0: ONE, 1: I}
+    assert list(out) == [0, 1]
+
+
+@given(st.dictionaries(st.integers(0, 5), small_scalar),
+       st.dictionaries(st.integers(0, 5), small_scalar), small_scalar)
+def test_add_scaled_is_the_sparse_sum(a, b, c):
+    a = {k: v for k, v in a.items() if v}
+    out = add_scaled(dict(a), b, c)
+    assert all(v for v in out.values())
+    for k in range(6):
+        assert out.get(k, ZERO) == a.get(k, ZERO) + c * b.get(k, ZERO)
 
 
 # ---------------------------------------------------------------------------
