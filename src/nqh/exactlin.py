@@ -841,6 +841,13 @@ def subspace_intersection(u, w):
     return Subspace.from_rows(vectors, u.ambient)
 
 
+def _require_cancelled(row, lead):
+    """A step that leaves its lead key in the row would repeat forever."""
+    if lead in row:
+        raise ArithmeticError(
+            f"elimination step left column {lead} in the row: stored zero?")
+
+
 class SparseEliminator:
     """Forward Gaussian eliminator over sparse rows keyed by column index.
 
@@ -868,6 +875,7 @@ class SparseEliminator:
             if hit is None:
                 break
             add_scaled(row, pivots[hit], -row[hit])
+            _require_cancelled(row, hit)
         return row
 
     def add(self, row):
@@ -884,6 +892,7 @@ class SparseEliminator:
                 pivots[lead] = row
                 return True
             add_scaled(row, pivot_row, -row[lead])
+            _require_cancelled(row, lead)
         return False
 
     def contains(self, row):

@@ -313,6 +313,15 @@ def _subspace_algebra(E, space):
     return GradedAlgebra(labels, table, unit, degs, E.group_rank), rows
 
 
+def _certify(checks, name, algebra, what):
+    """Record ``verify_algebra`` of ``algebra`` as check ``name``; a failure
+    raises, since every later ``verify_iso`` on it needs it associative."""
+    rep = verify_algebra(algebra)
+    checks.add(name, rep.ok)
+    if not rep.ok:
+        raise PipelineError(f"invalid {what}: {rep.first_failure()}")
+
+
 def run_plus_case(data, z):
     """The full (p12, p11) = (1, 0) pipeline with every verification."""
     lift = z.lift if hasattr(z, "lift") else z
@@ -350,7 +359,7 @@ def run_plus_case(data, z):
     checks.add("twisting-derived-identities", suite.ok)
 
     twisted_big = build_twisted_M2(Theta)
-    checks.add("twisted-algebra-valid", verify_algebra(twisted_big).ok)
+    _certify(checks, "twisted-algebra-valid", twisted_big, "twisted algebra")
     twisted = twisted_big.total_degree_regrade()
 
     oracle = build_Bshriek_clifford(data, z)
@@ -361,6 +370,8 @@ def run_plus_case(data, z):
     for a in range(data.ngens):
         images.append({layout.index(0, 1, E.words.index((a,))): ONE})
     iso = extend_on_generators(oracle, twisted, images)
+    # verify_iso needs both sides associative: build_Bshriek_clifford
+    # certifies the oracle, and twisted regrades the certified twisted_big
     iso_ok = verify_iso(iso)
     checks.add("oracle-isomorphism", iso_ok)
     if not iso_ok:
@@ -437,10 +448,7 @@ def run_plus_case(data, z):
                               tuple(psi))
     Lambda_big = build_semitrivial(st_data)
     Lambda = Lambda_big.forget_first_regrade()
-    rep = verify_algebra(Lambda_big)
-    checks.add("semitrivial-valid", rep.ok)
-    if not rep.ok:
-        raise PipelineError(f"invalid semi-trivial extension: {rep.first_failure()}")
+    _certify(checks, "semitrivial-valid", Lambda_big, "semi-trivial extension")
 
     # corner at e matches the semi-trivial extension
     corner_alg, inclusion = corner_embedding(twisted, e)
@@ -475,6 +483,9 @@ def run_plus_case(data, z):
                 break
             corner_cols.append(coords)
         if corner_ok:
+            # both sides are associative: Lambda regrades the certified
+            # Lambda_big, and the corner table is read exactly off the
+            # certified twisted algebra through its basis of e A e
             candidate = GradedLinMap(Lambda, corner_alg, corner_cols)
             corner_ok = verify_iso(candidate)
     checks.add("corner-matches-semitrivial", corner_ok)
@@ -531,7 +542,7 @@ def run_minus_case(data, z):
         raise PipelineError("the constructed pair is not a product twisting system")
 
     Gamma = build_twisted_prod(system)
-    checks.add("twisted-product-valid", verify_algebra(Gamma).ok)
+    _certify(checks, "twisted-product-valid", Gamma, "twisted product")
     layout = BlockLayout(E, epsilon)
 
     # the involution exchanging the two slots through the dual table
@@ -559,10 +570,7 @@ def run_minus_case(data, z):
 
     ST_big = build_semitrivial(st_data)
     ST = ST_big.forget_first_regrade()
-    rep = verify_algebra(ST_big)
-    checks.add("semitrivial-valid", rep.ok)
-    if not rep.ok:
-        raise PipelineError(f"invalid semi-trivial extension: {rep.first_failure()}")
+    _certify(checks, "semitrivial-valid", ST_big, "semi-trivial extension")
     checks.add("semitrivial-strongly-graded", strongly_graded_check(ST))
 
     oracle = build_Bshriek_clifford(data, z)
@@ -574,13 +582,17 @@ def run_minus_case(data, z):
     for a in range(data.ngens):
         images.append({layout.index(0, 1, E.words.index((a,))): ONE})
     iso = extend_on_generators(oracle, ST, images)
+    # the oracle is certified by build_Bshriek_clifford, and ST regrades the
+    # certified ST_big, as verify_iso requires
     iso_ok = verify_iso(iso)
     checks.add("oracle-isomorphism", iso_ok)
     if not iso_ok:
         raise IsoFailed("the deformation does not match the semi-trivial extension")
 
     NG = zhang_twist(Gamma, (GradedLinMap.identity(Gamma), mu))
-    checks.add("zhang-twist-valid", verify_algebra(NG).ok)
+    _certify(checks, "zhang-twist-valid", NG, "Zhang twist")
+    # ST0 is the exact restriction of the certified ST_big to a
+    # multiplication-closed basis subset, so associative as verify_iso needs
     zero_idx = [i for i in range(ST_big.dim) if ST_big.degrees[i][1] == 0]
     ST0 = ST_big.subalgebra_on(
         zero_idx, degrees=[(ST_big.degrees[i][0],) for i in zero_idx],

@@ -43,6 +43,7 @@ from .algebra import (
     t_inverse_table,
     vec_eq,
     vec_scale,
+    verify_algebra,
     verify_iso,
 )
 
@@ -602,6 +603,11 @@ def _block_iso(system, new_system, old, coeff, names):
     if old is None:
         old = build_twisted_M2(system)
     new = build_twisted_M2(new_system)
+    # verify_iso needs both sides certified associative
+    for algebra in (old, new):
+        rep = verify_algebra(algebra)
+        if not rep.ok:
+            raise NotTwistingSystem(f"twisted algebra invalid: {rep.first_failure()}")
     layout = BlockLayout(system.algebra)
     cols = []
     for i in (0, 1):
@@ -838,7 +844,7 @@ def build_semitrivial(data):
 def semitrivial_mu(E, mu):
     """The bimodule-and-psi package built from an involutive automorphism:
     the module is E twisted by mu on the left and shifted, and psi is
-    (a, b) -> mu(a) b."""
+    (a, b) -> mu(a) b.  E must be certified associative (``verify_iso``)."""
     if not verify_iso(mu):
         raise MuNotInvolution("mu must be a graded algebra automorphism")
     if not mu.compose(mu) == GradedLinMap.identity(E):

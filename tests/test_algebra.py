@@ -1,8 +1,11 @@
+import json
 import random
 
 import pytest
 
-from nqh import deform, knorrer
+from perfbench.workloads import generate
+
+from nqh import algebra as algebra_module, deform, knorrer, twist
 from nqh.errors import RelationViolated, ZeroScale
 from nqh.exactlin import HALF, ONE, Scalar, ZERO
 from nqh.algebra import (
@@ -14,6 +17,7 @@ from nqh.algebra import (
     corner_embedding,
     extend_on_generators,
     full_idempotent_check,
+    generating_set,
     hom_dim,
     is_absolutely_simple,
     is_nilpotent_element,
@@ -31,6 +35,7 @@ from nqh.algebra import (
     verify_iso,
     xi_automorphism,
 )
+from nqh.formats import parse_double_ore
 from nqh.scenarios import run_scenario
 
 
@@ -195,6 +200,13 @@ def test_verify_iso_rejects_non_multiplicative(clifford_km1):
         [ZERO, Scalar(2), ZERO, ZERO])
     stretched = GradedLinMap(algebra, algebra, cols)
     assert not verify_iso(stretched)
+    # doubling the normal words with an odd count of letter a commutes with
+    # right multiplication by the other generator, so only a pair through
+    # a itself shows that the map is not multiplicative
+    for a in range(2):
+        cols = [{i: Scalar(2) if algebra.words[i].count(a) % 2 else ONE}
+                for i in range(algebra.dim)]
+        assert not verify_iso(GradedLinMap(algebra, algebra, cols))
 
 
 # ---------------------------------------------------------------------------
@@ -433,3 +445,135 @@ def test_verify_algebra_matches_the_reference_on_mutants(pipeline_algebras):
             count += 1
     assert count >= 40
     assert all(failed.values()), failed
+
+
+def test_verify_algebra_needs_every_generator():
+    """K[Z2 x Z2] on 1, a, b, ab (index = bit pattern) with the signs of
+    b ab and ab b flipped: a lies in the middle nucleus and b does not, so
+    only triples with b in the middle find the failure."""
+    table = [[{i ^ j: ONE} for j in range(4)] for i in range(4)]
+    table[2][3] = table[3][2] = {1: Scalar(-1)}
+    algebra = GradedAlgebra(["1", "a", "b", "ab"], table, {0: ONE},
+                            [(0, 0), (1, 0), (0, 1), (1, 1)], group_rank=2)
+    assert generating_set(algebra) == [1, 2]
+    items = _items(verify_algebra(algebra))
+    assert items == reference_verify_algebra(algebra)
+    assert items[2][:2] == ("associativity", False)
+    # with e_b as a false unit the closure misses b, so a failed unit item
+    # must send the check over every middle
+    no_unit = GradedAlgebra(algebra.labels, table, {2: ONE}, algebra.degrees, 2)
+    assert generating_set(no_unit) == [0, 1]
+    items = _items(verify_algebra(no_unit))
+    assert items == reference_verify_algebra(no_unit)
+    assert [passed for _, passed, _ in items] == [False, True, False]
+
+
+def _capture(patch, name, sink, modules):
+    """Patch ``name`` in ``modules`` to record its argument in ``sink``."""
+    real = getattr(algebra_module, name)
+
+    def capture(arg):
+        sink.append(arg)
+        return real(arg)
+
+    for module in modules:
+        patch.setattr(module, name, capture)
+
+
+@pytest.fixture(scope="module")
+def skew3_certified():
+    """(algebras, maps) that the knorrer pipelines hand to verify_algebra
+    and verify_iso on the skew3 benchmark inputs of seed 7."""
+    algebras, maps = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        _capture(patch, "verify_algebra", algebras, (deform, knorrer))
+        _capture(patch, "verify_iso", maps, (knorrer, twist))
+        for name, blob in sorted(generate("skew3", 7).items()):
+            data, central = parse_double_ore(json.loads(blob))
+            run = knorrer.run_plus_case if name == "plus.json" else knorrer.run_minus_case
+            assert run(data, central).checks.ok
+    return algebras, maps
+
+
+def test_verify_algebra_matches_the_reference_on_skew3_mutants(skew3_certified):
+    algebras, _ = skew3_certified
+    rng = random.Random("verify-algebra-skew3-mutants")
+    kinds = ("unit", "stored", "any")
+    failed = {"unit": 0, "grading": 0, "associativity": 0}
+    assert len(algebras) == 13
+    for n, algebra in enumerate(algebras):
+        items = _items(verify_algebra(algebra))
+        assert items == reference_verify_algebra(algebra)
+        assert all(passed for _, passed, _ in items)
+        for kind in (kinds[n % 3], kinds[(n + 1) % 3]):
+            mutant = _mutant(algebra, kind, rng)
+            items = _items(verify_algebra(mutant))
+            assert items == reference_verify_algebra(mutant), (n, kind)
+            for name, passed, _ in items:
+                failed[name] += not passed
+    assert all(failed.values()), failed
+
+
+# ---------------------------------------------------------------------------
+# verify_iso against the loop over all basis pairs
+
+
+def reference_verify_iso(linmap):
+    """The check verify_iso made before it went through a generating set:
+    multiplicativity on every basis pair.  Returns the first failing part,
+    or "iso" when the map passes."""
+    source, target = linmap.source, linmap.target
+    if source.dim != target.dim or not linmap.is_invertible():
+        return "bijective"
+    if not vec_eq(linmap.apply(source.unit), target.unit):
+        return "unit"
+    for i in range(source.dim):
+        if any(target.degrees[k] != source.degrees[i] for k in linmap.cols[i]):
+            return "degree"
+    for i in range(source.dim):
+        for j in range(source.dim):
+            if not vec_eq(linmap.apply(source.table[i][j]),
+                          target.mul(linmap.cols[i], linmap.cols[j])):
+                return "multiplicative"
+    return "iso"
+
+
+@pytest.fixture(scope="module")
+def registry_isos():
+    """Every map that the five registry pipelines hand to verify_iso."""
+    maps = []
+    with pytest.MonkeyPatch.context() as patch:
+        # the scenarios import verify_iso from nqh.algebra when they run
+        _capture(patch, "verify_iso", maps, (algebra_module, knorrer, twist))
+        for scenario_id in PIPELINE_SCENARIOS:
+            assert run_scenario(scenario_id).ok
+    return maps
+
+
+def _column_mutant(linmap, rng):
+    """``linmap`` with one coefficient bumped by 1, in a column outside the
+    source unit's support and at a target index of that column's degree,
+    so that most mutants reach the multiplicativity check."""
+    source, target = linmap.source, linmap.target
+    i = rng.choice([i for i in range(source.dim) if i not in source.unit])
+    k = rng.choice([k for k in range(target.dim)
+                    if target.degrees[k] == source.degrees[i]])
+    cols = list(linmap.cols)
+    cols[i] = _bumped(cols[i], k)
+    return GradedLinMap(source, target, cols)
+
+
+def test_verify_iso_matches_the_reference_on_pipeline_maps(registry_isos,
+                                                           skew3_certified):
+    assert len(registry_isos) == 14 and len(skew3_certified[1]) == 5
+    maps = registry_isos + skew3_certified[1]
+    rng = random.Random("verify-iso-mutants")
+    verdicts = {}
+    for n, linmap in enumerate(maps):
+        assert verify_iso(linmap) and reference_verify_iso(linmap) == "iso"
+        for _ in range(10):
+            mutant = _column_mutant(linmap, rng)
+            verdict = reference_verify_iso(mutant)
+            assert verify_iso(mutant) == (verdict == "iso"), (n, verdict)
+            verdicts[verdict] = verdicts.get(verdict, 0) + 1
+    assert verdicts.get("multiplicative", 0) >= 5 * len(maps), verdicts

@@ -2,12 +2,19 @@ import copy
 import dataclasses
 import hashlib
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
-from perfbench.workloads import REGISTRY_DIGESTS, generate, write_inputs
+from perfbench.workloads import (
+    REGISTRY_DIGESTS,
+    encode,
+    generate,
+    skew_double_ore,
+    write_inputs,
+)
 
 from nqh import scenarios
 from nqh.cli import main
@@ -131,15 +138,27 @@ def test_malformed_twist_file_is_exit_2(capsys, monkeypatch, tmp_path,
     assert "must be a JSON" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["plus", "minus"])
-def test_knorrer_json_on_a_three_generator_base(capsys, tmp_path, case):
-    write_inputs(generate("skew3", 7), tmp_path)
-    assert main(["--json", "knorrer", str(tmp_path / f"{case}.json")]) == 0
+def _assert_knorrer_json(capsys, path, case, big_dim):
+    assert main(["--json", "knorrer", str(path)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["case"] == case
     assert payload["checks"] and all(v is True for v in payload["checks"].values())
-    assert any(line.startswith("big deformation dim: 32,")
+    assert any(line.startswith(f"big deformation dim: {big_dim},")
                for line in payload["report"])
+
+
+@pytest.mark.parametrize("case", ["plus", "minus"])
+def test_knorrer_json_on_a_three_generator_base(capsys, tmp_path, case):
+    write_inputs(generate("skew3", 7), tmp_path)
+    _assert_knorrer_json(capsys, tmp_path / f"{case}.json", case, 32)
+
+
+@pytest.mark.parametrize("case, p12", [("plus", 1), ("minus", -1)])
+def test_knorrer_json_on_a_four_generator_base(capsys, tmp_path, case, p12):
+    doc = skew_double_ore(random.Random(f"four-generators:{case}"), 4, p12)
+    path = tmp_path / f"{case}.json"
+    path.write_bytes(encode(doc))
+    _assert_knorrer_json(capsys, path, case, 64)
 
 
 def test_koszul_dual_command(capsys, presentation_file):
@@ -206,6 +225,36 @@ def test_invalid_semitrivial_extension_is_exit_1(capsys, monkeypatch, tmp_path):
     err = capsys.readouterr().err
     assert "invalid semi-trivial extension" in err
     assert "associativity fails at" in err
+
+
+@pytest.mark.parametrize("builder, doc, message", [
+    ("build_twisted_M2", EX_4_10, "invalid twisted algebra"),
+    ("build_twisted_prod", EX_5_9, "invalid twisted product"),
+    ("zhang_twist", EX_5_9, "invalid Zhang twist"),
+], ids=["twisted-M2", "twisted-prod", "zhang-twist"])
+def test_invalid_certified_algebra_is_exit_1(capsys, monkeypatch, tmp_path,
+                                             builder, doc, message):
+    """Each algebra that a later verify_iso relies on stops the pipeline
+    when verify_algebra rejects it."""
+    from nqh import knorrer
+    from nqh.algebra import GradedAlgebra
+    from nqh.exactlin import ONE
+
+    build = getattr(knorrer, builder)
+
+    def bad_unit(*args):
+        algebra = build(*args)
+        unit = {k: v + ONE for k, v in algebra.unit.items()}
+        return GradedAlgebra(algebra.labels, algebra.table, unit, algebra.degrees,
+                             algebra.group_rank)
+
+    monkeypatch.setattr(knorrer, builder, bad_unit)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    assert main(["knorrer", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "unit axiom fails at basis" in err
 
 
 def test_verify_twist_command(capsys, tmp_path, clifford_km1):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from nqh import exactlin
 from nqh.errors import DegreeMismatch, DimensionMismatch, ParseError
 from nqh.exactlin import (
     HALF,
@@ -200,6 +201,25 @@ def test_sparse_eliminator_rank_and_membership():
     assert elim.rank == 2
     assert elim.contains({0: Scalar(5), 1: Scalar(-3)})
     assert not elim.contains({2: ONE})
+
+
+def test_sparse_eliminator_raises_on_a_stored_zero_lead(monkeypatch):
+    """A kernel that keeps cancelled keys as stored zeros must make the
+    eliminator fail, not loop on a lead that never leaves the row."""
+    def storing_zeros(out, vec, coeff):
+        if not coeff:
+            return out
+        for k, v in vec.items():
+            out[k] = out.get(k, ZERO) + v * coeff
+        return out
+
+    elim = SparseEliminator()
+    assert elim.add({0: ONE, 1: ONE})
+    monkeypatch.setattr(exactlin, "add_scaled", storing_zeros)
+    with pytest.raises(ArithmeticError):
+        elim.add({0: Scalar(2), 1: Scalar(2)})
+    with pytest.raises(ArithmeticError):
+        elim.contains({0: ONE, 1: ONE})
 
 
 def test_add_scaled_updates_in_place():
