@@ -276,9 +276,6 @@ def build_parser():
 
     p = sub.add_parser("reproduce", help="run registered worked examples")
     p.add_argument("id", help="a scenario id or 'all'")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted and ignored: scenarios run one after another"
-                        " (the work is pure Python, so threads gave no speedup)")
     p.set_defaults(func=cmd_reproduce)
     return parser
 

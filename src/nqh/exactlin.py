@@ -9,13 +9,24 @@ reduced so that gcd(a0, a1, a2, a3, d) = 1.  K is a field: every nonzero
 scalar is invertible (the inverse is computed from the three Galois
 conjugates i -> -i, r2 -> -r2).
 
+Every operation returns the canonical form, and a Scalar is never changed
+after it is built.  The structure constants of (+-1)-skew bases are nearly
+all +-1, so the common operands take fast paths that build the canonical
+result without the generic products or ``_normalize``: a product with +-1
+is the other operand or its negation; a negation negates the numerators,
+which keeps a canonical form canonical; a sum or difference of two scalars
+with d = 1 has d = 1 and needs no gcd; and the inverse of a rational n0/d
+is d/n0 with the sign moved to the numerator.  Each gives exactly the
+(n, d) that the generic formula and ``_normalize`` give.
+
 Tensor words over a finite alphabet are tuples of generator indices; the
 empty tuple is the unit of the tensor algebra.  Words are ordered
 degree-lexicographically: first by length, then lexicographically by index.
 Free-algebra elements (TensorElement) map words to scalars with no zero
 coefficients stored.  Every sparse vector of the package (a dict from keys
 to scalars) is summed by one in-place kernel, ``add_scaled``, which never
-stores a zero coefficient.
+stores a zero coefficient and adds or subtracts with no product when the
+coefficient is +-1.
 
 Subspaces of K^n are kept as reduced-row-echelon bases, which makes equality
 and membership canonical.  A sparse forward eliminator is provided for rank
@@ -49,6 +60,18 @@ def _normalize(n0, n1, n2, n3, d):
     if g > 1:
         return (n0 // g, n1 // g, n2 // g, n3 // g, d // g)
     return (n0, n1, n2, n3, d)
+
+
+_ONE_N = (1, 0, 0, 0)
+_MINUS_ONE_N = (-1, 0, 0, 0)
+
+
+def _canonical(n, d):
+    """A Scalar from an (n, d) that is already in canonical form."""
+    s = object.__new__(Scalar)
+    s.n = n
+    s.d = d
+    return s
 
 
 class Scalar:
@@ -115,17 +138,22 @@ class Scalar:
         return self.n == other.n and self.d == other.d
 
     def __hash__(self):
+        # equal to the hash of the int or Fraction that compares equal
+        if self.is_rational():
+            return hash(Fraction(self.n[0], self.d))
         return hash((self.n, self.d))
 
     def __neg__(self):
         a = self.n
-        return Scalar._raw((-a[0], -a[1], -a[2], -a[3]), self.d)
+        return _canonical((-a[0], -a[1], -a[2], -a[3]), self.d)
 
     def __add__(self, other):
         if not isinstance(other, Scalar):
             other = Scalar.of(other)
         a, b = self.n, other.n
         da, db = self.d, other.d
+        if da == 1 and db == 1:
+            return _canonical((a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]), 1)
         if da == db:
             return Scalar._raw((a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]), da)
         return Scalar._raw(
@@ -139,6 +167,8 @@ class Scalar:
             other = Scalar.of(other)
         a, b = self.n, other.n
         da, db = self.d, other.d
+        if da == 1 and db == 1:
+            return _canonical((a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]), 1)
         if da == db:
             return Scalar._raw((a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]), da)
         return Scalar._raw(
@@ -150,6 +180,16 @@ class Scalar:
     def __mul__(self, other):
         if not isinstance(other, Scalar):
             other = Scalar.of(other)
+        if other.d == 1:
+            if other.n == _ONE_N:
+                return self
+            if other.n == _MINUS_ONE_N:
+                return -self
+        if self.d == 1:
+            if self.n == _ONE_N:
+                return other
+            if self.n == _MINUS_ONE_N:
+                return -other
         a0, a1, a2, a3 = self.n
         b0, b1, b2, b3 = other.n
         return Scalar._raw(
@@ -179,12 +219,20 @@ class Scalar:
     def inverse(self):
         if not self:
             raise ZeroDivisionError("inverse of zero in K")
+        if self.is_rational():
+            # 1 / (n0 / d) = d / n0, canonical once the sign moves up
+            n0, d = self.n[0], self.d
+            if n0 < 0:
+                n0, d = -n0, -d
+            return _canonical((d, 0, 0, 0), n0)
         c1 = self.conj_i()
         c2 = self.conj_r2()
         c3 = c1.conj_r2()
         p = c1 * c2 * c3
         norm = self * p
-        assert norm.is_rational() and norm
+        if not (norm.is_rational() and norm):
+            raise ArithmeticError(
+                f"norm of {self.text()} is {norm.text()}, not a nonzero rational")
         nr = norm.rational_part()
         # p / nr
         return Scalar._raw(
@@ -293,19 +341,6 @@ HALF = Scalar(1, 0, 0, 0, 2)
 SQRT2_OVER_2 = Scalar(0, 0, 1, 0, 2)
 
 
-def scalar_arith(a, b, op):
-    """Field arithmetic dispatch; ``op`` is one of add, sub, mul, div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def _rational_sqrt(x):
     """Square root of a Fraction within Q, or None."""
     x = Fraction(x)
@@ -391,9 +426,28 @@ def add_scaled(out, vec, coeff):
     A key whose sum cancels to zero is dropped and a zero product is never
     stored, so a dict built by this kernel from {} holds no zero
     coefficient and two such dicts are equal exactly when their vectors
-    are.  A zero ``coeff`` leaves ``out`` unchanged.
+    are.  A zero ``coeff`` leaves ``out`` unchanged.  A ``coeff`` of 1 or
+    -1 adds or subtracts each entry with no multiplication.
     """
     if not coeff:
+        return out
+    if coeff.d == 1 and coeff.n == _ONE_N:
+        for k, v in vec.items():
+            acc = out.get(k)
+            acc = v if acc is None else acc + v
+            if acc:
+                out[k] = acc
+            else:
+                out.pop(k, None)
+        return out
+    if coeff.d == 1 and coeff.n == _MINUS_ONE_N:
+        for k, v in vec.items():
+            acc = out.get(k)
+            acc = -v if acc is None else acc - v
+            if acc:
+                out[k] = acc
+            else:
+                out.pop(k, None)
         return out
     for k, v in vec.items():
         acc = out.get(k)

