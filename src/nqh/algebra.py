@@ -36,7 +36,6 @@ from .exactlin import (
     matrix_inverse,
     matrix_mul,
     nullspace,
-    rref_rows,
     stacked_inverse,
     transpose,
 )
@@ -402,9 +401,10 @@ class GradedLinMap:
                 for i in range(self.target.dim)]
 
     def rank(self):
-        rows = [vec_dense(c, self.target.dim) for c in self.cols]
-        _, pivots = rref_rows(rows, self.target.dim)
-        return len(pivots)
+        elim = SparseEliminator()
+        for col in self.cols:
+            elim.add(col)
+        return elim.rank
 
     def is_invertible(self):
         return self.source.dim == self.target.dim and self.rank() == self.source.dim
@@ -613,13 +613,14 @@ def radical(algebra):
     traces = [algebra.trace_left_mult(i) for i in range(dim)]
     gram = []
     for i in range(dim):
-        row = []
+        row = {}
         for j in range(dim):
             acc = ZERO
             for k, c in algebra.table[i][j].items():
                 if traces[k]:
                     acc = acc + c * traces[k]
-            row.append(acc)
+            if acc:
+                row[j] = acc
         gram.append(row)
     return nullspace(gram, dim)
 
@@ -659,27 +660,20 @@ class RightModule:
             bj = algebra.basis_vec(j)
             rows = []
             for basis_vec in subspace.basis:
-                image = algebra.mul(vec_sparse(list(basis_vec)), bj)
-                coords, rem = subspace.reduce_with_coords(
-                    vec_dense(image, algebra.dim))
-                if any(rem):
+                coords, rem = subspace.reduce_with_coords(algebra.mul(basis_vec, bj))
+                if rem:
                     raise DimensionMismatch("subspace is not action invariant")
-                rows.append(coords)
+                rows.append(vec_dense(coords, subspace.dim))
             mats.append(rows)
         return cls(algebra, subspace.dim, mats)
 
     def act(self, vec, algebra_vec):
-        """Row vector times the action of an algebra element."""
-        out = [ZERO] * self.dim
+        """Sparse row vector times the action of an algebra element."""
+        out = {}
         for j, cj in algebra_vec.items():
             mat = self.action[j]
-            for r, vr in enumerate(vec):
-                if not vr:
-                    continue
-                row = mat[r]
-                for c in range(self.dim):
-                    if row[c]:
-                        out[c] = out[c] + vr * cj * row[c]
+            for r, vr in vec.items():
+                add_scaled(out, {c: x for c, x in enumerate(mat[r]) if x}, vr * cj)
         return out
 
     def verify(self):
@@ -710,21 +704,18 @@ class RightModule:
 
 
 def spin(module, seeds):
-    """Smallest action-invariant subspace containing the seed vectors."""
-    seeds = [list(s) for s in seeds]
-    if not seeds:
-        return Subspace.zero(module.dim)
-    space = Subspace.from_rows(seeds, ambient=module.dim)
-    work = [list(row) for row in space.basis]
+    """Smallest action-invariant subspace containing the sparse seed
+    vectors: each vector that raises the rank is queued once, and its
+    images under the basis of the algebra are added in turn."""
+    elim = SparseEliminator()
+    work = [seed for seed in seeds if elim.add(seed)]
     while work:
         vec = work.pop()
         for j in range(module.algebra.dim):
             image = module.act(vec, module.algebra.basis_vec(j))
-            if not space.contains(image):
-                rows = list(space.basis) + [image]
-                space = Subspace.from_rows(rows, module.dim)
+            if elim.add(image):
                 work.append(image)
-    return space
+    return Subspace.from_eliminator(elim, module.dim)
 
 
 def is_absolutely_simple(module):
@@ -817,19 +808,20 @@ def full_idempotent_check(algebra, e):
 class _HomogeneousLookup:
     """Coordinates in a stacked basis of homogeneous vectors, degree by
     degree; homogeneous components of distinct degrees have disjoint
-    supports, so each degree block reduces independently."""
+    supports, so each degree block reduces independently.  ``blocks`` maps
+    each degree to the subspace its block spans; ``cols`` stacks the block
+    bases in degree order."""
 
-    def __init__(self, algebra, rows, degs):
+    def __init__(self, algebra, blocks):
         self.algebra = algebra
         self.offsets = {}
-        self.blocks = {}
-        position = 0
-        for deg in sorted(set(degs)):
-            block_rows = [rows[k] for k in range(len(rows)) if degs[k] == deg]
-            self.offsets[deg] = position
-            self.blocks[deg] = Subspace.from_rows(block_rows, algebra.dim)
-            position += len(block_rows)
-        self.total = position
+        self.blocks = blocks
+        self.cols = []
+        self.degrees = []
+        for deg, block in blocks.items():
+            self.offsets[deg] = len(self.cols)
+            self.cols.extend(block.basis)
+            self.degrees.extend([deg] * block.dim)
 
     def coords(self, vec):
         """Sparse coordinates of an algebra vector, or None if outside."""
@@ -841,44 +833,38 @@ class _HomogeneousLookup:
             block = self.blocks.get(deg)
             if block is None:
                 return None
-            coeffs, rem = block.reduce_with_coords(
-                vec_dense(part, self.algebra.dim))
-            if any(rem):
+            coeffs, rem = block.reduce_with_coords(part)
+            if rem:
                 return None
             base = self.offsets[deg]
-            for k, c in enumerate(coeffs):
-                if c:
-                    out[base + k] = c
+            for k, c in coeffs.items():
+                out[base + k] = c
         return out
 
 
 def corner_embedding(algebra, e):
-    """The corner algebra e A e plus the inclusion of its basis into A."""
+    """The corner algebra e A e plus the coordinates of A's vectors in its
+    basis, whose ``cols`` are the inclusion of that basis into A."""
     if not vec_eq(algebra.mul(e, e), e):
         raise NotIdempotent("corner requires an idempotent")
     degree_of_e = algebra.element_degree(e)
     if degree_of_e is None or any(degree_of_e):
         raise NotIdempotent("corner requires a homogeneous degree-0 idempotent")
-    rows = []
-    degs = []
+    blocks = {}
     for deg in sorted({algebra.degrees[i] for i in range(algebra.dim)}):
-        block = []
-        for i in algebra.component_indices(deg):
-            image = algebra.mul(algebra.mul(e, algebra.basis_vec(i)), e)
-            if image:
-                block.append(vec_dense(image, algebra.dim))
-        if block:
-            sub = Subspace.from_rows(block, algebra.dim)
-            rows.extend(list(sub.basis))
-            degs.extend([deg] * sub.dim)
-    lookup = _HomogeneousLookup(algebra, rows, degs)
+        block = Subspace.from_rows(
+            [algebra.mul(algebra.mul(e, algebra.basis_vec(i)), e)
+             for i in algebra.component_indices(deg)], algebra.dim)
+        if block.dim:
+            blocks[deg] = block
+    lookup = _HomogeneousLookup(algebra, blocks)
+    rows = lookup.cols
     labels = [f"e{k}" for k in range(len(rows))]
     table = []
     for u in rows:
         row_entries = []
         for v in rows:
-            product = algebra.mul(vec_sparse(list(u)), vec_sparse(list(v)))
-            coords = lookup.coords(product)
+            coords = lookup.coords(algebra.mul(u, v))
             if coords is None:
                 raise DimensionMismatch("corner is not multiplicatively closed")
             row_entries.append(coords)
@@ -886,9 +872,9 @@ def corner_embedding(algebra, e):
     unit = lookup.coords(e)
     if unit is None:
         raise DimensionMismatch("idempotent lies outside its own corner")
-    corner_algebra = GradedAlgebra(labels, table, unit, degs, algebra.group_rank)
-    inclusion_cols = [vec_sparse(list(row)) for row in rows]
-    return corner_algebra, inclusion_cols
+    corner_algebra = GradedAlgebra(labels, table, unit, lookup.degrees,
+                                   algebra.group_rank)
+    return corner_algebra, lookup
 
 
 def corner(algebra, e):

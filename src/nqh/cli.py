@@ -39,10 +39,19 @@ def _emit(args, lines, payload):
             print(line)
 
 
+def _degree_bound(args):
+    """The --max-degree bound, 6 by default; a negative one is an input error."""
+    if args.max_degree is None:
+        return min(DEGREE_BOUND, 6)
+    if args.max_degree < 0:
+        raise ParseError(f"--max-degree must be non-negative, got {args.max_degree}")
+    return args.max_degree
+
+
 def cmd_check_presentation(args):
+    bound = _degree_bound(args)
     doc = load_json(args.file)
     presentation, central = parse_presentation(doc)
-    bound = args.max_degree if args.max_degree is not None else min(DEGREE_BOUND, 6)
     profile = hilbert_profile(presentation, bound)
     lines = [
         f"generators: {', '.join(presentation.generators)}",
@@ -65,10 +74,10 @@ def cmd_check_presentation(args):
 
 
 def cmd_koszul_dual(args):
+    bound = _degree_bound(args)
     doc = load_json(args.file)
     presentation, _ = parse_presentation(doc)
     dual = koszul_dual(presentation)
-    bound = args.max_degree if args.max_degree is not None else min(DEGREE_BOUND, 6)
     profile = hilbert_profile(dual, bound)
     doc_out = presentation_doc(dual)
     lines = [f"generators: {', '.join(dual.generators)}",

@@ -28,6 +28,7 @@ from .errors import (
 )
 from .exactlin import (
     I,
+    MINUS_ONE,
     ONE,
     ZERO,
     Scalar,
@@ -234,10 +235,20 @@ def _matrix_on_component(presentation, big, n):
     cols = []
     for w in words:
         col = word_index(w, g)
-        image = [row[col] for row in big]
+        image = {r: row[col] for r, row in enumerate(big) if row[col]}
         tensor = TensorElement.from_coordinates(image, g, n)
         cols.append(presentation.reduce_mod_ideal(tensor, n))
     return [[cols[j][i] for j in range(len(words))] for i in range(len(words))]
+
+
+def _apply_lifted(mat, vec):
+    """The sparse image of a sparse vector under a dense matrix."""
+    image = {}
+    for r, mrow in enumerate(mat):
+        acc = sum((mrow[c] * v for c, v in vec.items()), start=ZERO)
+        if acc:
+            image[r] = acc
+    return image
 
 
 def _sigma_preserves_relations(presentation, sigma):
@@ -246,10 +257,7 @@ def _sigma_preserves_relations(presentation, sigma):
     for row in presentation.relations.basis:
         for i in range(2):
             for j in range(2):
-                image = [sum((lifted[i][j][r][c] * row[c]
-                              for c in range(g * g) if row[c]), start=ZERO)
-                         for r in range(g * g)]
-                if any(presentation.relations.reduce(image)):
+                if presentation.relations.reduce(_apply_lifted(lifted[i][j], row)):
                     return False
     return True
 
@@ -368,11 +376,9 @@ def _sigma_fixes_z(data, lift):
     zvec = lift.coordinates(g, 2)
     for i in range(2):
         for j in range(2):
-            image = [sum((lifted[i][j][r][c] * zvec[c]
-                          for c in range(g * g) if zvec[c]), start=ZERO)
-                     for r in range(g * g)]
+            image = _apply_lifted(lifted[i][j], zvec)
             if i == j:
-                image = [x - y for x, y in zip(image, zvec)]
+                add_scaled(image, zvec, MINUS_ONE)
             if not data.base.relations.contains(image):
                 return False
     return True
@@ -702,4 +708,4 @@ def _substitution_fixes_h(data, c):
     diff = image - target
     mixing = Subspace.from_rows(
         [TensorElement({(1, 0): ONE, (0, 1): ONE}).coordinates(2, 2)], 4)
-    return not any(mixing.reduce(diff.coordinates(2, 2)))
+    return not mixing.reduce(diff.coordinates(2, 2))

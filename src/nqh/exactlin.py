@@ -1,4 +1,4 @@
-"""Exact arithmetic over K = Q(i, sqrt(2)) and dense exact linear algebra.
+"""Exact arithmetic over K = Q(i, sqrt(2)) and exact sparse linear algebra.
 
 A scalar is stored as four integers (a0, a1, a2, a3) over a common positive
 denominator d, representing
@@ -28,10 +28,18 @@ to scalars) is summed by one in-place kernel, ``add_scaled``, which never
 stores a zero coefficient and adds or subtracts with no product when the
 coefficient is +-1.
 
-Subspaces of K^n are kept as reduced-row-echelon bases, which makes equality
-and membership canonical.  A sparse forward eliminator is provided for rank
-and membership questions in large ambient spaces (tensor degrees), where a
-full dense RREF would be wasteful.
+All elimination runs in one loop, ``SparseEliminator``: incremental rank
+and membership on its row echelon rows, and, after back-substitution, the
+reduced row echelon basis.  A subspace of K^n is kept as that basis, sparse
+rows plus ascending pivots, which makes equality and membership canonical.
+The reduced row echelon basis of a subspace U (each row 1 at its pivot, its
+leftmost column, and 0 at every other pivot) is unique.  The pivots are the
+leftmost columns of the nonzero vectors of U: a combination of such rows
+leads at the smallest pivot among the rows it uses.  For two such bases of
+U and one pivot p, the difference of their rows at p lies in U and is 0 at
+every pivot, so it has no leftmost column and is 0.  So any correct
+elimination returns the same rows and pivots, whatever the order and
+format of its work, and a report built from them keeps its bytes.
 """
 
 from __future__ import annotations
@@ -563,7 +571,8 @@ class TensorElement:
         return max(self.terms, key=deglex_key)
 
     def coordinates(self, nletters, length):
-        vec = [ZERO] * (nletters ** length)
+        """Sparse word coordinates {word index: coefficient}."""
+        vec = {}
         for word, coeff in self.terms.items():
             if len(word) != length:
                 raise DegreeMismatch("element is not homogeneous of the requested degree")
@@ -572,8 +581,15 @@ class TensorElement:
 
     @classmethod
     def from_coordinates(cls, vec, nletters, length):
-        words = words_of_length(nletters, length)
-        return cls({w: c for w, c in zip(words, vec) if c})
+        """The element with sparse word coordinates ``vec``."""
+        terms = {}
+        for idx, coeff in vec.items():
+            word = []
+            for _ in range(length):
+                idx, letter = divmod(idx, nletters)
+                word.append(letter)
+            terms[tuple(reversed(word))] = coeff
+        return cls(terms)
 
     def rename(self, word_map):
         """Apply an index substitution letter-wise."""
@@ -615,74 +631,128 @@ def pairing(dual, primal):
 
 
 # ---------------------------------------------------------------------------
-# dense linear algebra
+# linear algebra: one sparse eliminator
 
 
-def _as_scalar_row(row):
-    return [c if isinstance(c, Scalar) else Scalar.of(c) for c in row]
+def _require_cancelled(row, lead):
+    """A step that leaves its lead key in the row would repeat forever."""
+    if lead in row:
+        raise ArithmeticError(
+            f"elimination step left column {lead} in the row: stored zero?")
+
+
+class SparseEliminator:
+    """Gaussian eliminator over sparse rows keyed by column index.
+
+    The one elimination loop of the package.  Rows are dicts column ->
+    Scalar.  Insertion reduces only until the row acquires a fresh lead
+    column, its smallest (row echelon, not reduced), which keeps pivot rows
+    sparse and makes rank and membership incremental; membership reduction
+    cancels pivot leads until none remain.  Every pivot row is scaled to
+    lead 1, so adding -row[lead] times it cancels the lead exactly.
+    ``reduced_rows`` back-substitutes to the reduced row echelon basis.
+    """
+
+    __slots__ = ("pivots",)
+
+    def __init__(self):
+        self.pivots = {}
+
+    def reduce(self, row):
+        row = {c: v for c, v in row.items() if v}
+        pivots = self.pivots
+        while row:
+            hit = None
+            for col in row:
+                if col in pivots and (hit is None or col < hit):
+                    hit = col
+            if hit is None:
+                break
+            add_scaled(row, pivots[hit], -row[hit])
+            _require_cancelled(row, hit)
+        return row
+
+    def add(self, row):
+        """Insert a row; returns True if it increased the rank."""
+        row = {c: v for c, v in row.items() if v}
+        pivots = self.pivots
+        while row:
+            lead = min(row)
+            pivot_row = pivots.get(lead)
+            if pivot_row is None:
+                inv = row[lead].inverse()
+                if inv != ONE:
+                    row = {c: v * inv for c, v in row.items()}
+                pivots[lead] = row
+                return True
+            add_scaled(row, pivot_row, -row[lead])
+            _require_cancelled(row, lead)
+        return False
+
+    def contains(self, row):
+        return not self.reduce(row)
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+    def reduced_rows(self):
+        """The reduced row echelon basis of the span, {lead: row}.
+
+        Back-substitution from the highest lead down: every row above the
+        current lead is already reduced, so it is 1 at its own lead and 0 at
+        every other lead, and subtracting it row[col] times clears column
+        col of the current row without touching any other lead.  Leads come
+        out ascending and each row's columns ascending.  The pivot rows of
+        the eliminator are left as they are.
+        """
+        reduced = {}
+        for lead in sorted(self.pivots, reverse=True):
+            row = dict(self.pivots[lead])
+            for col in [c for c in row if c in reduced]:
+                add_scaled(row, reduced[col], -row[col])
+            reduced[lead] = row
+        return {lead: dict(sorted(reduced[lead].items())) for lead in sorted(reduced)}
 
 
 def rref_rows(rows, ambient=None):
-    """Reduced row echelon form; returns (basis_rows, pivot_columns)."""
-    work = [_as_scalar_row(r) for r in rows]
-    ncols = ambient
-    for r in work:
-        if ncols is None:
-            ncols = len(r)
-        elif len(r) != ncols:
-            raise DimensionMismatch("rows of unequal length")
-    if ncols is None:
-        raise DimensionMismatch("ambient dimension unknown for empty input")
-    basis = []
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for idx in range(rank, len(work)):
-            if work[idx][col]:
-                pivot_row = idx
-                break
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        inv = work[rank][col].inverse()
-        row = work[rank]
-        if inv != ONE:
-            work[rank] = row = [c * inv for c in row]
-        for idx in range(len(work)):
-            if idx == rank:
-                continue
-            factor = work[idx][col]
-            if factor:
-                target = work[idx]
-                work[idx] = [
-                    target[j] - factor * row[j] if row[j] else target[j]
-                    for j in range(ncols)
-                ]
-        pivots.append(col)
-        rank += 1
-        if rank == len(work):
-            break
-    basis = [tuple(work[i]) for i in range(rank)]
-    return basis, pivots
+    """Reduced row echelon form of sparse rows; returns (basis_rows,
+    pivot_columns), both in pivot order.  With ``ambient`` given, a column
+    outside range(ambient) raises DimensionMismatch."""
+    elim = SparseEliminator()
+    for row in rows:
+        if ambient is not None and row and (min(row) < 0 or max(row) >= ambient):
+            raise DimensionMismatch(f"row column outside range({ambient})")
+        elim.add(row)
+    reduced = elim.reduced_rows()
+    return tuple(reduced.values()), tuple(reduced)
 
 
 class Subspace:
-    """A subspace of K^ambient held as an RREF basis."""
+    """A subspace of K^ambient held as its reduced row echelon basis.
+
+    ``basis`` holds sparse rows {column: Scalar} with no zero stored;
+    ``pivots`` holds their pivot columns ascending.  Row k is 1 at
+    pivots[k], its leftmost column, and 0 at every other pivot.  This basis
+    is unique to the subspace (see the module docstring), so two subspaces
+    are equal exactly when their bases are.
+    """
 
     __slots__ = ("ambient", "basis", "pivots")
 
     def __init__(self, ambient, basis, pivots):
         self.ambient = ambient
-        self.basis = tuple(tuple(r) for r in basis)
+        self.basis = tuple(basis)
         self.pivots = tuple(pivots)
 
     @classmethod
-    def from_rows(cls, rows, ambient=None):
-        basis, pivots = rref_rows(rows, ambient)
-        if ambient is None:
-            ambient = len(basis[0]) if basis else 0
-        return cls(ambient, basis, pivots)
+    def from_rows(cls, rows, ambient):
+        return cls(ambient, *rref_rows(rows, ambient))
+
+    @classmethod
+    def from_eliminator(cls, elim, ambient):
+        reduced = elim.reduced_rows()
+        return cls(ambient, reduced.values(), reduced)
 
     @classmethod
     def zero(cls, ambient):
@@ -692,33 +762,26 @@ class Subspace:
     def dim(self):
         return len(self.basis)
 
+    def reduce_with_coords(self, vec):
+        """(coords, remainder) of a sparse vector: vec = sum of coords[k]
+        times basis[k], plus a remainder that is 0 at every pivot, and {}
+        exactly when vec lies in the subspace.  Row k is 1 at pivots[k] and
+        0 at the other pivots, so coords[k] is vec's own entry there."""
+        rem = {c: v for c, v in vec.items() if v}
+        coords = {}
+        for k, (p, row) in enumerate(zip(self.pivots, self.basis)):
+            factor = rem.get(p)
+            if factor:
+                coords[k] = factor
+                add_scaled(rem, row, -factor)
+        return coords, rem
+
     def reduce(self, vec):
         """Subtract the projection onto the subspace; returns the remainder."""
-        vec = _as_scalar_row(vec)
-        if len(vec) != self.ambient:
-            raise DimensionMismatch("vector has wrong length")
-        for row, p in zip(self.basis, self.pivots):
-            factor = vec[p]
-            if factor:
-                vec = [vec[j] - factor * row[j] if row[j] else vec[j]
-                       for j in range(self.ambient)]
-        return vec
-
-    def reduce_with_coords(self, vec):
-        vec = _as_scalar_row(vec)
-        if len(vec) != self.ambient:
-            raise DimensionMismatch("vector has wrong length")
-        coords = []
-        for row, p in zip(self.basis, self.pivots):
-            factor = vec[p]
-            coords.append(factor)
-            if factor:
-                vec = [vec[j] - factor * row[j] if row[j] else vec[j]
-                       for j in range(self.ambient)]
-        return coords, vec
+        return self.reduce_with_coords(vec)[1]
 
     def contains(self, vec):
-        return not any(self.reduce(vec))
+        return not self.reduce(vec)
 
     def __eq__(self, other):
         return (
@@ -728,38 +791,58 @@ class Subspace:
         )
 
     def __hash__(self):
-        return hash((self.ambient, self.basis))
+        return hash((self.ambient, self.pivots,
+                     tuple(frozenset(row.items()) for row in self.basis)))
 
     def __repr__(self):
         return f"Subspace(ambient={self.ambient}, dim={self.dim})"
 
 
-def rref(rows, ambient=None):
-    """Spec surface: (Subspace, rank) of the row span."""
-    space = Subspace.from_rows(rows, ambient)
-    return space, space.dim
-
-
 def nullspace(rows, ncols=None):
-    """Kernel {v : M v = 0} of the matrix with the given rows, in RREF."""
-    rows = [_as_scalar_row(r) for r in rows]
+    """Kernel {v : M v = 0} of the matrix with the given sparse rows, as a
+    Subspace of K^ncols.  Sparse rows do not carry their length, so
+    ``ncols`` is required.
+
+    Each free column f gives the kernel vector that is 1 at f, -row[f] at
+    the pivot of each reduced row, and 0 elsewhere.
+    """
     if ncols is None:
-        if not rows:
-            raise DimensionMismatch("ncols required for an empty matrix")
-        ncols = len(rows[0])
+        raise DimensionMismatch("ncols required for a sparse matrix")
     basis, pivots = rref_rows(rows, ncols)
-    pivot_set = set(pivots)
-    kernel = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [ZERO] * ncols
-        vec[free] = ONE
-        for row, p in zip(basis, pivots):
-            if row[free]:
-                vec[p] = -row[free]
-        kernel.append(vec)
-    return Subspace.from_rows(kernel, ncols)
+    kernel = {f: {f: ONE} for f in range(ncols)}
+    for p, row in zip(pivots, basis):
+        del kernel[p]
+        for f, c in row.items():
+            if f != p:
+                kernel[f][p] = -c
+    return Subspace.from_rows(kernel.values(), ncols)
+
+
+def subspace_intersection(u, w):
+    """Intersection of two subspaces of the same ambient space K^n.
+
+    Zassenhaus: the rows (x | x), x in the basis of u, and (y | 0), y in the
+    basis of w, span {(x + y | x)}, whose vectors that vanish on the first
+    half are (0 | x) with x = -y in u and w.  The rows of a row echelon
+    basis that lead in the second half span exactly those vectors.
+    """
+    if u.ambient != w.ambient:
+        raise DimensionMismatch("subspaces of different ambient spaces")
+    n = u.ambient
+    elim = SparseEliminator()
+    for x in u.basis:
+        row = dict(x)
+        row.update((c + n, v) for c, v in x.items())
+        elim.add(row)
+    for y in w.basis:
+        elim.add(y)
+    meet = [{c - n: v for c, v in row.items()}
+            for lead, row in elim.pivots.items() if lead >= n]
+    return Subspace.from_rows(meet, n)
+
+
+# ---------------------------------------------------------------------------
+# dense matrices
 
 
 def matrix_mul(a, b):
@@ -812,12 +895,15 @@ def zero_matrix(n, m=None):
 def matrix_inverse(a):
     """Inverse of a square matrix, or None if singular."""
     n = len(a)
-    aug = [list(row) + [ONE if i == j else ZERO for j in range(n)]
-           for i, row in enumerate(a)]
+    aug = []
+    for i, row in enumerate(a):
+        sparse = {j: c for j, c in enumerate(row) if c}
+        sparse[n + i] = ONE
+        aug.append(sparse)
     basis, pivots = rref_rows(aug, 2 * n)
-    if list(pivots)[:n] != list(range(n)) or len(basis) != n:
+    if pivots != tuple(range(n)):
         return None
-    return [list(row[n:]) for row in basis]
+    return [[row.get(n + j, ZERO) for j in range(n)] for row in basis]
 
 
 def stacked_inverse(blocks):
@@ -854,104 +940,3 @@ def is_stacked_inverse(s, p):
                           matrix_mul(p[j][1], s[i][1])) != expect:
                 return False
     return True
-
-
-def solve_linear(rows, rhs):
-    """One solution x of (rows) x = rhs, or None if inconsistent.
-
-    When the system is underdetermined the free coordinates are set to 0.
-    """
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    aug = [list(_as_scalar_row(r)) + [Scalar.of(b) if not isinstance(b, Scalar) else b]
-           for r, b in zip(rows, rhs)]
-    basis, pivots = rref_rows(aug, ncols + 1)
-    sol = [ZERO] * ncols
-    for row, p in zip(basis, pivots):
-        if p == ncols:
-            return None
-        sol[p] = row[ncols]
-    return sol
-
-
-def subspace_intersection(u, w):
-    """Intersection of two subspaces of the same ambient space."""
-    if u.ambient != w.ambient:
-        raise DimensionMismatch("subspaces of different ambient spaces")
-    if u.dim == 0 or w.dim == 0:
-        return Subspace.zero(u.ambient)
-    cols = list(u.basis) + list(w.basis)
-    # kernel of the ambient x (p+q) matrix whose columns are the basis vectors
-    rows = [[cols[j][i] for j in range(len(cols))] for i in range(u.ambient)]
-    kernel = nullspace(rows, len(cols))
-    vectors = []
-    for combo in kernel.basis:
-        vec = [ZERO] * u.ambient
-        for coeff, basis_vec in zip(combo[: u.dim], u.basis):
-            if coeff:
-                vec = [vec[i] + coeff * basis_vec[i] for i in range(u.ambient)]
-        vectors.append(vec)
-    return Subspace.from_rows(vectors, u.ambient)
-
-
-def _require_cancelled(row, lead):
-    """A step that leaves its lead key in the row would repeat forever."""
-    if lead in row:
-        raise ArithmeticError(
-            f"elimination step left column {lead} in the row: stored zero?")
-
-
-class SparseEliminator:
-    """Forward Gaussian eliminator over sparse rows keyed by column index.
-
-    Supports incremental rank computation and membership tests in large
-    ambient spaces.  Rows are dicts column -> Scalar.  Insertion reduces
-    only until the row acquires a fresh lead column (row echelon, not
-    reduced), which keeps pivot rows sparse; membership reduction cancels
-    pivot leads until none remain.  Every pivot row is scaled to lead 1, so
-    adding -row[lead] times it cancels the lead exactly.
-    """
-
-    __slots__ = ("pivots",)
-
-    def __init__(self):
-        self.pivots = {}
-
-    def reduce(self, row):
-        row = {c: v for c, v in row.items() if v}
-        pivots = self.pivots
-        while row:
-            hit = None
-            for col in row:
-                if col in pivots and (hit is None or col < hit):
-                    hit = col
-            if hit is None:
-                break
-            add_scaled(row, pivots[hit], -row[hit])
-            _require_cancelled(row, hit)
-        return row
-
-    def add(self, row):
-        """Insert a row; returns True if it increased the rank."""
-        row = {c: v for c, v in row.items() if v}
-        pivots = self.pivots
-        while row:
-            lead = min(row)
-            pivot_row = pivots.get(lead)
-            if pivot_row is None:
-                inv = row[lead].inverse()
-                if inv != ONE:
-                    row = {c: v * inv for c, v in row.items()}
-                pivots[lead] = row
-                return True
-            add_scaled(row, pivot_row, -row[lead])
-            _require_cancelled(row, lead)
-        return False
-
-    def contains(self, row):
-        return not self.reduce(row)
-
-    @property
-    def rank(self):
-        return len(self.pivots)

@@ -15,13 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import MuNotInvolution, NqhError, WrongP
-from .exactlin import HALF, I, ONE, ZERO, Scalar, Subspace, TensorElement, nullspace
+from .exactlin import HALF, I, ONE, Scalar, Subspace, TensorElement, nullspace
 from .algebra import (
     GradedAlgebra,
     GradedLinMap,
     MatrixHom,
     Report,
-    _HomogeneousLookup,
     corner_embedding,
     extend_on_generators,
     full_idempotent_check,
@@ -29,9 +28,7 @@ from .algebra import (
     radical,
     strongly_graded_check,
     vec_add,
-    vec_dense,
     vec_eq,
-    vec_sparse,
     vec_sub,
     verify_algebra,
     verify_iso,
@@ -270,19 +267,18 @@ def _eigenspace_per_degree(E, linmap):
     rows = []
     for degree in sorted({d for d in E.degrees}):
         indices = E.component_indices(degree)
-        block = []
-        for i in indices:
+        # kernel of (map - id) restricted to the component: one equation
+        # per basis index j of the component, one unknown per position
+        equations = {j: {} for j in indices}
+        for pos, i in enumerate(indices):
             img = vec_sub(linmap.apply(E.basis_vec(i)), {i: ONE})
-            block.append([img.get(j, ZERO) for j in indices])
-        # kernel of (map - id) restricted to the component
-        kernel = nullspace([[block[r][c] for r in range(len(indices))]
-                            for c in range(len(indices))], len(indices))
+            for j, c in img.items():
+                if j in equations:
+                    equations[j][pos] = c
+        kernel = nullspace(equations.values(), len(indices))
         for vec in kernel.basis:
-            full = [ZERO] * E.dim
-            for pos, j in enumerate(indices):
-                full[j] = vec[pos]
-            rows.append(full)
-    return Subspace.from_rows(rows, E.dim) if rows else Subspace.zero(E.dim)
+            rows.append({indices[pos]: c for pos, c in vec.items()})
+    return Subspace.from_rows(rows, E.dim)
 
 
 def _subspace_algebra(E, space):
@@ -290,8 +286,7 @@ def _subspace_algebra(E, space):
     rows = list(space.basis)
     degs = []
     for row in rows:
-        vec = vec_sparse(list(row))
-        deg = E.element_degree(vec)
+        deg = E.element_degree(row)
         if deg is None:
             raise PipelineError("subspace basis is not homogeneous")
         degs.append(deg)
@@ -299,16 +294,14 @@ def _subspace_algebra(E, space):
     for u in rows:
         entries = []
         for v in rows:
-            product = E.mul(vec_sparse(list(u)), vec_sparse(list(v)))
-            coords, rem = space.reduce_with_coords(vec_dense(product, E.dim))
-            if any(rem):
+            coords, rem = space.reduce_with_coords(E.mul(u, v))
+            if rem:
                 raise PipelineError("subspace is not multiplicatively closed")
-            entries.append({k: c for k, c in enumerate(coords) if c})
+            entries.append(coords)
         table.append(entries)
-    unit_coords, rem = space.reduce_with_coords(vec_dense(E.unit, E.dim))
-    if any(rem):
+    unit, rem = space.reduce_with_coords(E.unit)
+    if rem:
         raise PipelineError("unit lies outside the subspace")
-    unit = {k: c for k, c in enumerate(unit_coords) if c}
     labels = [f"s{k}" for k in range(len(rows))]
     return GradedAlgebra(labels, table, unit, degs, E.group_rank), rows
 
@@ -402,43 +395,38 @@ def run_plus_case(data, z):
     m_rows = list(M.basis)
     m_degs = []
     for row in m_rows:
-        deg = E.element_degree(vec_sparse(list(row)))
+        deg = E.element_degree(row)
         if deg is None:
             raise PipelineError("eigenspace basis is not homogeneous")
         m_degs.append(deg)
     left = []
     right = []
     psi_ok = True
-    for i in range(S_alg.dim):
-        s_vec = vec_sparse(list(s_rows[i]))
+    for s_vec in s_rows:
         phi1_s = phi1.apply(s_vec)
         lcols = []
         rcols = []
-        for mrow in m_rows:
-            m_vec = vec_sparse(list(mrow))
-            limg = E.mul(phi1_s, m_vec)
-            coords, rem = M.reduce_with_coords(vec_dense(limg, E.dim))
-            if any(rem):
+        for m_vec in m_rows:
+            coords, rem = M.reduce_with_coords(E.mul(phi1_s, m_vec))
+            if rem:
                 psi_ok = False
-            lcols.append(vec_sparse(coords))
-            rimg = E.mul(m_vec, s_vec)
-            coords, rem = M.reduce_with_coords(vec_dense(rimg, E.dim))
-            if any(rem):
+            lcols.append(coords)
+            coords, rem = M.reduce_with_coords(E.mul(m_vec, s_vec))
+            if rem:
                 psi_ok = False
-            rcols.append(vec_sparse(coords))
+            rcols.append(coords)
         left.append(tuple(lcols))
         right.append(tuple(rcols))
     psi = []
-    for a, arow in enumerate(m_rows):
+    for arow in m_rows:
         row_entries = []
-        for b, brow in enumerate(m_rows):
-            value = E.mul(phi2.apply(vec_sparse(list(arow))),
-                          vec_sparse(list(brow)))
-            coords, rem = S.reduce_with_coords(vec_dense(value, E.dim))
-            if any(rem):
+        phi2_a = phi2.apply(arow)
+        for brow in m_rows:
+            coords, rem = S.reduce_with_coords(E.mul(phi2_a, brow))
+            if rem:
                 psi_ok = False
-                coords = [ZERO] * S.dim
-            row_entries.append({k: c for k, c in enumerate(coords) if c})
+                coords = {}
+            row_entries.append(coords)
         psi.append(tuple(row_entries))
     checks.add("module-and-pairing-closure", psi_ok)
     if not psi_ok:
@@ -451,30 +439,24 @@ def run_plus_case(data, z):
     _certify(checks, "semitrivial-valid", Lambda_big, "semi-trivial extension")
 
     # corner at e matches the semi-trivial extension
-    corner_alg, inclusion = corner_embedding(twisted, e)
+    corner_alg, lookup = corner_embedding(twisted, e)
     corner_ok = corner_alg.dim == Lambda.dim
     if corner_ok:
         cols = []
         minus_i = -I
-        for k in range(S.dim):
+        for svec in s_rows:
             target = {}
-            svec = vec_sparse(list(s_rows[k]))
             for b, coeff in svec.items():
                 target[layout.index(0, 1, b)] = coeff * HALF
                 target[layout.index(0, 2, b)] = coeff * HALF * I
             cols.append(target)
-        for k in range(M.dim):
+        for mvec in m_rows:
             target = {}
-            mvec = vec_sparse(list(m_rows[k]))
             for b, coeff in mvec.items():
                 target[layout.index(1, 1, b)] = coeff * HALF
                 target[layout.index(1, 2, b)] = coeff * HALF * minus_i
             cols.append(target)
-        # express each target in the corner basis; corner_embedding takes
-        # its columns degree by degree, so each one is homogeneous
-        lookup = _HomogeneousLookup(
-            twisted, [vec_dense(col, twisted.dim) for col in inclusion],
-            [twisted.element_degree(col) for col in inclusion])
+        # express each target in the corner basis, degree by degree
         corner_cols = []
         for target in cols:
             coords = lookup.coords(target)
@@ -720,7 +702,7 @@ def prop51_scenario(data, z):
     mixing = Subspace.from_rows(
         [TensorElement({(1, 0): ONE, (0, 1): ONE}).coordinates(2, 2)], 4)
     target = TensorElement({(1, 1): ONE})
-    fixed = not any(mixing.reduce((image - target).coordinates(2, 2)))
+    fixed = not mixing.reduce((image - target).coordinates(2, 2))
     lines.append(f"substitution image of the extended element: z + y2^2"
                  f" ({'verified' if fixed else 'FAILED'})")
     if not fixed:

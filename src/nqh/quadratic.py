@@ -111,7 +111,7 @@ class QuadraticPresentation:
             comp = _Component(words_of_length(g, n), g, elim)
             comp.normal_forms = {w: {word_index(w, g): ONE} for w in comp.words}
             return comp
-        relations = [[(divmod(idx, g), c) for idx, c in enumerate(row) if c]
+        relations = [[(divmod(idx, g), c) for idx, c in row.items()]
                      for row in self.relations.basis]
         for u in self._components[n - 2].words:
             for rel in relations:
@@ -210,8 +210,7 @@ def koszul_dual(presentation):
     """The quadratic dual: starred generators, relations the orthogonal
     complement of R under the straight word pairing."""
     g = presentation.ngens
-    rows = [list(row) for row in presentation.relations.basis]
-    complement = nullspace(rows, g * g)
+    complement = nullspace(presentation.relations.basis, g * g)
     dual_names = tuple(name + "*" for name in presentation.generators)
     return QuadraticPresentation(dual_names, complement)
 

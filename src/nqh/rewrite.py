@@ -22,7 +22,7 @@ from .errors import (
     NotConfluent,
     NotOrientable,
 )
-from .exactlin import ONE, Scalar, TensorElement, add_scaled, deglex_key, rref_rows
+from .exactlin import ONE, TensorElement, add_scaled, deglex_key, rref_rows
 
 RULE_CAP = 512
 NORMAL_WORD_CAP = 4096
@@ -52,13 +52,8 @@ def _interreduce(elements, min_lhs_degree=2):
         return {}
     support = sorted({w for e in elements for w in e.terms}, key=deglex_key, reverse=True)
     col_of = {w: i for i, w in enumerate(support)}
-    rows = []
-    for e in elements:
-        row = [Scalar(0)] * len(support)
-        for w, c in e.terms.items():
-            row[col_of[w]] = c
-        rows.append(row)
-    basis, pivots = rref_rows(rows, len(support))
+    basis, pivots = rref_rows(
+        [{col_of[w]: c for w, c in e.terms.items()} for e in elements])
     rules = {}
     for row, p in zip(basis, pivots):
         lhs = support[p]
@@ -66,9 +61,7 @@ def _interreduce(elements, min_lhs_degree=2):
             raise NotOrientable(
                 f"leading-term elimination degenerates to a degree-{len(lhs)} lead"
             )
-        rhs = TensorElement(
-            {support[j]: -row[j] for j in range(len(support)) if j != p and row[j]}
-        )
+        rhs = TensorElement({support[j]: -c for j, c in row.items() if j != p})
         rules[lhs] = rhs
     return rules
 

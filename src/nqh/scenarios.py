@@ -19,7 +19,6 @@ from .algebra import (
     radical,
     spin,
     vec_add,
-    vec_dense,
     vec_eq,
     vec_scale,
     vec_sub,
@@ -217,10 +216,10 @@ def run_ex_4_9_1():
                                 "published"))
     checks.append(ScenarioCheck("module-part-vanishes", result.M.dim == 0,
                                 str(result.M.dim), "published"))
-    from .algebra import GradedLinMap, verify_iso, vec_sparse
+    from .algebra import GradedLinMap, verify_iso
 
     E = result.base.algebra
-    cols = [vec_sparse(list(row)) for row in result.S.basis]
+    cols = result.S.basis
     iso = GradedLinMap(result.Lambda, E, cols)
     # Lambda regrades the certified Lambda_big and build_clifford certifies
     # E, so both are associative as verify_iso requires
@@ -248,13 +247,12 @@ def run_ex_4_9_2():
                                 str(lam.degrees), "published"))
     checks.append(ScenarioCheck("degree-zero-dim", lam.dim == 4, str(lam.dim),
                                 "published"))
-    from .algebra import GradedLinMap, verify_iso, vec_sparse
+    from .algebra import GradedLinMap, verify_iso
 
     E = result.base.algebra
     lam_first = result.Lambda_bigraded.regrade(
         [(d[0],) for d in result.Lambda_bigraded.degrees], 1)
-    cols = ([vec_sparse(list(row)) for row in result.S.basis]
-            + [vec_sparse(list(row)) for row in result.M.basis])
+    cols = result.S.basis + result.M.basis
     iso = GradedLinMap(lam_first, E, cols)
     # both sides are certified associative, as in run_ex_4_9_1
     identified = verify_iso(iso)
@@ -299,7 +297,7 @@ def run_ex_5_9():
 
     modules = []
     for seed_list in seeds:
-        space = spin(regular, [vec_dense(s, NG.dim) for s in seed_list])
+        space = spin(regular, seed_list)
         modules.append(RightModule.from_invariant_subspace(NG, space))
     dims_ok = [m.dim for m in modules] == [2, 1, 1, 1, 1]
     checks.append(ScenarioCheck("module-dims", dims_ok,

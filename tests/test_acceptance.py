@@ -21,10 +21,8 @@ from nqh.algebra import (
     spin,
     strongly_graded_check,
     vec_add,
-    vec_dense,
     vec_eq,
     vec_scale,
-    vec_sparse,
     vec_sub,
     verify_algebra,
     verify_decomposition,
@@ -135,7 +133,7 @@ def test_criterion_3_double_cover_base_case(km1, z_lift):
     ok = result.checks.ok
     ok &= result.M.dim == 0
     E = result.base.algebra
-    cols = [vec_sparse(list(row)) for row in result.S.basis]
+    cols = result.S.basis
     iso = GradedLinMap(result.Lambda, E, cols)
     ok &= verify_iso(iso)
     elapsed = time.time() - start
@@ -157,8 +155,7 @@ def test_criterion_4_sign_twisted_cover(km1, z_lift):
     E = result.base.algebra
     lam_first = result.Lambda_bigraded.regrade(
         [(d[0],) for d in result.Lambda_bigraded.degrees], 1)
-    cols = ([vec_sparse(list(row)) for row in result.S.basis]
-            + [vec_sparse(list(row)) for row in result.M.basis])
+    cols = result.S.basis + result.M.basis
     ok &= verify_iso(GradedLinMap(lam_first, E, cols))
     elapsed = time.time() - start
     ok &= elapsed < 5.0
@@ -198,7 +195,7 @@ def test_criterion_5_class_t_pipeline(double_ore_class_t, z_lift):
         [pair({}, vec_sub(vec_add(one_v, w_v), vec_add(u_v, v_v)))],
     ]
     modules = [RightModule.from_invariant_subspace(
-        NG, spin(regular, [vec_dense(s, NG.dim) for s in seed_list]))
+        NG, spin(regular, seed_list))
         for seed_list in seeds]
     ok &= [m.dim for m in modules] == [2, 1, 1, 1, 1]
     ok &= verify_decomposition(NG, modules, [2, 1, 1, 1, 1])

@@ -62,6 +62,17 @@ def test_malformed_json_is_exit_2(capsys, tmp_path):
     assert main(["clifford", str(path)]) == 2
 
 
+@pytest.mark.parametrize("command", ["check-presentation", "koszul-dual"])
+def test_negative_max_degree_is_exit_2(capsys, tmp_path, command):
+    path = tmp_path / "km1.json"
+    path.write_text(json.dumps(KM1_PRESENTATION))
+    assert main([command, str(path), "--max-degree", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "--max-degree must be non-negative" in captured.err
+    assert captured.out == ""
+    assert main([command, str(path), "--max-degree", "0"]) == 0
+
+
 def test_string_generators_is_exit_2(capsys, tmp_path):
     doc = {"generators": "xy", "relations": [{"x y": "1", "y x": "1"}]}
     path = tmp_path / "string_generators.json"

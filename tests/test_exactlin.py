@@ -23,8 +23,7 @@ from nqh.exactlin import (
     matrix_mul,
     nullspace,
     pairing,
-    rref,
-    solve_linear,
+    rref_rows,
     sqrt_in_K,
     subspace_intersection,
     words_of_length,
@@ -207,20 +206,29 @@ def test_inverse_rejects_a_norm_outside_the_rationals(monkeypatch):
 # linear algebra
 
 
+def sparse(row):
+    return {c: v for c, v in enumerate(row) if v}
+
+
+def scalars(*values):
+    return [Scalar.of(v) for v in values]
+
+
 def test_rref_dependent_rows():
-    space, rank = rref([[1, 1], [2, 2]])
-    assert rank == 1
-    assert space.basis == ((ONE, ONE),)
+    space = Subspace.from_rows([sparse(scalars(1, 1)), sparse(scalars(2, 2))], 2)
+    assert space.dim == 1
+    assert space.basis == ({0: ONE, 1: ONE},)
 
 
 def test_rref_empty_input():
-    space, rank = rref([], ambient=3)
-    assert rank == 0 and space.ambient == 3
+    space = Subspace.from_rows([], 3)
+    assert space.dim == 0 and space.ambient == 3
 
 
 def test_rref_rejects_ragged_rows():
+    # a sparse row is ragged when it reaches past the ambient dimension
     with pytest.raises(DimensionMismatch):
-        rref([[1, 2], [1]])
+        Subspace.from_rows([sparse(scalars(1, 2)), sparse(scalars(0, 0, 1))], 2)
 
 
 def test_rref_idempotent():
@@ -229,26 +237,26 @@ def test_rref_idempotent():
     rng = random.Random(7)
     pool = [ZERO, ONE, MINUS_ONE, HALF, I, R2]
     for _ in range(20):
-        rows = [[rng.choice(pool) for _ in range(4)] for _ in range(3)]
-        space, _ = rref(rows)
-        again, _ = rref([list(r) for r in space.basis], ambient=4)
+        rows = [sparse([rng.choice(pool) for _ in range(4)]) for _ in range(3)]
+        space = Subspace.from_rows(rows, 4)
+        again = Subspace.from_rows(space.basis, 4)
         assert again == space
 
 
 def test_nullspace_identity_and_zero():
-    assert nullspace([[1, 0], [0, 1]]).dim == 0
-    assert nullspace([[0, 0, 0]], 3).dim == 3
+    assert nullspace([{0: ONE}, {1: ONE}], 2).dim == 0
+    assert nullspace([{}], 3).dim == 3
 
 
 def test_nullspace_vectors_are_exact_kernel_elements():
     rows = [[ONE, I, ZERO, HALF], [ZERO, R2, ONE, MINUS_ONE]]
-    kernel = nullspace(rows, 4)
+    kernel = nullspace([sparse(r) for r in rows], 4)
     assert kernel.dim == 2
     for vec in kernel.basis:
         for row in rows:
             total = ZERO
-            for a, b in zip(row, vec):
-                total = total + a * b
+            for c, v in vec.items():
+                total = total + row[c] * v
             assert total == ZERO
 
 
@@ -261,34 +269,195 @@ def test_nullspace_of_pairing_row_gives_three_dim_complement():
 
 def test_rank_of_single_relation_row():
     row = TensorElement({(0, 1): ONE, (1, 0): ONE}).coordinates(2, 2)
-    space, rank = rref([row])
-    assert rank == 1 and nullspace([row], 4).dim == 3
+    space = Subspace.from_rows([row], 4)
+    assert space.dim == 1 and nullspace([row], 4).dim == 3
     assert space.ambient == 4
 
 
 def test_subspace_membership_and_coords():
-    space, _ = rref([[1, 0, 1], [0, 1, 1]])
-    assert space.contains([1, 1, 2])
-    assert not space.contains([0, 0, 1])
-    coords, rem = space.reduce_with_coords([1, 1, 2])
-    assert coords == [ONE, ONE] and not any(rem)
+    space = Subspace.from_rows([sparse(scalars(1, 0, 1)), sparse(scalars(0, 1, 1))], 3)
+    assert space.contains(sparse(scalars(1, 1, 2)))
+    assert not space.contains({2: ONE})
+    coords, rem = space.reduce_with_coords(sparse(scalars(1, 1, 2)))
+    assert coords == {0: ONE, 1: ONE} and not rem
 
 
 def test_subspace_intersection():
-    u = Subspace.from_rows([[1, 0, 0], [0, 1, 0]], 3)
-    w = Subspace.from_rows([[0, 1, 0], [0, 0, 1]], 3)
+    u = Subspace.from_rows([{0: ONE}, {1: ONE}], 3)
+    w = Subspace.from_rows([{1: ONE}, {2: ONE}], 3)
     meet = subspace_intersection(u, w)
     assert meet.dim == 1
-    assert meet.contains([0, 1, 0])
+    assert meet.contains({1: ONE})
 
 
-def test_solve_linear_and_matrix_inverse():
+def test_matrix_inverse():
     a = [[Scalar(2), ZERO], [ONE, ONE]]
-    sol = solve_linear(a, [Scalar(4), Scalar(3)])
-    assert sol == [Scalar(2), ONE]
     inv = matrix_inverse(a)
     assert matrix_mul(a, inv) == [[ONE, ZERO], [ZERO, ONE]]
     assert matrix_inverse([[ONE, ONE], [ONE, ONE]]) is None
+
+
+def test_word_coordinates_round_trip():
+    t = TensorElement({(0, 1, 1): I, (1, 0, 0): HALF, (0, 0, 0): MINUS_ONE})
+    coords = t.coordinates(2, 3)
+    assert coords == {3: I, 4: HALF, 0: MINUS_ONE}
+    assert TensorElement.from_coordinates(coords, 2, 3) == t
+
+
+# ---------------------------------------------------------------------------
+# the sparse engine against a dense reference
+
+
+def dense_rref(rows, ncols):
+    """Test-only reference: dense reduced row echelon form by a column scan
+    for pivots, as the package computed it before its one sparse engine."""
+    work = [list(r) for r in rows]
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        pivot_row = None
+        for idx in range(rank, len(work)):
+            if work[idx][col]:
+                pivot_row = idx
+                break
+        if pivot_row is None:
+            continue
+        work[rank], work[pivot_row] = work[pivot_row], work[rank]
+        inv = work[rank][col].inverse()
+        row = work[rank] = [c * inv for c in work[rank]]
+        for idx in range(len(work)):
+            factor = work[idx][col]
+            if idx != rank and factor:
+                work[idx] = [t - factor * r for t, r in zip(work[idx], row)]
+        pivots.append(col)
+        rank += 1
+    return [tuple(work[i]) for i in range(rank)], pivots
+
+
+def dense_reduce_with_coords(basis, pivots, vec):
+    coords = []
+    for row, p in zip(basis, pivots):
+        factor = vec[p]
+        coords.append(factor)
+        vec = [v - factor * r for v, r in zip(vec, row)]
+    return coords, vec
+
+
+def dense_nullspace(rows, ncols):
+    basis, pivots = dense_rref(rows, ncols)
+    kernel = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [ZERO] * ncols
+        vec[free] = ONE
+        for row, p in zip(basis, pivots):
+            vec[p] = -row[free]
+        kernel.append(vec)
+    return dense_rref(kernel, ncols)
+
+
+def dense_intersection(u_basis, w_basis, ncols):
+    """The transposed-kernel intersection: combinations of both bases that
+    sum to zero, read on the first basis."""
+    cols = list(u_basis) + list(w_basis)
+    if not u_basis or not w_basis:
+        return [], []
+    combos, _ = dense_nullspace(
+        [[col[i] for col in cols] for i in range(ncols)], len(cols))
+    vectors = []
+    for combo in combos:
+        vec = [ZERO] * ncols
+        for coeff, basis_vec in zip(combo, u_basis):
+            vec = [v + coeff * b for v, b in zip(vec, basis_vec)]
+        vectors.append(vec)
+    return dense_rref(vectors, ncols)
+
+
+ENTRIES = [ZERO, ZERO, ZERO, ONE, MINUS_ONE, HALF, I, R2]
+
+
+@st.composite
+def row_sets(draw, ncols, support):
+    """Dense rows on the first ``support`` columns, with a duplicated row
+    and a zero row sometimes mixed in."""
+    rows = [[draw(st.sampled_from(ENTRIES)) if c < support else ZERO
+             for c in range(ncols)] for _ in range(draw(st.integers(0, 5)))]
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [ZERO] * ncols)
+    return rows
+
+
+@st.composite
+def matrix_cases(draw):
+    """(ncols, rows, other rows, probe vector), with the ambient often
+    wider than the support of the rows."""
+    ncols = draw(st.integers(1, 6))
+    support = draw(st.integers(0, ncols))
+    rows = draw(row_sets(ncols, support))
+    other = draw(row_sets(ncols, draw(st.integers(0, ncols))))
+    probe = [draw(st.sampled_from(ENTRIES)) for _ in range(ncols)]
+    if rows and draw(st.booleans()):
+        # a probe inside the row span, to exercise membership
+        probe = [a + b for a, b in zip(draw(st.sampled_from(rows)),
+                                       draw(st.sampled_from(rows)))]
+    return ncols, rows, other, probe
+
+
+def assert_reduced(space):
+    """Canonical form: no stored zero, pivots ascending, each pivot the
+    leftmost column of its row, 1 there and 0 in every other row."""
+    assert list(space.pivots) == sorted(set(space.pivots))
+    assert len(space.pivots) == len(space.basis)
+    for k, (p, row) in enumerate(zip(space.pivots, space.basis)):
+        assert all(row.values())
+        assert min(row) == p and row[p] == ONE
+        assert max(row) < space.ambient
+        for j, other in enumerate(space.basis):
+            if j != k:
+                assert p not in other
+
+
+@given(matrix_cases())
+def test_sparse_engine_matches_the_dense_reference(case):
+    ncols, rows, other, probe = case
+    ref_basis, ref_pivots = dense_rref(rows, ncols)
+    basis, pivots = rref_rows([sparse(r) for r in rows], ncols)
+    assert basis == tuple(sparse(r) for r in ref_basis)
+    assert pivots == tuple(ref_pivots)
+
+    space = Subspace.from_rows([sparse(r) for r in rows], ncols)
+    assert_reduced(space)
+    ref_coords, ref_rem = dense_reduce_with_coords(ref_basis, ref_pivots, probe)
+    coords, rem = space.reduce_with_coords(sparse(probe))
+    assert coords == sparse(ref_coords)
+    assert rem == sparse(ref_rem)
+    assert space.contains(sparse(probe)) == (not any(ref_rem))
+
+    kernel = nullspace([sparse(r) for r in rows], ncols)
+    assert_reduced(kernel)
+    ref_kernel, ref_kernel_pivots = dense_nullspace(rows, ncols)
+    assert kernel.basis == tuple(sparse(r) for r in ref_kernel)
+    assert kernel.pivots == tuple(ref_kernel_pivots)
+
+    w = Subspace.from_rows([sparse(r) for r in other], ncols)
+    other_basis, _ = dense_rref(other, ncols)
+    meet = subspace_intersection(space, w)
+    assert_reduced(meet)
+    ref_meet, ref_meet_pivots = dense_intersection(ref_basis, other_basis, ncols)
+    assert meet.basis == tuple(sparse(r) for r in ref_meet)
+    assert meet.pivots == tuple(ref_meet_pivots)
+
+
+def test_reduced_rows_back_substitute_the_echelon_rows():
+    elim = SparseEliminator()
+    elim.add({0: ONE, 1: ONE, 2: ONE})
+    elim.add({1: ONE, 2: Scalar(2)})
+    assert elim.pivots[0] == {0: ONE, 1: ONE, 2: ONE}
+    assert elim.reduced_rows() == {0: {0: ONE, 2: MINUS_ONE},
+                                   1: {1: ONE, 2: Scalar(2)}}
 
 
 def test_sparse_eliminator_rank_and_membership():

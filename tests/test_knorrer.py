@@ -13,10 +13,8 @@ from nqh.algebra import (
     radical,
     spin,
     vec_add,
-    vec_dense,
     vec_eq,
     vec_scale,
-    vec_sparse,
     vec_sub,
     verify_decomposition,
     verify_iso,
@@ -114,7 +112,7 @@ def test_plus_diagonal_identity_case(km1, z_lift):
     assert result.checks.ok
     assert result.M.dim == 0
     E = result.base.algebra
-    cols = [vec_sparse(list(row)) for row in result.S.basis]
+    cols = result.S.basis
     iso = GradedLinMap(result.Lambda, E, cols)
     assert verify_iso(iso)
     report = singularity_report(result)
@@ -131,8 +129,7 @@ def test_plus_sign_and_identity_case(km1, z_lift):
     E = result.base.algebra
     lam_first = result.Lambda_bigraded.regrade(
         [(d[0],) for d in result.Lambda_bigraded.degrees], 1)
-    cols = ([vec_sparse(list(row)) for row in result.S.basis]
-            + [vec_sparse(list(row)) for row in result.M.basis])
+    cols = result.S.basis + result.M.basis
     iso = GradedLinMap(lam_first, E, cols)
     assert verify_iso(iso)
 
@@ -166,7 +163,7 @@ def test_minus_class_t_decomposition(minus_class_t):
     ]
     modules = []
     for seed_list in seeds:
-        space = spin(regular, [vec_dense(s, NG.dim) for s in seed_list])
+        space = spin(regular, seed_list)
         modules.append(RightModule.from_invariant_subspace(NG, space))
     assert [m.dim for m in modules] == [2, 1, 1, 1, 1]
     assert all(m.verify() for m in modules)
@@ -214,8 +211,7 @@ def test_minus_class_r_products_and_radical(minus_class_r):
 def test_minus_radical_is_nilpotent_ideal(minus_class_r):
     NG = minus_class_r.zhang
     rad = radical(NG)
-    for row in rad.basis:
-        vec = vec_sparse(list(row))
+    for vec in rad.basis:
         assert is_nilpotent_element(NG, vec)
 
 

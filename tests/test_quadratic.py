@@ -31,7 +31,7 @@ def tensor_power_ideal(presentation, n):
     g = presentation.ngens
     elim = SparseEliminator()
     for row in presentation.relations.basis:
-        rel = [(idx, c) for idx, c in enumerate(row) if c]
+        rel = list(row.items())
         for i in range(n - 1):
             right_count = g ** (n - 2 - i)
             for left in range(g ** i):
