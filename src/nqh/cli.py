@@ -153,14 +153,12 @@ def cmd_knorrer(args):
     if central is None:
         raise ParseError("the double Ore file needs a central element")
     kind = p12_classify(data)
-    case = args.case
-    if case == "auto":
-        if kind == CaseKind.PLUS:
-            case = "plus"
-        elif kind == CaseKind.MINUS:
-            case = "minus"
-        else:
-            raise ParseError("the mixing parameters admit no central extension")
+    if kind == CaseKind.INVALID:
+        raise ParseError("the mixing parameters admit no central extension")
+    case = kind.value
+    if args.case not in ("auto", case):
+        raise ParseError(f"--case {args.case} contradicts the mixing parameters,"
+                         f" which give the {case} case")
     if case == "plus":
         result = run_plus_case(data, central)
     else:

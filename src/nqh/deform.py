@@ -10,13 +10,18 @@ table sigma of degree-1 generator maps.  sigma acts on higher components
 word-wise through the matrix product rule
 sigma(u (x) v) = sigma(u) sigma(v), which is the unique degree-preserving
 multiplicative lift; all conditions are then checked exactly on the
-degree-1 and degree-2 components.
+degree-1 and degree-2 components.  Each identity set is written once, over
+a 2x2 table and the operations of the ring its entries live in, and runs
+on sigma over V, on sigma over the degree-2 component and on the dualized
+table sigma^! over the deformation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property, partial
+from typing import Callable, NamedTuple
 
 from .errors import (
     CompatibilityFailed,
@@ -87,41 +92,33 @@ class DoubleOreData:
     def ngens(self):
         return self.base.ngens
 
+    @cached_property
+    def b(self):
+        """The presentation of B (see b_presentation), built once."""
+        return b_presentation(self)
 
-def clifford_theta(presentation, z):
-    """Values of the Clifford map on the RREF basis of the dual relations."""
-    lift = z.lift if hasattr(z, "lift") else z
-    if not check_central(presentation, lift):
-        raise CompatibilityFailed("the lift is not central")
-    dual = koszul_dual(presentation)
-    g = presentation.ngens
+
+def clifford_theta(dual, lift):
+    """The Clifford map on the reduced basis of the dual relations,
+    theta(f) = <f, lift>, and the deformed relations f - theta(f)."""
     values = []
-    for row in dual.relations.basis:
-        f = TensorElement.from_coordinates(row, g, 2)
-        values.append(pairing(f, lift))
-    return tuple(values)
+    relations = []
+    for f in dual.relation_elements():
+        c = pairing(f, lift)
+        values.append(c)
+        relations.append(f - TensorElement.unit().scale(c))
+    return tuple(values), relations
 
 
-def _deformed_relations(dual, theta_values):
-    g = dual.ngens
-    rels = []
-    for row, c in zip(dual.relations.basis, theta_values):
-        f = TensorElement.from_coordinates(row, g, 2)
-        rels.append(f - TensorElement.unit().scale(c))
-    return rels
-
-
-def _compatibility_holds(presentation, lift):
+def _compatibility_holds(dual, lift):
     """(theta (x) 1 - 1 (x) theta) vanishes on V*R^perp  intersect  R^perp V*."""
-    dual = koszul_dual(presentation)
-    g = presentation.ngens
-    rperp = dual.relations
+    g = dual.ngens
+    relations = dual.relation_elements()
     left_rows = []
     right_rows = []
     for a in range(g):
         unit_vec = TensorElement.monomial((a,))
-        for row in rperp.basis:
-            f = TensorElement.from_coordinates(row, g, 2)
+        for f in relations:
             left_rows.append(unit_vec.concat(f).coordinates(g, 3))
             right_rows.append(f.concat(unit_vec).coordinates(g, 3))
     left = Subspace.from_rows(left_rows, g ** 3)
@@ -187,16 +184,14 @@ def build_clifford_from_dual(dual, deformed, central_lift, theta_values,
     )
 
 
-def build_clifford(presentation, z):
+def build_clifford(presentation, lift):
     """The Clifford deformation of the dual of a quadratic presentation."""
-    lift = z.lift if hasattr(z, "lift") else z
     if not check_central(presentation, lift):
         raise CompatibilityFailed("the lift is not central")
-    if not _compatibility_holds(presentation, lift):
-        raise CompatibilityFailed("the Clifford compatibility condition fails")
     dual = koszul_dual(presentation)
-    theta_values = clifford_theta(presentation, z)
-    deformed = _deformed_relations(dual, theta_values)
+    if not _compatibility_holds(dual, lift):
+        raise CompatibilityFailed("the Clifford compatibility condition fails")
+    theta_values, deformed = clifford_theta(dual, lift)
     return build_clifford_from_dual(dual, deformed, lift, theta_values)
 
 
@@ -262,53 +257,96 @@ def _sigma_preserves_relations(presentation, sigma):
     return True
 
 
-def _composition_conditions(data):
-    """The trimmed-case conditions, exactly on degree 1 and degree 2.
+def _on_degree2(presentation, table):
+    """A 2x2 table of generator maps acting on the degree-2 component:
+    lifted to V (x) V by the matrix product rule, then descended to the
+    component basis."""
+    lifted = _lift_degree2(table, presentation.ngens)
+    return [[_matrix_on_component(presentation, lifted[i][j], 2)
+             for j in range(2)] for i in range(2)]
+
+
+class TableOps(NamedTuple):
+    """The ring a 2x2 table's entries live in; compose(a, b) is a after b."""
+
+    compose: Callable
+    add: Callable
+    scale: Callable
+    identity: object
+
+
+def matrix_ops(n):
+    """n x n matrices over K."""
+    return TableOps(matrix_mul, matrix_add, _scale, identity_matrix(n))
+
+
+def map_ops(algebra):
+    """Linear maps of an algebra to itself."""
+    return TableOps(GradedLinMap.compose, GradedLinMap.__add__,
+                    GradedLinMap.scale, GradedLinMap.identity(algebra))
+
+
+def _combination(ops, terms):
+    """sum c (a after b) over the (c, a, b) in ``terms``, zero c skipped."""
+    total = None
+    for c, a, b in terms:
+        if not c:
+            continue
+        term = ops.compose(a, b)
+        if c != ONE:
+            term = ops.scale(term, c)
+        total = term if total is None else ops.add(total, term)
+    return ops.scale(ops.identity, ZERO) if total is None else total
+
+
+def composition_identities(t, ops, p12, p11):
+    """The double Ore composition identities of a 2x2 table t over ``ops``
+    (Zhang-Zhang, *Double Ore extensions*, JPAA 2008), 0-based entries.
 
     These are the confluence conditions of the two reductions of y2 y1 a;
     with p11 = 0 they are the usual three displayed identities, and for
     p11 != 0 the extra p11 terms appear alongside them.
     """
-    g = data.ngens
-    s = data.sigma
-    p12 = data.p12
-    p11 = data.p11
+    comb = partial(_combination, ops)
+    return (
+        comb([(ONE, t[1][0], t[0][0]), (p11, t[1][1], t[0][0])])
+        == comb([(p12, t[0][0], t[1][0]), (p12 * p11, t[0][1], t[1][0]),
+                 (p11, t[0][0], t[0][0]), (p11 * p11, t[0][1], t[0][0])])
+        and comb([(ONE, t[1][1], t[0][1])])
+        == comb([(p12, t[0][1], t[1][1]), (p11, t[0][1], t[0][1])])
+        and comb([(p12, t[1][1], t[0][0]), (ONE, t[1][0], t[0][1])])
+        == comb([(p12 * p12, t[0][1], t[1][0]), (p12, t[0][0], t[1][1]),
+                 (p11 * p12, t[0][1], t[0][0]), (p11, t[0][0], t[0][1])]))
 
-    def comp(a, b):
-        return matrix_mul(a, b)
 
-    def holds_on(t):
-        lhs1 = matrix_add(comp(t[1][0], t[0][0]),
-                          _scale(comp(t[1][1], t[0][0]), p11))
-        rhs1 = matrix_add(
-            matrix_add(_scale(comp(t[0][0], t[1][0]), p12),
-                       _scale(comp(t[0][1], t[1][0]), p12 * p11)),
-            matrix_add(_scale(comp(t[0][0], t[0][0]), p11),
-                       _scale(comp(t[0][1], t[0][0]), p11 * p11)),
-        )
-        if lhs1 != rhs1:
-            return False
-        lhs2 = comp(t[1][1], t[0][1])
-        rhs2 = matrix_add(_scale(comp(t[0][1], t[1][1]), p12),
-                          _scale(comp(t[0][1], t[0][1]), p11))
-        if lhs2 != rhs2:
-            return False
-        lhs3 = matrix_add(_scale(comp(t[1][1], t[0][0]), p12),
-                          comp(t[1][0], t[0][1]))
-        rhs3 = matrix_add(
-            matrix_add(_scale(comp(t[0][1], t[1][0]), p12 * p12),
-                       _scale(comp(t[0][0], t[1][1]), p12)),
-            matrix_add(_scale(comp(t[0][1], t[0][0]), p11 * p12),
-                       _scale(comp(t[0][0], t[0][1]), p11)),
-        )
-        return lhs3 == rhs3
+def centrality_identities(t, ops, p12):
+    """The identities of a 2x2 table t over ``ops`` that make y1^2 + y2^2
+    commute past it when p11 = 0, 0-based entries:
+    t00 t00 + t10 t10 = 1 = t01 t01 + t11 t11 and
+    t00 t01 + t10 t11 = -p12 (t01 t00 + t11 t10)."""
+    comb = partial(_combination, ops)
+    return (
+        comb([(ONE, t[0][0], t[0][0]), (ONE, t[1][0], t[1][0])]) == ops.identity
+        and comb([(ONE, t[0][1], t[0][1]), (ONE, t[1][1], t[1][1])]) == ops.identity
+        and comb([(ONE, t[0][0], t[0][1]), (ONE, t[1][0], t[1][1])])
+        == comb([(-p12, t[0][1], t[0][0]), (-p12, t[1][1], t[1][0])]))
 
-    if not holds_on(s):
+
+def _holds_on_degrees_1_and_2(presentation, sigma, identities):
+    """Whether ``identities(table, ops)`` holds for sigma on V and on the
+    degree-2 component."""
+    if not identities(sigma, matrix_ops(presentation.ngens)):
         return False
-    lifted = _lift_degree2(s, g)
-    entry = [[_matrix_on_component(data.base, lifted[i][j], 2) for j in range(2)]
-             for i in range(2)]
-    return holds_on(entry)
+    return identities(_on_degree2(presentation, sigma),
+                      matrix_ops(presentation.component_dim(2)))
+
+
+def _composition_conditions(data):
+    """The trimmed-case composition identities, exactly on degree 1 and
+    degree 2."""
+    return _holds_on_degrees_1_and_2(
+        data.base, data.sigma,
+        lambda t, ops: composition_identities(t, ops, data.p12, data.p11))
 
 
 def _scale(matrix, coeff):
@@ -322,21 +360,14 @@ def invert_sigma(data):
     identities on V, relation preservation, and both identities on the
     degree-2 component.
     """
-    g = data.ngens
     s = data.sigma
     phi = stacked_inverse(s)
     if phi is None or not is_stacked_inverse(s, phi):
         return None
     if not _sigma_preserves_relations(data.base, phi):
         return None
-    # both identities on the degree-2 component
-    lifted_s = _lift_degree2(s, g)
-    lifted_p = _lift_degree2(phi, g)
-    es = [[_matrix_on_component(data.base, lifted_s[i][j], 2) for j in range(2)]
-          for i in range(2)]
-    ep = [[_matrix_on_component(data.base, lifted_p[i][j], 2) for j in range(2)]
-          for i in range(2)]
-    if not is_stacked_inverse(es, ep):
+    if not is_stacked_inverse(_on_degree2(data.base, s),
+                              _on_degree2(data.base, phi)):
         return None
     return phi
 
@@ -384,56 +415,25 @@ def _sigma_fixes_z(data, lift):
     return True
 
 
-def _centrality_conditions(data, lift, mixed_condition):
-    g = data.ngens
-    s = data.sigma
-
-    def holds_on(table, size):
-        ident = identity_matrix(size)
-        if matrix_add(matrix_mul(table[0][0], table[0][0]),
-                      matrix_mul(table[1][0], table[1][0])) != ident:
-            return False
-        if matrix_add(matrix_mul(table[0][1], table[0][1]),
-                      matrix_mul(table[1][1], table[1][1])) != ident:
-            return False
-        return mixed_condition(table, matrix_mul, matrix_add)
-
-    if not holds_on(s, g):
-        return False
-    lifted = _lift_degree2(s, g)
-    entry = [[_matrix_on_component(data.base, lifted[i][j], 2) for j in range(2)]
-             for i in range(2)]
-    if not holds_on(entry, data.base.component_dim(2)):
-        return False
-    return _sigma_fixes_z(data, lift)
+def _centrality_conditions(data, lift):
+    return (_holds_on_degrees_1_and_2(
+                data.base, data.sigma,
+                lambda t, ops: centrality_identities(t, ops, data.p12))
+            and _sigma_fixes_z(data, lift))
 
 
-def centrality_check_plus(data, z):
+def centrality_check_plus(data, lift):
     """Conditions making z + y1^2 + y2^2 central when (p12, p11) = (1, 0)."""
     if not (data.p12 == ONE and not data.p11):
         raise WrongP("the plus-case check needs p12 = 1, p11 = 0")
-    lift = z.lift if hasattr(z, "lift") else z
-
-    def mixed(s, mul, add):
-        total = add(add(mul(s[0][0], s[0][1]), mul(s[1][0], s[1][1])),
-                    add(mul(s[0][1], s[0][0]), mul(s[1][1], s[1][0])))
-        return all(not x for row in total for x in row)
-
-    return _centrality_conditions(data, lift, mixed)
+    return _centrality_conditions(data, lift)
 
 
-def centrality_check_minus(data, z):
+def centrality_check_minus(data, lift):
     """Conditions making z + y1^2 + y2^2 central when (p12, p11) = (-1, 0)."""
     if not (data.p12 == Scalar(-1) and not data.p11):
         raise WrongP("the minus-case check needs p12 = -1, p11 = 0")
-    lift = z.lift if hasattr(z, "lift") else z
-
-    def mixed(s, mul, add):
-        lhs = add(mul(s[0][0], s[0][1]), mul(s[1][0], s[1][1]))
-        rhs = add(mul(s[0][1], s[0][0]), mul(s[1][1], s[1][0]))
-        return lhs == rhs
-
-    return _centrality_conditions(data, lift, mixed)
+    return _centrality_conditions(data, lift)
 
 
 def b_presentation(data):
@@ -549,6 +549,14 @@ def dualize_hom(data, clifford):
     return hom
 
 
+def dual_table_identities(data, hom):
+    """The composition and centrality identities of the mixing pair on the
+    dualized table sigma^! over the deformation E."""
+    ops = map_ops(hom.algebra)
+    return (composition_identities(hom.entries, ops, data.p12, data.p11)
+            and centrality_identities(hom.entries, ops, data.p12))
+
+
 def _degree1_index(algebra, letter):
     for idx, word in enumerate(algebra.words):
         if word == (letter,):
@@ -556,21 +564,19 @@ def _degree1_index(algebra, letter):
     raise DimensionMismatch("missing degree-1 basis word")
 
 
-def build_Bshriek_clifford(data, z):
-    """The Clifford deformation of the dual of B at z + y1^2 + y2^2."""
-    lift = z.lift if hasattr(z, "lift") else z
+def build_Bshriek_clifford(data, lift, base):
+    """The Clifford deformation of the dual of B at z + y1^2 + y2^2, with
+    ``base`` the deformation of the base dual at the lift of z."""
     g = data.ngens
-    bpres = b_presentation(data)
-    bdual = koszul_dual(bpres)
-    base_dual = koszul_dual(data.base)
+    bdual = koszul_dual(data.b)
     # cross-check the printed dual relation space: R_J-perp + R-perp + R_tau
     shift = {a: a + 2 for a in range(g)}
     assembled = []
     assembled.append(TensorElement({(1, 1): ONE}))
     assembled.append(TensorElement({(0, 1): ONE, (1, 0): data.p12}))
     assembled.append(TensorElement({(0, 0): ONE, (1, 0): data.p11}))
-    for row in base_dual.relations.basis:
-        assembled.append(TensorElement.from_coordinates(row, g, 2).rename(shift))
+    for f in base.presentation.relation_elements():
+        assembled.append(f.rename(shift))
     transposed = dual_sigma_entry_on_generators(data)
     for i in range(2):
         for a in range(g):
@@ -586,18 +592,11 @@ def build_Bshriek_clifford(data, z):
             "assembled dual relations disagree with the orthogonal complement")
     # deform: J-block constants from the lift of y1^2 + y2^2, base block from z
     big_lift = central_lift_in_b(data, lift)
-    theta_values = []
-    deformed = []
-    for row in bdual.relations.basis:
-        f = TensorElement.from_coordinates(row, g + 2, 2)
-        c = pairing(f, big_lift)
-        theta_values.append(c)
-        deformed.append(f - TensorElement.unit().scale(c))
-    base_c = build_clifford(data.base, z)
+    theta_values, deformed = clifford_theta(bdual, big_lift)
     out = build_clifford_from_dual(
         bdual, deformed, big_lift, theta_values,
-        expected_dim=4 * base_c.algebra.dim)
-    _verify_subalgebra_blocks(out, data, base_c)
+        expected_dim=4 * base.algebra.dim)
+    _verify_subalgebra_blocks(out, data, base)
     return out
 
 

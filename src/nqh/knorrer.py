@@ -4,10 +4,12 @@ The plus case (p12, p11) = (1, 0) deforms the matrix algebra over the
 base deformation, locates the full idempotent, and extracts the corner as a
 semi-trivial extension; the minus case (p12 = -1, p11 normalized to 0)
 deforms the direct product, packs it into a semi-trivial extension by an
-involution, and identifies the degree-0 part with a Zhang twist.  Every
-claimed identification is re-verified against the independently built
-rewriting oracle for the big deformation, structure constant by structure
-constant.
+involution, and identifies the degree-0 part with a Zhang twist.  Both
+start with one prologue (double Ore conditions, centrality, the base
+deformation and its dualized table) and build each dual and deformation
+once.  Every claimed identification is re-verified against the
+independently built rewriting oracle for the big deformation, structure
+constant by structure constant, in one step shared by both cases.
 """
 
 from __future__ import annotations
@@ -36,13 +38,13 @@ from .algebra import (
 )
 from .deform import (
     CaseKind,
-    b_presentation,
     build_Bshriek_clifford,
     build_clifford,
     central_lift_in_b,
     centrality_check_minus,
     centrality_check_plus,
     check_central,
+    dual_table_identities,
     dualize_hom,
     normalize_p11,
     p12_classify,
@@ -117,39 +119,6 @@ class MinusCaseResult:
     @property
     def case(self):
         return "minus"
-
-
-def _cor42_identities(sd, E):
-    """The sign-separated composition identities of the dualized table in
-    the plus case."""
-    s = sd.entries
-    ident = GradedLinMap.identity(E)
-    ok = True
-    ok &= (s[0][0].compose(s[0][0]) + s[1][0].compose(s[1][0])) == ident
-    ok &= (s[0][1].compose(s[0][1]) + s[1][1].compose(s[1][1])) == ident
-    total = (s[0][1].compose(s[0][0]) + s[1][1].compose(s[1][0])
-             + s[0][0].compose(s[0][1]) + s[1][0].compose(s[1][1]))
-    ok &= total.is_zero()
-    ok &= s[0][0].compose(s[1][0]) == s[1][0].compose(s[0][0])
-    ok &= s[0][1].compose(s[1][1]) == s[1][1].compose(s[0][1])
-    ok &= (s[1][1].compose(s[0][0]) - s[0][1].compose(s[1][0])) == (
-        s[0][0].compose(s[1][1]) - s[1][0].compose(s[0][1]))
-    return ok
-
-
-def _cor54_identities(sd, E):
-    s = sd.entries
-    ident = GradedLinMap.identity(E)
-    ok = True
-    ok &= (s[0][0].compose(s[0][0]) + s[1][0].compose(s[1][0])) == ident
-    ok &= (s[0][1].compose(s[0][1]) + s[1][1].compose(s[1][1])) == ident
-    ok &= (s[0][1].compose(s[0][0]) + s[1][1].compose(s[1][0])) == (
-        s[0][0].compose(s[0][1]) + s[1][0].compose(s[1][1]))
-    ok &= (s[0][0].compose(s[1][0]) + s[1][0].compose(s[0][0])).is_zero()
-    ok &= (s[0][1].compose(s[1][1]) + s[1][1].compose(s[0][1])).is_zero()
-    ok &= (s[1][1].compose(s[0][0]) + s[0][1].compose(s[1][0])) == (
-        s[0][0].compose(s[1][1]) + s[1][0].compose(s[0][1]))
-    return ok
 
 
 def _plus_theta(sd, E):
@@ -315,30 +284,61 @@ def _certify(checks, name, algebra, what):
         raise PipelineError(f"invalid {what}: {rep.first_failure()}")
 
 
-def run_plus_case(data, z):
-    """The full (p12, p11) = (1, 0) pipeline with every verification."""
-    lift = z.lift if hasattr(z, "lift") else z
-    if p12_classify(data) != CaseKind.PLUS:
-        raise WrongP("the plus-case pipeline needs (p12, p11) = (1, 0)")
-    checks = Report()
+def _prologue(checks, data, lift, kind):
+    """The checks both cases start with, in report order: the double Ore
+    conditions, centrality of z + y1^2 + y2^2 through sigma and in B, then
+    the base deformation E, the dualized table sigma^! on it, and the
+    identities of sigma^!.  Returns (E's CliffordData, sigma^!)."""
     rep, _ = validate_double_ore(data)
     checks.add("double-ore-valid", rep.ok)
     if not rep.ok:
         raise PipelineError(f"invalid double Ore data: {rep.first_failure()}")
-    central = centrality_check_plus(data, lift)
+    if kind == CaseKind.PLUS:
+        central = centrality_check_plus(data, lift)
+    else:
+        central = centrality_check_minus(data, lift)
     checks.add("centrality-sigma-conditions", central)
-    cross = check_central(b_presentation(data), central_lift_in_b(data, lift))
+    cross = check_central(data.b, central_lift_in_b(data, lift))
     checks.add("centrality-commutator-check", cross)
     if not (central and cross):
         raise PipelineError("the extended element is not central")
 
     base = build_clifford(data.base, lift)
-    E = base.algebra
     sd = dualize_hom(data, base)
-    cor = _cor42_identities(sd, E)
-    checks.add("dual-table-identities", cor)
-    if not cor:
-        raise PipelineError("dualized table fails the plus-case identities")
+    identities = dual_table_identities(data, sd)
+    checks.add("dual-table-identities", identities)
+    if not identities:
+        raise PipelineError(
+            f"dualized table fails the {kind.value}-case identities")
+    return base, sd
+
+
+def _oracle_step(checks, data, lift, base, target, y_images, layout, what):
+    """Build the deformation of B's dual, the rewriting oracle, and check
+    that sending y1, y2 to ``y_images`` and each base letter a to its copy
+    at layout index (0, 1, a) extends to an isomorphism onto ``target``.
+    ``target`` must be certified associative, as verify_iso needs; the
+    oracle is certified by build_Bshriek_clifford."""
+    oracle = build_Bshriek_clifford(data, lift, base)
+    E = base.algebra
+    images = [{index: ONE} for index in y_images]
+    for a in range(data.ngens):
+        images.append({layout.index(0, 1, E.words.index((a,))): ONE})
+    iso = extend_on_generators(oracle, target, images)
+    iso_ok = verify_iso(iso)
+    checks.add("oracle-isomorphism", iso_ok)
+    if not iso_ok:
+        raise IsoFailed(f"the deformation does not match the {what}")
+    return oracle, iso
+
+
+def run_plus_case(data, lift):
+    """The full (p12, p11) = (1, 0) pipeline with every verification."""
+    if p12_classify(data) != CaseKind.PLUS:
+        raise WrongP("the plus-case pipeline needs (p12, p11) = (1, 0)")
+    checks = Report()
+    base, sd = _prologue(checks, data, lift, CaseKind.PLUS)
+    E = base.algebra
 
     theta0, theta1 = _plus_theta(sd, E)
     basis = standard_basis_m2()
@@ -355,20 +355,13 @@ def run_plus_case(data, z):
     _certify(checks, "twisted-algebra-valid", twisted_big, "twisted algebra")
     twisted = twisted_big.total_degree_regrade()
 
-    oracle = build_Bshriek_clifford(data, z)
     layout = BlockLayout(E)
     unit_index = E.words.index(())
-    images = [{layout.index(1, 1, unit_index): ONE},
-              {layout.index(1, 2, unit_index): ONE}]
-    for a in range(data.ngens):
-        images.append({layout.index(0, 1, E.words.index((a,))): ONE})
-    iso = extend_on_generators(oracle, twisted, images)
-    # verify_iso needs both sides associative: build_Bshriek_clifford
-    # certifies the oracle, and twisted regrades the certified twisted_big
-    iso_ok = verify_iso(iso)
-    checks.add("oracle-isomorphism", iso_ok)
-    if not iso_ok:
-        raise IsoFailed("the deformation does not match the twisted matrix algebra")
+    # twisted regrades the certified twisted_big
+    oracle, iso = _oracle_step(
+        checks, data, lift, base, twisted,
+        (layout.index(1, 1, unit_index), layout.index(1, 2, unit_index)),
+        layout, "twisted matrix algebra")
 
     e = {layout.index(0, 1, unit_index): HALF,
          layout.index(0, 2, unit_index): HALF * I}
@@ -483,35 +476,18 @@ def run_plus_case(data, z):
     )
 
 
-def run_minus_case(data, z):
+def run_minus_case(data, lift):
     """The full p12 = -1 pipeline with every verification."""
-    lift = z.lift if hasattr(z, "lift") else z
     if p12_classify(data) != CaseKind.MINUS:
         raise WrongP("the minus-case pipeline needs p12 = -1")
     checks = Report()
     if data.p11:
-        cross0 = check_central(b_presentation(data), central_lift_in_b(data, lift))
+        cross0 = check_central(data.b, central_lift_in_b(data, lift))
         checks.add("centrality-before-normalization", cross0)
         data = normalize_p11(data)
         checks.add("p11-normalized", True)
-    rep, _ = validate_double_ore(data)
-    checks.add("double-ore-valid", rep.ok)
-    if not rep.ok:
-        raise PipelineError(f"invalid double Ore data: {rep.first_failure()}")
-    central = centrality_check_minus(data, lift)
-    checks.add("centrality-sigma-conditions", central)
-    cross = check_central(b_presentation(data), central_lift_in_b(data, lift))
-    checks.add("centrality-commutator-check", cross)
-    if not (central and cross):
-        raise PipelineError("the extended element is not central")
-
-    base = build_clifford(data.base, lift)
+    base, sd = _prologue(checks, data, lift, CaseKind.MINUS)
     E = base.algebra
-    sd = dualize_hom(data, base)
-    cor = _cor54_identities(sd, E)
-    checks.add("dual-table-identities", cor)
-    if not cor:
-        raise PipelineError("dualized table fails the minus-case identities")
 
     theta = _minus_theta(sd, E)
     epsilon = ((ONE, ONE), (ONE, Scalar(-1)))
@@ -555,21 +531,13 @@ def run_minus_case(data, z):
     _certify(checks, "semitrivial-valid", ST_big, "semi-trivial extension")
     checks.add("semitrivial-strongly-graded", strongly_graded_check(ST))
 
-    oracle = build_Bshriek_clifford(data, z)
     unit_index = E.words.index(())
-    images = [
-        {Gamma.dim + layout.index(0, 1, unit_index): ONE},
-        {Gamma.dim + layout.index(0, 2, unit_index): ONE},
-    ]
-    for a in range(data.ngens):
-        images.append({layout.index(0, 1, E.words.index((a,))): ONE})
-    iso = extend_on_generators(oracle, ST, images)
-    # the oracle is certified by build_Bshriek_clifford, and ST regrades the
-    # certified ST_big, as verify_iso requires
-    iso_ok = verify_iso(iso)
-    checks.add("oracle-isomorphism", iso_ok)
-    if not iso_ok:
-        raise IsoFailed("the deformation does not match the semi-trivial extension")
+    # ST regrades the certified ST_big
+    oracle, iso = _oracle_step(
+        checks, data, lift, base, ST,
+        (Gamma.dim + layout.index(0, 1, unit_index),
+         Gamma.dim + layout.index(0, 2, unit_index)),
+        layout, "semi-trivial extension")
 
     NG = zhang_twist(Gamma, (GradedLinMap.identity(Gamma), mu))
     _certify(checks, "zhang-twist-valid", NG, "Zhang twist")
@@ -689,7 +657,6 @@ def prop51_scenario(data, z):
     and the two-variable deformation at y2^2 has a nonzero radical, so the
     quadric is never an isolated singularity in this regime.
     """
-    lift = z.lift if hasattr(z, "lift") else z
     if data.p12 != Scalar(-1) or (data.p11 != Scalar(2) * I
                                   and data.p11 != Scalar(-2) * I):
         raise WrongP("the degenerate analysis needs p12 = -1, p11 = +-2i")

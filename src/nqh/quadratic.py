@@ -28,8 +28,6 @@ Both depend only on I_n and the word order, not on how I_n was spanned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import BoundExceeded, DegreeMismatch, DimensionMismatch
 from .exactlin import (
     ONE,
@@ -188,14 +186,6 @@ class QuadraticPresentation:
         return f"QuadraticPresentation({self.generators}, dim R={self.relations.dim})"
 
 
-@dataclass(frozen=True)
-class CentralElement:
-    """A degree-2 tensor lift of a (claimed) central element."""
-
-    lift: TensorElement
-    owner: QuadraticPresentation
-
-
 def graded_dim(presentation, n):
     return presentation.component_dim(n)
 
@@ -215,12 +205,8 @@ def koszul_dual(presentation):
     return QuadraticPresentation(dual_names, complement)
 
 
-def check_central(presentation, z):
+def check_central(presentation, lift):
     """Whether the degree-2 class of the lift commutes with every generator."""
-    if isinstance(z, CentralElement):
-        lift = z.lift
-    else:
-        lift = z
     if lift.degree() not in (2, None):
         raise DegreeMismatch("central lift must have degree 2")
     if not lift:

@@ -287,33 +287,24 @@ def _unit_value_invertible(table):
     return v is not None and bool(v[0][0] * v[1][1] - v[0][1] * v[1][0])
 
 
-def verify_twisting_M2(system):
-    """Full condition report for a candidate twisting system."""
-    report = Report()
-    E = system.algebra
-    basis = system.basis
-    report.add("basis-identities", basis.basis_identities().ok)
-    inverses = []
-    for i in (0, 1):
-        inv = t_inverse_table(system.theta[i])
-        inverses.append(inv)
-        report.add(f"theta{i}-t-invertible", inv is not None)
-    if any(inv is None for inv in inverses):
-        return report
-    system.t_inverses = tuple(inverses)
-    report.add("theta1-unit-invertible", _unit_value_invertible(system.theta[1]))
-    report.add("theta0-unit-invertible", _unit_value_invertible(system.theta[0]))
+def _exchange_failure(layout, theta, lval):
+    """The first (i', i'', j', j'', p, x, y) at which the exchange identity
 
-    # the exchange identity, in its two-index form; inner applications are
-    # hoisted per basis pair since they are reused across index tuples
-    exchange_ok = True
-    detail = ""
-    for ip in (0, 1):
-        for ipp in (0, 1):
-            ti = system.theta[ip]
-            tii = system.theta[ipp]
-            tsum = system.theta[(ip + ipp) % 2]
-            lcoeffs = {(p, a, b): basis.lval(ip, ipp, p, a, b)
+        sum_{s,u} l^(i'i'')_{psu} theta^(i'')_{uj''}(theta^(i')_{sj'}(x) y)
+        = sum_{t,u} l^(i'i'')_{tj'u} theta^(i'+i'')_{pt}(x) theta^(i'')_{uj''}(y)
+
+    fails on basis vectors x, y of E, or None.  ``layout``, ``theta`` and
+    ``lval`` are as in :func:`_twisted_algebra`, so E x E gives the
+    i' = i'' = 0 case.  Inner applications are hoisted per basis pair since
+    they are reused across index tuples.
+    """
+    E = layout.algebra
+    for ip in layout.halves:
+        for ipp in layout.halves:
+            ti = theta[ip]
+            tii = theta[ipp]
+            tsum = theta[(ip + ipp) % 2]
+            lcoeffs = {(p, a, b): lval(ip, ipp, p, a, b)
                        for p in (1, 2) for a in (1, 2) for b in (1, 2)}
             for x in range(E.dim):
                 bx = E.basis_vec(x)
@@ -349,21 +340,31 @@ def verify_twisting_M2(system):
                                             rhs, rhs_app[p - 1][t - 1][u - 1][jpp - 1],
                                             lcoeffs[(t, jp, u)])
                                 if not vec_eq(lhs, rhs):
-                                    exchange_ok = False
-                                    if not detail:
-                                        detail = (f"first failure at i'={ip}"
-                                                  f" i''={ipp} j'={jp}"
-                                                  f" j''={jpp} p={p}"
-                                                  f" x={x} y={y}")
-                    if not exchange_ok:
-                        break
-                if not exchange_ok:
-                    break
-            if not exchange_ok:
-                break
-        if not exchange_ok:
-            break
-    report.add("exchange-identity", exchange_ok, detail)
+                                    return ip, ipp, jp, jpp, p, x, y
+    return None
+
+
+def verify_twisting_M2(system):
+    """Full condition report for a candidate twisting system."""
+    report = Report()
+    E = system.algebra
+    basis = system.basis
+    report.add("basis-identities", basis.basis_identities().ok)
+    inverses = []
+    for i in (0, 1):
+        inv = t_inverse_table(system.theta[i])
+        inverses.append(inv)
+        report.add(f"theta{i}-t-invertible", inv is not None)
+    if any(inv is None for inv in inverses):
+        return report
+    system.t_inverses = tuple(inverses)
+    report.add("theta1-unit-invertible", _unit_value_invertible(system.theta[1]))
+    report.add("theta0-unit-invertible", _unit_value_invertible(system.theta[0]))
+
+    failure = _exchange_failure(BlockLayout(E), system.theta, basis.lval)
+    detail = "" if failure is None else (
+        "first failure at i'={} i''={} j'={} j''={} p={} x={} y={}".format(*failure))
+    report.add("exchange-identity", failure is None, detail)
     return report
 
 
@@ -717,49 +718,25 @@ def product_l_tensor(epsilon):
     return out
 
 
+def _product_lval(ltens):
+    """The structure tensor of k x k in the l^(ii')_{tjs} form of M_2(k),
+    whose degrees i, i' are all 0 on E x E."""
+    return lambda i, ip, t, j, s: ltens[(t, j, s)]
+
+
 def verify_twisting_prod(system):
     report = Report()
-    E = system.algebra
-    ltens = system.l
     inv = t_inverse_table(system.theta)
     report.add("theta-t-invertible", inv is not None)
     if inv is None:
         return report
     system.t_inverse = inv
     report.add("theta-unit-invertible", _unit_value_invertible(system.theta))
-    ok = True
-    detail = ""
-    for x in range(E.dim):
-        bx = E.basis_vec(x)
-        pre = [[system.theta.entry(s, j).apply(bx) for j in (1, 2)] for s in (1, 2)]
-        for y in range(E.dim):
-            by = E.basis_vec(y)
-            for j in (1, 2):
-                for jp in (1, 2):
-                    for p in (1, 2):
-                        lhs = {}
-                        for s in (1, 2):
-                            for u in (1, 2):
-                                coeff = ltens[(p, s, u)]
-                                if not coeff:
-                                    continue
-                                inner = E.mul(pre[s - 1][j - 1], by)
-                                add_scaled(lhs, system.theta.entry(u, jp).apply(inner),
-                                           coeff)
-                        rhs = {}
-                        for t in (1, 2):
-                            for u in (1, 2):
-                                coeff = ltens[(t, j, u)]
-                                if not coeff:
-                                    continue
-                                term = E.mul(system.theta.entry(p, t).apply(bx),
-                                             system.theta.entry(u, jp).apply(by))
-                                add_scaled(rhs, term, coeff)
-                        if not vec_eq(lhs, rhs):
-                            ok = False
-                            if not detail:
-                                detail = f"fails at j={j} j'={jp} p={p} x={x} y={y}"
-    report.add("product-exchange-identity", ok, detail)
+    failure = _exchange_failure(BlockLayout(system.algebra, system.epsilon),
+                                (system.theta,), _product_lval(system.l))
+    detail = "" if failure is None else (
+        "fails at j={} j'={} p={} x={} y={}".format(*failure[2:]))
+    report.add("product-exchange-identity", failure is None, detail)
     return report
 
 
@@ -767,10 +744,8 @@ def build_twisted_prod(system):
     """The twisted product on the basis {eps_j e_b}, graded by E's grading."""
     if system.t_inverse is None:
         raise NotTwistingSystem("verify the system before building")
-    ltens = system.l
     return _twisted_algebra(BlockLayout(system.algebra, system.epsilon),
-                            (system.theta,),
-                            lambda i, ip, t, j, s: ltens[(t, j, s)],
+                            (system.theta,), _product_lval(system.l),
                             _eps_coords(system.epsilon, ONE, ONE),
                             system.t_inverse)
 

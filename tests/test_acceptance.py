@@ -388,7 +388,8 @@ def test_criterion_9_oracle_integrity(km1, z_lift, double_ore_class_z,
                               [TensorElement({(0, 1): ONE, (1, 0): ONE})]),
         TensorElement({(1, 1): ONE})))
     for data in (double_ore_class_z, double_ore_class_t, double_ore_class_r):
-        deformations.append(build_Bshriek_clifford(data, z_lift))
+        deformations.append(build_Bshriek_clifford(
+            data, z_lift, build_clifford(data.base, z_lift)))
     rng = random.Random(97)
     pool = [ONE, MINUS_ONE, Scalar(2), HALF, I, Scalar(0, 0, 1)]
     for deformation in deformations:

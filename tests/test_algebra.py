@@ -417,7 +417,8 @@ def _items(report):
 
 def test_verify_algebra_matches_the_reference_on_pipeline_algebras(
         pipeline_algebras):
-    assert len(pipeline_algebras) == 33
+    # 20 distinct algebras; each pipeline builds its base deformation once
+    assert len(pipeline_algebras) == 28
     for algebra in pipeline_algebras:
         items = _items(verify_algebra(algebra))
         assert items == reference_verify_algebra(algebra)
@@ -494,7 +495,8 @@ def test_verify_algebra_matches_the_reference_on_skew3_mutants(skew3_certified):
     rng = random.Random("verify-algebra-skew3-mutants")
     kinds = ("unit", "stored", "any")
     failed = {"unit": 0, "grading": 0, "associativity": 0}
-    assert len(algebras) == 13
+    # each run builds its base deformation once
+    assert len(algebras) == 11
     for n, algebra in enumerate(algebras):
         items = _items(verify_algebra(algebra))
         assert items == reference_verify_algebra(algebra)

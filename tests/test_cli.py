@@ -218,6 +218,34 @@ def test_knorrer_json(capsys, double_ore_file):
     assert payload["big_radical_dim"] == 0
 
 
+P12_TWO = {**EX_4_10, "p12": "2"}
+
+
+@pytest.mark.parametrize("doc, case", [
+    (P12_TWO, "auto"),
+    (P12_TWO, "plus"),
+    (P12_TWO, "minus"),
+    (EX_4_10, "minus"),
+    (EX_5_9, "plus"),
+], ids=["p12-2-auto", "p12-2-plus", "p12-2-minus", "plus-file-minus",
+        "minus-file-plus"])
+def test_knorrer_case_contradicting_p12_is_exit_2(capsys, tmp_path, doc, case):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    assert main(["knorrer", str(path), "--case", case]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if doc is P12_TWO:
+        assert "admit no central extension" in err
+    else:
+        assert f"--case {case} contradicts the mixing parameters" in err
+
+
+def test_knorrer_case_agreeing_with_p12_runs(capsys, double_ore_file):
+    assert main(["knorrer", double_ore_file, "--case", "plus"]) == 0
+    assert "case: plus" in capsys.readouterr().out
+
+
 def test_invalid_semitrivial_extension_is_exit_1(capsys, monkeypatch, tmp_path):
     from nqh import knorrer
     from nqh.exactlin import ONE

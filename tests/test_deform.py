@@ -10,7 +10,12 @@ from nqh.errors import (
 )
 from nqh.exactlin import I, ONE, Scalar, TensorElement, ZERO
 from nqh.algebra import GradedLinMap, radical, strongly_graded_check, verify_hom_M2
-from nqh.quadratic import QuadraticPresentation, check_central, hilbert_profile
+from nqh.quadratic import (
+    QuadraticPresentation,
+    check_central,
+    hilbert_profile,
+    koszul_dual,
+)
 from nqh.deform import (
     CaseKind,
     DoubleOreData,
@@ -31,18 +36,18 @@ MINUS_ONE = Scalar(-1)
 
 
 def test_clifford_theta_values(km1, z_lift):
-    values = clifford_theta(km1, z_lift)
+    values, _ = clifford_theta(koszul_dual(km1), z_lift)
     # dual relation basis: (x1*)^2, x1*x2* - x2*x1*, (x2*)^2 in RREF order
     assert sorted(v.text() for v in values) == ["0", "1", "1"]
 
 
 def test_clifford_theta_zero_lift(km1):
-    values = clifford_theta(km1, TensorElement())
+    values, _ = clifford_theta(koszul_dual(km1), TensorElement())
     assert all(v == ZERO for v in values)
 
 
 def test_clifford_theta_partial_deformation(km1):
-    values = clifford_theta(km1, TensorElement({(1, 1): ONE}))
+    values, _ = clifford_theta(koszul_dual(km1), TensorElement({(1, 1): ONE}))
     assert sorted(v.text() for v in values) == ["0", "0", "1"]
 
 
@@ -197,7 +202,8 @@ def test_dualize_requires_fixed_central(km1, z_lift, clifford_km1):
 def test_b_extension_dimensions(double_ore_class_z, double_ore_class_t,
                                 double_ore_class_r, z_lift):
     for data in (double_ore_class_z, double_ore_class_t, double_ore_class_r):
-        result = build_Bshriek_clifford(data, z_lift)
+        result = build_Bshriek_clifford(
+            data, z_lift, build_clifford(data.base, z_lift))
         assert result.algebra.dim == 16
         assert hilbert_profile(result.presentation, 4) == [1, 4, 6, 4, 1]
         assert strongly_graded_check(result.algebra)
@@ -243,5 +249,7 @@ def test_dual_relation_space_matches_block_assembly(double_ore_class_r,
                                                     z_lift):
     # the assembly check inside the builder raises on any mismatch, so a
     # successful build certifies the three-block dual relation space
-    result = build_Bshriek_clifford(double_ore_class_r, z_lift)
+    result = build_Bshriek_clifford(
+        double_ore_class_r, z_lift,
+        build_clifford(double_ore_class_r.base, z_lift))
     assert result.algebra.dim == 16

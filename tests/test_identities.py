@@ -1,0 +1,412 @@
+"""Differential tests of the double Ore identities and the exchange-identity
+loop against the one-copy-per-table forms they replaced.
+
+The references below are the earlier, separately written checks, kept here
+only as test oracles: the composition and centrality conditions written
+out on dense sigma tables, the sign-separated identities of the dualized
+table in each case, and the E x E exchange loop.  Every differential runs
+on the tables of the registry pipelines and of seeded skew bases, and on
+one-coefficient mutants of each.
+"""
+
+import dataclasses
+import json
+import random
+
+import pytest
+
+from perfbench.workloads import generate
+
+from nqh import deform
+from nqh.algebra import GradedLinMap, MatrixHom, Report, t_inverse_table, vec_eq
+from nqh.deform import (
+    DoubleOreData,
+    _composition_conditions,
+    build_clifford,
+    centrality_check_minus,
+    centrality_check_plus,
+    centrality_identities,
+    composition_identities,
+    dual_table_identities,
+    dualize_hom,
+    map_ops,
+    matrix_ops,
+    validate_double_ore,
+)
+from nqh.exactlin import (
+    ONE,
+    ZERO,
+    Scalar,
+    add_scaled,
+    identity_matrix,
+    matrix_add,
+    matrix_mul,
+)
+from nqh.formats import parse_double_ore
+from nqh.knorrer import _minus_theta
+from nqh.scenarios import EX_4_9_1, EX_4_9_2, EX_4_10, EX_5_9, PROP_5_10
+from nqh.twist import (
+    TwistingSystemProd,
+    _unit_value_invertible,
+    product_l_tensor,
+    verify_twisting_prod,
+)
+
+MINUS_ONE = Scalar(-1)
+REGISTRY_DOCS = (EX_4_10, EX_4_9_1, EX_4_9_2, EX_5_9, PROP_5_10)
+EPSILON = ((ONE, ONE), (ONE, MINUS_ONE))
+POOL = (ONE, MINUS_ONE, Scalar(2), Scalar(1, 0, 0, 0, 2), Scalar(0, 0, 1))
+
+
+# ---------------------------------------------------------------------------
+# test-only references
+
+
+def _ref_scale(matrix, coeff):
+    return [[coeff * x for x in row] for row in matrix]
+
+
+def ref_composition_holds_on(t, p12, p11):
+    comp = matrix_mul
+    lhs1 = matrix_add(comp(t[1][0], t[0][0]),
+                      _ref_scale(comp(t[1][1], t[0][0]), p11))
+    rhs1 = matrix_add(
+        matrix_add(_ref_scale(comp(t[0][0], t[1][0]), p12),
+                   _ref_scale(comp(t[0][1], t[1][0]), p12 * p11)),
+        matrix_add(_ref_scale(comp(t[0][0], t[0][0]), p11),
+                   _ref_scale(comp(t[0][1], t[0][0]), p11 * p11)),
+    )
+    if lhs1 != rhs1:
+        return False
+    lhs2 = comp(t[1][1], t[0][1])
+    rhs2 = matrix_add(_ref_scale(comp(t[0][1], t[1][1]), p12),
+                      _ref_scale(comp(t[0][1], t[0][1]), p11))
+    if lhs2 != rhs2:
+        return False
+    lhs3 = matrix_add(_ref_scale(comp(t[1][1], t[0][0]), p12),
+                      comp(t[1][0], t[0][1]))
+    rhs3 = matrix_add(
+        matrix_add(_ref_scale(comp(t[0][1], t[1][0]), p12 * p12),
+                   _ref_scale(comp(t[0][0], t[1][1]), p12)),
+        matrix_add(_ref_scale(comp(t[0][1], t[0][0]), p11 * p12),
+                   _ref_scale(comp(t[0][0], t[0][1]), p11)),
+    )
+    return lhs3 == rhs3
+
+
+def _ref_mixed_plus(s, mul, add):
+    total = add(add(mul(s[0][0], s[0][1]), mul(s[1][0], s[1][1])),
+                add(mul(s[0][1], s[0][0]), mul(s[1][1], s[1][0])))
+    return all(not x for row in total for x in row)
+
+
+def _ref_mixed_minus(s, mul, add):
+    lhs = add(mul(s[0][0], s[0][1]), mul(s[1][0], s[1][1]))
+    rhs = add(mul(s[0][1], s[0][0]), mul(s[1][1], s[1][0]))
+    return lhs == rhs
+
+
+def ref_centrality_holds_on(table, size, mixed_condition):
+    ident = identity_matrix(size)
+    if matrix_add(matrix_mul(table[0][0], table[0][0]),
+                  matrix_mul(table[1][0], table[1][0])) != ident:
+        return False
+    if matrix_add(matrix_mul(table[0][1], table[0][1]),
+                  matrix_mul(table[1][1], table[1][1])) != ident:
+        return False
+    return mixed_condition(table, matrix_mul, matrix_add)
+
+
+def _ref_degree2_entry(data):
+    lifted = deform._lift_degree2(data.sigma, data.ngens)
+    return [[deform._matrix_on_component(data.base, lifted[i][j], 2)
+             for j in range(2)] for i in range(2)]
+
+
+def ref_composition_conditions(data):
+    if not ref_composition_holds_on(data.sigma, data.p12, data.p11):
+        return False
+    return ref_composition_holds_on(_ref_degree2_entry(data), data.p12, data.p11)
+
+
+def ref_centrality_conditions(data, lift, mixed_condition):
+    if not ref_centrality_holds_on(data.sigma, data.ngens, mixed_condition):
+        return False
+    if not ref_centrality_holds_on(_ref_degree2_entry(data),
+                                   data.base.component_dim(2), mixed_condition):
+        return False
+    return deform._sigma_fixes_z(data, lift)
+
+
+def ref_cor42_identities(sd, E):
+    s = sd.entries
+    ident = GradedLinMap.identity(E)
+    ok = True
+    ok &= (s[0][0].compose(s[0][0]) + s[1][0].compose(s[1][0])) == ident
+    ok &= (s[0][1].compose(s[0][1]) + s[1][1].compose(s[1][1])) == ident
+    total = (s[0][1].compose(s[0][0]) + s[1][1].compose(s[1][0])
+             + s[0][0].compose(s[0][1]) + s[1][0].compose(s[1][1]))
+    ok &= total.is_zero()
+    ok &= s[0][0].compose(s[1][0]) == s[1][0].compose(s[0][0])
+    ok &= s[0][1].compose(s[1][1]) == s[1][1].compose(s[0][1])
+    ok &= (s[1][1].compose(s[0][0]) - s[0][1].compose(s[1][0])) == (
+        s[0][0].compose(s[1][1]) - s[1][0].compose(s[0][1]))
+    return ok
+
+
+def ref_cor54_identities(sd, E):
+    s = sd.entries
+    ident = GradedLinMap.identity(E)
+    ok = True
+    ok &= (s[0][0].compose(s[0][0]) + s[1][0].compose(s[1][0])) == ident
+    ok &= (s[0][1].compose(s[0][1]) + s[1][1].compose(s[1][1])) == ident
+    ok &= (s[0][1].compose(s[0][0]) + s[1][1].compose(s[1][0])) == (
+        s[0][0].compose(s[0][1]) + s[1][0].compose(s[1][1]))
+    ok &= (s[0][0].compose(s[1][0]) + s[1][0].compose(s[0][0])).is_zero()
+    ok &= (s[0][1].compose(s[1][1]) + s[1][1].compose(s[0][1])).is_zero()
+    ok &= (s[1][1].compose(s[0][0]) + s[0][1].compose(s[1][0])) == (
+        s[0][0].compose(s[1][1]) + s[1][0].compose(s[0][1]))
+    return ok
+
+
+def ref_verify_twisting_prod(system):
+    report = Report()
+    E = system.algebra
+    ltens = system.l
+    inv = t_inverse_table(system.theta)
+    report.add("theta-t-invertible", inv is not None)
+    if inv is None:
+        return report
+    system.t_inverse = inv
+    report.add("theta-unit-invertible", _unit_value_invertible(system.theta))
+    ok = True
+    detail = ""
+    for x in range(E.dim):
+        bx = E.basis_vec(x)
+        pre = [[system.theta.entry(s, j).apply(bx) for j in (1, 2)] for s in (1, 2)]
+        for y in range(E.dim):
+            by = E.basis_vec(y)
+            for j in (1, 2):
+                for jp in (1, 2):
+                    for p in (1, 2):
+                        lhs = {}
+                        for s in (1, 2):
+                            for u in (1, 2):
+                                coeff = ltens[(p, s, u)]
+                                if not coeff:
+                                    continue
+                                inner = E.mul(pre[s - 1][j - 1], by)
+                                add_scaled(lhs, system.theta.entry(u, jp).apply(inner),
+                                           coeff)
+                        rhs = {}
+                        for t in (1, 2):
+                            for u in (1, 2):
+                                coeff = ltens[(t, j, u)]
+                                if not coeff:
+                                    continue
+                                term = E.mul(system.theta.entry(p, t).apply(bx),
+                                             system.theta.entry(u, jp).apply(by))
+                                add_scaled(rhs, term, coeff)
+                        if not vec_eq(lhs, rhs):
+                            ok = False
+                            if not detail:
+                                detail = f"fails at j={j} j'={jp} p={p} x={x} y={y}"
+    report.add("product-exchange-identity", ok, detail)
+    return report
+
+
+# ---------------------------------------------------------------------------
+# inputs and mutants
+
+
+def _denormalized(data, p11):
+    """Data with mixing pair (-1, p11) that normalize_p11 sends back to the
+    p11 = 0 ``data``: the inverse of its change of variables, for p11 with
+    1 + p11^2 / 4 = c^2 and c = 5/4 when p11 = 3/2."""
+    h = p11 * Scalar(1, 0, 0, 0, 2)
+    c = Scalar(5, 0, 0, 0, 4)
+    n = data.sigma
+    s01 = _ref_scale(n[0][1], c.inverse())
+    s00 = matrix_add(n[0][0], _ref_scale(s01, -h))
+    s11 = matrix_add(n[1][1], _ref_scale(s01, h))
+    s10 = matrix_add(matrix_add(_ref_scale(n[1][0], c), _ref_scale(s11, -h)),
+                     matrix_add(_ref_scale(s00, h), _ref_scale(s01, h * h)))
+    return DoubleOreData(data.base, data.p12, p11, ((s00, s01), (s10, s11)))
+
+
+def _transposed(data):
+    sigma = tuple(tuple([list(col) for col in zip(*m)] for m in row)
+                  for row in data.sigma)
+    return dataclasses.replace(data, sigma=sigma)
+
+
+def _sigma_mutant(data, rng):
+    i, j = rng.randrange(2), rng.randrange(2)
+    r, c = rng.randrange(data.ngens), rng.randrange(data.ngens)
+    sigma = [[[list(row) for row in m] for m in pair] for pair in data.sigma]
+    sigma[i][j][r][c] = sigma[i][j][r][c] + rng.choice(POOL)
+    return dataclasses.replace(
+        data, sigma=tuple(tuple(pair) for pair in sigma))
+
+
+def _table_mutant(hom, rng):
+    i, j = rng.randrange(2), rng.randrange(2)
+    entry = hom.entries[i][j]
+    dim = entry.source.dim
+    col, key = rng.randrange(dim), rng.randrange(dim)
+    cols = [dict(c) for c in entry.cols]
+    value = cols[col].get(key, ZERO) + rng.choice(POOL)
+    if value:
+        cols[col][key] = value
+    else:
+        cols[col].pop(key, None)
+    entries = [list(row) for row in hom.entries]
+    entries[i][j] = GradedLinMap(entry.source, entry.target, cols)
+    return MatrixHom(entries)
+
+
+@pytest.fixture(scope="module")
+def pipeline_inputs():
+    """(data, lift, base deformation, sigma^!) of the registry's five
+    pipeline inputs and of skew3 seeds 1-3, plus and minus."""
+    docs = list(REGISTRY_DOCS)
+    for seed in (1, 2, 3):
+        docs.extend(json.loads(blob)
+                    for _, blob in sorted(generate("skew3", seed).items()))
+    out = []
+    for doc in docs:
+        data, lift = parse_double_ore(doc)
+        base = build_clifford(data.base, lift)
+        out.append((data, lift, base, dualize_hom(data, base)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# sigma on V and on the degree-2 component
+
+
+def _sigma_tables(pipeline_inputs):
+    """Every seeded sigma, its entrywise transpose, its p11 = 3/2 preimage
+    in the minus case, and eight one-coefficient mutants of each."""
+    rng = random.Random("sigma-identity-mutants")
+    tables = []
+    for data, lift, _, _ in pipeline_inputs:
+        family = [data, _transposed(data)]
+        if data.p12 == MINUS_ONE:
+            family.append(_denormalized(data, Scalar(3, 0, 0, 0, 2)))
+        for member in family:
+            tables.append((member, lift))
+            tables.extend((_sigma_mutant(member, rng), lift) for _ in range(8))
+    return tables
+
+
+def test_composition_identities_match_the_reference_on_sigma(pipeline_inputs):
+    tables = _sigma_tables(pipeline_inputs)
+    verdicts = []
+    for data, _ in tables:
+        verdict = _composition_conditions(data)
+        assert verdict == ref_composition_conditions(data)
+        ops = matrix_ops(data.ngens)
+        for p12, p11 in ((data.p12, data.p11), (ONE, ZERO), (MINUS_ONE, ZERO),
+                         (MINUS_ONE, Scalar(3, 0, 0, 0, 2))):
+            assert (composition_identities(data.sigma, ops, p12, p11)
+                    == ref_composition_holds_on(data.sigma, p12, p11))
+        verdicts.append(verdict)
+    assert len(tables) >= 200
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
+
+
+def test_composition_identities_see_the_order_of_composition():
+    """With (p12, p11) = (1, 1), sigma_12 = 0 and sigma_22 = 1 the
+    identities reduce to sigma_21 sigma_11 - sigma_11 sigma_21 =
+    sigma_11^2 - sigma_11, which this table satisfies and its entrywise
+    transpose, the same identities in the opposite composition order, does
+    not."""
+    def matrix(rows):
+        return [[Scalar(x) for x in row] for row in rows]
+
+    table = ((matrix([[1, 1], [0, 1]]), matrix([[0, 0], [0, 0]])),
+             (matrix([[1, 0], [0, 0]]), matrix([[1, 0], [0, 1]])))
+    transposed = tuple(tuple([list(c) for c in zip(*m)] for m in row)
+                       for row in table)
+    ops = matrix_ops(2)
+    for t, expected in ((table, True), (transposed, False)):
+        assert composition_identities(t, ops, ONE, ONE) is expected
+        assert ref_composition_holds_on(t, ONE, ONE) is expected
+
+
+def test_denormalized_tables_are_valid_double_ore_data(pipeline_inputs):
+    """The p11 != 0 preimages pass every double Ore condition, so the
+    differential above also sees accepted tables with p11 terms."""
+    minus = [data for data, _, _, _ in pipeline_inputs if data.p12 == MINUS_ONE]
+    assert len(minus) >= 4
+    for data in minus:
+        report, _ = validate_double_ore(_denormalized(data, Scalar(3, 0, 0, 0, 2)))
+        assert report.ok
+
+
+def test_centrality_identities_match_the_reference_on_sigma(pipeline_inputs):
+    verdicts = []
+    for data, lift in _sigma_tables(pipeline_inputs):
+        if data.p11:
+            continue
+        for p12, check, mixed in ((ONE, centrality_check_plus, _ref_mixed_plus),
+                                  (MINUS_ONE, centrality_check_minus,
+                                   _ref_mixed_minus)):
+            case_data = dataclasses.replace(data, p12=p12)
+            verdict = check(case_data, lift)
+            assert verdict == ref_centrality_conditions(case_data, lift, mixed)
+            verdicts.append(verdict)
+    assert verdicts.count(True) >= 50 and verdicts.count(False) >= 300
+
+
+# ---------------------------------------------------------------------------
+# the dualized table sigma^! over E
+
+
+def test_dual_table_identities_match_the_reference(pipeline_inputs):
+    rng = random.Random("dual-identity-mutants")
+    verdicts = {ONE: [], MINUS_ONE: []}
+    for data, _, base, sd in pipeline_inputs:
+        E = base.algebra
+        ops = map_ops(E)
+        for table in [sd] + [_table_mutant(sd, rng) for _ in range(20)]:
+            for p12, reference in ((ONE, ref_cor42_identities),
+                                   (MINUS_ONE, ref_cor54_identities)):
+                verdict = (composition_identities(table.entries, ops, p12, ZERO)
+                           and centrality_identities(table.entries, ops, p12))
+                assert verdict == reference(table, E)
+                verdicts[p12].append(verdict)
+            case_reference = (ref_cor42_identities if data.p12 == ONE
+                              else ref_cor54_identities)
+            assert dual_table_identities(data, table) == case_reference(table, E)
+    for found in verdicts.values():
+        assert found.count(True) >= 30 and found.count(False) >= 150
+
+
+# ---------------------------------------------------------------------------
+# the E x E exchange loop
+
+
+def _items(report):
+    return [(item.name, item.passed, item.detail) for item in report.items]
+
+
+def test_product_exchange_loop_matches_the_reference(pipeline_inputs):
+    rng = random.Random("product-exchange-mutants")
+    ltens = product_l_tensor(EPSILON)
+    rejected = accepted = 0
+    for data, _, base, sd in pipeline_inputs:
+        if data.p12 != MINUS_ONE:
+            continue
+        E = base.algebra
+        theta = _minus_theta(sd, E)
+        for table in [theta] + [_table_mutant(theta, rng) for _ in range(12)]:
+            items = _items(verify_twisting_prod(
+                TwistingSystemProd(E, table, EPSILON, ltens)))
+            assert items == _items(ref_verify_twisting_prod(
+                TwistingSystemProd(E, table, EPSILON, ltens)))
+            if len(items) == 3:
+                rejected += not items[2][1]
+                accepted += items[2][1]
+    assert accepted >= 5 and rejected >= 30

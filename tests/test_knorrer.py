@@ -1,6 +1,16 @@
+import hashlib
+import json
+from collections import Counter
+
 import pytest
 
 from conftest import diagonal_sigma
+
+from perfbench.workloads import generate, write_inputs
+
+from nqh import deform, knorrer
+from nqh.cli import main
+from nqh.formats import parse_double_ore
 
 from nqh.errors import WrongP
 from nqh.exactlin import I, ONE, Scalar, ZERO
@@ -270,3 +280,47 @@ def test_singularity_report_shapes(plus_class_z, minus_class_t):
     assert "D^b(mod k)^{×8}" in plus_report.text()
     minus_report = singularity_report(minus_class_t)
     assert minus_report.isolated
+
+
+# sha256 of `nqh --json knorrer` on the skew3 inputs of seed 7, recorded
+# before the two pipelines shared their prologue: 3-generator reports must
+# stay byte-identical, check items and their order included.
+SKEW3_SEED7_DIGESTS = {
+    "plus": "2b1275a683579dfe583d8e446085935b6f6342573b01c640320e331baff67b79",
+    "minus": "b11231c3fb6ac9416ed242fb0d2882594e89a165cea7fb58aaca8150300139cc",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SKEW3_SEED7_DIGESTS))
+def test_skew3_report_bytes_match_recorded_digest(capsys, tmp_path, case):
+    write_inputs(generate("skew3", 7), tmp_path)
+    assert main(["--json", "knorrer", str(tmp_path / f"{case}.json")]) == 0
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode("utf-8")).hexdigest()
+            == SKEW3_SEED7_DIGESTS[case])
+
+
+def test_each_run_builds_each_dual_and_deformation_once(monkeypatch):
+    """One run builds three Koszul duals (base, B, mixing block J), runs
+    check_central three times (in B, then inside the two build_clifford
+    calls) and deforms twice (base, J): nothing is rebuilt."""
+    counts = Counter()
+
+    def counting(name, real):
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+        return wrapper
+
+    for module in (deform, knorrer):
+        for name in ("koszul_dual", "check_central", "build_clifford"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counting(name, getattr(module, name)))
+    for name, blob in sorted(generate("skew3", 7).items()):
+        data, central = parse_double_ore(json.loads(blob))
+        run = run_plus_case if name == "plus.json" else run_minus_case
+        counts.clear()
+        assert run(data, central).checks.ok
+        assert counts == {"koszul_dual": 3, "check_central": 3,
+                          "build_clifford": 2}, name

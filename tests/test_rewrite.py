@@ -70,9 +70,11 @@ def test_complete_single_generator():
 
 def test_complete_b_extension_has_sixteen_normal_words(double_ore_class_z,
                                                        z_lift):
-    from nqh.deform import build_Bshriek_clifford
+    from nqh.deform import build_Bshriek_clifford, build_clifford
 
-    data = build_Bshriek_clifford(double_ore_class_z, z_lift)
+    data = build_Bshriek_clifford(
+        double_ore_class_z, z_lift,
+        build_clifford(double_ore_class_z.base, z_lift))
     words = normal_words(data.system)
     assert len(words) == 16
 
