@@ -33,7 +33,6 @@ from .exactlin import (
     Subspace,
     add_scaled,
     is_stacked_inverse,
-    matrix_inverse,
     matrix_mul,
     nullspace,
     stacked_inverse,
@@ -408,12 +407,6 @@ class GradedLinMap:
 
     def is_invertible(self):
         return self.source.dim == self.target.dim and self.rank() == self.source.dim
-
-    def inverse(self):
-        inv = matrix_inverse(self.dense())
-        if inv is None:
-            return None
-        return GradedLinMap.from_matrix(self.target, self.source, inv)
 
     def __repr__(self):
         return f"GradedLinMap({self.source.dim} -> {self.target.dim})"

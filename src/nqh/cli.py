@@ -181,9 +181,13 @@ def cmd_knorrer(args):
     }
     text = "\n".join(lines) + "\n"
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(text if not args.json
-                         else json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        body = (text if not args.json
+                else json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        try:
+            with open(args.report, "w", encoding="utf-8") as handle:
+                handle.write(body)
+        except OSError as exc:
+            raise ParseError(f"cannot write report: {exc}") from exc
     _emit(args, lines, payload)
     return 0 if result.checks.ok else 1
 

@@ -32,6 +32,7 @@ from .errors import (
     WrongP,
 )
 from .exactlin import (
+    HALF,
     I,
     MINUS_ONE,
     ONE,
@@ -96,6 +97,12 @@ class DoubleOreData:
     def b(self):
         """The presentation of B (see b_presentation), built once."""
         return b_presentation(self)
+
+    @cached_property
+    def sigma_on_degree2(self):
+        """sigma on the degree-2 component of the base (see _on_degree2),
+        built once; sigma is never changed after construction."""
+        return _on_degree2(self.base, self.sigma)
 
 
 def clifford_theta(dual, lift):
@@ -196,74 +203,51 @@ def build_clifford(presentation, lift):
 
 
 # ---------------------------------------------------------------------------
-# sigma lifted to tensor degree 2 and condition checks
+# sigma on tensor degree 2 and condition checks
 
 
-def _lift_degree2(sigma, g):
-    """Entry (i,j) of sigma on V (x) V via the matrix product rule, as a
-    g^2 x g^2 matrix."""
-    out = [[None] * 2 for _ in range(2)]
-    for i in range(2):
-        for j in range(2):
-            mat = [[ZERO] * (g * g) for _ in range(g * g)]
-            for k in range(2):
-                a = sigma[i][k]
-                b = sigma[k][j]
-                for c1 in range(g):
-                    for r1 in range(g):
-                        if not a[r1][c1]:
-                            continue
-                        for c2 in range(g):
-                            for r2 in range(g):
-                                if b[r2][c2]:
-                                    mat[r1 * g + r2][c1 * g + c2] = (
-                                        mat[r1 * g + r2][c1 * g + c2]
-                                        + a[r1][c1] * b[r2][c2])
-            out[i][j] = mat
+def _on_tensors(table, vec, g):
+    """A 2x2 table of generator maps on a sparse vector of V (x) V: entry
+    (i, j) of the result is t_ij(vec), by the matrix product rule
+    t_ij(u v) = sum_k t_ik(u) t_kj(v) on each word u v."""
+    out = [[{}, {}], [{}, {}]]
+    for idx, coeff in vec.items():
+        u, v = divmod(idx, g)
+        for i in range(2):
+            for j in range(2):
+                for k in range(2):
+                    left, right = table[i][k], table[k][j]
+                    tail = {r: right[r][v] for r in range(g) if right[r][v]}
+                    for r in range(g):
+                        if left[r][u]:
+                            add_scaled(out[i][j],
+                                       {r * g + c: b for c, b in tail.items()},
+                                       coeff * left[r][u])
     return out
 
 
-def _matrix_on_component(presentation, big, n):
-    """Descend a degree-n word-space matrix to the component basis."""
-    words = presentation.component_basis_words(n)
+def _sigma_preserves_relations(presentation, table):
     g = presentation.ngens
-    cols = []
-    for w in words:
-        col = word_index(w, g)
-        image = {r: row[col] for r, row in enumerate(big) if row[col]}
-        tensor = TensorElement.from_coordinates(image, g, n)
-        cols.append(presentation.reduce_mod_ideal(tensor, n))
-    return [[cols[j][i] for j in range(len(words))] for i in range(len(words))]
-
-
-def _apply_lifted(mat, vec):
-    """The sparse image of a sparse vector under a dense matrix."""
-    image = {}
-    for r, mrow in enumerate(mat):
-        acc = sum((mrow[c] * v for c, v in vec.items()), start=ZERO)
-        if acc:
-            image[r] = acc
-    return image
-
-
-def _sigma_preserves_relations(presentation, sigma):
-    g = presentation.ngens
-    lifted = _lift_degree2(sigma, g)
-    for row in presentation.relations.basis:
-        for i in range(2):
-            for j in range(2):
-                if presentation.relations.reduce(_apply_lifted(lifted[i][j], row)):
-                    return False
-    return True
+    relations = presentation.relations
+    return not any(relations.reduce(image)
+                   for row in relations.basis
+                   for pair in _on_tensors(table, row, g) for image in pair)
 
 
 def _on_degree2(presentation, table):
-    """A 2x2 table of generator maps acting on the degree-2 component:
-    lifted to V (x) V by the matrix product rule, then descended to the
-    component basis."""
-    lifted = _lift_degree2(table, presentation.ngens)
-    return [[_matrix_on_component(presentation, lifted[i][j], 2)
-             for j in range(2)] for i in range(2)]
+    """A 2x2 table of generator maps acting on the degree-2 component: each
+    basis word mapped by _on_tensors, then reduced to the component basis."""
+    g = presentation.ngens
+    words = presentation.component_basis_words(2)
+    cols = [[[] for _ in range(2)] for _ in range(2)]
+    for w in words:
+        images = _on_tensors(table, {word_index(w, g): ONE}, g)
+        for i in range(2):
+            for j in range(2):
+                tensor = TensorElement.from_coordinates(images[i][j], g, 2)
+                cols[i][j].append(presentation.reduce_mod_ideal(tensor, 2))
+    return [[[list(row) for row in zip(*cols[i][j])] for j in range(2)]
+            for i in range(2)]
 
 
 class TableOps(NamedTuple):
@@ -332,21 +316,20 @@ def centrality_identities(t, ops, p12):
         == comb([(-p12, t[0][1], t[0][0]), (-p12, t[1][1], t[1][0])]))
 
 
-def _holds_on_degrees_1_and_2(presentation, sigma, identities):
+def _holds_on_degrees_1_and_2(data, identities):
     """Whether ``identities(table, ops)`` holds for sigma on V and on the
     degree-2 component."""
-    if not identities(sigma, matrix_ops(presentation.ngens)):
+    if not identities(data.sigma, matrix_ops(data.ngens)):
         return False
-    return identities(_on_degree2(presentation, sigma),
-                      matrix_ops(presentation.component_dim(2)))
+    return identities(data.sigma_on_degree2,
+                      matrix_ops(data.base.component_dim(2)))
 
 
 def _composition_conditions(data):
     """The trimmed-case composition identities, exactly on degree 1 and
     degree 2."""
     return _holds_on_degrees_1_and_2(
-        data.base, data.sigma,
-        lambda t, ops: composition_identities(t, ops, data.p12, data.p11))
+        data, lambda t, ops: composition_identities(t, ops, data.p12, data.p11))
 
 
 def _scale(matrix, coeff):
@@ -366,7 +349,7 @@ def invert_sigma(data):
         return None
     if not _sigma_preserves_relations(data.base, phi):
         return None
-    if not is_stacked_inverse(_on_degree2(data.base, s),
+    if not is_stacked_inverse(data.sigma_on_degree2,
                               _on_degree2(data.base, phi)):
         return None
     return phi
@@ -401,24 +384,19 @@ def p12_classify(data):
 
 
 def _sigma_fixes_z(data, lift):
-    """sigma(z) = diag(z, z) modulo relations, via the degree-2 lift."""
+    """sigma(z) = diag(z, z) modulo relations, on the lift of z."""
     g = data.ngens
-    lifted = _lift_degree2(data.sigma, g)
     zvec = lift.coordinates(g, 2)
+    images = _on_tensors(data.sigma, zvec, g)
     for i in range(2):
-        for j in range(2):
-            image = _apply_lifted(lifted[i][j], zvec)
-            if i == j:
-                add_scaled(image, zvec, MINUS_ONE)
-            if not data.base.relations.contains(image):
-                return False
-    return True
+        add_scaled(images[i][i], zvec, MINUS_ONE)
+    return all(data.base.relations.contains(image)
+               for pair in images for image in pair)
 
 
 def _centrality_conditions(data, lift):
     return (_holds_on_degrees_1_and_2(
-                data.base, data.sigma,
-                lambda t, ops: centrality_identities(t, ops, data.p12))
+                data, lambda t, ops: centrality_identities(t, ops, data.p12))
             and _sigma_fixes_z(data, lift))
 
 
@@ -468,17 +446,6 @@ def central_lift_in_b(data, z_lift):
     return z_lift.rename(shift) + TensorElement({(0, 0): ONE, (1, 1): ONE})
 
 
-def dual_sigma_entry_on_generators(data):
-    """sigma^! on degree-1 duals: the transpose of each sigma entry."""
-    g = data.ngens
-    out = [[None] * 2 for _ in range(2)]
-    for i in range(2):
-        for j in range(2):
-            m = data.sigma[i][j]
-            out[i][j] = [[m[c][r] for c in range(g)] for r in range(g)]
-    return out
-
-
 def dualize_hom(data, clifford):
     """The induced matrix homomorphism on the Clifford deformation.
 
@@ -491,7 +458,6 @@ def dualize_hom(data, clifford):
         raise WrongP("sigma must fix the central element diagonally")
     E = clifford.algebra
     g = data.ngens
-    transposed = dual_sigma_entry_on_generators(data)
 
     def gen_image(a):
         # 2x2 matrix over E of images of the a-th dual generator
@@ -500,7 +466,8 @@ def dualize_hom(data, clifford):
             for j in range(2):
                 col = {}
                 for b in range(g):
-                    coeff = transposed[i][j][b][a]
+                    # sigma^! on degree-1 duals is the transpose of sigma
+                    coeff = data.sigma[i][j][a][b]
                     if coeff:
                         col[_degree1_index(E, b)] = coeff
                 out[i][j] = col
@@ -577,13 +544,13 @@ def build_Bshriek_clifford(data, lift, base):
     assembled.append(TensorElement({(0, 0): ONE, (1, 0): data.p11}))
     for f in base.presentation.relation_elements():
         assembled.append(f.rename(shift))
-    transposed = dual_sigma_entry_on_generators(data)
     for i in range(2):
         for a in range(g):
             terms = {(a + 2, i): ONE}
             for j in range(2):
                 for b in range(g):
-                    terms[(j, b + 2)] = transposed[j][i][b][a]
+                    # sigma^! on degree-1 duals is the transpose of sigma
+                    terms[(j, b + 2)] = data.sigma[j][i][a][b]
             assembled.append(TensorElement(terms))
     assembled_space = Subspace.from_rows(
         [r.coordinates(g + 2, 2) for r in assembled], (g + 2) ** 2)
@@ -690,21 +657,18 @@ def normalize_p11(data):
     report, _ = validate_double_ore(out)
     if not report.ok:
         raise WrongP("normalized data fails the double Ore conditions")
-    if not _substitution_fixes_h(data, c):
+    if not substitution_fixes(data.p11, cinv,
+                              TensorElement({(0, 0): ONE, (1, 1): ONE})):
         raise WrongP("the change of variables does not fix y1^2 + y2^2")
     return out
 
 
-def _substitution_fixes_h(data, c):
-    """y1 -> c^-1 y1, y2 -> y2 + (p11/2) c^-1 y1 fixes y1^2 + y2^2 modulo
-    the new mixing relation y2 y1 + y1 y2."""
-    cinv = c.inverse()
-    half_p = data.p11 * Scalar(1, 0, 0, 0, 2)
-    y1 = TensorElement({(0,): cinv})
-    y2 = TensorElement({(1,): ONE, (0,): half_p * cinv})
-    image = y1.concat(y1) + y2.concat(y2)
-    target = TensorElement({(0, 0): ONE, (1, 1): ONE})
-    diff = image - target
+def substitution_fixes(p11, s, target):
+    """Whether y1 -> s y1, y2 -> y2 + (p11/2) s y1 sends y1^2 + y2^2 to
+    ``target`` modulo the new mixing relation y2 y1 + y1 y2."""
+    y1 = TensorElement({(0,): s})
+    y2 = TensorElement({(1,): ONE, (0,): p11 * HALF * s})
+    diff = y1.concat(y1) + y2.concat(y2) - target
     mixing = Subspace.from_rows(
         [TensorElement({(1, 0): ONE, (0, 1): ONE}).coordinates(2, 2)], 4)
     return not mixing.reduce(diff.coordinates(2, 2))

@@ -28,7 +28,8 @@ def _expect(obj, kind, what):
 
 def parse_scalar(text):
     if not isinstance(text, str):
-        if isinstance(text, int):
+        # bool is an int subclass, but a JSON true/false is not a scalar
+        if isinstance(text, int) and not isinstance(text, bool):
             return Scalar(text)
         raise ParseError(f"scalar must be a string, got {text!r}")
     return Scalar.parse(text)

@@ -48,6 +48,7 @@ from .deform import (
     dualize_hom,
     normalize_p11,
     p12_classify,
+    substitution_fixes,
     validate_double_ore,
 )
 from .twist import (
@@ -661,15 +662,8 @@ def prop51_scenario(data, z):
                                   and data.p11 != Scalar(-2) * I):
         raise WrongP("the degenerate analysis needs p12 = -1, p11 = +-2i")
     lines = []
-    half_p = data.p11 * HALF
     # substitution y1 -> y1, y2 -> y2 + (p11/2) y1 on the mixing lift
-    y1 = TensorElement({(0,): ONE})
-    y2 = TensorElement({(1,): ONE, (0,): half_p})
-    image = y1.concat(y1) + y2.concat(y2)
-    mixing = Subspace.from_rows(
-        [TensorElement({(1, 0): ONE, (0, 1): ONE}).coordinates(2, 2)], 4)
-    target = TensorElement({(1, 1): ONE})
-    fixed = not mixing.reduce((image - target).coordinates(2, 2))
+    fixed = substitution_fixes(data.p11, ONE, TensorElement({(1, 1): ONE}))
     lines.append(f"substitution image of the extended element: z + y2^2"
                  f" ({'verified' if fixed else 'FAILED'})")
     if not fixed:

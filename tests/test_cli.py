@@ -211,6 +211,23 @@ def test_knorrer_command(capsys, double_ore_file, tmp_path):
         line + "\n" for line in out.splitlines())
 
 
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_knorrer_unwritable_report_is_exit_2(capsys, double_ore_file, tmp_path,
+                                             where):
+    path = tmp_path if where == "directory" else tmp_path / "missing" / "r.txt"
+    assert main(["knorrer", double_ore_file, "--report", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write report: ")
+    assert captured.out == ""
+
+
+def test_boolean_scalar_is_exit_2(capsys, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({**EX_4_10, "p12": True}))
+    assert main(["double-ore", str(path)]) == 2
+    assert "scalar must be a string" in capsys.readouterr().err
+
+
 def test_knorrer_json(capsys, double_ore_file):
     assert main(["--json", "knorrer", double_ore_file]) == 0
     payload = json.loads(capsys.readouterr().out)

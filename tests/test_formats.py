@@ -15,8 +15,9 @@ from nqh.scenarios import EX_4_10, EX_5_9, KM1_PRESENTATION, PROP_5_10
 def test_parse_scalar_accepts_int():
     assert parse_scalar(3) == Scalar(3)
     assert parse_scalar("1/2*r2") == Scalar(0, 0, 1, 0, 2)
-    with pytest.raises(ParseError):
-        parse_scalar(1.5)
+    for value in (1.5, True, False):
+        with pytest.raises(ParseError):
+            parse_scalar(value)
 
 
 def test_parse_presentation_round_trip():

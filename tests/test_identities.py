@@ -1,12 +1,14 @@
-"""Differential tests of the double Ore identities and the exchange-identity
-loop against the one-copy-per-table forms they replaced.
+"""Differential tests of the double Ore identities, of sigma on degree 2
+and of the exchange-identity loop against the forms they replaced.
 
 The references below are the earlier, separately written checks, kept here
-only as test oracles: the composition and centrality conditions written
-out on dense sigma tables, the sign-separated identities of the dualized
-table in each case, and the E x E exchange loop.  Every differential runs
-on the tables of the registry pipelines and of seeded skew bases, and on
-one-coefficient mutants of each.
+only as test oracles: the dense g^2 x g^2 lift of sigma to V (x) V with its
+column-wise descent to the degree-2 component, the relation and z checks
+through that lift, sigma^! on degree-1 duals as an explicit transpose, the
+composition and centrality conditions written out on dense sigma tables,
+the sign-separated identities of the dualized table in each case, and the
+E x E exchange loop.  Every differential runs on the tables of the registry
+pipelines and of seeded skew bases, and on one-coefficient mutants of each.
 """
 
 import dataclasses
@@ -37,10 +39,13 @@ from nqh.exactlin import (
     ONE,
     ZERO,
     Scalar,
+    TensorElement,
     add_scaled,
     identity_matrix,
     matrix_add,
     matrix_mul,
+    stacked_inverse,
+    word_index,
 )
 from nqh.formats import parse_double_ore
 from nqh.knorrer import _minus_theta
@@ -117,25 +122,110 @@ def ref_centrality_holds_on(table, size, mixed_condition):
     return mixed_condition(table, matrix_mul, matrix_add)
 
 
-def _ref_degree2_entry(data):
-    lifted = deform._lift_degree2(data.sigma, data.ngens)
-    return [[deform._matrix_on_component(data.base, lifted[i][j], 2)
+def ref_lift_degree2(sigma, g):
+    """Entry (i,j) of sigma on V (x) V via the matrix product rule, as a
+    g^2 x g^2 matrix."""
+    out = [[None] * 2 for _ in range(2)]
+    for i in range(2):
+        for j in range(2):
+            mat = [[ZERO] * (g * g) for _ in range(g * g)]
+            for k in range(2):
+                a = sigma[i][k]
+                b = sigma[k][j]
+                for c1 in range(g):
+                    for r1 in range(g):
+                        if not a[r1][c1]:
+                            continue
+                        for c2 in range(g):
+                            for r2 in range(g):
+                                if b[r2][c2]:
+                                    mat[r1 * g + r2][c1 * g + c2] = (
+                                        mat[r1 * g + r2][c1 * g + c2]
+                                        + a[r1][c1] * b[r2][c2])
+            out[i][j] = mat
+    return out
+
+
+def ref_matrix_on_component(presentation, big, n):
+    """Descend a degree-n word-space matrix to the component basis."""
+    words = presentation.component_basis_words(n)
+    g = presentation.ngens
+    cols = []
+    for w in words:
+        col = word_index(w, g)
+        image = {r: row[col] for r, row in enumerate(big) if row[col]}
+        tensor = TensorElement.from_coordinates(image, g, n)
+        cols.append(presentation.reduce_mod_ideal(tensor, n))
+    return [[cols[j][i] for j in range(len(words))] for i in range(len(words))]
+
+
+def ref_apply_lifted(mat, vec):
+    """The sparse image of a sparse vector under a dense matrix."""
+    image = {}
+    for r, mrow in enumerate(mat):
+        acc = sum((mrow[c] * v for c, v in vec.items()), start=ZERO)
+        if acc:
+            image[r] = acc
+    return image
+
+
+def ref_on_degree2(presentation, table):
+    lifted = ref_lift_degree2(table, presentation.ngens)
+    return [[ref_matrix_on_component(presentation, lifted[i][j], 2)
              for j in range(2)] for i in range(2)]
+
+
+def ref_sigma_preserves_relations(presentation, sigma):
+    g = presentation.ngens
+    lifted = ref_lift_degree2(sigma, g)
+    for row in presentation.relations.basis:
+        for i in range(2):
+            for j in range(2):
+                if presentation.relations.reduce(ref_apply_lifted(lifted[i][j], row)):
+                    return False
+    return True
+
+
+def ref_sigma_fixes_z(data, lift):
+    """sigma(z) = diag(z, z) modulo relations, via the degree-2 lift."""
+    g = data.ngens
+    lifted = ref_lift_degree2(data.sigma, g)
+    zvec = lift.coordinates(g, 2)
+    for i in range(2):
+        for j in range(2):
+            image = ref_apply_lifted(lifted[i][j], zvec)
+            if i == j:
+                add_scaled(image, zvec, MINUS_ONE)
+            if not data.base.relations.contains(image):
+                return False
+    return True
+
+
+def ref_dual_sigma_entry_on_generators(data):
+    """sigma^! on degree-1 duals: the transpose of each sigma entry."""
+    g = data.ngens
+    out = [[None] * 2 for _ in range(2)]
+    for i in range(2):
+        for j in range(2):
+            m = data.sigma[i][j]
+            out[i][j] = [[m[c][r] for c in range(g)] for r in range(g)]
+    return out
 
 
 def ref_composition_conditions(data):
     if not ref_composition_holds_on(data.sigma, data.p12, data.p11):
         return False
-    return ref_composition_holds_on(_ref_degree2_entry(data), data.p12, data.p11)
+    return ref_composition_holds_on(ref_on_degree2(data.base, data.sigma),
+                                    data.p12, data.p11)
 
 
 def ref_centrality_conditions(data, lift, mixed_condition):
     if not ref_centrality_holds_on(data.sigma, data.ngens, mixed_condition):
         return False
-    if not ref_centrality_holds_on(_ref_degree2_entry(data),
+    if not ref_centrality_holds_on(ref_on_degree2(data.base, data.sigma),
                                    data.base.component_dim(2), mixed_condition):
         return False
-    return deform._sigma_fixes_z(data, lift)
+    return ref_sigma_fixes_z(data, lift)
 
 
 def ref_cor42_identities(sd, E):
@@ -298,6 +388,46 @@ def _sigma_tables(pipeline_inputs):
             tables.append((member, lift))
             tables.extend((_sigma_mutant(member, rng), lift) for _ in range(8))
     return tables
+
+
+def test_sigma_on_degree2_matches_the_reference(pipeline_inputs):
+    """_on_degree2 of sigma and of its Def-1.1 inverse phi, relation
+    preservation and z-fixing agree with the dense lift on every table."""
+    preserved = []
+    fixed = []
+    inverses = 0
+    for data, lift in _sigma_tables(pipeline_inputs):
+        base = data.base
+        assert data.sigma_on_degree2 == ref_on_degree2(base, data.sigma)
+        tables = [data.sigma]
+        phi = stacked_inverse(data.sigma)
+        if phi is not None:
+            inverses += 1
+            tables.append(phi)
+            assert deform._on_degree2(base, phi) == ref_on_degree2(base, phi)
+        for table in tables:
+            verdict = deform._sigma_preserves_relations(base, table)
+            assert verdict == ref_sigma_preserves_relations(base, table)
+            preserved.append(verdict)
+        verdict = deform._sigma_fixes_z(data, lift)
+        assert verdict == ref_sigma_fixes_z(data, lift)
+        fixed.append(verdict)
+    assert inverses >= 200
+    assert preserved.count(True) >= 100 and preserved.count(False) >= 300
+    assert fixed.count(True) >= 50 and fixed.count(False) >= 150
+
+
+def test_dualize_hom_maps_generators_by_the_transpose(pipeline_inputs):
+    for data, _, base, sd in pipeline_inputs:
+        E = base.algebra
+        transposed = ref_dual_sigma_entry_on_generators(data)
+        for a in range(data.ngens):
+            x = E.words.index((a,))
+            for i in range(2):
+                for j in range(2):
+                    want = {E.words.index((b,)): transposed[i][j][b][a]
+                            for b in range(data.ngens) if transposed[i][j][b][a]}
+                    assert sd.entries[i][j].cols[x] == want
 
 
 def test_composition_identities_match_the_reference_on_sigma(pipeline_inputs):

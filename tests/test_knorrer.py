@@ -324,3 +324,23 @@ def test_each_run_builds_each_dual_and_deformation_once(monkeypatch):
         assert run(data, central).checks.ok
         assert counts == {"koszul_dual": 3, "check_central": 3,
                           "build_clifford": 2}, name
+
+
+def test_each_run_descends_sigma_and_its_inverse_once(monkeypatch, tmp_path,
+                                                      capsys):
+    """One knorrer run maps sigma and phi to the degree-2 component once
+    each: sigma's table is cached on the data and read by every check."""
+    calls = []
+    real = deform._on_degree2
+
+    def counting(presentation, table):
+        calls.append(table)
+        return real(presentation, table)
+
+    monkeypatch.setattr(deform, "_on_degree2", counting)
+    write_inputs(generate("skew3", 7), tmp_path)
+    for case in ("plus", "minus"):
+        calls.clear()
+        assert main(["--json", "knorrer", str(tmp_path / f"{case}.json")]) == 0
+        assert len(calls) == 2, case
+    capsys.readouterr()
