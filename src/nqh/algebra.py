@@ -482,47 +482,25 @@ def verify_hom_M2(hom):
     return True
 
 
-def _def11_solve(known, unknown_side):
-    """Solve the inverse/t-inverse pair of equations for the unknown table.
+def t_inverse_table(theta):
+    """The table psi with sum_k psi_ki theta_kj = delta_ij id and
+    sum_k theta_jk psi_ik = delta_ij id (the t-inverse of theta), or None
+    when there is none.
 
-    With sigma the known table and phi the unknown ("inverse" side), the
-    equations are sum_k sigma_ki phi_kj = delta_ij and
-    sum_k phi_jk sigma_ik = delta_ij; for unknown_side="t-inverse" the roles
-    are swapped (the known table sits in the phi slot).
+    Transposing every entry matrix (positions unchanged) turns the first
+    family into the shape that ``stacked_inverse`` solves, and the solution
+    transposes back; both families are then checked.
     """
-    E = known.algebra
-    mats = [[entry.dense() for entry in row] for row in known.entries]
-    if unknown_side == "inverse":
-        solved = stacked_inverse(mats)
-        ok = solved is not None and is_stacked_inverse(mats, solved)
-    else:
-        assert unknown_side == "t-inverse"
-        # unknown psi with sum_k psi_ki theta_kj = delta_ij: transposing every
-        # entry matrix (positions unchanged) turns this into the inverse
-        # shape, and the solution transposes back.
-        solved = stacked_inverse([[transpose(m) for m in row] for row in mats])
-        if solved is not None:
-            solved = [[transpose(m) for m in row] for row in solved]
-        ok = solved is not None and is_stacked_inverse(solved, mats)
-    if not ok:
+    E = theta.algebra
+    mats = [[entry.dense() for entry in row] for row in theta.entries]
+    solved = stacked_inverse([[transpose(m) for m in row] for row in mats])
+    if solved is None:
+        return None
+    solved = [[transpose(m) for m in row] for row in solved]
+    if not is_stacked_inverse(solved, mats):
         return None
     return MatrixHom([[GradedLinMap.from_matrix(E, E, transpose(m)) for m in row]
                       for row in solved])
-
-
-def t_invert_hom(sigma):
-    """The table phi with sum_k sigma_ki phi_kj = delta_ij id and
-    sum_k phi_jk sigma_ik = delta_ij id, or None when no solution exists.
-
-    The returned phi is t-invertible with t-inverse sigma.
-    """
-    return _def11_solve(sigma, "inverse")
-
-
-def t_inverse_table(theta):
-    """The table psi with sum_k psi_ki theta_kj = delta_ij id and
-    sum_k theta_jk psi_ik = delta_ij id (the t-inverse of theta)."""
-    return _def11_solve(theta, "t-inverse")
 
 
 def extend_on_generators(data, target, images):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import scenarios as scenario_registry
@@ -148,6 +149,12 @@ def cmd_verify_twist(args):
 def cmd_knorrer(args):
     from .knorrer import run_minus_case, run_plus_case, singularity_report
 
+    # a report path that cannot be opened fails before any pipeline work,
+    # without creating or truncating the file
+    if args.report and os.path.isdir(args.report):
+        raise ParseError(f"cannot write report: {args.report} is a directory")
+    if args.report and not os.path.isdir(os.path.dirname(os.path.abspath(args.report))):
+        raise ParseError(f"cannot write report: no directory holds {args.report}")
     doc = load_json(args.file)
     data, central = parse_double_ore(doc)
     if central is None:

@@ -24,6 +24,7 @@ from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 from .errors import (
+    BoundExceeded,
     CompatibilityFailed,
     DegenerateP11,
     DimensionMismatch,
@@ -147,19 +148,17 @@ def _compatibility_holds(dual, lift):
 
 
 def _top_degree(presentation, bound=8):
-    """Largest degree with a nonzero component.
+    """Largest degree with a nonzero component; BoundExceeded when the
+    component of degree bound + 1 is nonzero, never a short answer.
 
     For a connected quadratic quotient the degree-(n+1) component is spanned
     by V times the degree-n component, so the scan can stop at the first
     zero.
     """
-    top = 0
-    for n in range(bound + 1):
-        if presentation.component_dim(n) > 0:
-            top = n
-        elif n > 0:
-            break
-    return top
+    for n in range(1, bound + 2):
+        if presentation.component_dim(n) == 0:
+            return n - 1
+    raise BoundExceeded(f"top degree of the dual exceeds the bound {bound}")
 
 
 def build_clifford_from_dual(dual, deformed, central_lift, theta_values,

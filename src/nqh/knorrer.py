@@ -57,8 +57,6 @@ from .twist import (
     TwistingSystemM2,
     TwistingSystemProd,
     build_semitrivial,
-    build_twisted_M2,
-    build_twisted_prod,
     product_l_tensor,
     semitrivial_mu,
     standard_basis_m2,
@@ -276,10 +274,9 @@ def _subspace_algebra(E, space):
     return GradedAlgebra(labels, table, unit, degs, E.group_rank), rows
 
 
-def _certify(checks, name, algebra, what):
-    """Record ``verify_algebra`` of ``algebra`` as check ``name``; a failure
-    raises, since every later ``verify_iso`` on it needs it associative."""
-    rep = verify_algebra(algebra)
+def _certify(checks, name, rep, what):
+    """Record the ``verify_algebra`` report ``rep`` as check ``name``; a
+    failure raises, since every later ``verify_iso`` needs it associative."""
     checks.add(name, rep.ok)
     if not rep.ok:
         raise PipelineError(f"invalid {what}: {rep.first_failure()}")
@@ -352,8 +349,9 @@ def run_plus_case(data, lift):
     suite = verify_twisting_suite(Theta)
     checks.add("twisting-derived-identities", suite.ok)
 
-    twisted_big = build_twisted_M2(Theta)
-    _certify(checks, "twisted-algebra-valid", twisted_big, "twisted algebra")
+    # verify_twisting_M2 built and certified the twisted algebra
+    twisted_big = Theta.twisted
+    _certify(checks, "twisted-algebra-valid", Theta.certificate, "twisted algebra")
     twisted = twisted_big.total_degree_regrade()
 
     layout = BlockLayout(E)
@@ -430,7 +428,8 @@ def run_plus_case(data, lift):
                               tuple(psi))
     Lambda_big = build_semitrivial(st_data)
     Lambda = Lambda_big.forget_first_regrade()
-    _certify(checks, "semitrivial-valid", Lambda_big, "semi-trivial extension")
+    _certify(checks, "semitrivial-valid", verify_algebra(Lambda_big),
+             "semi-trivial extension")
 
     # corner at e matches the semi-trivial extension
     corner_alg, lookup = corner_embedding(twisted, e)
@@ -500,8 +499,9 @@ def run_minus_case(data, lift):
     if not rep.ok:
         raise PipelineError("the constructed pair is not a product twisting system")
 
-    Gamma = build_twisted_prod(system)
-    _certify(checks, "twisted-product-valid", Gamma, "twisted product")
+    # verify_twisting_prod built and certified the twisted product
+    Gamma = system.twisted
+    _certify(checks, "twisted-product-valid", system.certificate, "twisted product")
     layout = BlockLayout(E, epsilon)
 
     # the involution exchanging the two slots through the dual table
@@ -529,7 +529,8 @@ def run_minus_case(data, lift):
 
     ST_big = build_semitrivial(st_data)
     ST = ST_big.forget_first_regrade()
-    _certify(checks, "semitrivial-valid", ST_big, "semi-trivial extension")
+    _certify(checks, "semitrivial-valid", verify_algebra(ST_big),
+             "semi-trivial extension")
     checks.add("semitrivial-strongly-graded", strongly_graded_check(ST))
 
     unit_index = E.words.index(())
@@ -541,7 +542,7 @@ def run_minus_case(data, lift):
         layout, "semi-trivial extension")
 
     NG = zhang_twist(Gamma, (GradedLinMap.identity(Gamma), mu))
-    _certify(checks, "zhang-twist-valid", NG, "Zhang twist")
+    _certify(checks, "zhang-twist-valid", verify_algebra(NG), "Zhang twist")
     # ST0 is the exact restriction of the certified ST_big to a
     # multiplication-closed basis subset, so associative as verify_iso needs
     zero_idx = [i for i in range(ST_big.dim) if ST_big.degrees[i][1] == 0]

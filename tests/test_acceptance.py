@@ -349,7 +349,7 @@ def test_criterion_8_twist_property_suite(clifford_km1, double_ore_class_z,
         ok &= basis.basis_identities().ok
         # transported system: still a twisting system (checked inside the
         # transport, which raises otherwise), isomorphic build
-        omega, iso = rebase_omega(plus, basis, old=twisted)
+        omega, iso = rebase_omega(plus, basis)
         ok &= verify_iso(iso)
         built = iso.target
         ok &= verify_twisting_suite(omega).ok
@@ -357,7 +357,7 @@ def test_criterion_8_twist_property_suite(clifford_km1, double_ore_class_z,
         ok &= all(vec_eq(built.mul(built.unit, {i: ONE}), {i: ONE})
                   and vec_eq(built.mul({i: ONE}, built.unit), {i: ONE})
                   for i in range(built.dim))
-        upsilon, unital_iso = normalize_upsilon(omega, old=built)
+        upsilon, unital_iso = normalize_upsilon(omega)
         ident = [[ONE, ZERO], [ZERO, ONE]]
         ok &= upsilon.theta[0].value_at_unit() == ident
         ok &= upsilon.theta[1].value_at_unit() == ident

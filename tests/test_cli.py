@@ -212,13 +212,19 @@ def test_knorrer_command(capsys, double_ore_file, tmp_path):
 
 
 @pytest.mark.parametrize("where", ["directory", "missing-parent"])
-def test_knorrer_unwritable_report_is_exit_2(capsys, double_ore_file, tmp_path,
-                                             where):
+def test_knorrer_unwritable_report_is_exit_2(capsys, monkeypatch, double_ore_file,
+                                             tmp_path, where):
+    """A bad report path exits 2 before any pipeline work."""
+    from nqh import knorrer
+
+    calls = []
+    monkeypatch.setattr(knorrer, "run_plus_case", lambda *args: calls.append(args))
     path = tmp_path if where == "directory" else tmp_path / "missing" / "r.txt"
     assert main(["knorrer", double_ore_file, "--report", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: cannot write report: ")
     assert captured.out == ""
+    assert calls == []
 
 
 def test_boolean_scalar_is_exit_2(capsys, tmp_path):
@@ -283,20 +289,23 @@ def test_invalid_semitrivial_extension_is_exit_1(capsys, monkeypatch, tmp_path):
     assert "associativity fails at" in err
 
 
-@pytest.mark.parametrize("builder, doc, message", [
-    ("build_twisted_M2", EX_4_10, "invalid twisted algebra"),
-    ("build_twisted_prod", EX_5_9, "invalid twisted product"),
-    ("zhang_twist", EX_5_9, "invalid Zhang twist"),
+@pytest.mark.parametrize("module_name, builder, doc, message", [
+    ("twist", "build_twisted_M2", EX_4_10, "invalid twisted algebra"),
+    ("twist", "build_twisted_prod", EX_5_9, "invalid twisted product"),
+    ("knorrer", "zhang_twist", EX_5_9, "invalid Zhang twist"),
 ], ids=["twisted-M2", "twisted-prod", "zhang-twist"])
 def test_invalid_certified_algebra_is_exit_1(capsys, monkeypatch, tmp_path,
-                                             builder, doc, message):
+                                             module_name, builder, doc, message):
     """Each algebra that a later verify_iso relies on stops the pipeline
-    when verify_algebra rejects it."""
-    from nqh import knorrer
+    when verify_algebra rejects it.  The twisted builds are called by the
+    twisting-system checks in nqh.twist, the Zhang twist by the pipeline."""
+    import importlib
+
     from nqh.algebra import GradedAlgebra
     from nqh.exactlin import ONE
 
-    build = getattr(knorrer, builder)
+    module = importlib.import_module(f"nqh.{module_name}")
+    build = getattr(module, builder)
 
     def bad_unit(*args):
         algebra = build(*args)
@@ -304,7 +313,7 @@ def test_invalid_certified_algebra_is_exit_1(capsys, monkeypatch, tmp_path,
         return GradedAlgebra(algebra.labels, algebra.table, unit, algebra.degrees,
                              algebra.group_rank)
 
-    monkeypatch.setattr(knorrer, builder, bad_unit)
+    monkeypatch.setattr(module, builder, bad_unit)
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
     assert main(["knorrer", str(path)]) == 1

@@ -3,11 +3,13 @@ import pytest
 from conftest import class_t_sigma, diagonal_sigma, scalar_matrix
 
 from nqh.errors import (
+    BoundExceeded,
     CompatibilityFailed,
     DegenerateP11,
     NotRepresentableInK,
     WrongP,
 )
+from nqh import deform
 from nqh.exactlin import I, ONE, Scalar, TensorElement, ZERO
 from nqh.algebra import GradedLinMap, radical, strongly_graded_check, verify_hom_M2
 from nqh.quadratic import (
@@ -77,6 +79,23 @@ def test_build_clifford_nilpotent_output(km1):
     assert radical(algebra).dim == 2
     first = algebra.words.index((0,))
     assert algebra.mul({first: ONE}, {first: ONE}) == {}
+
+
+def test_top_degree_raises_past_its_bound(km1):
+    """The scan reports the top degree exactly, also when it equals the
+    bound, and raises BoundExceeded instead of returning a short answer."""
+    anticommuting = QuadraticPresentation(
+        ["x1", "x2", "x3"],
+        [TensorElement({(a, b): ONE, (b, a): ONE})
+         for a, b in ((0, 1), (0, 2), (1, 2))])
+    dual = koszul_dual(anticommuting)
+    assert hilbert_profile(dual, 4) == [1, 3, 3, 1, 0]
+    assert deform._top_degree(dual) == 3
+    assert deform._top_degree(dual, bound=3) == 3
+    with pytest.raises(BoundExceeded, match="exceeds the bound 2$"):
+        deform._top_degree(dual, bound=2)
+    with pytest.raises(BoundExceeded, match="exceeds the bound 1$"):
+        deform._top_degree(koszul_dual(km1), bound=1)
 
 
 def test_build_clifford_rejects_noncentral(km1):

@@ -1,17 +1,20 @@
 """Differential tests of the double Ore identities, of sigma on degree 2
-and of the exchange-identity loop against the forms they replaced.
+and of the twisting-system checks against the forms they replaced.
 
 The references below are the earlier, separately written checks, kept here
 only as test oracles: the dense g^2 x g^2 lift of sigma to V (x) V with its
 column-wise descent to the degree-2 component, the relation and z checks
 through that lift, sigma^! on degree-1 duals as an explicit transpose, the
 composition and centrality conditions written out on dense sigma tables,
-the sign-separated identities of the dualized table in each case, and the
-E x E exchange loop.  Every differential runs on the tables of the registry
-pipelines and of seeded skew bases, and on one-coefficient mutants of each.
+the sign-separated identities of the dualized table in each case, the
+E x E and M_2(E) exchange loops that the certificate of the twisted
+algebra replaced, and the theta-phi exchange loop.  Every differential
+runs on the tables of the registry pipelines and of seeded skew bases, and
+on one-coefficient mutants of each.
 """
 
 import dataclasses
+import itertools
 import json
 import random
 
@@ -19,7 +22,7 @@ import pytest
 
 from perfbench.workloads import generate
 
-from nqh import deform
+from nqh import deform, twist
 from nqh.algebra import GradedLinMap, MatrixHom, Report, t_inverse_table, vec_eq
 from nqh.deform import (
     DoubleOreData,
@@ -48,13 +51,17 @@ from nqh.exactlin import (
     word_index,
 )
 from nqh.formats import parse_double_ore
-from nqh.knorrer import _minus_theta
+from nqh.knorrer import _minus_theta, _plus_theta
 from nqh.scenarios import EX_4_9_1, EX_4_9_2, EX_4_10, EX_5_9, PROP_5_10
 from nqh.twist import (
+    TwistingSystemM2,
     TwistingSystemProd,
     _unit_value_invertible,
     product_l_tensor,
+    standard_basis_m2,
+    verify_twisting_M2,
     verify_twisting_prod,
+    verify_twisting_suite,
 )
 
 MINUS_ONE = Scalar(-1)
@@ -305,6 +312,97 @@ def ref_verify_twisting_prod(system):
     return report
 
 
+def ref_verify_twisting_M2(system):
+    """verify_twisting_M2 as a loop: the exchange identity on every pair of
+    basis vectors, the first failure in (i', i'', x, y, j', j'', p) order."""
+    report = Report()
+    E = system.algebra
+    basis = system.basis
+    theta = system.theta
+    report.add("basis-identities", basis.basis_identities().ok)
+    inverses = [t_inverse_table(table) for table in theta]
+    for i in (0, 1):
+        report.add(f"theta{i}-t-invertible", inverses[i] is not None)
+    if any(inv is None for inv in inverses):
+        return report
+    report.add("theta1-unit-invertible", _unit_value_invertible(theta[1]))
+    report.add("theta0-unit-invertible", _unit_value_invertible(theta[0]))
+    detail = ""
+    for ip, ipp, x, y in itertools.product((0, 1), (0, 1), range(E.dim),
+                                           range(E.dim)):
+        for jp, jpp, p in itertools.product((1, 2), repeat=3):
+            lhs = {}
+            rhs = {}
+            for s in (1, 2):
+                for u in (1, 2):
+                    inner = E.mul(theta[ip].entry(s, jp).apply({x: ONE}), {y: ONE})
+                    add_scaled(lhs, theta[ipp].entry(u, jpp).apply(inner),
+                               basis.lval(ip, ipp, p, s, u))
+                    outer = theta[(ip + ipp) % 2].entry(p, s).apply({x: ONE})
+                    add_scaled(rhs, E.mul(outer, theta[ipp].entry(u, jpp).apply({y: ONE})),
+                               basis.lval(ip, ipp, s, jp, u))
+            if not vec_eq(lhs, rhs):
+                detail = (f"first failure at i'={ip} i''={ipp} j'={jp} j''={jpp}"
+                          f" p={p} x={x} y={y}")
+                break
+        if detail:
+            break
+    report.add("exchange-identity", not detail, detail)
+    return report
+
+
+def ref_theta_phi_exchange(system):
+    """The l-weighted exchange law between theta and the tables phi in
+    ``system.t_inverses``, on every pair of basis vectors."""
+    E = system.algebra
+    basis = system.basis
+    phis = system.t_inverses
+    ok = True
+    for i in (0, 1):
+        for ip in (0, 1):
+            th_ip = system.theta[ip]
+            th_sum = system.theta[(i + ip) % 2]
+            phi_i = phis[i]
+            phi_ip = phis[ip]
+            for x in range(E.dim):
+                bx = E.basis_vec(x)
+                phi_bx = [[phi_i.entry(q, j).apply(bx) for j in (1, 2)]
+                          for q in (1, 2)]
+                sum_phi = [[[[th_sum.entry(p, t).apply(phi_bx[q][j])
+                              for j in range(2)] for q in range(2)]
+                            for t in (1, 2)] for p in (1, 2)]
+                for y in range(E.dim):
+                    by = E.basis_vec(y)
+                    phi_by = [[phi_ip.entry(r, j).apply(by) for j in (1, 2)]
+                              for r in (1, 2)]
+                    lhs_app = [[[th_ip.entry(u, j + 1).apply(
+                                     E.mul(bx, phi_by[r][j]))
+                                 for j in range(2)] for u in (1, 2)]
+                               for r in range(2)]
+                    rhs_app = [[[[E.mul(sum_phi[p][t][q][j], by)
+                                  for j in range(2)] for q in range(2)]
+                                for t in range(2)] for p in range(2)]
+                    for p in (1, 2):
+                        for q in (1, 2):
+                            for r in (1, 2):
+                                lhs = {}
+                                for u in (1, 2):
+                                    coeff = basis.lval(i, ip, p, q, u)
+                                    if not coeff:
+                                        continue
+                                    for j in range(2):
+                                        add_scaled(lhs, lhs_app[r - 1][u - 1][j], coeff)
+                                rhs = {}
+                                for t in (1, 2):
+                                    for j in (1, 2):
+                                        add_scaled(
+                                            rhs, rhs_app[p - 1][t - 1][q - 1][j - 1],
+                                            basis.lval(i, ip, t, j, r))
+                                if not vec_eq(lhs, rhs):
+                                    ok = False
+    return ok
+
+
 # ---------------------------------------------------------------------------
 # inputs and mutants
 
@@ -540,3 +638,107 @@ def test_product_exchange_loop_matches_the_reference(pipeline_inputs):
                 rejected += not items[2][1]
                 accepted += items[2][1]
     assert accepted >= 5 and rejected >= 30
+
+
+# ---------------------------------------------------------------------------
+# the M_2(E) exchange identity and the theta-phi law through the certificate
+
+
+@pytest.fixture(scope="module")
+def m2_tables(pipeline_inputs):
+    """(E, (theta0, theta1)) of the plus-case construction on the registry
+    inputs and skew3 seeds 1-4, plus and minus; on a minus input the
+    construction need not give a twisting system."""
+    inputs = list(pipeline_inputs)
+    for _, blob in sorted(generate("skew3", 4).items()):
+        data, lift = parse_double_ore(json.loads(blob))
+        base = build_clifford(data.base, lift)
+        inputs.append((data, lift, base, dualize_hom(data, base)))
+    return [(base.algebra, _plus_theta(sd, base.algebra))
+            for _, _, base, sd in inputs]
+
+
+def _table_mutants(tables, rng, count):
+    out = []
+    for _ in range(count):
+        k = rng.randrange(2)
+        mutant = list(tables)
+        mutant[k] = _table_mutant(tables[k], rng)
+        out.append(tuple(mutant))
+    return out
+
+
+def test_m2_exchange_certificate_matches_the_loop(m2_tables):
+    rng = random.Random("m2-exchange-mutants")
+    basis = standard_basis_m2()
+    verdicts = []
+    for E, tables in m2_tables:
+        for theta in [tables] + _table_mutants(tables, rng, 4):
+            items = _items(verify_twisting_M2(TwistingSystemM2(E, theta, basis)))
+            assert items == _items(ref_verify_twisting_M2(
+                TwistingSystemM2(E, theta, basis)))
+            if len(items) == 6:
+                verdicts.append(items[5][1])
+    assert verdicts.count(True) >= 10 and verdicts.count(False) >= 40
+
+
+def test_theta_phi_exchange_matches_the_loop(m2_tables):
+    """The suite's theta-phi-exchange item agrees with the loop on verified
+    systems, accepted or not, and on one-coefficient mutants of their
+    t-inverses, which no longer invert theta."""
+    rng = random.Random("theta-phi-mutants")
+    basis = standard_basis_m2()
+    verdicts = []
+    for E, tables in m2_tables:
+        for theta in [tables] + _table_mutants(tables, rng, 1):
+            system = TwistingSystemM2(E, theta, basis)
+            verify_twisting_M2(system)
+            if system.t_inverses is None:
+                continue
+            candidates = [system]
+            for phis in _table_mutants(system.t_inverses, rng, 2):
+                candidates.append(dataclasses.replace(system, t_inverses=phis))
+            for candidate in candidates:
+                items = {item.name: item.passed
+                         for item in verify_twisting_suite(candidate).items}
+                assert items["theta-phi-exchange"] == ref_theta_phi_exchange(candidate)
+                verdicts.append(items["theta-phi-exchange"])
+    assert verdicts.count(True) >= 10 and verdicts.count(False) >= 50
+
+
+def test_hand_set_l_sends_the_product_exchange_to_the_loop(monkeypatch,
+                                                          pipeline_inputs):
+    """E x E takes l from its caller.  An l that fails its identities voids
+    the proof that reads the exchange identity off the certificate, so the
+    loop decides.  With l keeping only eps_1 eps_1 = eps_1 and theta_21 = id,
+    the twisted product is associative while the exchange identity fails at
+    p = 2: the certificate alone would accept this system."""
+    calls = []
+    real = twist._exchange_failure
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(twist, "_exchange_failure", counting)
+    _, _, base, sd = next(item for item in pipeline_inputs
+                          if item[0].p12 == MINUS_ONE)
+    E = base.algebra
+    ident = GradedLinMap.identity(E)
+    zero = GradedLinMap.zero(E)
+    gamma = twist._eps_coords(EPSILON, ONE, ONE)
+    ltens = product_l_tensor(EPSILON)
+    hand_set = {key: ONE if key == (1, 1, 1) else ZERO for key in ltens}
+    assert twist._l_identities(twist._product_lval(ltens), (0,), gamma).ok
+    assert not twist._l_identities(twist._product_lval(hand_set), (0,), gamma).ok
+    sheared = MatrixHom([[ident, zero], [ident, ident]])
+    for theta, l, loops in ((_minus_theta(sd, E), ltens, 0), (sheared, hand_set, 1)):
+        calls.clear()
+        system = TwistingSystemProd(E, theta, EPSILON, l)
+        items = _items(verify_twisting_prod(system))
+        assert len(calls) == loops
+        assert items == _items(ref_verify_twisting_prod(
+            TwistingSystemProd(E, theta, EPSILON, l)))
+        assert _items(system.certificate)[2][:2] == ("associativity", True)
+    assert items[-1][:2] == ("product-exchange-identity", False)
+    assert " p=2 " in items[-1][2]

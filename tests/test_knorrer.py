@@ -8,7 +8,7 @@ from conftest import diagonal_sigma
 
 from perfbench.workloads import generate, write_inputs
 
-from nqh import deform, knorrer
+from nqh import deform, knorrer, twist
 from nqh.cli import main
 from nqh.formats import parse_double_ore
 
@@ -344,3 +344,39 @@ def test_each_run_descends_sigma_and_its_inverse_once(monkeypatch, tmp_path,
         assert main(["--json", "knorrer", str(tmp_path / f"{case}.json")]) == 0
         assert len(calls) == 2, case
     capsys.readouterr()
+
+
+def test_each_run_builds_and_certifies_each_twisted_table_once(monkeypatch):
+    """One run builds its twisted table once and certifies it once; the
+    exchange identity is read off that certificate, so the basis-pair loop
+    never runs on an accepted system."""
+    counts = Counter()
+    certified = []
+
+    def counting(name, real):
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in ("_exchange_failure", "_twisted_algebra", "build_twisted_M2",
+                 "build_twisted_prod"):
+        monkeypatch.setattr(twist, name, counting(name, getattr(twist, name)))
+    real_verify = twist.verify_algebra
+
+    def certify(algebra):
+        certified.append(algebra)
+        return real_verify(algebra)
+
+    monkeypatch.setattr(twist, "verify_algebra", certify)
+    for name, blob in sorted(generate("skew3", 7).items()):
+        data, central = parse_double_ore(json.loads(blob))
+        plus = name == "plus.json"
+        counts.clear()
+        certified.clear()
+        result = (run_plus_case if plus else run_minus_case)(data, central)
+        assert result.checks.ok
+        builder = "build_twisted_M2" if plus else "build_twisted_prod"
+        assert counts == {builder: 1, "_twisted_algebra": 1}, name
+        twisted = result.twisted_bigraded if plus else result.Gamma
+        assert len(certified) == 1 and certified[0] is twisted, name
