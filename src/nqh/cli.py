@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 input or
-parse error.  All reports are byte-deterministic: fixed key order, no
-timestamps.  Scenarios run one after another in one thread.
+parse error, or input past a work bound.  All reports are byte-deterministic:
+fixed key order, no timestamps.  Scenarios run one after another in one
+thread.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import os
 import sys
 
 from . import scenarios as scenario_registry
-from .errors import NqhError, ParseError
+from .errors import BoundExceeded, NqhError, ParseError
 from .algebra import radical, strongly_graded_check
 from .deform import (
     CaseKind,
@@ -125,9 +126,9 @@ def cmd_double_ore(args):
     payload = {item.name: item.passed for item in report.items}
     payload["case"] = kind.value
     if central is not None:
-        from .deform import b_presentation, central_lift_in_b
+        from .deform import central_lift_in_b
 
-        ok = check_central(b_presentation(data), central_lift_in_b(data, central))
+        ok = check_central(data.b, central_lift_in_b(data, central))
         lines.append(f"extended central element: {'central' if ok else 'NOT central'}")
         payload["extended_central"] = bool(ok)
     _emit(args, lines, payload)
@@ -303,10 +304,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ParseError, BoundExceeded, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NqhError as exc:

@@ -63,6 +63,10 @@ from .algebra import (
 from .quadratic import QuadraticPresentation, check_central, koszul_dual
 from .rewrite import complete, extract_algebra, orient
 
+# The largest deformation built: a 9-letter exterior dual (dim 2^9), which is
+# B's dual over a 7-generator base.  Its structure table holds dim^2 entries.
+DIM_BUDGET = 512
+
 
 class CaseKind(Enum):
     PLUS = "plus"
@@ -98,6 +102,11 @@ class DoubleOreData:
     def b(self):
         """The presentation of B (see b_presentation), built once."""
         return b_presentation(self)
+
+    @cached_property
+    def b_dual(self):
+        """The Koszul dual of B, built once."""
+        return koszul_dual(self.b)
 
     @cached_property
     def sigma_on_degree2(self):
@@ -147,34 +156,41 @@ def _compatibility_holds(dual, lift):
     return True
 
 
-def _top_degree(presentation, bound=8):
-    """Largest degree with a nonzero component; BoundExceeded when the
-    component of degree bound + 1 is nonzero, never a short answer.
+def dual_dims(presentation):
+    """The graded dimensions of a finite-dimensional quadratic quotient, from
+    degree 0 up to its top degree; BoundExceeded as soon as their running
+    total passes DIM_BUDGET, never a short answer.
 
     For a connected quadratic quotient the degree-(n+1) component is spanned
     by V times the degree-n component, so the scan can stop at the first
     zero.
     """
-    for n in range(1, bound + 2):
-        if presentation.component_dim(n) == 0:
-            return n - 1
-    raise BoundExceeded(f"top degree of the dual exceeds the bound {bound}")
+    dims = []
+    while True:
+        dim = presentation.component_dim(len(dims))
+        if not dim:
+            return dims
+        dims.append(dim)
+        if sum(dims) > DIM_BUDGET:
+            raise BoundExceeded(
+                f"the dual's graded dimensions sum to {sum(dims)} by degree"
+                f" {len(dims) - 1}, past the dimension budget {DIM_BUDGET}")
 
 
 def build_clifford_from_dual(dual, deformed, central_lift, theta_values,
                              expected_dim=None):
-    """Complete, extract and certify a deformation of a presented dual."""
-    top = _top_degree(dual)
-    maxdeg = 2 * top + 2
+    """Complete, extract and certify a deformation of a presented dual.
+
+    The dual's graded dimensions give the completion degree and the PBW
+    dimension, which the normal-word basis must reach exactly."""
+    dims = dual_dims(dual)
+    pbw_dim = sum(dims)
+    if expected_dim is not None and pbw_dim != expected_dim:
+        raise DimensionMismatch(
+            f"homogeneous dimension {pbw_dim} != expected {expected_dim}")
+    maxdeg = 2 * len(dims)  # twice the top degree, plus 2
     system = complete(orient(list(deformed), dual.generators), maxdeg)
-    algebra = extract_algebra(system)
-    pbw_dim = sum(dual.component_dim(n) for n in range(top + 1))
-    if algebra.dim != pbw_dim:
-        raise DimensionMismatch(
-            f"deformation dimension {algebra.dim} != homogeneous dimension {pbw_dim}")
-    if expected_dim is not None and algebra.dim != expected_dim:
-        raise DimensionMismatch(
-            f"deformation dimension {algebra.dim} != expected {expected_dim}")
+    algebra = extract_algebra(system, pbw_dim)
     report = verify_algebra(algebra)
     if not report.ok:
         raise DimensionMismatch(f"oracle output invalid: {report.first_failure()}")
@@ -419,11 +435,7 @@ def b_presentation(data):
     g = data.ngens
     names = ("y1", "y2") + tuple(data.base.generators)
     shift = {a: a + 2 for a in range(g)}
-    rels = []
-    # y2 y1 - p12 y1 y2 - p11 y1 y1
-    rels.append(TensorElement({(1, 0): ONE})
-                - TensorElement({(0, 1): data.p12})
-                - TensorElement({(0, 0): data.p11}))
+    rels = j_presentation(data.p12, data.p11).relation_elements()
     # base relations, letters shifted past the y block
     for row in data.base.relations.basis:
         rels.append(TensorElement.from_coordinates(row, g, 2).rename(shift))
@@ -534,7 +546,7 @@ def build_Bshriek_clifford(data, lift, base):
     """The Clifford deformation of the dual of B at z + y1^2 + y2^2, with
     ``base`` the deformation of the base dual at the lift of z."""
     g = data.ngens
-    bdual = koszul_dual(data.b)
+    bdual = data.b_dual
     # cross-check the printed dual relation space: R_J-perp + R-perp + R_tau
     shift = {a: a + 2 for a in range(g)}
     assembled = []
@@ -566,13 +578,13 @@ def build_Bshriek_clifford(data, lift, base):
     return out
 
 
-def j_presentation(data):
-    """The mixing subalgebra on y1, y2 alone."""
+def j_presentation(p12, p11):
+    """The mixing subalgebra on y1, y2 alone: y2 y1 - p12 y1 y2 - p11 y1 y1."""
     return QuadraticPresentation(
         ("y1", "y2"),
         [TensorElement({(1, 0): ONE})
-         - TensorElement({(0, 1): data.p12})
-         - TensorElement({(0, 0): data.p11})],
+         - TensorElement({(0, 1): p12})
+         - TensorElement({(0, 0): p11})],
     )
 
 
@@ -606,7 +618,7 @@ def _verify_subalgebra_blocks(bdata, data, base_c):
                   if w and all(a >= 2 for a in w)}
     base_words[()] = words.index(())
     _block_matches(B, base_words, base_c.algebra, 2)
-    j_c = build_clifford(j_presentation(data),
+    j_c = build_clifford(j_presentation(data.p12, data.p11),
                          TensorElement({(0, 0): ONE, (1, 1): ONE}))
     y_block = {w: i for i, w in enumerate(words)
                if w and all(a < 2 for a in w)}

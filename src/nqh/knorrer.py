@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import MuNotInvolution, NqhError, WrongP
-from .exactlin import HALF, I, ONE, Scalar, Subspace, TensorElement, nullspace
+from .exactlin import HALF, I, ONE, ZERO, Scalar, Subspace, TensorElement, nullspace
 from .algebra import (
     GradedAlgebra,
     GradedLinMap,
@@ -46,6 +46,8 @@ from .deform import (
     check_central,
     dual_table_identities,
     dualize_hom,
+    dual_dims,
+    j_presentation,
     normalize_p11,
     p12_classify,
     substitution_fixes,
@@ -230,23 +232,16 @@ def _lemma46_suite(xi1, xi2, phi1, phi2, theta0, theta1, E):
     return report
 
 
-def _eigenspace_per_degree(E, linmap):
-    """Homogeneous basis of the eigenvalue-1 space of a graded map."""
-    rows = []
-    for degree in sorted({d for d in E.degrees}):
-        indices = E.component_indices(degree)
-        # kernel of (map - id) restricted to the component: one equation
-        # per basis index j of the component, one unknown per position
-        equations = {j: {} for j in indices}
-        for pos, i in enumerate(indices):
-            img = vec_sub(linmap.apply(E.basis_vec(i)), {i: ONE})
-            for j, c in img.items():
-                if j in equations:
-                    equations[j][pos] = c
-        kernel = nullspace(equations.values(), len(indices))
-        for vec in kernel.basis:
-            rows.append({indices[pos]: c for pos, c in vec.items()})
-    return Subspace.from_rows(rows, E.dim)
+def _eigenspace(E, linmap):
+    """The eigenvalue-1 space of a linear map of E, the kernel of (map - id).
+
+    For a graded map each component's kernel is supported on that component,
+    so the unique reduced row echelon basis is homogeneous."""
+    equations = [{} for _ in range(E.dim)]  # one per coordinate of the image
+    for i in range(E.dim):
+        for j, c in vec_sub(linmap.apply(E.basis_vec(i)), {i: ONE}).items():
+            equations[j][i] = c
+    return nullspace(equations, E.dim)
 
 
 def _subspace_algebra(E, space):
@@ -301,6 +296,8 @@ def _prologue(checks, data, lift, kind):
     if not (central and cross):
         raise PipelineError("the extended element is not central")
 
+    # B's dual has dimension 4 dim E: check the budget before any table
+    dual_dims(data.b_dual)
     base = build_clifford(data.base, lift)
     sd = dualize_hom(data, base)
     identities = dual_table_identities(data, sd)
@@ -378,8 +375,8 @@ def run_plus_case(data, lift):
     checks.add("projection-identity-suite", suite46.ok,
                "" if suite46.ok else str(suite46.first_failure()))
 
-    S = _eigenspace_per_degree(E, xi1)
-    M = _eigenspace_per_degree(E, xi2)
+    S = _eigenspace(E, xi1)
+    M = _eigenspace(E, xi2)
     S_alg, s_rows = _subspace_algebra(E, S)
     checks.add("eigenspace-subalgebra", True)
 
@@ -669,12 +666,10 @@ def prop51_scenario(data, z):
                  f" ({'verified' if fixed else 'FAILED'})")
     if not fixed:
         raise PipelineError("the degenerate substitution did not collapse y1^2")
-    # the two-variable witness deformation
-    from .quadratic import QuadraticPresentation
-
-    jpres = QuadraticPresentation(
-        ("y1", "y2"), [TensorElement({(0, 1): ONE, (1, 0): ONE})])
-    witness = build_clifford(jpres, TensorElement({(1, 1): ONE}))
+    # the two-variable witness deformation, on the mixing relation
+    # y2 y1 + y1 y2 left by the substitution
+    witness = build_clifford(j_presentation(data.p12, ZERO),
+                             TensorElement({(1, 1): ONE}))
     rad = radical(witness.algebra).dim
     lines.append(f"witness deformation dim: {witness.algebra.dim},"
                  f" radical dim: {rad}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 from .errors import (
     CompletionDiverged,
     DegreeExceedsConfluence,
+    DimensionMismatch,
     InfiniteDimensional,
     NotConfluent,
     NotOrientable,
@@ -25,7 +26,6 @@ from .errors import (
 from .exactlin import ONE, TensorElement, add_scaled, deglex_key, rref_rows
 
 RULE_CAP = 512
-NORMAL_WORD_CAP = 4096
 
 
 class RewriteRule:
@@ -199,8 +199,9 @@ def normal_form(system, element):
     return system.reduce(element)
 
 
-def normal_words(system, cap=NORMAL_WORD_CAP):
-    """All irreducible words, by increasing deglex; requires finiteness."""
+def normal_words(system, dim):
+    """All irreducible words, by increasing deglex; there must be exactly
+    ``dim`` of them, and the enumeration stops as soon as it finds more."""
     if system.confluent_up_to < 3:
         raise NotConfluent("complete the system before enumerating normal words")
     found = [()]
@@ -218,29 +219,22 @@ def normal_words(system, cap=NORMAL_WORD_CAP):
                 if system.is_normal(word):
                     nxt.append(word)
         found.extend(nxt)
-        if len(found) > cap:
-            raise InfiniteDimensional(f"more than {cap} normal words")
+        if len(found) > dim:
+            raise DimensionMismatch(f"more than {dim} normal words")
         level = nxt
+    if len(found) != dim:
+        raise DimensionMismatch(f"{len(found)} normal words, expected {dim}")
     return found
 
 
-def extract_algebra(system, grading="parity", cap=NORMAL_WORD_CAP):
-    """Structure constants of the quotient on the normal-word basis.
-
-    The Z2-grading is word-length parity; ``grading`` may also be a callable
-    word -> degree tuple.
-    """
+def extract_algebra(system, dim):
+    """Structure constants of the quotient on its ``dim`` normal words,
+    graded by word-length parity."""
     from .algebra import GradedAlgebra
 
-    words = normal_words(system, cap)
+    words = normal_words(system, dim)
     index = {w: i for i, w in enumerate(words)}
-    dim = len(words)
-    if grading == "parity":
-        degree_fn = lambda w: (len(w) % 2,)
-    else:
-        degree_fn = grading
-    degrees = [degree_fn(w) for w in words]
-    group_rank = len(degrees[0]) if degrees else 1
+    degrees = [(len(w) % 2,) for w in words]
     labels = []
     names = system.alphabet
     for w in words:
@@ -263,4 +257,4 @@ def extract_algebra(system, grading="parity", cap=NORMAL_WORD_CAP):
             row.append(vec)
         table.append(row)
     unit = {index[()]: ONE}
-    return GradedAlgebra(labels, table, unit, degrees, group_rank, words=words)
+    return GradedAlgebra(labels, table, unit, degrees, 1, words=words)

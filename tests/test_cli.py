@@ -73,6 +73,16 @@ def test_negative_max_degree_is_exit_2(capsys, tmp_path, command):
     assert main([command, str(path), "--max-degree", "0"]) == 0
 
 
+@pytest.mark.parametrize("command", ["check-presentation", "koszul-dual"])
+def test_max_degree_past_the_bound_is_exit_2(capsys, tmp_path, command):
+    path = tmp_path / "km1.json"
+    path.write_text(json.dumps(KM1_PRESENTATION))
+    assert main([command, str(path), "--max-degree", "9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: degree 9 exceeds the configured bound 8\n"
+    assert captured.out == ""
+
+
 def test_string_generators_is_exit_2(capsys, tmp_path):
     doc = {"generators": "xy", "relations": [{"x y": "1", "y x": "1"}]}
     path = tmp_path / "string_generators.json"
@@ -172,6 +182,30 @@ def test_knorrer_json_on_a_four_generator_base(capsys, tmp_path, case, p12):
     _assert_knorrer_json(capsys, path, case, 64)
 
 
+@pytest.mark.parametrize("p12", [1, -1])
+def test_knorrer_past_the_dimension_budget_is_exit_2(capsys, monkeypatch,
+                                                     tmp_path, p12):
+    """An 8-generator base needs a big deformation of dim 4 * 2^8 = 1024.
+    The scan of B's dual stops the run before the base deformation or any
+    structure table is built."""
+    from nqh import deform, knorrer
+
+    ran = []
+    monkeypatch.setattr(knorrer, "build_clifford",
+                        lambda *args: ran.append("build_clifford"))
+    monkeypatch.setattr(deform, "extract_algebra",
+                        lambda *args: ran.append("extract_algebra"))
+    path = tmp_path / "big8.json"
+    path.write_bytes(encode(skew_double_ore(random.Random("big:8"), 8, p12)))
+    assert main(["--json", "knorrer", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the dual's graded dimensions sum to 638 by degree 5,"
+        " past the dimension budget 512\n")
+    assert ran == []
+
+
 def test_koszul_dual_command(capsys, presentation_file):
     assert main(["koszul-dual", presentation_file]) == 0
     out = capsys.readouterr().out
@@ -193,6 +227,21 @@ def test_clifford_requires_central(capsys, tmp_path):
     path = tmp_path / "nocentral.json"
     path.write_text(json.dumps(doc))
     assert main(["clifford", str(path)]) == 2
+
+
+def test_clifford_on_a_free_dual_is_exit_2(capsys, tmp_path):
+    """Every word of length 2 is a relation, so the dual is free on five
+    letters; its dims 1, 5, 25, ... pass the budget at degree 4."""
+    names = [f"x{k + 1}" for k in range(5)]
+    doc = {"generators": names,
+           "relations": [{f"{a} {b}": "1"} for a in names for b in names],
+           "central": {"x1 x1": "1"}}
+    path = tmp_path / "free-dual.json"
+    path.write_text(json.dumps(doc))
+    assert main(["clifford", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: the dual's graded dimensions sum to 781 by degree 4,"
+        " past the dimension budget 512\n")
 
 
 def test_double_ore_command(capsys, double_ore_file):

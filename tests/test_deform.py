@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from conftest import class_t_sigma, diagonal_sigma, scalar_matrix
@@ -81,21 +83,39 @@ def test_build_clifford_nilpotent_output(km1):
     assert algebra.mul({first: ONE}, {first: ONE}) == {}
 
 
-def test_top_degree_raises_past_its_bound(km1):
-    """The scan reports the top degree exactly, also when it equals the
-    bound, and raises BoundExceeded instead of returning a short answer."""
-    anticommuting = QuadraticPresentation(
-        ["x1", "x2", "x3"],
+def _anticommuting(g):
+    """x_a x_b + x_b x_a for a < b: its dual k[x]/(x_a^2) has dims C(g, n)."""
+    return QuadraticPresentation(
+        [f"x{a + 1}" for a in range(g)],
         [TensorElement({(a, b): ONE, (b, a): ONE})
-         for a, b in ((0, 1), (0, 2), (1, 2))])
-    dual = koszul_dual(anticommuting)
+         for a in range(g) for b in range(a + 1, g)])
+
+
+def test_top_degree_raises_past_its_bound(km1, monkeypatch):
+    """The scan reports every dimension up to the top degree, also when the
+    total equals the budget, and raises BoundExceeded once the total passes
+    the budget instead of returning a short answer."""
+    dual = koszul_dual(_anticommuting(3))
     assert hilbert_profile(dual, 4) == [1, 3, 3, 1, 0]
-    assert deform._top_degree(dual) == 3
-    assert deform._top_degree(dual, bound=3) == 3
-    with pytest.raises(BoundExceeded, match="exceeds the bound 2$"):
-        deform._top_degree(dual, bound=2)
-    with pytest.raises(BoundExceeded, match="exceeds the bound 1$"):
-        deform._top_degree(koszul_dual(km1), bound=1)
+    assert deform.dual_dims(dual) == [1, 3, 3, 1]
+    monkeypatch.setattr(deform, "DIM_BUDGET", 8)
+    assert deform.dual_dims(dual) == [1, 3, 3, 1]
+    monkeypatch.setattr(deform, "DIM_BUDGET", 7)
+    with pytest.raises(BoundExceeded,
+                       match="sum to 8 by degree 3, past the dimension budget 7$"):
+        deform.dual_dims(dual)
+    monkeypatch.setattr(deform, "DIM_BUDGET", 3)
+    with pytest.raises(BoundExceeded,
+                       match="sum to 4 by degree 2, past the dimension budget 3$"):
+        deform.dual_dims(koszul_dual(km1))
+
+
+def test_nine_letter_skew_dual_fills_the_budget():
+    """B's dual over a 7-generator base has 9 letters: the scan reaches the
+    top degree 9 with total 512, the budget itself."""
+    dims = deform.dual_dims(koszul_dual(_anticommuting(9)))
+    assert dims == [math.comb(9, n) for n in range(10)]
+    assert sum(dims) == deform.DIM_BUDGET == 512
 
 
 def test_build_clifford_rejects_noncentral(km1):

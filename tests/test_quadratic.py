@@ -225,7 +225,8 @@ def test_b_extension_profile_and_freeness(double_ore_class_z):
     assert profile == [1, 4, 6, 4, 1, 0]
     # free-module structure: the dual dims are the convolution of the parts
     adual = dual_of(double_ore_class_z.base)
-    jdual = dual_of(j_presentation(double_ore_class_z))
+    jdual = dual_of(j_presentation(double_ore_class_z.p12,
+                                   double_ore_class_z.p11))
     for n in range(5):
         convolution = sum(
             graded_dim(adual, k) * graded_dim(jdual, n - k)

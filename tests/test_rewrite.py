@@ -4,6 +4,7 @@ import pytest
 
 from nqh.errors import (
     DegreeExceedsConfluence,
+    DimensionMismatch,
     InfiniteDimensional,
     NotOrientable,
 )
@@ -75,8 +76,12 @@ def test_complete_b_extension_has_sixteen_normal_words(double_ore_class_z,
     data = build_Bshriek_clifford(
         double_ore_class_z, z_lift,
         build_clifford(double_ore_class_z.base, z_lift))
-    words = normal_words(data.system)
+    words = normal_words(data.system, 16)
     assert len(words) == 16
+    with pytest.raises(DimensionMismatch, match="^more than 15 normal words$"):
+        normal_words(data.system, 15)
+    with pytest.raises(DimensionMismatch, match="^16 normal words, expected 17$"):
+        normal_words(data.system, 17)
 
 
 def test_normal_form_examples(km1, z_lift):
@@ -127,7 +132,7 @@ def test_normal_form_respects_ideal(km1, z_lift):
 
 def test_extract_two_dimensional_quotient():
     system = complete(orient([TensorElement({(0, 0): ONE}) - unit()], ["x"]), 6)
-    algebra = extract_algebra(system)
+    algebra = extract_algebra(system, 2)
     assert algebra.dim == 2
     assert algebra.labels == ("1", "x")
     assert algebra.table[1][1] == {0: ONE}
@@ -149,7 +154,7 @@ def test_extract_nilpotent_case():
         TensorElement({(0, 1): ONE}) - TensorElement({(1, 0): ONE}),
     ]
     system = complete(orient(relations, ["y1*", "y2*"]), 6)
-    algebra = extract_algebra(system)
+    algebra = extract_algebra(system, 4)
     assert algebra.dim == 4
     square = algebra.mul({1: ONE}, {1: ONE})
     assert square == {}
@@ -160,7 +165,10 @@ def test_extract_requires_finiteness():
         [TensorElement({(1, 0): ONE}) - TensorElement({(0, 1): ONE})],
         ["x", "y"]), 4)
     with pytest.raises(InfiniteDimensional):
-        extract_algebra(system)
+        extract_algebra(system, 100)
+    # the enumeration stops once it passes the expected dimension
+    with pytest.raises(DimensionMismatch, match="^more than 4 normal words$"):
+        extract_algebra(system, 4)
 
 
 def test_pbw_dimension_matches_homogeneous_dual(km1, z_lift, clifford_km1):
