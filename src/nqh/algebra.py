@@ -9,9 +9,9 @@ each source basis vector.  A 2x2 matrix of graded linear maps with common
 source and target models algebra homomorphisms E -> M_2(E) and the
 not-necessarily-multiplicative map tables used by twisting systems.
 
-Right modules use the row convention: the action matrix of an algebra
-element acts on the right of row vectors, so action(x) action(y) =
-action(xy) and the span of all action matrices is multiplication closed.
+Right modules use the row convention: the action of an algebra element
+acts on the right of row vectors, so action(x) action(y) = action(xy), and
+each action is held as its sparse rows, the images of the module's basis.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .exactlin import (
     Subspace,
     add_scaled,
     is_stacked_inverse,
-    matrix_mul,
     nullspace,
     stacked_inverse,
     transpose,
@@ -56,13 +55,6 @@ def vec_scale(a, coeff):
 
 def vec_eq(a, b):
     return all(a.get(k, ZERO) == b.get(k, ZERO) for k in a.keys() | b.keys())
-
-
-def vec_dense(a, dim):
-    out = [ZERO] * dim
-    for k, v in a.items():
-        out[k] = v
-    return out
 
 
 def vec_sparse(row):
@@ -105,11 +97,6 @@ class GradedAlgebra:
         degs = {self.degrees[i] for i in vec}
         return degs.pop() if len(degs) == 1 else None
 
-    def right_mult_rows(self, vec):
-        """Row-convention action matrix of x -> x * vec."""
-        return [vec_dense(self.mul(self.basis_vec(i), vec), self.dim)
-                for i in range(self.dim)]
-
     def trace_left_mult(self, i):
         return sum((self.table[i][j].get(j, ZERO) for j in range(self.dim)),
                    start=ZERO)
@@ -129,36 +116,6 @@ class GradedAlgebra:
 
     def component_indices(self, degree):
         return [i for i in range(self.dim) if self.degrees[i] == tuple(degree)]
-
-    def subalgebra_on(self, indices, degrees=None, group_rank=None):
-        """Algebra structure on a multiplication-closed subset of the basis."""
-        pos = {b: k for k, b in enumerate(indices)}
-        table = []
-        for i in indices:
-            row = []
-            for j in indices:
-                vec = self.table[i][j]
-                new = {}
-                for k, c in vec.items():
-                    if k not in pos:
-                        raise DimensionMismatch(
-                            "basis subset is not multiplication closed")
-                    new[pos[k]] = c
-                row.append(new)
-            table.append(row)
-        unit = {}
-        for k, c in self.unit.items():
-            if k not in pos:
-                raise DimensionMismatch("unit lies outside the basis subset")
-            unit[pos[k]] = c
-        if degrees is None:
-            degrees = [self.degrees[i] for i in indices]
-            group_rank = self.group_rank
-        labels = [self.labels[i] for i in indices]
-        words = None
-        if self.words is not None:
-            words = [self.words[i] for i in indices]
-        return GradedAlgebra(labels, table, unit, degrees, group_rank, words=words)
 
     def to_text(self):
         lines = [f"dim {self.dim}", f"grading Z2^{self.group_rank}"]
@@ -333,15 +290,14 @@ def verify_algebra(algebra):
 class GradedLinMap:
     """A linear map between graded algebras, stored column-wise."""
 
-    __slots__ = ("source", "target", "cols", "shift")
+    __slots__ = ("source", "target", "cols")
 
-    def __init__(self, source, target, cols, shift=None):
+    def __init__(self, source, target, cols):
         self.source = source
         self.target = target
         self.cols = tuple(dict(c) for c in cols)
         if len(self.cols) != source.dim:
             raise DimensionMismatch("one image per source basis vector required")
-        self.shift = tuple(shift) if shift is not None else (0,) * target.group_rank
 
     @classmethod
     def identity(cls, algebra):
@@ -388,12 +344,8 @@ class GradedLinMap:
     def is_graded(self):
         if self.source.group_rank != self.target.group_rank:
             return True
-        for i, col in enumerate(self.cols):
-            expected = add_degrees(self.source.degrees[i], self.shift)
-            for k in col:
-                if self.target.degrees[k] != expected:
-                    return False
-        return True
+        return all(self.target.degrees[k] == self.source.degrees[i]
+                   for i, col in enumerate(self.cols) for k in col)
 
     def dense(self):
         return [[self.cols[j].get(i, ZERO) for j in range(self.source.dim)]
@@ -606,72 +558,63 @@ def is_nilpotent_element(algebra, vec):
 
 
 class RightModule:
-    """A right module by one action matrix per algebra basis element."""
+    """A right module by sparse action rows: ``action[j][r]`` is m_r . e_j,
+    the image of the module's basis vector r under algebra basis vector j."""
 
     __slots__ = ("algebra", "dim", "action")
 
     def __init__(self, algebra, dim, action):
         self.algebra = algebra
         self.dim = dim
-        self.action = [tuple(tuple(row) for row in m) for m in action]
+        self.action = [tuple(rows) for rows in action]
         if len(self.action) != algebra.dim:
-            raise DimensionMismatch("one action matrix per algebra basis element")
+            raise DimensionMismatch("one action per algebra basis element")
 
     @classmethod
     def regular(cls, algebra):
-        mats = [algebra.right_mult_rows(algebra.basis_vec(j))
-                for j in range(algebra.dim)]
-        return cls(algebra, algebra.dim, mats)
+        """e_r . e_j is table[r][j]: the rows are the table's own."""
+        table = algebra.table
+        return cls(algebra, algebra.dim,
+                   [[row[j] for row in table] for j in range(algebra.dim)])
 
     @classmethod
     def from_invariant_subspace(cls, algebra, subspace):
         """Submodule of the regular module on an invariant subspace."""
-        mats = []
+        action = []
         for j in range(algebra.dim):
-            bj = algebra.basis_vec(j)
             rows = []
             for basis_vec in subspace.basis:
-                coords, rem = subspace.reduce_with_coords(algebra.mul(basis_vec, bj))
+                coords, rem = subspace.reduce_with_coords(
+                    algebra.mul(basis_vec, {j: ONE}))
                 if rem:
                     raise DimensionMismatch("subspace is not action invariant")
-                rows.append(vec_dense(coords, subspace.dim))
-            mats.append(rows)
-        return cls(algebra, subspace.dim, mats)
+                rows.append(coords)
+            action.append(rows)
+        return cls(algebra, subspace.dim, action)
 
     def act(self, vec, algebra_vec):
         """Sparse row vector times the action of an algebra element."""
         out = {}
         for j, cj in algebra_vec.items():
-            mat = self.action[j]
+            rows = self.action[j]
             for r, vr in vec.items():
-                add_scaled(out, {c: x for c, x in enumerate(mat[r]) if x}, vr * cj)
+                add_scaled(out, rows[r], vr * cj)
         return out
 
     def verify(self):
-        """Unit acts as identity; action is multiplicative."""
-        ident = [[ONE if i == j else ZERO for j in range(self.dim)]
-                 for i in range(self.dim)]
-        unit_mat = self._matrix_of(self.algebra.unit)
-        if unit_mat != ident:
+        """Unit acts as identity; action is multiplicative:
+        (m_r . e_i) . e_j = m_r . (e_i e_j) for every r, i and j."""
+        algebra = self.algebra
+        if any(self.act({r: ONE}, algebra.unit) != {r: ONE}
+               for r in range(self.dim)):
             return False
-        for i in range(self.algebra.dim):
-            for j in range(self.algebra.dim):
-                lhs = matrix_mul(list(map(list, self.action[i])),
-                                 list(map(list, self.action[j])))
-                rhs = self._matrix_of(self.algebra.table[i][j])
-                if [list(r) for r in lhs] != rhs:
-                    return False
+        for i in range(algebra.dim):
+            for j in range(algebra.dim):
+                product = algebra.table[i][j]
+                for r, row in enumerate(self.action[i]):
+                    if self.act(row, {j: ONE}) != self.act({r: ONE}, product):
+                        return False
         return True
-
-    def _matrix_of(self, algebra_vec):
-        out = [[ZERO] * self.dim for _ in range(self.dim)]
-        for j, cj in algebra_vec.items():
-            mat = self.action[j]
-            for r in range(self.dim):
-                for c in range(self.dim):
-                    if mat[r][c]:
-                        out[r][c] = out[r][c] + cj * mat[r][c]
-        return out
 
 
 def spin(module, seeds):
@@ -694,32 +637,31 @@ def is_absolutely_simple(module):
     if module.dim < 1:
         return False
     elim = SparseEliminator()
-    for mat in module.action:
-        row = {}
-        for r in range(module.dim):
-            for c in range(module.dim):
-                if mat[r][c]:
-                    row[r * module.dim + c] = mat[r][c]
-        elim.add(row)
+    for rows in module.action:
+        elim.add({r * module.dim + c: v
+                  for r, row in enumerate(rows) for c, v in row.items()})
     return elim.rank == module.dim * module.dim
 
 
 def hom_dim(m, n):
-    """Dimension of the space of module intertwiners m -> n."""
+    """Dimension of the space of module intertwiners m -> n: the matrices X
+    with (A^m X)[r][c] = (X A^n)[r][c] for every action pair A^m, A^n."""
     if m.algebra is not n.algebra:
         raise DimensionMismatch("modules over different algebras")
     unknowns = m.dim * n.dim
     elim = SparseEliminator()
     for a in range(m.algebra.dim):
-        am = m.action[a]
-        an = n.action[a]
-        for r in range(m.dim):
+        columns = [{} for _ in range(n.dim)]
+        for s, row in enumerate(n.action[a]):
+            for c, v in row.items():
+                columns[c][s] = v
+        for r, row in enumerate(m.action[a]):
             for c in range(n.dim):
-                row = {t * n.dim + c: am[r][t] for t in range(m.dim) if am[r][t]}
-                add_scaled(row, {r * n.dim + s: an[s][c]
-                                 for s in range(n.dim) if an[s][c]}, MINUS_ONE)
-                if row:
-                    elim.add(row)
+                eq = {t * n.dim + c: v for t, v in row.items()}
+                add_scaled(eq, {r * n.dim + s: v for s, v in columns[c].items()},
+                           MINUS_ONE)
+                if eq:
+                    elim.add(eq)
     return unknowns - elim.rank
 
 
@@ -776,82 +718,53 @@ def full_idempotent_check(algebra, e):
     return elim.rank == algebra.dim
 
 
-class _HomogeneousLookup:
-    """Coordinates in a stacked basis of homogeneous vectors, degree by
-    degree; homogeneous components of distinct degrees have disjoint
-    supports, so each degree block reduces independently.  ``blocks`` maps
-    each degree to the subspace its block spans; ``cols`` stacks the block
-    bases in degree order."""
+def restrict(algebra, space, unit):
+    """The algebra on a homogeneous, multiplication-closed subspace, on its
+    reduced row echelon basis, with ``unit`` as its unit.
 
-    def __init__(self, algebra, blocks):
-        self.algebra = algebra
-        self.offsets = {}
-        self.blocks = blocks
-        self.cols = []
-        self.degrees = []
-        for deg, block in blocks.items():
-            self.offsets[deg] = len(self.cols)
-            self.cols.extend(block.basis)
-            self.degrees.extend([deg] * block.dim)
+    Structure constants are the coordinates ``space.reduce_with_coords``
+    reads off each product.  A basis row that is not homogeneous, or a
+    product or the unit outside the subspace, raises DimensionMismatch.  A
+    span of homogeneous vectors has a homogeneous reduced row echelon basis:
+    it is the direct sum of its degree parts, whose supports are disjoint,
+    so the union of their reduced bases is reduced for the whole span and is
+    its basis by uniqueness (see ``exactlin``).
+    """
+    degrees = [algebra.element_degree(row) for row in space.basis]
+    if None in degrees:
+        raise DimensionMismatch("subspace basis is not homogeneous")
 
-    def coords(self, vec):
-        """Sparse coordinates of an algebra vector, or None if outside."""
-        by_degree = {}
-        for i, c in vec.items():
-            by_degree.setdefault(self.algebra.degrees[i], {})[i] = c
-        out = {}
-        for deg, part in by_degree.items():
-            block = self.blocks.get(deg)
-            if block is None:
-                return None
-            coeffs, rem = block.reduce_with_coords(part)
-            if rem:
-                return None
-            base = self.offsets[deg]
-            for k, c in coeffs.items():
-                out[base + k] = c
-        return out
+    def coords(vec, what):
+        found, rem = space.reduce_with_coords(vec)
+        if rem:
+            raise DimensionMismatch(f"{what} lies outside the subspace")
+        return found
+
+    table = [[coords(algebra.mul(u, v), "a product") for v in space.basis]
+             for u in space.basis]
+    return GradedAlgebra([f"s{k}" for k in range(space.dim)], table,
+                         coords(unit, "the unit"), degrees, algebra.group_rank)
 
 
 def corner_embedding(algebra, e):
-    """The corner algebra e A e plus the coordinates of A's vectors in its
-    basis, whose ``cols`` are the inclusion of that basis into A."""
+    """The corner algebra e A e with unit e, and the subspace e A e of A
+    whose reduced row echelon basis is the corner's basis."""
     if not vec_eq(algebra.mul(e, e), e):
         raise NotIdempotent("corner requires an idempotent")
     degree_of_e = algebra.element_degree(e)
     if degree_of_e is None or any(degree_of_e):
         raise NotIdempotent("corner requires a homogeneous degree-0 idempotent")
-    blocks = {}
-    for deg in sorted({algebra.degrees[i] for i in range(algebra.dim)}):
-        block = Subspace.from_rows(
-            [algebra.mul(algebra.mul(e, algebra.basis_vec(i)), e)
-             for i in algebra.component_indices(deg)], algebra.dim)
-        if block.dim:
-            blocks[deg] = block
-    lookup = _HomogeneousLookup(algebra, blocks)
-    rows = lookup.cols
-    labels = [f"e{k}" for k in range(len(rows))]
-    table = []
-    for u in rows:
-        row_entries = []
-        for v in rows:
-            coords = lookup.coords(algebra.mul(u, v))
-            if coords is None:
-                raise DimensionMismatch("corner is not multiplicatively closed")
-            row_entries.append(coords)
-        table.append(row_entries)
-    unit = lookup.coords(e)
-    if unit is None:
-        raise DimensionMismatch("idempotent lies outside its own corner")
-    corner_algebra = GradedAlgebra(labels, table, unit, lookup.degrees,
-                                   algebra.group_rank)
-    return corner_algebra, lookup
+    # e e_i e is homogeneous, as e has degree 0
+    space = Subspace.from_rows(
+        [algebra.mul(algebra.mul(e, algebra.basis_vec(i)), e)
+         for i in range(algebra.dim)], algebra.dim)
+    return restrict(algebra, space, e), space
 
 
-def corner(algebra, e):
-    """The corner algebra e A e with unit e, grading inherited."""
-    corner_algebra, _ = corner_embedding(algebra, e)
-    return corner_algebra
+def is_commutative(algebra):
+    table = algebra.table
+    return all(vec_eq(table[i][j], table[j][i])
+               for i in range(algebra.dim) for j in range(i))
 
 
 def strongly_graded_check(algebra):

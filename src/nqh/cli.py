@@ -125,14 +125,16 @@ def cmd_double_ore(args):
     lines.append(f"case: {kind.value}")
     payload = {item.name: item.passed for item in report.items}
     payload["case"] = kind.value
+    failed = not report.ok
     if central is not None:
         from .deform import central_lift_in_b
 
         ok = check_central(data.b, central_lift_in_b(data, central))
         lines.append(f"extended central element: {'central' if ok else 'NOT central'}")
         payload["extended_central"] = bool(ok)
+        failed |= not ok
     _emit(args, lines, payload)
-    return 0 if report.ok else 1
+    return 1 if failed else 0
 
 
 def cmd_verify_twist(args):

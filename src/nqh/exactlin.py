@@ -732,18 +732,20 @@ class Subspace:
     """A subspace of K^ambient held as its reduced row echelon basis.
 
     ``basis`` holds sparse rows {column: Scalar} with no zero stored;
-    ``pivots`` holds their pivot columns ascending.  Row k is 1 at
-    pivots[k], its leftmost column, and 0 at every other pivot.  This basis
+    ``pivots`` holds their pivot columns ascending, and ``position`` maps
+    each pivot to its row.  Row k is 1 at pivots[k], its leftmost column,
+    and 0 at every other pivot.  This basis
     is unique to the subspace (see the module docstring), so two subspaces
     are equal exactly when their bases are.
     """
 
-    __slots__ = ("ambient", "basis", "pivots")
+    __slots__ = ("ambient", "basis", "pivots", "position")
 
     def __init__(self, ambient, basis, pivots):
         self.ambient = ambient
         self.basis = tuple(basis)
         self.pivots = tuple(pivots)
+        self.position = {p: k for k, p in enumerate(self.pivots)}
 
     @classmethod
     def from_rows(cls, rows, ambient):
@@ -766,14 +768,15 @@ class Subspace:
         """(coords, remainder) of a sparse vector: vec = sum of coords[k]
         times basis[k], plus a remainder that is 0 at every pivot, and {}
         exactly when vec lies in the subspace.  Row k is 1 at pivots[k] and
-        0 at the other pivots, so coords[k] is vec's own entry there."""
+        0 at the other pivots, so coords[k] is vec's own entry there: only
+        the pivots in vec's support are visited, through ``position``, in
+        ascending order."""
+        position = self.position
+        coords = {position[c]: v for c, v in sorted(vec.items())
+                  if v and c in position}
         rem = {c: v for c, v in vec.items() if v}
-        coords = {}
-        for k, (p, row) in enumerate(zip(self.pivots, self.basis)):
-            factor = rem.get(p)
-            if factor:
-                coords[k] = factor
-                add_scaled(rem, row, -factor)
+        for k, factor in coords.items():
+            add_scaled(rem, self.basis[k], -factor)
         return coords, rem
 
     def reduce(self, vec):
@@ -798,16 +801,13 @@ class Subspace:
         return f"Subspace(ambient={self.ambient}, dim={self.dim})"
 
 
-def nullspace(rows, ncols=None):
+def nullspace(rows, ncols):
     """Kernel {v : M v = 0} of the matrix with the given sparse rows, as a
-    Subspace of K^ncols.  Sparse rows do not carry their length, so
-    ``ncols`` is required.
+    Subspace of K^ncols; sparse rows do not carry their length.
 
     Each free column f gives the kernel vector that is 1 at f, -row[f] at
     the pivot of each reduced row, and 0 elsewhere.
     """
-    if ncols is None:
-        raise DimensionMismatch("ncols required for a sparse matrix")
     basis, pivots = rref_rows(rows, ncols)
     kernel = {f: {f: ONE} for f in range(ncols)}
     for p, row in zip(pivots, basis):

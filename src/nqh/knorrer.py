@@ -26,8 +26,10 @@ from .algebra import (
     corner_embedding,
     extend_on_generators,
     full_idempotent_check,
+    is_commutative,
     is_nilpotent_element,
     radical,
+    restrict,
     strongly_graded_check,
     vec_add,
     vec_eq,
@@ -244,31 +246,6 @@ def _eigenspace(E, linmap):
     return nullspace(equations, E.dim)
 
 
-def _subspace_algebra(E, space):
-    """Algebra structure on a multiplication-closed homogeneous subspace."""
-    rows = list(space.basis)
-    degs = []
-    for row in rows:
-        deg = E.element_degree(row)
-        if deg is None:
-            raise PipelineError("subspace basis is not homogeneous")
-        degs.append(deg)
-    table = []
-    for u in rows:
-        entries = []
-        for v in rows:
-            coords, rem = space.reduce_with_coords(E.mul(u, v))
-            if rem:
-                raise PipelineError("subspace is not multiplicatively closed")
-            entries.append(coords)
-        table.append(entries)
-    unit, rem = space.reduce_with_coords(E.unit)
-    if rem:
-        raise PipelineError("unit lies outside the subspace")
-    labels = [f"s{k}" for k in range(len(rows))]
-    return GradedAlgebra(labels, table, unit, degs, E.group_rank), rows
-
-
 def _certify(checks, name, rep, what):
     """Record the ``verify_algebra`` report ``rep`` as check ``name``; a
     failure raises, since every later ``verify_iso`` needs it associative."""
@@ -377,7 +354,8 @@ def run_plus_case(data, lift):
 
     S = _eigenspace(E, xi1)
     M = _eigenspace(E, xi2)
-    S_alg, s_rows = _subspace_algebra(E, S)
+    S_alg = restrict(E, S, E.unit)
+    s_rows = S.basis
     checks.add("eigenspace-subalgebra", True)
 
     # bimodule structure on M and the pairing into S
@@ -429,7 +407,7 @@ def run_plus_case(data, lift):
              "semi-trivial extension")
 
     # corner at e matches the semi-trivial extension
-    corner_alg, lookup = corner_embedding(twisted, e)
+    corner_alg, corner_space = corner_embedding(twisted, e)
     corner_ok = corner_alg.dim == Lambda.dim
     if corner_ok:
         cols = []
@@ -446,11 +424,11 @@ def run_plus_case(data, lift):
                 target[layout.index(1, 1, b)] = coeff * HALF
                 target[layout.index(1, 2, b)] = coeff * HALF * minus_i
             cols.append(target)
-        # express each target in the corner basis, degree by degree
+        # express each target in the corner basis
         corner_cols = []
         for target in cols:
-            coords = lookup.coords(target)
-            if coords is None:
+            coords, rem = corner_space.reduce_with_coords(target)
+            if rem:
                 corner_ok = False
                 break
             corner_cols.append(coords)
@@ -541,11 +519,12 @@ def run_minus_case(data, lift):
     NG = zhang_twist(Gamma, (GradedLinMap.identity(Gamma), mu))
     _certify(checks, "zhang-twist-valid", verify_algebra(NG), "Zhang twist")
     # ST0 is the exact restriction of the certified ST_big to a
-    # multiplication-closed basis subset, so associative as verify_iso needs
+    # multiplication-closed span of basis vectors, so associative as
+    # verify_iso needs; there the total degree is the first one
     zero_idx = [i for i in range(ST_big.dim) if ST_big.degrees[i][1] == 0]
-    ST0 = ST_big.subalgebra_on(
-        zero_idx, degrees=[(ST_big.degrees[i][0],) for i in zero_idx],
-        group_rank=1)
+    ST0 = restrict(ST_big, Subspace.from_rows([{i: ONE} for i in zero_idx],
+                                              ST_big.dim),
+                   ST_big.unit).total_degree_regrade()
     ng_cols = [None] * NG.dim
     for j in (1, 2):
         for b in range(E.dim):
@@ -569,14 +548,6 @@ def run_minus_case(data, lift):
 
 # ---------------------------------------------------------------------------
 # verdicts and reports
-
-
-def _is_commutative(algebra):
-    for i in range(algebra.dim):
-        for j in range(i):
-            if not vec_eq(algebra.table[i][j], algebra.table[j][i]):
-                return False
-    return True
 
 
 @dataclass
@@ -610,7 +581,8 @@ def singularity_report(result, decomposition=None):
         small_name = "twisted-product Zhang twist"
     big_rad = radical(big).dim
     small_rad = radical(small).dim
-    zero_part = big.subalgebra_on(big.component_indices((0,)))
+    zero_part = restrict(big, Subspace.from_rows(
+        [{i: ONE} for i in big.component_indices((0,))], big.dim), big.unit)
     zero_rad = radical(zero_part).dim
     lines.append("regularity of the central element: assumed (not computed)")
     lines.append(f"big deformation dim: {big.dim}, radical dim: {big_rad}")
@@ -632,7 +604,7 @@ def singularity_report(result, decomposition=None):
         if result.case == "plus":
             lam = result.Lambda
             concentrated = all(d == (0,) for d in lam.degrees)
-            if concentrated and _is_commutative(lam) and radical(lam).dim == 0:
+            if concentrated and is_commutative(lam) and radical(lam).dim == 0:
                 blocks = ",".join(["k"] * lam.dim)
                 lines.append(f"blocks: {blocks} ×2 components")
                 lines.append(

@@ -69,13 +69,11 @@ def _interreduce(elements, min_lhs_degree=2):
 class RewriteSystem:
     """An oriented rule set over a fixed alphabet."""
 
-    __slots__ = ("rules", "alphabet", "max_degree", "confluent_up_to", "_nf_cache",
-                 "_lhs_lengths")
+    __slots__ = ("rules", "alphabet", "confluent_up_to", "_nf_cache", "_lhs_lengths")
 
-    def __init__(self, rules, alphabet, max_degree=0, confluent_up_to=0):
+    def __init__(self, rules, alphabet, confluent_up_to=0):
         self.rules = dict(rules)
         self.alphabet = tuple(alphabet)
-        self.max_degree = max_degree
         self.confluent_up_to = confluent_up_to
         self._nf_cache = {(): TensorElement.unit()}
         self._lhs_lengths = sorted({len(l) for l in self.rules}) if self.rules else []
@@ -153,7 +151,7 @@ def complete(system, maxdeg):
         rules = _interreduce(equations, min_lhs_degree=1)
         if len(rules) > RULE_CAP:
             raise CompletionDiverged(f"rule count exceeded {RULE_CAP}")
-        work = RewriteSystem(rules, system.alphabet, maxdeg)
+        work = RewriteSystem(rules, system.alphabet)
         new_equation = None
         lhs_list = sorted(rules, key=deglex_key)
         for u in lhs_list:
@@ -182,7 +180,7 @@ def complete(system, maxdeg):
             if new_equation is not None:
                 break
         if new_equation is None:
-            return RewriteSystem(rules, system.alphabet, maxdeg, confluent_up_to=maxdeg)
+            return RewriteSystem(rules, system.alphabet, confluent_up_to=maxdeg)
         if not new_equation.max_word():
             raise NotOrientable("completion derived 1 = 0: inconsistent relations")
         equations = [TensorElement.monomial(l) - r for l, r in rules.items()]

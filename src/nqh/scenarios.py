@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .exactlin import I, ONE, add_scaled
 from .algebra import (
     RightModule,
+    is_commutative,
     is_nilpotent_element,
     radical,
     spin,
@@ -152,7 +153,7 @@ def _character_modules(algebra):
                 value = ONE
                 for letter in word:
                     value = value * (s1 if letter == 0 else s2)
-                action.append([[value]])
+                action.append([{0: value}])
             modules.append(RightModule(algebra, 1, action))
     return modules
 
@@ -165,8 +166,7 @@ def run_ex_4_10():
     C = base.algebra
     checks.append(ScenarioCheck("clifford-dim", C.dim == 4, str(C.dim),
                                 "published"))
-    commutative = all(vec_eq(C.table[i][j], C.table[j][i])
-                      for i in range(C.dim) for j in range(C.dim))
+    commutative = is_commutative(C)
     checks.append(ScenarioCheck("clifford-commutative", commutative,
                                 str(commutative), "published"))
     rad = radical(C).dim
@@ -186,8 +186,7 @@ def run_ex_4_10():
     checks.append(ScenarioCheck("corner-extension-concentrated", concentrated,
                                 str(lam.degrees), "published"))
     lam_rad = radical(lam).dim
-    lam_comm = all(vec_eq(lam.table[i][j], lam.table[j][i])
-                   for i in range(lam.dim) for j in range(lam.dim))
+    lam_comm = is_commutative(lam)
     checks.append(ScenarioCheck("corner-extension-semisimple",
                                 lam_rad == 0 and lam_comm and lam.dim == 4,
                                 f"radical {lam_rad}, dim {lam.dim}",

@@ -73,7 +73,7 @@ def character_modules(algebra):
                 value = ONE
                 for letter in word:
                     value = value * (s1 if letter == 0 else s2)
-                action.append([[value]])
+                action.append([{0: value}])
             modules.append(RightModule(algebra, 1, action))
     return modules
 

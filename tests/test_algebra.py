@@ -2,18 +2,27 @@ import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from perfbench.workloads import generate
 
 from nqh import algebra as algebra_module, deform, knorrer, twist
-from nqh.errors import RelationViolated, ZeroScale
-from nqh.exactlin import HALF, ONE, Scalar, ZERO
+from nqh.errors import DimensionMismatch, RelationViolated, ZeroScale
+from nqh.exactlin import (
+    HALF,
+    I,
+    ONE,
+    Scalar,
+    SparseEliminator,
+    Subspace,
+    ZERO,
+    add_scaled,
+)
 from nqh.algebra import (
     GradedAlgebra,
     GradedLinMap,
     MatrixHom,
     RightModule,
-    corner,
     corner_embedding,
     extend_on_generators,
     full_idempotent_check,
@@ -22,6 +31,7 @@ from nqh.algebra import (
     is_absolutely_simple,
     is_nilpotent_element,
     radical,
+    restrict,
     spin,
     strongly_graded_check,
     t_inverse_table,
@@ -214,19 +224,19 @@ def test_burnside_criterion():
     algebra = group_algebra_z2()
     regular = RightModule.regular(algebra)
     assert not is_absolutely_simple(regular)
-    plus = RightModule(algebra, 1, [[[ONE]], [[ONE]]])
-    minus = RightModule(algebra, 1, [[[ONE]], [[-ONE]]])
+    plus = RightModule(algebra, 1, [[{0: ONE}], [{0: ONE}]])
+    minus = RightModule(algebra, 1, [[{0: ONE}], [{0: -ONE}]])
     assert is_absolutely_simple(plus)
     assert plus.verify() and minus.verify()
-    zero_action = RightModule(dual_numbers(), 1, [[[ONE]], [[ZERO]]])
+    zero_action = RightModule(dual_numbers(), 1, [[{0: ONE}], [{}]])
     assert is_absolutely_simple(zero_action)
 
 
 def test_hom_dim_and_decomposition():
     algebra = group_algebra_z2()
     regular = RightModule.regular(algebra)
-    plus = RightModule(algebra, 1, [[[ONE]], [[ONE]]])
-    minus = RightModule(algebra, 1, [[[ONE]], [[-ONE]]])
+    plus = RightModule(algebra, 1, [[{0: ONE}], [{0: ONE}]])
+    minus = RightModule(algebra, 1, [[{0: ONE}], [{0: -ONE}]])
     assert hom_dim(plus, plus) == 1
     assert hom_dim(plus, minus) == 0
     assert hom_dim(plus, regular) == 1
@@ -247,6 +257,15 @@ def test_matrix_algebra_decomposition():
     assert verify_decomposition(algebra, [simple], [2])
 
 
+def test_module_verify_rejects_a_left_action():
+    algebra = matrix_algebra_2x2()
+    assert RightModule.regular(algebra).verify()
+    # e_r . e_j = e_j e_r is a left action, not a right one, on M_2
+    left = RightModule(algebra, 4, [[algebra.table[j][r] for r in range(4)]
+                                    for j in range(4)])
+    assert not left.verify()
+
+
 def test_full_idempotent():
     algebra = matrix_algebra_2x2()
     assert full_idempotent_check(algebra, dict(algebra.unit))
@@ -259,14 +278,14 @@ def test_full_idempotent():
 
 def test_corner_examples():
     algebra = matrix_algebra_2x2()
-    at_unit = corner(algebra, dict(algebra.unit))
+    at_unit, _ = corner_embedding(algebra, dict(algebra.unit))
     assert at_unit.dim == algebra.dim
     assert verify_algebra(at_unit).ok
-    small = corner(algebra, {0: ONE})
+    small, _ = corner_embedding(algebra, {0: ONE})
     assert small.dim == 1
     assert verify_algebra(small).ok
-    corner_alg, lookup = corner_embedding(algebra, {0: ONE})
-    assert vec_eq(lookup.cols[0], {0: ONE})
+    corner_alg, space = corner_embedding(algebra, {0: ONE})
+    assert vec_eq(space.basis[0], {0: ONE})
 
 
 def test_corner_requires_idempotent():
@@ -274,7 +293,7 @@ def test_corner_requires_idempotent():
 
     algebra = matrix_algebra_2x2()
     with pytest.raises(NotIdempotent):
-        corner(algebra, {1: ONE})
+        corner_embedding(algebra, {1: ONE})
 
 
 def test_serialization_is_deterministic(clifford_km1):
@@ -290,7 +309,7 @@ def test_serialization_is_deterministic(clifford_km1):
 def test_corner_unit_and_rank_property():
     algebra = matrix_algebra_2x2()
     e = {0: ONE}
-    corner_alg = corner(algebra, e)
+    corner_alg, _ = corner_embedding(algebra, e)
     # dim equals the rank of a -> e a e
     images = [algebra.mul(algebra.mul(e, algebra.basis_vec(i)), e)
               for i in range(algebra.dim)]
@@ -299,6 +318,22 @@ def test_corner_unit_and_rank_property():
     assert corner_alg.dim == Subspace.from_rows(images, algebra.dim).dim
     assert vec_eq(corner_alg.mul(corner_alg.unit, corner_alg.unit),
                   corner_alg.unit)
+
+
+def test_restrict_rejects_what_is_not_a_subalgebra():
+    m2 = matrix_algebra_2x2()
+    # E21 E12 = E22 leaves span(E11, E12, E21)
+    not_closed = Subspace.from_rows([{0: ONE}, {1: ONE}, {2: ONE}], 4)
+    with pytest.raises(DimensionMismatch, match="a product lies outside"):
+        restrict(m2, not_closed, {0: ONE})
+    # 1 + g mixes the degrees 0 and 1
+    mixed = Subspace.from_rows([{0: ONE, 1: ONE}], 2)
+    with pytest.raises(DimensionMismatch, match="not homogeneous"):
+        restrict(group_algebra_z2(), mixed, {0: ONE, 1: ONE})
+    corner_space = Subspace.from_rows([{0: ONE}], 4)
+    assert restrict(m2, corner_space, {0: ONE}).dim == 1
+    with pytest.raises(DimensionMismatch, match="the unit lies outside"):
+        restrict(m2, corner_space, m2.unit)
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +485,49 @@ def test_verify_algebra_needs_every_generator():
     items = _items(verify_algebra(no_unit))
     assert items == reference_verify_algebra(no_unit)
     assert [passed for _, passed, _ in items] == [False, True, False]
+
+
+def _generated_subalgebra(algebra, gens):
+    """The span of the right products 1 g_1 ... g_k of the vectors ``gens``."""
+    elim = SparseEliminator()
+    elim.add(algebra.unit)
+    work = [algebra.unit]
+    while work:
+        vec = work.pop()
+        for g in gens:
+            image = algebra.mul(vec, g)
+            if elim.add(image):
+                work.append(image)
+    return Subspace.from_eliminator(elim, algebra.dim)
+
+
+@given(st.data())
+def test_restrict_coordinates_recombine_to_each_product(pipeline_algebras, data):
+    algebra = data.draw(st.sampled_from(pipeline_algebras))
+    gens = []
+    for _ in range(data.draw(st.integers(0, 2))):
+        degree = data.draw(st.sampled_from(sorted(set(algebra.degrees))))
+        indices = [i for i in range(algebra.dim) if algebra.degrees[i] == degree]
+        picked = data.draw(st.lists(st.sampled_from(indices), min_size=1,
+                                    max_size=3, unique=True))
+        gens.append({i: data.draw(st.sampled_from([ONE, -ONE, HALF, I]))
+                     for i in picked})
+    space = _generated_subalgebra(algebra, gens)
+    restricted = restrict(algebra, space, algebra.unit)
+
+    def recombine(coords):
+        out = {}
+        for k, c in coords.items():
+            add_scaled(out, space.basis[k], c)
+        return out
+
+    assert restricted.dim == space.dim
+    assert vec_eq(recombine(restricted.unit), algebra.unit)
+    for k, u in enumerate(space.basis):
+        assert restricted.degrees[k] == algebra.element_degree(u)
+        for l, v in enumerate(space.basis):
+            assert vec_eq(recombine(restricted.table[k][l]), algebra.mul(u, v))
+    assert verify_algebra(restricted).ok
 
 
 def _capture(patch, name, sink, modules):

@@ -251,6 +251,18 @@ def test_double_ore_command(capsys, double_ore_file):
     assert "extended central element: central" in out
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_double_ore_noncentral_extension_is_exit_1(capsys, tmp_path, json_flag):
+    path = tmp_path / "noncentral.json"
+    path.write_text(json.dumps({**EX_4_10, "central": {"x1 x1": "1"}}))
+    assert main([*json_flag, "double-ore", str(path)]) == 1
+    out = capsys.readouterr().out
+    if json_flag:
+        assert json.loads(out)["extended_central"] is False
+    else:
+        assert "extended central element: NOT central" in out
+
+
 def test_knorrer_command(capsys, double_ore_file, tmp_path):
     report_path = tmp_path / "report.txt"
     assert main(["knorrer", double_ore_file, "--report", str(report_path)]) == 0

@@ -451,6 +451,52 @@ def test_sparse_engine_matches_the_dense_reference(case):
     assert meet.pivots == tuple(ref_meet_pivots)
 
 
+def all_pivot_reduce_with_coords(space, vec):
+    """The reduction that visits every pivot of ``space`` in turn: the form
+    ``Subspace.reduce_with_coords`` had before it read coordinates through
+    the pivot position map."""
+    rem = {c: v for c, v in vec.items() if v}
+    coords = {}
+    for k, (p, row) in enumerate(zip(space.pivots, space.basis)):
+        factor = rem.get(p)
+        if factor:
+            coords[k] = factor
+            add_scaled(rem, row, -factor)
+    return coords, rem
+
+
+@st.composite
+def probe_cases(draw):
+    """(space, vector, inside): a vector built inside the span, or drawn
+    freely; either may carry stored zeros, and its keys come in any order."""
+    ncols = draw(st.integers(1, 7))
+    rows = draw(row_sets(ncols, draw(st.integers(0, ncols))))
+    space = Subspace.from_rows([sparse(r) for r in rows], ncols)
+    inside = draw(st.booleans())
+    if inside:
+        vec = {}
+        for row in space.basis:
+            add_scaled(vec, row, draw(st.sampled_from(ENTRIES)))
+    else:
+        vec = sparse([draw(st.sampled_from(ENTRIES)) for _ in range(ncols)])
+    for c in draw(st.lists(st.integers(0, ncols - 1), max_size=3)):
+        vec.setdefault(c, ZERO)
+    vec = dict(draw(st.permutations(list(vec.items()))))
+    return space, vec, inside
+
+
+@given(probe_cases())
+def test_reduce_with_coords_matches_the_all_pivot_loop(case):
+    space, vec, inside = case
+    coords, rem = space.reduce_with_coords(vec)
+    ref_coords, ref_rem = all_pivot_reduce_with_coords(space, vec)
+    assert coords == ref_coords and list(coords) == list(ref_coords)
+    assert rem == ref_rem
+    assert all(rem.values())
+    if inside:
+        assert rem == {}
+
+
 def test_reduced_rows_back_substitute_the_echelon_rows():
     elim = SparseEliminator()
     elim.add({0: ONE, 1: ONE, 2: ONE})

@@ -1,0 +1,37 @@
+"""No module of the package imports a name it never uses.
+
+The check reads each module's syntax tree: every name bound by an
+``import`` or ``from ... import`` must appear as a name somewhere in the
+same module.  ``__init__`` is exempt, since its imports are re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nqh"
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source):
+    """The names that ``source`` imports and never uses, sorted."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_the_check_finds_an_unused_import():
+    source = "import os\nimport os.path as p\nfrom x import a, b as c\nprint(a, p)\n"
+    assert unused_imports(source) == ["c", "os"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_uses_every_name_it_imports(module):
+    assert unused_imports((PACKAGE / module).read_text()) == []
