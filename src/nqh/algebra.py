@@ -382,10 +382,6 @@ class MatrixHom:
         """1-based access matching the customary subscripts."""
         return self.entries[i - 1][j - 1]
 
-    def apply(self, vec):
-        return [[self.entries[0][0].apply(vec), self.entries[0][1].apply(vec)],
-                [self.entries[1][0].apply(vec), self.entries[1][1].apply(vec)]]
-
     def value_at_unit(self):
         """The 2x2 scalar matrix of images of 1, or None if not scalar."""
         E = self.algebra

@@ -864,17 +864,6 @@ def matrix_mul(a, b):
     return out
 
 
-def matrix_vec(a, v):
-    out = []
-    for row in a:
-        acc = ZERO
-        for c, x in zip(row, v):
-            if c and x:
-                acc = acc + c * x
-        out.append(acc)
-    return out
-
-
 def matrix_add(a, b):
     return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
 

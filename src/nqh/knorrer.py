@@ -57,11 +57,10 @@ from .deform import (
 )
 from .twist import (
     BlockLayout,
+    GradedBasisM2,
     SemiTrivialData,
     TwistingSystemM2,
-    TwistingSystemProd,
     build_semitrivial,
-    product_l_tensor,
     semitrivial_mu,
     standard_basis_m2,
     verify_twisting_M2,
@@ -108,7 +107,7 @@ class PlusCaseResult:
 @dataclass
 class MinusCaseResult:
     sigma_dual: MatrixHom
-    theta_prod: TwistingSystemProd
+    theta_prod: TwistingSystemM2
     Gamma: GradedAlgebra
     mu: GradedLinMap
     semitrivial: GradedAlgebra      # forget-first regrading
@@ -328,7 +327,7 @@ def run_plus_case(data, lift):
     _certify(checks, "twisted-algebra-valid", Theta.certificate, "twisted algebra")
     twisted = twisted_big.total_degree_regrade()
 
-    layout = BlockLayout(E)
+    layout = BlockLayout(E, basis)
     unit_index = E.words.index(())
     # twisted regrades the certified twisted_big
     oracle, iso = _oracle_step(
@@ -465,9 +464,9 @@ def run_minus_case(data, lift):
     E = base.algebra
 
     theta = _minus_theta(sd, E)
-    epsilon = ((ONE, ONE), (ONE, Scalar(-1)))
-    ltens = product_l_tensor(epsilon)
-    system = TwistingSystemProd(E, theta, epsilon, ltens)
+    basis = GradedBasisM2({(0, 1): ((ONE, ZERO), (ZERO, ONE)),
+                           (0, 2): ((ONE, ZERO), (ZERO, Scalar(-1)))})
+    system = TwistingSystemM2(E, (theta,), basis)
     rep = verify_twisting_prod(system)
     checks.add("twisting-system", rep.ok,
                "" if rep.ok else str(rep.first_failure()))
@@ -477,7 +476,7 @@ def run_minus_case(data, lift):
     # verify_twisting_prod built and certified the twisted product
     Gamma = system.twisted
     _certify(checks, "twisted-product-valid", system.certificate, "twisted product")
-    layout = BlockLayout(E, epsilon)
+    layout = BlockLayout(E, basis)
 
     # the involution exchanging the two slots through the dual table
     xi = xi_automorphism(E, Scalar(-1))
@@ -516,7 +515,7 @@ def run_minus_case(data, lift):
          Gamma.dim + layout.index(0, 2, unit_index)),
         layout, "semi-trivial extension")
 
-    NG = zhang_twist(Gamma, (GradedLinMap.identity(Gamma), mu))
+    NG = zhang_twist(Gamma, mu)
     _certify(checks, "zhang-twist-valid", verify_algebra(NG), "Zhang twist")
     # ST0 is the exact restriction of the certified ST_big to a
     # multiplication-closed span of basis vectors, so associative as

@@ -186,13 +186,10 @@ class QuadraticPresentation:
         return f"QuadraticPresentation({self.generators}, dim R={self.relations.dim})"
 
 
-def graded_dim(presentation, n):
-    return presentation.component_dim(n)
-
-
-def hilbert_profile(presentation, upto, bound=DEGREE_BOUND):
-    if upto > bound:
-        raise BoundExceeded(f"degree {upto} exceeds the configured bound {bound}")
+def hilbert_profile(presentation, upto):
+    if upto > DEGREE_BOUND:
+        raise BoundExceeded(
+            f"degree {upto} exceeds the configured bound {DEGREE_BOUND}")
     return [presentation.component_dim(n) for n in range(upto + 1)]
 
 

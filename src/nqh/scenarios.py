@@ -140,7 +140,7 @@ def _pair_tools(result):
     """The label index of E and the pair map (a, b) -> E x E of a minus case."""
     E = result.base.algebra
     index = {lbl: k for k, lbl in enumerate(E.labels)}
-    return index, BlockLayout(E, result.theta_prod.epsilon).pair
+    return index, BlockLayout(E, result.theta_prod.basis).pair
 
 
 def _character_modules(algebra):

@@ -11,9 +11,11 @@ product associative.  The individual table entries are NOT assumed
 multiplicative: the upper-triangular tables produced by the deformation
 pipelines have a derivation-like off-diagonal entry.
 
-Twisted direct products are the analogous deformation of E x E over an
-invertible basis of k x k.  Semi-trivial extensions and left Zhang twists
-are the two repackagings used to identify degree-0 parts.
+Twisted direct products are the same deformation of E x E, the degree-0
+half of M_2(E): its basis of k x k is the diagonal pair of such a graded
+basis, and its twisting system is a single theta^(0).  Semi-trivial
+extensions and left Zhang twists by an involution are the two repackagings
+used to identify degree-0 parts.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .exactlin import (
     add_scaled,
     matrix_inverse,
     matrix_mul,
-    matrix_vec,
 )
 from .algebra import (
     GradedAlgebra,
@@ -55,77 +56,63 @@ def _scalar_2x2(rows):
 
 
 class GradedBasisM2:
-    """An invertible Z2-graded basis of the 2x2 scalar matrices.
+    """An invertible Z2-graded basis of the 2x2 scalar matrices, or the
+    degree-0 pair alone as a basis of k x k.
 
-    Carries the derived data: gamma (coordinates of the identity in the
-    degree-0 pair) and the structure tensor l with
+    ``mats[(i, j)]`` is I(i)_j: the degree-0 pair is diagonal, the degree-1
+    pair anti-diagonal.  A basis eps_j = (u_j, v_j) of k x k is the pair
+    diag(u_j, v_j), and ``halves`` is then (0,), else (0, 1).  Carries the
+    derived data: gamma (coordinates of the identity in the degree-0 pair)
+    and the structure tensor l with
     I(i)_j I(i')_j' = sum_s I(i+i')_s l^(ii')_{s j j'}.
     """
 
-    __slots__ = ("mats", "gamma", "l")
+    __slots__ = ("mats", "halves", "gamma", "l")
+
+    # the two nonzero cells of a degree-i member, i = 0 then i = 1
+    CELLS = (((0, 0), (1, 1)), ((0, 1), (1, 0)))
 
     def __init__(self, mats):
         # mats[(i, j)] with i in {0, 1}, j in {1, 2}
+        halves = (0,) if set(mats) == {(0, 1), (0, 2)} else (0, 1)
+        if set(mats) != {(i, j) for i in halves for j in (1, 2)}:
+            raise SingularBasis("a graded basis is the degree-0 pair or all four members")
+        self.halves = halves
         self.mats = {key: _scalar_2x2(val) for key, val in mats.items()}
-        for j in (1, 2):
-            m0 = self.mats[(0, j)]
-            if m0[0][1] or m0[1][0]:
-                raise SingularBasis("degree-0 members must be diagonal")
-            if not (m0[0][0] and m0[1][1]):
-                raise SingularBasis("degree-0 members must be invertible")
-            m1 = self.mats[(1, j)]
-            if m1[0][0] or m1[1][1]:
-                raise SingularBasis("degree-1 members must be anti-diagonal")
-            if not (m1[0][1] and m1[1][0]):
-                raise SingularBasis("degree-1 members must be invertible")
-        for i in (0, 1):
+        for j, i in product((1, 2), halves):
+            (r1, c1), (r2, c2) = self.CELLS[i]
+            m = self.mats[(i, j)]
+            if m[r1][c2] or m[r2][c1]:
+                raise SingularBasis("degree-0 members must be diagonal" if i == 0
+                                    else "degree-1 members must be anti-diagonal")
+            if not (m[r1][c1] and m[r2][c2]):
+                raise SingularBasis(f"degree-{i} members must be invertible")
+        for i in halves:
+            (r1, c1), (r2, c2) = self.CELLS[i]
             a, b = self.mats[(i, 1)], self.mats[(i, 2)]
-            if i == 0:
-                det = a[0][0] * b[1][1] - b[0][0] * a[1][1]
-            else:
-                det = a[0][1] * b[1][0] - b[0][1] * a[1][0]
-            if not det:
+            if not a[r1][c1] * b[r2][c2] - b[r1][c1] * a[r2][c2]:
                 raise SingularBasis("graded pairs must be linearly independent")
-        self.gamma = self._solve_gamma()
-        self.l = self._solve_l()
+        self.gamma = self.coords(((ONE, ZERO), (ZERO, ONE)), 0)
+        self.l = {}
+        for i, ip in product(halves, repeat=2):
+            for j, jp in product((1, 2), repeat=2):
+                prod = matrix_mul(self.mats[(i, j)], self.mats[(ip, jp)])
+                for s, c in zip((1, 2), self.coords(prod, i + ip)):
+                    self.l[(i, ip, s, j, jp)] = c
 
-    def _solve_gamma(self):
-        a, b = self.mats[(0, 1)], self.mats[(0, 2)]
-        det = a[0][0] * b[1][1] - b[0][0] * a[1][1]
-        g1 = (b[1][1] - b[0][0]) / det
-        g2 = (a[0][0] - a[1][1]) / det
-        if g1 * a[0][0] + g2 * b[0][0] != ONE:
-            raise SingularBasis("identity not solvable in the degree-0 pair")
-        return (g1, g2)
-
-    def _solve_l(self):
-        out = {}
-        for i in (0, 1):
-            for ip in (0, 1):
-                target = (i + ip) % 2
-                t1, t2 = self.mats[(target, 1)], self.mats[(target, 2)]
-                for j in (1, 2):
-                    for jp in (1, 2):
-                        prod = matrix_mul([list(r) for r in self.mats[(i, j)]],
-                                          [list(r) for r in self.mats[(ip, jp)]])
-                        if target == 0:
-                            rows = [[t1[0][0], t2[0][0]], [t1[1][1], t2[1][1]]]
-                            rhs = [prod[0][0], prod[1][1]]
-                            off = (prod[0][1], prod[1][0])
-                        else:
-                            rows = [[t1[0][1], t2[0][1]], [t1[1][0], t2[1][0]]]
-                            rhs = [prod[0][1], prod[1][0]]
-                            off = (prod[0][0], prod[1][1])
-                        if any(off):
-                            raise SingularBasis("graded product left its component")
-                        det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-                        if not det:
-                            raise SingularBasis("structure tensor not solvable")
-                        c1 = (rhs[0] * rows[1][1] - rows[0][1] * rhs[1]) / det
-                        c2 = (rows[0][0] * rhs[1] - rhs[0] * rows[1][0]) / det
-                        out[(i, ip, 1, j, jp)] = c1
-                        out[(i, ip, 2, j, jp)] = c2
-        return out
+    def coords(self, m, i):
+        """(c_1, c_2) with c_1 I(i)_1 + c_2 I(i)_2 = m for a 2x2 matrix m,
+        the degree i read mod 2; SingularBasis when m has an entry outside
+        the degree-i cells."""
+        i %= 2
+        (r1, c1), (r2, c2) = self.CELLS[i]
+        if m[r1][c2] or m[r2][c1]:
+            raise SingularBasis(f"the matrix leaves the degree-{i} cells")
+        a, b = self.mats[(i, 1)], self.mats[(i, 2)]
+        det = a[r1][c1] * b[r2][c2] - b[r1][c1] * a[r2][c2]
+        x, y = m[r1][c1], m[r2][c2]
+        return ((x * b[r2][c2] - b[r1][c1] * y) / det,
+                (a[r1][c1] * y - x * a[r2][c2]) / det)
 
     def lval(self, i, ip, s, j, jp):
         return self.l[(i % 2, ip % 2, s, j, jp)]
@@ -135,33 +122,28 @@ class GradedBasisM2:
                 [self.lval(i, ip, 2, j, 1), self.lval(i, ip, 2, j, 2)]]
 
     def basis_identities(self):
-        """The associativity / identity-coordinate relations of the tensor."""
-        return _l_identities(self.lval, (0, 1), self.gamma)
-
-
-def _l_identities(lval, halves, gamma):
-    """The relations of a structure tensor l over the degrees ``halves``
-    (both for M_2(k), 0 alone for k x k), with gamma the coordinates of the
-    identity: l-associativity, the coordinate form of
-    (I(i)_j I(i')_j') I(i'')_j'' = I(i)_j (I(i')_j' I(i'')_j''), and
-    l-right-unit and l-left-unit, those of I(i)_j 1 = I(i)_j = 1 I(i)_j."""
-    report = Report()
-    report.add("l-associativity", all(
-        sum((lval(i, ip + ipp, t, j, s) * lval(ip, ipp, s, jp, jpp)
-             for s in (1, 2)), start=ZERO)
-        == sum((lval(i + ip, ipp, t, s, jpp) * lval(i, ip, s, j, jp)
-                for s in (1, 2)), start=ZERO)
-        for i in halves for ip in halves for ipp in halves
-        for j in (1, 2) for jp in (1, 2) for jpp in (1, 2) for t in (1, 2)))
-    report.add("l-right-unit", all(
-        sum((lval(i, 0, s, j, t) * gamma[t - 1] for t in (1, 2)), start=ZERO)
-        == (ONE if s == j else ZERO)
-        for i in halves for s in (1, 2) for j in (1, 2)))
-    report.add("l-left-unit", all(
-        sum((lval(0, i, s, j, t) * gamma[j - 1] for j in (1, 2)), start=ZERO)
-        == (ONE if s == t else ZERO)
-        for i in halves for s in (1, 2) for t in (1, 2)))
-    return report
+        """The relations of l over ``halves``, with gamma the coordinates of
+        the identity: l-associativity, the coordinate form of
+        (I(i)_j I(i')_j') I(i'')_j'' = I(i)_j (I(i')_j' I(i'')_j''), and
+        l-right-unit and l-left-unit, those of I(i)_j 1 = I(i)_j = 1 I(i)_j."""
+        lval, halves, gamma = self.lval, self.halves, self.gamma
+        report = Report()
+        report.add("l-associativity", all(
+            sum((lval(i, ip + ipp, t, j, s) * lval(ip, ipp, s, jp, jpp)
+                 for s in (1, 2)), start=ZERO)
+            == sum((lval(i + ip, ipp, t, s, jpp) * lval(i, ip, s, j, jp)
+                    for s in (1, 2)), start=ZERO)
+            for i in halves for ip in halves for ipp in halves
+            for j in (1, 2) for jp in (1, 2) for jpp in (1, 2) for t in (1, 2)))
+        report.add("l-right-unit", all(
+            sum((lval(i, 0, s, j, t) * gamma[t - 1] for t in (1, 2)), start=ZERO)
+            == (ONE if s == j else ZERO)
+            for i in halves for s in (1, 2) for j in (1, 2)))
+        report.add("l-left-unit", all(
+            sum((lval(0, i, s, j, t) * gamma[j - 1] for j in (1, 2)), start=ZERO)
+            == (ONE if s == t else ZERO)
+            for i in halves for s in (1, 2) for t in (1, 2)))
+        return report
 
 
 def structure_tensors(basis):
@@ -186,10 +168,13 @@ def standard_basis_m2():
 
 @dataclass
 class TwistingSystemM2:
-    """theta tables (one per Z2 degree) over a graded basis of M_2(k).
+    """theta tables (one per Z2 degree) over a graded basis of M_2(k), or a
+    single table over a basis of k x k (``basis.halves == (0,)``): the
+    twisting system of E x E is the degree-0 half of that of M_2(E).
 
-    ``verify_twisting_M2`` fills in the t-inverses, the twisted algebra
-    with its ``verify_algebra`` certificate, and the exchange verdict.
+    ``verify_twisting_M2`` or ``verify_twisting_prod`` fills in the
+    t-inverses, the twisted algebra with its ``verify_algebra`` certificate,
+    and (for M_2(E)) the exchange verdict.
     """
 
     algebra: GradedAlgebra
@@ -201,45 +186,21 @@ class TwistingSystemM2:
     exchange_ok: bool = None
 
 
-@dataclass
-class TwistingSystemProd:
-    """A theta table over a basis of k x k with its structure tensor l;
-    ``verify_twisting_prod`` fills in the t-inverse and the twisted product
-    with its ``verify_algebra`` certificate."""
-
-    algebra: GradedAlgebra
-    theta: object    # a single 2x2 table
-    epsilon: tuple   # basis of k x k as pairs of scalars
-    l: dict
-    t_inverse: object = None
-    twisted: GradedAlgebra = None
-    certificate: Report = None
-
-
-def _eps_coords(epsilon, u, v):
-    """(c_1, c_2) with c_1 eps_1 + c_2 eps_2 = (u, v) in k x k."""
-    e1, e2 = epsilon
-    det = e1[0] * e2[1] - e2[0] * e1[1]
-    if not det:
-        raise SingularBasis("basis of k x k must be linearly independent")
-    return ((u * e2[1] - e2[0] * v) / det, (e1[0] * v - u * e1[1]) / det)
-
-
 class BlockLayout:
     """The basis of a 2x2 block construction over an algebra E.
 
     M_2(E) has the basis I(i)_j e_b (i in {0, 1}, j in {1, 2}, b < dim E)
     at index (2i + j - 1) dim E + b.  E x E has the basis eps_j e_b at the
-    same index with i = 0: it is the i = 0 half.  ``epsilon`` is None for
-    M_2(E) and the basis of k x k for E x E.
+    same index with i = 0: it is the i = 0 half, and ``basis`` holds only
+    its degree-0 pair.
     """
 
-    __slots__ = ("algebra", "epsilon", "halves")
+    __slots__ = ("algebra", "basis", "halves")
 
-    def __init__(self, algebra, epsilon=None):
+    def __init__(self, algebra, basis):
         self.algebra = algebra
-        self.epsilon = epsilon
-        self.halves = (0, 1) if epsilon is None else (0,)
+        self.basis = basis
+        self.halves = basis.halves
 
     @property
     def dim(self):
@@ -253,25 +214,26 @@ class BlockLayout:
         """The graded algebra with this basis: labels I{i}_{j}*e_b graded
         (i, deg e_b) for M_2(E), labels e{j}*e_b graded deg e_b for E x E."""
         E = self.algebra
+        m2 = self.halves == (0, 1)
         labels = []
         degrees = []
         for i in self.halves:
             for j in (1, 2):
                 for b in range(E.dim):
-                    if self.epsilon is None:
+                    if m2:
                         labels.append(f"I{i}_{j}*{E.labels[b]}")
                         degrees.append((i,) + E.degrees[b])
                     else:
                         labels.append(f"e{j}*{E.labels[b]}")
                         degrees.append(E.degrees[b])
-        group_rank = 2 if self.epsilon is None else 1
-        return GradedAlgebra(labels, table, unit, degrees, group_rank=group_rank)
+        return GradedAlgebra(labels, table, unit, degrees, group_rank=2 if m2 else 1)
 
     def pair(self, a, b):
         """The vector of (a, b) in E x E on the basis eps_j e_b."""
         out = {}
-        for vec, coords in ((a, _eps_coords(self.epsilon, ONE, ZERO)),
-                            (b, _eps_coords(self.epsilon, ZERO, ONE))):
+        for vec, slot in ((a, ((ONE, ZERO), (ZERO, ZERO))),
+                          (b, ((ZERO, ZERO), (ZERO, ONE)))):
+            coords = self.basis.coords(slot, 0)
             for k, v in vec.items():
                 for j in (1, 2):
                     key = self.index(0, j, k)
@@ -285,20 +247,19 @@ def _unit_value_invertible(table):
     return v is not None and bool(v[0][0] * v[1][1] - v[0][1] * v[1][0])
 
 
-def _exchange_failure(layout, theta, lval):
+def _exchange_failure(system):
     """The first (i', i'', j', j'', p, x, y) at which the exchange identity
 
         sum_{s,u} l^(i'i'')_{psu} theta^(i'')_{uj''}(theta^(i')_{sj'}(x) y)
         = sum_{t,u} l^(i'i'')_{tj'u} theta^(i'+i'')_{pt}(x) theta^(i'')_{uj''}(y)
 
-    fails on basis vectors x, y of E, or None.  ``layout``, ``theta`` and
-    ``lval`` are as in :func:`_twisted_algebra`, so E x E gives the
-    i' = i'' = 0 case.  It runs only to name or decide a failure (see
+    fails on basis vectors x, y of E, or None.  On E x E only
+    i' = i'' = 0 occur.  It runs only to name or decide a failure (see
     :func:`_certify_exchange`), so it is written for clarity, not speed.
     """
-    E = layout.algebra
-    for ip in layout.halves:
-        for ipp in layout.halves:
+    E, theta, lval = system.algebra, system.theta, system.basis.lval
+    for ip in system.basis.halves:
+        for ipp in system.basis.halves:
             ti, tii, tsum = theta[ip], theta[ipp], theta[(ip + ipp) % 2]
             for x in range(E.dim):
                 for y in range(E.dim):
@@ -317,14 +278,14 @@ def _exchange_failure(layout, theta, lval):
     return None
 
 
-def _certify_exchange(system, build, layout, theta, lval, gamma):
+def _certify_exchange(system, build):
     """Build the twisted algebra of ``system`` once, keep it and its
     ``verify_algebra`` certificate on the system, and return the first
     failure of the exchange identity (as :func:`_exchange_failure`) or None.
 
     A passing associativity item decides the identity whenever the
     hypotheses of the proof below hold: the identities of l
-    (``_l_identities``; the proof uses l-associativity and l-left-unit)
+    (``basis_identities``; the proof uses l-associativity and l-left-unit)
     and 1 as a right unit of E.  Otherwise the loop runs, decides and names
     the failure, so verdict and detail are the loop's on every input.
 
@@ -353,18 +314,17 @@ def _certify_exchange(system, build, layout, theta, lval, gamma):
     = delta_mq, leaves D(m) = 0.  The converse uses only the right unit of
     E, not its associativity, and it is the only direction relied on here.
     On E x E only i = i' = i'' = 0 occur, I(0)_j reads eps_j and gamma is
-    the coordinate vector of (1, 1); the proof is the same, and since the
-    system takes l from its caller, the l identities are checked, not
-    assumed.
+    the coordinate vector of (1, 1); the proof is the same.  The l
+    identities are checked, not assumed, since l is a field of the basis.
     """
     system.twisted = build(system)
     system.certificate = verify_algebra(system.twisted)
-    E = layout.algebra
+    E = system.algebra
     passed = {item.name: item.passed for item in system.certificate.items}
-    if (passed["associativity"] and _l_identities(lval, layout.halves, gamma).ok
+    if (passed["associativity"] and system.basis.basis_identities().ok
             and all(E.mul({b: ONE}, E.unit) == {b: ONE} for b in range(E.dim))):
         return None
-    return _exchange_failure(layout, theta, lval)
+    return _exchange_failure(system)
 
 
 def verify_twisting_M2(system):
@@ -375,9 +335,7 @@ def verify_twisting_M2(system):
     (:func:`_certify_exchange`).
     """
     report = Report()
-    E = system.algebra
-    basis = system.basis
-    report.add("basis-identities", basis.basis_identities().ok)
+    report.add("basis-identities", system.basis.basis_identities().ok)
     inverses = []
     for i in (0, 1):
         inv = t_inverse_table(system.theta[i])
@@ -389,8 +347,7 @@ def verify_twisting_M2(system):
     report.add("theta1-unit-invertible", _unit_value_invertible(system.theta[1]))
     report.add("theta0-unit-invertible", _unit_value_invertible(system.theta[0]))
 
-    failure = _certify_exchange(system, build_twisted_M2, BlockLayout(E),
-                                system.theta, basis.lval, basis.gamma)
+    failure = _certify_exchange(system, build_twisted_M2)
     system.exchange_ok = failure is None
     detail = "" if failure is None else (
         "first failure at i'={} i''={} j'={} j''={} p={} x={} y={}".format(*failure))
@@ -498,15 +455,19 @@ def verify_twisting_suite(system):
     return report
 
 
-def _twisted_algebra(layout, theta, lval, gamma, phi0):
-    """The twisted product on ``layout`` and its unit.
+def _twisted_algebra(system):
+    """The twisted product of a verified system and its unit.
 
     I(i)_j e_b * I(i')_j' e_b' = sum_{s,t} l^(ii')_{tjs} I(i+i')_t
     theta^(i')_{sj'}(e_b) e_b' with l^(ii')_{tjs} = lval(i, i', t, j, s), and
-    the unit is sum_{j,s} gamma_s I(0)_j phi0_{sj}(1).  On E x E only i = 0
-    occurs and I(0)_j reads eps_j.
+    the unit is sum_{j,s} gamma_s I(0)_j phi0_{sj}(1) with phi0 the t-inverse
+    of theta^(0).  On E x E only i = 0 occurs and I(0)_j reads eps_j.
     """
-    E = layout.algebra
+    if system.t_inverses is None:
+        raise NotTwistingSystem("verify the system before building")
+    E, theta, basis = system.algebra, system.theta, system.basis
+    layout = BlockLayout(E, basis)
+    lval = basis.lval
     dim = E.dim
     table = [[{} for _ in range(layout.dim)] for _ in range(layout.dim)]
     for i in layout.halves:
@@ -546,7 +507,8 @@ def _twisted_algebra(layout, theta, lval, gamma, phi0):
     for j in (1, 2):
         part = {}
         for s in (1, 2):
-            add_scaled(part, phi0.entry(s, j).apply(E.unit), gamma[s - 1])
+            add_scaled(part, system.t_inverses[0].entry(s, j).apply(E.unit),
+                       basis.gamma[s - 1])
         offset = layout.index(0, j, 0)
         unit.update((offset + k, c) for k, c in part.items())
     return layout.algebra_on(table, unit)
@@ -555,17 +517,13 @@ def _twisted_algebra(layout, theta, lval, gamma, phi0):
 def build_twisted_M2(system):
     """The deformed algebra on the basis {I(i)_j e_b}, Z2 x Z2 graded;
     ``verify_twisting_M2`` builds it once and keeps it as ``twisted``."""
-    if system.t_inverses is None:
-        raise NotTwistingSystem("verify the system before building")
-    return _twisted_algebra(BlockLayout(system.algebra), system.theta,
-                            system.basis.lval, system.basis.gamma,
-                            system.t_inverses[0])
+    return _twisted_algebra(system)
 
 
 def plain_m2(E, basis):
     """Ordinary matrix multiplication constants over the same basis."""
     dim = E.dim
-    layout = BlockLayout(E)
+    layout = BlockLayout(E, basis)
     table = [[{} for _ in range(layout.dim)] for _ in range(layout.dim)]
     for i in (0, 1):
         for j in (1, 2):
@@ -617,7 +575,7 @@ def _block_iso(system, new_system, coeff, names):
         if not certificate.ok:
             raise NotTwistingSystem(
                 f"twisted algebra invalid: {certificate.first_failure()}")
-    layout = BlockLayout(system.algebra)
+    layout = BlockLayout(system.algebra, system.basis)
     cols = []
     for i in (0, 1):
         for j in (1, 2):
@@ -662,27 +620,15 @@ def normalize_upsilon(system):
 def rebase_omega(system, new_basis):
     """Transport a twisting system to another graded basis of M_2(k).
 
-    Solves (I...) = (J...) U per degree and conjugates the tables by U.
+    Reads (I...) = (J...) U per degree off ``new_basis.coords`` and
+    conjugates the tables by U.
     Returns (new system, iso from the old twisted algebra to the new one).
     """
     E = system.algebra
     _require_verified(system)
-    U = {}
-    for i in (0, 1):
-        if i == 0:
-            rows = [[new_basis.mats[(0, 1)][0][0], new_basis.mats[(0, 2)][0][0]],
-                    [new_basis.mats[(0, 1)][1][1], new_basis.mats[(0, 2)][1][1]]]
-            targets = [[system.basis.mats[(0, j)][0][0],
-                        system.basis.mats[(0, j)][1][1]] for j in (1, 2)]
-        else:
-            rows = [[new_basis.mats[(1, 1)][0][1], new_basis.mats[(1, 2)][0][1]],
-                    [new_basis.mats[(1, 1)][1][0], new_basis.mats[(1, 2)][1][0]]]
-            targets = [[system.basis.mats[(1, j)][0][1],
-                        system.basis.mats[(1, j)][1][0]] for j in (1, 2)]
-        inv = matrix_inverse([list(r) for r in rows])
-        if inv is None:
-            raise SingularBasis("replacement basis is not invertible")
-        U[i] = [matrix_vec(inv, t) for t in targets]  # column j of U^(i)
+    # column j of U^(i): the old I(i)_j in the new degree-i pair
+    U = {i: [new_basis.coords(system.basis.mats[(i, j)], i) for j in (1, 2)]
+         for i in (0, 1)}
     new_tables = []
     for i in (0, 1):
         u = [[U[i][0][0], U[i][1][0]], [U[i][0][1], U[i][1][1]]]
@@ -710,41 +656,20 @@ def rebase_omega(system, new_basis):
 # twisted direct products
 
 
-def product_l_tensor(epsilon):
-    """l with eps_j eps_j' = sum_p eps_p l_{p;jj'}, computed not assumed."""
-    e1, e2 = epsilon
-    if not (e1[0] and e1[1] and e2[0] and e2[1]):
-        raise SingularBasis("basis members must be invertible in k x k")
-    out = {}
-    for j, ej in ((1, e1), (2, e2)):
-        for jp, ejp in ((1, e1), (2, e2)):
-            c1, c2 = _eps_coords(epsilon, ej[0] * ejp[0], ej[1] * ejp[1])
-            out[(1, j, jp)] = c1
-            out[(2, j, jp)] = c2
-    return out
-
-
-def _product_lval(ltens):
-    """The structure tensor of k x k in the l^(ii')_{tjs} form of M_2(k),
-    whose degrees i, i' are all 0 on E x E."""
-    return lambda i, ip, t, j, s: ltens[(t, j, s)]
-
-
 def verify_twisting_prod(system):
-    """Condition report for a product twisting system; as for M_2(E), the
-    twisted product is built and certified once, and the exchange identity
-    is read off its certificate (:func:`_certify_exchange`)."""
+    """Condition report for a product twisting system, a
+    ``TwistingSystemM2`` with one table over a basis of k x k; as for
+    M_2(E), the twisted product is built and certified once, and the
+    exchange identity is read off its certificate (:func:`_certify_exchange`)."""
     report = Report()
-    inv = t_inverse_table(system.theta)
+    theta = system.theta[0]
+    inv = t_inverse_table(theta)
     report.add("theta-t-invertible", inv is not None)
     if inv is None:
         return report
-    system.t_inverse = inv
-    report.add("theta-unit-invertible", _unit_value_invertible(system.theta))
-    failure = _certify_exchange(system, build_twisted_prod,
-                                BlockLayout(system.algebra, system.epsilon),
-                                (system.theta,), _product_lval(system.l),
-                                _eps_coords(system.epsilon, ONE, ONE))
+    system.t_inverses = (inv,)
+    report.add("theta-unit-invertible", _unit_value_invertible(theta))
+    failure = _certify_exchange(system, build_twisted_prod)
     detail = "" if failure is None else (
         "fails at j={} j'={} p={} x={} y={}".format(*failure[2:]))
     report.add("product-exchange-identity", failure is None, detail)
@@ -754,12 +679,7 @@ def verify_twisting_prod(system):
 def build_twisted_prod(system):
     """The twisted product on the basis {eps_j e_b}, graded by E's grading;
     ``verify_twisting_prod`` builds it once and keeps it as ``twisted``."""
-    if system.t_inverse is None:
-        raise NotTwistingSystem("verify the system before building")
-    return _twisted_algebra(BlockLayout(system.algebra, system.epsilon),
-                            (system.theta,), _product_lval(system.l),
-                            _eps_coords(system.epsilon, ONE, ONE),
-                            system.t_inverse)
+    return _twisted_algebra(system)
 
 
 # ---------------------------------------------------------------------------
@@ -853,40 +773,28 @@ def semitrivial_mu(E, mu):
                            tuple(psi))
 
 
-def zhang_twist(E, nu):
-    """The left Zhang twist of a Z2-graded algebra by nu = (nu_0, nu_1).
+def zhang_twist(E, mu):
+    """The left Zhang twist of a Z2-graded algebra E by an involutive graded
+    automorphism mu: the product x * y = nu_{deg y}(x) y of the twisting
+    system nu = (id, mu).  E must be certified associative (``verify_iso``).
 
-    The product is x * y = nu_{deg y}(x) y; the pair must satisfy the left
-    twisting-system identity on basis pairs.
+    nu is a left twisting system when, for y of degree h and every l,
+    nu_l(nu_h(x) y) = nu_{h+l}(x) nu_l(y).  The two checks below imply it.
+    Proof.  For l = 0, nu_0 = id and both sides are nu_h(x) y.  For l = 1 and
+    h = 0 the identity is mu(x y) = mu(x) mu(y), multiplicativity.  For
+    l = 1 and h = 1, multiplicativity gives mu(mu(x) y) = mu^2(x) mu(y),
+    which is x mu(y) = nu_0(x) nu_1(y) since mu^2 = id.
     """
     assert E.group_rank == 1
-    nu0, nu1 = nu
-    for member in (nu0, nu1):
-        if not member.is_invertible() or not member.is_graded():
-            raise NotTwistingSystem("twist maps must be graded automorphisms")
-    maps = {0: nu0, 1: nu1}
-    for ell in (0, 1):
-        for h in (0, 1):
-            hl = (h + ell) % 2
-            for x in range(E.dim):
-                bx = E.basis_vec(x)
-                for y in range(E.dim):
-                    if E.degrees[y][0] != h:
-                        continue
-                    by = E.basis_vec(y)
-                    lhs = maps[ell].apply(E.mul(maps[h].apply(bx), by))
-                    rhs = E.mul(maps[hl].apply(bx), maps[ell].apply(by))
-                    if not vec_eq(lhs, rhs):
-                        raise NotTwistingSystem(
-                            f"left twisting identity fails at l={ell} h={h}"
-                            f" x={x} y={y}")
+    if not verify_iso(mu):
+        raise NotTwistingSystem("twist maps must be graded automorphisms")
+    if not mu.compose(mu) == GradedLinMap.identity(E):
+        raise NotTwistingSystem("the twist map must be an involution")
     table = []
     for i in range(E.dim):
         bx = E.basis_vec(i)
-        row = []
-        for j in range(E.dim):
-            twisted = maps[E.degrees[j][0]].apply(bx)
-            row.append(E.mul(twisted, E.basis_vec(j)))
-        table.append(row)
+        nu_x = (bx, mu.apply(bx))
+        table.append([E.mul(nu_x[E.degrees[j][0]], E.basis_vec(j))
+                      for j in range(E.dim)])
     return GradedAlgebra(E.labels, table, dict(E.unit), E.degrees, 1,
                          words=E.words)

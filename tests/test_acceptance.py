@@ -35,17 +35,16 @@ from nqh.knorrer import (
     run_plus_case,
     singularity_report,
 )
-from nqh.quadratic import QuadraticPresentation, graded_dim
+from nqh.quadratic import QuadraticPresentation
 from nqh.rewrite import normal_form
 from nqh.twist import (
     BlockLayout,
+    GradedBasisM2,
     TwistingSystemM2,
-    TwistingSystemProd,
     build_twisted_M2,
     build_twisted_prod,
     normalize_upsilon,
     plain_m2,
-    product_l_tensor,
     rebase_omega,
     standard_basis_m2,
     structure_tensors,
@@ -177,7 +176,7 @@ def test_criterion_5_class_t_pipeline(double_ore_class_t, z_lift):
     ok &= radical(NG).dim == 0
     E = result.base.algebra
     index = {lbl: k for k, lbl in enumerate(E.labels)}
-    pair = BlockLayout(E, result.theta_prod.epsilon).pair
+    pair = BlockLayout(E, result.theta_prod.basis).pair
 
     one_v = {index["1"]: ONE}
     w_v = {index["x1*x2*"]: ONE}
@@ -219,7 +218,7 @@ def test_criterion_6_class_r_products(double_ore_class_r, z_lift):
     NG = result.zhang
     E = result.base.algebra
     index = {lbl: k for k, lbl in enumerate(E.labels)}
-    pair = BlockLayout(E, result.theta_prod.epsilon).pair
+    pair = BlockLayout(E, result.theta_prod.basis).pair
 
     one_v = {index["1"]: ONE}
     w_v = {index["x1*x2*"]: ONE}
@@ -304,13 +303,13 @@ def _paper_minus_system(clifford, data):
         [ident, s[0][1].compose(s[0][0]) + s[1][1].compose(s[1][0])],
         [zero, s[1][1].compose(s[0][0]) + s[0][1].compose(s[1][0])],
     ])
-    epsilon = ((ONE, ONE), (ONE, MINUS_ONE))
-    return TwistingSystemProd(E, theta, epsilon, product_l_tensor(epsilon))
+    basis = GradedBasisM2({(0, 1): ((ONE, ZERO), (ZERO, ONE)),
+                           (0, 2): ((ONE, ZERO), (ZERO, MINUS_ONE))})
+    return TwistingSystemM2(E, (theta,), basis)
 
 
 def _random_graded_basis(rng):
     from nqh.errors import SingularBasis
-    from nqh.twist import GradedBasisM2
 
     pool = [ONE, MINUS_ONE, I, -I, Scalar(2), HALF, Scalar(1, 1),
             Scalar(1, -1), Scalar(0, 0, 1), Scalar(0, 0, 1, 0, 2)]
@@ -398,7 +397,7 @@ def test_criterion_9_oracle_integrity(km1, z_lift, double_ore_class_z,
         ok &= verify_algebra(algebra).ok
         ok &= strongly_graded_check(algebra)
         dual = deformation.presentation
-        pbw = sum(graded_dim(dual, n) for n in range(6))
+        pbw = sum(dual.component_dim(n) for n in range(6))
         ok &= algebra.dim == pbw
         letters = len(system.alphabet)
         for _ in range(100):

@@ -628,7 +628,7 @@ def _column_mutant(linmap, rng):
 
 def test_verify_iso_matches_the_reference_on_pipeline_maps(registry_isos,
                                                            skew3_certified):
-    assert len(registry_isos) == 14 and len(skew3_certified[1]) == 5
+    assert len(registry_isos) == 16 and len(skew3_certified[1]) == 6
     maps = registry_isos + skew3_certified[1]
     rng = random.Random("verify-iso-mutants")
     verdicts = {}

@@ -54,10 +54,9 @@ from nqh.formats import parse_double_ore
 from nqh.knorrer import _minus_theta, _plus_theta
 from nqh.scenarios import EX_4_9_1, EX_4_9_2, EX_4_10, EX_5_9, PROP_5_10
 from nqh.twist import (
+    GradedBasisM2,
     TwistingSystemM2,
-    TwistingSystemProd,
     _unit_value_invertible,
-    product_l_tensor,
     standard_basis_m2,
     verify_twisting_M2,
     verify_twisting_prod,
@@ -66,7 +65,6 @@ from nqh.twist import (
 
 MINUS_ONE = Scalar(-1)
 REGISTRY_DOCS = (EX_4_10, EX_4_9_1, EX_4_9_2, EX_5_9, PROP_5_10)
-EPSILON = ((ONE, ONE), (ONE, MINUS_ONE))
 POOL = (ONE, MINUS_ONE, Scalar(2), Scalar(1, 0, 0, 0, 2), Scalar(0, 0, 1))
 
 
@@ -266,21 +264,27 @@ def ref_cor54_identities(sd, E):
     return ok
 
 
+def epsilon_basis():
+    """The basis (1, 1), (1, -1) of k x k, as diag(1, 1) and diag(1, -1)."""
+    return GradedBasisM2({(0, 1): ((ONE, ZERO), (ZERO, ONE)),
+                          (0, 2): ((ONE, ZERO), (ZERO, MINUS_ONE))})
+
+
 def ref_verify_twisting_prod(system):
     report = Report()
     E = system.algebra
-    ltens = system.l
-    inv = t_inverse_table(system.theta)
+    theta = system.theta[0]
+    inv = t_inverse_table(theta)
     report.add("theta-t-invertible", inv is not None)
     if inv is None:
         return report
-    system.t_inverse = inv
-    report.add("theta-unit-invertible", _unit_value_invertible(system.theta))
+    system.t_inverses = (inv,)
+    report.add("theta-unit-invertible", _unit_value_invertible(theta))
     ok = True
     detail = ""
     for x in range(E.dim):
         bx = E.basis_vec(x)
-        pre = [[system.theta.entry(s, j).apply(bx) for j in (1, 2)] for s in (1, 2)]
+        pre = [[theta.entry(s, j).apply(bx) for j in (1, 2)] for s in (1, 2)]
         for y in range(E.dim):
             by = E.basis_vec(y)
             for j in (1, 2):
@@ -289,20 +293,19 @@ def ref_verify_twisting_prod(system):
                         lhs = {}
                         for s in (1, 2):
                             for u in (1, 2):
-                                coeff = ltens[(p, s, u)]
+                                coeff = system.basis.lval(0, 0, p, s, u)
                                 if not coeff:
                                     continue
                                 inner = E.mul(pre[s - 1][j - 1], by)
-                                add_scaled(lhs, system.theta.entry(u, jp).apply(inner),
-                                           coeff)
+                                add_scaled(lhs, theta.entry(u, jp).apply(inner), coeff)
                         rhs = {}
                         for t in (1, 2):
                             for u in (1, 2):
-                                coeff = ltens[(t, j, u)]
+                                coeff = system.basis.lval(0, 0, t, j, u)
                                 if not coeff:
                                     continue
-                                term = E.mul(system.theta.entry(p, t).apply(bx),
-                                             system.theta.entry(u, jp).apply(by))
+                                term = E.mul(theta.entry(p, t).apply(bx),
+                                             theta.entry(u, jp).apply(by))
                                 add_scaled(rhs, term, coeff)
                         if not vec_eq(lhs, rhs):
                             ok = False
@@ -622,7 +625,7 @@ def _items(report):
 
 def test_product_exchange_loop_matches_the_reference(pipeline_inputs):
     rng = random.Random("product-exchange-mutants")
-    ltens = product_l_tensor(EPSILON)
+    basis = epsilon_basis()
     rejected = accepted = 0
     for data, _, base, sd in pipeline_inputs:
         if data.p12 != MINUS_ONE:
@@ -630,10 +633,9 @@ def test_product_exchange_loop_matches_the_reference(pipeline_inputs):
         E = base.algebra
         theta = _minus_theta(sd, E)
         for table in [theta] + [_table_mutant(theta, rng) for _ in range(12)]:
-            items = _items(verify_twisting_prod(
-                TwistingSystemProd(E, table, EPSILON, ltens)))
+            items = _items(verify_twisting_prod(TwistingSystemM2(E, (table,), basis)))
             assert items == _items(ref_verify_twisting_prod(
-                TwistingSystemProd(E, table, EPSILON, ltens)))
+                TwistingSystemM2(E, (table,), basis)))
             if len(items) == 3:
                 rejected += not items[2][1]
                 accepted += items[2][1]
@@ -708,11 +710,12 @@ def test_theta_phi_exchange_matches_the_loop(m2_tables):
 
 def test_hand_set_l_sends_the_product_exchange_to_the_loop(monkeypatch,
                                                           pipeline_inputs):
-    """E x E takes l from its caller.  An l that fails its identities voids
-    the proof that reads the exchange identity off the certificate, so the
-    loop decides.  With l keeping only eps_1 eps_1 = eps_1 and theta_21 = id,
-    the twisted product is associative while the exchange identity fails at
-    p = 2: the certificate alone would accept this system."""
+    """The l of a basis of k x k is overwritten by hand.  An l that fails
+    its identities voids the proof that reads the exchange identity off the
+    certificate, so the loop decides.  With l keeping only
+    eps_1 eps_1 = eps_1 and theta_21 = id, the twisted product is
+    associative while the exchange identity fails at p = 2: the certificate
+    alone would accept this system."""
     calls = []
     real = twist._exchange_failure
 
@@ -726,19 +729,20 @@ def test_hand_set_l_sends_the_product_exchange_to_the_loop(monkeypatch,
     E = base.algebra
     ident = GradedLinMap.identity(E)
     zero = GradedLinMap.zero(E)
-    gamma = twist._eps_coords(EPSILON, ONE, ONE)
-    ltens = product_l_tensor(EPSILON)
-    hand_set = {key: ONE if key == (1, 1, 1) else ZERO for key in ltens}
-    assert twist._l_identities(twist._product_lval(ltens), (0,), gamma).ok
-    assert not twist._l_identities(twist._product_lval(hand_set), (0,), gamma).ok
+    computed = epsilon_basis()
+    hand_set = epsilon_basis()
+    hand_set.l = {key: ONE if key == (0, 0, 1, 1, 1) else ZERO for key in hand_set.l}
+    assert computed.basis_identities().ok
+    assert not hand_set.basis_identities().ok
     sheared = MatrixHom([[ident, zero], [ident, ident]])
-    for theta, l, loops in ((_minus_theta(sd, E), ltens, 0), (sheared, hand_set, 1)):
+    for theta, basis, loops in ((_minus_theta(sd, E), computed, 0),
+                                (sheared, hand_set, 1)):
         calls.clear()
-        system = TwistingSystemProd(E, theta, EPSILON, l)
+        system = TwistingSystemM2(E, (theta,), basis)
         items = _items(verify_twisting_prod(system))
         assert len(calls) == loops
         assert items == _items(ref_verify_twisting_prod(
-            TwistingSystemProd(E, theta, EPSILON, l)))
+            TwistingSystemM2(E, (theta,), basis)))
         assert _items(system.certificate)[2][:2] == ("associativity", True)
     assert items[-1][:2] == ("product-exchange-identity", False)
     assert " p=2 " in items[-1][2]

@@ -1,6 +1,7 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and every name
+the bench tracer patches resolves to a function of its own.
 
-The check reads each module's syntax tree: every name bound by an
+The first check reads each module's syntax tree: every name bound by an
 ``import`` or ``from ... import`` must appear as a name somewhere in the
 same module.  ``__init__`` is exempt, since its imports are re-exports.
 """
@@ -35,3 +36,33 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_name_it_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def traced_functions():
+    """{span name: function} of every name in ``perfbench.tracing.TRACED``,
+    resolved the way the tracer resolves it."""
+    import importlib
+
+    from perfbench.tracing import TRACED
+
+    out = {}
+    for layer, functions in TRACED.items():
+        home = importlib.import_module(f"nqh.{layer}")
+        for qualname in functions:
+            owner_name, _, attr = qualname.rpartition(".")
+            owner = getattr(home, owner_name) if owner_name else home
+            out[f"{layer}.{attr}"] = (owner.__dict__[attr] if owner_name
+                                      else getattr(home, attr))
+    return out
+
+
+def test_every_traced_name_resolves_to_its_own_function():
+    """The tracer wraps every binding of a traced function, so an alias such
+    as ``g = f`` between two traced names would be wrapped twice and counted
+    in both spans."""
+    functions = traced_functions()
+    assert all(callable(fn) for fn in functions.values())
+    names_by_id = {}
+    for name, fn in functions.items():
+        names_by_id.setdefault(id(fn), []).append(name)
+    assert [names for names in names_by_id.values() if len(names) > 1] == []

@@ -59,7 +59,7 @@ def minus_class_r(double_ore_class_r, z_lift):
 def pair_tools(result):
     E = result.base.algebra
     index = {lbl: k for k, lbl in enumerate(E.labels)}
-    return index, BlockLayout(E, result.theta_prod.epsilon).pair
+    return index, BlockLayout(E, result.theta_prod.basis).pair
 
 
 def test_wrong_case_is_rejected(double_ore_class_z, double_ore_class_t, z_lift):

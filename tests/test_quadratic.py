@@ -15,7 +15,6 @@ from nqh.exactlin import (
 from nqh.quadratic import (
     QuadraticPresentation,
     check_central,
-    graded_dim,
     hilbert_profile,
     koszul_dual,
 )
@@ -89,12 +88,12 @@ def free_two():
 def test_skew_plane_dims_match_monomial_count(km1):
     # the skew plane has the monomial basis x1^a x2^b, so dim A_n = n + 1
     for n in range(8):
-        assert graded_dim(km1, n) == n + 1
+        assert km1.component_dim(n) == n + 1
 
 
 def test_degree_zero_is_one_dimensional(km1, free_two):
-    assert graded_dim(km1, 0) == 1
-    assert graded_dim(free_two, 0) == 1
+    assert km1.component_dim(0) == 1
+    assert free_two.component_dim(0) == 1
 
 
 def test_free_algebra_profile(free_two):
@@ -115,7 +114,7 @@ def test_quotient_dimension_consistency(km1):
     g = km1.ngens
     for n in range(2, ORACLE_MAX_DEGREE + 1):
         ideal_rank = tensor_power_ideal(km1, n).rank
-        assert graded_dim(km1, n) + ideal_rank == g ** n
+        assert km1.component_dim(n) + ideal_rank == g ** n
 
 
 def _differential_inputs():
@@ -229,7 +228,7 @@ def test_b_extension_profile_and_freeness(double_ore_class_z):
                                    double_ore_class_z.p11))
     for n in range(5):
         convolution = sum(
-            graded_dim(adual, k) * graded_dim(jdual, n - k)
+            adual.component_dim(k) * jdual.component_dim(n - k)
             for k in range(n + 1))
         assert profile[n] == convolution
 

@@ -9,7 +9,7 @@ from nqh.errors import (
     NotOrientable,
 )
 from nqh.exactlin import ONE, Scalar, TensorElement
-from nqh.quadratic import graded_dim, koszul_dual
+from nqh.quadratic import koszul_dual
 from nqh.rewrite import (
     RewriteRule,
     complete,
@@ -173,7 +173,7 @@ def test_extract_requires_finiteness():
 
 def test_pbw_dimension_matches_homogeneous_dual(km1, z_lift, clifford_km1):
     dual = koszul_dual(km1)
-    total = sum(graded_dim(dual, n) for n in range(4))
+    total = sum(dual.component_dim(n) for n in range(4))
     assert clifford_km1.algebra.dim == total
 
 

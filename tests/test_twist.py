@@ -2,14 +2,16 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nqh import knorrer
 from nqh.errors import MuNotInvolution, NotTwistingSystem, SingularBasis
-from nqh.exactlin import HALF, I, ONE, Scalar, ZERO
+from nqh.exactlin import HALF, I, ONE, Scalar, ZERO, matrix_inverse, matrix_mul
 from nqh.algebra import (
     GradedAlgebra,
     GradedLinMap,
     MatrixHom,
+    extend_on_generators,
     vec_add,
     vec_eq,
     vec_scale,
@@ -22,13 +24,11 @@ from nqh.twist import (
     GradedBasisM2,
     SemiTrivialData,
     TwistingSystemM2,
-    TwistingSystemProd,
     build_semitrivial,
     build_twisted_M2,
     build_twisted_prod,
     normalize_upsilon,
     plain_m2,
-    product_l_tensor,
     rebase_omega,
     semitrivial_mu,
     standard_basis_m2,
@@ -196,7 +196,7 @@ def test_twisted_matrix_multiplication_table(plus_system, clifford_km1):
     twisted = build_twisted_M2(plus_system)
     assert verify_algebra(twisted).ok
     dim = E.dim
-    layout = BlockLayout(E)
+    layout = BlockLayout(E, plus_system.basis)
     theta0 = plus_system.theta[0]
     theta1 = plus_system.theta[1]
     cells = {
@@ -300,23 +300,239 @@ def test_rebase_rejects_singular_member(plus_system):
         })
 
 
+def diagonal_basis(eps1, eps2):
+    """The basis eps_1, eps_2 of k x k as the diagonal pair diag(u_j, v_j)."""
+    return GradedBasisM2({(0, j): ((u, ZERO), (ZERO, v))
+                          for j, (u, v) in ((1, eps1), (2, eps2))})
+
+
+# ---------------------------------------------------------------------------
+# coordinates in a graded basis against the solves they replaced
+#
+# The references below are the earlier, separately written 2x2 solves, kept
+# here only as test oracles: the constructor with gamma and l solved per
+# degree, the l tensor and coordinates of a basis of k x k given as pairs,
+# and rebase_omega's change of basis through an inverse matrix.
+
+
+def ref_graded_basis(mats):
+    """(gamma, l) of a four-member graded basis as solved by hand."""
+    mats = {key: tuple(tuple(row) for row in val) for key, val in mats.items()}
+    for j in (1, 2):
+        m0 = mats[(0, j)]
+        if m0[0][1] or m0[1][0]:
+            raise SingularBasis("degree-0 members must be diagonal")
+        if not (m0[0][0] and m0[1][1]):
+            raise SingularBasis("degree-0 members must be invertible")
+        m1 = mats[(1, j)]
+        if m1[0][0] or m1[1][1]:
+            raise SingularBasis("degree-1 members must be anti-diagonal")
+        if not (m1[0][1] and m1[1][0]):
+            raise SingularBasis("degree-1 members must be invertible")
+    for i in (0, 1):
+        a, b = mats[(i, 1)], mats[(i, 2)]
+        if i == 0:
+            det = a[0][0] * b[1][1] - b[0][0] * a[1][1]
+        else:
+            det = a[0][1] * b[1][0] - b[0][1] * a[1][0]
+        if not det:
+            raise SingularBasis("graded pairs must be linearly independent")
+    a, b = mats[(0, 1)], mats[(0, 2)]
+    det = a[0][0] * b[1][1] - b[0][0] * a[1][1]
+    g1 = (b[1][1] - b[0][0]) / det
+    g2 = (a[0][0] - a[1][1]) / det
+    if g1 * a[0][0] + g2 * b[0][0] != ONE:
+        raise SingularBasis("identity not solvable in the degree-0 pair")
+    out = {}
+    for i in (0, 1):
+        for ip in (0, 1):
+            target = (i + ip) % 2
+            t1, t2 = mats[(target, 1)], mats[(target, 2)]
+            for j in (1, 2):
+                for jp in (1, 2):
+                    prod = matrix_mul(mats[(i, j)], mats[(ip, jp)])
+                    if target == 0:
+                        rows = [[t1[0][0], t2[0][0]], [t1[1][1], t2[1][1]]]
+                        rhs = [prod[0][0], prod[1][1]]
+                        off = (prod[0][1], prod[1][0])
+                    else:
+                        rows = [[t1[0][1], t2[0][1]], [t1[1][0], t2[1][0]]]
+                        rhs = [prod[0][1], prod[1][0]]
+                        off = (prod[0][0], prod[1][1])
+                    if any(off):
+                        raise SingularBasis("graded product left its component")
+                    det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+                    if not det:
+                        raise SingularBasis("structure tensor not solvable")
+                    out[(i, ip, 1, j, jp)] = (rhs[0] * rows[1][1]
+                                              - rows[0][1] * rhs[1]) / det
+                    out[(i, ip, 2, j, jp)] = (rows[0][0] * rhs[1]
+                                              - rhs[0] * rows[1][0]) / det
+    return (g1, g2), out
+
+
+def ref_eps_coords(epsilon, u, v):
+    """(c_1, c_2) with c_1 eps_1 + c_2 eps_2 = (u, v) in k x k."""
+    e1, e2 = epsilon
+    det = e1[0] * e2[1] - e2[0] * e1[1]
+    if not det:
+        raise SingularBasis("basis of k x k must be linearly independent")
+    return ((u * e2[1] - e2[0] * v) / det, (e1[0] * v - u * e1[1]) / det)
+
+
+def ref_product_l_tensor(epsilon):
+    """l with eps_j eps_j' = sum_p eps_p l_{p;jj'}."""
+    e1, e2 = epsilon
+    if not (e1[0] and e1[1] and e2[0] and e2[1]):
+        raise SingularBasis("basis members must be invertible in k x k")
+    out = {}
+    for j, ej in ((1, e1), (2, e2)):
+        for jp, ejp in ((1, e1), (2, e2)):
+            c1, c2 = ref_eps_coords(epsilon, ej[0] * ejp[0], ej[1] * ejp[1])
+            out[(1, j, jp)] = c1
+            out[(2, j, jp)] = c2
+    return out
+
+
+def ref_rebase_matrix(old, new):
+    """{i: columns of U^(i)} with (I(i)_1, I(i)_2) = (J(i)_1, J(i)_2) U^(i)."""
+    U = {}
+    for i in (0, 1):
+        if i == 0:
+            rows = [[new.mats[(0, 1)][0][0], new.mats[(0, 2)][0][0]],
+                    [new.mats[(0, 1)][1][1], new.mats[(0, 2)][1][1]]]
+            targets = [[old.mats[(0, j)][0][0], old.mats[(0, j)][1][1]]
+                       for j in (1, 2)]
+        else:
+            rows = [[new.mats[(1, 1)][0][1], new.mats[(1, 2)][0][1]],
+                    [new.mats[(1, 1)][1][0], new.mats[(1, 2)][1][0]]]
+            targets = [[old.mats[(1, j)][0][1], old.mats[(1, j)][1][0]]
+                       for j in (1, 2)]
+        inv = matrix_inverse([list(r) for r in rows])
+        U[i] = [tuple(sum((c * x for c, x in zip(row, t)), start=ZERO) for row in inv)
+                for t in targets]
+    return U
+
+
+SCALARS = st.sampled_from([ZERO, ONE, MINUS_ONE, I, -I, Scalar(2), HALF,
+                           Scalar(1, 1), Scalar(0, 0, 1), Scalar(0, 0, 1, 0, 2)])
+
+
+def _outcome(build):
+    try:
+        return build()
+    except SingularBasis:
+        return SingularBasis
+
+
+def _drawn_members(data, halves):
+    """Members with their cells drawn, and now and then an entry outside."""
+    mats = {}
+    for i in halves:
+        for j in (1, 2):
+            m = [[ZERO, ZERO], [ZERO, ZERO]]
+            for r, c in GradedBasisM2.CELLS[i]:
+                m[r][c] = data.draw(SCALARS)
+            if data.draw(st.integers(0, 9)) == 0:
+                r, c = GradedBasisM2.CELLS[1 - i][data.draw(st.integers(0, 1))]
+                m[r][c] = data.draw(SCALARS)
+            mats[(i, j)] = m
+    return mats
+
+
+@given(st.data())
+def test_basis_coordinates_match_the_hand_solves(data):
+    """gamma and l of a four-member basis, and of a diagonal pair read as a
+    basis of k x k, equal the solves they replaced; both sides reject the
+    same degenerate inputs."""
+    mats = _drawn_members(data, (0, 1))
+    got = _outcome(lambda: GradedBasisM2(mats))
+    want = _outcome(lambda: ref_graded_basis(mats))
+    if want is SingularBasis:
+        assert got is SingularBasis
+    else:
+        assert (got.gamma, got.l) == want
+        assert got.basis_identities().ok
+    eps = [(data.draw(SCALARS), data.draw(SCALARS)) for _ in (1, 2)]
+    got = _outcome(lambda: diagonal_basis(*eps))
+    want = _outcome(lambda: ref_product_l_tensor(eps))
+    if want is SingularBasis:
+        assert got is SingularBasis
+        return
+    assert got.l == {(0, 0, s, j, jp): c for (s, j, jp), c in want.items()}
+    assert got.gamma == ref_eps_coords(eps, ONE, ONE)
+    assert got.coords(((ONE, ZERO), (ZERO, ZERO)), 0) == ref_eps_coords(eps, ONE, ZERO)
+    assert got.coords(((ZERO, ZERO), (ZERO, ONE)), 0) == ref_eps_coords(eps, ZERO, ONE)
+    assert got.basis_identities().ok
+
+
+@given(st.data())
+def test_coords_recombine_and_reject_other_cells(data):
+    basis = random_graded_basis(random.Random(data.draw(st.integers(0, 2 ** 16))))
+    for i in (0, 1, 2, 3):
+        m = [[ZERO, ZERO], [ZERO, ZERO]]
+        for r, c in GradedBasisM2.CELLS[i % 2]:
+            m[r][c] = data.draw(SCALARS)
+        c1, c2 = basis.coords(m, i)
+        a, b = basis.mats[(i % 2, 1)], basis.mats[(i % 2, 2)]
+        assert [[c1 * a[r][c] + c2 * b[r][c] for c in (0, 1)] for r in (0, 1)] == m
+        r, c = GradedBasisM2.CELLS[1 - i % 2][data.draw(st.integers(0, 1))]
+        m[r][c] = data.draw(SCALARS.filter(bool))
+        with pytest.raises(SingularBasis):
+            basis.coords(m, i)
+
+
+@settings(max_examples=10)
+@given(st.integers(0, 2 ** 16))
+def test_rebase_matrix_matches_the_inverse_solve(plus_system, seed):
+    """rebase_omega's iso sends I(i)_j e_b to sum_s U^(i)_{sj} I(i)_s e_b,
+    and U is the one the inverse-matrix solve gives."""
+    rng = random.Random(seed)
+    old = random_graded_basis(rng)
+    new = random_graded_basis(rng)
+    start, _ = rebase_omega(plus_system, old)
+    _, iso = rebase_omega(start, new)
+    U = ref_rebase_matrix(old, new)
+    layout = BlockLayout(plus_system.algebra, old)
+    for i in (0, 1):
+        for j in (1, 2):
+            for b in range(layout.algebra.dim):
+                want = {layout.index(i, s, b): c
+                        for s, c in zip((1, 2), U[i][j - 1]) if c}
+                assert iso.cols[layout.index(i, j, b)] == want
+
+
+def test_degenerate_key_sets_are_rejected():
+    diagonal = ((ONE, ZERO), (ZERO, ONE))
+    flip = ((ZERO, ONE), (ONE, ZERO))
+    for mats in ({(0, 1): diagonal}, {(0, 1): diagonal, (0, 2): diagonal,
+                                      (1, 1): flip}):
+        with pytest.raises(SingularBasis, match="degree-0 pair or all four"):
+            GradedBasisM2(mats)
+
+
 # ---------------------------------------------------------------------------
 # twisted direct products
 
 
+EPSILON_BASIS = diagonal_basis((ONE, ONE), (ONE, MINUS_ONE))
+
+
 def test_product_l_tensor_default_basis():
-    tensor = product_l_tensor(((ONE, ONE), (ONE, MINUS_ONE)))
+    """The structure tensor of k x k on (1, 1), (1, -1)."""
+    basis = diagonal_basis((ONE, ONE), (ONE, MINUS_ONE))
+    assert basis.halves == (0,)
     for j in (1, 2):
         for jp in (1, 2):
-            assert tensor[(1, j, jp)] == (ONE if j == jp else ZERO)
-            assert tensor[(2, j, jp)] == (ZERO if j == jp else ONE)
+            assert basis.lval(0, 0, 1, j, jp) == (ONE if j == jp else ZERO)
+            assert basis.lval(0, 0, 2, j, jp) == (ZERO if j == jp else ONE)
 
 
 def test_product_l_tensor_rejects_degenerate():
     with pytest.raises(SingularBasis):
-        product_l_tensor(((ONE, ZERO), (ONE, ONE)))
+        diagonal_basis((ONE, ZERO), (ONE, ONE))
     with pytest.raises(SingularBasis):
-        product_l_tensor(((ONE, ONE), (Scalar(2), Scalar(2))))
+        diagonal_basis((ONE, ONE), (Scalar(2), Scalar(2)))
 
 
 def minus_theta(clifford, data):
@@ -338,8 +554,7 @@ def test_diagonal_theta_gives_direct_product(clifford_km1):
     ident = GradedLinMap.identity(E)
     zero = GradedLinMap.zero(E)
     theta = MatrixHom([[ident, zero], [zero, ident]])
-    system = TwistingSystemProd(E, theta, ((ONE, ONE), (ONE, MINUS_ONE)),
-                                product_l_tensor(((ONE, ONE), (ONE, MINUS_ONE))))
+    system = TwistingSystemM2(E, (theta,), EPSILON_BASIS)
     assert verify_twisting_prod(system).ok
     product = build_twisted_prod(system)
     assert verify_algebra(product).ok
@@ -355,13 +570,12 @@ def test_diagonal_theta_gives_direct_product(clifford_km1):
 def test_paper_minus_system(clifford_km1, double_ore_class_t):
     E = clifford_km1.algebra
     theta = minus_theta(clifford_km1, double_ore_class_t)
-    epsilon = ((ONE, ONE), (ONE, MINUS_ONE))
-    system = TwistingSystemProd(E, theta, epsilon, product_l_tensor(epsilon))
+    system = TwistingSystemM2(E, (theta,), EPSILON_BASIS)
     assert verify_twisting_prod(system).ok
     product = build_twisted_prod(system)
     assert verify_algebra(product).ok
     dim = E.dim
-    layout = BlockLayout(E, epsilon)
+    layout = BlockLayout(E, EPSILON_BASIS)
 
     # the four displayed product patterns
     for b in range(dim):
@@ -389,19 +603,18 @@ def test_block_layout_labels_both_builds(plus_system, clifford_km1,
                                          double_ore_class_t):
     E = clifford_km1.algebra
     twisted = build_twisted_M2(plus_system)
-    layout = BlockLayout(E)
+    layout = BlockLayout(E, plus_system.basis)
     assert layout.dim == twisted.dim
     for i in (0, 1):
         for j in (1, 2):
             for b in range(E.dim):
                 assert (twisted.labels[layout.index(i, j, b)]
                         == f"I{i}_{j}*{E.labels[b]}")
-    epsilon = ((ONE, ONE), (ONE, MINUS_ONE))
-    system = TwistingSystemProd(E, minus_theta(clifford_km1, double_ore_class_t),
-                                epsilon, product_l_tensor(epsilon))
+    system = TwistingSystemM2(E, (minus_theta(clifford_km1, double_ore_class_t),),
+                              EPSILON_BASIS)
     assert verify_twisting_prod(system).ok
     product = build_twisted_prod(system)
-    layout = BlockLayout(E, epsilon)
+    layout = BlockLayout(E, EPSILON_BASIS)
     assert layout.dim == product.dim
     for j in (1, 2):
         for b in range(E.dim):
@@ -410,8 +623,8 @@ def test_block_layout_labels_both_builds(plus_system, clifford_km1,
 
 def test_pair_decodes_under_a_non_standard_epsilon(clifford_km1):
     E = clifford_km1.algebra
-    epsilon = ((ONE, Scalar(2)), (ONE, MINUS_ONE))
-    layout = BlockLayout(E, epsilon)
+    basis = diagonal_basis((ONE, Scalar(2)), (ONE, MINUS_ONE))
+    layout = BlockLayout(E, basis)
     for a in range(E.dim):
         for b in range(E.dim):
             vec = layout.pair(E.basis_vec(a), E.basis_vec(b))
@@ -421,7 +634,7 @@ def test_pair_decodes_under_a_non_standard_epsilon(clifford_km1):
                        for k in range(E.dim)}
                 for slot in (0, 1):
                     slots[slot] = vec_add(slots[slot],
-                                          vec_scale(c_j, epsilon[j - 1][slot]))
+                                          vec_scale(c_j, basis.mats[(0, j)][slot][slot]))
             assert vec_eq(slots[0], E.basis_vec(a))
             assert vec_eq(slots[1], E.basis_vec(b))
 
@@ -546,10 +759,30 @@ def test_semitrivial_mu_identity():
     assert extension.dim == 4
 
 
+def ref_left_twisting_identity(E, mu):
+    """The check zhang_twist made before it went through verify_iso and
+    mu^2 = id: nu_l(nu_h(x) y) = nu_{h+l}(x) nu_l(y) for nu = (id, mu) on
+    every basis pair with y of degree h."""
+    maps = {0: GradedLinMap.identity(E), 1: mu}
+    for ell in (0, 1):
+        for h in (0, 1):
+            for x in range(E.dim):
+                bx = E.basis_vec(x)
+                for y in range(E.dim):
+                    if E.degrees[y][0] != h:
+                        continue
+                    by = E.basis_vec(y)
+                    lhs = maps[ell].apply(E.mul(maps[h].apply(bx), by))
+                    rhs = E.mul(maps[(h + ell) % 2].apply(bx), maps[ell].apply(by))
+                    if not vec_eq(lhs, rhs):
+                        return False
+    return True
+
+
 def test_zhang_twist_identity(clifford_km1):
     E = clifford_km1.algebra
     ident = GradedLinMap.identity(E)
-    twisted = zhang_twist(E, (ident, ident))
+    twisted = zhang_twist(E, ident)
     for i in range(E.dim):
         for j in range(E.dim):
             assert vec_eq(twisted.table[i][j], E.table[i][j])
@@ -557,9 +790,9 @@ def test_zhang_twist_identity(clifford_km1):
 
 def test_zhang_twist_by_sign(clifford_km1):
     E = clifford_km1.algebra
-    ident = GradedLinMap.identity(E)
     xi = xi_automorphism(E, MINUS_ONE)
-    twisted = zhang_twist(E, (ident, xi))
+    assert ref_left_twisting_identity(E, xi)
+    twisted = zhang_twist(E, xi)
     assert verify_algebra(twisted).ok
     assert twisted.dim == E.dim
     for degree in ((0,), (1,)):
@@ -574,5 +807,20 @@ def test_zhang_twist_rejects_non_system(clifford_km1):
     odd = E.component_indices((1,))
     cols[odd[0]] = {odd[0]: ONE, odd[1]: ONE}
     shear = GradedLinMap(E, E, cols)
+    assert not ref_left_twisting_identity(E, shear)
     with pytest.raises(NotTwistingSystem):
-        zhang_twist(E, (ident, shear))
+        zhang_twist(E, shear)
+
+
+def test_zhang_twist_rejects_an_order_4_automorphism(clifford_km1):
+    """x1* -> x2*, x2* -> -x1* is a graded automorphism whose square is -1
+    on the odd part.  The twisting identity fails at l = h = 1, and of the
+    two checks only mu^2 = id sees it."""
+    E = clifford_km1.algebra
+    index = {lbl: k for k, lbl in enumerate(E.labels)}
+    rotation = extend_on_generators(clifford_km1, E, [{index["x2*"]: ONE},
+                                                      {index["x1*"]: MINUS_ONE}])
+    assert verify_iso(rotation)
+    assert not ref_left_twisting_identity(E, rotation)
+    with pytest.raises(NotTwistingSystem, match="involution"):
+        zhang_twist(E, rotation)
