@@ -179,10 +179,13 @@ def dual_dims(presentation):
 
 def build_clifford_from_dual(dual, deformed, central_lift, theta_values,
                              expected_dim=None):
-    """Complete, extract and certify a deformation of a presented dual.
+    """Complete and extract a deformation of a presented dual.
 
     The dual's graded dimensions give the completion degree and the PBW
-    dimension, which the normal-word basis must reach exactly."""
+    dimension, which the normal-word basis must reach exactly.  The table
+    is checked to be strongly Z2-graded but not certified: callers certify
+    it, by ``verify_algebra`` or by an isomorphism onto a certified
+    algebra."""
     dims = dual_dims(dual)
     pbw_dim = sum(dims)
     if expected_dim is not None and pbw_dim != expected_dim:
@@ -191,9 +194,6 @@ def build_clifford_from_dual(dual, deformed, central_lift, theta_values,
     maxdeg = 2 * len(dims)  # twice the top degree, plus 2
     system = complete(orient(list(deformed), dual.generators), maxdeg)
     algebra = extract_algebra(system, pbw_dim)
-    report = verify_algebra(algebra)
-    if not report.ok:
-        raise DimensionMismatch(f"oracle output invalid: {report.first_failure()}")
     if not strongly_graded_check(algebra):
         raise DimensionMismatch("deformation is not strongly Z2-graded")
     return CliffordData(
@@ -206,15 +206,26 @@ def build_clifford_from_dual(dual, deformed, central_lift, theta_values,
     )
 
 
+def certify_oracle(algebra):
+    """Raise DimensionMismatch naming the first failing ``verify_algebra``
+    item of an oracle-built table, if any."""
+    report = verify_algebra(algebra)
+    if not report.ok:
+        raise DimensionMismatch(f"oracle output invalid: {report.first_failure()}")
+
+
 def build_clifford(presentation, lift):
-    """The Clifford deformation of the dual of a quadratic presentation."""
+    """The certified Clifford deformation of the dual of a quadratic
+    presentation."""
     if not check_central(presentation, lift):
         raise CompatibilityFailed("the lift is not central")
     dual = koszul_dual(presentation)
     if not _compatibility_holds(dual, lift):
         raise CompatibilityFailed("the Clifford compatibility condition fails")
     theta_values, deformed = clifford_theta(dual, lift)
-    return build_clifford_from_dual(dual, deformed, lift, theta_values)
+    out = build_clifford_from_dual(dual, deformed, lift, theta_values)
+    certify_oracle(out.algebra)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +555,12 @@ def _degree1_index(algebra, letter):
 
 def build_Bshriek_clifford(data, lift, base):
     """The Clifford deformation of the dual of B at z + y1^2 + y2^2, with
-    ``base`` the deformation of the base dual at the lift of z."""
+    ``base`` the deformation of the base dual at the lift of z.
+
+    The table is not certified here: the pipelines certify it through an
+    isomorphism onto an independently certified algebra (see
+    ``algebra.certify_by_iso``).  Its base and mixing blocks are checked
+    against their certified deformations."""
     g = data.ngens
     bdual = data.b_dual
     # cross-check the printed dual relation space: R_J-perp + R-perp + R_tau

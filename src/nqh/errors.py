@@ -55,12 +55,14 @@ class SingularBasis(NqhError):
     pass
 
 
-class MuNotInvolution(NqhError):
-    pass
-
-
 class NotTwistingSystem(NqhError):
     pass
+
+
+class MuNotInvolution(NotTwistingSystem):
+    """mu is not a graded involution.  The check that raises it is also the
+    one that accepts nu = (id, mu) as the twisting system of a Zhang twist
+    (see ``twist.zhang_twist``), so a failure is a NotTwistingSystem too."""
 
 
 class CompatibilityFailed(NqhError):

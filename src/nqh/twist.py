@@ -751,11 +751,14 @@ def build_semitrivial(data):
 def semitrivial_mu(E, mu):
     """The bimodule-and-psi package built from an involutive automorphism:
     the module is E twisted by mu on the left and shifted, and psi is
-    (a, b) -> mu(a) b.  E must be certified associative (``verify_iso``)."""
+    (a, b) -> mu(a) b.  E must be certified associative (``verify_iso``).
+
+    This is the one check of mu: MuNotInvolution unless mu is a graded
+    automorphism with mu^2 = id, which is also what ``zhang_twist`` needs."""
     if not verify_iso(mu):
         raise MuNotInvolution("mu must be a graded algebra automorphism")
     if not mu.compose(mu) == GradedLinMap.identity(E):
-        raise MuNotInvolution("mu squared must be the identity")
+        raise MuNotInvolution("mu must be an involution: mu^2 is not the identity")
     left = []
     right = []
     for i in range(E.dim):
@@ -776,20 +779,18 @@ def semitrivial_mu(E, mu):
 def zhang_twist(E, mu):
     """The left Zhang twist of a Z2-graded algebra E by an involutive graded
     automorphism mu: the product x * y = nu_{deg y}(x) y of the twisting
-    system nu = (id, mu).  E must be certified associative (``verify_iso``).
+    system nu = (id, mu).  E must be certified associative, and mu must be
+    accepted by ``semitrivial_mu``'s check, which is not repeated here.
 
     nu is a left twisting system when, for y of degree h and every l,
-    nu_l(nu_h(x) y) = nu_{h+l}(x) nu_l(y).  The two checks below imply it.
+    nu_l(nu_h(x) y) = nu_{h+l}(x) nu_l(y).  The two checks of mu, that it
+    is a graded automorphism (``verify_iso``) and that mu^2 = id, imply it.
     Proof.  For l = 0, nu_0 = id and both sides are nu_h(x) y.  For l = 1 and
     h = 0 the identity is mu(x y) = mu(x) mu(y), multiplicativity.  For
     l = 1 and h = 1, multiplicativity gives mu(mu(x) y) = mu^2(x) mu(y),
     which is x mu(y) = nu_0(x) nu_1(y) since mu^2 = id.
     """
     assert E.group_rank == 1
-    if not verify_iso(mu):
-        raise NotTwistingSystem("twist maps must be graded automorphisms")
-    if not mu.compose(mu) == GradedLinMap.identity(E):
-        raise NotTwistingSystem("the twist map must be an involution")
     table = []
     for i in range(E.dim):
         bx = E.basis_vec(i)

@@ -23,6 +23,7 @@ from nqh.algebra import (
     GradedLinMap,
     MatrixHom,
     RightModule,
+    certify_by_iso,
     corner_embedding,
     extend_on_generators,
     full_idempotent_check,
@@ -389,19 +390,32 @@ def reference_verify_algebra(algebra):
 PIPELINE_SCENARIOS = ("ex-4.10", "ex-4.9-1", "ex-4.9-2", "ex-5.9", "prop-5.10")
 
 
+def _capture_certified(patch, algebras, maps=None):
+    """Record in ``algebras`` every algebra that the pipelines certify: the
+    argument of each verify_algebra call and the source of each
+    certify_by_iso call, which certifies the oracle and Zhang tables.  With
+    ``maps``, record there the argument of each verify_iso and
+    certify_by_iso call."""
+    _capture(patch, "verify_algebra", algebras, (deform, knorrer, twist))
+    real = algebra_module.certify_by_iso
+
+    def transport(linmap):
+        algebras.append(linmap.source)
+        if maps is not None:
+            maps.append(linmap)
+        return real(linmap)
+
+    patch.setattr(knorrer, "certify_by_iso", transport)
+    if maps is not None:
+        _capture(patch, "verify_iso", maps, (knorrer, twist))
+
+
 @pytest.fixture(scope="module")
 def pipeline_algebras():
-    """Every algebra that the five registry pipelines hand to verify_algebra."""
+    """Every algebra that the five registry pipelines certify."""
     captured = []
-
-    def capture(algebra):
-        captured.append(algebra)
-        return verify_algebra(algebra)
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(deform, "verify_algebra", capture)
-        patch.setattr(knorrer, "verify_algebra", capture)
-        patch.setattr(twist, "verify_algebra", capture)
+        _capture_certified(patch, captured)
         for scenario_id in PIPELINE_SCENARIOS:
             assert run_scenario(scenario_id).ok
     return captured
@@ -441,7 +455,8 @@ def _items(report):
 
 def test_verify_algebra_matches_the_reference_on_pipeline_algebras(
         pipeline_algebras):
-    # 20 distinct algebras; each pipeline builds its base deformation once
+    # 20 distinct algebras; each pipeline builds its base deformation once,
+    # and the 5 oracle and 2 Zhang tables are certified by certify_by_iso
     assert len(pipeline_algebras) == 28
     for algebra in pipeline_algebras:
         items = _items(verify_algebra(algebra))
@@ -544,12 +559,11 @@ def _capture(patch, name, sink, modules):
 
 @pytest.fixture(scope="module")
 def skew3_certified():
-    """(algebras, maps) that the knorrer pipelines hand to verify_algebra
-    and verify_iso on the skew3 benchmark inputs of seed 7."""
+    """(algebras, maps) that the knorrer pipelines certify, and the maps
+    they check, on the skew3 benchmark inputs of seed 7."""
     algebras, maps = [], []
     with pytest.MonkeyPatch.context() as patch:
-        _capture(patch, "verify_algebra", algebras, (deform, knorrer, twist))
-        _capture(patch, "verify_iso", maps, (knorrer, twist))
+        _capture_certified(patch, algebras, maps)
         for name, blob in sorted(generate("skew3", 7).items()):
             data, central = parse_double_ore(json.loads(blob))
             run = knorrer.run_plus_case if name == "plus.json" else knorrer.run_minus_case
@@ -603,11 +617,13 @@ def reference_verify_iso(linmap):
 
 @pytest.fixture(scope="module")
 def registry_isos():
-    """Every map that the five registry pipelines hand to verify_iso."""
+    """Every map that the five registry pipelines hand to verify_iso or
+    certify_by_iso."""
     maps = []
     with pytest.MonkeyPatch.context() as patch:
+        _capture_certified(patch, [], maps)
         # the scenarios import verify_iso from nqh.algebra when they run
-        _capture(patch, "verify_iso", maps, (algebra_module, knorrer, twist))
+        _capture(patch, "verify_iso", maps, (algebra_module,))
         for scenario_id in PIPELINE_SCENARIOS:
             assert run_scenario(scenario_id).ok
     return maps
@@ -628,15 +644,39 @@ def _column_mutant(linmap, rng):
 
 def test_verify_iso_matches_the_reference_on_pipeline_maps(registry_isos,
                                                            skew3_certified):
-    assert len(registry_isos) == 16 and len(skew3_certified[1]) == 6
+    # each minus run checks its involution once, where it checked it twice
+    assert len(registry_isos) == 14 and len(skew3_certified[1]) == 5
     maps = registry_isos + skew3_certified[1]
     rng = random.Random("verify-iso-mutants")
     verdicts = {}
     for n, linmap in enumerate(maps):
         assert verify_iso(linmap) and reference_verify_iso(linmap) == "iso"
+        assert certify_by_iso(linmap)
         for _ in range(10):
             mutant = _column_mutant(linmap, rng)
             verdict = reference_verify_iso(mutant)
             assert verify_iso(mutant) == (verdict == "iso"), (n, verdict)
+            assert certify_by_iso(mutant) == (verdict == "iso"), (n, verdict)
             verdicts[verdict] = verdicts.get(verdict, 0) + 1
     assert verdicts.get("multiplicative", 0) >= 5 * len(maps), verdicts
+
+
+def test_certify_by_iso_checks_the_pairs_a_generating_set_skips():
+    """K[Z2 x Z2] on 1, a, b, ab (index = bit pattern) with the sign of
+    e_ab e_ab flipped, mapped by the identity onto the true group algebra.
+    The source is not associative, ((a b)(a b) = -1 but a (b (a b)) = 1),
+    so verify_iso's precondition fails, and its pairs through S = [a, b]
+    never meet (ab, ab): only the check on every pair rejects the map."""
+    degrees = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    group = GradedAlgebra(["1", "a", "b", "ab"],
+                          [[{i ^ j: ONE} for j in range(4)] for i in range(4)],
+                          {0: ONE}, degrees, group_rank=2)
+    table = [list(row) for row in group.table]
+    table[3][3] = {0: Scalar(-1)}
+    flipped = GradedAlgebra(group.labels, table, {0: ONE}, degrees, group_rank=2)
+    assert verify_algebra(group).ok and not verify_algebra(flipped).ok
+    assert generating_set(flipped) == [1, 2]
+    identity = GradedLinMap(flipped, group, [{i: ONE} for i in range(4)])
+    assert verify_iso(identity)
+    assert reference_verify_iso(identity) == "multiplicative"
+    assert not certify_by_iso(identity)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -12,11 +13,13 @@ from nqh import deform, knorrer, twist
 from nqh.cli import main
 from nqh.formats import parse_double_ore
 
-from nqh.errors import WrongP
+from nqh.errors import NqhError, WrongP
 from nqh.exactlin import I, ONE, Scalar, ZERO
 from nqh.algebra import (
     GradedLinMap,
+    Report,
     RightModule,
+    extend_on_generators,
     hom_dim,
     is_absolutely_simple,
     is_nilpotent_element,
@@ -36,6 +39,8 @@ from nqh.knorrer import (
     run_plus_case,
     singularity_report,
 )
+from nqh.rewrite import extract_algebra
+from nqh.scenarios import run_scenario
 from nqh.twist import BlockLayout
 
 MINUS_ONE = Scalar(-1)
@@ -349,9 +354,13 @@ def test_each_run_descends_sigma_and_its_inverse_once(monkeypatch, tmp_path,
 def test_each_run_builds_and_certifies_each_twisted_table_once(monkeypatch):
     """One run builds its twisted table once and certifies it once; the
     exchange identity is read off that certificate, so the basis-pair loop
-    never runs on an accepted system."""
+    never runs on an accepted system.  No oracle or Zhang table reaches
+    verify_algebra, since certify_by_iso certifies both, and a minus run
+    checks its involution once."""
     counts = Counter()
     certified = []
+    elsewhere = []
+    isos = []
 
     def counting(name, real):
         def wrapper(*args):
@@ -369,14 +378,138 @@ def test_each_run_builds_and_certifies_each_twisted_table_once(monkeypatch):
         return real_verify(algebra)
 
     monkeypatch.setattr(twist, "verify_algebra", certify)
+
+    def recording(sink, real):
+        def wrapper(arg):
+            sink.append(arg)
+            return real(arg)
+        return wrapper
+
+    for module in (deform, knorrer):
+        monkeypatch.setattr(module, "verify_algebra",
+                            recording(elsewhere, module.verify_algebra))
+    monkeypatch.setattr(twist, "verify_iso", recording(isos, twist.verify_iso))
     for name, blob in sorted(generate("skew3", 7).items()):
         data, central = parse_double_ore(json.loads(blob))
         plus = name == "plus.json"
         counts.clear()
         certified.clear()
+        elsewhere.clear()
+        isos.clear()
         result = (run_plus_case if plus else run_minus_case)(data, central)
         assert result.checks.ok
         builder = "build_twisted_M2" if plus else "build_twisted_prod"
         assert counts == {builder: 1, "_twisted_algebra": 1}, name
         twisted = result.twisted_bigraded if plus else result.Gamma
         assert len(certified) == 1 and certified[0] is twisted, name
+        uncertified = ([result.oracle.algebra] if plus
+                       else [result.oracle.algebra, result.zhang])
+        assert not [a for a in elsewhere if any(a is u for u in uncertified)], name
+        if not plus:
+            assert [m for m in isos if m is result.mu] == [result.mu]
+
+
+# ---------------------------------------------------------------------------
+# the oracle certified through certify_by_iso against its own verify_algebra
+
+
+def ref_oracle_step(checks, data, lift, base, target, y_images, layout, what):
+    """The oracle step before certify_by_iso: verify_algebra certifies the
+    oracle table, then verify_iso checks the map on a generating set."""
+    oracle = deform.build_Bshriek_clifford(data, lift, base)
+    deform.certify_oracle(oracle.algebra)
+    E = base.algebra
+    images = [{index: ONE} for index in y_images]
+    for a in range(data.ngens):
+        images.append({layout.index(0, 1, E.words.index((a,))): ONE})
+    iso = extend_on_generators(oracle, target, images)
+    iso_ok = verify_iso(iso)
+    checks.add("oracle-isomorphism", iso_ok)
+    if not iso_ok:
+        raise knorrer.IsoFailed(f"the deformation does not match the {what}")
+    return oracle, iso
+
+
+def _oracle_step_inputs():
+    """(name, arguments after ``checks``) of the oracle step of the five
+    registry pipelines and of the skew3 inputs of seeds 1 to 4."""
+    found = []
+    names = []
+    real = knorrer._oracle_step
+
+    def record(checks, *args):
+        found.append(args)
+        return real(checks, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(knorrer, "_oracle_step", record)
+        for scenario_id in ("ex-4.10", "ex-4.9-1", "ex-4.9-2", "ex-5.9",
+                            "prop-5.10"):
+            assert run_scenario(scenario_id).ok
+            names.append(scenario_id)
+        for seed in range(1, 5):
+            for name, blob in sorted(generate("skew3", seed).items()):
+                data, central = parse_double_ore(json.loads(blob))
+                run = run_plus_case if name == "plus.json" else run_minus_case
+                assert run(data, central).checks.ok
+                names.append(f"skew3:{seed}:{name}")
+    assert len(found) == len(names)
+    return list(zip(names, found))
+
+
+def _mutating_extract(dim, seed, anywhere):
+    """deform.extract_algebra, with one coefficient of each table of
+    dimension ``dim`` (the oracle's) bumped by 1 before any check sees it:
+    a stored one, or with ``anywhere`` any (i, j, k)."""
+    def extract(system, pbw_dim):
+        algebra = extract_algebra(system, pbw_dim)
+        if algebra.dim != dim:
+            return algebra
+        rng = random.Random(seed)
+        table = algebra.table
+        if anywhere:
+            i, j, k = (rng.randrange(dim) for _ in range(3))
+        else:
+            i, j, k = rng.choice([(i, j, k) for i in range(dim)
+                                  for j in range(dim) for k in sorted(table[i][j])])
+        vec = dict(table[i][j])
+        vec[k] = vec.get(k, ZERO) + ONE
+        table[i][j] = {key: c for key, c in vec.items() if c}
+        return algebra
+
+    return extract
+
+
+def _first_failure(step, args):
+    """The stage at which ``step`` rejects: the exception message up to its
+    first detail, or None when it accepts."""
+    try:
+        step(Report(), *args)
+    except NqhError as exc:
+        return str(exc).partition(": CheckItem(name='")[0]
+    return None
+
+
+def test_oracle_mutants_are_rejected_as_by_the_old_certificate(monkeypatch):
+    """Bump one coefficient of the oracle table as extract_algebra returns
+    it, on the oracle step of the five registry pipelines and of the skew3
+    inputs of seeds 1 to 4.  certify_by_iso reads the map's columns off the
+    certified target alone and checks every pair, so it rejects every such
+    mutant; the old path, verify_algebra and then verify_iso on a
+    generating set, rejects the same ones."""
+    rejected = Counter()
+    stages = Counter()
+    for name, args in _oracle_step_inputs():
+        base = args[2]
+        for n in range(5 if name.startswith("skew3") else 10):
+            monkeypatch.setattr(deform, "extract_algebra", _mutating_extract(
+                4 * base.algebra.dim, f"oracle-mutant:{name}:{n}", n % 2))
+            new = _first_failure(knorrer._oracle_step, args)
+            old = _first_failure(ref_oracle_step, args)
+            assert (new is None) == (old is None), (name, n, new, old)
+            rejected[new is not None] += 1
+            stages[new, old] += 1
+    assert rejected == {True: 90}, (rejected, stages)
+    # most mutants pass the strong-grading and block checks and reach
+    # certify_by_iso, whose failure sends the oracle to verify_algebra
+    assert stages["oracle output invalid", "oracle output invalid"] > 45, stages

@@ -760,8 +760,8 @@ def test_semitrivial_mu_identity():
 
 
 def ref_left_twisting_identity(E, mu):
-    """The check zhang_twist made before it went through verify_iso and
-    mu^2 = id: nu_l(nu_h(x) y) = nu_{h+l}(x) nu_l(y) for nu = (id, mu) on
+    """The check zhang_twist made before it relied on the involution check,
+    verify_iso and mu^2 = id: nu_l(nu_h(x) y) = nu_{h+l}(x) nu_l(y) for nu = (id, mu) on
     every basis pair with y of degree h."""
     maps = {0: GradedLinMap.identity(E), 1: mu}
     for ell in (0, 1):
@@ -800,7 +800,10 @@ def test_zhang_twist_by_sign(clifford_km1):
                 == len(E.component_indices(degree)))
 
 
-def test_zhang_twist_rejects_non_system(clifford_km1):
+def test_semitrivial_mu_rejects_a_shear(clifford_km1):
+    """The minus case checks its involution once, in semitrivial_mu, and
+    zhang_twist relies on that check: a shear that is no twisting system
+    is rejected there as a NotTwistingSystem."""
     E = clifford_km1.algebra
     ident = GradedLinMap.identity(E)
     cols = [dict(c) for c in ident.cols]
@@ -809,13 +812,14 @@ def test_zhang_twist_rejects_non_system(clifford_km1):
     shear = GradedLinMap(E, E, cols)
     assert not ref_left_twisting_identity(E, shear)
     with pytest.raises(NotTwistingSystem):
-        zhang_twist(E, shear)
+        semitrivial_mu(E, shear)
 
 
-def test_zhang_twist_rejects_an_order_4_automorphism(clifford_km1):
+def test_semitrivial_mu_rejects_an_order_4_automorphism(clifford_km1):
     """x1* -> x2*, x2* -> -x1* is a graded automorphism whose square is -1
-    on the odd part.  The twisting identity fails at l = h = 1, and of the
-    two checks only mu^2 = id sees it."""
+    on the odd part.  The twisting identity of the Zhang twist by it fails
+    at l = h = 1, and of the two checks of the involution, which
+    zhang_twist relies on, only mu^2 = id sees it."""
     E = clifford_km1.algebra
     index = {lbl: k for k, lbl in enumerate(E.labels)}
     rotation = extend_on_generators(clifford_km1, E, [{index["x2*"]: ONE},
@@ -823,4 +827,4 @@ def test_zhang_twist_rejects_an_order_4_automorphism(clifford_km1):
     assert verify_iso(rotation)
     assert not ref_left_twisting_identity(E, rotation)
     with pytest.raises(NotTwistingSystem, match="involution"):
-        zhang_twist(E, rotation)
+        semitrivial_mu(E, rotation)
