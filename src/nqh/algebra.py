@@ -451,13 +451,13 @@ def t_inverse_table(theta):
                       for row in solved])
 
 
-def extend_on_generators(data, target, images):
-    """Multiplicative extension of a generator assignment.
+def extend_on_generators(relations, target, images):
+    """Multiplicative extension of a generator assignment, returned as the
+    map sending a tensor element in the generators to its target value.
 
-    ``data`` is a presented algebra with a normal-word basis (a
-    CliffordData); ``images`` lists a target vector per generator.  Every
-    defining relation is evaluated in the target; a nonzero value raises
-    RelationViolated with the relation index.
+    ``images`` lists a target vector per generator.  Every element of
+    ``relations`` is evaluated in the target; a nonzero value raises
+    RelationViolated with its index.
     """
     memo = {(): dict(target.unit)}
 
@@ -469,14 +469,16 @@ def extend_on_generators(data, target, images):
         memo[word] = value
         return value
 
-    for idx, relation in enumerate(data.relations):
+    def image(element):
         acc = {}
-        for word, coeff in relation.terms.items():
+        for word, coeff in element.terms.items():
             add_scaled(acc, image_of(word), coeff)
-        if acc:
+        return acc
+
+    for idx, relation in enumerate(relations):
+        if image(relation):
             raise RelationViolated(idx)
-    cols = [image_of(w) for w in data.algebra.words]
-    return GradedLinMap(data.algebra, target, cols)
+    return image
 
 
 def _iso_on_pairs(linmap, middles):

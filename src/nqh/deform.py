@@ -1,9 +1,9 @@
 """Clifford deformations and trimmed double Ore extension data.
 
 The deformation of a quadratic dual replaces each relation f by
-f - f(zhat) for a degree-2 central lift zhat; the rewriting engine turns
-the deformed presentation into structure constants, and the homogeneous
-dual supplies the PBW dimension count that certifies the result.
+f - f(zhat) for a degree-2 central lift zhat; the rewriting engine completes
+the deformed presentation, and the homogeneous dual supplies the PBW
+dimension count that its normal words must reach.
 
 Double Ore data is a base presentation, the pair (p12, p11), and a 2x2
 table sigma of degree-1 generator maps.  sigma acts on higher components
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Callable, NamedTuple
 
 from .errors import (
@@ -61,10 +61,10 @@ from .algebra import (
     verify_hom_M2,
 )
 from .quadratic import QuadraticPresentation, check_central, koszul_dual
-from .rewrite import complete, extract_algebra, orient
+from .rewrite import complete, extract_algebra, normal_form, normal_words, orient
 
 # The largest deformation built: a 9-letter exterior dual (dim 2^9), which is
-# B's dual over a 7-generator base.  Its structure table holds dim^2 entries.
+# B's dual over a 7-generator base.
 DIM_BUDGET = 512
 
 
@@ -76,15 +76,16 @@ class CaseKind(Enum):
 
 @dataclass
 class CliffordData:
-    """A Clifford deformation: homogeneous dual, deformed relations, and the
-    oracle-built algebra on the normal-word basis."""
+    """A Clifford deformation: dual, deformed relations, completed system,
+    normal words and their algebra (None for the big deformation)."""
 
     presentation: QuadraticPresentation  # homogeneous dual presentation
     central: TensorElement               # lift of the central element (base side)
     theta_values: tuple
     relations: tuple                     # deformed relations fed to the oracle
-    algebra: object
     system: object
+    words: tuple
+    algebra: object = None
 
 
 @dataclass
@@ -177,15 +178,13 @@ def dual_dims(presentation):
                 f" {len(dims) - 1}, past the dimension budget {DIM_BUDGET}")
 
 
-def build_clifford_from_dual(dual, deformed, central_lift, theta_values,
-                             expected_dim=None):
-    """Complete and extract a deformation of a presented dual.
+def complete_deformation(dual, deformed, central_lift, theta_values,
+                         expected_dim=None):
+    """Complete a deformation of a presented dual and enumerate its normal
+    words; no structure table is built.
 
     The dual's graded dimensions give the completion degree and the PBW
-    dimension, which the normal-word basis must reach exactly.  The table
-    is checked to be strongly Z2-graded but not certified: callers certify
-    it, by ``verify_algebra`` or by an isomorphism onto a certified
-    algebra."""
+    dimension, which the normal words must reach exactly."""
     dims = dual_dims(dual)
     pbw_dim = sum(dims)
     if expected_dim is not None and pbw_dim != expected_dim:
@@ -193,38 +192,27 @@ def build_clifford_from_dual(dual, deformed, central_lift, theta_values,
             f"homogeneous dimension {pbw_dim} != expected {expected_dim}")
     maxdeg = 2 * len(dims)  # twice the top degree, plus 2
     system = complete(orient(list(deformed), dual.generators), maxdeg)
-    algebra = extract_algebra(system, pbw_dim)
-    if not strongly_graded_check(algebra):
-        raise DimensionMismatch("deformation is not strongly Z2-graded")
-    return CliffordData(
-        presentation=dual,
-        central=central_lift,
-        theta_values=tuple(theta_values),
-        relations=tuple(deformed),
-        algebra=algebra,
-        system=system,
-    )
-
-
-def certify_oracle(algebra):
-    """Raise DimensionMismatch naming the first failing ``verify_algebra``
-    item of an oracle-built table, if any."""
-    report = verify_algebra(algebra)
-    if not report.ok:
-        raise DimensionMismatch(f"oracle output invalid: {report.first_failure()}")
+    return CliffordData(dual, central_lift, tuple(theta_values),
+                        tuple(deformed), system,
+                        tuple(normal_words(system, pbw_dim)))
 
 
 def build_clifford(presentation, lift):
-    """The certified Clifford deformation of the dual of a quadratic
-    presentation."""
+    """The Clifford deformation of the dual of a quadratic presentation,
+    with its structure table certified by ``verify_algebra``."""
     if not check_central(presentation, lift):
         raise CompatibilityFailed("the lift is not central")
     dual = koszul_dual(presentation)
     if not _compatibility_holds(dual, lift):
         raise CompatibilityFailed("the Clifford compatibility condition fails")
     theta_values, deformed = clifford_theta(dual, lift)
-    out = build_clifford_from_dual(dual, deformed, lift, theta_values)
-    certify_oracle(out.algebra)
+    out = complete_deformation(dual, deformed, lift, theta_values)
+    out.algebra = extract_algebra(out.system, len(out.words))
+    if not strongly_graded_check(out.algebra):
+        raise DimensionMismatch("deformation is not strongly Z2-graded")
+    report = verify_algebra(out.algebra)
+    if not report.ok:
+        raise DimensionMismatch(f"oracle output invalid: {report.first_failure()}")
     return out
 
 
@@ -557,10 +545,10 @@ def build_Bshriek_clifford(data, lift, base):
     """The Clifford deformation of the dual of B at z + y1^2 + y2^2, with
     ``base`` the deformation of the base dual at the lift of z.
 
-    The table is not certified here: the pipelines certify it through an
-    isomorphism onto an independently certified algebra (see
-    ``algebra.certify_by_iso``).  Its base and mixing blocks are checked
-    against their certified deformations."""
+    It gets no structure table and is not certified here: the pipelines
+    certify it from its presentation (see ``knorrer._oracle_step``).  Its
+    base and mixing blocks are checked against their certified
+    deformations."""
     g = data.ngens
     bdual = data.b_dual
     # cross-check the printed dual relation space: R_J-perp + R-perp + R_tau
@@ -587,9 +575,8 @@ def build_Bshriek_clifford(data, lift, base):
     # deform: J-block constants from the lift of y1^2 + y2^2, base block from z
     big_lift = central_lift_in_b(data, lift)
     theta_values, deformed = clifford_theta(bdual, big_lift)
-    out = build_clifford_from_dual(
-        bdual, deformed, big_lift, theta_values,
-        expected_dim=4 * base.algebra.dim)
+    out = complete_deformation(bdual, deformed, big_lift, theta_values,
+                               expected_dim=4 * base.algebra.dim)
     _verify_subalgebra_blocks(out, data, base)
     return out
 
@@ -604,42 +591,42 @@ def j_presentation(p12, p11):
     )
 
 
-def _block_matches(big, block_words, expect, offset):
-    rename = {}
-    for w, i in block_words.items():
-        stripped = tuple(a - offset for a in w)
-        rename[i] = expect.words.index(stripped)
-    if len(block_words) != expect.dim:
-        raise DimensionMismatch("subalgebra block has the wrong size")
-    for i1 in block_words.values():
-        for i2 in block_words.values():
-            got = big.table[i1][i2]
-            want = expect.table[rename[i1]][rename[i2]]
-            translated = {}
-            for k, c in got.items():
-                if k not in rename:
-                    raise DimensionMismatch("subalgebra block is not closed")
-                translated[rename[k]] = c
-            if translated != want:
+@cache
+def _mixing_deformation(p12, p11):
+    """The certified deformation of the mixing block's dual at y1^2 + y2^2,
+    built once per (p12, p11) and shared: callers only read it."""
+    return build_clifford(j_presentation(p12, p11),
+                          TensorElement({(0, 0): ONE, (1, 1): ONE}))
+
+
+def _block_matches(system, block_words, expect, offset):
+    """The products of the normal words ``block_words`` of ``system``, read
+    as normal forms, are the structure constants of ``expect`` on its words,
+    each block letter shifted down by ``offset``."""
+    index = {w: i for i, w in enumerate(expect.words)}
+    rename = {w: index.get(tuple(a - offset for a in w)) for w in block_words}
+    if len(rename) != expect.dim or None in rename.values():
+        raise DimensionMismatch("subalgebra block words are not the block's")
+    for w1 in block_words:
+        for w2 in block_words:
+            got = normal_form(system, TensorElement.monomial(w1 + w2)).terms
+            if not got.keys() <= rename.keys():
+                raise DimensionMismatch("subalgebra block is not closed")
+            if ({rename[w]: c for w, c in got.items()}
+                    != expect.table[rename[w1]][rename[w2]]):
                 raise DimensionMismatch("subalgebra block constants disagree")
 
 
 def _verify_subalgebra_blocks(bdata, data, base_c):
     """The base deformation sits on pure base-letter words, the mixing-block
     deformation on pure y words, and every normal word factors as
-    (y part)(base part) bijectively."""
-    B = bdata.algebra
-    words = B.words
-    base_words = {w: i for i, w in enumerate(words)
-                  if w and all(a >= 2 for a in w)}
-    base_words[()] = words.index(())
-    _block_matches(B, base_words, base_c.algebra, 2)
-    j_c = build_clifford(j_presentation(data.p12, data.p11),
-                         TensorElement({(0, 0): ONE, (1, 1): ONE}))
-    y_block = {w: i for i, w in enumerate(words)
-               if w and all(a < 2 for a in w)}
-    y_block[()] = words.index(())
-    _block_matches(B, y_block, j_c.algebra, 0)
+    (y part)(base part) bijectively.  The block products are read as normal
+    forms, dim E^2 + 16 of them."""
+    words = bdata.words
+    _block_matches(bdata.system, [w for w in words if all(a >= 2 for a in w)],
+                   base_c.algebra, 2)
+    _block_matches(bdata.system, [w for w in words if all(a < 2 for a in w)],
+                   _mixing_deformation(data.p12, data.p11).algebra, 0)
     # freeness: normal words factor uniquely as y-part then base-part
     seen = set()
     for w in words:

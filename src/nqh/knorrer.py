@@ -7,16 +7,15 @@ deforms the direct product, packs it into a semi-trivial extension by an
 involution, and identifies the degree-0 part with a Zhang twist.  Both
 start with one prologue (double Ore conditions, centrality, the base
 deformation and its dualized table) and build each dual and deformation
-once.  Every claimed identification is re-verified against the
-independently built rewriting oracle for the big deformation, structure
-constant by structure constant, in one step shared by both cases.
+once.  One step shared by both cases certifies the big deformation from
+its presentation, through a map onto the certified twisted construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import MuNotInvolution, NqhError, WrongP
+from .errors import DimensionMismatch, MuNotInvolution, NqhError, WrongP
 from .exactlin import HALF, I, ONE, ZERO, Scalar, Subspace, TensorElement, nullspace
 from .algebra import (
     GradedAlgebra,
@@ -44,7 +43,6 @@ from .deform import (
     build_Bshriek_clifford,
     build_clifford,
     central_lift_in_b,
-    certify_oracle,
     centrality_check_minus,
     centrality_check_plus,
     check_central,
@@ -88,7 +86,6 @@ class PlusCaseResult:
     twisted_bigraded: GradedAlgebra
     oracle: object                  # CliffordData of the big deformation
     base: object                    # CliffordData of the small deformation
-    iso: GradedLinMap
     e: dict
     xi1: GradedLinMap
     xi2: GradedLinMap
@@ -116,7 +113,6 @@ class MinusCaseResult:
     semitrivial_bigraded: GradedAlgebra
     oracle: object
     base: object
-    iso: GradedLinMap
     zhang: GradedAlgebra
     checks: Report = field(default_factory=Report)
 
@@ -287,29 +283,39 @@ def _prologue(checks, data, lift, kind):
 
 
 def _oracle_step(checks, data, lift, base, target, y_images, layout, what):
-    """Build the deformation of B's dual, the rewriting oracle, and check
-    that sending y1, y2 to ``y_images`` and each base letter a to its copy
-    at layout index (0, 1, a) extends to an isomorphism onto ``target``.
+    """Build the deformation P of B's dual by rewriting and check that
+    sending y1, y2 to ``y_images`` and each base letter a to its copy at
+    layout index (0, 1, a) extends to an isomorphism f of P onto the
+    certified ``target``, with no structure table for P.
 
-    ``target`` must be certified.  The oracle table is not: the map is
-    checked on every basis pair by ``certify_by_iso``, which then certifies
-    the oracle too (the proof is in its docstring), so the oracle needs no
-    ``verify_algebra`` of its own.  Only when that check fails does
-    ``verify_algebra`` run on the oracle, to name an invalid table as
-    "oracle output invalid" ahead of the failed isomorphism."""
+    Checked: the deformed relations and the completed rules lhs - rhs
+    vanish in the target, and the images of the dim B^! normal words are a
+    basis of it.  Proof.  f kills the relations, so it factors through P,
+    and it is onto.  gr P, for the word-length filtration, satisfies the
+    quadratic parts of the relations, so it is a quotient of B^! and
+    dim P <= dim B^! = dim target (the PBW bound: Polishchuk-Positselski,
+    *Quadratic Algebras*, ch. 5; Braverman-Gaitsgory, J. Algebra 181,
+    1996).  So f is bijective and the normal words are a basis of P.  The
+    rules keep the rewriting route independent: each lhs - rhs is then 0 in
+    P, so a corrupted rule is rejected.  All generators are odd on both
+    sides, so f is graded, and P is strongly Z2-graded as the target is."""
     oracle = build_Bshriek_clifford(data, lift, base)
     E = base.algebra
     images = [{index: ONE} for index in y_images]
     for a in range(data.ngens):
         images.append({layout.index(0, 1, E.words.index((a,))): ONE})
-    iso = extend_on_generators(oracle, target, images)
-    iso_ok = certify_by_iso(iso)
-    if not iso_ok:
-        certify_oracle(oracle.algebra)
+    rules = tuple(rule.as_element() for rule in oracle.system.rule_list())
+    image = extend_on_generators(oracle.relations + rules, target, images)
+    spanned = Subspace.from_rows(
+        [image(TensorElement.monomial(w)) for w in oracle.words], target.dim)
+    iso_ok = spanned.dim == target.dim == len(oracle.words)
+    if iso_ok and not (all(target.degrees[k] == (1,) for v in images for k in v)
+                       and strongly_graded_check(target)):
+        raise DimensionMismatch("deformation is not strongly Z2-graded")
     checks.add("oracle-isomorphism", iso_ok)
     if not iso_ok:
         raise IsoFailed(f"the deformation does not match the {what}")
-    return oracle, iso
+    return oracle
 
 
 def run_plus_case(data, lift):
@@ -339,7 +345,7 @@ def run_plus_case(data, lift):
     layout = BlockLayout(E, basis)
     unit_index = E.words.index(())
     # twisted regrades the certified twisted_big
-    oracle, iso = _oracle_step(
+    oracle = _oracle_step(
         checks, data, lift, base, twisted,
         (layout.index(1, 1, unit_index), layout.index(1, 2, unit_index)),
         layout, "twisted matrix algebra")
@@ -452,8 +458,8 @@ def run_plus_case(data, lift):
 
     return PlusCaseResult(
         sigma_dual=sd, Theta=Theta, twisted=twisted,
-        twisted_bigraded=twisted_big, oracle=oracle, base=base, iso=iso,
-        e=e, xi1=xi1, xi2=xi2, phi1=phi1, phi2=phi2, S=S, M=M,
+        twisted_bigraded=twisted_big, oracle=oracle, base=base, e=e, xi1=xi1,
+        xi2=xi2, phi1=phi1, phi2=phi2, S=S, M=M,
         Lambda=Lambda, Lambda_bigraded=Lambda_big, corner_iso_ok=corner_ok,
         checks=checks,
     )
@@ -518,7 +524,7 @@ def run_minus_case(data, lift):
 
     unit_index = E.words.index(())
     # ST regrades the certified ST_big
-    oracle, iso = _oracle_step(
+    oracle = _oracle_step(
         checks, data, lift, base, ST,
         (Gamma.dim + layout.index(0, 1, unit_index),
          Gamma.dim + layout.index(0, 2, unit_index)),
@@ -556,7 +562,7 @@ def run_minus_case(data, lift):
     return MinusCaseResult(
         sigma_dual=sd, theta_prod=system, Gamma=Gamma, mu=mu,
         semitrivial=ST, semitrivial_bigraded=ST_big, oracle=oracle, base=base,
-        iso=iso, zhang=NG, checks=checks,
+        zhang=NG, checks=checks,
     )
 
 

@@ -15,6 +15,7 @@ from nqh.exactlin import (
     Scalar,
     SparseEliminator,
     Subspace,
+    TensorElement,
     ZERO,
     add_scaled,
 )
@@ -177,7 +178,9 @@ def test_extend_on_generators(clifford_km1):
     algebra = clifford_km1.algebra
     images = [algebra.basis_vec(algebra.words.index((0,))),
               algebra.basis_vec(algebra.words.index((1,)))]
-    identity = extend_on_generators(clifford_km1, algebra, images)
+    image = extend_on_generators(clifford_km1.relations, algebra, images)
+    identity = GradedLinMap(algebra, algebra, [
+        image(TensorElement.monomial(w)) for w in algebra.words])
     assert identity == GradedLinMap.identity(algebra)
     assert verify_iso(identity)
     # sending both generators to the same image kills no relation here?
@@ -186,7 +189,7 @@ def test_extend_on_generators(clifford_km1):
     bad = [algebra.basis_vec(algebra.words.index((0,))),
            {algebra.words.index((0,)): ONE, algebra.words.index((1,)): ONE}]
     with pytest.raises(RelationViolated):
-        extend_on_generators(clifford_km1, algebra, bad)
+        extend_on_generators(clifford_km1.relations, algebra, bad)
 
 
 def test_verify_iso_rejects_non_multiplicative(clifford_km1):
@@ -393,9 +396,12 @@ PIPELINE_SCENARIOS = ("ex-4.10", "ex-4.9-1", "ex-4.9-2", "ex-5.9", "prop-5.10")
 def _capture_certified(patch, algebras, maps=None):
     """Record in ``algebras`` every algebra that the pipelines certify: the
     argument of each verify_algebra call and the source of each
-    certify_by_iso call, which certifies the oracle and Zhang tables.  With
-    ``maps``, record there the argument of each verify_iso and
-    certify_by_iso call."""
+    certify_by_iso call, which certifies the Zhang tables.  With ``maps``,
+    record there the argument of each verify_iso and certify_by_iso call.
+    The mixing-block deformation is built once per (p12, p11) and process,
+    so its cache is emptied first: the captures do not depend on which
+    tests ran before."""
+    deform._mixing_deformation.cache_clear()
     _capture(patch, "verify_algebra", algebras, (deform, knorrer, twist))
     real = algebra_module.certify_by_iso
 
@@ -456,8 +462,9 @@ def _items(report):
 def test_verify_algebra_matches_the_reference_on_pipeline_algebras(
         pipeline_algebras):
     # 20 distinct algebras; each pipeline builds its base deformation once,
-    # and the 5 oracle and 2 Zhang tables are certified by certify_by_iso
-    assert len(pipeline_algebras) == 28
+    # each (p12, p11) its mixing block once, the 2 Zhang tables are
+    # certified by certify_by_iso and the 5 oracles get no table
+    assert len(pipeline_algebras) == 20
     for algebra in pipeline_algebras:
         items = _items(verify_algebra(algebra))
         assert items == reference_verify_algebra(algebra)
@@ -576,8 +583,8 @@ def test_verify_algebra_matches_the_reference_on_skew3_mutants(skew3_certified):
     rng = random.Random("verify-algebra-skew3-mutants")
     kinds = ("unit", "stored", "any")
     failed = {"unit": 0, "grading": 0, "associativity": 0}
-    # each run builds its base deformation once
-    assert len(algebras) == 11
+    # each run builds its base deformation once; the oracles get no table
+    assert len(algebras) == 9
     for n, algebra in enumerate(algebras):
         items = _items(verify_algebra(algebra))
         assert items == reference_verify_algebra(algebra)
@@ -644,8 +651,9 @@ def _column_mutant(linmap, rng):
 
 def test_verify_iso_matches_the_reference_on_pipeline_maps(registry_isos,
                                                            skew3_certified):
-    # each minus run checks its involution once, where it checked it twice
-    assert len(registry_isos) == 14 and len(skew3_certified[1]) == 5
+    # each minus run checks its involution once, where it checked it twice;
+    # the oracles are certified without a map on their basis pairs
+    assert len(registry_isos) == 9 and len(skew3_certified[1]) == 3
     maps = registry_isos + skew3_certified[1]
     rng = random.Random("verify-iso-mutants")
     verdicts = {}

@@ -8,6 +8,7 @@ from nqh.errors import (
     BoundExceeded,
     CompatibilityFailed,
     DegenerateP11,
+    DimensionMismatch,
     NotRepresentableInK,
     WrongP,
 )
@@ -35,6 +36,7 @@ from nqh.deform import (
     p12_classify,
     validate_double_ore,
 )
+from nqh.rewrite import extract_algebra
 
 MINUS_ONE = Scalar(-1)
 
@@ -243,9 +245,24 @@ def test_b_extension_dimensions(double_ore_class_z, double_ore_class_t,
     for data in (double_ore_class_z, double_ore_class_t, double_ore_class_r):
         result = build_Bshriek_clifford(
             data, z_lift, build_clifford(data.base, z_lift))
-        assert result.algebra.dim == 16
+        assert result.algebra is None and len(result.words) == 16
         assert hilbert_profile(result.presentation, 4) == [1, 4, 6, 4, 1]
-        assert strongly_graded_check(result.algebra)
+        assert strongly_graded_check(extract_algebra(result.system, 16))
+
+
+def test_block_word_outside_the_block_is_a_dimension_mismatch(
+        double_ore_class_z, z_lift):
+    """A block word that is no normal word of the expected block is a
+    failed check, not a bare ValueError from a list lookup."""
+    base = build_clifford(double_ore_class_z.base, z_lift)
+    big = build_Bshriek_clifford(double_ore_class_z, z_lift, base)
+    base_words = [w for w in big.words if all(a >= 2 for a in w)]
+    deform._block_matches(big.system, base_words, base.algebra, 2)
+    # (x1, x1) is not a normal word of E: x1^2 reduces to a scalar
+    assert (0, 0) not in base.algebra.words
+    wrong = base_words[:-1] + [(2, 2)]
+    with pytest.raises(DimensionMismatch, match="block words"):
+        deform._block_matches(big.system, wrong, base.algebra, 2)
 
 
 def test_normalize_p11_identity_case(double_ore_class_t):
@@ -291,4 +308,4 @@ def test_dual_relation_space_matches_block_assembly(double_ore_class_r,
     result = build_Bshriek_clifford(
         double_ore_class_r, z_lift,
         build_clifford(double_ore_class_r.base, z_lift))
-    assert result.algebra.dim == 16
+    assert len(result.words) == 16

@@ -1,34 +1,38 @@
 import hashlib
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
 
 from conftest import diagonal_sigma
 
-from perfbench.workloads import generate, write_inputs
+from perfbench.workloads import encode, generate, skew_double_ore, write_inputs
 
 from nqh import deform, knorrer, twist
 from nqh.cli import main
 from nqh.formats import parse_double_ore
 
-from nqh.errors import NqhError, WrongP
-from nqh.exactlin import I, ONE, Scalar, ZERO
+from nqh.errors import DimensionMismatch, NqhError, RelationViolated, WrongP
+from nqh.exactlin import I, ONE, Scalar, Subspace, TensorElement, ZERO
 from nqh.algebra import (
+    GradedAlgebra,
     GradedLinMap,
     Report,
     RightModule,
-    extend_on_generators,
+    certify_by_iso,
     hom_dim,
     is_absolutely_simple,
     is_nilpotent_element,
     radical,
     spin,
+    strongly_graded_check,
     vec_add,
     vec_eq,
     vec_scale,
     vec_sub,
+    verify_algebra,
     verify_decomposition,
     verify_iso,
 )
@@ -39,7 +43,7 @@ from nqh.knorrer import (
     run_plus_case,
     singularity_report,
 )
-from nqh.rewrite import extract_algebra
+from nqh.rewrite import RewriteSystem, extract_algebra
 from nqh.scenarios import run_scenario
 from nqh.twist import BlockLayout
 
@@ -84,7 +88,7 @@ def test_plus_class_z_all_checks(plus_class_z):
 
 
 def test_plus_class_z_dimensions(plus_class_z):
-    assert plus_class_z.oracle.algebra.dim == 16
+    assert len(plus_class_z.oracle.words) == 16
     assert plus_class_z.twisted.dim == 16
     assert plus_class_z.base.algebra.dim == 4
     assert plus_class_z.S.dim == 2 and plus_class_z.M.dim == 2
@@ -151,7 +155,7 @@ def test_plus_sign_and_identity_case(km1, z_lift):
 
 def test_minus_class_t_all_checks(minus_class_t):
     assert minus_class_t.checks.ok
-    assert minus_class_t.oracle.algebra.dim == 16
+    assert len(minus_class_t.oracle.words) == 16
     assert minus_class_t.semitrivial.dim == 16
     assert minus_class_t.Gamma.dim == 8
     assert minus_class_t.zhang.dim == 8
@@ -305,10 +309,31 @@ def test_skew3_report_bytes_match_recorded_digest(capsys, tmp_path, case):
             == SKEW3_SEED7_DIGESTS[case])
 
 
+# sha256 of `nqh --json knorrer` on the 4-generator input drawn from
+# random.Random("big:4"), recorded while the big deformation still had a
+# structure table: a 64-dimensional run keeps its bytes.
+BIG4_DIGESTS = {
+    "plus": "8becef3385b8f881813cdd96c6c05dee681fbe0eb492f7dc51832dcc88b6c026",
+    "minus": "0ce815d73f0bfedcaf6f3ab5c49099f9724eecf4a1e28ef52f6450a63a562a15",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BIG4_DIGESTS))
+def test_big4_report_bytes_match_recorded_digest(capsys, tmp_path, case):
+    path = tmp_path / f"{case}.json"
+    path.write_bytes(encode(skew_double_ore(
+        random.Random("big:4"), 4, 1 if case == "plus" else -1)))
+    assert main(["--json", "knorrer", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == BIG4_DIGESTS[case]
+
+
 def test_each_run_builds_each_dual_and_deformation_once(monkeypatch):
     """One run builds three Koszul duals (base, B, mixing block J), runs
     check_central three times (in B, then inside the two build_clifford
-    calls) and deforms twice (base, J): nothing is rebuilt."""
+    calls) and deforms twice (base, J): nothing is rebuilt.  J depends only
+    on (p12, p11) and is kept for the process, so its cache is emptied
+    before each run."""
     counts = Counter()
 
     def counting(name, real):
@@ -325,10 +350,15 @@ def test_each_run_builds_each_dual_and_deformation_once(monkeypatch):
     for name, blob in sorted(generate("skew3", 7).items()):
         data, central = parse_double_ore(json.loads(blob))
         run = run_plus_case if name == "plus.json" else run_minus_case
+        deform._mixing_deformation.cache_clear()
         counts.clear()
         assert run(data, central).checks.ok
         assert counts == {"koszul_dual": 3, "check_central": 3,
                           "build_clifford": 2}, name
+        # a second run on the same data rebuilds only the base deformation
+        assert run(data, central).checks.ok
+        assert counts == {"koszul_dual": 4, "check_central": 5,
+                          "build_clifford": 3}, name
 
 
 def test_each_run_descends_sigma_and_its_inverse_once(monkeypatch, tmp_path,
@@ -354,8 +384,8 @@ def test_each_run_descends_sigma_and_its_inverse_once(monkeypatch, tmp_path,
 def test_each_run_builds_and_certifies_each_twisted_table_once(monkeypatch):
     """One run builds its twisted table once and certifies it once; the
     exchange identity is read off that certificate, so the basis-pair loop
-    never runs on an accepted system.  No oracle or Zhang table reaches
-    verify_algebra, since certify_by_iso certifies both, and a minus run
+    never runs on an accepted system.  No Zhang table reaches
+    verify_algebra, since certify_by_iso certifies it, and a minus run
     checks its involution once."""
     counts = Counter()
     certified = []
@@ -402,35 +432,97 @@ def test_each_run_builds_and_certifies_each_twisted_table_once(monkeypatch):
         assert counts == {builder: 1, "_twisted_algebra": 1}, name
         twisted = result.twisted_bigraded if plus else result.Gamma
         assert len(certified) == 1 and certified[0] is twisted, name
-        uncertified = ([result.oracle.algebra] if plus
-                       else [result.oracle.algebra, result.zhang])
-        assert not [a for a in elsewhere if any(a is u for u in uncertified)], name
+        assert plus or not [a for a in elsewhere if a is result.zhang], name
         if not plus:
             assert [m for m in isos if m is result.mu] == [result.mu]
 
 
 # ---------------------------------------------------------------------------
-# the oracle certified through certify_by_iso against its own verify_algebra
+# the big deformation certified from its presentation, against the table
+
+
+def test_the_big_deformation_is_certified_without_a_table(monkeypatch):
+    """On a passing run the big deformation never reaches extract_algebra,
+    verify_algebra or certify_by_iso, and no table of its products is
+    built: its normal forms are read for the two blocks alone, dim E^2 + 16
+    of them, where a table needs (4 dim E)^2."""
+    extracted = []
+    certified = []
+    transported = []
+    forms = Counter()
+
+    def recording(sink, real):
+        def wrapper(*args):
+            sink.append(args[0])
+            return real(*args)
+        return wrapper
+
+    real_normal_form = deform.normal_form
+
+    def counting_normal_form(system, element):
+        forms[id(system)] += 1
+        return real_normal_form(system, element)
+
+    monkeypatch.setattr(deform, "extract_algebra",
+                        recording(extracted, deform.extract_algebra))
+    for module in (deform, knorrer, twist):
+        monkeypatch.setattr(module, "verify_algebra",
+                            recording(certified, module.verify_algebra))
+    monkeypatch.setattr(knorrer, "certify_by_iso",
+                        recording(transported, knorrer.certify_by_iso))
+    monkeypatch.setattr(deform, "normal_form", counting_normal_form)
+    for name, blob in sorted(generate("skew3", 7).items()):
+        data, central = parse_double_ore(json.loads(blob))
+        plus = name == "plus.json"
+        deform._mixing_deformation.cache_clear()
+        for sink in (extracted, certified, transported):
+            sink.clear()
+        forms.clear()
+        result = (run_plus_case if plus else run_minus_case)(data, central)
+        assert result.checks.ok
+        oracle, E = result.oracle, result.base.algebra
+        assert oracle.algebra is None and len(oracle.words) == 4 * E.dim
+        mixing = deform._mixing_deformation(data.p12, data.p11)
+        assert extracted == [result.base.system, mixing.system], name
+        built = [E, mixing.algebra] + ([result.twisted_bigraded,
+                                        result.Lambda_bigraded] if plus
+                                       else [result.Gamma,
+                                             result.semitrivial_bigraded])
+        assert sorted(map(id, certified)) == sorted(map(id, built)), name
+        assert [m.source for m in transported] == ([] if plus else [result.zhang])
+        assert forms[id(oracle.system)] == E.dim ** 2 + 16, name
 
 
 def ref_oracle_step(checks, data, lift, base, target, y_images, layout, what):
-    """The oracle step before certify_by_iso: verify_algebra certifies the
-    oracle table, then verify_iso checks the map on a generating set."""
+    """The oracle step while the big deformation had a table: the table is
+    extracted from the completed system and checked strongly graded, and
+    certify_by_iso checks the map on every basis pair; when that fails,
+    verify_algebra names an invalid table first."""
     oracle = deform.build_Bshriek_clifford(data, lift, base)
-    deform.certify_oracle(oracle.algebra)
+    algebra = extract_algebra(oracle.system, len(oracle.words))
+    if not strongly_graded_check(algebra):
+        raise DimensionMismatch("deformation is not strongly Z2-graded")
     E = base.algebra
     images = [{index: ONE} for index in y_images]
     for a in range(data.ngens):
         images.append({layout.index(0, 1, E.words.index((a,))): ONE})
-    iso = extend_on_generators(oracle, target, images)
-    iso_ok = verify_iso(iso)
+    image = knorrer.extend_on_generators(oracle.relations, target, images)
+    iso = GradedLinMap(algebra, target, [image(TensorElement.monomial(w))
+                                         for w in algebra.words])
+    iso_ok = certify_by_iso(iso)
+    if not iso_ok:
+        report = verify_algebra(algebra)
+        if not report.ok:
+            raise DimensionMismatch(
+                f"oracle output invalid: {report.first_failure()}")
     checks.add("oracle-isomorphism", iso_ok)
     if not iso_ok:
         raise knorrer.IsoFailed(f"the deformation does not match the {what}")
-    return oracle, iso
+    return oracle
 
 
-def _oracle_step_inputs():
+@pytest.fixture(scope="module")
+def oracle_step_inputs():
     """(name, arguments after ``checks``) of the oracle step of the five
     registry pipelines and of the skew3 inputs of seeds 1 to 4."""
     found = []
@@ -457,27 +549,62 @@ def _oracle_step_inputs():
     return list(zip(names, found))
 
 
-def _mutating_extract(dim, seed, anywhere):
-    """deform.extract_algebra, with one coefficient of each table of
-    dimension ``dim`` (the oracle's) bumped by 1 before any check sees it:
-    a stored one, or with ``anywhere`` any (i, j, k)."""
-    def extract(system, pbw_dim):
-        algebra = extract_algebra(system, pbw_dim)
-        if algebra.dim != dim:
-            return algebra
-        rng = random.Random(seed)
-        table = algebra.table
-        if anywhere:
-            i, j, k = (rng.randrange(dim) for _ in range(3))
-        else:
-            i, j, k = rng.choice([(i, j, k) for i in range(dim)
-                                  for j in range(dim) for k in sorted(table[i][j])])
-        vec = dict(table[i][j])
-        vec[k] = vec.get(k, ZERO) + ONE
-        table[i][j] = {key: c for key, c in vec.items() if c}
-        return algebra
+def _bump(vec, key):
+    out = dict(vec)
+    out[key] = out.get(key, ZERO) + ONE
+    return {k: c for k, c in out.items() if c}
 
-    return extract
+
+def _mutate(patch, kind, args, seed):
+    """Patch one input of the oracle step of ``args``, before any check
+    reads it, by a coefficient bumped by 1: a deformed relation of B's dual
+    (``"relation"``), a y image (``"y-image"``) or a right-hand side of a
+    completed rule of B's dual (``"rule"``)."""
+    data, target = args[0], args[3]
+    letters = data.ngens + 2
+
+    def rng():
+        return random.Random(f"{seed}:{kind}")
+
+    if kind == "relation":
+        real = deform.clifford_theta
+
+        def theta(dual, lift):
+            values, relations = real(dual, lift)
+            if dual.ngens == letters:
+                r = rng()
+                n = r.randrange(len(relations))
+                word = r.choice(sorted(relations[n].terms))
+                relations[n] = TensorElement(_bump(relations[n].terms, word))
+            return values, relations
+
+        patch.setattr(deform, "clifford_theta", theta)
+    elif kind == "y-image":
+        real = knorrer.extend_on_generators
+
+        def extend(relations, tgt, images):
+            r = rng()
+            images = list(images)
+            n = r.randrange(2)
+            images[n] = _bump(images[n], r.randrange(target.dim))
+            return real(relations, tgt, images)
+
+        patch.setattr(knorrer, "extend_on_generators", extend)
+    else:
+        real = deform.complete
+
+        def complete(system, maxdeg):
+            done = real(system, maxdeg)
+            if done.nletters != letters:
+                return done
+            r = rng()
+            rules = dict(done.rules)
+            lhs = r.choice(sorted(rules))
+            word = r.choice(sorted(rules[lhs].terms) + [()])
+            rules[lhs] = TensorElement(_bump(rules[lhs].terms, word))
+            return RewriteSystem(rules, done.alphabet, done.confluent_up_to)
+
+        patch.setattr(deform, "complete", complete)
 
 
 def _first_failure(step, args):
@@ -490,26 +617,110 @@ def _first_failure(step, args):
     return None
 
 
-def test_oracle_mutants_are_rejected_as_by_the_old_certificate(monkeypatch):
-    """Bump one coefficient of the oracle table as extract_algebra returns
-    it, on the oracle step of the five registry pipelines and of the skew3
-    inputs of seeds 1 to 4.  certify_by_iso reads the map's columns off the
-    certified target alone and checks every pair, so it rejects every such
-    mutant; the old path, verify_algebra and then verify_iso on a
-    generating set, rejects the same ones."""
-    rejected = Counter()
+def _stage(message, args):
+    """A ``_first_failure`` message, with a failed relation of the oracle
+    step named as a deformed relation or as a completed rule."""
+    found = re.fullmatch(r"relation (\d+) not preserved", message or "")
+    if not found:
+        return message
+    return "relation" if int(found[1]) < args[0].b_dual.relations.dim else "rule"
+
+
+def test_oracle_mutants_are_rejected_as_by_the_old_certificate(
+        oracle_step_inputs):
+    """Mutate a deformed relation, a y image or a rule of the big
+    deformation before any check runs, on the oracle step of the five
+    registry pipelines and of the skew3 inputs of seeds 1 to 4.  The step
+    that certifies the deformation from its presentation rejects exactly
+    the mutants that the table-based reference rejects."""
+    kinds = ("relation", "y-image", "rule")
+    verdicts = Counter()
     stages = Counter()
-    for name, args in _oracle_step_inputs():
-        base = args[2]
-        for n in range(5 if name.startswith("skew3") else 10):
-            monkeypatch.setattr(deform, "extract_algebra", _mutating_extract(
-                4 * base.algebra.dim, f"oracle-mutant:{name}:{n}", n % 2))
-            new = _first_failure(knorrer._oracle_step, args)
-            old = _first_failure(ref_oracle_step, args)
-            assert (new is None) == (old is None), (name, n, new, old)
-            rejected[new is not None] += 1
-            stages[new, old] += 1
-    assert rejected == {True: 90}, (rejected, stages)
-    # most mutants pass the strong-grading and block checks and reach
-    # certify_by_iso, whose failure sends the oracle to verify_algebra
-    assert stages["oracle output invalid", "oracle output invalid"] > 45, stages
+    for name, args in oracle_step_inputs:
+        for kind in kinds:
+            for n in range(3 if name.startswith("skew3") else 4):
+                with pytest.MonkeyPatch.context() as patch:
+                    _mutate(patch, kind, args, f"oracle-mutant:{name}:{n}")
+                    new = _first_failure(knorrer._oracle_step, args)
+                    old = _first_failure(ref_oracle_step, args)
+                assert (new is None) == (old is None), (name, kind, n, new, old)
+                verdicts[kind, new is not None] += 1
+                stages[kind, _stage(new, args)] += 1
+    assert verdicts == {(kind, True): 44 for kind in kinds}, (verdicts, stages)
+    # every corrupted y image breaks a relation; a rule corrupted outside
+    # the two blocks is seen by the rule evaluation alone, where the
+    # reference finds an invalid table
+    assert stages["y-image", "relation"] == 44, stages
+    assert stages["rule", "rule"] > 10, stages
+
+
+def _word_images(target, images, words):
+    """The products in ``target`` of the generator ``images`` along each of
+    ``words``."""
+    out = []
+    for word in words:
+        value = dict(target.unit)
+        for letter in word:
+            value = target.mul(value, images[letter])
+        out.append(value)
+    return out
+
+
+def test_oracle_step_rejects_spanning_images_that_break_a_relation(
+        monkeypatch, oracle_step_inputs):
+    """Doubling y1's image keeps the images of the normal words a basis of
+    the target, each scaled by a power of 2, but breaks y1^2 = 1."""
+    name, args = oracle_step_inputs[0]
+    target = args[3]
+    words = deform.build_Bshriek_clifford(*args[:3]).words
+    real = knorrer.extend_on_generators
+    seen = []
+
+    def doubled(relations, tgt, images):
+        images = [{k: c * Scalar(2) for k, c in images[0].items()}] + images[1:]
+        seen.append(Subspace.from_rows(_word_images(tgt, images, words),
+                                       tgt.dim).dim)
+        return real(relations, tgt, images)
+
+    monkeypatch.setattr(knorrer, "extend_on_generators", doubled)
+    for step in (knorrer._oracle_step, ref_oracle_step):
+        with pytest.raises(RelationViolated):
+            step(Report(), *args)
+    assert seen == [target.dim, target.dim], name
+
+
+def _doubled(algebra):
+    """The product algebra A x A on two copies of A's basis."""
+    d = algebra.dim
+    table = [[{k + d * (i // d): c
+               for k, c in algebra.table[i % d][j % d].items()}
+              if i // d == j // d else {} for j in range(2 * d)]
+             for i in range(2 * d)]
+    unit = dict(algebra.unit)
+    unit.update((k + d, c) for k, c in algebra.unit.items())
+    return GradedAlgebra(algebra.labels * 2, table, unit, algebra.degrees * 2)
+
+
+def test_oracle_step_rejects_a_map_that_keeps_every_relation_but_does_not_span(
+        monkeypatch, oracle_step_inputs):
+    """The diagonal map into T x T kills every relation and rule, as the
+    isomorphism onto T does, but its image is a copy of T, half of T x T:
+    the check fails and names the failed isomorphism."""
+    name, args = oracle_step_inputs[0]
+    target = args[3]
+    wide = _doubled(target)
+    real = knorrer.extend_on_generators
+
+    def diagonal(relations, tgt, images):
+        assert tgt is wide
+        images = [vec_add(v, {k + target.dim: c for k, c in v.items()})
+                  for v in images]
+        return real(relations, tgt, images)
+
+    monkeypatch.setattr(knorrer, "extend_on_generators", diagonal)
+    for step in (knorrer._oracle_step, ref_oracle_step):
+        checks = Report()
+        with pytest.raises(knorrer.IsoFailed):
+            step(checks, *args[:3], wide, *args[4:])
+        assert [(item.name, item.passed) for item in checks.items] == [
+            ("oracle-isomorphism", False)], name

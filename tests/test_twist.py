@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from nqh import knorrer
 from nqh.errors import MuNotInvolution, NotTwistingSystem, SingularBasis
-from nqh.exactlin import HALF, I, ONE, Scalar, ZERO, matrix_inverse, matrix_mul
+from nqh.exactlin import (HALF, I, ONE, Scalar, TensorElement, ZERO, matrix_inverse,
+                          matrix_mul)
 from nqh.algebra import (
     GradedAlgebra,
     GradedLinMap,
@@ -822,8 +823,10 @@ def test_semitrivial_mu_rejects_an_order_4_automorphism(clifford_km1):
     zhang_twist relies on, only mu^2 = id sees it."""
     E = clifford_km1.algebra
     index = {lbl: k for k, lbl in enumerate(E.labels)}
-    rotation = extend_on_generators(clifford_km1, E, [{index["x2*"]: ONE},
-                                                      {index["x1*"]: MINUS_ONE}])
+    image = extend_on_generators(clifford_km1.relations, E,
+                                 [{index["x2*"]: ONE}, {index["x1*"]: MINUS_ONE}])
+    rotation = GradedLinMap(E, E, [image(TensorElement.monomial(w))
+                                   for w in E.words])
     assert verify_iso(rotation)
     assert not ref_left_twisting_identity(E, rotation)
     with pytest.raises(NotTwistingSystem, match="involution"):
