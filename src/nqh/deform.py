@@ -207,7 +207,7 @@ def build_clifford(presentation, lift):
         raise CompatibilityFailed("the Clifford compatibility condition fails")
     theta_values, deformed = clifford_theta(dual, lift)
     out = complete_deformation(dual, deformed, lift, theta_values)
-    out.algebra = extract_algebra(out.system, len(out.words))
+    out.algebra = extract_algebra(out.system, out.words)
     if not strongly_graded_check(out.algebra):
         raise DimensionMismatch("deformation is not strongly Z2-graded")
     report = verify_algebra(out.algebra)

@@ -225,12 +225,11 @@ def normal_words(system, dim):
     return found
 
 
-def extract_algebra(system, dim):
-    """Structure constants of the quotient on its ``dim`` normal words,
-    graded by word-length parity."""
+def extract_algebra(system, words):
+    """Structure constants of the quotient on its normal ``words``, as
+    ``normal_words`` enumerates them, graded by word-length parity."""
     from .algebra import GradedAlgebra
 
-    words = normal_words(system, dim)
     index = {w: i for i, w in enumerate(words)}
     degrees = [(len(w) % 2,) for w in words]
     labels = []

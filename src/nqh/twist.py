@@ -706,10 +706,10 @@ def build_semitrivial(data):
 
     With R the ring and M the module, the product on R (+) M is r r' in R,
     r . m and m . r from the actions, and m m' = psi(m (x) m').  No axiom is
-    checked here: callers certify the result with ``verify_algebra``, whose
-    unit and associativity items hold exactly when R is a unital associative
-    algebra, M a unital R-bimodule, and psi a balanced bimodule map that
-    satisfies the bridge.
+    checked here.  ``verify_algebra``'s unit and associativity items hold
+    exactly when R is a unital associative algebra, M a unital R-bimodule,
+    and psi a balanced bimodule map that satisfies the bridge; for the data
+    of ``semitrivial_mu`` they follow from its checks (proof there).
 
     Proof.  The product is bilinear, so it is associative if and only if
     (xy)z = x(yz) for all basis triples.  Write r, r', r'' for ring and m,
@@ -749,31 +749,55 @@ def build_semitrivial(data):
 
 
 def semitrivial_mu(E, mu):
-    """The bimodule-and-psi package built from an involutive automorphism:
+    """The bimodule-and-psi package of the skew group algebra E x| <mu>:
     the module is E twisted by mu on the left and shifted, and psi is
     (a, b) -> mu(a) b.  E must be certified associative (``verify_iso``).
 
     This is the one check of mu: MuNotInvolution unless mu is a graded
-    automorphism with mu^2 = id, which is also what ``zhang_twist`` needs."""
+    automorphism with mu^2 = id, which is also what ``zhang_twist`` needs.
+
+    Claim.  If E passes ``verify_algebra`` and mu passes both checks,
+    ``build_semitrivial`` of the returned data passes ``verify_algebra`` on
+    every item, so it needs no certificate of its own.  It is E x| <t> with
+    t^2 = 1 and t a = mu(a) t, on the basis e_i and m_b = t e_b: then
+    e_i m_b = t mu(e_i) e_b, m_b e_i = t e_b e_i and m_a m_b = mu(e_a) e_b.
+    Proof.  In the module r . m = mu(r) m, m . r = m r and
+    psi(m (x) m') = mu(m) m' are products of E; the eight triple kinds of
+    ``build_semitrivial`` read, with E associative throughout:
+
+    - (r, r', r''), (m, r, r'), (r, m, r') and (m, m', r): E is associative;
+    - (r, r', m): mu(r r') m = mu(r) mu(r') m, mu is multiplicative;
+    - (m, r, m'): mu(m r) m' = mu(m) mu(r) m', the same;
+    - (r, m, m'): mu(mu(r) m) m' = r mu(m) m', which multiplicativity turns
+      into mu^2(r) mu(m) m' = r mu(m) m', true as mu^2 = id;
+    - (m, m', m''): mu(mu(m) m') m'' = m mu(m') m'', which is
+      mu^2(m) mu(m') m'' = m mu(m') m'' in the same way.
+
+    The unit is E's: 1 . m = mu(1) m = m as mu(1) = 1, and every other unit
+    triple is E's unit axiom.  The grading holds because E's does and mu is
+    graded: e_i . m_b and m_b . e_i lie in the module part of degree
+    deg e_i + deg e_b, shifted as m_b is, and psi(m_a (x) m_b) in E's
+    degree deg e_a + deg e_b.  Only the last two kinds use mu^2 = id, and
+    without it they fail, as they do for an order-4 rotation of a Clifford
+    algebra's generators.
+    """
     if not verify_iso(mu):
         raise MuNotInvolution("mu must be a graded algebra automorphism")
     if not mu.compose(mu) == GradedLinMap.identity(E):
         raise MuNotInvolution("mu must be an involution: mu^2 is not the identity")
-    left = []
-    right = []
-    for i in range(E.dim):
-        ei = E.basis_vec(i)
-        mu_ei = mu.apply(ei)
-        left.append(tuple(E.mul(mu_ei, E.basis_vec(b)) for b in range(E.dim)))
-        right.append(tuple(E.mul(E.basis_vec(b), ei) for b in range(E.dim)))
-    psi = []
-    for a in range(E.dim):
-        mu_a = mu.apply(E.basis_vec(a))
-        psi.append(tuple(E.mul(mu_a, E.basis_vec(b)) for b in range(E.dim)))
+    return _skew_group_data(E, mu)
+
+
+def _skew_group_data(E, mu):
+    """``semitrivial_mu``'s package without its checks of mu: the dim E^2
+    products mu(e_i) e_b serve as both the left action and psi, and the
+    right action is read off E's table."""
     assert E.group_rank == 1
-    shifted = [((d[0] + 1) % 2,) for d in E.degrees]
-    return SemiTrivialData(E, tuple(shifted), tuple(left), tuple(right),
-                           tuple(psi))
+    left = tuple(tuple(E.mul(mu.apply(E.basis_vec(i)), E.basis_vec(b))
+                       for b in range(E.dim)) for i in range(E.dim))
+    right = tuple(tuple(E.table[b][i] for b in range(E.dim)) for i in range(E.dim))
+    shifted = tuple(((d[0] + 1) % 2,) for d in E.degrees)
+    return SemiTrivialData(E, shifted, left, right, left)
 
 
 def zhang_twist(E, mu):

@@ -394,7 +394,7 @@ def test_criterion_9_oracle_integrity(km1, z_lift, double_ore_class_z,
     for deformation in deformations:
         # the big deformations get no table of their own: extract it here
         system = deformation.system
-        algebra = extract_algebra(system, len(deformation.words))
+        algebra = extract_algebra(system, deformation.words)
         ok &= verify_algebra(algebra).ok
         ok &= strongly_graded_check(algebra)
         dual = deformation.presentation

@@ -395,14 +395,23 @@ PIPELINE_SCENARIOS = ("ex-4.10", "ex-4.9-1", "ex-4.9-2", "ex-5.9", "prop-5.10")
 
 def _capture_certified(patch, algebras, maps=None):
     """Record in ``algebras`` every algebra that the pipelines certify: the
-    argument of each verify_algebra call and the source of each
-    certify_by_iso call, which certifies the Zhang tables.  With ``maps``,
-    record there the argument of each verify_iso and certify_by_iso call.
-    The mixing-block deformation is built once per (p12, p11) and process,
-    so its cache is emptied first: the captures do not depend on which
-    tests ran before."""
+    argument of each verify_algebra call, the source of each certify_by_iso
+    call, which certifies the Zhang tables, and each build_semitrivial
+    output, which the minus case certifies through its ring and involution.
+    With ``maps``, record there the argument of each verify_iso and
+    certify_by_iso call.  The mixing-block deformation is built once per
+    (p12, p11) and process, so its cache is emptied first: the captures do
+    not depend on which tests ran before."""
     deform._mixing_deformation.cache_clear()
     _capture(patch, "verify_algebra", algebras, (deform, knorrer, twist))
+    build = knorrer.build_semitrivial
+
+    def built(data):
+        extension = build(data)
+        algebras.append(extension)
+        return extension
+
+    patch.setattr(knorrer, "build_semitrivial", built)
     real = algebra_module.certify_by_iso
 
     def transport(linmap):
@@ -463,7 +472,8 @@ def test_verify_algebra_matches_the_reference_on_pipeline_algebras(
         pipeline_algebras):
     # 20 distinct algebras; each pipeline builds its base deformation once,
     # each (p12, p11) its mixing block once, the 2 Zhang tables are
-    # certified by certify_by_iso and the 5 oracles get no table
+    # certified by certify_by_iso, the 2 minus extensions are recorded from
+    # build_semitrivial and the 5 oracles get no table
     assert len(pipeline_algebras) == 20
     for algebra in pipeline_algebras:
         items = _items(verify_algebra(algebra))
@@ -553,11 +563,13 @@ def test_restrict_coordinates_recombine_to_each_product(pipeline_algebras, data)
 
 
 def _capture(patch, name, sink, modules):
-    """Patch ``name`` in ``modules`` to record its argument in ``sink``."""
+    """Patch ``name`` in ``modules`` to record its argument in ``sink``,
+    unless ``sink`` already holds that object."""
     real = getattr(algebra_module, name)
 
     def capture(arg):
-        sink.append(arg)
+        if not any(seen is arg for seen in sink):
+            sink.append(arg)
         return real(arg)
 
     for module in modules:
@@ -583,7 +595,8 @@ def test_verify_algebra_matches_the_reference_on_skew3_mutants(skew3_certified):
     rng = random.Random("verify-algebra-skew3-mutants")
     kinds = ("unit", "stored", "any")
     failed = {"unit": 0, "grading": 0, "associativity": 0}
-    # each run builds its base deformation once; the oracles get no table
+    # each run builds its base deformation once; the minus extension is
+    # recorded from build_semitrivial; the oracles get no table
     assert len(algebras) == 9
     for n, algebra in enumerate(algebras):
         items = _items(verify_algebra(algebra))

@@ -331,6 +331,13 @@ def test_knorrer_case_agreeing_with_p12_runs(capsys, double_ore_file):
 
 
 def test_invalid_semitrivial_extension_is_exit_1(capsys, monkeypatch, tmp_path):
+    """A pairing psi corrupted in the build stops the run.  The plus case's
+    extension Lambda is certified by its own verify_algebra, which names
+    the broken associativity.  The minus case's extension is Gamma x| <mu>,
+    certified by the checks on Gamma and mu before the build, so
+    semitrivial-valid no longer sees psi: psi[0][0] is the square of y1's
+    image, and the oracle step finds a deformed relation of B's dual broken
+    in the corrupted extension."""
     from nqh import knorrer
     from nqh.exactlin import ONE
 
@@ -342,12 +349,17 @@ def test_invalid_semitrivial_extension_is_exit_1(capsys, monkeypatch, tmp_path):
         return build(dataclasses.replace(data, psi=tuple(tuple(r) for r in psi)))
 
     monkeypatch.setattr(knorrer, "build_semitrivial", perturbed_build)
-    path = tmp_path / "ex59.json"
-    path.write_text(json.dumps(EX_5_9))
+    path = tmp_path / "ex410.json"
+    path.write_text(json.dumps(EX_4_10))
     assert main(["knorrer", str(path)]) == 1
     err = capsys.readouterr().err
     assert "invalid semi-trivial extension" in err
     assert "associativity fails at" in err
+
+    path = tmp_path / "ex59.json"
+    path.write_text(json.dumps(EX_5_9))
+    assert main(["knorrer", str(path)]) == 1
+    assert capsys.readouterr().err == "check failed: relation 0 not preserved\n"
 
 
 @pytest.mark.parametrize("module_name, builder, doc, message", [

@@ -247,7 +247,7 @@ def test_b_extension_dimensions(double_ore_class_z, double_ore_class_t,
             data, z_lift, build_clifford(data.base, z_lift))
         assert result.algebra is None and len(result.words) == 16
         assert hilbert_profile(result.presentation, 4) == [1, 4, 6, 4, 1]
-        assert strongly_graded_check(extract_algebra(result.system, 16))
+        assert strongly_graded_check(extract_algebra(result.system, result.words))
 
 
 def test_block_word_outside_the_block_is_a_dimension_mismatch(

@@ -19,6 +19,7 @@ from nqh.exactlin import I, ONE, Scalar, Subspace, TensorElement, ZERO
 from nqh.algebra import (
     GradedAlgebra,
     GradedLinMap,
+    MatrixHom,
     Report,
     RightModule,
     certify_by_iso,
@@ -26,6 +27,7 @@ from nqh.algebra import (
     is_absolutely_simple,
     is_nilpotent_element,
     radical,
+    restrict,
     spin,
     strongly_graded_check,
     vec_add,
@@ -35,6 +37,7 @@ from nqh.algebra import (
     verify_algebra,
     verify_decomposition,
     verify_iso,
+    xi_automorphism,
 )
 from nqh.deform import DoubleOreData
 from nqh.knorrer import (
@@ -44,7 +47,7 @@ from nqh.knorrer import (
     singularity_report,
 )
 from nqh.rewrite import RewriteSystem, extract_algebra
-from nqh.scenarios import run_scenario
+from nqh.scenarios import EX_5_9, PROP_5_10, run_scenario
 from nqh.twist import BlockLayout
 
 MINUS_ONE = Scalar(-1)
@@ -445,7 +448,9 @@ def test_the_big_deformation_is_certified_without_a_table(monkeypatch):
     """On a passing run the big deformation never reaches extract_algebra,
     verify_algebra or certify_by_iso, and no table of its products is
     built: its normal forms are read for the two blocks alone, dim E^2 + 16
-    of them, where a table needs (4 dim E)^2."""
+    of them, where a table needs (4 dim E)^2.  Nor does the minus case's
+    semi-trivial extension reach verify_algebra: Gamma's certificate and
+    the checks of mu certify it."""
     extracted = []
     certified = []
     transported = []
@@ -486,20 +491,24 @@ def test_the_big_deformation_is_certified_without_a_table(monkeypatch):
         assert extracted == [result.base.system, mixing.system], name
         built = [E, mixing.algebra] + ([result.twisted_bigraded,
                                         result.Lambda_bigraded] if plus
-                                       else [result.Gamma,
-                                             result.semitrivial_bigraded])
+                                       else [result.Gamma])
         assert sorted(map(id, certified)) == sorted(map(id, built)), name
+        assert plus or not [a for a in certified
+                            if a in (result.semitrivial_bigraded,
+                                     result.semitrivial)], name
         assert [m.source for m in transported] == ([] if plus else [result.zhang])
         assert forms[id(oracle.system)] == E.dim ** 2 + 16, name
 
 
-def ref_oracle_step(checks, data, lift, base, target, y_images, layout, what):
+def ref_oracle_step(checks, data, lift, base, target, graded, y_images, layout,
+                    what):
     """The oracle step while the big deformation had a table: the table is
-    extracted from the completed system and checked strongly graded, and
-    certify_by_iso checks the map on every basis pair; when that fails,
-    verify_algebra names an invalid table first."""
+    extracted from the completed system and checked strongly graded, in
+    place of the target's ``graded`` verdict, and certify_by_iso checks the
+    map on every basis pair; when that fails, verify_algebra names an
+    invalid table first."""
     oracle = deform.build_Bshriek_clifford(data, lift, base)
-    algebra = extract_algebra(oracle.system, len(oracle.words))
+    algebra = extract_algebra(oracle.system, oracle.words)
     if not strongly_graded_check(algebra):
         raise DimensionMismatch("deformation is not strongly Z2-graded")
     E = base.algebra
@@ -724,3 +733,148 @@ def test_oracle_step_rejects_a_map_that_keeps_every_relation_but_does_not_span(
             step(checks, *args[:3], wide, *args[4:])
         assert [(item.name, item.passed) for item in checks.items] == [
             ("oracle-isomorphism", False)], name
+
+
+# ---------------------------------------------------------------------------
+# the minus case's semi-trivial extension, certified as Gamma x| <mu>
+
+
+@pytest.fixture(scope="module")
+def minus_inputs():
+    """(name, data, lift) of the minus runs of ex-5.9 and prop-5.10, of the
+    skew3 inputs of seeds 1 to 4, and of the 4-generator input drawn from
+    random.Random("big:4")."""
+    docs = [("ex-5.9", EX_5_9), ("prop-5.10", PROP_5_10)]
+    docs += [(f"skew3:{seed}", json.loads(generate("skew3", seed)["minus.json"]))
+             for seed in range(1, 5)]
+    docs.append(("big:4", json.loads(encode(
+        skew_double_ore(random.Random("big:4"), 4, -1)))))
+    return [(name, *parse_double_ore(doc)) for name, doc in docs]
+
+
+def test_the_minus_extension_passes_verify_algebra(minus_inputs):
+    """The conclusion of semitrivial_mu's proof on real data: the
+    extension of every minus run passes verify_algebra, which the pipeline
+    no longer runs on it.  Its degree-0 part, built once for the Zhang
+    check, has the table and unit that restricting the extension to its
+    degree-0 component gives."""
+    for name, data, lift in minus_inputs:
+        result = run_minus_case(data, lift)
+        assert result.checks.ok, name
+        assert verify_algebra(result.semitrivial_bigraded).ok, name
+        ST = result.semitrivial
+        zero_part = restrict(ST, Subspace.from_rows(
+            [{i: ONE} for i in ST.component_indices((0,))], ST.dim), ST.unit)
+        assert result.ST0.table == zero_part.table, name
+        assert result.ST0.unit == zero_part.unit, name
+
+
+def _bumped_map(linmap, rng):
+    """``linmap`` with one stored coefficient increased by 1."""
+    b, k = rng.choice([(b, k) for b, col in enumerate(linmap.cols)
+                       for k in sorted(col)])
+    cols = list(linmap.cols)
+    cols[b] = _bump(cols[b], k)
+    return GradedLinMap(linmap.source, linmap.target, cols)
+
+
+def _bumped_table(table, rng):
+    """A 2x2 table of maps with one stored coefficient of one nonzero
+    entry increased by 1."""
+    entries = [list(row) for row in table.entries]
+    i, j = rng.choice([(i, j) for i in range(2) for j in range(2)
+                       if not entries[i][j].is_zero()])
+    entries[i][j] = _bumped_map(entries[i][j], rng)
+    return MatrixHom(entries)
+
+
+def _mutate_minus(patch, kind, seed):
+    """Patch one input of the minus case's extension by a stored
+    coefficient bumped by 1: an entry of sigma^! (``"sigma"``), a column of
+    mu (``"mu"``) or an entry of Gamma's theta (``"theta"``).  Or replace mu
+    by another graded involutive automorphism of Gamma, the identity or mu
+    composed with the sign of the grading (``"involution"``), which passes
+    semitrivial_mu's checks and so reaches the extension."""
+    rng = random.Random(seed)
+    if kind == "involution":
+        real = knorrer._slot_exchange
+
+        def other(sd, Gamma, layout):
+            if rng.randrange(2):
+                return GradedLinMap.identity(Gamma)
+            return real(sd, Gamma, layout).compose(xi_automorphism(Gamma, MINUS_ONE))
+
+        patch.setattr(knorrer, "_slot_exchange", other)
+    elif kind == "sigma":
+        real = knorrer.dualize_hom
+        patch.setattr(knorrer, "dualize_hom",
+                      lambda data, base: _bumped_table(real(data, base), rng))
+    elif kind == "mu":
+        real = knorrer._slot_exchange
+        patch.setattr(knorrer, "_slot_exchange",
+                      lambda *args: _bumped_map(real(*args), rng))
+    else:
+        real = knorrer._minus_theta
+        patch.setattr(knorrer, "_minus_theta",
+                      lambda sd, E: _bumped_table(real(sd, E), rng))
+
+
+def _certifying_build(patch, certified):
+    """Patch build_semitrivial to certify each extension it builds by
+    verify_algebra, as the minus case did before it read the certificate
+    off Gamma and mu, and to record it in ``certified``: a failure raises
+    that step's PipelineError."""
+    real = knorrer.build_semitrivial
+
+    def build(data):
+        extension = real(data)
+        certified.append(extension)
+        report = verify_algebra(extension)
+        if not report.ok:
+            raise knorrer.PipelineError(
+                f"invalid semi-trivial extension: {report.first_failure()}")
+        return extension
+
+    patch.setattr(knorrer, "build_semitrivial", build)
+
+
+def _minus_outcome(data, lift):
+    """The exception a minus run raises, with its message, or the first
+    failed check of a run that returns, or None."""
+    try:
+        result = run_minus_case(data, lift)
+    except NqhError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    failure = result.checks.first_failure()
+    return None if failure is None else failure.name
+
+
+def test_minus_extension_mutants_fail_as_under_its_own_certificate(
+        minus_inputs):
+    """Mutate an entry of sigma^!, a column of mu or an entry of Gamma's
+    theta, or put another involution in mu's place, on every minus input.
+    The pipeline, which certifies the extension through Gamma and mu, and
+    the reference, which also runs verify_algebra on it, reject the same
+    mutants at the same check."""
+    kinds = ("sigma", "mu", "theta", "involution")
+    stages = Counter()
+    certified = []
+    for name, data, lift in minus_inputs:
+        for kind in kinds:
+            for n in range(1 if name == "big:4" else 3):
+                outcomes = []
+                for reference in (False, True):
+                    with pytest.MonkeyPatch.context() as patch:
+                        _mutate_minus(patch, kind, f"minus-mutant:{name}:{kind}:{n}")
+                        if reference:
+                            _certifying_build(patch, certified)
+                        outcomes.append(_minus_outcome(data, lift))
+                assert outcomes[0] == outcomes[1], (name, kind, n, outcomes)
+                stages[kind, outcomes[0].partition(":")[0]] += 1
+    # each mutant is rejected: the bumped coefficients by the checks on
+    # sigma^!, mu and Gamma, before any extension is built; the other
+    # involutions pass those checks, and their extensions pass verify_algebra
+    # in the reference, but break a deformed relation at the oracle step
+    assert stages == {(kind, stage): 19 for kind, stage in zip(
+        kinds, ("PipelineError",) * 3 + ("RelationViolated",))}, stages
+    assert len(certified) == 19

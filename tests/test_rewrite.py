@@ -132,7 +132,7 @@ def test_normal_form_respects_ideal(km1, z_lift):
 
 def test_extract_two_dimensional_quotient():
     system = complete(orient([TensorElement({(0, 0): ONE}) - unit()], ["x"]), 6)
-    algebra = extract_algebra(system, 2)
+    algebra = extract_algebra(system, normal_words(system, 2))
     assert algebra.dim == 2
     assert algebra.labels == ("1", "x")
     assert algebra.table[1][1] == {0: ONE}
@@ -154,7 +154,7 @@ def test_extract_nilpotent_case():
         TensorElement({(0, 1): ONE}) - TensorElement({(1, 0): ONE}),
     ]
     system = complete(orient(relations, ["y1*", "y2*"]), 6)
-    algebra = extract_algebra(system, 4)
+    algebra = extract_algebra(system, normal_words(system, 4))
     assert algebra.dim == 4
     square = algebra.mul({1: ONE}, {1: ONE})
     assert square == {}
@@ -165,10 +165,10 @@ def test_extract_requires_finiteness():
         [TensorElement({(1, 0): ONE}) - TensorElement({(0, 1): ONE})],
         ["x", "y"]), 4)
     with pytest.raises(InfiniteDimensional):
-        extract_algebra(system, 100)
+        normal_words(system, 100)
     # the enumeration stops once it passes the expected dimension
     with pytest.raises(DimensionMismatch, match="^more than 4 normal words$"):
-        extract_algebra(system, 4)
+        normal_words(system, 4)
 
 
 def test_pbw_dimension_matches_homogeneous_dual(km1, z_lift, clifford_km1):

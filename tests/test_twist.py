@@ -21,6 +21,7 @@ from nqh.algebra import (
     xi_automorphism,
 )
 from nqh.twist import (
+    _skew_group_data,
     BlockLayout,
     GradedBasisM2,
     SemiTrivialData,
@@ -722,8 +723,11 @@ def _perturbed(data, field, rng):
 @pytest.mark.parametrize("scenario_id", ["ex-4.10", "ex-4.9-2", "ex-5.9",
                                          "prop-5.10"])
 def test_semitrivial_mutants_fail_verify_algebra(monkeypatch, scenario_id):
-    """verify_algebra of the built extension is the only certificate of the
-    semi-trivial data: a perturbed action or pairing must fail it."""
+    """A perturbed action or pairing of the captured semi-trivial data must
+    fail verify_algebra.  That is the certificate of the plus case's
+    extension.  The minus case's data is certified before it is built,
+    through Gamma and mu (proof in semitrivial_mu), so there the test shows
+    that verify_algebra still rejects data that those checks never saw."""
     captured = []
 
     def capture(data):
@@ -831,3 +835,9 @@ def test_semitrivial_mu_rejects_an_order_4_automorphism(clifford_km1):
     assert not ref_left_twisting_identity(E, rotation)
     with pytest.raises(NotTwistingSystem, match="involution"):
         semitrivial_mu(E, rotation)
+    # with semitrivial_mu's formulas but no mu^2 check, the extension is not
+    # associative: mu^2 = id carries the proof in semitrivial_mu's docstring
+    report = verify_algebra(build_semitrivial(_skew_group_data(E, rotation)))
+    assert [(item.name, item.passed) for item in report.items] == [
+        ("unit", True), ("grading", True), ("associativity", False)]
+    assert report.first_failure().detail == "associativity fails at (1,4,4)"
