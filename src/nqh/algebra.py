@@ -341,12 +341,6 @@ class GradedLinMap:
     def is_zero(self):
         return all(not c for c in self.cols)
 
-    def is_graded(self):
-        if self.source.group_rank != self.target.group_rank:
-            return True
-        return all(self.target.degrees[k] == self.source.degrees[i]
-                   for i, col in enumerate(self.cols) for k in col)
-
     def dense(self):
         return [[self.cols[j].get(i, ZERO) for j in range(self.source.dim)]
                 for i in range(self.target.dim)]

@@ -15,7 +15,6 @@ import sys
 
 from . import scenarios as scenario_registry
 from .errors import BoundExceeded, NqhError, ParseError
-from .algebra import radical, strongly_graded_check
 from .deform import (
     CaseKind,
     build_clifford,
@@ -99,19 +98,13 @@ def cmd_clifford(args):
     if central is None:
         raise ParseError("the presentation file needs a central element")
     clifford = build_clifford(presentation, central)
-    lines = algebra_summary(clifford)
+    lines, payload = algebra_summary(clifford)
     if args.dump_rules:
         lines.append("rules:")
         for rule in clifford.system.rule_list():
             lhs = "".join(clifford.presentation.generators[a] for a in rule.lhs)
             rhs = rule.rhs.text(clifford.presentation.generators)
             lines.append(f"  {lhs} -> {rhs}")
-    payload = {
-        "dim": clifford.algebra.dim,
-        "radical": radical(clifford.algebra).dim,
-        "strongly_graded": strongly_graded_check(clifford.algebra),
-        "basis": list(clifford.algebra.labels),
-    }
     _emit(args, lines, payload)
     return 0
 

@@ -58,10 +58,16 @@ from .algebra import (
     Report,
     strongly_graded_check,
     verify_algebra,
-    verify_hom_M2,
 )
 from .quadratic import QuadraticPresentation, check_central, koszul_dual
-from .rewrite import complete, extract_algebra, normal_form, normal_words, orient
+from .rewrite import (
+    complete,
+    extract_algebra,
+    normal_form,
+    normal_words,
+    orient,
+    rule_elements,
+)
 
 # The largest deformation built: a 9-letter exterior dual (dim 2^9), which is
 # B's dual over a 7-generator base.
@@ -457,11 +463,25 @@ def central_lift_in_b(data, z_lift):
 
 
 def dualize_hom(data, clifford):
-    """The induced matrix homomorphism on the Clifford deformation.
+    """The induced matrix homomorphism sigma^!: E -> M_2(E) on the
+    Clifford deformation E = ``clifford.algebra``.
 
     Generator duals map by transposes; normal words map by the 2x2 matrix
-    product over the deformation.  Every deformed relation must evaluate to
-    the zero matrix, otherwise RelationViolated is raised.
+    product over E.  The deformed relations, then the rules of E's completed
+    system, must evaluate to the zero matrix, otherwise RelationViolated is
+    raised with the index of the first that does not, a rule counted past
+    the relations.
+
+    Claim.  When both evaluations pass, sigma^! is an algebra map:
+    sigma^!(1) = I and sigma^!(e_u e_v) = sigma^!(e_u) sigma^!(e_v) on every
+    basis pair, which is what ``algebra.verify_hom_M2`` checks pair by
+    pair.  Premises: E is certified by ``verify_algebra`` before this runs
+    (``build_clifford``), so M_2(E) is associative; and E's table is
+    e_u e_v = NF(u v) on its normal words (``extract_algebra``).  Proof.
+    sigma^! is e_w -> phi(w), with phi the multiplicative extension of the
+    generator images into M_2(E), and phi(()) = I.  phi kills every rule,
+    so by the rule lemma (``rewrite.rule_elements``)
+    sigma^!(e_u e_v) = phi(NF(u v)) = phi(u v) = phi(u) phi(v).
     """
     lift = clifford.central
     if not _sigma_fixes_z(data, lift):
@@ -503,8 +523,9 @@ def dualize_hom(data, clifford):
         memo[word] = out
         return out
 
-    # well-definedness on the deformed relations
-    for idx, relation in enumerate(clifford.relations):
+    # the deformed relations, then the completed rules (proof above)
+    for idx, relation in enumerate(clifford.relations
+                                   + rule_elements(clifford.system)):
         acc = [[{}, {}], [{}, {}]]
         for word, coeff in relation.terms.items():
             mat = word_image(word)
@@ -519,11 +540,8 @@ def dualize_hom(data, clifford):
         for i in range(2):
             for j in range(2):
                 cols[i][j][b] = mat[i][j]
-    hom = MatrixHom([[GradedLinMap(E, E, cols[i][j]) for j in range(2)]
-                     for i in range(2)])
-    if not verify_hom_M2(hom):
-        raise RelationViolated(-1, "dualized table is not a matrix homomorphism")
-    return hom
+    return MatrixHom([[GradedLinMap(E, E, cols[i][j]) for j in range(2)]
+                      for i in range(2)])
 
 
 def dual_table_identities(data, hom):
@@ -599,14 +617,22 @@ def _mixing_deformation(p12, p11):
                           TensorElement({(0, 0): ONE, (1, 1): ONE}))
 
 
-def _block_matches(system, block_words, expect, offset):
-    """The products of the normal words ``block_words`` of ``system``, read
-    as normal forms, are the structure constants of ``expect`` on its words,
-    each block letter shifted down by ``offset``."""
+def _block_words(block_words, expect, offset):
+    """{normal word of the big system: index of the word of ``expect`` it
+    is}, each block letter shifted down by ``offset``; DimensionMismatch
+    unless this is a bijection onto ``expect``'s words."""
     index = {w: i for i, w in enumerate(expect.words)}
     rename = {w: index.get(tuple(a - offset for a in w)) for w in block_words}
     if len(rename) != expect.dim or None in rename.values():
         raise DimensionMismatch("subalgebra block words are not the block's")
+    return rename
+
+
+def _block_matches(system, block_words, expect, offset):
+    """The products of the normal words ``block_words`` of ``system``, read
+    as normal forms, are the structure constants of ``expect`` on its words,
+    each block letter shifted down by ``offset``."""
+    rename = _block_words(block_words, expect, offset)
     for w1 in block_words:
         for w2 in block_words:
             got = normal_form(system, TensorElement.monomial(w1 + w2)).terms
@@ -618,13 +644,34 @@ def _block_matches(system, block_words, expect, offset):
 
 
 def _verify_subalgebra_blocks(bdata, data, base_c):
-    """The base deformation sits on pure base-letter words, the mixing-block
-    deformation on pure y words, and every normal word factors as
-    (y part)(base part) bijectively.  The block products are read as normal
-    forms, dim E^2 + 16 of them."""
+    """The base deformation E sits on pure base-letter words, the
+    mixing-block deformation on pure y words, and every normal word factors
+    as (y part)(base part) bijectively.
+
+    The mixing block's 16 products are read as normal forms: its table
+    comes from the rules of its own system, which no step evaluates in the
+    target.  The base block's words are checked, and its products are not
+    computed here: the oracle step certifies them.  Claim.  Once
+    ``knorrer._oracle_step`` has passed its relation, rule and span checks
+    on the big system P, the base-letter normal words of P multiply as E's
+    table, shifted.  Premises: E's table is e_u e_v = NF_E(u v) on its
+    normal words, and every prefix of a normal word is normal, so
+    e_u = e_{u_1} ... e_{u_k} for each normal word u of E; the map f of the
+    oracle step sends base letter a to I(0)_1 e_a, and I(0)_1 is the
+    identity matrix with theta^(0)_11 = id and theta^(0)_21 = 0, as
+    ``knorrer._plus_theta`` and ``knorrer._minus_theta`` build them, so the
+    twisted product gives (I(0)_1 x)(I(0)_1 y) = I(0)_1 x y in both
+    targets (the minus target's ring part is the twisted E x E).  Proof.
+    So f(shift u) = I(0)_1 e_u.  For normal words u, v of E, whose shifts
+    are P's base-letter normal words by the word check here, the rule lemma
+    (``rewrite.rule_elements``) gives f(NF_P(uv)) = f(uv)
+    = I(0)_1 e_u e_v = f(sum_w c_w shift w), with e_u e_v = sum_w c_w e_w
+    in E.  f is injective on the span of P's normal words (the span check),
+    so NF_P(uv) = sum_w c_w shift w: the block is closed and its constants
+    are E's.  If the oracle step fails, the run is rejected there."""
     words = bdata.words
-    _block_matches(bdata.system, [w for w in words if all(a >= 2 for a in w)],
-                   base_c.algebra, 2)
+    _block_words([w for w in words if all(a >= 2 for a in w)],
+                 base_c.algebra, 2)
     _block_matches(bdata.system, [w for w in words if all(a < 2 for a in w)],
                    _mixing_deformation(data.p12, data.p11).algebra, 0)
     # freeness: normal words factor uniquely as y-part then base-part

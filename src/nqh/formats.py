@@ -218,17 +218,22 @@ def presentation_doc(presentation, central=None):
 
 
 def algebra_summary(clifford):
-    """Deterministic summary lines for a built deformation."""
+    """Deterministic summary lines and JSON payload for a built deformation,
+    with its radical and strong grading computed once for both."""
     from .algebra import radical, strongly_graded_check
 
     algebra = clifford.algebra
     even = len(algebra.component_indices((0,)))
     odd = len(algebra.component_indices((1,)))
+    rad = radical(algebra).dim
+    graded = strongly_graded_check(algebra)
     lines = [
         f"dimension: {algebra.dim}",
         f"component dims: even {even}, odd {odd}",
-        f"radical dim: {radical(algebra).dim}",
-        f"strongly graded: {'yes' if strongly_graded_check(algebra) else 'no'}",
+        f"radical dim: {rad}",
+        f"strongly graded: {'yes' if graded else 'no'}",
         "basis: " + ", ".join(algebra.labels),
     ]
-    return lines
+    payload = {"dim": algebra.dim, "radical": rad, "strongly_graded": graded,
+               "basis": list(algebra.labels)}
+    return lines, payload

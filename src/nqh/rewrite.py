@@ -197,6 +197,28 @@ def normal_form(system, element):
     return system.reduce(element)
 
 
+def rule_elements(system):
+    """The elements lhs - rhs of the rules of ``system``, in deglex order of
+    their left-hand sides.
+
+    The rule lemma (Bergman, *The diamond lemma for ring theory*, Adv.
+    Math. 29, 1978).  Let phi be the multiplicative extension of an
+    assignment of the generators into an associative algebra, so that
+    phi(a_1 ... a_k) = phi(a_1) ... phi(a_k), extended linearly.  If phi
+    kills every element returned here, then phi(x) = phi(NF(x)) for every
+    x, where NF is the reduction of ``RewriteSystem.reduce``.  Proof.  A
+    reduction step replaces a term c u lhs v of x by c u rhs v, and
+    phi(u lhs v) - phi(u rhs v) = phi(u) phi(lhs - rhs) phi(v) = 0 by
+    multiplicativity and associativity; NF(x) is reached from x by finitely
+    many steps.  No confluence is used.  So when the algebra's table on the
+    normal words w is e_u e_v = NF(u v), as ``extract_algebra`` builds it,
+    the linear map e_w -> phi(w) respects every product of the table:
+    phi(NF(u v)) = phi(u v) = phi(u) phi(v).  ``deform.dualize_hom`` and
+    ``knorrer._oracle_step`` evaluate these elements for this reason.
+    """
+    return tuple(rule.as_element() for rule in system.rule_list())
+
+
 def normal_words(system, dim):
     """All irreducible words, by increasing deglex; there must be exactly
     ``dim`` of them, and the enumeration stops as soon as it finds more."""

@@ -304,9 +304,8 @@ def run_ex_5_9():
     decomposition = verify_decomposition(NG, modules, [2, 1, 1, 1, 1])
     checks.append(ScenarioCheck("decomposition", decomposition,
                                 "mults (2,1,1,1,1)", "published"))
-    report = singularity_report(
-        result, decomposition=(modules, [2, 1, 1, 1, 1],
-                               ["M2(k)", "k", "k", "k", "k"], NG))
+    blocks = ["M2(k)", "k", "k", "k", "k"] if decomposition else None
+    report = singularity_report(result, blocks=blocks)
     lines.extend(report.lines)
     checks.append(ScenarioCheck("isolated-singularity", report.isolated, "yes",
                                 "published"))

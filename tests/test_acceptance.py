@@ -198,9 +198,7 @@ def test_criterion_5_class_t_pipeline(double_ore_class_t, z_lift):
         for seed_list in seeds]
     ok &= [m.dim for m in modules] == [2, 1, 1, 1, 1]
     ok &= verify_decomposition(NG, modules, [2, 1, 1, 1, 1])
-    report = singularity_report(
-        result, decomposition=(modules, [2, 1, 1, 1, 1],
-                               ["M2(k)", "k", "k", "k", "k"], NG))
+    report = singularity_report(result, blocks=["M2(k)", "k", "k", "k", "k"])
     text = report.text()
     ok &= report.isolated
     ok &= "blocks: M2(k),k,k,k,k" in text

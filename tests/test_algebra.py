@@ -396,8 +396,9 @@ PIPELINE_SCENARIOS = ("ex-4.10", "ex-4.9-1", "ex-4.9-2", "ex-5.9", "prop-5.10")
 def _capture_certified(patch, algebras, maps=None):
     """Record in ``algebras`` every algebra that the pipelines certify: the
     argument of each verify_algebra call, the source of each certify_by_iso
-    call, which certifies the Zhang tables, and each build_semitrivial
-    output, which the minus case certifies through its ring and involution.
+    call, which certifies the Zhang tables and the plus case's Lambda, and
+    each build_semitrivial output, which the minus case certifies through
+    its ring and involution and the plus case through Lambda.
     With ``maps``, record there the argument of each verify_iso and
     certify_by_iso call.  The mixing-block deformation is built once per
     (p12, p11) and process, so its cache is emptied first: the captures do
@@ -422,7 +423,7 @@ def _capture_certified(patch, algebras, maps=None):
 
     patch.setattr(knorrer, "certify_by_iso", transport)
     if maps is not None:
-        _capture(patch, "verify_iso", maps, (knorrer, twist))
+        _capture(patch, "verify_iso", maps, (twist,))
 
 
 @pytest.fixture(scope="module")
@@ -470,11 +471,11 @@ def _items(report):
 
 def test_verify_algebra_matches_the_reference_on_pipeline_algebras(
         pipeline_algebras):
-    # 20 distinct algebras; each pipeline builds its base deformation once,
-    # each (p12, p11) its mixing block once, the 2 Zhang tables are
-    # certified by certify_by_iso, the 2 minus extensions are recorded from
-    # build_semitrivial and the 5 oracles get no table
-    assert len(pipeline_algebras) == 20
+    # 23 distinct algebras; each pipeline builds its base deformation once,
+    # each (p12, p11) its mixing block once, the 2 Zhang tables and the 3
+    # plus-case Lambdas are certified by certify_by_iso, the 5 extensions
+    # are recorded from build_semitrivial and the 5 oracles get no table
+    assert len(pipeline_algebras) == 23
     for algebra in pipeline_algebras:
         items = _items(verify_algebra(algebra))
         assert items == reference_verify_algebra(algebra)
@@ -595,9 +596,10 @@ def test_verify_algebra_matches_the_reference_on_skew3_mutants(skew3_certified):
     rng = random.Random("verify-algebra-skew3-mutants")
     kinds = ("unit", "stored", "any")
     failed = {"unit": 0, "grading": 0, "associativity": 0}
-    # each run builds its base deformation once; the minus extension is
-    # recorded from build_semitrivial; the oracles get no table
-    assert len(algebras) == 9
+    # each run builds its base deformation once; both extensions are
+    # recorded from build_semitrivial, and the plus case's Lambda from
+    # certify_by_iso; the oracles get no table
+    assert len(algebras) == 10
     for n, algebra in enumerate(algebras):
         items = _items(verify_algebra(algebra))
         assert items == reference_verify_algebra(algebra)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -10,6 +11,7 @@ from nqh.errors import (
     DegenerateP11,
     DimensionMismatch,
     NotRepresentableInK,
+    RelationViolated,
     WrongP,
 )
 from nqh import deform
@@ -36,7 +38,7 @@ from nqh.deform import (
     p12_classify,
     validate_double_ore,
 )
-from nqh.rewrite import extract_algebra
+from nqh.rewrite import RewriteSystem, extract_algebra
 
 MINUS_ONE = Scalar(-1)
 
@@ -231,6 +233,29 @@ def test_dualize_class_t_satisfies_sign_identity(double_ore_class_t,
     s11, s21 = hom.entry(1, 1), hom.entry(2, 1)
     total = s11.compose(s21) + s21.compose(s11)
     assert total.is_zero()
+
+
+def test_dualize_rejects_a_rule_corrupted_after_extraction(
+        double_ore_class_z, double_ore_class_t, double_ore_class_r,
+        clifford_km1):
+    """A rule of E's completed system with 1 added to its right-hand side,
+    after E's table was extracted, leaves that table and so every basis
+    pair of sigma^! unchanged: verify_hom_M2 still passes.  The evaluation
+    of E's rules is what rejects it, with the rule's index past the
+    deformed relations."""
+    system = clifford_km1.system
+    order = [rule.lhs for rule in system.rule_list()]
+    for data in (double_ore_class_z, double_ore_class_t, double_ore_class_r):
+        assert verify_hom_M2(dualize_hom(data, clifford_km1))
+        for lhs in order:
+            rules = dict(system.rules)
+            rules[lhs] = rules[lhs] + TensorElement.unit()
+            corrupted = dataclasses.replace(clifford_km1, system=RewriteSystem(
+                rules, system.alphabet, system.confluent_up_to))
+            with pytest.raises(RelationViolated) as info:
+                dualize_hom(data, corrupted)
+            assert info.value.index == (len(clifford_km1.relations)
+                                        + order.index(lhs))
 
 
 def test_dualize_requires_fixed_central(km1, z_lift, clifford_km1):

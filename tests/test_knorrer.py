@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -10,7 +11,7 @@ from conftest import diagonal_sigma
 
 from perfbench.workloads import encode, generate, skew_double_ore, write_inputs
 
-from nqh import deform, knorrer, twist
+from nqh import algebra as algebra_module, deform, knorrer, twist
 from nqh.cli import main
 from nqh.formats import parse_double_ore
 
@@ -36,6 +37,7 @@ from nqh.algebra import (
     vec_sub,
     verify_algebra,
     verify_decomposition,
+    verify_hom_M2,
     verify_iso,
     xi_automorphism,
 )
@@ -193,10 +195,8 @@ def test_minus_class_t_decomposition(minus_class_t):
     assert hom_dim(modules[1], modules[2]) == 0
     assert hom_dim(modules[0], regular) == 2
     assert verify_decomposition(NG, modules, [2, 1, 1, 1, 1])
-    report = singularity_report(
-        minus_class_t,
-        decomposition=(modules, [2, 1, 1, 1, 1],
-                       ["M2(k)", "k", "k", "k", "k"], NG))
+    report = singularity_report(minus_class_t,
+                                blocks=["M2(k)", "k", "k", "k", "k"])
     assert report.isolated
     assert "D^b(k)^{×5}" in report.text()
     assert "blocks: M2(k),k,k,k,k" in report.text()
@@ -447,14 +447,17 @@ def test_each_run_builds_and_certifies_each_twisted_table_once(monkeypatch):
 def test_the_big_deformation_is_certified_without_a_table(monkeypatch):
     """On a passing run the big deformation never reaches extract_algebra,
     verify_algebra or certify_by_iso, and no table of its products is
-    built: its normal forms are read for the two blocks alone, dim E^2 + 16
-    of them, where a table needs (4 dim E)^2.  Nor does the minus case's
-    semi-trivial extension reach verify_algebra: Gamma's certificate and
-    the checks of mu certify it."""
+    built: its normal forms are read for the mixing block alone, 16 of
+    them, where a table needs (4 dim E)^2; the oracle step certifies the
+    base block.  E's completed rules certify sigma^!, so verify_hom_M2
+    never runs.  Nor does either semi-trivial extension reach
+    verify_algebra: in the minus case Gamma's certificate and the checks of
+    mu certify it, in the plus case certify_by_iso of the corner map."""
     extracted = []
     certified = []
     transported = []
     forms = Counter()
+    hom_checks = []
 
     def recording(sink, real):
         def wrapper(*args):
@@ -476,6 +479,10 @@ def test_the_big_deformation_is_certified_without_a_table(monkeypatch):
     monkeypatch.setattr(knorrer, "certify_by_iso",
                         recording(transported, knorrer.certify_by_iso))
     monkeypatch.setattr(deform, "normal_form", counting_normal_form)
+    for module in (algebra_module, deform, knorrer, twist):
+        if hasattr(module, "verify_hom_M2"):
+            monkeypatch.setattr(module, "verify_hom_M2",
+                                recording(hom_checks, module.verify_hom_M2))
     for name, blob in sorted(generate("skew3", 7).items()):
         data, central = parse_double_ore(json.loads(blob))
         plus = name == "plus.json"
@@ -489,15 +496,27 @@ def test_the_big_deformation_is_certified_without_a_table(monkeypatch):
         assert oracle.algebra is None and len(oracle.words) == 4 * E.dim
         mixing = deform._mixing_deformation(data.p12, data.p11)
         assert extracted == [result.base.system, mixing.system], name
-        built = [E, mixing.algebra] + ([result.twisted_bigraded,
-                                        result.Lambda_bigraded] if plus
+        built = [E, mixing.algebra] + ([result.twisted_bigraded] if plus
                                        else [result.Gamma])
         assert sorted(map(id, certified)) == sorted(map(id, built)), name
-        assert plus or not [a for a in certified
-                            if a in (result.semitrivial_bigraded,
-                                     result.semitrivial)], name
-        assert [m.source for m in transported] == ([] if plus else [result.zhang])
-        assert forms[id(oracle.system)] == E.dim ** 2 + 16, name
+        extension = ((result.Lambda_bigraded, result.Lambda) if plus
+                     else (result.semitrivial_bigraded, result.semitrivial))
+        assert not [a for a in certified if a in extension], name
+        assert [m.source for m in transported] == (
+            [result.Lambda] if plus else [result.zhang]), name
+        assert forms[id(oracle.system)] == 16, name
+        assert hom_checks == [], name
+
+
+def ref_build_Bshriek_clifford(data, lift, base):
+    """build_Bshriek_clifford as it was while it read the base block's
+    products as normal forms, dim E^2 of them, and matched them to E's
+    table."""
+    oracle = deform.build_Bshriek_clifford(data, lift, base)
+    deform._block_matches(
+        oracle.system, [w for w in oracle.words if all(a >= 2 for a in w)],
+        base.algebra, 2)
+    return oracle
 
 
 def ref_oracle_step(checks, data, lift, base, target, graded, y_images, layout,
@@ -506,8 +525,9 @@ def ref_oracle_step(checks, data, lift, base, target, graded, y_images, layout,
     extracted from the completed system and checked strongly graded, in
     place of the target's ``graded`` verdict, and certify_by_iso checks the
     map on every basis pair; when that fails, verify_algebra names an
-    invalid table first."""
-    oracle = deform.build_Bshriek_clifford(data, lift, base)
+    invalid table first.  Its build computes the base block's products
+    (``ref_build_Bshriek_clifford``)."""
+    oracle = ref_build_Bshriek_clifford(data, lift, base)
     algebra = extract_algebra(oracle.system, oracle.words)
     if not strongly_graded_check(algebra):
         raise DimensionMismatch("deformation is not strongly Z2-graded")
@@ -530,20 +550,20 @@ def ref_oracle_step(checks, data, lift, base, target, graded, y_images, layout,
     return oracle
 
 
-@pytest.fixture(scope="module")
-def oracle_step_inputs():
-    """(name, arguments after ``checks``) of the oracle step of the five
-    registry pipelines and of the skew3 inputs of seeds 1 to 4."""
+def _recorded_inputs(step):
+    """(name, arguments after ``checks``) of the knorrer step named
+    ``step`` on the five registry pipelines and on the skew3 inputs of
+    seeds 1 to 4."""
     found = []
     names = []
-    real = knorrer._oracle_step
+    real = getattr(knorrer, step)
 
     def record(checks, *args):
         found.append(args)
         return real(checks, *args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(knorrer, "_oracle_step", record)
+        patch.setattr(knorrer, step, record)
         for scenario_id in ("ex-4.10", "ex-4.9-1", "ex-4.9-2", "ex-5.9",
                             "prop-5.10"):
             assert run_scenario(scenario_id).ok
@@ -556,6 +576,11 @@ def oracle_step_inputs():
                 names.append(f"skew3:{seed}:{name}")
     assert len(found) == len(names)
     return list(zip(names, found))
+
+
+@pytest.fixture(scope="module")
+def oracle_step_inputs():
+    return _recorded_inputs("_oracle_step")
 
 
 def _bump(vec, key):
@@ -600,20 +625,27 @@ def _mutate(patch, kind, args, seed):
 
         patch.setattr(knorrer, "extend_on_generators", extend)
     else:
-        real = deform.complete
+        _mutate_a_rule(patch, letters, rng)
 
-        def complete(system, maxdeg):
-            done = real(system, maxdeg)
-            if done.nletters != letters:
-                return done
-            r = rng()
-            rules = dict(done.rules)
-            lhs = r.choice(sorted(rules))
-            word = r.choice(sorted(rules[lhs].terms) + [()])
-            rules[lhs] = TensorElement(_bump(rules[lhs].terms, word))
-            return RewriteSystem(rules, done.alphabet, done.confluent_up_to)
 
-        patch.setattr(deform, "complete", complete)
+def _mutate_a_rule(patch, letters, rng):
+    """Patch ``deform.complete`` to bump, by 1, a coefficient of a
+    right-hand side of the completed system on ``letters`` letters, drawn
+    from ``rng()``."""
+    real = deform.complete
+
+    def complete(system, maxdeg):
+        done = real(system, maxdeg)
+        if done.nletters != letters:
+            return done
+        r = rng()
+        rules = dict(done.rules)
+        lhs = r.choice(sorted(rules))
+        word = r.choice(sorted(rules[lhs].terms) + [()])
+        rules[lhs] = TensorElement(_bump(rules[lhs].terms, word))
+        return RewriteSystem(rules, done.alphabet, done.confluent_up_to)
+
+    patch.setattr(deform, "complete", complete)
 
 
 def _first_failure(step, args):
@@ -640,8 +672,9 @@ def test_oracle_mutants_are_rejected_as_by_the_old_certificate(
     """Mutate a deformed relation, a y image or a rule of the big
     deformation before any check runs, on the oracle step of the five
     registry pipelines and of the skew3 inputs of seeds 1 to 4.  The step
-    that certifies the deformation from its presentation rejects exactly
-    the mutants that the table-based reference rejects."""
+    that certifies the deformation from its presentation, with the base
+    block's products left to it, rejects exactly the mutants that the
+    table-based reference, which computes them, rejects."""
     kinds = ("relation", "y-image", "rule")
     verdicts = Counter()
     stages = Counter()
@@ -657,10 +690,82 @@ def test_oracle_mutants_are_rejected_as_by_the_old_certificate(
                 stages[kind, _stage(new, args)] += 1
     assert verdicts == {(kind, True): 44 for kind in kinds}, (verdicts, stages)
     # every corrupted y image breaks a relation; a rule corrupted outside
-    # the two blocks is seen by the rule evaluation alone, where the
-    # reference finds an invalid table
+    # the mixing block is seen by the rule evaluation alone, where the
+    # reference finds a wrong base block or an invalid table
     assert stages["y-image", "relation"] == 44, stages
     assert stages["rule", "rule"] > 10, stages
+
+
+def ref_dualize_hom(data, clifford):
+    """dualize_hom as it was before E's completed rules certified sigma^!:
+    the deformed relations alone are evaluated, then verify_hom_M2 checks
+    every basis pair."""
+    bare = dataclasses.replace(clifford, system=RewriteSystem(
+        {}, clifford.system.alphabet, clifford.system.confluent_up_to))
+    hom = deform.dualize_hom(data, bare)
+    if not verify_hom_M2(hom):
+        raise RelationViolated(-1, "dualized table is not a matrix"
+                                   " homomorphism")
+    return hom
+
+
+def ref_prologue(checks, *args):
+    """The prologue with ``ref_dualize_hom`` in place of dualize_hom."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(knorrer, "dualize_hom", ref_dualize_hom)
+        return knorrer._prologue(checks, *args)
+
+
+def _mutate_base(patch, kind, letters, seed):
+    """Patch the build of E, on ``letters`` letters, before it is certified,
+    by a coefficient bumped by 1: an entry of E's extracted table
+    (``"table"``, before its verify_algebra) or a right-hand side of one of
+    E's completed rules (``"rule"``, before extraction)."""
+
+    def rng():
+        return random.Random(f"{seed}:{kind}")
+
+    if kind == "rule":
+        _mutate_a_rule(patch, letters, rng)
+        return
+    real = deform.extract_algebra
+
+    def extract(system, words):
+        algebra = real(system, words)
+        if system.nletters != letters:
+            return algebra
+        r = rng()
+        dim = algebra.dim
+        table = [list(row) for row in algebra.table]
+        i, j = r.randrange(dim), r.randrange(dim)
+        table[i][j] = _bump(table[i][j], r.randrange(dim))
+        return GradedAlgebra(algebra.labels, table, algebra.unit,
+                             algebra.degrees, words=algebra.words)
+
+    patch.setattr(deform, "extract_algebra", extract)
+
+
+def test_sigma_dual_mutants_are_rejected_as_by_verify_hom_M2():
+    """Mutate E's extracted table or one of E's completed rules before E is
+    certified, on the prologue of the five registry pipelines and of the
+    skew3 inputs of seeds 1 to 4.  The prologue, which certifies sigma^!
+    by evaluating E's rules, rejects every mutant that the reference,
+    which checks sigma^! on every basis pair, rejects."""
+    kinds = ("table", "rule")
+    verdicts = Counter()
+    for name, args in _recorded_inputs("_prologue"):
+        letters = args[0].ngens
+        for kind in kinds:
+            for n in range(12):
+                with pytest.MonkeyPatch.context() as patch:
+                    _mutate_base(patch, kind, letters,
+                                 f"base-mutant:{name}:{n}")
+                    new = _first_failure(knorrer._prologue, args)
+                    old = _first_failure(ref_prologue, args)
+                assert (new is None) == (old is None), (name, kind, n, new,
+                                                        old)
+                verdicts[kind, new is not None] += 1
+    assert verdicts == {(kind, True): 156 for kind in kinds}, verdicts
 
 
 def _word_images(target, images, words):
