@@ -32,10 +32,8 @@ from .exactlin import (
     SparseEliminator,
     Subspace,
     add_scaled,
-    is_stacked_inverse,
     nullspace,
-    stacked_inverse,
-    transpose,
+    rref_rows,
 )
 
 
@@ -55,10 +53,6 @@ def vec_scale(a, coeff):
 
 def vec_eq(a, b):
     return all(a.get(k, ZERO) == b.get(k, ZERO) for k in a.keys() | b.keys())
-
-
-def vec_sparse(row):
-    return {i: c for i, c in enumerate(row) if c}
 
 
 def add_degrees(d1, d2):
@@ -307,10 +301,6 @@ class GradedLinMap:
     def zero(cls, algebra):
         return cls(algebra, algebra, [{} for _ in range(algebra.dim)])
 
-    @classmethod
-    def from_matrix(cls, source, target, dense_cols):
-        return cls(source, target, [vec_sparse(col) for col in dense_cols])
-
     def apply(self, vec):
         out = {}
         for i, c in vec.items():
@@ -340,10 +330,6 @@ class GradedLinMap:
 
     def is_zero(self):
         return all(not c for c in self.cols)
-
-    def dense(self):
-        return [[self.cols[j].get(i, ZERO) for j in range(self.source.dim)]
-                for i in range(self.target.dim)]
 
     def rank(self):
         elim = SparseEliminator()
@@ -429,20 +415,51 @@ def t_inverse_table(theta):
     sum_k theta_jk psi_ik = delta_ij id (the t-inverse of theta), or None
     when there is none.
 
-    Transposing every entry matrix (positions unchanged) turns the first
-    family into the shape that ``stacked_inverse`` solves, and the solution
-    transposes back; both families are then checked.
+    Let T be the 2n x 2n matrix whose block (k, j) is the matrix of
+    theta_kj, and Psi the one whose block (i, k) is that of psi_ki: the two
+    families say Psi T = I and T Psi = I.  One elimination of [T^t | I]
+    solves for Psi.  Row (k, c) of T^t holds theta_0k(e_c) and
+    theta_1k(e_c), read off the entries' sparse columns.  When the pivots
+    are the 2n columns of T^t, the right half of the reduced rows is
+    (T^t)^-1 = Psi^t, whose row (k, c) holds psi_k0(e_c) and psi_k1(e_c).
+    Both families are then checked (``is_t_inverse``).
     """
     E = theta.algebra
-    mats = [[entry.dense() for entry in row] for row in theta.entries]
-    solved = stacked_inverse([[transpose(m) for m in row] for row in mats])
-    if solved is None:
+    n = E.dim
+    rows = []
+    for k in range(2):
+        for c in range(n):
+            row = {j * n + r: v for j in range(2)
+                   for r, v in theta.entries[j][k].cols[c].items()}
+            row[2 * n + k * n + c] = ONE
+            rows.append(row)
+    reduced, pivots = rref_rows(rows, 4 * n)
+    if pivots != tuple(range(2 * n)):
         return None
-    solved = [[transpose(m) for m in row] for row in solved]
-    if not is_stacked_inverse(solved, mats):
-        return None
-    return MatrixHom([[GradedLinMap.from_matrix(E, E, transpose(m)) for m in row]
-                      for row in solved])
+    cols = [[[{} for _ in range(n)] for _ in range(2)] for _ in range(2)]
+    for p, row in enumerate(reduced):
+        k, c = divmod(p, n)
+        for col, v in sorted(row.items()):
+            if col >= 2 * n:
+                i, r = divmod(col - 2 * n, n)
+                cols[k][i][c][r] = v
+    psi = MatrixHom([[GradedLinMap(E, E, cols[k][i]) for i in range(2)]
+                     for k in range(2)])
+    return psi if is_t_inverse(theta, psi) else None
+
+
+def is_t_inverse(theta, psi):
+    """Both families sum_k psi_ki theta_kj = delta_ij id and
+    sum_k theta_jk psi_ik = delta_ij id, on 2x2 tables of maps of one
+    algebra."""
+    E = theta.algebra
+    ident, zero = GradedLinMap.identity(E), GradedLinMap.zero(E)
+    t, p = theta.entries, psi.entries
+    return all(
+        p[0][i].compose(t[0][j]) + p[1][i].compose(t[1][j]) == expect
+        and t[j][0].compose(p[i][0]) + t[j][1].compose(p[i][1]) == expect
+        for i in range(2) for j in range(2)
+        for expect in [ident if i == j else zero])
 
 
 def extend_on_generators(relations, target, images):
@@ -752,19 +769,34 @@ def restrict(algebra, space, unit):
     it is the direct sum of its degree parts, whose supports are disjoint,
     so the union of their reduced bases is reduced for the whole span and is
     its basis by uniqueness (see ``exactlin``).
+
+    On a span of basis vectors no product or reduction is computed: row k
+    is the basis vector at pivots[k], so the product of rows k and l is the
+    table's entry at their pivots, a vector lies in the span exactly when
+    its support does, and its coordinates are its entries, re-indexed in
+    the ascending order ``reduce_with_coords`` gives them.
     """
     degrees = [algebra.element_degree(row) for row in space.basis]
     if None in degrees:
         raise DimensionMismatch("subspace basis is not homogeneous")
+    position = space.position
+    basis_span = all(len(row) == 1 for row in space.basis)
 
     def coords(vec, what):
+        if basis_span and vec.keys() <= position.keys():
+            return {position[c]: v for c, v in sorted(vec.items())}
         found, rem = space.reduce_with_coords(vec)
         if rem:
             raise DimensionMismatch(f"{what} lies outside the subspace")
         return found
 
-    table = [[coords(algebra.mul(u, v), "a product") for v in space.basis]
-             for u in space.basis]
+    if basis_span:
+        products = ((algebra.table[p][q] for q in space.pivots)
+                    for p in space.pivots)
+    else:
+        products = ((algebra.mul(u, v) for v in space.basis)
+                    for u in space.basis)
+    table = [[coords(vec, "a product") for vec in row] for row in products]
     return GradedAlgebra([f"s{k}" for k in range(space.dim)], table,
                          coords(unit, "the unit"), degrees, algebra.group_rank)
 

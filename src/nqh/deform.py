@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 from .errors import (
@@ -63,7 +63,6 @@ from .quadratic import QuadraticPresentation, check_central, koszul_dual
 from .rewrite import (
     complete,
     extract_algebra,
-    normal_form,
     normal_words,
     orient,
     rule_elements,
@@ -114,6 +113,16 @@ class DoubleOreData:
     def b_dual(self):
         """The Koszul dual of B, built once."""
         return koszul_dual(self.b)
+
+    @cached_property
+    def mixing(self):
+        """The deformation of the mixing block's dual at y1^2 + y2^2,
+        completed once, with no structure table: the oracle step certifies
+        it (see ``_verify_subalgebra_blocks``)."""
+        dual = koszul_dual(j_presentation(self.p12, self.p11))
+        lift = TensorElement({(0, 0): ONE, (1, 1): ONE})
+        theta_values, deformed = clifford_theta(dual, lift)
+        return complete_deformation(dual, deformed, lift, theta_values)
 
     @cached_property
     def sigma_on_degree2(self):
@@ -564,9 +573,8 @@ def build_Bshriek_clifford(data, lift, base):
     ``base`` the deformation of the base dual at the lift of z.
 
     It gets no structure table and is not certified here: the pipelines
-    certify it from its presentation (see ``knorrer._oracle_step``).  Its
-    base and mixing blocks are checked against their certified
-    deformations."""
+    certify it from its presentation (see ``knorrer._oracle_step``), and
+    its base and mixing blocks with it (see ``_verify_subalgebra_blocks``)."""
     g = data.ngens
     bdual = data.b_dual
     # cross-check the printed dual relation space: R_J-perp + R-perp + R_tau
@@ -609,71 +617,49 @@ def j_presentation(p12, p11):
     )
 
 
-@cache
-def _mixing_deformation(p12, p11):
-    """The certified deformation of the mixing block's dual at y1^2 + y2^2,
-    built once per (p12, p11) and shared: callers only read it."""
-    return build_clifford(j_presentation(p12, p11),
-                          TensorElement({(0, 0): ONE, (1, 1): ONE}))
-
-
 def _block_words(block_words, expect, offset):
     """{normal word of the big system: index of the word of ``expect`` it
     is}, each block letter shifted down by ``offset``; DimensionMismatch
-    unless this is a bijection onto ``expect``'s words."""
-    index = {w: i for i, w in enumerate(expect.words)}
+    unless this is a bijection onto ``expect``, a list of normal words."""
+    index = {w: i for i, w in enumerate(expect)}
     rename = {w: index.get(tuple(a - offset for a in w)) for w in block_words}
-    if len(rename) != expect.dim or None in rename.values():
+    if len(rename) != len(expect) or None in rename.values():
         raise DimensionMismatch("subalgebra block words are not the block's")
     return rename
 
 
-def _block_matches(system, block_words, expect, offset):
-    """The products of the normal words ``block_words`` of ``system``, read
-    as normal forms, are the structure constants of ``expect`` on its words,
-    each block letter shifted down by ``offset``."""
-    rename = _block_words(block_words, expect, offset)
-    for w1 in block_words:
-        for w2 in block_words:
-            got = normal_form(system, TensorElement.monomial(w1 + w2)).terms
-            if not got.keys() <= rename.keys():
-                raise DimensionMismatch("subalgebra block is not closed")
-            if ({rename[w]: c for w, c in got.items()}
-                    != expect.table[rename[w1]][rename[w2]]):
-                raise DimensionMismatch("subalgebra block constants disagree")
-
-
 def _verify_subalgebra_blocks(bdata, data, base_c):
-    """The base deformation E sits on pure base-letter words, the
-    mixing-block deformation on pure y words, and every normal word factors
-    as (y part)(base part) bijectively.
+    """The normal words of the big system P on base letters are E's,
+    shifted past y1, y2; those on y1, y2 are the mixing block J's
+    (``data.mixing``); and every normal word factors as (y part)(base part)
+    bijectively.
 
-    The mixing block's 16 products are read as normal forms: its table
-    comes from the rules of its own system, which no step evaluates in the
-    target.  The base block's words are checked, and its products are not
-    computed here: the oracle step certifies them.  Claim.  Once
-    ``knorrer._oracle_step`` has passed its relation, rule and span checks
-    on the big system P, the base-letter normal words of P multiply as E's
-    table, shifted.  Premises: E's table is e_u e_v = NF_E(u v) on its
-    normal words, and every prefix of a normal word is normal, so
-    e_u = e_{u_1} ... e_{u_k} for each normal word u of E; the map f of the
-    oracle step sends base letter a to I(0)_1 e_a, and I(0)_1 is the
-    identity matrix with theta^(0)_11 = id and theta^(0)_21 = 0, as
-    ``knorrer._plus_theta`` and ``knorrer._minus_theta`` build them, so the
-    twisted product gives (I(0)_1 x)(I(0)_1 y) = I(0)_1 x y in both
-    targets (the minus target's ring part is the twisted E x E).  Proof.
-    So f(shift u) = I(0)_1 e_u.  For normal words u, v of E, whose shifts
-    are P's base-letter normal words by the word check here, the rule lemma
-    (``rewrite.rule_elements``) gives f(NF_P(uv)) = f(uv)
-    = I(0)_1 e_u e_v = f(sum_w c_w shift w), with e_u e_v = sum_w c_w e_w
-    in E.  f is injective on the span of P's normal words (the span check),
-    so NF_P(uv) = sum_w c_w shift w: the block is closed and its constants
-    are E's.  If the oracle step fails, the run is rejected there."""
+    No product is computed here: the oracle step certifies both blocks.
+    Claim.  Let Q be E with the letter shift s: a -> a + 2, or J with s the
+    identity.  Once ``knorrer._oracle_step`` has passed its relation, rule
+    and span checks on P, through the map f onto its certified target T,
+    and has evaluated Q's completed rules, shifted by s, to 0 in T, then
+    NF_P(s(uv)) = s(NF_Q(uv)) for all normal words u, v of Q.  Premise: the
+    word check here, so s maps Q's normal words onto P's normal words on
+    the block's letters.  Proof.  f and g = f(s(-)) are the multiplicative
+    extensions of letter assignments into the associative T; f kills P's
+    rules and g kills Q's, so the rule lemma (``rewrite.rule_elements``),
+    applied to each, gives f(NF_P(s(uv))) = f(s(uv)) = f(s(NF_Q(uv))).
+    NF_P(s(uv)) is a combination of P's irreducible words, which are its
+    normal words, and so is s(NF_Q(uv)) by the word check; f is injective
+    on their span (the span check), so the two are equal.  For the base
+    block, NF_E(uv) is the entry of E's table at (u, v)
+    (``extract_algebra``): the block is closed and its constants are E's.
+    For the mixing block, the y words with the products NF_J(uv) are J's
+    deformation, and g(NF_J(uv)) = g(u) g(v) with g injective on their span:
+    J's deformation is isomorphic to a subalgebra of T, so it is certified
+    by transport with no table of its own.  If the oracle step fails, the
+    run is rejected there."""
     words = bdata.words
     _block_words([w for w in words if all(a >= 2 for a in w)],
-                 base_c.algebra, 2)
-    _block_matches(bdata.system, [w for w in words if all(a < 2 for a in w)],
-                   _mixing_deformation(data.p12, data.p11).algebra, 0)
+                 base_c.algebra.words, 2)
+    _block_words([w for w in words if all(a < 2 for a in w)],
+                 data.mixing.words, 0)
     # freeness: normal words factor uniquely as y-part then base-part
     seen = set()
     for w in words:

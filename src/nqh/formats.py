@@ -218,22 +218,22 @@ def presentation_doc(presentation, central=None):
 
 
 def algebra_summary(clifford):
-    """Deterministic summary lines and JSON payload for a built deformation,
-    with its radical and strong grading computed once for both."""
-    from .algebra import radical, strongly_graded_check
+    """Deterministic summary lines and JSON payload for a deformation from
+    ``build_clifford``, with its radical computed once for both.  It is
+    strongly graded: ``build_clifford`` raises otherwise."""
+    from .algebra import radical
 
     algebra = clifford.algebra
     even = len(algebra.component_indices((0,)))
     odd = len(algebra.component_indices((1,)))
     rad = radical(algebra).dim
-    graded = strongly_graded_check(algebra)
     lines = [
         f"dimension: {algebra.dim}",
         f"component dims: even {even}, odd {odd}",
         f"radical dim: {rad}",
-        f"strongly graded: {'yes' if graded else 'no'}",
+        "strongly graded: yes",
         "basis: " + ", ".join(algebra.labels),
     ]
-    payload = {"dim": algebra.dim, "radical": rad, "strongly_graded": graded,
+    payload = {"dim": algebra.dim, "radical": rad, "strongly_graded": True,
                "basis": list(algebra.labels)}
     return lines, payload

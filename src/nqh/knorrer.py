@@ -145,17 +145,27 @@ def _minus_theta(sd, E):
 
 
 def _lemma46_suite(xi1, xi2, phi1, phi2, theta0, theta1, E):
-    """The nine derived identities of the quarter-projections."""
+    """The nine derived identities of the quarter-projections.
+
+    ``xi1-product-rule`` is xi1(a b) = a xi2(b) + xi1(a) th22(b)
+    = a xi1(b) + xi1(a) th22(b) - a th22(b) on all basis pairs, with th22
+    the entry (2, 2) of theta^(0), and ``xi2-product-rule`` the same with
+    xi2(a b) and xi2(a) on the left of both.  In both items the second form
+    minus the first is a D(b), with D = xi1 - xi2 - th22.  So, given the
+    first form, the second holds on all pairs exactly when D = 0: a D(b) = 0
+    for all a when D = 0, and a = 1, a combination of basis vectors, gives
+    D(b) = 0 otherwise.  Each item is decided as the first form on all pairs
+    and the one map identity xi1 - xi2 = th22.
+    """
     report = Report()
-    ident = GradedLinMap.identity(E)
     th12 = theta0.entry(1, 2)
     th22 = theta0.entry(2, 2)
     i_th12 = th12.scale(I)
     report.add("xi-idempotent",
                xi1.compose(xi1) == xi1 and xi2.compose(xi2) == xi2)
 
-    ok2 = True
-    ok3 = True
+    # the second forms of both rules, as one map identity (proof above)
+    ok2 = ok3 = xi1 - xi2 == th22
     for a in range(E.dim):
         va = E.basis_vec(a)
         xi1_a = xi1.apply(va)
@@ -164,23 +174,10 @@ def _lemma46_suite(xi1, xi2, phi1, phi2, theta0, theta1, E):
             vb = E.basis_vec(b)
             prod = E.table[a][b]
             th22_b = th22.apply(vb)
-            lhs = xi1.apply(prod)
-            rhs = vec_add(E.mul(va, xi2.apply(vb)), E.mul(xi1_a, th22_b))
-            if not vec_eq(lhs, rhs):
+            a_xi2_b = E.mul(va, xi2.apply(vb))
+            if not vec_eq(xi1.apply(prod), vec_add(a_xi2_b, E.mul(xi1_a, th22_b))):
                 ok2 = False
-            alt = vec_sub(vec_add(E.mul(va, xi1.apply(vb)),
-                                  E.mul(xi1_a, th22_b)),
-                          E.mul(va, th22_b))
-            if not vec_eq(lhs, alt):
-                ok2 = False
-            lhs = xi2.apply(prod)
-            rhs = vec_add(E.mul(va, xi2.apply(vb)), E.mul(xi2_a, th22_b))
-            if not vec_eq(lhs, rhs):
-                ok3 = False
-            alt = vec_sub(vec_add(E.mul(va, xi1.apply(vb)),
-                                  E.mul(xi2_a, th22_b)),
-                          E.mul(va, th22_b))
-            if not vec_eq(lhs, alt):
+            if not vec_eq(xi2.apply(prod), vec_add(a_xi2_b, E.mul(xi2_a, th22_b))):
                 ok3 = False
     report.add("xi1-product-rule", ok2)
     report.add("xi2-product-rule", ok3)
@@ -290,24 +287,31 @@ def _oracle_step(checks, data, lift, base, target, graded, y_images, layout,
 
     Checked: the deformed relations and the completed rules lhs - rhs
     vanish in the target, and the images of the dim B^! normal words are a
-    basis of it.  By the rule lemma (``rewrite.rule_elements``) these checks
-    also certify the base block's products; see
-    ``deform._verify_subalgebra_blocks``.  Proof.  f kills the relations, so
-    it factors through P, and it is onto.  gr P, for the word-length
-    filtration, satisfies the quadratic parts of the relations, so it is a
-    quotient of B^! and dim P <= dim B^! = dim target (the PBW bound:
+    basis of it.  E's completed rules, letters shifted past y1, y2, and
+    those of the mixing block J (``data.mixing``) must vanish in the target
+    too: with them, by the rule lemma (``rewrite.rule_elements``), these
+    checks certify the products of both blocks, with no table; see
+    ``deform._verify_subalgebra_blocks``.
+    Proof that f is an isomorphism.  f kills the relations, so it factors
+    through P, and it is onto.  gr P, for the word-length filtration,
+    satisfies the quadratic parts of the relations, so it is a quotient of
+    B^! and dim P <= dim B^! = dim target (the PBW bound:
     Polishchuk-Positselski, *Quadratic Algebras*, ch. 5;
-    Braverman-Gaitsgory, J. Algebra 181, 1996).  So f is bijective and the normal words are a basis of P.  The
-    rules keep the rewriting route independent: each lhs - rhs is then 0 in
-    P, so a corrupted rule is rejected.  All generators are odd on both
-    sides, so f is graded, and P is strongly Z2-graded as the target is."""
+    Braverman-Gaitsgory, J. Algebra 181, 1996).  So f is bijective and the
+    normal words are a basis of P.  The rules keep the rewriting route
+    independent: each lhs - rhs is then 0 in P, so a corrupted rule is
+    rejected.  All generators are odd on both sides, so f is graded, and P
+    is strongly Z2-graded as the target is."""
     oracle = build_Bshriek_clifford(data, lift, base)
     E = base.algebra
     images = [{index: ONE} for index in y_images]
     for a in range(data.ngens):
         images.append({layout.index(0, 1, E.words.index((a,))): ONE})
+    shift = {a: a + 2 for a in range(data.ngens)}
     image = extend_on_generators(
-        oracle.relations + rule_elements(oracle.system), target, images)
+        oracle.relations + rule_elements(oracle.system)
+        + tuple(r.rename(shift) for r in rule_elements(base.system))
+        + rule_elements(data.mixing.system), target, images)
     spanned = Subspace.from_rows(
         [image(TensorElement.monomial(w)) for w in oracle.words], target.dim)
     iso_ok = spanned.dim == target.dim == len(oracle.words)

@@ -42,6 +42,7 @@ from .algebra import (
     MatrixHom,
     Report,
     _scalar_multiple,
+    is_t_inverse,
     t_inverse_table,
     vec_eq,
     vec_scale,
@@ -365,14 +366,16 @@ def verify_twisting_suite(system):
         = sum_{t,j} l^(ii')_{tjr} theta^(i+i')_{pt}(phi^(i)_{qj}(x)) y.
 
     It is decided as the exchange verdict of ``verify_twisting_M2`` and the
-    check that sum_j theta^(i)_{uj} phi^(i)_{rj} = delta_ur id for both i.
-    Proof.  That check says that the square stacked matrices of theta and
-    phi multiply to the identity, so they are inverse on both sides, and
-    also sum_q phi^(i)_{qj} theta^(i)_{qj'} = delta_jj' id.  Substitute
-    x -> phi^(i)_{qj'}(x) and y -> phi^(i')_{rj}(y) in the exchange identity
-    at (i, i', j', j, p) and sum over j' and j: the check collapses
-    sum_j' theta^(i)_{sj'} phi^(i)_{qj'} to delta_sq on the left and
-    sum_j theta^(i')_{uj} phi^(i')_{rj} to delta_ur on the right, which
+    check ``algebra.is_t_inverse`` on theta^(i) and phi^(i) for both i,
+    whose second family is sum_j theta^(i)_{uj} phi^(i)_{rj} = delta_ur id.
+    Proof.  That family says that the square stacked matrices of theta and
+    phi multiply to the identity, so they are inverse on both sides, which
+    is also the first family, sum_q phi^(i)_{qj} theta^(i)_{qj'}
+    = delta_jj' id; so the check passes exactly when this family holds.
+    Substitute x -> phi^(i)_{qj'}(x) and y -> phi^(i')_{rj}(y) in the
+    exchange identity at (i, i', j', j, p) and sum over j' and j: the check
+    collapses sum_j' theta^(i)_{sj'} phi^(i)_{qj'} to delta_sq on the left
+    and sum_j theta^(i')_{uj} phi^(i')_{rj} to delta_ur on the right, which
     leaves the law above.  Conversely substitute x -> theta^(i)_{qj'}(x)
     and y -> theta^(i')_{rj}(y) in the law and sum over q and r; the second
     family collapses both sides back to the exchange identity.  A phi that
@@ -386,12 +389,8 @@ def verify_twisting_suite(system):
         return report
     phis = system.t_inverses
 
-    ident = GradedLinMap.identity(E)
-    zero = GradedLinMap.zero(E)
-    inverse_ok = all(
-        theta.entry(u, 1).compose(phi.entry(r, 1))
-        + theta.entry(u, 2).compose(phi.entry(r, 2)) == (ident if u == r else zero)
-        for theta, phi in zip(system.theta, phis) for u in (1, 2) for r in (1, 2))
+    inverse_ok = all(is_t_inverse(theta, phi)
+                     for theta, phi in zip(system.theta, phis))
     report.add("theta-phi-exchange", system.exchange_ok and inverse_ok)
 
     # invertibility of the values at 1 propagates to the t-inverses

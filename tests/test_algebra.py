@@ -18,6 +18,9 @@ from nqh.exactlin import (
     TensorElement,
     ZERO,
     add_scaled,
+    is_stacked_inverse,
+    stacked_inverse,
+    transpose,
 )
 from nqh.algebra import (
     GradedAlgebra,
@@ -38,7 +41,6 @@ from nqh.algebra import (
     strongly_graded_check,
     t_inverse_table,
     vec_eq,
-    vec_sparse,
     vec_sub,
     verify_algebra,
     verify_decomposition,
@@ -174,6 +176,68 @@ def test_t_inverse_of_triangular_table(clifford_km1):
     assert t_inverse_table(nilpotent_row) is None
 
 
+def ref_t_inverse_table(theta):
+    """t_inverse_table as it was: a dense round trip.  The transposed dense
+    entry matrices go through ``stacked_inverse``, the solution transposes
+    back, and ``is_stacked_inverse`` checks both families densely."""
+    E = theta.algebra
+    n = E.dim
+    mats = [[[[entry.cols[c].get(r, ZERO) for c in range(n)] for r in range(n)]
+             for entry in row] for row in theta.entries]
+    solved = stacked_inverse([[transpose(m) for m in row] for row in mats])
+    if solved is None:
+        return None
+    solved = [[transpose(m) for m in row] for row in solved]
+    if not is_stacked_inverse(solved, mats):
+        return None
+    return MatrixHom([[GradedLinMap(E, E, [{r: c for r, c in enumerate(col) if c}
+                                           for col in transpose(m)])
+                       for m in row] for row in solved])
+
+
+def _columns(table):
+    """Each entry's columns with their keys in stored order, or None."""
+    if table is None:
+        return None
+    return [[[list(col.items()) for col in entry.cols] for entry in row]
+            for row in table.entries]
+
+
+def test_t_inverse_table_matches_the_dense_route():
+    """Every theta table of the five registry pipelines and of the skew3
+    inputs of seeds 1 to 4, plus and minus, each with one coefficient
+    bumped by 1, and each with its second row replaced by its first, which
+    is singular: the sparse solve gives the columns, in the same key order,
+    that the dense route gives, or None where it does."""
+    tables = []
+    with pytest.MonkeyPatch.context() as patch:
+        _capture(patch, "t_inverse_table", tables, (twist,))
+        for scenario_id in PIPELINE_SCENARIOS:
+            assert run_scenario(scenario_id).ok
+        for seed in range(1, 5):
+            for name, blob in sorted(generate("skew3", seed).items()):
+                data, central = parse_double_ore(json.loads(blob))
+                run = (knorrer.run_plus_case if name == "plus.json"
+                       else knorrer.run_minus_case)
+                assert run(data, central).checks.ok
+    rng = random.Random("t-inverse-mutants")
+    outcomes = []
+    for theta in tables:
+        E = theta.algebra
+        entries = [list(row) for row in theta.entries]
+        i, j, b = rng.randrange(2), rng.randrange(2), rng.randrange(E.dim)
+        cols = list(entries[i][j].cols)
+        cols[b] = _bumped(cols[b], rng.randrange(E.dim))
+        entries[i][j] = GradedLinMap(E, E, cols)
+        singular = MatrixHom([theta.entries[0], theta.entries[0]])
+        for table in (theta, MatrixHom(entries), singular):
+            new = t_inverse_table(table)
+            assert _columns(new) == _columns(ref_t_inverse_table(table))
+            outcomes.append(new is not None)
+    assert len(tables) == 20
+    assert outcomes[0::3] == [True] * 20 and outcomes[2::3] == [False] * 20
+
+
 def test_extend_on_generators(clifford_km1):
     algebra = clifford_km1.algebra
     images = [algebra.basis_vec(algebra.words.index((0,))),
@@ -195,8 +259,7 @@ def test_extend_on_generators(clifford_km1):
 def test_verify_iso_rejects_non_multiplicative(clifford_km1):
     algebra = clifford_km1.algebra
     cols = [algebra.basis_vec(i) for i in range(algebra.dim)]
-    cols[algebra.words.index((0,))] = vec_sparse(
-        [ZERO, Scalar(2), ZERO, ZERO])
+    cols[algebra.words.index((0,))] = {1: Scalar(2)}
     stretched = GradedLinMap(algebra, algebra, cols)
     assert not verify_iso(stretched)
     # doubling the normal words with an odd count of letter a commutes with
@@ -400,10 +463,7 @@ def _capture_certified(patch, algebras, maps=None):
     each build_semitrivial output, which the minus case certifies through
     its ring and involution and the plus case through Lambda.
     With ``maps``, record there the argument of each verify_iso and
-    certify_by_iso call.  The mixing-block deformation is built once per
-    (p12, p11) and process, so its cache is emptied first: the captures do
-    not depend on which tests ran before."""
-    deform._mixing_deformation.cache_clear()
+    certify_by_iso call."""
     _capture(patch, "verify_algebra", algebras, (deform, knorrer, twist))
     build = knorrer.build_semitrivial
 
@@ -471,11 +531,11 @@ def _items(report):
 
 def test_verify_algebra_matches_the_reference_on_pipeline_algebras(
         pipeline_algebras):
-    # 23 distinct algebras; each pipeline builds its base deformation once,
-    # each (p12, p11) its mixing block once, the 2 Zhang tables and the 3
-    # plus-case Lambdas are certified by certify_by_iso, the 5 extensions
-    # are recorded from build_semitrivial and the 5 oracles get no table
-    assert len(pipeline_algebras) == 23
+    # 21 distinct algebras; each pipeline builds its base deformation once,
+    # the 2 Zhang tables and the 3 plus-case Lambdas are certified by
+    # certify_by_iso, the 5 extensions are recorded from build_semitrivial,
+    # and neither the 5 oracles nor the mixing blocks get a table
+    assert len(pipeline_algebras) == 21
     for algebra in pipeline_algebras:
         items = _items(verify_algebra(algebra))
         assert items == reference_verify_algebra(algebra)
@@ -563,6 +623,49 @@ def test_restrict_coordinates_recombine_to_each_product(pipeline_algebras, data)
     assert verify_algebra(restricted).ok
 
 
+def ref_restrict(algebra, space, unit):
+    """restrict as it was on every span: each product's coordinates read
+    through ``reduce_with_coords``."""
+    degrees = [algebra.element_degree(row) for row in space.basis]
+
+    def coords(vec, what):
+        found, rem = space.reduce_with_coords(vec)
+        if rem:
+            raise DimensionMismatch(f"{what} lies outside the subspace")
+        return found
+
+    table = [[coords(algebra.mul(u, v), "a product") for v in space.basis]
+             for u in space.basis]
+    return GradedAlgebra([f"s{k}" for k in range(space.dim)], table,
+                         coords(unit, "the unit"), degrees, algebra.group_rank)
+
+
+def test_restrict_to_basis_vectors_matches_the_reduction(pipeline_algebras):
+    """On the span of each pipeline algebra's degree-0 basis vectors,
+    restrict re-indexes the table: tables, key order, unit, degrees and
+    labels are those that reading each product through reduce_with_coords
+    gives.  The span of the other basis vectors, which holds no unit, raises
+    the same DimensionMismatch both ways."""
+    for algebra in pipeline_algebras:
+        zero = tuple([0] * algebra.group_rank)
+        odd = [i for i in range(algebra.dim) if algebra.degrees[i] != zero]
+        even = Subspace.from_rows(
+            [{i: ONE} for i in algebra.component_indices(zero)], algebra.dim)
+        new = restrict(algebra, even, algebra.unit)
+        old = ref_restrict(algebra, even, algebra.unit)
+        assert ([[list(v.items()) for v in row] for row in new.table]
+                == [[list(v.items()) for v in row] for row in old.table])
+        assert (list(new.unit.items()), new.degrees, new.labels) == (
+            list(old.unit.items()), old.degrees, old.labels)
+        span = Subspace.from_rows([{i: ONE} for i in odd], algebra.dim)
+        messages = []
+        for build in (restrict, ref_restrict):
+            with pytest.raises(DimensionMismatch, match="lies outside") as exc:
+                build(algebra, span, algebra.unit)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+
 def _capture(patch, name, sink, modules):
     """Patch ``name`` in ``modules`` to record its argument in ``sink``,
     unless ``sink`` already holds that object."""
@@ -598,8 +701,8 @@ def test_verify_algebra_matches_the_reference_on_skew3_mutants(skew3_certified):
     failed = {"unit": 0, "grading": 0, "associativity": 0}
     # each run builds its base deformation once; both extensions are
     # recorded from build_semitrivial, and the plus case's Lambda from
-    # certify_by_iso; the oracles get no table
-    assert len(algebras) == 10
+    # certify_by_iso; neither the oracles nor the mixing blocks get a table
+    assert len(algebras) == 8
     for n, algebra in enumerate(algebras):
         items = _items(verify_algebra(algebra))
         assert items == reference_verify_algebra(algebra)

@@ -282,12 +282,12 @@ def test_block_word_outside_the_block_is_a_dimension_mismatch(
     base = build_clifford(double_ore_class_z.base, z_lift)
     big = build_Bshriek_clifford(double_ore_class_z, z_lift, base)
     base_words = [w for w in big.words if all(a >= 2 for a in w)]
-    deform._block_matches(big.system, base_words, base.algebra, 2)
+    deform._block_words(base_words, base.algebra.words, 2)
     # (x1, x1) is not a normal word of E: x1^2 reduces to a scalar
     assert (0, 0) not in base.algebra.words
     wrong = base_words[:-1] + [(2, 2)]
     with pytest.raises(DimensionMismatch, match="block words"):
-        deform._block_matches(big.system, wrong, base.algebra, 2)
+        deform._block_words(wrong, base.algebra.words, 2)
 
 
 def test_normalize_p11_identity_case(double_ore_class_t):

@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses, and every name
-the bench tracer patches resolves to a function of its own.
+"""No module of the package imports a name it never uses or keeps a
+process-wide cache, and every name the bench tracer patches resolves to a
+function of its own.
 
 The first check reads each module's syntax tree: every name bound by an
 ``import`` or ``from ... import`` must appear as a name somewhere in the
@@ -36,6 +37,40 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_name_it_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def cached_functions(source):
+    """The names of the functions that ``source`` decorates with
+    ``functools.cache`` or ``functools.lru_cache``, bare, called or
+    qualified, sorted.  Such a cache lives for the process and is shared by
+    every caller; ``functools.cached_property`` keeps a value on one
+    object, and is allowed."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for decorator in node.decorator_list:
+                if isinstance(decorator, ast.Call):
+                    decorator = decorator.func
+                name = (decorator.attr if isinstance(decorator, ast.Attribute)
+                        else getattr(decorator, "id", None))
+                if name in ("cache", "lru_cache"):
+                    found.append(node.name)
+    return sorted(found)
+
+
+def test_the_check_finds_a_process_wide_cache():
+    source = ("import functools\nfrom functools import cache, lru_cache,"
+              " cached_property\n@cache\ndef a(): pass\n"
+              "@functools.lru_cache(maxsize=8)\ndef b(): pass\n"
+              "@lru_cache\ndef c(): pass\n"
+              "class D:\n    @cached_property\n    def e(self): pass\n"
+              "    @functools.cache\n    def f(self): pass\n")
+    assert cached_functions(source) == ["a", "b", "c", "f"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_keeps_no_process_wide_cache(module):
+    assert cached_functions((PACKAGE / module).read_text()) == []
 
 
 def traced_functions():

@@ -48,7 +48,7 @@ from nqh.knorrer import (
     run_plus_case,
     singularity_report,
 )
-from nqh.rewrite import RewriteSystem, extract_algebra
+from nqh.rewrite import RewriteSystem, extract_algebra, normal_form
 from nqh.scenarios import EX_5_9, PROP_5_10, run_scenario
 from nqh.twist import BlockLayout
 
@@ -333,10 +333,11 @@ def test_big4_report_bytes_match_recorded_digest(capsys, tmp_path, case):
 
 def test_each_run_builds_each_dual_and_deformation_once(monkeypatch):
     """One run builds three Koszul duals (base, B, mixing block J), runs
-    check_central three times (in B, then inside the two build_clifford
-    calls) and deforms twice (base, J): nothing is rebuilt.  J depends only
-    on (p12, p11) and is kept for the process, so its cache is emptied
-    before each run."""
+    check_central twice (in B, then inside the base's build_clifford) and
+    certifies one deformation by build_clifford: J is completed from its
+    presentation, with no table and no certificate of its own.  Nothing is
+    kept across runs, so a second run on data parsed afresh makes the same
+    calls as the first."""
     counts = Counter()
 
     def counting(name, real):
@@ -351,17 +352,12 @@ def test_each_run_builds_each_dual_and_deformation_once(monkeypatch):
                 monkeypatch.setattr(module, name,
                                     counting(name, getattr(module, name)))
     for name, blob in sorted(generate("skew3", 7).items()):
-        data, central = parse_double_ore(json.loads(blob))
         run = run_plus_case if name == "plus.json" else run_minus_case
-        deform._mixing_deformation.cache_clear()
-        counts.clear()
-        assert run(data, central).checks.ok
-        assert counts == {"koszul_dual": 3, "check_central": 3,
-                          "build_clifford": 2}, name
-        # a second run on the same data rebuilds only the base deformation
-        assert run(data, central).checks.ok
-        assert counts == {"koszul_dual": 4, "check_central": 5,
-                          "build_clifford": 3}, name
+        for _ in range(2):
+            counts.clear()
+            assert run(*parse_double_ore(json.loads(blob))).checks.ok
+            assert counts == {"koszul_dual": 3, "check_central": 2,
+                              "build_clifford": 1}, name
 
 
 def test_each_run_descends_sigma_and_its_inverse_once(monkeypatch, tmp_path,
@@ -446,11 +442,11 @@ def test_each_run_builds_and_certifies_each_twisted_table_once(monkeypatch):
 
 def test_the_big_deformation_is_certified_without_a_table(monkeypatch):
     """On a passing run the big deformation never reaches extract_algebra,
-    verify_algebra or certify_by_iso, and no table of its products is
-    built: its normal forms are read for the mixing block alone, 16 of
-    them, where a table needs (4 dim E)^2; the oracle step certifies the
-    base block.  E's completed rules certify sigma^!, so verify_hom_M2
-    never runs.  Nor does either semi-trivial extension reach
+    verify_algebra or certify_by_iso, and not one of its normal forms is
+    computed, where a table needs (4 dim E)^2: the oracle step certifies
+    both of its blocks.  Nor does the mixing block J reach extract_algebra
+    or verify_algebra.  E's completed rules certify sigma^!, so
+    verify_hom_M2 never runs.  Nor does either semi-trivial extension reach
     verify_algebra: in the minus case Gamma's certificate and the checks of
     mu certify it, in the plus case certify_by_iso of the corner map."""
     extracted = []
@@ -465,11 +461,11 @@ def test_the_big_deformation_is_certified_without_a_table(monkeypatch):
             return real(*args)
         return wrapper
 
-    real_normal_form = deform.normal_form
+    real_nf_word = RewriteSystem._nf_word
 
-    def counting_normal_form(system, element):
+    def counting_nf_word(system, word):
         forms[id(system)] += 1
-        return real_normal_form(system, element)
+        return real_nf_word(system, word)
 
     monkeypatch.setattr(deform, "extract_algebra",
                         recording(extracted, deform.extract_algebra))
@@ -478,7 +474,7 @@ def test_the_big_deformation_is_certified_without_a_table(monkeypatch):
                             recording(certified, module.verify_algebra))
     monkeypatch.setattr(knorrer, "certify_by_iso",
                         recording(transported, knorrer.certify_by_iso))
-    monkeypatch.setattr(deform, "normal_form", counting_normal_form)
+    monkeypatch.setattr(RewriteSystem, "_nf_word", counting_nf_word)
     for module in (algebra_module, deform, knorrer, twist):
         if hasattr(module, "verify_hom_M2"):
             monkeypatch.setattr(module, "verify_hom_M2",
@@ -486,7 +482,6 @@ def test_the_big_deformation_is_certified_without_a_table(monkeypatch):
     for name, blob in sorted(generate("skew3", 7).items()):
         data, central = parse_double_ore(json.loads(blob))
         plus = name == "plus.json"
-        deform._mixing_deformation.cache_clear()
         for sink in (extracted, certified, transported):
             sink.clear()
         forms.clear()
@@ -494,28 +489,61 @@ def test_the_big_deformation_is_certified_without_a_table(monkeypatch):
         assert result.checks.ok
         oracle, E = result.oracle, result.base.algebra
         assert oracle.algebra is None and len(oracle.words) == 4 * E.dim
-        mixing = deform._mixing_deformation(data.p12, data.p11)
-        assert extracted == [result.base.system, mixing.system], name
-        built = [E, mixing.algebra] + ([result.twisted_bigraded] if plus
-                                       else [result.Gamma])
+        mixing = data.mixing
+        assert mixing.algebra is None and len(mixing.words) == 4, name
+        assert extracted == [result.base.system], name
+        built = [E] + ([result.twisted_bigraded] if plus else [result.Gamma])
         assert sorted(map(id, certified)) == sorted(map(id, built)), name
         extension = ((result.Lambda_bigraded, result.Lambda) if plus
                      else (result.semitrivial_bigraded, result.semitrivial))
         assert not [a for a in certified if a in extension], name
         assert [m.source for m in transported] == (
             [result.Lambda] if plus else [result.zhang]), name
-        assert forms[id(oracle.system)] == 16, name
+        assert forms[id(oracle.system)] == 0, name
+        assert forms[id(mixing.system)] == 0, name
         assert hom_checks == [], name
 
 
+def ref_block_matches(system, block_words, expect, offset):
+    """The products of the normal words ``block_words`` of ``system``, read
+    as normal forms, are the structure constants of ``expect`` on its words,
+    each block letter shifted down by ``offset``: the block check that
+    computed every product, kept as the reference."""
+    rename = deform._block_words(block_words, expect.words, offset)
+    for w1 in block_words:
+        for w2 in block_words:
+            got = normal_form(system, TensorElement.monomial(w1 + w2)).terms
+            if not got.keys() <= rename.keys():
+                raise DimensionMismatch("subalgebra block is not closed")
+            if ({rename[w]: c for w, c in got.items()}
+                    != expect.table[rename[w1]][rename[w2]]):
+                raise DimensionMismatch("subalgebra block constants disagree")
+
+
+def ref_mixing_table(data):
+    """The mixing block J's table, extracted from its completed system and
+    certified as ``build_clifford`` certifies a deformation."""
+    mixing = data.mixing
+    algebra = extract_algebra(mixing.system, mixing.words)
+    if not strongly_graded_check(algebra):
+        raise DimensionMismatch("mixing block is not strongly Z2-graded")
+    report = verify_algebra(algebra)
+    if not report.ok:
+        raise DimensionMismatch(f"mixing block invalid: {report.first_failure()}")
+    return algebra
+
+
 def ref_build_Bshriek_clifford(data, lift, base):
-    """build_Bshriek_clifford as it was while it read the base block's
-    products as normal forms, dim E^2 of them, and matched them to E's
-    table."""
+    """build_Bshriek_clifford as it was while it read each block's products
+    as normal forms and matched them to a certified table: dim E^2 of them
+    against E's, and 16 against J's."""
     oracle = deform.build_Bshriek_clifford(data, lift, base)
-    deform._block_matches(
+    ref_block_matches(
         oracle.system, [w for w in oracle.words if all(a >= 2 for a in w)],
         base.algebra, 2)
+    ref_block_matches(
+        oracle.system, [w for w in oracle.words if all(a < 2 for a in w)],
+        ref_mixing_table(data), 0)
     return oracle
 
 
@@ -525,7 +553,7 @@ def ref_oracle_step(checks, data, lift, base, target, graded, y_images, layout,
     extracted from the completed system and checked strongly graded, in
     place of the target's ``graded`` verdict, and certify_by_iso checks the
     map on every basis pair; when that fails, verify_algebra names an
-    invalid table first.  Its build computes the base block's products
+    invalid table first.  Its build computes the products of both blocks
     (``ref_build_Bshriek_clifford``)."""
     oracle = ref_build_Bshriek_clifford(data, lift, base)
     algebra = extract_algebra(oracle.system, oracle.words)
@@ -625,27 +653,35 @@ def _mutate(patch, kind, args, seed):
 
         patch.setattr(knorrer, "extend_on_generators", extend)
     else:
-        _mutate_a_rule(patch, letters, rng)
+        _mutate_a_rule(patch, rng, _rules_on(letters))
 
 
-def _mutate_a_rule(patch, letters, rng):
+def _mutate_a_rule(patch, rng, mutable):
     """Patch ``deform.complete`` to bump, by 1, a coefficient of a
-    right-hand side of the completed system on ``letters`` letters, drawn
-    from ``rng()``."""
+    right-hand side of a completed system, at a rule drawn from ``rng()``
+    among the left-hand sides that ``mutable(system)`` lists; a system with
+    none is kept."""
     real = deform.complete
 
     def complete(system, maxdeg):
         done = real(system, maxdeg)
-        if done.nletters != letters:
+        candidates = mutable(done)
+        if not candidates:
             return done
         r = rng()
         rules = dict(done.rules)
-        lhs = r.choice(sorted(rules))
+        lhs = r.choice(candidates)
         word = r.choice(sorted(rules[lhs].terms) + [()])
         rules[lhs] = TensorElement(_bump(rules[lhs].terms, word))
         return RewriteSystem(rules, done.alphabet, done.confluent_up_to)
 
     patch.setattr(deform, "complete", complete)
+
+
+def _rules_on(letters):
+    """Every left-hand side of a completed system on ``letters`` letters."""
+    return lambda system: (sorted(system.rules) if system.nletters == letters
+                           else [])
 
 
 def _first_failure(step, args):
@@ -660,11 +696,20 @@ def _first_failure(step, args):
 
 def _stage(message, args):
     """A ``_first_failure`` message, with a failed relation of the oracle
-    step named as a deformed relation or as a completed rule."""
+    step named by what it evaluated: a deformed relation of B's dual, a
+    completed rule of the big system, or one of the completed rules of the
+    base block E or of the mixing block J."""
     found = re.fullmatch(r"relation (\d+) not preserved", message or "")
     if not found:
         return message
-    return "relation" if int(found[1]) < args[0].b_dual.relations.dim else "rule"
+    data, lift, base = args[:3]
+    bounds = [data.b_dual.relations.dim]
+    if int(found[1]) >= bounds[0]:
+        big = deform.build_Bshriek_clifford(data, lift, base)
+        bounds.append(bounds[0] + len(big.system.rules))
+        bounds.append(bounds[1] + len(base.system.rules))
+    names = ("relation", "rule", "base-block rule", "mixing-block rule")
+    return names[sum(int(found[1]) >= bound for bound in bounds)]
 
 
 def test_oracle_mutants_are_rejected_as_by_the_old_certificate(
@@ -689,11 +734,79 @@ def test_oracle_mutants_are_rejected_as_by_the_old_certificate(
                 verdicts[kind, new is not None] += 1
                 stages[kind, _stage(new, args)] += 1
     assert verdicts == {(kind, True): 44 for kind in kinds}, (verdicts, stages)
-    # every corrupted y image breaks a relation; a rule corrupted outside
-    # the mixing block is seen by the rule evaluation alone, where the
-    # reference finds a wrong base block or an invalid table
+    # every corrupted y image breaks a relation; every corrupted rule is
+    # seen by the rule evaluation, where the reference finds a wrong block
+    # or an invalid table
     assert stages["y-image", "relation"] == 44, stages
-    assert stages["rule", "rule"] > 10, stages
+    assert stages["rule", "rule"] == 44, stages
+
+
+def _mutate_mixing(patch, kind, data, seed):
+    """Patch a right-hand side of a completed rule by a coefficient bumped
+    by 1: one of the mixing block J's (``"j-rule"``; J's deformation, kept
+    on ``data``, is dropped so that it is completed again) or one of the
+    big system's whose left-hand side is a pure y word (``"y-rule"``)."""
+
+    def rng():
+        return random.Random(f"{seed}:{kind}")
+
+    if kind == "j-rule":
+        patch.delitem(data.__dict__, "mixing")
+        _mutate_a_rule(patch, rng, lambda system: (
+            sorted(system.rules) if system.alphabet == ("y1*", "y2*") else []))
+    else:
+        letters = data.ngens + 2
+        _mutate_a_rule(patch, rng, lambda system: (
+            sorted(lhs for lhs in system.rules if all(a < 2 for a in lhs))
+            if system.nletters == letters else []))
+
+
+def test_mixing_block_mutants_are_rejected_as_by_its_certified_table(
+        oracle_step_inputs):
+    """Mutate a rule of the mixing block J, or a rule of the big system on
+    pure y words, on the oracle step of the five registry pipelines and of
+    the skew3 inputs of seeds 1 to 4.  The step, which evaluates J's rules
+    in the target, rejects exactly the mutants that the reference, which
+    compares 16 normal forms of the big system with J's certified table,
+    rejects."""
+    kinds = ("j-rule", "y-rule")
+    verdicts = Counter()
+    stages = Counter()
+    for name, args in oracle_step_inputs:
+        for kind in kinds:
+            for n in range(3):
+                with pytest.MonkeyPatch.context() as patch:
+                    _mutate_mixing(patch, kind, args[0],
+                                   f"mixing-mutant:{name}:{n}")
+                    new = _first_failure(knorrer._oracle_step, args)
+                    old = _first_failure(ref_oracle_step, args)
+                assert (new is None) == (old is None), (name, kind, n, new, old)
+                verdicts[kind, new is not None] += 1
+                stages[kind, _stage(new, args), old] += 1
+    assert verdicts == {(kind, True): 39 for kind in kinds}, (verdicts, stages)
+    # the step rejects each mutant at the rule it corrupted; the reference
+    # finds J's table invalid or the block's normal forms disagreeing with it
+    assert stages == {
+        ("j-rule", "mixing-block rule", "subalgebra block constants disagree"): 32,
+        ("j-rule", "mixing-block rule", "mixing block invalid"): 7,
+        ("y-rule", "rule", "subalgebra block constants disagree"): 39}, stages
+
+
+def test_oracle_step_evaluates_the_base_blocks_rules(oracle_step_inputs):
+    """A rule of E's completed system bumped after E's table is built, so
+    that the table no longer satisfies it, is rejected by the oracle step
+    at that rule, shifted past y1, y2: the base block's rules are evaluated
+    in the target."""
+    for name, args in oracle_step_inputs:
+        data, lift, base = args[:3]
+        rules = dict(base.system.rules)
+        lhs = min(rules)
+        rules[lhs] = TensorElement(_bump(rules[lhs].terms, ()))
+        corrupted = dataclasses.replace(base, system=RewriteSystem(
+            rules, base.system.alphabet, base.system.confluent_up_to))
+        changed = (data, lift, corrupted) + tuple(args[3:])
+        stage = _stage(_first_failure(knorrer._oracle_step, changed), changed)
+        assert stage == "base-block rule", (name, stage)
 
 
 def ref_dualize_hom(data, clifford):
@@ -726,7 +839,7 @@ def _mutate_base(patch, kind, letters, seed):
         return random.Random(f"{seed}:{kind}")
 
     if kind == "rule":
-        _mutate_a_rule(patch, letters, rng)
+        _mutate_a_rule(patch, rng, _rules_on(letters))
         return
     real = deform.extract_algebra
 
@@ -983,3 +1096,84 @@ def test_minus_extension_mutants_fail_as_under_its_own_certificate(
     assert stages == {(kind, stage): 19 for kind, stage in zip(
         kinds, ("PipelineError",) * 3 + ("RelationViolated",))}, stages
     assert len(certified) == 19
+
+
+# ---------------------------------------------------------------------------
+# the Lemma 4.6 suite, with the second forms of the product rules folded
+# into one map identity
+
+
+def ref_product_rules(xi1, xi2, th22, E):
+    """The verdicts of ``xi1-product-rule`` and ``xi2-product-rule`` as the
+    suite reached them while it compared each basis pair with both forms
+    of each rule."""
+    ok2 = ok3 = True
+    for a in range(E.dim):
+        va = E.basis_vec(a)
+        xi1_a = xi1.apply(va)
+        xi2_a = xi2.apply(va)
+        for b in range(E.dim):
+            vb = E.basis_vec(b)
+            prod = E.table[a][b]
+            th22_b = th22.apply(vb)
+            for xi, xi_a, ok in ((xi1, xi1_a, 2), (xi2, xi2_a, 3)):
+                lhs = xi.apply(prod)
+                rhs = vec_add(E.mul(va, xi2.apply(vb)), E.mul(xi_a, th22_b))
+                alt = vec_sub(vec_add(E.mul(va, xi1.apply(vb)),
+                                      E.mul(xi_a, th22_b)),
+                              E.mul(va, th22_b))
+                if not (vec_eq(lhs, rhs) and vec_eq(lhs, alt)):
+                    if ok == 2:
+                        ok2 = False
+                    else:
+                        ok3 = False
+    return ok2, ok3
+
+
+def test_lemma46_suite_mutants_get_the_verdicts_of_both_forms():
+    """Mutate xi1 alone, xi2 alone or theta^(0) by one coefficient, on the
+    suite of every plus run of the registry and of the skew3 inputs of
+    seeds 1 to 4.  Each item of the suite, which checks the second forms of
+    the product rules as the map identity xi1 - xi2 = th22, gets the
+    verdict of the reference, which compares every pair with both forms."""
+    found = []
+    real = knorrer._lemma46_suite
+
+    def record(*args):
+        found.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(knorrer, "_lemma46_suite", record)
+        for scenario_id in ("ex-4.10", "ex-4.9-1", "ex-4.9-2", "ex-5.9",
+                            "prop-5.10"):
+            assert run_scenario(scenario_id).ok
+        for seed in range(1, 5):
+            data, central = parse_double_ore(
+                json.loads(generate("skew3", seed)["plus.json"]))
+            assert run_plus_case(data, central).checks.ok
+    failed = Counter()
+    for n, args in enumerate(found):
+        for kind in ("xi1", "xi2", "theta0"):
+            for k in range(4):
+                rng = random.Random(f"lemma46-mutant:{n}:{kind}:{k}")
+                xi1, xi2, phi1, phi2, theta0, theta1, E = args
+                if kind != "theta0":
+                    # xi1 or xi2 may be 0: bump any coefficient
+                    linmap = xi1 if kind == "xi1" else xi2
+                    cols = list(linmap.cols)
+                    b = rng.randrange(E.dim)
+                    cols[b] = _bump(cols[b], rng.randrange(E.dim))
+                    linmap = GradedLinMap(E, E, cols)
+                    xi1, xi2 = (linmap, xi2) if kind == "xi1" else (xi1, linmap)
+                else:
+                    theta0 = _bumped_table(theta0, rng)
+                items = [(item.name, item.passed) for item in knorrer._lemma46_suite(
+                    xi1, xi2, phi1, phi2, theta0, theta1, E).items]
+                rules = dict(zip(("xi1-product-rule", "xi2-product-rule"),
+                                 ref_product_rules(xi1, xi2, theta0.entry(2, 2), E)))
+                assert items == [(name, rules.get(name, passed))
+                                 for name, passed in items], (n, kind, k)
+                failed.update(name for name, passed in items if not passed)
+    assert len(found) == 7
+    assert failed["xi1-product-rule"] and failed["xi2-product-rule"], failed
