@@ -620,17 +620,11 @@ class RightModule:
     @classmethod
     def from_invariant_subspace(cls, algebra, subspace):
         """Submodule of the regular module on an invariant subspace."""
-        action = []
-        for j in range(algebra.dim):
-            rows = []
-            for basis_vec in subspace.basis:
-                coords, rem = subspace.reduce_with_coords(
-                    algebra.mul(basis_vec, {j: ONE}))
-                if rem:
-                    raise DimensionMismatch("subspace is not action invariant")
-                rows.append(coords)
-            action.append(rows)
-        return cls(algebra, subspace.dim, action)
+        return cls(algebra, subspace.dim, [
+            [subspace.coords(algebra.mul(basis_vec, {j: ONE}),
+                             "subspace is not action invariant")
+             for basis_vec in subspace.basis]
+            for j in range(algebra.dim)])
 
     def act(self, vec, algebra_vec):
         """Sparse row vector times the action of an algebra element."""
@@ -708,13 +702,23 @@ def hom_dim(m, n):
 def verify_decomposition(algebra, simples, multiplicities):
     """Certify a full decomposition of the regular module.
 
-    Requires zero radical, absolute simplicity of each listed module,
-    no intertwiners between distinct listed modules, the prescribed
+    Requires that each listed module is over this algebra and absolutely
+    simple, no intertwiners between distinct listed modules, the prescribed
     multiplicities in the regular module, and a total dimension match.
+    Precondition: the algebra is associative with its unit, and each listed
+    module is a module.
+
+    These force the radical J(A) to be 0, so it is not computed.  Proof.
+    By Burnside, End(S_i) = K, so the S_i-isotypic part of soc(A_A), the sum
+    of the images of all maps S_i -> A_A, is S_i^(m_i) with
+    m_i = dim Hom(S_i, A_A), of dimension m_i dim S_i.  The S_i are pairwise
+    Hom-orthogonal, so pairwise non-isomorphic simple modules, and their
+    isotypic parts are independent.  So dim soc(A_A) is at least
+    sum m_i dim S_i = dim A: soc(A_A) = A_A, A_A is semisimple, and
+    J(A) = 0.
     """
-    if radical(algebra).dim != 0:
-        return False
-    if len(simples) != len(multiplicities):
+    if (len(simples) != len(multiplicities)
+            or any(s.algebra is not algebra for s in simples)):
         return False
     regular = RightModule.regular(algebra)
     total = 0
@@ -762,43 +766,32 @@ def restrict(algebra, space, unit):
     """The algebra on a homogeneous, multiplication-closed subspace, on its
     reduced row echelon basis, with ``unit`` as its unit.
 
-    Structure constants are the coordinates ``space.reduce_with_coords``
-    reads off each product.  A basis row that is not homogeneous, or a
-    product or the unit outside the subspace, raises DimensionMismatch.  A
-    span of homogeneous vectors has a homogeneous reduced row echelon basis:
-    it is the direct sum of its degree parts, whose supports are disjoint,
-    so the union of their reduced bases is reduced for the whole span and is
-    its basis by uniqueness (see ``exactlin``).
+    Structure constants are the coordinates ``space.coords`` reads off each
+    product.  A basis row that is not homogeneous, or a product or the unit
+    outside the subspace, raises DimensionMismatch.  A span of homogeneous
+    vectors has a homogeneous reduced row echelon basis: it is the direct
+    sum of its degree parts, whose supports are disjoint, so the union of
+    their reduced bases is reduced for the whole span and is its basis by
+    uniqueness (see ``exactlin``).
 
-    On a span of basis vectors no product or reduction is computed: row k
-    is the basis vector at pivots[k], so the product of rows k and l is the
-    table's entry at their pivots, a vector lies in the span exactly when
-    its support does, and its coordinates are its entries, re-indexed in
-    the ascending order ``reduce_with_coords`` gives them.
+    On a span of basis vectors no product is computed: row k is the basis
+    vector at pivots[k], so the product of rows k and l is the table's
+    entry at their pivots.
     """
     degrees = [algebra.element_degree(row) for row in space.basis]
     if None in degrees:
         raise DimensionMismatch("subspace basis is not homogeneous")
-    position = space.position
-    basis_span = all(len(row) == 1 for row in space.basis)
-
-    def coords(vec, what):
-        if basis_span and vec.keys() <= position.keys():
-            return {position[c]: v for c, v in sorted(vec.items())}
-        found, rem = space.reduce_with_coords(vec)
-        if rem:
-            raise DimensionMismatch(f"{what} lies outside the subspace")
-        return found
-
-    if basis_span:
+    if len(space.standard_pivots) == space.dim:
         products = ((algebra.table[p][q] for q in space.pivots)
                     for p in space.pivots)
     else:
         products = ((algebra.mul(u, v) for v in space.basis)
                     for u in space.basis)
-    table = [[coords(vec, "a product") for vec in row] for row in products]
+    table = [[space.coords(vec, "a product lies outside the subspace")
+              for vec in row] for row in products]
     return GradedAlgebra([f"s{k}" for k in range(space.dim)], table,
-                         coords(unit, "the unit"), degrees, algebra.group_rank)
+                         space.coords(unit, "the unit lies outside the subspace"),
+                         degrees, algebra.group_rank)
 
 
 def corner_embedding(algebra, e):

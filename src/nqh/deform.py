@@ -618,14 +618,11 @@ def j_presentation(p12, p11):
 
 
 def _block_words(block_words, expect, offset):
-    """{normal word of the big system: index of the word of ``expect`` it
-    is}, each block letter shifted down by ``offset``; DimensionMismatch
-    unless this is a bijection onto ``expect``, a list of normal words."""
-    index = {w: i for i, w in enumerate(expect)}
-    rename = {w: index.get(tuple(a - offset for a in w)) for w in block_words}
-    if len(rename) != len(expect) or None in rename.values():
+    """DimensionMismatch unless shifting each block letter of the normal
+    words ``block_words`` down by ``offset`` is a bijection onto
+    ``expect``, a list of normal words."""
+    if {tuple(a - offset for a in w) for w in block_words} != set(expect):
         raise DimensionMismatch("subalgebra block words are not the block's")
-    return rename
 
 
 def _verify_subalgebra_blocks(bdata, data, base_c):

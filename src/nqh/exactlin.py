@@ -734,18 +734,21 @@ class Subspace:
     ``basis`` holds sparse rows {column: Scalar} with no zero stored;
     ``pivots`` holds their pivot columns ascending, and ``position`` maps
     each pivot to its row.  Row k is 1 at pivots[k], its leftmost column,
-    and 0 at every other pivot.  This basis
+    and 0 at every other pivot.  ``standard_pivots`` holds the pivots whose
+    row is the standard basis vector there.  This basis
     is unique to the subspace (see the module docstring), so two subspaces
     are equal exactly when their bases are.
     """
 
-    __slots__ = ("ambient", "basis", "pivots", "position")
+    __slots__ = ("ambient", "basis", "pivots", "position", "standard_pivots")
 
     def __init__(self, ambient, basis, pivots):
         self.ambient = ambient
         self.basis = tuple(basis)
         self.pivots = tuple(pivots)
         self.position = {p: k for k, p in enumerate(self.pivots)}
+        self.standard_pivots = frozenset(
+            p for p, row in zip(self.pivots, self.basis) if len(row) == 1)
 
     @classmethod
     def from_rows(cls, rows, ambient):
@@ -778,6 +781,23 @@ class Subspace:
         for k, factor in coords.items():
             add_scaled(rem, self.basis[k], -factor)
         return coords, rem
+
+    def coords(self, vec, message="vector lies outside the subspace"):
+        """vec's coordinates {k: c} on the basis, k ascending, as
+        ``reduce_with_coords`` gives them; DimensionMismatch(message) when
+        vec lies outside the subspace.
+
+        No reduction is computed when every entry of vec sits in
+        ``standard_pivots``: vec is then the sum of its entries times the
+        rows at those pivots, so it lies in the subspace and its entries are
+        its coordinates."""
+        if vec.keys() <= self.standard_pivots:
+            position = self.position
+            return {position[c]: v for c, v in sorted(vec.items()) if v}
+        found, rem = self.reduce_with_coords(vec)
+        if rem:
+            raise DimensionMismatch(message)
+        return found
 
     def reduce(self, vec):
         """Subtract the projection onto the subspace; returns the remainder."""

@@ -378,49 +378,27 @@ def run_plus_case(data, lift):
     s_rows = S.basis
     checks.add("eigenspace-subalgebra", True)
 
-    # bimodule structure on M and the pairing into S
-    m_rows = list(M.basis)
-    m_degs = []
-    for row in m_rows:
-        deg = E.element_degree(row)
-        if deg is None:
-            raise PipelineError("eigenspace basis is not homogeneous")
-        m_degs.append(deg)
-    left = []
-    right = []
-    psi_ok = True
-    for s_vec in s_rows:
-        phi1_s = phi1.apply(s_vec)
-        lcols = []
-        rcols = []
-        for m_vec in m_rows:
-            coords, rem = M.reduce_with_coords(E.mul(phi1_s, m_vec))
-            if rem:
-                psi_ok = False
-            lcols.append(coords)
-            coords, rem = M.reduce_with_coords(E.mul(m_vec, s_vec))
-            if rem:
-                psi_ok = False
-            rcols.append(coords)
-        left.append(tuple(lcols))
-        right.append(tuple(rcols))
-    psi = []
-    for arow in m_rows:
-        row_entries = []
-        phi2_a = phi2.apply(arow)
-        for brow in m_rows:
-            coords, rem = S.reduce_with_coords(E.mul(phi2_a, brow))
-            if rem:
-                psi_ok = False
-                coords = {}
-            row_entries.append(coords)
-        psi.append(tuple(row_entries))
+    m_rows = M.basis
+    m_degs = [E.element_degree(row) for row in m_rows]
+    if None in m_degs:
+        raise PipelineError("eigenspace basis is not homogeneous")
+    # bimodule structure on M, phi1(s).m and m.s, and the pairing
+    # phi2(m).m' into S
+    try:
+        left = tuple(tuple(M.coords(E.mul(phi1_s, m_vec)) for m_vec in m_rows)
+                     for phi1_s in map(phi1.apply, s_rows))
+        right = tuple(tuple(M.coords(E.mul(m_vec, s_vec)) for m_vec in m_rows)
+                      for s_vec in s_rows)
+        psi = tuple(tuple(S.coords(E.mul(phi2_m, m_vec)) for m_vec in m_rows)
+                    for phi2_m in map(phi2.apply, m_rows))
+        psi_ok = True
+    except DimensionMismatch:
+        psi_ok = False
     checks.add("module-and-pairing-closure", psi_ok)
     if not psi_ok:
         raise PipelineError("the eigenspace bimodule or pairing is not closed")
-    shifted = [((d[0] + 1) % 2,) for d in m_degs]
-    st_data = SemiTrivialData(S_alg, tuple(shifted), tuple(left), tuple(right),
-                              tuple(psi))
+    shifted = tuple(((d[0] + 1) % 2,) for d in m_degs)
+    st_data = SemiTrivialData(S_alg, shifted, left, right, psi)
     Lambda_big = build_semitrivial(st_data)
     Lambda = Lambda_big.forget_first_regrade()
 
@@ -428,29 +406,20 @@ def run_plus_case(data, lift):
     corner_alg, corner_space = corner_embedding(twisted, e)
     corner_ok = corner_alg.dim == Lambda.dim
     if corner_ok:
-        cols = []
-        minus_i = -I
-        for svec in s_rows:
-            target = {}
-            for b, coeff in svec.items():
-                target[layout.index(0, 1, b)] = coeff * HALF
-                target[layout.index(0, 2, b)] = coeff * HALF * I
-            cols.append(target)
-        for mvec in m_rows:
-            target = {}
-            for b, coeff in mvec.items():
-                target[layout.index(1, 1, b)] = coeff * HALF
-                target[layout.index(1, 2, b)] = coeff * HALF * minus_i
-            cols.append(target)
-        # express each target in the corner basis
-        corner_cols = []
-        for target in cols:
-            coords, rem = corner_space.reduce_with_coords(target)
-            if rem:
-                corner_ok = False
-                break
-            corner_cols.append(coords)
-        if corner_ok:
+        # s goes to I(0)_1 s/2 + I(0)_2 i s/2, m to I(1)_1 m/2 - I(1)_2 i m/2
+        def column(i, vec, phase):
+            col = {}
+            for b, coeff in vec.items():
+                col[layout.index(i, 1, b)] = coeff * HALF
+                col[layout.index(i, 2, b)] = coeff * HALF * phase
+            return corner_space.coords(col)
+
+        try:
+            corner_cols = ([column(0, vec, I) for vec in s_rows]
+                           + [column(1, vec, -I) for vec in m_rows])
+        except DimensionMismatch:
+            corner_ok = False
+        else:
             corner_ok = certify_by_iso(
                 GradedLinMap(Lambda, corner_alg, corner_cols))
     # The corner restricts the certified twisted algebra to e A e, with the

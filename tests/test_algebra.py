@@ -322,6 +322,13 @@ def test_matrix_algebra_decomposition():
     assert is_absolutely_simple(simple)
     assert hom_dim(simple, regular) == 2
     assert verify_decomposition(algebra, [simple], [2])
+    # E11 E12 = E12 leaves the column span(E11, E21), and
+    # (E11 + E12) E21 = E11 leaves span(E11 + E12)
+    for rows in ([{0: ONE}, {2: ONE}], [{0: ONE, 1: ONE}]):
+        with pytest.raises(DimensionMismatch,
+                           match="^subspace is not action invariant$"):
+            RightModule.from_invariant_subspace(
+                algebra, Subspace.from_rows(rows, 4))
 
 
 def test_module_verify_rejects_a_left_action():

@@ -282,6 +282,57 @@ def test_subspace_membership_and_coords():
     assert coords == {0: ONE, 1: ONE} and not rem
 
 
+READER_SPACES = {
+    # rows at pivots 0, 2 and 6 are single entries; those at 1 and 4 are
+    # dense, with entries at the non-pivot columns 3 and 5
+    "mixed": Subspace.from_rows([{0: ONE}, {1: ONE, 3: Scalar(2)}, {2: ONE},
+                                 {4: ONE, 5: I}, {6: ONE}], 8),
+    "dense": Subspace.from_rows([{0: ONE, 1: ONE}, {1: ONE, 2: HALF}], 4),
+    "standard": Subspace.from_rows([{1: ONE}, {3: ONE}], 4),
+    "zero": Subspace.zero(4),
+}
+
+READER_PROBES = {
+    "mixed": [
+        {6: I, 0: Scalar(2), 2: MINUS_ONE},               # single-entry pivots
+        {2: ONE, 0: ZERO},                                # with a stored zero
+        {3: Scalar(2), 1: ONE, 0: Scalar(3)},             # uses a dense row
+        {5: I, 4: ONE, 6: HALF, 1: MINUS_ONE, 3: Scalar(-2)},
+        {7: ONE, 0: ONE},                                 # non-pivot column
+        {3: ONE},
+        {1: ONE},                                         # dense row's pivot
+        {4: ONE, 2: ONE},
+        {},
+    ],
+    "dense": [{0: ONE, 1: Scalar(2), 2: HALF}, {0: ONE}, {2: ONE}, {3: ONE},
+              {}],
+    "standard": [{3: I, 1: ONE}, {1: ZERO}, {0: ONE}, {2: ONE, 3: ONE}],
+    "zero": [{}, {0: ZERO}, {2: ONE}],
+}
+
+
+@pytest.mark.parametrize("name", sorted(READER_SPACES))
+def test_coords_reads_what_reduce_with_coords_reads(name):
+    """On subspaces that mix single-entry and dense rows, ``coords`` gives
+    the coordinates of ``reduce_with_coords``, in its key order, and raises
+    DimensionMismatch exactly when its remainder is nonzero, whether or not
+    the probe's support lies on single-entry pivots."""
+    space = READER_SPACES[name]
+    outcomes = set()
+    for vec in READER_PROBES[name]:
+        found, rem = space.reduce_with_coords(vec)
+        if rem:
+            with pytest.raises(DimensionMismatch, match="^probe outside$"):
+                space.coords(vec, "probe outside")
+        else:
+            got = space.coords(vec, "probe outside")
+            assert list(got.items()) == list(found.items()), vec
+        outcomes.add((bool(rem), vec.keys() <= space.standard_pivots))
+    assert outcomes >= {(False, True), (True, False)}, outcomes
+    if name in ("mixed", "dense"):
+        assert (False, False) in outcomes, outcomes
+
+
 def test_subspace_intersection():
     u = Subspace.from_rows([{0: ONE}, {1: ONE}], 3)
     w = Subspace.from_rows([{1: ONE}, {2: ONE}], 3)

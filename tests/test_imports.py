@@ -1,6 +1,7 @@
 """No module of the package imports a name it never uses or keeps a
-process-wide cache, and every name the bench tracer patches resolves to a
-function of its own.
+process-wide cache, only ``exactlin`` reduces a vector against a subspace's
+basis, and every name the bench tracer patches resolves to a function of
+its own.
 
 The first check reads each module's syntax tree: every name bound by an
 ``import`` or ``from ... import`` must appear as a name somewhere in the
@@ -71,6 +72,29 @@ def test_the_check_finds_a_process_wide_cache():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_keeps_no_process_wide_cache(module):
     assert cached_functions((PACKAGE / module).read_text()) == []
+
+
+def reduction_calls(source):
+    """The line numbers at which ``source`` calls a ``reduce_with_coords``
+    attribute.  Outside ``exactlin`` a coordinate read goes through
+    ``Subspace.coords``, which raises on a vector outside the subspace, so
+    no caller keeps a remainder flag of its own."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "reduce_with_coords"]
+
+
+def test_the_check_finds_a_reduction_call():
+    source = ("coords, rem = space.reduce_with_coords(vec)\n"
+              "found = space.coords(vec)\n"
+              "pairs = [s.reduce_with_coords(v)[0] for v in vecs]\n")
+    assert reduction_calls(source) == [1, 3]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "exactlin.py"])
+def test_only_exactlin_reduces_with_coordinates(module):
+    assert reduction_calls((PACKAGE / module).read_text()) == []
 
 
 def traced_functions():

@@ -11,7 +11,7 @@ from conftest import diagonal_sigma
 
 from perfbench.workloads import encode, generate, skew_double_ore, write_inputs
 
-from nqh import algebra as algebra_module, deform, knorrer, twist
+from nqh import algebra as algebra_module, deform, knorrer, scenarios, twist
 from nqh.cli import main
 from nqh.formats import parse_double_ore
 
@@ -50,7 +50,7 @@ from nqh.knorrer import (
 )
 from nqh.rewrite import RewriteSystem, extract_algebra, normal_form
 from nqh.scenarios import EX_5_9, PROP_5_10, run_scenario
-from nqh.twist import BlockLayout
+from nqh.twist import BlockLayout, SemiTrivialData, build_semitrivial
 
 MINUS_ONE = Scalar(-1)
 
@@ -158,6 +158,164 @@ def test_plus_sign_and_identity_case(km1, z_lift):
     assert verify_iso(iso)
 
 
+def test_a_non_homogeneous_eigenspace_basis_is_rejected(
+        double_ore_class_z, z_lift, monkeypatch):
+    """An eigenspace of xi2 whose basis mixes degrees stops the plus case
+    before any product is read in it."""
+    real = knorrer._eigenspace
+    calls = []
+
+    def eigenspace(E, linmap):
+        calls.append(linmap)
+        if len(calls) == 1:
+            return real(E, linmap)
+        mixed = {E.words.index(()): ONE, E.words.index((0,)): ONE}
+        return Subspace.from_rows([mixed], E.dim)
+
+    monkeypatch.setattr(knorrer, "_eigenspace", eigenspace)
+    with pytest.raises(knorrer.PipelineError,
+                       match="^eigenspace basis is not homogeneous$"):
+        run_plus_case(double_ore_class_z, z_lift)
+    assert len(calls) == 2
+
+
+def ref_lambda_big(E, S, M, phi1, phi2):
+    """Lambda_big = S x M of the plus case as run_plus_case built it, with
+    one reduce_with_coords and remainder flag per product of the left
+    action phi1(s).m, the right action m.s and the pairing phi2(m).m';
+    None when a product leaves M or S."""
+    s_rows = S.basis
+    m_rows = list(M.basis)
+    m_degs = [E.element_degree(row) for row in m_rows]
+    left = []
+    right = []
+    psi_ok = True
+    for s_vec in s_rows:
+        phi1_s = phi1.apply(s_vec)
+        lcols = []
+        rcols = []
+        for m_vec in m_rows:
+            coords, rem = M.reduce_with_coords(E.mul(phi1_s, m_vec))
+            if rem:
+                psi_ok = False
+            lcols.append(coords)
+            coords, rem = M.reduce_with_coords(E.mul(m_vec, s_vec))
+            if rem:
+                psi_ok = False
+            rcols.append(coords)
+        left.append(tuple(lcols))
+        right.append(tuple(rcols))
+    psi = []
+    for arow in m_rows:
+        row_entries = []
+        phi2_a = phi2.apply(arow)
+        for brow in m_rows:
+            coords, rem = S.reduce_with_coords(E.mul(phi2_a, brow))
+            if rem:
+                psi_ok = False
+                coords = {}
+            row_entries.append(coords)
+        psi.append(tuple(row_entries))
+    if not psi_ok:
+        return None
+    shifted = [((d[0] + 1) % 2,) for d in m_degs]
+    return build_semitrivial(SemiTrivialData(
+        restrict(E, S, E.unit), tuple(shifted), tuple(left), tuple(right),
+        tuple(psi)))
+
+
+def _plus_inputs():
+    """(name, data, central) of the registry's plus pipelines and of the
+    skew3 plus inputs of seeds 1 to 4."""
+    found = [(name, *parse_double_ore(getattr(scenarios, const)))
+             for name, const in (("ex-4.10", "EX_4_10"), ("ex-4.9-1", "EX_4_9_1"),
+                                 ("ex-4.9-2", "EX_4_9_2"))]
+    for seed in range(1, 5):
+        blob = generate("skew3", seed)["plus.json"]
+        found.append((f"skew3:{seed}", *parse_double_ore(json.loads(blob))))
+    return found
+
+
+def _lambda_both_ways(data, central, mutate):
+    """(reference, pipeline) Lambda_big of one plus run, each None when its
+    closure check rejects, with ``mutate(phi1, phi2, S, M)`` applied to the
+    projections once the projection suite has read them."""
+    seen = {}
+    real_suite = knorrer._lemma46_suite
+    real_build = knorrer.build_semitrivial
+
+    def suite(xi1, xi2, phi1, phi2, theta0, theta1, E):
+        report = real_suite(xi1, xi2, phi1, phi2, theta0, theta1, E)
+        S, M = knorrer._eigenspace(E, xi1), knorrer._eigenspace(E, xi2)
+        mutate(phi1, phi2, S, M)
+        seen["inputs"] = E, S, M, phi1, phi2
+        return report
+
+    def build(st_data):
+        seen["built"] = real_build(st_data)
+        return seen["built"]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(knorrer, "_lemma46_suite", suite)
+        patch.setattr(knorrer, "build_semitrivial", build)
+        try:
+            run_plus_case(data, central)
+        except NqhError as exc:
+            if "built" not in seen:
+                assert str(exc) == "the eigenspace bimodule or pairing is not closed"
+    return ref_lambda_big(*seen["inputs"]), seen.get("built")
+
+
+def _bump_a_projection(kind, seed):
+    """A ``mutate`` that adds 1 to one coefficient of phi1 or phi2, drawn
+    from ``seed`` among the columns that the construction reads: those in
+    the support of S's basis for phi1, of M's for phi2; with no such column
+    the map is kept."""
+
+    def mutate(phi1, phi2, S, M):
+        phi, rows = (phi1, S.basis) if kind == "phi1" else (phi2, M.basis)
+        support = sorted({c for row in rows for c in row})
+        if not support:
+            return
+        r = random.Random(seed)
+        col = phi.cols[r.choice(support)]
+        bumped = _bump(col, r.randrange(len(phi.cols)))
+        col.clear()
+        col.update(bumped)
+
+    return mutate
+
+
+def _algebra_items(algebra):
+    return ([[list(v.items()) for v in row] for row in algebra.table],
+            list(algebra.unit.items()), algebra.degrees)
+
+
+def test_lambda_is_built_as_by_the_reduction_loops():
+    """On the registry's plus pipelines and the skew3 plus inputs of seeds 1
+    to 4, run_plus_case builds the table of Lambda_big that the loops of
+    reduce_with_coords calls and remainder flags built, key order included.
+    With one coefficient of phi1 or phi2 bumped, both reject or both accept
+    the bimodule and pairing, and agree on the table when they accept."""
+    verdicts = Counter()
+    for name, data, central in _plus_inputs():
+        old, new = _lambda_both_ways(data, central, lambda *args: None)
+        assert old is not None and new is not None, name
+        assert _algebra_items(new) == _algebra_items(old), name
+        for kind in ("phi1", "phi2"):
+            for n in range(4):
+                old, new = _lambda_both_ways(
+                    data, central,
+                    _bump_a_projection(kind, f"lambda-mutant:{name}:{kind}:{n}"))
+                assert (old is None) == (new is None), (name, kind, n)
+                if new is not None:
+                    assert _algebra_items(new) == _algebra_items(old), (name, kind, n)
+                verdicts[kind, new is None] += 1
+    # ex-4.9-1 has M = 0, so its phi2 mutants change nothing
+    assert verdicts == {("phi1", True): 8, ("phi1", False): 20,
+                        ("phi2", True): 15, ("phi2", False): 13}, verdicts
+
+
 def test_minus_class_t_all_checks(minus_class_t):
     assert minus_class_t.checks.ok
     assert len(minus_class_t.oracle.words) == 16
@@ -166,10 +324,11 @@ def test_minus_class_t_all_checks(minus_class_t):
     assert minus_class_t.zhang.dim == 8
 
 
-def test_minus_class_t_decomposition(minus_class_t):
-    NG = minus_class_t.zhang
-    assert radical(NG).dim == 0
-    index, pair = pair_tools(minus_class_t)
+def spun_modules(result):
+    """The submodules of the Zhang twist's regular module that ex-5.9 spins
+    from its five printed seed lists."""
+    NG = result.zhang
+    index, pair = pair_tools(result)
     one_v = {index["1"]: ONE}
     w_v = {index["x1*x2*"]: ONE}
     u_v = {index["x1*"]: ONE}
@@ -185,10 +344,15 @@ def test_minus_class_t_decomposition(minus_class_t):
         [pair({}, vec_add(vec_add(one_v, w_v), vec_add(u_v, v_v)))],
         [pair({}, vec_sub(vec_add(one_v, w_v), vec_add(u_v, v_v)))],
     ]
-    modules = []
-    for seed_list in seeds:
-        space = spin(regular, seed_list)
-        modules.append(RightModule.from_invariant_subspace(NG, space))
+    return [RightModule.from_invariant_subspace(NG, spin(regular, seed_list))
+            for seed_list in seeds]
+
+
+def test_minus_class_t_decomposition(minus_class_t):
+    NG = minus_class_t.zhang
+    assert radical(NG).dim == 0
+    regular = RightModule.regular(NG)
+    modules = spun_modules(minus_class_t)
     assert [m.dim for m in modules] == [2, 1, 1, 1, 1]
     assert all(m.verify() for m in modules)
     assert all(is_absolutely_simple(m) for m in modules)
@@ -200,6 +364,81 @@ def test_minus_class_t_decomposition(minus_class_t):
     assert report.isolated
     assert "D^b(k)^{×5}" in report.text()
     assert "blocks: M2(k),k,k,k,k" in report.text()
+
+
+def ref_verify_decomposition(algebra, simples, multiplicities):
+    """verify_decomposition as it was while it computed the radical first."""
+    if radical(algebra).dim != 0:
+        return False
+    if len(simples) != len(multiplicities):
+        return False
+    regular = RightModule.regular(algebra)
+    total = 0
+    for s, m in zip(simples, multiplicities):
+        if not is_absolutely_simple(s):
+            return False
+        if hom_dim(s, regular) != m:
+            return False
+        total += m * s.dim
+    for a in range(len(simples)):
+        for b in range(len(simples)):
+            if a != b and hom_dim(simples[a], simples[b]) != 0:
+                return False
+    return total == algebra.dim
+
+
+def _decomposition_variants(simples, multiplicities):
+    """(name, simples, multiplicities): the listed decomposition, and the
+    same with one module dropped, one multiplicity doubled, or one module
+    listed twice."""
+    yield "as listed", simples, multiplicities
+    for k in range(len(simples)):
+        yield (f"drop {k}", simples[:k] + simples[k + 1:],
+               multiplicities[:k] + multiplicities[k + 1:])
+        yield (f"double {k}", simples,
+               multiplicities[:k] + [2 * multiplicities[k]]
+               + multiplicities[k + 1:])
+        yield (f"repeat {k}", simples + [simples[k]],
+               multiplicities + [multiplicities[k]])
+
+
+def test_verify_decomposition_needs_no_radical(monkeypatch):
+    """verify_decomposition, which no longer computes the radical, gives the
+    verdict of the reference that does: on ex-4.10's four characters and
+    ex-5.9's five spun modules, as the scenarios list them, on each with a
+    module dropped, a multiplicity doubled or a module repeated, and on the
+    spun modules of prop-5.10's Zhang twist, whose radical has dimension 4,
+    each with its multiplicity in the regular module."""
+    recorded = {}
+    real = scenarios.verify_decomposition
+    for scenario_id in ("ex-4.10", "ex-5.9"):
+        def record(*args, name=scenario_id):
+            recorded[name] = args
+            return real(*args)
+
+        monkeypatch.setattr(scenarios, "verify_decomposition", record)
+        assert run_scenario(scenario_id).ok
+    twist_10 = run_minus_case(*parse_double_ore(PROP_5_10))
+    NG = twist_10.zhang
+    assert radical(NG).dim == 4
+    regular = RightModule.regular(NG)
+    spun = spun_modules(twist_10)
+    recorded["prop-5.10"] = (NG, spun, [hom_dim(m, regular) for m in spun])
+    assert [len(args[1]) for args in recorded.values()] == [4, 5, 5]
+    verdicts = Counter()
+    for name, (algebra, simples, multiplicities) in recorded.items():
+        for variant, *args in _decomposition_variants(list(simples),
+                                                       list(multiplicities)):
+            new = verify_decomposition(algebra, *args)
+            assert new == ref_verify_decomposition(algebra, *args), (
+                name, variant)
+            verdicts[name, variant == "as listed", new] += 1
+    assert verdicts == {("ex-4.10", True, True): 1,
+                        ("ex-4.10", False, False): 12,
+                        ("ex-5.9", True, True): 1,
+                        ("ex-5.9", False, False): 15,
+                        ("prop-5.10", True, False): 1,
+                        ("prop-5.10", False, False): 15}, verdicts
 
 
 def test_minus_class_r_products_and_radical(minus_class_r):
@@ -509,7 +748,9 @@ def ref_block_matches(system, block_words, expect, offset):
     as normal forms, are the structure constants of ``expect`` on its words,
     each block letter shifted down by ``offset``: the block check that
     computed every product, kept as the reference."""
-    rename = deform._block_words(block_words, expect.words, offset)
+    deform._block_words(block_words, expect.words, offset)
+    index = {w: i for i, w in enumerate(expect.words)}
+    rename = {w: index[tuple(a - offset for a in w)] for w in block_words}
     for w1 in block_words:
         for w2 in block_words:
             got = normal_form(system, TensorElement.monomial(w1 + w2)).terms
