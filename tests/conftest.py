@@ -21,6 +21,16 @@ def nqh_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
 
 
+def recording_output(build, sink):
+    """``build``, recording each algebra it returns in ``sink``."""
+    def built(arg):
+        algebra = build(arg)
+        sink.append(algebra)
+        return algebra
+
+    return built
+
+
 def scalar_matrix(rows):
     return [[x if isinstance(x, Scalar) else Scalar.of(x) for x in row]
             for row in rows]

@@ -4,6 +4,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import recording_output
+
 from perfbench.workloads import generate
 
 from nqh import algebra as algebra_module, deform, knorrer, twist
@@ -465,21 +467,17 @@ PIPELINE_SCENARIOS = ("ex-4.10", "ex-4.9-1", "ex-4.9-2", "ex-5.9", "prop-5.10")
 
 def _capture_certified(patch, algebras, maps=None):
     """Record in ``algebras`` every algebra that the pipelines certify: the
-    argument of each verify_algebra call, the source of each certify_by_iso
-    call, which certifies the Zhang tables and the plus case's Lambda, and
-    each build_semitrivial output, which the minus case certifies through
-    its ring and involution and the plus case through Lambda.
+    argument of each verify_algebra call, each twisted algebra that
+    _twisted_algebra builds, whose certificate twist computes without
+    verify_algebra, the source of each certify_by_iso call, which certifies
+    the Zhang tables and the plus case's Lambda, and each build_semitrivial
+    output, which the minus case certifies through its ring and involution
+    and the plus case through Lambda.
     With ``maps``, record there the argument of each verify_iso and
     certify_by_iso call."""
     _capture(patch, "verify_algebra", algebras, (deform, knorrer, twist))
-    build = knorrer.build_semitrivial
-
-    def built(data):
-        extension = build(data)
-        algebras.append(extension)
-        return extension
-
-    patch.setattr(knorrer, "build_semitrivial", built)
+    for module, name in ((knorrer, "build_semitrivial"), (twist, "_twisted_algebra")):
+        patch.setattr(module, name, recording_output(getattr(module, name), algebras))
     real = algebra_module.certify_by_iso
 
     def transport(linmap):

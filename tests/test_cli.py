@@ -353,8 +353,7 @@ def test_invalid_semitrivial_extension_is_exit_1(capsys, monkeypatch, tmp_path):
     path.write_text(json.dumps(EX_4_10))
     assert main(["knorrer", str(path)]) == 1
     err = capsys.readouterr().err
-    assert "invalid semi-trivial extension" in err
-    assert "associativity fails at" in err
+    assert "invalid semi-trivial extension: associativity: associativity fails at" in err
 
     path = tmp_path / "ex59.json"
     path.write_text(json.dumps(EX_5_9))
@@ -391,8 +390,17 @@ def test_invalid_certified_algebra_is_exit_1(capsys, monkeypatch, tmp_path,
     path.write_text(json.dumps(doc))
     assert main(["knorrer", str(path)]) == 1
     err = capsys.readouterr().err
-    assert message in err
-    assert "unit axiom fails at basis" in err
+    assert err.startswith(f"check failed: {message}: unit: unit axiom fails at basis ")
+
+
+def test_a_failed_check_is_named_in_words(capsys, tmp_path):
+    """A failing check is named by its name, and its detail when it has
+    one, never by a CheckItem repr."""
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps({**EX_4_10, "sigma": {key: {} for key in EX_4_10["sigma"]}}))
+    assert main(["knorrer", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "check failed: invalid double Ore data: sigma-invertible\n")
 
 
 def test_verify_twist_command(capsys, tmp_path, clifford_km1):

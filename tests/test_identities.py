@@ -17,13 +17,25 @@ import dataclasses
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from perfbench.workloads import generate
+from test_algebra import _bumped, reference_verify_algebra
 
 from nqh import deform, twist
-from nqh.algebra import GradedLinMap, MatrixHom, Report, t_inverse_table, vec_eq
+from nqh.algebra import (
+    GradedAlgebra,
+    GradedLinMap,
+    MatrixHom,
+    Report,
+    _associativity_failure,
+    generating_set,
+    t_inverse_table,
+    vec_eq,
+    verify_algebra,
+)
 from nqh.deform import (
     DoubleOreData,
     _composition_conditions,
@@ -54,10 +66,12 @@ from nqh.formats import parse_double_ore
 from nqh.knorrer import _minus_theta, _plus_theta
 from nqh.scenarios import EX_4_9_1, EX_4_9_2, EX_4_10, EX_5_9, PROP_5_10
 from nqh.twist import (
+    BlockLayout,
     GradedBasisM2,
     TwistingSystemM2,
     _unit_value_invertible,
     standard_basis_m2,
+    trivial_system,
     verify_twisting_M2,
     verify_twisting_prod,
     verify_twisting_suite,
@@ -623,23 +637,36 @@ def _items(report):
     return [(item.name, item.passed, item.detail) for item in report.items]
 
 
+def _certificate_items(system):
+    """The items of the twisted algebra's certificate, asserted equal to
+    those of verify_algebra and of its reference on the same table."""
+    items = _items(system.certificate)
+    assert items == _items(verify_algebra(system.twisted))
+    assert items == reference_verify_algebra(system.twisted)
+    return items
+
+
 def test_product_exchange_loop_matches_the_reference(pipeline_inputs):
     rng = random.Random("product-exchange-mutants")
     basis = epsilon_basis()
     rejected = accepted = 0
+    associative = Counter()
     for data, _, base, sd in pipeline_inputs:
         if data.p12 != MINUS_ONE:
             continue
         E = base.algebra
         theta = _minus_theta(sd, E)
         for table in [theta] + [_table_mutant(theta, rng) for _ in range(12)]:
-            items = _items(verify_twisting_prod(TwistingSystemM2(E, (table,), basis)))
+            system = TwistingSystemM2(E, (table,), basis)
+            items = _items(verify_twisting_prod(system))
             assert items == _items(ref_verify_twisting_prod(
                 TwistingSystemM2(E, (table,), basis)))
             if len(items) == 3:
                 rejected += not items[2][1]
                 accepted += items[2][1]
+                associative[_certificate_items(system)[2][1]] += 1
     assert accepted >= 5 and rejected >= 30
+    assert associative[True] >= 5 and associative[False] >= 30
 
 
 # ---------------------------------------------------------------------------
@@ -674,14 +701,92 @@ def test_m2_exchange_certificate_matches_the_loop(m2_tables):
     rng = random.Random("m2-exchange-mutants")
     basis = standard_basis_m2()
     verdicts = []
+    associative = Counter()
     for E, tables in m2_tables:
         for theta in [tables] + _table_mutants(tables, rng, 4):
-            items = _items(verify_twisting_M2(TwistingSystemM2(E, theta, basis)))
+            system = TwistingSystemM2(E, theta, basis)
+            items = _items(verify_twisting_M2(system))
             assert items == _items(ref_verify_twisting_M2(
                 TwistingSystemM2(E, theta, basis)))
             if len(items) == 6:
                 verdicts.append(items[5][1])
+                associative[_certificate_items(system)[2][1]] += 1
     assert verdicts.count(True) >= 10 and verdicts.count(False) >= 40
+    assert associative[True] >= 10 and associative[False] >= 40
+
+
+def _restricted_scan(system, first_pairs=(1, 2), last_halves=(0, 1)):
+    """``twist._certify_exchange``'s restricted Light's test on the
+    system's twisted algebra, or a weaker one with fewer first factors
+    I(0)_j or last factors I(i'')_j'' 1."""
+    E, twisted = system.algebra, system.twisted
+    layout = BlockLayout(E, system.basis)
+    firsts = [layout.index(0, j, b) for j in first_pairs for b in range(E.dim)]
+    lasts = [layout.index(i, j, k) for i in layout.halves if i in last_halves
+             for j in (1, 2) for k in E.unit]
+    return _associativity_failure(twisted.table, generating_set(twisted),
+                                  firsts, lasts)
+
+
+def test_each_part_of_the_restricted_certificate_is_needed(m2_tables):
+    """Three twisted algebras that are not associative, each passing a
+    restricted test that drops one part, fail their certificate as
+    verify_algebra does.
+
+    - E's certificate.  Bump one structure constant of a registry E so
+      that E fails only its associativity item.  The trivial system's
+      twisted table, plain M_2(E), passes every restricted triple, since
+      (x y) 1 = x (y 1) holds in E.
+    - The I(1) half of the last factors.  theta^(0) = id and
+      theta^(1) = diag(f, f) with f linear, fixing 1 and not
+      multiplicative: the exchange identity holds at i'' = 0 and fails at
+      i'' = 1, where it reads f(x y) = f(x) f(y).
+    - The first factors I(0)_2.  Over k x k, hand-set l to that of the
+      idempotent basis diag(1, 0), diag(0, 1), with gamma = (1, 1); l passes
+      its identities, but contracting with gamma needs both j.  With
+      theta = [[id, 0], [h, id - h]] and h = 2 times the projection onto a
+      basis vector other than 1, the twisted product is unital, and the
+      triples with first factor I(0)_1 see only the exchange identity at
+      p = 1, which holds.
+    """
+    E, _ = m2_tables[0]
+
+    def bumped(a, b, k):
+        table = [list(row) for row in E.table]
+        table[a][b] = _bumped(table[a][b], k)
+        return GradedAlgebra(E.labels, table, E.unit, E.degrees, E.group_rank)
+
+    mutants = (bumped(a, b, k) for a, b in itertools.product(range(E.dim), repeat=2)
+               for k in sorted(E.table[a][b]))
+    bad = next(mutant for mutant in mutants if [
+        item.passed for item in verify_algebra(mutant).items] == [True, True, False])
+    (unit,) = E.unit
+    top = E.dim - 1
+    assert unit != top and E.table[top][top]
+    f = GradedLinMap(E, E, [{b: Scalar(2) if b == top else ONE}
+                            for b in range(E.dim)])
+    h = GradedLinMap(E, E, [{b: Scalar(2)} if b == top else {} for b in range(E.dim)])
+    ident, zero = GradedLinMap.identity(E), GradedLinMap.zero(E)
+    idempotent = epsilon_basis()
+    idempotent.l = {key: ONE if key[2] == key[3] == key[4] else ZERO
+                    for key in idempotent.l}
+    idempotent.gamma = (ONE, ONE)
+    assert idempotent.basis_identities().ok
+    witnesses = (
+        (trivial_system(bad, standard_basis_m2()), {}),
+        (TwistingSystemM2(E, (MatrixHom([[ident, zero], [zero, ident]]),
+                              MatrixHom([[f, zero], [zero, f]])),
+                          standard_basis_m2()), {"last_halves": (0,)}),
+        (TwistingSystemM2(E, (MatrixHom([[ident, zero], [h, ident - h]]),), idempotent),
+         {"first_pairs": (1,)}),
+    )
+    for system, weaker in witnesses:
+        verify = verify_twisting_M2 if system.basis.halves == (0, 1) else verify_twisting_prod
+        verify(system)
+        assert _restricted_scan(system, **weaker) is None
+        items = _certificate_items(system)
+        assert items[2][:2] == ("associativity", False)
+        assert items[2][2].startswith("associativity fails at ")
 
 
 def test_theta_phi_exchange_matches_the_loop(m2_tables):

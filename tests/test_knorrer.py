@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import diagonal_sigma
+from conftest import diagonal_sigma, recording_output
 
 from perfbench.workloads import encode, generate, skew_double_ore, write_inputs
 
@@ -24,6 +24,7 @@ from nqh.algebra import (
     Report,
     RightModule,
     certify_by_iso,
+    generating_set,
     hom_dim,
     is_absolutely_simple,
     is_nilpotent_element,
@@ -620,15 +621,21 @@ def test_each_run_descends_sigma_and_its_inverse_once(monkeypatch, tmp_path,
 
 
 def test_each_run_builds_and_certifies_each_twisted_table_once(monkeypatch):
-    """One run builds its twisted table once and certifies it once; the
-    exchange identity is read off that certificate, so the basis-pair loop
-    never runs on an accepted system.  No Zhang table reaches
-    verify_algebra, since certify_by_iso certifies it, and a minus run
-    checks its involution once."""
+    """One run builds its twisted table once and certifies it once, on at
+    most 2 dim E |S| 2|halves| triples with S = generating_set of the
+    twisted algebra: the first factors in the I(0) half, the last factors
+    I(i'')_j'' 1.  The exchange identity is read off that certificate, so
+    the basis-pair loop never runs on an accepted system.  Within twist,
+    verify_algebra sees only E, a premise of the restricted test.  No Zhang
+    table reaches verify_algebra, since certify_by_iso certifies it, and a
+    minus run checks its involution once."""
     counts = Counter()
+    built = []
+    reports = []
     certified = []
     elsewhere = []
     isos = []
+    scans = []
 
     def counting(name, real):
         def wrapper(*args):
@@ -636,40 +643,53 @@ def test_each_run_builds_and_certifies_each_twisted_table_once(monkeypatch):
             return real(*args)
         return wrapper
 
-    for name in ("_exchange_failure", "_twisted_algebra", "build_twisted_M2",
-                 "build_twisted_prod"):
+    for name in ("_exchange_failure", "build_twisted_M2", "build_twisted_prod"):
         monkeypatch.setattr(twist, name, counting(name, getattr(twist, name)))
-    real_verify = twist.verify_algebra
-
-    def certify(algebra):
-        certified.append(algebra)
-        return real_verify(algebra)
-
-    monkeypatch.setattr(twist, "verify_algebra", certify)
 
     def recording(sink, real):
-        def wrapper(arg):
+        def wrapper(arg, *rest):
             sink.append(arg)
-            return real(arg)
+            return real(arg, *rest)
         return wrapper
 
+    monkeypatch.setattr(twist, "_twisted_algebra",
+                        recording_output(twist._twisted_algebra, built))
+    monkeypatch.setattr(twist, "_algebra_report",
+                        recording(reports, twist._algebra_report))
+    monkeypatch.setattr(twist, "verify_algebra",
+                        recording(certified, twist.verify_algebra))
     for module in (deform, knorrer):
         monkeypatch.setattr(module, "verify_algebra",
                             recording(elsewhere, module.verify_algebra))
     monkeypatch.setattr(twist, "verify_iso", recording(isos, twist.verify_iso))
+    real_scan = algebra_module._associativity_failure
+
+    def scanning(table, middles, firsts=None, lasts=None):
+        # a passing scan evaluates every triple it is given
+        everything = range(len(table))
+        scans.append((table, len(everything if firsts is None else firsts)
+                      * len(middles) * len(everything if lasts is None else lasts)))
+        return real_scan(table, middles, firsts, lasts)
+
+    monkeypatch.setattr(algebra_module, "_associativity_failure", scanning)
     for name, blob in sorted(generate("skew3", 7).items()):
         data, central = parse_double_ore(json.loads(blob))
         plus = name == "plus.json"
-        counts.clear()
-        certified.clear()
-        elsewhere.clear()
-        isos.clear()
+        for sink in (counts, built, reports, certified, elsewhere, isos, scans):
+            sink.clear()
         result = (run_plus_case if plus else run_minus_case)(data, central)
         assert result.checks.ok
         builder = "build_twisted_M2" if plus else "build_twisted_prod"
-        assert counts == {builder: 1, "_twisted_algebra": 1}, name
+        assert counts == {builder: 1}, name
         twisted = result.twisted_bigraded if plus else result.Gamma
-        assert len(certified) == 1 and certified[0] is twisted, name
+        assert len(built) == 1 and built[0] is twisted, name
+        assert len(reports) == 1 and reports[0] is twisted, name
+        E = result.base.algebra
+        assert len(certified) == 1 and certified[0] is E, name
+        triples = [n for table, n in scans if table is twisted.table]
+        halves = 2 if plus else 1
+        assert len(triples) == 1, name
+        assert triples[0] <= 2 * E.dim * len(generating_set(twisted)) * 2 * halves, name
         assert plus or not [a for a in elsewhere if a is result.zhang], name
         if not plus:
             assert [m for m in isos if m is result.mu] == [result.mu]
@@ -687,7 +707,9 @@ def test_the_big_deformation_is_certified_without_a_table(monkeypatch):
     or verify_algebra.  E's completed rules certify sigma^!, so
     verify_hom_M2 never runs.  Nor does either semi-trivial extension reach
     verify_algebra: in the minus case Gamma's certificate and the checks of
-    mu certify it, in the plus case certify_by_iso of the corner map."""
+    mu certify it, in the plus case certify_by_iso of the corner map.
+    Each run certifies E exactly twice, in deform and as a premise of the
+    twisted certificate, and its twisted algebra exactly once."""
     extracted = []
     certified = []
     transported = []
@@ -711,6 +733,9 @@ def test_the_big_deformation_is_certified_without_a_table(monkeypatch):
     for module in (deform, knorrer, twist):
         monkeypatch.setattr(module, "verify_algebra",
                             recording(certified, module.verify_algebra))
+    # twist certifies the twisted algebra it builds without verify_algebra
+    monkeypatch.setattr(twist, "_twisted_algebra",
+                        recording_output(twist._twisted_algebra, certified))
     monkeypatch.setattr(knorrer, "certify_by_iso",
                         recording(transported, knorrer.certify_by_iso))
     monkeypatch.setattr(RewriteSystem, "_nf_word", counting_nf_word)
@@ -731,8 +756,9 @@ def test_the_big_deformation_is_certified_without_a_table(monkeypatch):
         mixing = data.mixing
         assert mixing.algebra is None and len(mixing.words) == 4, name
         assert extracted == [result.base.system], name
-        built = [E] + ([result.twisted_bigraded] if plus else [result.Gamma])
-        assert sorted(map(id, certified)) == sorted(map(id, built)), name
+        twisted = result.twisted_bigraded if plus else result.Gamma
+        # E once in deform, once as a premise of the twisted certificate
+        assert sorted(map(id, certified)) == sorted(map(id, [E, E, twisted])), name
         extension = ((result.Lambda_bigraded, result.Lambda) if plus
                      else (result.semitrivial_bigraded, result.semitrivial))
         assert not [a for a in certified if a in extension], name
@@ -931,7 +957,7 @@ def _first_failure(step, args):
     try:
         step(Report(), *args)
     except NqhError as exc:
-        return str(exc).partition(": CheckItem(name='")[0]
+        return str(exc).partition(": ")[0]
     return None
 
 
