@@ -221,7 +221,7 @@ def _associativity_failure(table, middles, firsts=None, lasts=None):
     return None
 
 
-def verify_algebra(algebra):
+def verify_algebra(algebra, system=None):
     """Unit, associativity and grading checks with first counterexamples.
 
     Every product is summed straight from the table rows by the kernel
@@ -244,17 +244,90 @@ def verify_algebra(algebra):
     any table.  When the reduced check fails, or the unit item fails, all
     dim^3 triples are scanned, so the detail names the lexicographically
     first failing triple either way.
+
+    Given the rewriting ``system`` whose normal words index the table, as
+    ``rewrite.extract_algebra`` builds it, a rule certificate replaces
+    Light's test.  Let W = ``algebra.words``, T[u][v] = e_u e_v, L_a the
+    left multiplication given by the row of the letter a, and
+    phi(w) = L_w1 ... L_wk in End(K^W).  Checked: (a) the unit is e_() and
+    W is the set of irreducible words: () is in W, each member is normal
+    and each normal one-letter extension of a member is a member; (b) every
+    letter is in W; (c) the row of each a u' in W is L_a applied to the row
+    of u'; (d) phi kills every element of ``rewrite.rule_elements(system)``.
+    Proof that these and the unit item make the table associative.
+    Prefixes and suffixes of normal words are normal, so by (a) W holds
+    every normal word, u' included.  By (d) and the rule lemma,
+    phi(u) phi(v) = phi(uv) = phi(NF(uv)) lies in M = span phi(W): M is an
+    associative unital subalgebra of End(K^W).  By the unit item and (c),
+    induction on length gives T[u][v] = phi(u) e_v, so phi(w) e_() = e_w
+    and m -> m(e_()) maps M onto K^W, bijectively as dim M <= |W|.  It
+    carries phi(u) phi(v) to phi(u) e_v = T[u][v]: the table is M's product
+    transported, so it is associative.  No confluence is used.  (d) reads
+    phi(w) e_v as T[w][v] on W, and as L_a phi(w') e_v for any other a w'.
+    When a check fails, the full scan decides as above.
     """
-    return _algebra_report(algebra)
+    return _algebra_report(algebra, system=system)
 
 
-def _algebra_report(algebra, firsts=None, lasts=None):
+def apply_row(row, vec):
+    """sum_k vec[k] row[k]: the left multiplication that the table row
+    ``row`` defines, applied to ``vec``."""
+    out = {}
+    for k, c in vec.items():
+        add_scaled(out, row[k], c)
+    return out
+
+
+def _rules_certify(algebra, system):
+    """Checks (a)-(d) of ``verify_algebra``'s rule certificate, for a table
+    whose unit item passes."""
+    from .rewrite import rule_elements
+
+    words = algebra.words
+    if words is None or () not in words:
+        return False
+    table = algebra.table
+    rows = dict(zip(words, table))
+    letters = [(a,) for a in range(system.nletters)]
+    if (len(rows) != len(words) or len(words) != algebra.dim
+            or algebra.unit != {words.index(()): ONE}
+            or not all(map(system.is_normal, words))
+            or any(w + a not in rows and system.is_normal(w + a)
+                   for w in words for a in letters)
+            or not all(a in rows for a in letters)):
+        return False
+    if any(row != [apply_row(rows[w[:1]], vec) for vec in rows[w[1:]]]
+           for w, row in zip(words, table) if w):
+        return False
+
+    def act(word):
+        """[phi(word) e_v for each v]."""
+        cols = rows.get(word)
+        if cols is None:
+            letter_row = rows[word[:1]]
+            cols = rows[word] = [apply_row(letter_row, vec) for vec in act(word[1:])]
+        return cols
+
+    for element in rule_elements(system):
+        terms = [(act(word), c) for word, c in element.terms.items()]
+        for v in range(algebra.dim):
+            acc = {}
+            for cols, c in terms:
+                add_scaled(acc, cols[v], c)
+            if acc:
+                return False
+    return True
+
+
+def _algebra_report(algebra, firsts=None, lasts=None, system=None):
     """``verify_algebra``'s report, with Light's test run on the first
     factors ``firsts`` and last factors ``lasts`` only (every index when
     None).  The caller must prove that a passing restricted test makes the
     table associative; ``twist._certify_exchange`` does so for the twisted
     algebras it builds.  The full scan that names a failure is the same
-    either way, so the report is ``verify_algebra``'s item for item."""
+    either way, so the report is ``verify_algebra``'s item for item.  With
+    a ``system``, ``verify_algebra``'s rule certificate replaces Light's
+    test."""
     report = Report()
     dim = algebra.dim
     table = algebra.table
@@ -289,8 +362,12 @@ def _algebra_report(algebra, firsts=None, lasts=None):
     report.add("grading", grading_ok, grading_detail)
 
     assoc_detail = ""
-    if not unit_ok or _associativity_failure(table, generating_set(algebra),
-                                            firsts, lasts):
+    if system is not None:
+        certified = unit_ok and _rules_certify(algebra, system)
+    else:
+        certified = unit_ok and not _associativity_failure(
+            table, generating_set(algebra), firsts, lasts)
+    if not certified:
         failure = _associativity_failure(table, range(dim))
         if failure:
             assoc_detail = "associativity fails at ({},{},{})".format(*failure)

@@ -214,7 +214,8 @@ def complete_deformation(dual, deformed, central_lift, theta_values,
 
 def build_clifford(presentation, lift):
     """The Clifford deformation of the dual of a quadratic presentation,
-    with its structure table certified by ``verify_algebra``."""
+    with its structure table certified by ``verify_algebra`` from its
+    completed rules."""
     if not check_central(presentation, lift):
         raise CompatibilityFailed("the lift is not central")
     dual = koszul_dual(presentation)
@@ -225,7 +226,7 @@ def build_clifford(presentation, lift):
     out.algebra = extract_algebra(out.system, out.words)
     if not strongly_graded_check(out.algebra):
         raise DimensionMismatch("deformation is not strongly Z2-graded")
-    report = verify_algebra(out.algebra)
+    report = verify_algebra(out.algebra, out.system)
     if not report.ok:
         raise DimensionMismatch(f"oracle output invalid: {report.first_failure()}")
     return out

@@ -249,31 +249,36 @@ def normal_words(system, dim):
 
 def extract_algebra(system, words):
     """Structure constants of the quotient on its normal ``words``, as
-    ``normal_words`` enumerates them, graded by word-length parity."""
-    from .algebra import GradedAlgebra
+    ``normal_words`` enumerates them, graded by word-length parity.
 
+    Only the rows of 1 and of the letters, e_a e_v = NF(a v), are
+    rewritten.  The row of a longer word a u' is the letter row L_a applied
+    to the row of u', which comes earlier in deglex order: confluence up to
+    twice the longest word makes that NF(a NF(u' v)) = NF(a u' v)."""
+    from .algebra import GradedAlgebra, apply_row
+
+    if 2 * max(map(len, words)) > system.confluent_up_to:
+        raise NotConfluent("products of normal words exceed the confluence bound")
     index = {w: i for i, w in enumerate(words)}
     degrees = [(len(w) % 2,) for w in words]
     labels = []
     names = system.alphabet
     for w in words:
         labels.append("1" if not w else "".join(names[a] for a in w))
+
+    def position(w):
+        k = index.get(w)
+        if k is None:
+            raise NotConfluent("normal form left the normal-word basis")
+        return k
+
     table = []
-    for wi in words:
-        row = []
-        for wj in words:
-            product = wi + wj
-            if len(product) > system.confluent_up_to:
-                raise NotConfluent(
-                    "products of normal words exceed the confluence bound")
-            nf = system._nf_word(product)
-            vec = {}
-            for w, c in nf.terms.items():
-                k = index.get(w)
-                if k is None:
-                    raise NotConfluent("normal form left the normal-word basis")
-                vec[k] = c
-            row.append(vec)
-        table.append(row)
+    for w in words:
+        if len(w) < 2:
+            table.append([{position(u): c for u, c in system._nf_word(w + v).terms.items()}
+                          for v in words])
+        else:
+            letter_row = table[position(w[:1])]
+            table.append([apply_row(letter_row, vec) for vec in table[position(w[1:])]])
     unit = {index[()]: ONE}
     return GradedAlgebra(labels, table, unit, degrees, 1, words=words)

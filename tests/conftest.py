@@ -1,4 +1,6 @@
+import json
 import os
+import random
 from pathlib import Path
 
 import pytest
@@ -29,6 +31,85 @@ def recording_output(build, sink):
         return algebra
 
     return built
+
+
+def ref_extract_algebra(system, words):
+    """``rewrite.extract_algebra`` as it was while it rewrote every product
+    of two normal words, dim^2 normal forms: the test reference."""
+    from nqh.algebra import GradedAlgebra
+    from nqh.errors import NotConfluent
+
+    index = {w: i for i, w in enumerate(words)}
+    degrees = [(len(w) % 2,) for w in words]
+    labels = []
+    names = system.alphabet
+    for w in words:
+        labels.append("1" if not w else "".join(names[a] for a in w))
+    table = []
+    for wi in words:
+        row = []
+        for wj in words:
+            product = wi + wj
+            if len(product) > system.confluent_up_to:
+                raise NotConfluent(
+                    "products of normal words exceed the confluence bound")
+            nf = system._nf_word(product)
+            vec = {}
+            for w, c in nf.terms.items():
+                k = index.get(w)
+                if k is None:
+                    raise NotConfluent("normal form left the normal-word basis")
+                vec[k] = c
+            row.append(vec)
+        table.append(row)
+    unit = {index[()]: ONE}
+    return GradedAlgebra(labels, table, unit, degrees, 1, words=words)
+
+
+def table_entries(algebra):
+    """Every structure constant of ``algebra``, each in its dict order."""
+    return [[list(vec.items()) for vec in row] for row in algebra.table]
+
+
+@pytest.fixture(scope="session")
+def base_deformations():
+    """(name, E, E's completed system) for each base deformation that
+    ``build_clifford`` certifies in the six registry scenarios, and for the
+    bases of the skew3 inputs of seeds 1 and 2, of big:4 and big:5 in both
+    cases, and of the presentations inputs of seeds 1 to 3."""
+    from nqh import deform
+    from nqh.formats import parse_double_ore, parse_presentation
+    from nqh.scenarios import REGISTRY, run_scenario
+    from perfbench.workloads import generate, skew_double_ore
+
+    found = []
+    real = deform.verify_algebra
+
+    def record(algebra, *rest):
+        found.append((algebra, *rest))
+        return real(algebra, *rest)
+
+    out = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(deform, "verify_algebra", record)
+        for scenario_id in sorted(REGISTRY):
+            found.clear()
+            assert run_scenario(scenario_id).ok
+            assert found and all(len(call) == 2 for call in found)
+            out.extend((f"{scenario_id}:{n}", *call) for n, call in enumerate(found))
+    docs = [(f"skew3:{seed}:{name}", json.loads(blob))
+            for seed in (1, 2) for name, blob in sorted(generate("skew3", seed).items())]
+    docs += [(f"big:{g}:{p12:+d}", skew_double_ore(random.Random(f"big:{g}"), g, p12))
+             for g in (4, 5) for p12 in (1, -1)]
+    for name, doc in docs:
+        data, central = parse_double_ore(doc)
+        E = deform.build_clifford(data.base, central)
+        out.append((name, E.algebra, E.system))
+    for seed in (1, 2, 3):
+        base = json.loads(generate("presentations", seed)["base.json"])
+        E = deform.build_clifford(*parse_presentation(base))
+        out.append((f"presentations:{seed}", E.algebra, E.system))
+    return out
 
 
 def scalar_matrix(rows):

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -51,6 +52,7 @@ from nqh.algebra import (
     xi_automorphism,
 )
 from nqh.formats import parse_double_ore
+from nqh.rewrite import RewriteSystem, extract_algebra
 from nqh.scenarios import run_scenario
 
 
@@ -564,6 +566,123 @@ def test_verify_algebra_matches_the_reference_on_mutants(pipeline_algebras):
     assert all(failed.values()), failed
 
 
+def _with(algebra, table=None, words=None):
+    """``algebra`` with its table or its words replaced."""
+    return GradedAlgebra(algebra.labels, algebra.table if table is None else table,
+                         algebra.unit, algebra.degrees, algebra.group_rank,
+                         words=algebra.words if words is None else words)
+
+
+def _row_bumped(algebra, word, rng):
+    """``algebra`` with one constant bumped by 1 in the row of ``word``, in
+    a column other than 1's, so the unit item still passes."""
+    table = [list(row) for row in algebra.table]
+    i, j = algebra.words.index(word), rng.randrange(1, algebra.dim)
+    table[i][j] = _bumped(table[i][j], rng.randrange(algebra.dim))
+    return _with(algebra, table)
+
+
+def _rule_bumped(system, lhs, word):
+    """A copy of ``system`` with the coefficient of ``word`` in the
+    right-hand side of the rule for ``lhs`` bumped by 1."""
+    rules = dict(system.rules)
+    rules[lhs] = TensorElement(_bumped(rules[lhs].terms, word))
+    return RewriteSystem(rules, system.alphabet, system.confluent_up_to)
+
+
+def _certificate_items(algebra, system):
+    """The rule certificate's report and verify_algebra's, item for item."""
+    return verify_algebra(algebra, system).items, verify_algebra(algebra).items
+
+
+def test_rule_certificate_reports_as_verify_algebra(base_deformations):
+    """On every base deformation the report from the completed rules is
+    verify_algebra's, item for item, and associativity is decided with
+    neither generating_set nor the full scan."""
+    expected = [verify_algebra(E).items for _, E, _ in base_deformations]
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("generating_set", "_associativity_failure"):
+            patch.setattr(algebra_module, name,
+                          lambda *args, name=name: calls.append(name))
+        got = [verify_algebra(E, system).items for _, E, system in base_deformations]
+    assert got == expected and calls == []
+    assert len(got) == 18 and all(item.passed for items in got for item in items)
+
+
+def test_rule_certificate_mutants_report_as_verify_algebra(base_deformations):
+    """Mutants of the base deformations up to dim 16 get verify_algebra's
+    report from the rule certificate: a constant bumped in a letter row or
+    in the row of a longer word, a right-hand side bumped in a copy of the
+    rules with the table kept or extracted from that copy, a word dropped
+    from ``words`` or two of them swapped.  The tables that keep E's pass."""
+    failed = Counter()
+    for name, E, system in base_deformations:
+        if E.dim > 16:
+            continue
+        rng = random.Random(f"rule-certificate:{name}")
+        words = E.words
+        mutants = []
+        for kind, length in (("letter-row", 1), ("built-row", 2)):
+            rows = [w for w in words if len(w) == length]
+            mutants += [(kind, _row_bumped(E, rng.choice(rows), rng), system)
+                        for _ in range(3)]
+        for _ in range(3):
+            lhs = rng.choice(sorted(system.rules))
+            word = rng.choice(sorted(system.rules[lhs].terms) + [()])
+            bumped = _rule_bumped(system, lhs, word)
+            mutants += [("rule", E, bumped),
+                        ("rule-extracted", extract_algebra(bumped, words), bumped)]
+        dropped = list(words)
+        del dropped[rng.randrange(len(words))]
+        swapped = list(words)
+        i, j = rng.sample(range(len(words)), 2)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        mutants += [("dropped", _with(E, words=dropped), system),
+                    ("swapped", _with(E, words=swapped), system)]
+        for kind, algebra, rules in mutants:
+            got, expected = _certificate_items(algebra, rules)
+            assert got == expected, (name, kind)
+            failed[kind] += not all(item.passed for item in expected)
+    assert +failed == {"letter-row": 39, "built-row": 39, "rule-extracted": 20}
+
+
+def _stopped_by_one_check(check, base_deformations):
+    """(table, rules) that pass the unit item and every check of the rule
+    certificate but ``check``, and are not associative.  (a) The free
+    algebra on x, y, with no rules, cut to the words 1, x, y with xx = y
+    and yx = x: (xx)x = x but x(xx) = 0.  (c) skew3 seed 1's plus base with
+    one constant bumped in the row of x1* x2* x3*, which no rule reads.
+    (d) That base's table extracted from a copy of its rules with
+    x2* x1* -> -x1* x2* bumped to x2* x1* -> 0: the normal words and the
+    letter-row build stay, and the overlap x2* x1* x1* no longer
+    resolves."""
+    if check == "a":
+        e = [{i: ONE} for i in range(3)]
+        return (GradedAlgebra(["1", "x", "y"], [e, [e[1], e[2], {}], [e[2], e[1], {}]],
+                              e[0], [(0,), (1,), (1,)], words=[(), (0,), (1,)]),
+                RewriteSystem({}, ("x", "y"), 3))
+    (E, system), = [(E, system) for name, E, system in base_deformations
+                    if name == "skew3:1:plus.json"]
+    if check == "c":
+        return _row_bumped(E, (0, 1, 2), random.Random("rule-certificate:c")), system
+    commuting = next(lhs for lhs in sorted(system.rules) if lhs[0] != lhs[1])
+    word, = system.rules[commuting].terms
+    return extract_algebra(_rule_bumped(system, commuting, word), E.words), system
+
+
+@pytest.mark.parametrize("check", ["a", "c", "d"])
+def test_each_rule_check_stops_a_table_that_the_others_pass(check,
+                                                            base_deformations):
+    """The full scan names the failure of each ``_stopped_by_one_check``
+    table, as verify_algebra does."""
+    algebra, system = _stopped_by_one_check(check, base_deformations)
+    got, expected = _certificate_items(algebra, system)
+    assert got == expected
+    assert expected[0].passed and not expected[-1].passed
+    assert expected[-1].detail.startswith("associativity fails at")
+
+
 def test_verify_algebra_needs_every_generator():
     """K[Z2 x Z2] on 1, a, b, ab (index = bit pattern) with the signs of
     b ab and ab b flipped: a lies in the middle nucleus and b does not, so
@@ -672,14 +791,14 @@ def test_restrict_to_basis_vectors_matches_the_reduction(pipeline_algebras):
 
 
 def _capture(patch, name, sink, modules):
-    """Patch ``name`` in ``modules`` to record its argument in ``sink``,
-    unless ``sink`` already holds that object."""
+    """Patch ``name`` in ``modules`` to record its first argument in
+    ``sink``, unless ``sink`` already holds that object."""
     real = getattr(algebra_module, name)
 
-    def capture(arg):
+    def capture(arg, *rest):
         if not any(seen is arg for seen in sink):
             sink.append(arg)
-        return real(arg)
+        return real(arg, *rest)
 
     for module in modules:
         patch.setattr(module, name, capture)

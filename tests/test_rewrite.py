@@ -2,10 +2,13 @@ import random
 
 import pytest
 
+from conftest import ref_extract_algebra, table_entries
+
 from nqh.errors import (
     DegreeExceedsConfluence,
     DimensionMismatch,
     InfiniteDimensional,
+    NotConfluent,
     NotOrientable,
 )
 from nqh.exactlin import ONE, Scalar, TensorElement
@@ -146,18 +149,57 @@ def test_extract_deformed_dual_is_commutative(clifford_km1):
             assert algebra.table[i][j] == algebra.table[j][i]
 
 
-def test_extract_nilpotent_case():
-    # dual of the skew plane deformed only at the second generator square
-    relations = [
+def nilpotent_relations():
+    """The dual of the skew plane deformed only at the second generator
+    square: normal words 1, y1*, y2*, y1* y2*."""
+    return orient([
         TensorElement({(0, 0): ONE}),
         TensorElement({(1, 1): ONE}) - unit(),
         TensorElement({(0, 1): ONE}) - TensorElement({(1, 0): ONE}),
-    ]
-    system = complete(orient(relations, ["y1*", "y2*"]), 6)
+    ], ["y1*", "y2*"])
+
+
+def test_extract_nilpotent_case():
+    system = complete(nilpotent_relations(), 6)
     algebra = extract_algebra(system, normal_words(system, 4))
     assert algebra.dim == 4
     square = algebra.mul({1: ONE}, {1: ONE})
     assert square == {}
+
+
+def test_extract_algebra_matches_the_rewriting_reference(base_deformations):
+    """The table built from the letter rows is the one that rewrote all
+    dim^2 products, entry for entry and in dict order, on every base
+    deformation; the mixing block and the big deformation are compared in
+    test_knorrer."""
+    for name, E, system in base_deformations:
+        ref = ref_extract_algebra(system, E.words)
+        for algebra in (E, extract_algebra(system, E.words)):
+            assert table_entries(algebra) == table_entries(ref), name
+            assert (algebra.labels, algebra.degrees, algebra.unit, algebra.words) == (
+                ref.labels, ref.degrees, ref.unit, ref.words), name
+
+
+def test_extract_algebra_rejects_products_past_the_confluence_bound():
+    """Completion to degree 3 does not cover the degree-4 product of the
+    longest normal word with itself."""
+    system = complete(nilpotent_relations(), 3)
+    words = normal_words(system, 4)
+    assert max(map(len, words)) == 2
+    for extract in (extract_algebra, ref_extract_algebra):
+        with pytest.raises(NotConfluent, match="^products of normal words exceed "
+                           "the confluence bound$"):
+            extract(system, words)
+
+
+def test_extract_algebra_rejects_a_basis_that_lacks_a_normal_word():
+    system = complete(nilpotent_relations(), 6)
+    words = normal_words(system, 4)
+    assert words[-1] == (0, 1)
+    for extract in (extract_algebra, ref_extract_algebra):
+        with pytest.raises(NotConfluent,
+                           match="^normal form left the normal-word basis$"):
+            extract(system, words[:-1])
 
 
 def test_extract_requires_finiteness():
