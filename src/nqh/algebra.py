@@ -111,21 +111,6 @@ class GradedAlgebra:
     def component_indices(self, degree):
         return [i for i in range(self.dim) if self.degrees[i] == tuple(degree)]
 
-    def to_text(self):
-        lines = [f"dim {self.dim}", f"grading Z2^{self.group_rank}"]
-        for i in range(self.dim):
-            deg = ",".join(str(x) for x in self.degrees[i])
-            lines.append(f"basis {i} {self.labels[i]} deg ({deg})")
-        unit = " ".join(f"{k}:{v.text()}" for k, v in sorted(self.unit.items()))
-        lines.append(f"unit {unit}")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                vec = self.table[i][j]
-                if vec:
-                    entry = " ".join(f"{k}:{vec[k].text()}" for k in sorted(vec))
-                    lines.append(f"c {i} {j} {entry}")
-        return "\n".join(lines) + "\n"
-
     def __repr__(self):
         return f"GradedAlgebra(dim={self.dim}, Z2^{self.group_rank})"
 
@@ -483,27 +468,6 @@ def _scalar_multiple(algebra, vec):
     return vec.get(k, ZERO) / algebra.unit[k]
 
 
-def verify_hom_M2(hom):
-    """The matrix homomorphism identity on all basis pairs."""
-    E = hom.algebra
-    for x in range(E.dim):
-        bx = E.basis_vec(x)
-        images_x = [[hom.entries[i][k].apply(bx) for k in range(2)] for i in range(2)]
-        for y in range(E.dim):
-            by = E.basis_vec(y)
-            product = E.table[x][y]
-            for i in range(2):
-                for j in range(2):
-                    direct = hom.entries[i][j].apply(product)
-                    via = {}
-                    for k in range(2):
-                        add_scaled(via, E.mul(images_x[i][k],
-                                              hom.entries[k][j].apply(by)), ONE)
-                    if not vec_eq(direct, via):
-                        return False
-    return True
-
-
 def t_inverse_table(theta):
     """The table psi with sum_k psi_ki theta_kj = delta_ij id and
     sum_k theta_jk psi_ik = delta_ij id (the t-inverse of theta), or None
@@ -729,21 +693,6 @@ class RightModule:
                 add_scaled(out, rows[r], vr * cj)
         return out
 
-    def verify(self):
-        """Unit acts as identity; action is multiplicative:
-        (m_r . e_i) . e_j = m_r . (e_i e_j) for every r, i and j."""
-        algebra = self.algebra
-        if any(self.act({r: ONE}, algebra.unit) != {r: ONE}
-               for r in range(self.dim)):
-            return False
-        for i in range(algebra.dim):
-            for j in range(algebra.dim):
-                product = algebra.table[i][j]
-                for r, row in enumerate(self.action[i]):
-                    if self.act(row, {j: ONE}) != self.act({r: ONE}, product):
-                        return False
-        return True
-
 
 def spin(module, seeds):
     """Smallest action-invariant subspace containing the sparse seed
@@ -809,7 +758,9 @@ def verify_decomposition(algebra, simples, multiplicities):
     Hom-orthogonal, so pairwise non-isomorphic simple modules, and their
     isotypic parts are independent.  So dim soc(A_A) is at least
     sum m_i dim S_i = dim A: soc(A_A) = A_A, A_A is semisimple, and
-    J(A) = 0.
+    J(A) = 0.  The pairwise check is what makes the S_i non-isomorphic:
+    without it, a list that names one simple module in place of another of
+    the same dimension, multiplicities unchanged, still totals dim A.
     """
     if (len(simples) != len(multiplicities)
             or any(s.algebra is not algebra for s in simples)):

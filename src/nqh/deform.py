@@ -484,8 +484,9 @@ def dualize_hom(data, clifford):
 
     Claim.  When both evaluations pass, sigma^! is an algebra map:
     sigma^!(1) = I and sigma^!(e_u e_v) = sigma^!(e_u) sigma^!(e_v) on every
-    basis pair, which is what ``algebra.verify_hom_M2`` checks pair by
-    pair.  Premises: E is certified by ``verify_algebra`` before this runs
+    basis pair, which the test reference ``verify_hom_M2`` in
+    ``tests/reference_constructions.py`` checks pair by pair.  Premises: E
+    is certified by ``verify_algebra`` before this runs
     (``build_clifford``), so M_2(E) is associative; and E's table is
     e_u e_v = NF(u v) on its normal words (``extract_algebra``).  Proof.
     sigma^! is e_w -> phi(w), with phi the multiplicative extension of the

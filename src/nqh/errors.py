@@ -25,10 +25,6 @@ class CompletionDiverged(NqhError):
     pass
 
 
-class DegreeExceedsConfluence(NqhError):
-    pass
-
-
 class NotConfluent(NqhError):
     pass
 

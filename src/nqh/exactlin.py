@@ -888,10 +888,6 @@ def matrix_add(a, b):
     return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
 
 
-def transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
 def identity_matrix(n):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from .errors import (
     CompletionDiverged,
-    DegreeExceedsConfluence,
     DimensionMismatch,
     InfiniteDimensional,
     NotConfluent,
@@ -185,16 +184,6 @@ def complete(system, maxdeg):
             raise NotOrientable("completion derived 1 = 0: inconsistent relations")
         equations = [TensorElement.monomial(l) - r for l, r in rules.items()]
         equations.append(new_equation)
-
-
-def normal_form(system, element):
-    """Unique irreducible representative of an element."""
-    for word in element.terms:
-        if len(word) > system.confluent_up_to:
-            raise DegreeExceedsConfluence(
-                f"degree {len(word)} exceeds the certified bound {system.confluent_up_to}"
-            )
-    return system.reduce(element)
 
 
 def rule_elements(system):

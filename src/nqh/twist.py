@@ -33,13 +33,11 @@ from .exactlin import (
     ZERO,
     Scalar,
     add_scaled,
-    matrix_inverse,
     matrix_mul,
 )
 from .algebra import (
     GradedAlgebra,
     GradedLinMap,
-    MatrixHom,
     Report,
     _algebra_report,
     _scalar_multiple,
@@ -119,10 +117,6 @@ class GradedBasisM2:
     def lval(self, i, ip, s, j, jp):
         return self.l[(i % 2, ip % 2, s, j, jp)]
 
-    def L_matrix(self, i, ip, j):
-        return [[self.lval(i, ip, 1, j, 1), self.lval(i, ip, 1, j, 2)],
-                [self.lval(i, ip, 2, j, 1), self.lval(i, ip, 2, j, 2)]]
-
     def basis_identities(self):
         """The relations of l over ``halves``, with gamma the coordinates of
         the identity: l-associativity, the coordinate form of
@@ -146,14 +140,6 @@ class GradedBasisM2:
             == (ONE if s == t else ZERO)
             for i in halves for s in (1, 2) for t in (1, 2)))
         return report
-
-
-def structure_tensors(basis):
-    """(gamma, l tensor) of an invertible graded basis, identities verified."""
-    report = basis.basis_identities()
-    if not report.ok:
-        raise SingularBasis(str(report.first_failure()))
-    return basis.gamma, basis.l
 
 
 def standard_basis_m2():
@@ -542,138 +528,6 @@ def build_twisted_M2(system):
     """The deformed algebra on the basis {I(i)_j e_b}, Z2 x Z2 graded;
     ``verify_twisting_M2`` builds it once and keeps it as ``twisted``."""
     return _twisted_algebra(system)
-
-
-def plain_m2(E, basis):
-    """Ordinary matrix multiplication constants over the same basis."""
-    dim = E.dim
-    layout = BlockLayout(E, basis)
-    table = [[{} for _ in range(layout.dim)] for _ in range(layout.dim)]
-    for i in (0, 1):
-        for j in (1, 2):
-            for ip in (0, 1):
-                isum = (i + ip) % 2
-                for jp in (1, 2):
-                    # the product lands in the blocks (isum, t), whose keys
-                    # are disjoint, so no two terms share a key
-                    coeffs = [(t, basis.lval(i, ip, t, j, jp)) for t in (1, 2)
-                              if basis.lval(i, ip, t, j, jp)]
-                    for b in range(dim):
-                        for bp in range(dim):
-                            prod = E.table[b][bp]
-                            table[layout.index(i, j, b)][layout.index(ip, jp, bp)] = {
-                                layout.index(isum, t, k): c * coeff
-                                for t, coeff in coeffs for k, c in prod.items()}
-    gamma = basis.gamma
-    unit = {}
-    for j in (1, 2):
-        if gamma[j - 1]:
-            for k, c in E.unit.items():
-                unit[layout.index(0, j, k)] = gamma[j - 1] * c
-    return layout.algebra_on(table, unit)
-
-
-def trivial_system(E, basis):
-    ident = GradedLinMap.identity(E)
-    zero = GradedLinMap.zero(E)
-    table = MatrixHom([[ident, zero], [zero, ident]])
-    return TwistingSystemM2(E, (table, table), basis)
-
-
-def _require_verified(system):
-    if system.certificate is None:
-        rep = verify_twisting_M2(system)
-        if not rep.ok:
-            raise NotTwistingSystem(str(rep.first_failure()))
-
-
-def _block_iso(system, new_system, coeff, names):
-    """Verify ``new_system`` and return it with the iso I(i)_j e_b ->
-    sum_s coeff(i, j, s) I(i)_s e_b from the twisted algebra of ``system``
-    to that of ``new_system``, each built and certified by its verify."""
-    rep = verify_twisting_M2(new_system)
-    if not rep.ok:
-        raise NotTwistingSystem(f"{names[0]} tables fail: {rep.first_failure()}")
-    # verify_iso needs both sides certified associative
-    for certificate in (system.certificate, new_system.certificate):
-        if not certificate.ok:
-            raise NotTwistingSystem(
-                f"twisted algebra invalid: {certificate.first_failure()}")
-    layout = BlockLayout(system.algebra, system.basis)
-    cols = []
-    for i in (0, 1):
-        for j in (1, 2):
-            coeffs = [(s, coeff(i, j, s)) for s in (1, 2)]
-            for b in range(layout.algebra.dim):
-                cols.append({layout.index(i, s, b): c for s, c in coeffs if c})
-    iso = GradedLinMap(system.twisted, new_system.twisted, cols)
-    if not verify_iso(iso):
-        raise NotTwistingSystem(f"{names[1]} map is not an isomorphism")
-    return new_system, iso
-
-
-def normalize_upsilon(system):
-    """Rescale the tables so both send 1 to the identity matrix.
-
-    Returns (new system, iso from the old twisted algebra to the new one).
-    """
-    E = system.algebra
-    _require_verified(system)
-    new_tables = []
-    for i in (0, 1):
-        phi_at_1 = system.t_inverses[i].value_at_unit()
-        if phi_at_1 is None:
-            raise NotTwistingSystem("t-inverse value at 1 is not scalar")
-        entries = [[None, None], [None, None]]
-        for j in (1, 2):
-            for k in (1, 2):
-                acc = GradedLinMap.zero(E)
-                for m in (1, 2):
-                    coeff = phi_at_1[k - 1][m - 1]
-                    if coeff:
-                        acc = acc + system.theta[i].entry(j, m).scale(coeff)
-                entries[j - 1][k - 1] = acc
-        new_tables.append(MatrixHom(entries))
-    upsilon = TwistingSystemM2(E, tuple(new_tables), system.basis)
-    return _block_iso(system, upsilon,
-                      lambda i, j, s: _scalar_multiple(
-                          E, system.theta[i].entry(s, j).apply(E.unit)),
-                      ("normalized", "normalization"))
-
-
-def rebase_omega(system, new_basis):
-    """Transport a twisting system to another graded basis of M_2(k).
-
-    Reads (I...) = (J...) U per degree off ``new_basis.coords`` and
-    conjugates the tables by U.
-    Returns (new system, iso from the old twisted algebra to the new one).
-    """
-    E = system.algebra
-    _require_verified(system)
-    # column j of U^(i): the old I(i)_j in the new degree-i pair
-    U = {i: [new_basis.coords(system.basis.mats[(i, j)], i) for j in (1, 2)]
-         for i in (0, 1)}
-    new_tables = []
-    for i in (0, 1):
-        u = [[U[i][0][0], U[i][1][0]], [U[i][0][1], U[i][1][1]]]
-        uinv = matrix_inverse(u)
-        if uinv is None:
-            raise SingularBasis("change of basis is singular")
-        entries = [[GradedLinMap.zero(E), GradedLinMap.zero(E)],
-                   [GradedLinMap.zero(E), GradedLinMap.zero(E)]]
-        for a in (1, 2):
-            for b in (1, 2):
-                acc = GradedLinMap.zero(E)
-                for p in (1, 2):
-                    for q in (1, 2):
-                        coeff = u[a - 1][p - 1] * uinv[q - 1][b - 1]
-                        if coeff:
-                            acc = acc + system.theta[i].entry(p, q).scale(coeff)
-                entries[a - 1][b - 1] = acc
-        new_tables.append(MatrixHom(entries))
-    omega = TwistingSystemM2(E, tuple(new_tables), new_basis)
-    return _block_iso(system, omega, lambda i, j, s: U[i][j - 1][s - 1],
-                      ("rebased", "rebase"))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from conftest import class_t_sigma, diagonal_sigma, scalar_matrix
+from reference_constructions import verify_hom_M2
 
 from nqh.errors import (
     BoundExceeded,
@@ -16,7 +17,7 @@ from nqh.errors import (
 )
 from nqh import deform
 from nqh.exactlin import I, ONE, Scalar, TensorElement, ZERO
-from nqh.algebra import GradedLinMap, radical, strongly_graded_check, verify_hom_M2
+from nqh.algebra import GradedLinMap, radical, strongly_graded_check
 from nqh.quadratic import (
     QuadraticPresentation,
     check_central,

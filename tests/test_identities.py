@@ -22,6 +22,7 @@ from collections import Counter
 import pytest
 
 from perfbench.workloads import generate
+from reference_constructions import trivial_system
 from test_algebra import _bumped, reference_verify_algebra
 
 from nqh import deform, twist
@@ -71,7 +72,6 @@ from nqh.twist import (
     TwistingSystemM2,
     _unit_value_invertible,
     standard_basis_m2,
-    trivial_system,
     verify_twisting_M2,
     verify_twisting_prod,
     verify_twisting_suite,

@@ -1,7 +1,7 @@
 """No module of the package imports a name it never uses or keeps a
 process-wide cache, only ``exactlin`` reduces a vector against a subspace's
-basis, and every name the bench tracer patches resolves to a function of
-its own.
+basis, every definition is reached from the command line, and every name
+the bench tracer patches resolves to a function of its own.
 
 The first check reads each module's syntax tree: every name bound by an
 ``import`` or ``from ... import`` must appear as a name somewhere in the
@@ -95,6 +95,100 @@ def test_the_check_finds_a_reduction_call():
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "exactlin.py"])
 def test_only_exactlin_reduces_with_coordinates(module):
     assert reduction_calls((PACKAGE / module).read_text()) == []
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def mentioned_names(nodes):
+    """Every name that ``nodes`` mention: identifiers, attributes, and
+    string constants that are identifiers, such as the entries of
+    ``__all__`` or the name that ``getattr`` reads."""
+    out = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                out.add(sub.attr)
+            elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+                  and sub.value.isidentifier()):
+                out.add(sub.value)
+    return out
+
+
+def unreached_definitions(sources, root):
+    """The definitions in ``sources``, {module: source}, that no chain of
+    names reaches from the definition ``root``, (module, qualname), as
+    sorted "module.qualname".
+
+    A definition is a module-level function or class, or a method of such a
+    class.  The closure starts from ``root``, from every module-level
+    statement other than a definition or an import (``REGISTRY``,
+    ``__all__``), and from every dunder method, which Python calls without
+    naming it.  A reached definition reaches each definition whose last
+    name part it mentions; a class mentions what its bases, decorators and
+    non-method statements mention.  Names match across modules, so a method
+    called through an attribute of its name is reached, whatever the
+    object."""
+    definitions, start = {}, []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, DEFINITIONS):
+                if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                    start.append(node)
+                continue
+            definitions[module, node.name] = node
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, DEFINITIONS):
+                        definitions[module, f"{node.name}.{sub.name}"] = sub
+    by_name = {}
+    for key in definitions:
+        by_name.setdefault(key[1].rpartition(".")[2], []).append(key)
+
+    def reached_from(nodes):
+        return [key for name in mentioned_names(nodes)
+                for key in by_name.get(name, ())]
+
+    pending = [root, *reached_from(start)]
+    pending += [key for name, keys in by_name.items()
+                if name.startswith("__") and name.endswith("__") for key in keys]
+    reached = set()
+    while pending:
+        key = pending.pop()
+        if key in reached:
+            continue
+        reached.add(key)
+        node = definitions[key]
+        if isinstance(node, ast.ClassDef):
+            pending += reached_from(
+                [*node.bases, *node.keywords, *node.decorator_list,
+                 *(sub for sub in node.body if not isinstance(sub, DEFINITIONS))])
+        else:
+            pending += reached_from([node])
+    return sorted(".".join(key) for key in definitions.keys() - reached)
+
+
+def test_the_check_finds_an_unreached_definition():
+    source = ("def main():\n    return Box().used()\n"
+              "def helper():\n    return orphan()\n"
+              "def orphan():\n    pass\n"
+              "class Box:\n    def __init__(self):\n        pass\n"
+              "    def used(self):\n        return 1\n"
+              "    def unused(self):\n        return helper()\n"
+              "TABLE = {'k': registered}\n"
+              "def registered():\n    pass\n")
+    # orphan is called only from helper, which nothing reaches; Box.used
+    # is called only through an attribute
+    assert unreached_definitions({"m": source}, ("m", "main")) == [
+        "m.Box.unused", "m.helper", "m.orphan"]
+
+
+def test_the_command_line_reaches_every_definition():
+    """Code that only the tests run lives in ``tests/``, not here."""
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert unreached_definitions(sources, ("cli", "main")) == []
 
 
 def traced_functions():

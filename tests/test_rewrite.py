@@ -3,9 +3,9 @@ import random
 import pytest
 
 from conftest import ref_extract_algebra, table_entries
+from reference_constructions import DegreeExceedsConfluence, normal_form
 
 from nqh.errors import (
-    DegreeExceedsConfluence,
     DimensionMismatch,
     InfiniteDimensional,
     NotConfluent,
@@ -17,7 +17,6 @@ from nqh.rewrite import (
     RewriteRule,
     complete,
     extract_algebra,
-    normal_form,
     normal_words,
     orient,
 )

@@ -4,6 +4,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_constructions import (
+    L_matrix,
+    normalize_upsilon,
+    plain_m2,
+    rebase_omega,
+    trivial_system,
+)
+
 from nqh import knorrer
 from nqh.errors import MuNotInvolution, NotTwistingSystem, SingularBasis
 from nqh.exactlin import (HALF, I, ONE, Scalar, TensorElement, ZERO, matrix_inverse,
@@ -29,13 +37,8 @@ from nqh.twist import (
     build_semitrivial,
     build_twisted_M2,
     build_twisted_prod,
-    normalize_upsilon,
-    plain_m2,
-    rebase_omega,
     semitrivial_mu,
     standard_basis_m2,
-    structure_tensors,
-    trivial_system,
     verify_twisting_M2,
     verify_twisting_prod,
     verify_twisting_suite,
@@ -73,16 +76,16 @@ def plus_system(clifford_km1, double_ore_class_z):
 
 def test_standard_basis_tensors():
     basis = standard_basis_m2()
-    gamma, _ = structure_tensors(basis)
-    assert gamma == (ONE, ZERO)
+    assert basis.basis_identities().ok
+    assert basis.gamma == (ONE, ZERO)
     ident = [[ONE, ZERO], [ZERO, ONE]]
     for i in (0, 1):
         for ip in (0, 1):
-            assert basis.L_matrix(i, ip, 1) == ident
-    assert basis.L_matrix(0, 0, 2) == [[ZERO, -ONE], [ONE, ZERO]]
-    assert basis.L_matrix(0, 1, 2) == [[ZERO, ONE], [-ONE, ZERO]]
-    assert basis.L_matrix(1, 0, 2) == [[ZERO, -ONE], [ONE, ZERO]]
-    assert basis.L_matrix(1, 1, 2) == [[ZERO, ONE], [-ONE, ZERO]]
+            assert L_matrix(basis, i, ip, 1) == ident
+    assert L_matrix(basis, 0, 0, 2) == [[ZERO, -ONE], [ONE, ZERO]]
+    assert L_matrix(basis, 0, 1, 2) == [[ZERO, ONE], [-ONE, ZERO]]
+    assert L_matrix(basis, 1, 0, 2) == [[ZERO, -ONE], [ONE, ZERO]]
+    assert L_matrix(basis, 1, 1, 2) == [[ZERO, ONE], [-ONE, ZERO]]
 
 
 def random_graded_basis(rng):
