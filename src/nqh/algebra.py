@@ -5,9 +5,10 @@ kernel ``exactlin.add_scaled``, so a computed element never stores a zero
 coefficient.  Gradings live
 over Z2^k (k = 1 or 2) with degrees stored as 0/1 tuples per basis element;
 every basis element is homogeneous.  Graded linear maps store the image of
-each source basis vector.  A 2x2 matrix of graded linear maps with common
-source and target models algebra homomorphisms E -> M_2(E) and the
-not-necessarily-multiplicative map tables used by twisting systems.
+each source basis vector.  A 2x2 matrix of linear maps with common
+source and target models algebra homomorphisms E -> M_2(E), the
+not-necessarily-multiplicative map tables used by twisting systems, and
+the double Ore datum sigma on V and on A_2.
 
 Right modules use the row convention: the action of an algebra element
 acts on the right of row vectors, so action(x) action(y) = action(xy), and
@@ -360,8 +361,23 @@ def _algebra_report(algebra, firsts=None, lasts=None, system=None):
     return report
 
 
+class Space:
+    """A vector space known by its dimension alone: the carrier of the
+    maps that act on no algebra, sigma on V and on A_2.  One object stands
+    for one space, since maps compare their carriers by identity."""
+
+    __slots__ = ("dim",)
+
+    def __init__(self, dim):
+        self.dim = dim
+
+
 class GradedLinMap:
-    """A linear map between graded algebras, stored column-wise."""
+    """A linear map stored column-wise: ``cols[i]`` is the sparse image of
+    basis vector i, with no zero coefficient stored.  Source and target
+    are carriers that need only ``dim``: graded algebras, or a ``Space``.
+    Two maps are equal when their columns are and their carriers are the
+    same objects."""
 
     __slots__ = ("source", "target", "cols")
 
@@ -373,12 +389,12 @@ class GradedLinMap:
             raise DimensionMismatch("one image per source basis vector required")
 
     @classmethod
-    def identity(cls, algebra):
-        return cls(algebra, algebra, [algebra.basis_vec(i) for i in range(algebra.dim)])
+    def identity(cls, space):
+        return cls(space, space, [{i: ONE} for i in range(space.dim)])
 
     @classmethod
-    def zero(cls, algebra):
-        return cls(algebra, algebra, [{} for _ in range(algebra.dim)])
+    def zero(cls, space):
+        return cls(space, space, [{} for _ in range(space.dim)])
 
     def apply(self, vec):
         out = {}
@@ -424,7 +440,8 @@ class GradedLinMap:
 
 
 class MatrixHom:
-    """A 2x2 table of graded linear maps on a common algebra."""
+    """A 2x2 table of linear maps of one carrier to itself: sigma on V or
+    on A_2, sigma^!, the twisting systems theta and the t-inverses."""
 
     __slots__ = ("entries",)
 
@@ -440,6 +457,10 @@ class MatrixHom:
     def entry(self, i, j):
         """1-based access matching the customary subscripts."""
         return self.entries[i - 1][j - 1]
+
+    def transposed(self):
+        """The table with entries (i, j) and (j, i) exchanged."""
+        return MatrixHom(zip(*self.entries))
 
     def value_at_unit(self):
         """The 2x2 scalar matrix of images of 1, or None if not scalar."""

@@ -6,22 +6,21 @@ the deformed presentation, and the homogeneous dual supplies the PBW
 dimension count that its normal words must reach.
 
 Double Ore data is a base presentation, the pair (p12, p11), and a 2x2
-table sigma of degree-1 generator maps.  sigma acts on higher components
-word-wise through the matrix product rule
-sigma(u (x) v) = sigma(u) sigma(v), which is the unique degree-preserving
-multiplicative lift; all conditions are then checked exactly on the
-degree-1 and degree-2 components.  Each identity set is written once, over
-a 2x2 table and the operations of the ring its entries live in, and runs
-on sigma over V, on sigma over the degree-2 component and on the dualized
-table sigma^! over the deformation.
+table sigma of degree-1 generator maps, a ``MatrixHom`` of sparse maps of
+V.  sigma acts on higher components word-wise through the matrix product
+rule sigma(u (x) v) = sigma(u) sigma(v), which is the unique
+degree-preserving multiplicative lift; all conditions are then checked
+exactly on the degree-1 and degree-2 components.  Each identity set is
+written once, over a ``MatrixHom``, and runs on sigma over V, on sigma over
+the degree-2 component and on the dualized table sigma^! over the
+deformation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, partial
-from typing import Callable, NamedTuple
+from functools import cached_property
 
 from .errors import (
     BoundExceeded,
@@ -42,13 +41,8 @@ from .exactlin import (
     Subspace,
     TensorElement,
     add_scaled,
-    identity_matrix,
-    is_stacked_inverse,
-    matrix_add,
-    matrix_mul,
     pairing,
     sqrt_in_K,
-    stacked_inverse,
     subspace_intersection,
     word_index,
 )
@@ -56,7 +50,10 @@ from .algebra import (
     GradedLinMap,
     MatrixHom,
     Report,
+    Space,
+    is_t_inverse,
     strongly_graded_check,
+    t_inverse_table,
     verify_algebra,
 )
 from .quadratic import QuadraticPresentation, check_central, koszul_dual
@@ -95,10 +92,14 @@ class CliffordData:
 
 @dataclass
 class DoubleOreData:
+    """A base presentation, the mixing pair (p12, p11), and sigma: a
+    ``MatrixHom`` whose entry (i, j) maps the generators of V, its carrier
+    ``sigma.algebra``, column by column to their sigma_ij images."""
+
     base: QuadraticPresentation
     p12: Scalar
     p11: Scalar
-    sigma: tuple  # 2x2 of g x g matrices over K (columns = generator images)
+    sigma: MatrixHom
 
     @property
     def ngens(self):
@@ -125,10 +126,15 @@ class DoubleOreData:
         return complete_deformation(dual, deformed, lift, theta_values)
 
     @cached_property
+    def degree2(self):
+        """The carrier of every table on the base's degree-2 component."""
+        return Space(self.base.component_dim(2))
+
+    @cached_property
     def sigma_on_degree2(self):
         """sigma on the degree-2 component of the base (see _on_degree2),
         built once; sigma is never changed after construction."""
-        return _on_degree2(self.base, self.sigma)
+        return _on_degree2(self, self.sigma)
 
 
 def clifford_theta(dual, lift):
@@ -240,19 +246,18 @@ def _on_tensors(table, vec, g):
     """A 2x2 table of generator maps on a sparse vector of V (x) V: entry
     (i, j) of the result is t_ij(vec), by the matrix product rule
     t_ij(u v) = sum_k t_ik(u) t_kj(v) on each word u v."""
+    t = table.entries
     out = [[{}, {}], [{}, {}]]
     for idx, coeff in vec.items():
         u, v = divmod(idx, g)
         for i in range(2):
             for j in range(2):
                 for k in range(2):
-                    left, right = table[i][k], table[k][j]
-                    tail = {r: right[r][v] for r in range(g) if right[r][v]}
-                    for r in range(g):
-                        if left[r][u]:
-                            add_scaled(out[i][j],
-                                       {r * g + c: b for c, b in tail.items()},
-                                       coeff * left[r][u])
+                    tail = t[k][j].cols[v]
+                    for r, c in t[i][k].cols[u].items():
+                        add_scaled(out[i][j],
+                                   {r * g + s: b for s, b in tail.items()},
+                                   coeff * c)
     return out
 
 
@@ -264,64 +269,46 @@ def _sigma_preserves_relations(presentation, table):
                    for pair in _on_tensors(table, row, g) for image in pair)
 
 
-def _on_degree2(presentation, table):
-    """A 2x2 table of generator maps acting on the degree-2 component: each
-    basis word mapped by _on_tensors, then reduced to the component basis."""
-    g = presentation.ngens
-    words = presentation.component_basis_words(2)
-    cols = [[[] for _ in range(2)] for _ in range(2)]
-    for w in words:
+def _on_degree2(data, table):
+    """A 2x2 table of generator maps acting on the degree-2 component, on
+    the carrier ``data.degree2``: each basis word mapped by _on_tensors,
+    then reduced to the component basis."""
+    base, space = data.base, data.degree2
+    g = base.ngens
+    cols = [[[], []], [[], []]]
+    for w in base.component_basis_words(2):
         images = _on_tensors(table, {word_index(w, g): ONE}, g)
         for i in range(2):
             for j in range(2):
                 tensor = TensorElement.from_coordinates(images[i][j], g, 2)
-                cols[i][j].append(presentation.reduce_mod_ideal(tensor, 2))
-    return [[[list(row) for row in zip(*cols[i][j])] for j in range(2)]
-            for i in range(2)]
+                cols[i][j].append(base.reduce_mod_ideal(tensor, 2))
+    return MatrixHom([[GradedLinMap(space, space, cols[i][j]) for j in range(2)]
+                      for i in range(2)])
 
 
-class TableOps(NamedTuple):
-    """The ring a 2x2 table's entries live in; compose(a, b) is a after b."""
-
-    compose: Callable
-    add: Callable
-    scale: Callable
-    identity: object
-
-
-def matrix_ops(n):
-    """n x n matrices over K."""
-    return TableOps(matrix_mul, matrix_add, _scale, identity_matrix(n))
-
-
-def map_ops(algebra):
-    """Linear maps of an algebra to itself."""
-    return TableOps(GradedLinMap.compose, GradedLinMap.__add__,
-                    GradedLinMap.scale, GradedLinMap.identity(algebra))
-
-
-def _combination(ops, terms):
+def _combination(terms):
     """sum c (a after b) over the (c, a, b) in ``terms``, zero c skipped."""
     total = None
     for c, a, b in terms:
         if not c:
             continue
-        term = ops.compose(a, b)
+        term = a.compose(b)
         if c != ONE:
-            term = ops.scale(term, c)
-        total = term if total is None else ops.add(total, term)
-    return ops.scale(ops.identity, ZERO) if total is None else total
+            term = term.scale(c)
+        total = term if total is None else total + term
+    return GradedLinMap.zero(terms[0][1].source) if total is None else total
 
 
-def composition_identities(t, ops, p12, p11):
-    """The double Ore composition identities of a 2x2 table t over ``ops``
+def composition_identities(table, p12, p11):
+    """The double Ore composition identities of a 2x2 table of maps
     (Zhang-Zhang, *Double Ore extensions*, JPAA 2008), 0-based entries.
 
     These are the confluence conditions of the two reductions of y2 y1 a;
     with p11 = 0 they are the usual three displayed identities, and for
     p11 != 0 the extra p11 terms appear alongside them.
     """
-    comb = partial(_combination, ops)
+    t = table.entries
+    comb = _combination
     return (
         comb([(ONE, t[1][0], t[0][0]), (p11, t[1][1], t[0][0])])
         == comb([(p12, t[0][0], t[1][0]), (p12 * p11, t[0][1], t[1][0]),
@@ -333,54 +320,52 @@ def composition_identities(t, ops, p12, p11):
                  (p11 * p12, t[0][1], t[0][0]), (p11, t[0][0], t[0][1])]))
 
 
-def centrality_identities(t, ops, p12):
-    """The identities of a 2x2 table t over ``ops`` that make y1^2 + y2^2
-    commute past it when p11 = 0, 0-based entries:
+def centrality_identities(table, p12):
+    """The identities of a 2x2 table of maps that make y1^2 + y2^2 commute
+    past it when p11 = 0, 0-based entries:
     t00 t00 + t10 t10 = 1 = t01 t01 + t11 t11 and
     t00 t01 + t10 t11 = -p12 (t01 t00 + t11 t10)."""
-    comb = partial(_combination, ops)
+    t = table.entries
+    comb = _combination
+    ident = GradedLinMap.identity(table.algebra)
     return (
-        comb([(ONE, t[0][0], t[0][0]), (ONE, t[1][0], t[1][0])]) == ops.identity
-        and comb([(ONE, t[0][1], t[0][1]), (ONE, t[1][1], t[1][1])]) == ops.identity
+        comb([(ONE, t[0][0], t[0][0]), (ONE, t[1][0], t[1][0])]) == ident
+        and comb([(ONE, t[0][1], t[0][1]), (ONE, t[1][1], t[1][1])]) == ident
         and comb([(ONE, t[0][0], t[0][1]), (ONE, t[1][0], t[1][1])])
         == comb([(-p12, t[0][1], t[0][0]), (-p12, t[1][1], t[1][0])]))
 
 
 def _holds_on_degrees_1_and_2(data, identities):
-    """Whether ``identities(table, ops)`` holds for sigma on V and on the
+    """Whether ``identities(table)`` holds for sigma on V and on the
     degree-2 component."""
-    if not identities(data.sigma, matrix_ops(data.ngens)):
-        return False
-    return identities(data.sigma_on_degree2,
-                      matrix_ops(data.base.component_dim(2)))
+    return identities(data.sigma) and identities(data.sigma_on_degree2)
 
 
 def _composition_conditions(data):
     """The trimmed-case composition identities, exactly on degree 1 and
     degree 2."""
     return _holds_on_degrees_1_and_2(
-        data, lambda t, ops: composition_identities(t, ops, data.p12, data.p11))
-
-
-def _scale(matrix, coeff):
-    return [[coeff * x for x in row] for row in matrix]
+        data, lambda t: composition_identities(t, data.p12, data.p11))
 
 
 def invert_sigma(data):
-    """The Def-1.1 inverse of sigma on generators, or None.
+    """The Def-1.1 inverse phi of sigma on generators, or None.
 
-    Solves sum_k sigma_ki phi_kj = delta_ij id on V, then checks both
-    identities on V, relation preservation, and both identities on the
-    degree-2 component.
+    The identities sum_k sigma_ki phi_kj = delta_ij id and
+    sum_k phi_jk sigma_ik = delta_ij id on V say that sigma is the
+    t-inverse of phi (``is_t_inverse(phi, sigma)``).  Exchanging i and j in
+    both, they say that the transpose of phi is the t-inverse of the
+    transpose of sigma, which ``t_inverse_table`` solves for and checks.
+    Then relation preservation, and both identities on the degree-2
+    component, are checked.
     """
-    s = data.sigma
-    phi = stacked_inverse(s)
-    if phi is None or not is_stacked_inverse(s, phi):
+    inverse = t_inverse_table(data.sigma.transposed())
+    if inverse is None:
         return None
+    phi = inverse.transposed()
     if not _sigma_preserves_relations(data.base, phi):
         return None
-    if not is_stacked_inverse(data.sigma_on_degree2,
-                              _on_degree2(data.base, phi)):
+    if not is_t_inverse(_on_degree2(data, phi), data.sigma_on_degree2):
         return None
     return phi
 
@@ -389,11 +374,10 @@ def validate_double_ore(data):
     """Pass/fail report for the trimmed double Ore conditions."""
     report = Report()
     report.add("p12-nonzero", bool(data.p12), "p12 must be nonzero")
-    degree_ok = all(
-        len(data.sigma[i][j]) == data.ngens
-        and all(len(row) == data.ngens for row in data.sigma[i][j])
-        for i in range(2) for j in range(2)
-    )
+    space = data.sigma.algebra
+    degree_ok = space.dim == data.ngens and all(
+        entry.source is space and entry.target is space
+        for row in data.sigma.entries for entry in row)
     report.add("sigma-shape", degree_ok)
     if not (report.items[0].passed and degree_ok):
         return report, None
@@ -426,7 +410,7 @@ def _sigma_fixes_z(data, lift):
 
 def _centrality_conditions(data, lift):
     return (_holds_on_degrees_1_and_2(
-                data, lambda t, ops: centrality_identities(t, ops, data.p12))
+                data, lambda t: centrality_identities(t, data.p12))
             and _sigma_fixes_z(data, lift))
 
 
@@ -459,9 +443,8 @@ def b_presentation(data):
         for a in range(g):
             terms = {(i, a + 2): ONE}
             for j in range(2):
-                col = data.sigma[i][j]
-                for b in range(g):
-                    terms[(b + 2, j)] = -col[b][a]
+                for b, c in data.sigma.entries[i][j].cols[a].items():
+                    terms[(b + 2, j)] = -c
             rels.append(TensorElement(terms))
     return QuadraticPresentation(names, rels)
 
@@ -498,21 +481,13 @@ def dualize_hom(data, clifford):
     if not _sigma_fixes_z(data, lift):
         raise WrongP("sigma must fix the central element diagonally")
     E = clifford.algebra
-    g = data.ngens
 
     def gen_image(a):
-        # 2x2 matrix over E of images of the a-th dual generator
-        out = [[{}, {}], [{}, {}]]
-        for i in range(2):
-            for j in range(2):
-                col = {}
-                for b in range(g):
-                    # sigma^! on degree-1 duals is the transpose of sigma
-                    coeff = data.sigma[i][j][a][b]
-                    if coeff:
-                        col[_degree1_index(E, b)] = coeff
-                out[i][j] = col
-        return out
+        # 2x2 matrix over E of images of the a-th dual generator; sigma^!
+        # on degree-1 duals is the transpose of sigma
+        return [[{_degree1_index(E, b): col[a]
+                  for b, col in enumerate(data.sigma.entries[i][j].cols)
+                  if a in col} for j in range(2)] for i in range(2)]
 
     unit_mat = [[dict(E.unit), {}], [{}, dict(E.unit)]]
     memo = {(): unit_mat}
@@ -558,9 +533,8 @@ def dualize_hom(data, clifford):
 def dual_table_identities(data, hom):
     """The composition and centrality identities of the mixing pair on the
     dualized table sigma^! over the deformation E."""
-    ops = map_ops(hom.algebra)
-    return (composition_identities(hom.entries, ops, data.p12, data.p11)
-            and centrality_identities(hom.entries, ops, data.p12))
+    return (composition_identities(hom, data.p12, data.p11)
+            and centrality_identities(hom, data.p12))
 
 
 def _degree1_index(algebra, letter):
@@ -591,9 +565,10 @@ def build_Bshriek_clifford(data, lift, base):
         for a in range(g):
             terms = {(a + 2, i): ONE}
             for j in range(2):
-                for b in range(g):
-                    # sigma^! on degree-1 duals is the transpose of sigma
-                    terms[(j, b + 2)] = data.sigma[j][i][a][b]
+                # sigma^! on degree-1 duals is the transpose of sigma
+                for b, col in enumerate(data.sigma.entries[j][i].cols):
+                    if a in col:
+                        terms[(j, b + 2)] = col[a]
             assembled.append(TensorElement(terms))
     assembled_space = Subspace.from_rows(
         [r.coordinates(g + 2, 2) for r in assembled], (g + 2) ** 2)
@@ -689,16 +664,14 @@ def normalize_p11(data):
         raise NotRepresentableInK(
             "the rescaling constant has no square root in K")
     half_p = data.p11 * Scalar(1, 0, 0, 0, 2)
-    s = data.sigma
+    (s00, s01), (s10, s11) = data.sigma.entries
     cinv = c.inverse()
-    new_sigma = (
-        (matrix_add(s[0][0], _scale(s[0][1], half_p)), _scale(s[0][1], c)),
-        (_scale(matrix_add(matrix_add(s[1][0], _scale(s[1][1], half_p)),
-                           matrix_add(_scale(s[0][0], -half_p),
-                                      _scale(s[0][1], -half_p * half_p))),
-                cinv),
-         matrix_add(s[1][1], _scale(s[0][1], -half_p))),
-    )
+    new_sigma = MatrixHom([
+        [s00 + s01.scale(half_p), s01.scale(c)],
+        [(s10 + s11.scale(half_p) + s00.scale(-half_p)
+          + s01.scale(-half_p * half_p)).scale(cinv),
+         s11 + s01.scale(-half_p)],
+    ])
     out = DoubleOreData(data.base, data.p12, ZERO, new_sigma)
     report, _ = validate_double_ore(out)
     if not report.ok:

@@ -252,19 +252,6 @@ class Scalar:
             other = Scalar.of(other)
         return self * other.inverse()
 
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("only nonnegative integer powers")
-        result = ONE
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def text(self):
         """Canonical textual form, terms ordered 1, i, r2, i*r2."""
         if not self:
@@ -862,7 +849,7 @@ def subspace_intersection(u, w):
 
 
 # ---------------------------------------------------------------------------
-# dense matrices
+# 2x2 scalar matrices
 
 
 def matrix_mul(a, b):
@@ -882,66 +869,3 @@ def matrix_mul(a, b):
                 if bk[j]:
                     oi[j] = oi[j] + f * bk[j]
     return out
-
-
-def matrix_add(a, b):
-    return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
-
-
-def identity_matrix(n):
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def zero_matrix(n, m=None):
-    m = n if m is None else m
-    return [[ZERO] * m for _ in range(n)]
-
-
-def matrix_inverse(a):
-    """Inverse of a square matrix, or None if singular."""
-    n = len(a)
-    aug = []
-    for i, row in enumerate(a):
-        sparse = {j: c for j, c in enumerate(row) if c}
-        sparse[n + i] = ONE
-        aug.append(sparse)
-    basis, pivots = rref_rows(aug, 2 * n)
-    if pivots != tuple(range(n)):
-        return None
-    return [[row.get(n + j, ZERO) for j in range(n)] for row in basis]
-
-
-def stacked_inverse(blocks):
-    """The 2x2 table P of n x n blocks with sum_k blocks[k][i] P[k][j] =
-    delta_ij I, or None when there is none.
-
-    The equations say B P = I for the stacked 2n x 2n matrix
-    B[(i, r), (k, s)] = blocks[k][i][r][s], so P[k][j] is block (k, j) of
-    B^-1.
-    """
-    n = len(blocks[0][0])
-    big = [[blocks[k][i][r][s] for k in range(2) for s in range(n)]
-           for i in range(2) for r in range(n)]
-    inv = matrix_inverse(big)
-    if inv is None:
-        return None
-    return [[[row[j * n:(j + 1) * n] for row in inv[k * n:(k + 1) * n]]
-             for j in range(2)] for k in range(2)]
-
-
-def is_stacked_inverse(s, p):
-    """Both identities sum_k s[k][i] p[k][j] = delta_ij I and
-    sum_k p[j][k] s[i][k] = delta_ij I on 2x2 tables of n x n blocks."""
-    n = len(s[0][0])
-    ident = identity_matrix(n)
-    zero = zero_matrix(n)
-    for i in range(2):
-        for j in range(2):
-            expect = ident if i == j else zero
-            if matrix_add(matrix_mul(s[0][i], p[0][j]),
-                          matrix_mul(s[1][i], p[1][j])) != expect:
-                return False
-            if matrix_add(matrix_mul(p[j][0], s[i][0]),
-                          matrix_mul(p[j][1], s[i][1])) != expect:
-                return False
-    return True

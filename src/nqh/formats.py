@@ -15,6 +15,7 @@ import json
 from .errors import ParseError
 from .exactlin import Scalar, TensorElement
 from .quadratic import QuadraticPresentation
+from .algebra import GradedLinMap, MatrixHom, Space
 from .deform import DoubleOreData
 
 
@@ -85,7 +86,7 @@ def parse_double_ore(doc):
         sigma_doc = _expect(doc["sigma"], dict, "sigma")
     except KeyError as exc:
         raise ParseError(f"missing double Ore field: {exc}") from exc
-    g = presentation.ngens
+    space = Space(presentation.ngens)
     tables = []
     for i in (1, 2):
         row = []
@@ -93,20 +94,22 @@ def parse_double_ore(doc):
             key = f"{i}{j}"
             if key not in sigma_doc:
                 raise ParseError(f"missing sigma table {key}")
-            mat = [[Scalar(0)] * g for _ in range(g)]
+            cols = [{} for _ in range(space.dim)]
             for src, image in _expect(sigma_doc[key], dict,
                                       f"sigma table {key}").items():
                 if src not in presentation.generators:
                     raise ParseError(f"unknown generator {src!r} in sigma {key}")
-                col = presentation.index_of(src)
+                col = cols[presentation.index_of(src)]
                 for dst, coeff in _expect(image, dict,
                                           f"sigma {key} image of {src}").items():
                     if dst not in presentation.generators:
                         raise ParseError(f"unknown generator {dst!r} in sigma {key}")
-                    mat[presentation.index_of(dst)][col] = parse_scalar(coeff)
-            row.append(mat)
-        tables.append(tuple(row))
-    data = DoubleOreData(presentation, p12, p11, tuple(tables))
+                    col[presentation.index_of(dst)] = parse_scalar(coeff)
+            # no zero stored: map equality needs it
+            row.append(GradedLinMap(space, space, [
+                {b: c for b, c in col.items() if c} for col in cols]))
+        tables.append(row)
+    data = DoubleOreData(presentation, p12, p11, MatrixHom(tables))
     return data, central
 
 
@@ -119,7 +122,6 @@ def parse_twist_file(doc):
     """
     from .deform import build_clifford
     from .twist import GradedBasisM2, TwistingSystemM2
-    from .algebra import GradedLinMap, MatrixHom
 
     if "algebra" not in _expect(doc, dict, "a twisting-system file"):
         raise ParseError("missing algebra block")

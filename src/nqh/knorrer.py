@@ -620,7 +620,8 @@ def prop51_scenario(data, z):
 
     The change of variables sends the extended central element to z + y2^2,
     and the two-variable deformation at y2^2 has a nonzero radical, so the
-    quadric is never an isolated singularity in this regime.
+    quadric is never an isolated singularity in this regime.  Returns the
+    report lines and that witness's radical dimension.
     """
     if data.p12 != Scalar(-1) or (data.p11 != Scalar(2) * I
                                   and data.p11 != Scalar(-2) * I):
@@ -645,4 +646,4 @@ def prop51_scenario(data, z):
     lines.append("isolated singularity: no")
     if rad < 1:
         raise PipelineError("expected a nonzero radical in the degenerate case")
-    return lines, witness
+    return lines, rad

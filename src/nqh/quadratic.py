@@ -31,7 +31,6 @@ from __future__ import annotations
 from .errors import BoundExceeded, DegreeMismatch, DimensionMismatch
 from .exactlin import (
     ONE,
-    ZERO,
     SparseEliminator,
     Subspace,
     TensorElement,
@@ -165,12 +164,10 @@ class QuadraticPresentation:
         return list(self._component(n).words)
 
     def reduce_mod_ideal(self, element, n):
-        """Coordinates of a degree-n tensor in the component basis."""
+        """Sparse coordinates of a degree-n tensor in the component basis."""
         position = self._component(n).position
-        vec = [ZERO] * len(position)
-        for col, coeff in self._residue(element, n).items():
-            vec[position[col]] = coeff
-        return vec
+        return {position[col]: coeff
+                for col, coeff in self._residue(element, n).items()}
 
     def in_ideal(self, element, n):
         return not self._residue(element, n)

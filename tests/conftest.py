@@ -117,6 +117,27 @@ def scalar_matrix(rows):
             for row in rows]
 
 
+def sigma_table(dense):
+    """A 2x2 table of g x g matrices, whose columns are the generator
+    images, as the table of sparse maps on one new carrier of dimension g
+    that ``DoubleOreData.sigma`` holds."""
+    from nqh.algebra import GradedLinMap, MatrixHom, Space
+
+    space = Space(len(dense[0][0]))
+    return MatrixHom([[GradedLinMap(space, space, [
+        {r: m[r][c] for r in range(space.dim) if m[r][c]}
+        for c in range(space.dim)]) for m in row] for row in dense])
+
+
+def dense_table(table):
+    """The 2x2 table of dense matrices of a table of maps, as lists: entry
+    [r][c] of a matrix is the coefficient of basis vector r in the image of
+    basis vector c."""
+    n = table.algebra.dim
+    return [[[[entry.cols[c].get(r, ZERO) for c in range(n)] for r in range(n)]
+             for entry in row] for row in table.entries]
+
+
 @pytest.fixture(scope="session")
 def km1():
     from nqh.quadratic import QuadraticPresentation
@@ -139,24 +160,28 @@ def clifford_km1(km1, z_lift):
 
 def class_z_sigma():
     h = Scalar(0, 0, 1, 0, 2)
-    return ((scalar_matrix([[h, 0], [0, h]]), scalar_matrix([[0, h], [h, 0]])),
-            (scalar_matrix([[0, h], [h, 0]]), scalar_matrix([[-h, 0], [0, -h]])))
+    return sigma_table(
+        ((scalar_matrix([[h, 0], [0, h]]), scalar_matrix([[0, h], [h, 0]])),
+         (scalar_matrix([[0, h], [h, 0]]), scalar_matrix([[-h, 0], [0, -h]]))))
 
 
 def class_t_sigma():
     h = Scalar(1, 0, 0, 0, 2)
-    return ((scalar_matrix([[-h, h], [h, -h]]), scalar_matrix([[h, h], [h, h]])),
-            (scalar_matrix([[h, h], [h, h]]), scalar_matrix([[h, -h], [-h, h]])))
+    return sigma_table(
+        ((scalar_matrix([[-h, h], [h, -h]]), scalar_matrix([[h, h], [h, h]])),
+         (scalar_matrix([[h, h], [h, h]]), scalar_matrix([[h, -h], [-h, h]]))))
 
 
 def class_r_sigma():
-    return ((scalar_matrix([[1, 0], [1, 0]]), scalar_matrix([[1, 1], [0, 0]])),
-            (scalar_matrix([[0, 0], [1, -1]]), scalar_matrix([[0, -1], [0, 1]])))
+    return sigma_table(
+        ((scalar_matrix([[1, 0], [1, 0]]), scalar_matrix([[1, 1], [0, 0]])),
+         (scalar_matrix([[0, 0], [1, -1]]), scalar_matrix([[0, -1], [0, 1]]))))
 
 
 def diagonal_sigma(entry11, entry22):
     zero = scalar_matrix([[0, 0], [0, 0]])
-    return ((scalar_matrix(entry11), zero), (zero, scalar_matrix(entry22)))
+    return sigma_table(((scalar_matrix(entry11), zero),
+                        (zero, scalar_matrix(entry22))))
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,11 @@ the unit values and the transport to another graded basis.  Next to them
 are the checks that the program replaced by cheaper certificates and that
 the tests keep as references: the homomorphism identity of a map
 E -> M_2(E) on every basis pair, the module identity on every triple, and
-the normal form bounded by a rewriting system's confluence degree.
+the normal form bounded by a rewriting system's confluence degree.  Last
+is the dense matrix layer that sigma used before it became a table of
+sparse maps: matrix sums, identities, inverses, and the stacked inverse of
+a 2x2 table of blocks with its check, the references of the sparse
+t-inverse solver and of sigma's Def-1.1 inverse.
 
 Methods of ``nqh`` classes are functions of their object here:
 ``verify_module(module)``, ``L_matrix(basis, i, ip, j)``.
@@ -17,7 +21,7 @@ Methods of ``nqh`` classes are functions of their object here:
 
 from nqh.algebra import GradedLinMap, MatrixHom, _scalar_multiple, vec_eq, verify_iso
 from nqh.errors import NotTwistingSystem, NqhError, SingularBasis
-from nqh.exactlin import ONE, add_scaled, matrix_inverse
+from nqh.exactlin import ONE, ZERO, add_scaled, matrix_mul, rref_rows
 from nqh.twist import BlockLayout, TwistingSystemM2, verify_twisting_M2
 
 
@@ -211,3 +215,70 @@ def rebase_omega(system, new_basis):
     omega = TwistingSystemM2(E, tuple(new_tables), new_basis)
     return _block_iso(system, omega, lambda i, j, s: U[i][j - 1][s - 1],
                       ("rebased", "rebase"))
+
+
+# ---------------------------------------------------------------------------
+# dense matrices
+
+
+def matrix_add(a, b):
+    return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
+
+
+def identity_matrix(n):
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+
+
+def zero_matrix(n, m=None):
+    m = n if m is None else m
+    return [[ZERO] * m for _ in range(n)]
+
+
+def matrix_inverse(a):
+    """Inverse of a square matrix, or None if singular."""
+    n = len(a)
+    aug = []
+    for i, row in enumerate(a):
+        sparse = {j: c for j, c in enumerate(row) if c}
+        sparse[n + i] = ONE
+        aug.append(sparse)
+    basis, pivots = rref_rows(aug, 2 * n)
+    if pivots != tuple(range(n)):
+        return None
+    return [[row.get(n + j, ZERO) for j in range(n)] for row in basis]
+
+
+def stacked_inverse(blocks):
+    """The 2x2 table P of n x n blocks with sum_k blocks[k][i] P[k][j] =
+    delta_ij I, or None when there is none.
+
+    The equations say B P = I for the stacked 2n x 2n matrix
+    B[(i, r), (k, s)] = blocks[k][i][r][s], so P[k][j] is block (k, j) of
+    B^-1.
+    """
+    n = len(blocks[0][0])
+    big = [[blocks[k][i][r][s] for k in range(2) for s in range(n)]
+           for i in range(2) for r in range(n)]
+    inv = matrix_inverse(big)
+    if inv is None:
+        return None
+    return [[[row[j * n:(j + 1) * n] for row in inv[k * n:(k + 1) * n]]
+             for j in range(2)] for k in range(2)]
+
+
+def is_stacked_inverse(s, p):
+    """Both identities sum_k s[k][i] p[k][j] = delta_ij I and
+    sum_k p[j][k] s[i][k] = delta_ij I on 2x2 tables of n x n blocks."""
+    n = len(s[0][0])
+    ident = identity_matrix(n)
+    zero = zero_matrix(n)
+    for i in range(2):
+        for j in range(2):
+            expect = ident if i == j else zero
+            if matrix_add(matrix_mul(s[0][i], p[0][j]),
+                          matrix_mul(s[1][i], p[1][j])) != expect:
+                return False
+            if matrix_add(matrix_mul(p[j][0], s[i][0]),
+                          matrix_mul(p[j][1], s[i][1])) != expect:
+                return False
+    return True

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import recording_output
-from reference_constructions import transpose, verify_hom_M2, verify_module
+from reference_constructions import (
+    is_stacked_inverse,
+    stacked_inverse,
+    transpose,
+    verify_hom_M2,
+    verify_module,
+)
 
 from perfbench.workloads import generate
 
@@ -22,8 +28,6 @@ from nqh.exactlin import (
     TensorElement,
     ZERO,
     add_scaled,
-    is_stacked_inverse,
-    stacked_inverse,
 )
 from nqh.algebra import (
     GradedAlgebra,

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from conftest import class_t_sigma, diagonal_sigma, scalar_matrix
+from conftest import class_t_sigma, dense_table, diagonal_sigma, scalar_matrix, sigma_table
 from reference_constructions import verify_hom_M2
 
 from nqh.errors import (
@@ -174,8 +174,9 @@ def test_centrality_plus(double_ore_class_z, z_lift, km1):
     assert centrality_check_plus(DoubleOreData(km1, ONE, ZERO, sigma), z_lift)
     # perturbing one entry breaks the conditions
     h = Scalar(0, 0, 1, 0, 2)
-    bad = ((scalar_matrix([[h, 0], [0, h]]), scalar_matrix([[0, h], [h, 0]])),
-           (scalar_matrix([[0, h], [h, 0]]), scalar_matrix([[-h, 0], [0, h]])))
+    bad = sigma_table(
+        ((scalar_matrix([[h, 0], [0, h]]), scalar_matrix([[0, h], [h, 0]])),
+         (scalar_matrix([[0, h], [h, 0]]), scalar_matrix([[-h, 0], [0, h]]))))
     assert not centrality_check_plus(DoubleOreData(km1, ONE, ZERO, bad), z_lift)
     with pytest.raises(WrongP):
         centrality_check_plus(
@@ -185,12 +186,11 @@ def test_centrality_plus(double_ore_class_z, z_lift, km1):
 def test_centrality_minus(double_ore_class_t, double_ore_class_r, z_lift, km1):
     assert centrality_check_minus(double_ore_class_t, z_lift)
     assert centrality_check_minus(double_ore_class_r, z_lift)
-    sigma = class_t_sigma()
+    perturbed = dense_table(class_t_sigma())
     h = Scalar(1, 0, 0, 0, 2)
-    perturbed = (sigma[0], (sigma[1][0], scalar_matrix(
-        [[h, -h], [-h, -h]])))
+    perturbed[1][1] = scalar_matrix([[h, -h], [-h, -h]])
     assert not centrality_check_minus(
-        DoubleOreData(km1, MINUS_ONE, ZERO, perturbed), z_lift)
+        DoubleOreData(km1, MINUS_ONE, ZERO, sigma_table(perturbed)), z_lift)
 
 
 def test_centrality_matches_commutator_route(double_ore_class_z,
@@ -202,8 +202,9 @@ def test_centrality_matches_commutator_route(double_ore_class_z,
 
 def test_commutator_route_rejects_broken_sigma(km1, z_lift):
     h = Scalar(0, 0, 1, 0, 2)
-    bad = ((scalar_matrix([[h, 0], [0, h]]), scalar_matrix([[0, h], [h, 0]])),
-           (scalar_matrix([[0, h], [h, 0]]), scalar_matrix([[-h, 0], [0, h]])))
+    bad = sigma_table(
+        ((scalar_matrix([[h, 0], [0, h]]), scalar_matrix([[0, h], [h, 0]])),
+         (scalar_matrix([[0, h], [h, 0]]), scalar_matrix([[-h, 0], [0, h]]))))
     data = DoubleOreData(km1, ONE, ZERO, bad)
     assert not check_central(b_presentation(data),
                              central_lift_in_b(data, z_lift))

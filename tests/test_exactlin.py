@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from reference_constructions import matrix_inverse
+
 from nqh import exactlin
 from nqh.errors import DegreeMismatch, DimensionMismatch, ParseError
 from nqh.exactlin import (
@@ -19,7 +21,6 @@ from nqh.exactlin import (
     TensorElement,
     ZERO,
     add_scaled,
-    matrix_inverse,
     matrix_mul,
     nullspace,
     pairing,

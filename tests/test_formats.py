@@ -54,7 +54,7 @@ def test_parse_double_ore_tables():
         data, central = parse_double_ore(doc)
         assert data.ngens == 2
         assert central is not None
-        assert len(data.sigma) == 2 and len(data.sigma[0]) == 2
+        assert len(data.sigma.entries) == 2 and len(data.sigma.entries[0]) == 2
 
 
 def test_parse_double_ore_errors():

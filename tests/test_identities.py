@@ -6,6 +6,7 @@ only as test oracles: the dense g^2 x g^2 lift of sigma to V (x) V with its
 column-wise descent to the degree-2 component, the relation and z checks
 through that lift, sigma^! on degree-1 duals as an explicit transpose, the
 composition and centrality conditions written out on dense sigma tables,
+the double Ore validation with sigma's dense stacked inverse,
 the sign-separated identities of the dualized table in each case, the
 E x E and M_2(E) exchange loops that the certificate of the twisted
 algebra replaced, and the theta-phi exchange loop.  Every differential
@@ -21,8 +22,15 @@ from collections import Counter
 
 import pytest
 
-from perfbench.workloads import generate
-from reference_constructions import trivial_system
+from conftest import dense_table, sigma_table
+from perfbench.workloads import generate, skew_double_ore
+from reference_constructions import (
+    identity_matrix,
+    is_stacked_inverse,
+    matrix_add,
+    stacked_inverse,
+    trivial_system,
+)
 from test_algebra import _bumped, reference_verify_algebra
 
 from nqh import deform, twist
@@ -33,6 +41,7 @@ from nqh.algebra import (
     Report,
     _associativity_failure,
     generating_set,
+    is_t_inverse,
     t_inverse_table,
     vec_eq,
     verify_algebra,
@@ -47,8 +56,7 @@ from nqh.deform import (
     composition_identities,
     dual_table_identities,
     dualize_hom,
-    map_ops,
-    matrix_ops,
+    normalize_p11,
     validate_double_ore,
 )
 from nqh.exactlin import (
@@ -57,15 +65,20 @@ from nqh.exactlin import (
     Scalar,
     TensorElement,
     add_scaled,
-    identity_matrix,
-    matrix_add,
     matrix_mul,
-    stacked_inverse,
     word_index,
 )
 from nqh.formats import parse_double_ore
 from nqh.knorrer import _minus_theta, _plus_theta
-from nqh.scenarios import EX_4_9_1, EX_4_9_2, EX_4_10, EX_5_9, PROP_5_10
+from nqh.scenarios import (
+    EX_4_9_1,
+    EX_4_9_2,
+    EX_4_10,
+    EX_5_9,
+    KM1_PRESENTATION,
+    PROP_5_1,
+    PROP_5_10,
+)
 from nqh.twist import (
     BlockLayout,
     GradedBasisM2,
@@ -175,7 +188,8 @@ def ref_matrix_on_component(presentation, big, n):
         image = {r: row[col] for r, row in enumerate(big) if row[col]}
         tensor = TensorElement.from_coordinates(image, g, n)
         cols.append(presentation.reduce_mod_ideal(tensor, n))
-    return [[cols[j][i] for j in range(len(words))] for i in range(len(words))]
+    return [[cols[j].get(i, ZERO) for j in range(len(words))]
+            for i in range(len(words))]
 
 
 def ref_apply_lifted(mat, vec):
@@ -208,7 +222,7 @@ def ref_sigma_preserves_relations(presentation, sigma):
 def ref_sigma_fixes_z(data, lift):
     """sigma(z) = diag(z, z) modulo relations, via the degree-2 lift."""
     g = data.ngens
-    lifted = ref_lift_degree2(data.sigma, g)
+    lifted = ref_lift_degree2(dense_table(data.sigma), g)
     zvec = lift.coordinates(g, 2)
     for i in range(2):
         for j in range(2):
@@ -223,25 +237,28 @@ def ref_sigma_fixes_z(data, lift):
 def ref_dual_sigma_entry_on_generators(data):
     """sigma^! on degree-1 duals: the transpose of each sigma entry."""
     g = data.ngens
+    sigma = dense_table(data.sigma)
     out = [[None] * 2 for _ in range(2)]
     for i in range(2):
         for j in range(2):
-            m = data.sigma[i][j]
+            m = sigma[i][j]
             out[i][j] = [[m[c][r] for c in range(g)] for r in range(g)]
     return out
 
 
 def ref_composition_conditions(data):
-    if not ref_composition_holds_on(data.sigma, data.p12, data.p11):
+    sigma = dense_table(data.sigma)
+    if not ref_composition_holds_on(sigma, data.p12, data.p11):
         return False
-    return ref_composition_holds_on(ref_on_degree2(data.base, data.sigma),
+    return ref_composition_holds_on(ref_on_degree2(data.base, sigma),
                                     data.p12, data.p11)
 
 
 def ref_centrality_conditions(data, lift, mixed_condition):
-    if not ref_centrality_holds_on(data.sigma, data.ngens, mixed_condition):
+    sigma = dense_table(data.sigma)
+    if not ref_centrality_holds_on(sigma, data.ngens, mixed_condition):
         return False
-    if not ref_centrality_holds_on(ref_on_degree2(data.base, data.sigma),
+    if not ref_centrality_holds_on(ref_on_degree2(data.base, sigma),
                                    data.base.component_dim(2), mixed_condition):
         return False
     return ref_sigma_fixes_z(data, lift)
@@ -430,28 +447,28 @@ def _denormalized(data, p11):
     1 + p11^2 / 4 = c^2 and c = 5/4 when p11 = 3/2."""
     h = p11 * Scalar(1, 0, 0, 0, 2)
     c = Scalar(5, 0, 0, 0, 4)
-    n = data.sigma
+    n = dense_table(data.sigma)
     s01 = _ref_scale(n[0][1], c.inverse())
     s00 = matrix_add(n[0][0], _ref_scale(s01, -h))
     s11 = matrix_add(n[1][1], _ref_scale(s01, h))
     s10 = matrix_add(matrix_add(_ref_scale(n[1][0], c), _ref_scale(s11, -h)),
                      matrix_add(_ref_scale(s00, h), _ref_scale(s01, h * h)))
-    return DoubleOreData(data.base, data.p12, p11, ((s00, s01), (s10, s11)))
+    return DoubleOreData(data.base, data.p12, p11,
+                         sigma_table(((s00, s01), (s10, s11))))
 
 
 def _transposed(data):
-    sigma = tuple(tuple([list(col) for col in zip(*m)] for m in row)
-                  for row in data.sigma)
-    return dataclasses.replace(data, sigma=sigma)
+    sigma = [[[list(col) for col in zip(*m)] for m in row]
+             for row in dense_table(data.sigma)]
+    return dataclasses.replace(data, sigma=sigma_table(sigma))
 
 
 def _sigma_mutant(data, rng):
     i, j = rng.randrange(2), rng.randrange(2)
     r, c = rng.randrange(data.ngens), rng.randrange(data.ngens)
-    sigma = [[[list(row) for row in m] for m in pair] for pair in data.sigma]
+    sigma = dense_table(data.sigma)
     sigma[i][j][r][c] = sigma[i][j][r][c] + rng.choice(POOL)
-    return dataclasses.replace(
-        data, sigma=tuple(tuple(pair) for pair in sigma))
+    return dataclasses.replace(data, sigma=sigma_table(sigma))
 
 
 def _table_mutant(hom, rng):
@@ -513,15 +530,17 @@ def test_sigma_on_degree2_matches_the_reference(pipeline_inputs):
     inverses = 0
     for data, lift in _sigma_tables(pipeline_inputs):
         base = data.base
-        assert data.sigma_on_degree2 == ref_on_degree2(base, data.sigma)
-        tables = [data.sigma]
-        phi = stacked_inverse(data.sigma)
+        sigma = dense_table(data.sigma)
+        assert dense_table(data.sigma_on_degree2) == ref_on_degree2(base, sigma)
+        tables = [sigma]
+        phi = stacked_inverse(sigma)
         if phi is not None:
             inverses += 1
             tables.append(phi)
-            assert deform._on_degree2(base, phi) == ref_on_degree2(base, phi)
+            assert (dense_table(deform._on_degree2(data, sigma_table(phi)))
+                    == ref_on_degree2(base, phi))
         for table in tables:
-            verdict = deform._sigma_preserves_relations(base, table)
+            verdict = deform._sigma_preserves_relations(base, sigma_table(table))
             assert verdict == ref_sigma_preserves_relations(base, table)
             preserved.append(verdict)
         verdict = deform._sigma_fixes_z(data, lift)
@@ -551,11 +570,10 @@ def test_composition_identities_match_the_reference_on_sigma(pipeline_inputs):
     for data, _ in tables:
         verdict = _composition_conditions(data)
         assert verdict == ref_composition_conditions(data)
-        ops = matrix_ops(data.ngens)
         for p12, p11 in ((data.p12, data.p11), (ONE, ZERO), (MINUS_ONE, ZERO),
                          (MINUS_ONE, Scalar(3, 0, 0, 0, 2))):
-            assert (composition_identities(data.sigma, ops, p12, p11)
-                    == ref_composition_holds_on(data.sigma, p12, p11))
+            assert (composition_identities(data.sigma, p12, p11)
+                    == ref_composition_holds_on(dense_table(data.sigma), p12, p11))
         verdicts.append(verdict)
     assert len(tables) >= 200
     assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
@@ -574,9 +592,8 @@ def test_composition_identities_see_the_order_of_composition():
              (matrix([[1, 0], [0, 0]]), matrix([[1, 0], [0, 1]])))
     transposed = tuple(tuple([list(c) for c in zip(*m)] for m in row)
                        for row in table)
-    ops = matrix_ops(2)
     for t, expected in ((table, True), (transposed, False)):
-        assert composition_identities(t, ops, ONE, ONE) is expected
+        assert composition_identities(sigma_table(t), ONE, ONE) is expected
         assert ref_composition_holds_on(t, ONE, ONE) is expected
 
 
@@ -605,6 +622,82 @@ def test_centrality_identities_match_the_reference_on_sigma(pipeline_inputs):
     assert verdicts.count(True) >= 50 and verdicts.count(False) >= 300
 
 
+def ref_validate_double_ore(data):
+    """validate_double_ore as it was on dense sigma tables, with the
+    Def-1.1 inverse from ``stacked_inverse`` checked by
+    ``is_stacked_inverse`` on V and on the degree-2 component."""
+    sigma, base = dense_table(data.sigma), data.base
+    report = Report()
+    report.add("p12-nonzero", bool(data.p12), "p12 must be nonzero")
+    shape = all(len(m) == data.ngens and all(len(row) == data.ngens for row in m)
+                for pair in sigma for m in pair)
+    report.add("sigma-shape", shape)
+    if not (data.p12 and shape):
+        return report, None
+    report.add("sigma-preserves-relations",
+               ref_sigma_preserves_relations(base, sigma))
+    report.add("composition-conditions", ref_composition_conditions(data))
+    phi = stacked_inverse(sigma)
+    if phi is not None and not (
+            is_stacked_inverse(sigma, phi)
+            and ref_sigma_preserves_relations(base, phi)
+            and is_stacked_inverse(ref_on_degree2(base, sigma),
+                                   ref_on_degree2(base, phi))):
+        phi = None
+    report.add("sigma-invertible", phi is not None)
+    return report, phi
+
+
+def _singular(data):
+    """The table whose second row repeats its first, so that sigma_1k and
+    sigma_2k agree for each k and the stacked matrix is singular."""
+    first = dense_table(data.sigma)[0]
+    return dataclasses.replace(data, sigma=sigma_table([first, first]))
+
+
+def test_the_sparse_sigma_route_matches_the_dense_one(
+        double_ore_class_z, double_ore_class_t, double_ore_class_r):
+    """On the registry's tables, the class-Z, T and R fixtures, skew3 seeds
+    1-7, big:4 and big:5, and a p11 = 2 minus datum before and after
+    normalize_p11, and on a one-coefficient mutant and a singular variant of
+    each: validate_double_ore gives the dense route's items, and phi is the
+    dense phi on V and on the degree-2 component.  Where phi exists, it and
+    sigma pass is_t_inverse as they pass is_stacked_inverse, and a
+    one-coefficient mutant of phi fails both."""
+    docs = [EX_4_10, EX_4_9_1, EX_4_9_2, EX_5_9, PROP_5_1, PROP_5_10]
+    for seed in range(1, 8):
+        docs.extend(json.loads(blob)
+                    for _, blob in sorted(generate("skew3", seed).items()))
+    docs += [skew_double_ore(random.Random(f"big:{g}"), g, p12)
+             for g in (4, 5) for p12 in (1, -1)]
+    negated = {"x1": {"x1": "-1"}, "x2": {"x2": "-1"}}
+    p11_two, _ = parse_double_ore({**KM1_PRESENTATION, "p12": "-1", "p11": "2",
+                                   "sigma": {"11": negated, "12": {}, "21": {},
+                                             "22": negated}})
+    inputs = [parse_double_ore(doc)[0] for doc in docs]
+    inputs += [double_ore_class_z, double_ore_class_t, double_ore_class_r,
+               p11_two, normalize_p11(p11_two)]
+    rng = random.Random("sparse-sigma-route")
+    verdicts = Counter()
+    for data in [member for data in inputs
+                 for member in (data, _sigma_mutant(data, rng), _singular(data))]:
+        report, phi = validate_double_ore(data)
+        ref_report, ref_phi = ref_validate_double_ore(data)
+        assert _items(report) == _items(ref_report)
+        verdicts[report.ok] += 1
+        assert (phi is None) == (ref_phi is None)
+        if phi is None:
+            continue
+        assert dense_table(phi) == ref_phi
+        assert (dense_table(deform._on_degree2(data, phi))
+                == ref_on_degree2(data.base, ref_phi))
+        sigma = dense_table(data.sigma)
+        for table, expected in ((phi, True), (_table_mutant(phi, rng), False)):
+            assert is_t_inverse(table, data.sigma) is expected
+            assert is_stacked_inverse(sigma, dense_table(table)) is expected
+    assert verdicts[True] >= 30 and verdicts[False] >= 50
+
+
 # ---------------------------------------------------------------------------
 # the dualized table sigma^! over E
 
@@ -614,12 +707,11 @@ def test_dual_table_identities_match_the_reference(pipeline_inputs):
     verdicts = {ONE: [], MINUS_ONE: []}
     for data, _, base, sd in pipeline_inputs:
         E = base.algebra
-        ops = map_ops(E)
         for table in [sd] + [_table_mutant(sd, rng) for _ in range(20)]:
             for p12, reference in ((ONE, ref_cor42_identities),
                                    (MINUS_ONE, ref_cor54_identities)):
-                verdict = (composition_identities(table.entries, ops, p12, ZERO)
-                           and centrality_identities(table.entries, ops, p12))
+                verdict = (composition_identities(table, p12, ZERO)
+                           and centrality_identities(table, p12))
                 assert verdict == reference(table, E)
                 verdicts[p12].append(verdict)
             case_reference = (ref_cor42_identities if data.p12 == ONE

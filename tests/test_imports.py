@@ -1,7 +1,8 @@
 """No module of the package imports a name it never uses or keeps a
 process-wide cache, only ``exactlin`` reduces a vector against a subspace's
-basis, every definition is reached from the command line, and every name
-the bench tracer patches resolves to a function of its own.
+basis, no module keeps a dense matrix table layer, every definition is
+reached from the command line, and every name the bench tracer patches
+resolves to a function of its own.
 
 The first check reads each module's syntax tree: every name bound by an
 ``import`` or ``from ... import`` must appear as a name somewhere in the
@@ -98,6 +99,50 @@ def test_only_exactlin_reduces_with_coordinates(module):
 
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+DENSE_TABLE_NAMES = frozenset((
+    "TableOps", "matrix_ops", "map_ops", "stacked_inverse",
+    "is_stacked_inverse", "matrix_inverse", "matrix_add", "identity_matrix",
+    "zero_matrix"))
+
+
+def dense_table_names(source):
+    """The names in ``DENSE_TABLE_NAMES`` that ``source`` defines or
+    imports, sorted.  sigma, sigma^!, theta and the t-inverses are all
+    tables of sparse maps, so ``algebra.t_inverse_table`` is the one
+    t-inverse and Def-1.1 solver and ``algebra.is_t_inverse`` the one
+    inverse check; the dense tables and the bridge to them stay in
+    ``tests/reference_constructions.py``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, DEFINITIONS):
+            found.add(node.name)
+        elif isinstance(node, ast.Import):
+            found.update((a.asname or a.name).split(".")[-1] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(name for a in node.names
+                         for name in (a.name, a.asname) if name)
+        elif isinstance(node, ast.Assign):
+            found.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return sorted(found & DENSE_TABLE_NAMES)
+
+
+def test_the_check_finds_a_dense_table_name():
+    source = ("from .exactlin import matrix_mul, stacked_inverse as solve\n"
+              "from .algebra import t_inverse_table as zero_matrix\n"
+              "import nqh.exactlin.matrix_inverse\n"
+              "class TableOps:\n    def map_ops(self): pass\n"
+              "identity_matrix = None\n"
+              "def is_t_inverse(): return matrix_add\n")
+    assert dense_table_names(source) == [
+        "TableOps", "identity_matrix", "map_ops", "matrix_inverse",
+        "stacked_inverse", "zero_matrix"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_keeps_no_dense_table_layer(module):
+    assert dense_table_names((PACKAGE / module).read_text()) == []
 
 
 def mentioned_names(nodes):

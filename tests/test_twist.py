@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from reference_constructions import (
     L_matrix,
+    matrix_inverse,
     normalize_upsilon,
     plain_m2,
     rebase_omega,
@@ -14,8 +15,7 @@ from reference_constructions import (
 
 from nqh import knorrer
 from nqh.errors import MuNotInvolution, NotTwistingSystem, SingularBasis
-from nqh.exactlin import (HALF, I, ONE, Scalar, TensorElement, ZERO, matrix_inverse,
-                          matrix_mul)
+from nqh.exactlin import HALF, I, ONE, Scalar, TensorElement, ZERO, matrix_mul
 from nqh.algebra import (
     GradedAlgebra,
     GradedLinMap,
