@@ -18,6 +18,7 @@ from .errors import BoundExceeded, NqhError, ParseError
 from .deform import (
     CaseKind,
     build_clifford,
+    central_lift_in_b,
     p12_classify,
     validate_double_ore,
 )
@@ -29,7 +30,9 @@ from .formats import (
     parse_twist_file,
     presentation_doc,
 )
+from .knorrer import run_minus_case, run_plus_case, singularity_report
 from .quadratic import DEGREE_BOUND, check_central, hilbert_profile, koszul_dual
+from .twist import verify_twisting_M2
 
 
 def _emit(args, lines, payload):
@@ -120,8 +123,6 @@ def cmd_double_ore(args):
     payload["case"] = kind.value
     failed = not report.ok
     if central is not None:
-        from .deform import central_lift_in_b
-
         ok = check_central(data.b, central_lift_in_b(data, central))
         lines.append(f"extended central element: {'central' if ok else 'NOT central'}")
         payload["extended_central"] = bool(ok)
@@ -131,8 +132,6 @@ def cmd_double_ore(args):
 
 
 def cmd_verify_twist(args):
-    from .twist import verify_twisting_M2
-
     doc = load_json(args.file)
     system, _ = parse_twist_file(doc)
     report = verify_twisting_M2(system)
@@ -143,8 +142,6 @@ def cmd_verify_twist(args):
 
 
 def cmd_knorrer(args):
-    from .knorrer import run_minus_case, run_plus_case, singularity_report
-
     # a report path that cannot be opened fails before any pipeline work,
     # without creating or truncating the file
     if args.report and os.path.isdir(args.report):

@@ -373,7 +373,7 @@ def invert_sigma(data):
 def validate_double_ore(data):
     """Pass/fail report for the trimmed double Ore conditions."""
     report = Report()
-    report.add("p12-nonzero", bool(data.p12), "p12 must be nonzero")
+    report.add("p12-nonzero", bool(data.p12), "" if data.p12 else "p12 must be nonzero")
     space = data.sigma.algebra
     degree_ok = space.dim == data.ngens and all(
         entry.source is space and entry.target is space

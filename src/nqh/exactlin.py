@@ -47,7 +47,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .errors import DegreeMismatch, DimensionMismatch
+from .errors import DegreeMismatch, DimensionMismatch, ParseError
 
 Rational = Fraction
 
@@ -272,8 +272,6 @@ class Scalar:
         Accepts bare symbols (``i``, ``-r2``, ``i*r2``) as coefficient 1
         shorthands and arbitrary whitespace around ``+``.
         """
-        from .errors import ParseError
-
         s = text.replace(" ", "")
         if not s:
             raise ParseError("empty scalar")

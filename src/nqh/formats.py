@@ -15,8 +15,9 @@ import json
 from .errors import ParseError
 from .exactlin import Scalar, TensorElement
 from .quadratic import QuadraticPresentation
-from .algebra import GradedLinMap, MatrixHom, Space
-from .deform import DoubleOreData
+from .algebra import GradedLinMap, MatrixHom, Space, radical
+from .deform import DoubleOreData, build_clifford
+from .twist import GradedBasisM2, TwistingSystemM2
 
 
 def _expect(obj, kind, what):
@@ -51,6 +52,8 @@ def parse_tensor(obj, names, degree=None):
         word = _parse_word(key, names)
         if degree is not None and len(word) != degree:
             raise ParseError(f"word {key!r} must have degree {degree}")
+        if word in terms:
+            raise ParseError(f"word {key!r} is written twice")
         terms[word] = parse_scalar(value)
     return TensorElement(terms)
 
@@ -120,9 +123,6 @@ def parse_twist_file(doc):
     The basis and both theta blocks are shape-checked before E is built;
     only the label lookups need E.
     """
-    from .deform import build_clifford
-    from .twist import GradedBasisM2, TwistingSystemM2
-
     if "algebra" not in _expect(doc, dict, "a twisting-system file"):
         raise ParseError("missing algebra block")
     presentation, central = parse_presentation(doc["algebra"])
@@ -223,8 +223,6 @@ def algebra_summary(clifford):
     """Deterministic summary lines and JSON payload for a deformation from
     ``build_clifford``, with its radical computed once for both.  It is
     strongly graded: ``build_clifford`` raises otherwise."""
-    from .algebra import radical
-
     algebra = clifford.algebra
     even = len(algebra.component_indices((0,)))
     odd = len(algebra.component_indices((1,)))

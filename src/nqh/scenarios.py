@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .exactlin import I, ONE, add_scaled
 from .algebra import (
+    GradedLinMap,
     RightModule,
     is_commutative,
     is_nilpotent_element,
@@ -24,6 +25,7 @@ from .algebra import (
     vec_scale,
     vec_sub,
     verify_decomposition,
+    verify_iso,
 )
 from .deform import build_clifford, normalize_p11, p12_classify, CaseKind
 from .errors import DegenerateP11
@@ -215,8 +217,6 @@ def run_ex_4_9_1():
                                 "published"))
     checks.append(ScenarioCheck("module-part-vanishes", result.M.dim == 0,
                                 str(result.M.dim), "published"))
-    from .algebra import GradedLinMap, verify_iso
-
     E = result.base.algebra
     cols = result.S.basis
     iso = GradedLinMap(result.Lambda, E, cols)
@@ -246,8 +246,6 @@ def run_ex_4_9_2():
                                 str(lam.degrees), "published"))
     checks.append(ScenarioCheck("degree-zero-dim", lam.dim == 4, str(lam.dim),
                                 "published"))
-    from .algebra import GradedLinMap, verify_iso
-
     E = result.base.algebra
     lam_first = result.Lambda_bigraded.regrade(
         [(d[0],) for d in result.Lambda_bigraded.degrees], 1)

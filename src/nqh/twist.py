@@ -29,6 +29,7 @@ from .errors import (
     SingularBasis,
 )
 from .exactlin import (
+    I as IMAG,
     ONE,
     ZERO,
     Scalar,
@@ -45,7 +46,6 @@ from .algebra import (
     t_inverse_table,
     vec_eq,
     vec_scale,
-    verify_algebra,
     verify_iso,
 )
 
@@ -144,8 +144,6 @@ class GradedBasisM2:
 
 def standard_basis_m2():
     """The diagonal/anti-diagonal basis used by the plus-case pipeline."""
-    from .exactlin import I as IMAG
-
     return GradedBasisM2({
         (0, 1): ((ONE, ZERO), (ZERO, ONE)),
         (0, 2): ((-IMAG, ZERO), (ZERO, IMAG)),
@@ -162,7 +160,8 @@ class TwistingSystemM2:
 
     ``verify_twisting_M2`` or ``verify_twisting_prod`` fills in the
     t-inverses, the twisted algebra with its certificate (``verify_algebra``'s
-    items), and (for M_2(E)) the exchange verdict.
+    items), and (for M_2(E)) the exchange verdict.  Both need ``algebra``
+    certified by ``verify_algebra`` (see :func:`_certify_exchange`).
     """
 
     algebra: GradedAlgebra
@@ -255,11 +254,11 @@ def _exchange_failure(system):
                         lhs = {}
                         rhs = {}
                         for s, u in product((1, 2), repeat=2):
-                            inner = E.mul(ti.entry(s, jp).apply({x: ONE}), {y: ONE})
+                            inner = E.mul(ti.entry(s, jp).cols[x], {y: ONE})
                             add_scaled(lhs, tii.entry(u, jpp).apply(inner),
                                        lval(ip, ipp, p, s, u))
-                            add_scaled(rhs, E.mul(tsum.entry(p, s).apply({x: ONE}),
-                                                  tii.entry(u, jpp).apply({y: ONE})),
+                            add_scaled(rhs, E.mul(tsum.entry(p, s).cols[x],
+                                                  tii.entry(u, jpp).cols[y]),
                                        lval(ip, ipp, s, jp, u))
                         if lhs != rhs:
                             return ip, ipp, jp, jpp, p, x, y
@@ -271,15 +270,16 @@ def _certify_exchange(system, build):
     certificate on the system, and return the first failure of the
     exchange identity (as :func:`_exchange_failure`) or None.
 
-    The certificate is ``verify_algebra``'s report item for item, but once
-    its premises hold, Light's test runs only on the first factors
-    I(0)_j e_b and the last factors I(i'')_j'' e_k, k in the support of
-    1_E: 2 dim E |S| 2|halves| triples for one unit term, instead of
-    (2|halves| dim E)^2 |S|.  The premises are the identities of l
-    (``basis_identities``; the proof uses l-associativity and l-left-unit)
-    and E's own certificate.  When a premise fails, the full Light's test
-    runs.  A failing test scans every triple, so the detail names the first
-    failing one either way.  Under the same premises a passing
+    Precondition: E is certified by ``verify_algebra``, as every E that
+    ``deform.build_clifford`` returns is.  The certificate is
+    ``verify_algebra``'s report item for item, but once the identities of l
+    hold (``basis_identities``; the proof uses l-associativity and
+    l-left-unit), Light's test runs only on the first factors I(0)_j e_b
+    and the last factors I(i'')_j'' e_k, k in the support of 1_E:
+    2 dim E |S| 2|halves| triples for one unit term, instead of
+    (2|halves| dim E)^2 |S|.  When they fail, the full Light's test runs.
+    A failing test scans every triple, so the detail names the first
+    failing one either way.  With the l identities, a passing
     associativity item decides the exchange identity.  Otherwise the loop
     runs, decides and names the failure, so verdict and detail are the
     loop's on every input.
@@ -310,7 +310,8 @@ def _certify_exchange(system, build):
     E, not its associativity.  On E x E only i = i' = i'' = 0 occur, I(0)_j
     reads eps_j and gamma is the coordinate vector of (1, 1); the proof is
     the same.  The l identities are checked, not assumed, since l is a
-    field of the basis.
+    field of the basis.  E's associativity is assumed: plain M_2(E) over a
+    non-associative E passes the restricted test, since (x y) 1 = x (y 1).
 
     The restricted test.  S = ``generating_set`` of the twisted algebra A
     is a set of basis indices, so each s in S is some I(i')_j' y with y a
@@ -325,16 +326,16 @@ def _certify_exchange(system, build):
     """
     E = system.algebra
     system.twisted = build(system)
-    premises = system.basis.basis_identities().ok and verify_algebra(E).ok
+    l_holds = system.basis.basis_identities().ok
     firsts = lasts = None
-    if premises:
+    if l_holds:
         layout = BlockLayout(E, system.basis)
         firsts = [layout.index(0, j, b) for j in (1, 2) for b in range(E.dim)]
         lasts = [layout.index(i, j, k) for i in layout.halves for j in (1, 2)
                  for k in E.unit]
     system.certificate = _algebra_report(system.twisted, firsts, lasts)
     passed = {item.name: item.passed for item in system.certificate.items}
-    if passed["associativity"] and premises:
+    if passed["associativity"] and l_holds:
         return None
     return _exchange_failure(system)
 
@@ -428,13 +429,15 @@ def verify_twisting_suite(system):
     report.add("gamma-phi-relation", ok3)
 
     ok4 = True
+    phi0_at_1 = {(r, j): phis[0].entry(r, j).apply(E.unit)
+                 for r, j in product((1, 2), repeat=2)}
     for x in range(E.dim):
         bx = E.basis_vec(x)
         for v in (1, 2):
             lhs = {}
             for r in (1, 2):
                 for j in (1, 2):
-                    inner = E.mul(bx, phis[0].entry(r, j).apply(E.unit))
+                    inner = E.mul(bx, phi0_at_1[(r, j)])
                     add_scaled(lhs, system.theta[0].entry(v, j).apply(inner),
                                basis.gamma[r - 1])
             rhs = vec_scale(bx, basis.gamma[v - 1])
@@ -472,47 +475,34 @@ def _twisted_algebra(system):
     theta^(i')_{sj'}(e_b) e_b' with l^(ii')_{tjs} = lval(i, i', t, j, s), and
     the unit is sum_{j,s} gamma_s I(0)_j phi0_{sj}(1) with phi0 the t-inverse
     of theta^(0).  On E x E only i = 0 occurs and I(0)_j reads eps_j.
+
+    Each product theta^(i')_{sj'}(e_b) e_b' is formed once, shifted to each
+    block I(i+i')_t and added with weight l^(ii')_{tjs} into the cell of
+    every left factor I(i)_j e_b: at most 4 |halves| dim E^2 products of E.
     """
     if system.t_inverses is None:
         raise NotTwistingSystem("verify the system before building")
     E, theta, basis = system.algebra, system.theta, system.basis
     layout = BlockLayout(E, basis)
-    lval = basis.lval
-    dim = E.dim
     table = [[{} for _ in range(layout.dim)] for _ in range(layout.dim)]
-    for i in layout.halves:
-        for j in (1, 2):
-            for ip in layout.halves:
-                isum = (i + ip) % 2
-                for jp in (1, 2):
-                    for b in range(dim):
-                        bx = E.basis_vec(b)
-                        pieces = {}
-                        for s in (1, 2):
-                            img = theta[ip].entry(s, jp).apply(bx)
-                            if img:
-                                pieces[s] = img
-                        for bp in range(dim):
-                            by = E.basis_vec(bp)
-                            acc = {}
-                            for s, img in pieces.items():
-                                prod = E.mul(img, by)
-                                if not prod:
-                                    continue
-                                for t in (1, 2):
-                                    coeff = lval(i, ip, t, j, s)
-                                    if not coeff:
-                                        continue
-                                    offset = layout.index(isum, t, 0)
-                                    for k, c in prod.items():
-                                        key = offset + k
-                                        val = acc.get(key)
-                                        val = c * coeff if val is None else val + c * coeff
-                                        if val:
-                                            acc[key] = val
-                                        else:
-                                            acc.pop(key, None)
-                            table[layout.index(i, j, b)][layout.index(ip, jp, bp)] = acc
+    for ip, jp, s in product(layout.halves, (1, 2), (1, 2)):
+        # (offset of I(i+i')_t, [(row of I(i)_j e_0, l^(ii')_{tjs})]), l nonzero
+        weights = []
+        for i, t in product(layout.halves, (1, 2)):
+            rows = [(layout.index(i, j, 0), basis.lval(i, ip, t, j, s)) for j in (1, 2)]
+            rows = [(row, coeff) for row, coeff in rows if coeff]
+            if rows:
+                weights.append((layout.index((i + ip) % 2, t, 0), rows))
+        for b, image in enumerate(theta[ip].entry(s, jp).cols):
+            if not image:
+                continue
+            for bp in range(E.dim):
+                prod = E.mul(image, {bp: ONE})
+                col = layout.index(ip, jp, bp)
+                for offset, rows in weights:
+                    shifted = {offset + k: c for k, c in prod.items()}
+                    for row, coeff in rows:
+                        add_scaled(table[row + b][col], shifted, coeff)
     unit = {}
     for j in (1, 2):
         part = {}
@@ -671,7 +661,7 @@ def _skew_group_data(E, mu):
     products mu(e_i) e_b serve as both the left action and psi, and the
     right action is read off E's table."""
     assert E.group_rank == 1
-    left = tuple(tuple(E.mul(mu.apply(E.basis_vec(i)), E.basis_vec(b))
+    left = tuple(tuple(E.mul(mu.cols[i], E.basis_vec(b))
                        for b in range(E.dim)) for i in range(E.dim))
     right = tuple(tuple(E.table[b][i] for b in range(E.dim)) for i in range(E.dim))
     shifted = tuple(((d[0] + 1) % 2,) for d in E.degrees)

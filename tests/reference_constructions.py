@@ -8,8 +8,9 @@ product and the trivial system on any graded basis, the normalization of
 the unit values and the transport to another graded basis.  Next to them
 are the checks that the program replaced by cheaper certificates and that
 the tests keep as references: the homomorphism identity of a map
-E -> M_2(E) on every basis pair, the module identity on every triple, and
-the normal form bounded by a rewriting system's confluence degree.  Last
+E -> M_2(E) on every basis pair, the module identity on every triple, the
+normal form bounded by a rewriting system's confluence degree, and the
+twisted table formed block by block.  Last
 is the dense matrix layer that sigma used before it became a table of
 sparse maps: matrix sums, identities, inverses, and the stacked inverse of
 a 2x2 table of blocks with its check, the references of the sparse
@@ -111,6 +112,61 @@ def plain_m2(E, basis):
         if gamma[j - 1]:
             for k, c in E.unit.items():
                 unit[layout.index(0, j, k)] = gamma[j - 1] * c
+    return layout.algebra_on(table, unit)
+
+
+def ref_twisted_algebra(system):
+    """``twist._twisted_algebra`` as it was while it formed the products
+    theta^(i')_{sj'}(e_b) e_b' again for each left block (i, j), summed by
+    a hand-written accumulator: the test reference of the twisted table."""
+    if system.t_inverses is None:
+        raise NotTwistingSystem("verify the system before building")
+    E, theta, basis = system.algebra, system.theta, system.basis
+    layout = BlockLayout(E, basis)
+    lval = basis.lval
+    dim = E.dim
+    table = [[{} for _ in range(layout.dim)] for _ in range(layout.dim)]
+    for i in layout.halves:
+        for j in (1, 2):
+            for ip in layout.halves:
+                isum = (i + ip) % 2
+                for jp in (1, 2):
+                    for b in range(dim):
+                        bx = E.basis_vec(b)
+                        pieces = {}
+                        for s in (1, 2):
+                            img = theta[ip].entry(s, jp).apply(bx)
+                            if img:
+                                pieces[s] = img
+                        for bp in range(dim):
+                            by = E.basis_vec(bp)
+                            acc = {}
+                            for s, img in pieces.items():
+                                prod = E.mul(img, by)
+                                if not prod:
+                                    continue
+                                for t in (1, 2):
+                                    coeff = lval(i, ip, t, j, s)
+                                    if not coeff:
+                                        continue
+                                    offset = layout.index(isum, t, 0)
+                                    for k, c in prod.items():
+                                        key = offset + k
+                                        val = acc.get(key)
+                                        val = c * coeff if val is None else val + c * coeff
+                                        if val:
+                                            acc[key] = val
+                                        else:
+                                            acc.pop(key, None)
+                            table[layout.index(i, j, b)][layout.index(ip, jp, bp)] = acc
+    unit = {}
+    for j in (1, 2):
+        part = {}
+        for s in (1, 2):
+            add_scaled(part, system.t_inverses[0].entry(s, j).apply(E.unit),
+                       basis.gamma[s - 1])
+        offset = layout.index(0, j, 0)
+        unit.update((offset + k, c) for k, c in part.items())
     return layout.algebra_on(table, unit)
 
 

@@ -16,7 +16,7 @@ from reference_constructions import (
 
 from perfbench.workloads import generate
 
-from nqh import algebra as algebra_module, deform, knorrer, twist
+from nqh import algebra as algebra_module, deform, knorrer, scenarios, twist
 from nqh.errors import DimensionMismatch, RelationViolated, ZeroScale
 from nqh.exactlin import (
     HALF,
@@ -480,7 +480,7 @@ def _capture_certified(patch, algebras, maps=None):
     and the plus case through Lambda.
     With ``maps``, record there the argument of each verify_iso and
     certify_by_iso call."""
-    _capture(patch, "verify_algebra", algebras, (deform, knorrer, twist))
+    _capture(patch, "verify_algebra", algebras, (deform, knorrer))
     for module, name in ((knorrer, "build_semitrivial"), (twist, "_twisted_algebra")):
         patch.setattr(module, name, recording_output(getattr(module, name), algebras))
     real = algebra_module.certify_by_iso
@@ -874,8 +874,8 @@ def registry_isos():
     maps = []
     with pytest.MonkeyPatch.context() as patch:
         _capture_certified(patch, [], maps)
-        # the scenarios import verify_iso from nqh.algebra when they run
-        _capture(patch, "verify_iso", maps, (algebra_module,))
+        # the scenarios check their base identifications by verify_iso
+        _capture(patch, "verify_iso", maps, (scenarios,))
         for scenario_id in PIPELINE_SCENARIOS:
             assert run_scenario(scenario_id).ok
     return maps

@@ -152,7 +152,7 @@ def test_malformed_twist_file_is_exit_2(capsys, monkeypatch, tmp_path,
     def no_build(*args):
         pytest.fail("the deformation was built before the file was validated")
 
-    monkeypatch.setattr("nqh.deform.build_clifford", no_build)
+    monkeypatch.setattr("nqh.formats.build_clifford", no_build)
     path = tmp_path / "twist.json"
     path.write_text(json.dumps(doc))
     assert main(["verify-twist", str(path)]) == 2
@@ -251,6 +251,29 @@ def test_double_ore_command(capsys, double_ore_file):
     assert "extended central element: central" in out
 
 
+@pytest.mark.parametrize("change, code, line", [
+    ({}, 0, "[pass] p12-nonzero"),
+    ({"p12": "0"}, 1, "[FAIL] p12-nonzero: p12 must be nonzero"),
+], ids=["valid", "p12-zero"])
+def test_double_ore_states_the_p12_detail_only_on_failure(capsys, tmp_path,
+                                                          change, code, line):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({**EX_4_10, **change}))
+    assert main(["double-ore", str(path)]) == code
+    assert capsys.readouterr().out.splitlines()[0] == line
+
+
+def test_a_word_written_twice_is_exit_2(capsys, tmp_path):
+    """"x1 x2" and "x1  x2" split to one word: keeping the last coefficient
+    would read x1x2 + x2x1 where the file says 2 x1x2 + x2x1."""
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps({
+        "generators": ["x1", "x2"],
+        "relations": [{"x1 x2": "1", "x1  x2": "1", "x2 x1": "1"}]}))
+    assert main(["koszul-dual", str(path)]) == 2
+    assert capsys.readouterr().err == "error: word 'x1  x2' is written twice\n"
+
+
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
 def test_double_ore_noncentral_extension_is_exit_1(capsys, tmp_path, json_flag):
     path = tmp_path / "noncentral.json"
@@ -276,10 +299,8 @@ def test_knorrer_command(capsys, double_ore_file, tmp_path):
 def test_knorrer_unwritable_report_is_exit_2(capsys, monkeypatch, double_ore_file,
                                              tmp_path, where):
     """A bad report path exits 2 before any pipeline work."""
-    from nqh import knorrer
-
     calls = []
-    monkeypatch.setattr(knorrer, "run_plus_case", lambda *args: calls.append(args))
+    monkeypatch.setattr("nqh.cli.run_plus_case", lambda *args: calls.append(args))
     path = tmp_path if where == "directory" else tmp_path / "missing" / "r.txt"
     assert main(["knorrer", double_ore_file, "--report", str(path)]) == 2
     captured = capsys.readouterr()

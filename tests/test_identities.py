@@ -28,6 +28,7 @@ from reference_constructions import (
     identity_matrix,
     is_stacked_inverse,
     matrix_add,
+    ref_twisted_algebra,
     stacked_inverse,
     trivial_system,
 )
@@ -299,6 +300,16 @@ def epsilon_basis():
     """The basis (1, 1), (1, -1) of k x k, as diag(1, 1) and diag(1, -1)."""
     return GradedBasisM2({(0, 1): ((ONE, ZERO), (ZERO, ONE)),
                           (0, 2): ((ONE, ZERO), (ZERO, MINUS_ONE))})
+
+
+def idempotent_basis():
+    """The epsilon basis with l and gamma set by hand to those of the
+    idempotent basis diag(1, 0), diag(0, 1), which GradedBasisM2 rejects
+    as singular: eps_j eps_j' = delta_jj' eps_j and 1 = eps_1 + eps_2."""
+    basis = epsilon_basis()
+    basis.l = {key: ONE if key[2] == key[3] == key[4] else ZERO for key in basis.l}
+    basis.gamma = (ONE, ONE)
+    return basis
 
 
 def ref_verify_twisting_prod(system):
@@ -628,7 +639,7 @@ def ref_validate_double_ore(data):
     ``is_stacked_inverse`` on V and on the degree-2 component."""
     sigma, base = dense_table(data.sigma), data.base
     report = Report()
-    report.add("p12-nonzero", bool(data.p12), "p12 must be nonzero")
+    report.add("p12-nonzero", bool(data.p12), "" if data.p12 else "p12 must be nonzero")
     shape = all(len(m) == data.ngens and all(len(row) == data.ngens for row in m)
                 for pair in sigma for m in pair)
     report.add("sigma-shape", shape)
@@ -782,7 +793,7 @@ def m2_tables(pipeline_inputs):
 def _table_mutants(tables, rng, count):
     out = []
     for _ in range(count):
-        k = rng.randrange(2)
+        k = rng.randrange(len(tables))
         mutant = list(tables)
         mutant[k] = _table_mutant(tables[k], rng)
         out.append(tuple(mutant))
@@ -807,6 +818,46 @@ def test_m2_exchange_certificate_matches_the_loop(m2_tables):
     assert associative[True] >= 10 and associative[False] >= 40
 
 
+def test_twisted_tables_match_the_per_block_loop(pipeline_inputs):
+    """_twisted_algebra, which forms each product theta^(i')_{sj'}(e_b) e_b'
+    once, gives the table and unit of the loop that formed them again for
+    each left block, entry for entry: on the registry, skew3 seeds 1-7 and
+    big:4, plus and minus, through the case's own construction, on
+    M_2(E) over the standard basis or on E x E over the epsilon basis and
+    the hand-set idempotent one, and on a one-coefficient mutant of each
+    theta."""
+    inputs = [(data, base, sd) for data, _, base, sd in pipeline_inputs]
+    docs = [json.loads(blob) for seed in range(4, 8)
+            for _, blob in sorted(generate("skew3", seed).items())]
+    docs += [skew_double_ore(random.Random("big:4"), 4, p12) for p12 in (1, -1)]
+    for doc in docs:
+        data, lift = parse_double_ore(doc)
+        base = build_clifford(data.base, lift)
+        inputs.append((data, base, dualize_hom(data, base)))
+    rng = random.Random("twisted-table-mutants")
+    compared = Counter()
+    for data, base, sd in inputs:
+        E = base.algebra
+        if data.p12 == ONE:
+            tables = _plus_theta(sd, E)
+            cases = [(tables, standard_basis_m2())]
+        else:
+            tables = (_minus_theta(sd, E),)
+            cases = [(tables, epsilon_basis()), (tables, idempotent_basis())]
+        cases += [(_table_mutants(theta, rng, 1)[0], basis) for theta, basis in cases]
+        for theta, basis in cases:
+            system = TwistingSystemM2(E, theta, basis)
+            system.t_inverses = tuple(map(t_inverse_table, theta))
+            if None in system.t_inverses:
+                continue
+            new, ref = twist._twisted_algebra(system), ref_twisted_algebra(system)
+            assert new.table == ref.table and new.unit == ref.unit
+            assert (new.labels, new.degrees) == (ref.labels, ref.degrees)
+            compared[len(basis.halves), theta is tables] += 1
+    assert compared[2, True] == 11 and compared[1, True] == 20
+    assert compared[2, False] >= 10 and compared[1, False] >= 18
+
+
 def _restricted_scan(system, first_pairs=(1, 2), last_halves=(0, 1)):
     """``twist._certify_exchange``'s restricted Light's test on the
     system's twisted algebra, or a weaker one with fewer first factors
@@ -822,13 +873,17 @@ def _restricted_scan(system, first_pairs=(1, 2), last_halves=(0, 1)):
 
 def test_each_part_of_the_restricted_certificate_is_needed(m2_tables):
     """Three twisted algebras that are not associative, each passing a
-    restricted test that drops one part, fail their certificate as
-    verify_algebra does.
+    restricted test that drops one part.
 
-    - E's certificate.  Bump one structure constant of a registry E so
-      that E fails only its associativity item.  The trivial system's
-      twisted table, plain M_2(E), passes every restricted triple, since
-      (x y) 1 = x (y 1) holds in E.
+    - E's certificate, the precondition of the restricted test.  Bump one
+      structure constant of a registry E so that E fails only its
+      associativity item.  The trivial system's twisted table, plain
+      M_2(E), passes every restricted triple, since (x y) 1 = x (y 1) holds
+      in E: its certificate passes, and only the full verify_algebra of the
+      table finds it not associative.
+
+    The other two fail their certificate as verify_algebra does.
+
     - The I(1) half of the last factors.  theta^(0) = id and
       theta^(1) = diag(f, f) with f linear, fixing 1 and not
       multiplicative: the exchange identity holds at i'' = 0 and fails at
@@ -859,13 +914,16 @@ def test_each_part_of_the_restricted_certificate_is_needed(m2_tables):
                             for b in range(E.dim)])
     h = GradedLinMap(E, E, [{b: Scalar(2)} if b == top else {} for b in range(E.dim)])
     ident, zero = GradedLinMap.identity(E), GradedLinMap.zero(E)
-    idempotent = epsilon_basis()
-    idempotent.l = {key: ONE if key[2] == key[3] == key[4] else ZERO
-                    for key in idempotent.l}
-    idempotent.gamma = (ONE, ONE)
+    idempotent = idempotent_basis()
     assert idempotent.basis_identities().ok
+    unchecked = trivial_system(bad, standard_basis_m2())
+    verify_twisting_M2(unchecked)
+    assert _restricted_scan(unchecked) is None
+    assert _items(unchecked.certificate)[2][:2] == ("associativity", True)
+    full = reference_verify_algebra(unchecked.twisted)
+    assert _items(verify_algebra(unchecked.twisted)) == full
+    assert full[2][:2] == ("associativity", False)
     witnesses = (
-        (trivial_system(bad, standard_basis_m2()), {}),
         (TwistingSystemM2(E, (MatrixHom([[ident, zero], [zero, ident]]),
                               MatrixHom([[f, zero], [zero, f]])),
                           standard_basis_m2()), {"last_halves": (0,)}),

@@ -14,6 +14,7 @@ from conftest import (
     table_entries,
 )
 from reference_constructions import normal_form, verify_hom_M2, verify_module
+from test_cli import _twist_doc
 
 from perfbench.workloads import encode, generate, skew_double_ore, write_inputs
 
@@ -656,21 +657,24 @@ def test_each_run_descends_sigma_and_its_inverse_once(monkeypatch, tmp_path,
 
 
 def test_each_run_builds_and_certifies_each_twisted_table_once(monkeypatch):
-    """One run builds its twisted table once and certifies it once, on at
-    most 2 dim E |S| 2|halves| triples with S = generating_set of the
-    twisted algebra: the first factors in the I(0) half, the last factors
+    """One run builds its twisted table once, from at most
+    4 |halves| dim E^2 products of E (the per-block loop formed up to
+    8 |halves|^2 dim E^2), and certifies it once, on at most
+    2 dim E |S| 2|halves| triples with S = generating_set of the twisted
+    algebra: the first factors in the I(0) half, the last factors
     I(i'')_j'' 1.  The exchange identity is read off that certificate, so
-    the basis-pair loop never runs on an accepted system.  Within twist,
-    verify_algebra sees only E, a premise of the restricted test.  No Zhang
-    table reaches verify_algebra, since certify_by_iso certifies it, and a
-    minus run checks its involution once."""
+    the basis-pair loop never runs on an accepted system.  E reaches
+    verify_algebra once, in deform: twist takes E's certificate as a
+    precondition and binds no verify_algebra.  No Zhang table reaches
+    verify_algebra, since certify_by_iso certifies it, and a minus run
+    checks its involution once."""
     counts = Counter()
     built = []
     reports = []
-    certified = []
     elsewhere = []
     isos = []
     scans = []
+    products = []
 
     def counting(name, real):
         def wrapper(*args):
@@ -687,12 +691,27 @@ def test_each_run_builds_and_certifies_each_twisted_table_once(monkeypatch):
             return real(arg, *rest)
         return wrapper
 
-    monkeypatch.setattr(twist, "_twisted_algebra",
-                        recording_output(twist._twisted_algebra, built))
+    real_mul = GradedAlgebra.mul
+    building = []
+
+    def counting_mul(algebra, u, v):
+        if building:
+            products.append(algebra)
+        return real_mul(algebra, u, v)
+
+    def build(system):
+        building.append(system)
+        try:
+            return real_build(system)
+        finally:
+            building.pop()
+
+    real_build = recording_output(twist._twisted_algebra, built)
+    monkeypatch.setattr(GradedAlgebra, "mul", counting_mul)
+    monkeypatch.setattr(twist, "_twisted_algebra", build)
     monkeypatch.setattr(twist, "_algebra_report",
                         recording(reports, twist._algebra_report))
-    monkeypatch.setattr(twist, "verify_algebra",
-                        recording(certified, twist.verify_algebra))
+    assert not hasattr(twist, "verify_algebra")
     for module in (deform, knorrer):
         monkeypatch.setattr(module, "verify_algebra",
                             recording(elsewhere, module.verify_algebra))
@@ -710,7 +729,7 @@ def test_each_run_builds_and_certifies_each_twisted_table_once(monkeypatch):
     for name, blob in sorted(generate("skew3", 7).items()):
         data, central = parse_double_ore(json.loads(blob))
         plus = name == "plus.json"
-        for sink in (counts, built, reports, certified, elsewhere, isos, scans):
+        for sink in (counts, built, reports, elsewhere, isos, scans, products):
             sink.clear()
         result = (run_plus_case if plus else run_minus_case)(data, central)
         assert result.checks.ok
@@ -720,14 +739,53 @@ def test_each_run_builds_and_certifies_each_twisted_table_once(monkeypatch):
         assert len(built) == 1 and built[0] is twisted, name
         assert len(reports) == 1 and reports[0] is twisted, name
         E = result.base.algebra
-        assert len(certified) == 1 and certified[0] is E, name
-        triples = [n for table, n in scans if table is twisted.table]
+        assert [a for a in elsewhere if a is E] == [E], name
         halves = 2 if plus else 1
+        assert products and all(a is E for a in products), name
+        assert len(products) <= 4 * halves * E.dim ** 2, name
+        triples = [n for table, n in scans if table is twisted.table]
         assert len(triples) == 1, name
         assert triples[0] <= 2 * E.dim * len(generating_set(twisted)) * 2 * halves, name
         assert plus or not [a for a in elsewhere if a is result.zhang], name
         if not plus:
             assert [m for m in isos if m is result.mu] == [result.mu]
+
+
+def test_every_twisted_certificate_rests_on_a_certified_algebra(
+        monkeypatch, tmp_path, capsys, clifford_km1):
+    """_certify_exchange takes E's certificate as a precondition.  On each
+    command that reaches it, every E it sees has already passed
+    deform.verify_algebra in the same run: reproduce all, knorrer on skew3
+    seed 7 in both cases, and verify-twist on the identity twist file."""
+    passed = []
+    reached = []
+    real_verify = deform.verify_algebra
+    real_certify = twist._certify_exchange
+
+    def verifying(algebra, *rest):
+        report = real_verify(algebra, *rest)
+        if report.ok:
+            passed.append(algebra)
+        return report
+
+    def certifying(system, build):
+        reached.append(any(a is system.algebra for a in passed))
+        return real_certify(system, build)
+
+    monkeypatch.setattr(deform, "verify_algebra", verifying)
+    monkeypatch.setattr(twist, "_certify_exchange", certifying)
+    write_inputs(generate("skew3", 7), tmp_path)
+    twist_file = tmp_path / "twist.json"
+    twist_file.write_text(json.dumps(_twist_doc(clifford_km1.algebra.labels)))
+    for argv in (["reproduce", "all"],
+                 ["knorrer", str(tmp_path / "plus.json")],
+                 ["knorrer", str(tmp_path / "minus.json")],
+                 ["verify-twist", str(twist_file)]):
+        passed.clear()
+        reached.clear()
+        assert main(argv) == 0, argv
+        assert reached and all(reached), (argv, reached)
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------
@@ -743,8 +801,9 @@ def test_the_big_deformation_is_certified_without_a_table(monkeypatch):
     verify_hom_M2 never runs.  Nor does either semi-trivial extension reach
     verify_algebra: in the minus case Gamma's certificate and the checks of
     mu certify it, in the plus case certify_by_iso of the corner map.
-    Each run certifies E exactly twice, in deform and as a premise of the
-    twisted certificate, and its twisted algebra exactly once."""
+    Each run certifies E exactly once, in deform, which the twisted
+    certificate takes as its precondition, and its twisted algebra exactly
+    once."""
     extracted = []
     certified = []
     transported = []
@@ -764,7 +823,7 @@ def test_the_big_deformation_is_certified_without_a_table(monkeypatch):
 
     monkeypatch.setattr(deform, "extract_algebra",
                         recording(extracted, deform.extract_algebra))
-    for module in (deform, knorrer, twist):
+    for module in (deform, knorrer):
         monkeypatch.setattr(module, "verify_algebra",
                             recording(certified, module.verify_algebra))
     # twist certifies the twisted algebra it builds without verify_algebra
@@ -790,8 +849,8 @@ def test_the_big_deformation_is_certified_without_a_table(monkeypatch):
         assert mixing.algebra is None and len(mixing.words) == 4, name
         assert extracted == [result.base.system], name
         twisted = result.twisted_bigraded if plus else result.Gamma
-        # E once in deform, once as a premise of the twisted certificate
-        assert sorted(map(id, certified)) == sorted(map(id, [E, E, twisted])), name
+        # E once in deform, the twisted algebra once by its own certificate
+        assert sorted(map(id, certified)) == sorted(map(id, [E, twisted])), name
         extension = ((result.Lambda_bigraded, result.Lambda) if plus
                      else (result.semitrivial_bigraded, result.semitrivial))
         assert not [a for a in certified if a in extension], name
