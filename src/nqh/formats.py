@@ -156,7 +156,9 @@ def parse_twist_file(doc):
             for mapping in block_row:
                 cols = [dict() for _ in range(E.dim)]
                 for src, image in mapping.items():
-                    cols[index(src)] = {index(dst): c for dst, c in image.items()}
+                    col = {index(dst): c for dst, c in image.items()}
+                    # no zero stored: map equality needs it
+                    cols[index(src)] = {k: c for k, c in col.items() if c}
                 row.append(GradedLinMap(E, E, cols))
             entries.append(row)
         tables.append(MatrixHom(entries))

@@ -9,8 +9,9 @@ the unit values and the transport to another graded basis.  Next to them
 are the checks that the program replaced by cheaper certificates and that
 the tests keep as references: the homomorphism identity of a map
 E -> M_2(E) on every basis pair, the module identity on every triple, the
-normal form bounded by a rewriting system's confluence degree, and the
-twisted table formed block by block.  Last
+normal form bounded by a rewriting system's confluence degree, the
+twisted table formed block by block, and the degree-0 radical by the trace
+form on the degree-0 part.  Last
 is the dense matrix layer that sigma used before it became a table of
 sparse maps: matrix sums, identities, inverses, and the stacked inverse of
 a 2x2 table of blocks with its check, the references of the sparse
@@ -20,9 +21,17 @@ Methods of ``nqh`` classes are functions of their object here:
 ``verify_module(module)``, ``L_matrix(basis, i, ip, j)``.
 """
 
-from nqh.algebra import GradedLinMap, MatrixHom, _scalar_multiple, vec_eq, verify_iso
+from nqh.algebra import (
+    GradedLinMap,
+    MatrixHom,
+    _scalar_multiple,
+    radical,
+    restrict,
+    vec_eq,
+    verify_iso,
+)
 from nqh.errors import NotTwistingSystem, NqhError, SingularBasis
-from nqh.exactlin import ONE, ZERO, add_scaled, matrix_mul, rref_rows
+from nqh.exactlin import ONE, ZERO, Subspace, add_scaled, matrix_mul, rref_rows
 from nqh.twist import BlockLayout, TwistingSystemM2, verify_twisting_M2
 
 
@@ -168,6 +177,15 @@ def ref_twisted_algebra(system):
         offset = layout.index(0, j, 0)
         unit.update((offset + k, c) for k, c in part.items())
     return layout.algebra_on(table, unit)
+
+
+def ref_degree0_radical_dim(algebra):
+    """dim J(A_0) as ``singularity_report`` computed it before reading it
+    off J(A): the trace form on the restriction of the Z2-graded
+    ``algebra`` to its degree-0 basis vectors."""
+    zero = Subspace.from_rows(
+        [{i: ONE} for i in algebra.component_indices((0,))], algebra.dim)
+    return radical(restrict(algebra, zero, algebra.unit)).dim
 
 
 def trivial_system(E, basis):

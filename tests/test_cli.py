@@ -185,7 +185,7 @@ def test_knorrer_json_on_a_four_generator_base(capsys, tmp_path, case, p12):
 @pytest.mark.parametrize("p12", [1, -1])
 def test_knorrer_past_the_dimension_budget_is_exit_2(capsys, monkeypatch,
                                                      tmp_path, p12):
-    """An 8-generator base needs a big deformation of dim 4 * 2^8 = 1024.
+    """A 9-generator base needs a big deformation of dim 4 * 2^9 = 2048.
     The scan of B's dual stops the run before the base deformation or any
     structure table is built."""
     from nqh import deform, knorrer
@@ -195,14 +195,14 @@ def test_knorrer_past_the_dimension_budget_is_exit_2(capsys, monkeypatch,
                         lambda *args: ran.append("build_clifford"))
     monkeypatch.setattr(deform, "extract_algebra",
                         lambda *args: ran.append("extract_algebra"))
-    path = tmp_path / "big8.json"
-    path.write_bytes(encode(skew_double_ore(random.Random("big:8"), 8, p12)))
+    path = tmp_path / "big9.json"
+    path.write_bytes(encode(skew_double_ore(random.Random("big:9"), 9, p12)))
     assert main(["--json", "knorrer", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: the dual's graded dimensions sum to 638 by degree 5,"
-        " past the dimension budget 512\n")
+        "error: the dual's graded dimensions sum to 1486 by degree 6,"
+        " past the dimension budget 1024\n")
     assert ran == []
 
 
@@ -230,9 +230,9 @@ def test_clifford_requires_central(capsys, tmp_path):
 
 
 def test_clifford_on_a_free_dual_is_exit_2(capsys, tmp_path):
-    """Every word of length 2 is a relation, so the dual is free on five
-    letters; its dims 1, 5, 25, ... pass the budget at degree 4."""
-    names = [f"x{k + 1}" for k in range(5)]
+    """Every word of length 2 is a relation, so the dual is free on six
+    letters; its dims 1, 6, 36, ... pass the budget at degree 4."""
+    names = [f"x{k + 1}" for k in range(6)]
     doc = {"generators": names,
            "relations": [{f"{a} {b}": "1"} for a in names for b in names],
            "central": {"x1 x1": "1"}}
@@ -240,8 +240,8 @@ def test_clifford_on_a_free_dual_is_exit_2(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     assert main(["clifford", str(path)]) == 2
     assert capsys.readouterr().err == (
-        "error: the dual's graded dimensions sum to 781 by degree 4,"
-        " past the dimension budget 512\n")
+        "error: the dual's graded dimensions sum to 1555 by degree 4,"
+        " past the dimension budget 1024\n")
 
 
 def test_double_ore_command(capsys, double_ore_file):

@@ -115,12 +115,12 @@ def test_top_degree_raises_past_its_bound(km1, monkeypatch):
         deform.dual_dims(koszul_dual(km1))
 
 
-def test_nine_letter_skew_dual_fills_the_budget():
-    """B's dual over a 7-generator base has 9 letters: the scan reaches the
-    top degree 9 with total 512, the budget itself."""
-    dims = deform.dual_dims(koszul_dual(_anticommuting(9)))
-    assert dims == [math.comb(9, n) for n in range(10)]
-    assert sum(dims) == deform.DIM_BUDGET == 512
+def test_ten_letter_skew_dual_fills_the_budget():
+    """B's dual over an 8-generator base has 10 letters: the scan reaches
+    the top degree 10 with total 1024, the budget itself."""
+    dims = deform.dual_dims(koszul_dual(_anticommuting(10)))
+    assert dims == [math.comb(10, n) for n in range(11)]
+    assert sum(dims) == deform.DIM_BUDGET == 1024
 
 
 def test_build_clifford_rejects_noncentral(km1):

@@ -1,5 +1,7 @@
 import pytest
 
+from test_cli import _twist_doc
+
 from nqh.errors import ParseError
 from nqh.exactlin import ONE, Scalar
 from nqh.formats import (
@@ -7,6 +9,7 @@ from nqh.formats import (
     parse_presentation,
     parse_scalar,
     parse_tensor,
+    parse_twist_file,
     presentation_doc,
 )
 from nqh.scenarios import EX_4_10, EX_5_9, KM1_PRESENTATION, PROP_5_10
@@ -68,3 +71,20 @@ def test_parse_double_ore_errors():
     broken["sigma"] = {**EX_4_10["sigma"], "11": {"zz": {"x1": "1"}}}
     with pytest.raises(ParseError):
         parse_double_ore(broken)
+
+
+def test_parse_twist_file_stores_no_zero_coefficient(clifford_km1):
+    """An explicit "0" in a theta image is dropped, as parse_double_ore
+    drops one in sigma: the file parses to the columns of the same file
+    without it.  Map equality compares stored coefficients, so it needs no
+    zero stored."""
+    labels = clifford_km1.algebra.labels
+    plain = _twist_doc(labels)
+    zeros = _twist_doc(labels)
+    zeros["theta1"][0][0][labels[0]][labels[1]] = "0"
+    zeros["theta0"][0][1] = {labels[2]: {labels[3]: "0"}}
+    tables = [parse_twist_file(doc)[0].theta for doc in (plain, zeros)]
+    for table, other in zip(*tables):
+        for row, other_row in zip(table.entries, other.entries):
+            for entry, other_entry in zip(row, other_row):
+                assert entry.cols == other_entry.cols

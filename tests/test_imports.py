@@ -1,8 +1,9 @@
 """No module of the package imports a name it never uses or keeps a
 process-wide cache, only ``exactlin`` reduces a vector against a subspace's
-basis, no module keeps a dense matrix table layer, every definition is
-reached from the command line, and every name the bench tracer patches
-resolves to a function of its own.
+basis, no module keeps a dense matrix table layer, ``knorrer`` scans no
+product for strong grading, every definition is reached from the command
+line, and every name the bench tracer patches resolves to a function of its
+own.
 
 The first check reads each module's syntax tree: every name bound by an
 ``import`` or ``from ... import`` must appear as a name somewhere in the
@@ -143,6 +144,39 @@ def test_the_check_finds_a_dense_table_name():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_module_keeps_no_dense_table_layer(module):
     assert dense_table_names((PACKAGE / module).read_text()) == []
+
+
+def scanned_strong_grading(source):
+    """The line numbers at which ``source`` names ``strongly_graded_check``:
+    as a name, an attribute, an import or an import alias.  The pipelines
+    read strong grading off y2^2 = 1 at the oracle step and off t t = 1 in
+    the minus case (proofs in ``knorrer``), so they scan no products."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [n for a in node.names for n in (a.name, a.asname) if n]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        else:
+            continue
+        if any(n.rpartition(".")[2] == "strongly_graded_check" for n in names):
+            found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_the_check_finds_a_strong_grading_scan():
+    source = ("from .algebra import strongly_graded_check as scan\n"
+              "import nqh.algebra\n"
+              "ok = nqh.algebra.strongly_graded_check(A)\n"
+              "same = strongly_graded_check\n"
+              "fine = strongly_graded(A)\n")
+    assert scanned_strong_grading(source) == [1, 3, 4]
+
+
+def test_knorrer_scans_no_strong_grading():
+    assert scanned_strong_grading((PACKAGE / "knorrer.py").read_text()) == []
 
 
 def mentioned_names(nodes):

@@ -4,6 +4,7 @@ import json
 import random
 import re
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,7 +14,12 @@ from conftest import (
     ref_extract_algebra,
     table_entries,
 )
-from reference_constructions import normal_form, verify_hom_M2, verify_module
+from reference_constructions import (
+    normal_form,
+    ref_degree0_radical_dim,
+    verify_hom_M2,
+    verify_module,
+)
 from test_cli import _twist_doc
 
 from perfbench.workloads import encode, generate, skew_double_ore, write_inputs
@@ -48,7 +54,7 @@ from nqh.algebra import (
     verify_iso,
     xi_automorphism,
 )
-from nqh.deform import DoubleOreData
+from nqh.deform import CaseKind, DoubleOreData, p12_classify
 from nqh.knorrer import (
     prop51_scenario,
     run_minus_case,
@@ -56,7 +62,14 @@ from nqh.knorrer import (
     singularity_report,
 )
 from nqh.rewrite import RewriteSystem, extract_algebra
-from nqh.scenarios import EX_5_9, PROP_5_10, run_scenario
+from nqh.scenarios import (
+    EX_4_9_1,
+    EX_4_9_2,
+    EX_4_10,
+    EX_5_9,
+    PROP_5_10,
+    run_scenario,
+)
 from nqh.twist import BlockLayout, SemiTrivialData, build_semitrivial
 
 MINUS_ONE = Scalar(-1)
@@ -460,9 +473,11 @@ def test_scenarios_read_radicals_off_the_singularity_report(monkeypatch):
     """ex-4.10 reads the corner extension's radical, and ex-5.9 and
     prop-5.10 the Zhang twist's, off the singularity report, which computes
     them: the Zhang twist is certified isomorphic to the degree-0 part, whose
-    radical the report computes.  The trace-form radicals each scenario
-    computes, counted where every module binds ``radical``; prop-5.1
-    computes its witness's once, in ``prop51_scenario``, which returns it."""
+    radical the report reads off the big radical.  The trace-form radicals
+    each scenario computes, counted where every module binds ``radical``:
+    two per plus run (the big algebra and the corner extension) and one per
+    minus run (the big algebra); prop-5.1 computes its witness's once, in
+    ``prop51_scenario``, which returns it."""
     calls = Counter()
     real = algebra_module.radical
 
@@ -474,8 +489,8 @@ def test_scenarios_read_radicals_off_the_singularity_report(monkeypatch):
         monkeypatch.setattr(module, "radical", counting)
     for scenario_id in scenarios.REGISTRY:
         assert run_scenario(scenario_id).ok, scenario_id
-    assert calls == {"ex-4.9-1": 3, "ex-4.9-2": 3, "ex-4.10": 4, "ex-5.9": 2,
-                     "prop-5.1": 1, "prop-5.10": 2}, calls
+    assert calls == {"ex-4.9-1": 2, "ex-4.9-2": 2, "ex-4.10": 3, "ex-5.9": 1,
+                     "prop-5.1": 1, "prop-5.10": 1}, calls
 
 
 def test_minus_class_r_products_and_radical(minus_class_r):
@@ -636,10 +651,12 @@ def test_each_run_builds_each_dual_and_deformation_once(monkeypatch):
                               "build_clifford": 1}, name
 
 
-def test_each_run_descends_sigma_and_its_inverse_once(monkeypatch, tmp_path,
-                                                      capsys):
-    """One knorrer run maps sigma and phi to the degree-2 component once
-    each: sigma's table is cached on the data and read by every check."""
+def test_each_run_descends_sigma_once_and_never_its_inverse(monkeypatch,
+                                                            tmp_path, capsys):
+    """One knorrer run maps sigma to the degree-2 component once: its table
+    is cached on the data and read by every check.  phi is never mapped
+    there, since sigma-preserves-relations implies its degree-2 checks
+    (proof in ``deform.invert_sigma``)."""
     calls = []
     real = deform._on_degree2
 
@@ -652,7 +669,7 @@ def test_each_run_descends_sigma_and_its_inverse_once(monkeypatch, tmp_path,
     for case in ("plus", "minus"):
         calls.clear()
         assert main(["--json", "knorrer", str(tmp_path / f"{case}.json")]) == 0
-        assert len(calls) == 2, case
+        assert len(calls) == 1, case
     capsys.readouterr()
 
 
@@ -905,14 +922,14 @@ def ref_build_Bshriek_clifford(data, lift, base):
     return oracle
 
 
-def ref_oracle_step(checks, data, lift, base, target, graded, y_images, layout,
-                    what):
+def ref_oracle_step(checks, data, lift, base, target, y_images, layout, what):
     """The oracle step while the big deformation had a table: the table is
-    extracted from the completed system and checked strongly graded, in
-    place of the target's ``graded`` verdict, and certify_by_iso checks the
-    map on every basis pair; when that fails, verify_algebra names an
-    invalid table first.  Its build computes the products of both blocks
-    (``ref_build_Bshriek_clifford``)."""
+    extracted from the completed system and checked strongly graded, and
+    certify_by_iso checks the map on every basis pair; when that fails,
+    verify_algebra names an invalid table first.  Its build computes the
+    products of both blocks (``ref_build_Bshriek_clifford``).  An accepted
+    map then meets the scan of the target's odd-by-odd products that the
+    pipelines ran before strong grading was read off y2^2 = 1."""
     oracle = ref_build_Bshriek_clifford(data, lift, base)
     algebra = extract_algebra(oracle.system, oracle.words)
     if not strongly_graded_check(algebra):
@@ -930,6 +947,8 @@ def ref_oracle_step(checks, data, lift, base, target, graded, y_images, layout,
         if not report.ok:
             raise DimensionMismatch(
                 f"oracle output invalid: {report.first_failure()}")
+    if iso_ok and not strongly_graded_check(target):
+        raise DimensionMismatch("deformation is not strongly Z2-graded")
     checks.add("oracle-isomorphism", iso_ok)
     if not iso_ok:
         raise knorrer.IsoFailed(f"the deformation does not match the {what}")
@@ -1437,11 +1456,18 @@ def _certifying_build(patch, certified):
     patch.setattr(knorrer, "build_semitrivial", build)
 
 
-def _minus_outcome(data, lift):
-    """The exception a minus run raises, with its message, or the first
-    failed check of a run that returns, or None."""
+def _run(data, lift):
+    """The pipeline of the case of ``data``, run on it."""
+    run = run_plus_case if p12_classify(data) == CaseKind.PLUS else run_minus_case
+    return run(data, lift)
+
+
+def _outcome(data, lift):
+    """The exception a run raises, with its message, or the first failed
+    check of a run that returns, or None.  Equal outcomes exit ``nqh
+    knorrer`` with the same code."""
     try:
-        result = run_minus_case(data, lift)
+        result = _run(data, lift)
     except NqhError as exc:
         return f"{type(exc).__name__}: {exc}"
     failure = result.checks.first_failure()
@@ -1467,7 +1493,7 @@ def test_minus_extension_mutants_fail_as_under_its_own_certificate(
                         _mutate_minus(patch, kind, f"minus-mutant:{name}:{kind}:{n}")
                         if reference:
                             _certifying_build(patch, certified)
-                        outcomes.append(_minus_outcome(data, lift))
+                        outcomes.append(_outcome(data, lift))
                 assert outcomes[0] == outcomes[1], (name, kind, n, outcomes)
                 stages[kind, outcomes[0].partition(":")[0]] += 1
     # each mutant is rejected: the bumped coefficients by the checks on
@@ -1558,3 +1584,140 @@ def test_lemma46_suite_mutants_get_the_verdicts_of_both_forms():
                 failed.update(name for name, passed in items if not passed)
     assert len(found) == 7
     assert failed["xi1-product-rule"] and failed["xi2-product-rule"], failed
+
+
+# ---------------------------------------------------------------------------
+# strong grading and the degree-0 radical, read off certified data
+
+
+@pytest.fixture(scope="module")
+def knorrer_inputs():
+    """(name, data, lift) of the five registry pipelines, of the skew3
+    inputs of seeds 1 to 4 and of the 4-generator inputs drawn from
+    random.Random("big:4"), plus and minus."""
+    docs = [("ex-4.10", EX_4_10), ("ex-4.9-1", EX_4_9_1),
+            ("ex-4.9-2", EX_4_9_2), ("ex-5.9", EX_5_9), ("prop-5.10", PROP_5_10)]
+    for seed in range(1, 5):
+        docs += [(f"skew3:{seed}:{name}", json.loads(blob))
+                 for name, blob in sorted(generate("skew3", seed).items())]
+    docs += [(f"big:4:{p12}", json.loads(encode(
+        skew_double_ore(random.Random("big:4"), 4, p12)))) for p12 in (1, -1)]
+    return [(name, *parse_double_ore(doc)) for name, doc in docs]
+
+
+def test_the_degree0_radical_is_read_off_the_big_radical(knorrer_inputs):
+    """On every input, the degree-0 radical that singularity_report counts
+    in the big radical's reduced basis is the one the trace form gives on
+    the degree-0 part.  prop-5.10's radicals are 8 and 4."""
+    dims = {}
+    for name, data, lift in knorrer_inputs:
+        result = _run(data, lift)
+        report = singularity_report(result)
+        big = result.twisted if result.case == "plus" else result.semitrivial
+        assert report.degree0_radical_dim == ref_degree0_radical_dim(big), name
+        dims[name] = (report.big_radical_dim, report.degree0_radical_dim)
+    assert len(dims) == 15
+    assert {name: d for name, d in dims.items() if d != (0, 0)} == {
+        "prop-5.10": (8, 4)}
+
+
+def _truncated_times_triangular():
+    """K[x]/(x^3), x odd, times the upper triangular 2x2 matrices with e12
+    odd: its radical is spanned by x, x^2 and e12, so it has parts in both
+    degrees, and J(A_0) is spanned by x^2."""
+    labels = ("1", "x", "x2", "e11", "e12", "e22")
+    degrees = [(0,), (1,), (0,), (0,), (1,), (0,)]
+    table = [[{} for _ in labels] for _ in labels]
+    for i in range(3):
+        for j in range(3 - i):
+            table[i][j] = {i + j: ONE}
+    for (a, b), c in {(3, 3): 3, (3, 4): 4, (4, 5): 4, (5, 5): 5}.items():
+        table[a][b] = {c: ONE}
+    return GradedAlgebra(labels, table, {0: ONE, 3: ONE, 5: ONE}, degrees)
+
+
+def test_the_degree0_radical_is_read_off_both_degrees_of_a_radical():
+    """On a hand-built algebra whose radical has odd and even parts, read as
+    the big algebra of either case, the report counts the even rows of the
+    big radical: 1 of 3, as the trace form on the degree-0 part gives."""
+    algebra = _truncated_times_triangular()
+    assert verify_algebra(algebra).ok
+    J = radical(algebra)
+    assert sorted(algebra.element_degree(row) for row in J.basis) == [
+        (0,), (1,), (1,)]
+    assert ref_degree0_radical_dim(algebra) == 1
+    for result in (SimpleNamespace(case="plus", twisted=algebra, Lambda=algebra),
+                   SimpleNamespace(case="minus", semitrivial=algebra, zhang=algebra)):
+        report = singularity_report(result)
+        assert (report.big_radical_dim, report.degree0_radical_dim) == (3, 1)
+        assert "degree-0 part dim: 4, radical dim: 1" in report.lines
+
+
+def _with_the_scans(patch):
+    """Run strongly_graded_check on the target of every accepted oracle
+    step, raising as the step did when it was passed that scan's verdict:
+    the pipelines as they were before strong grading was read off
+    y2^2 = 1 and, in the minus case, off t t = 1."""
+    real = knorrer._oracle_step
+
+    def step(checks, data, lift, base, target, *rest):
+        oracle = real(checks, data, lift, base, target, *rest)
+        if not strongly_graded_check(target):
+            raise DimensionMismatch("deformation is not strongly Z2-graded")
+        return oracle
+
+    patch.setattr(knorrer, "_oracle_step", step)
+
+
+def _odd_product_mutant(patch, seed):
+    """Patch the twisted table's build, before its certificate, to bump by
+    1 one coefficient of a product of two odd basis vectors."""
+    real = twist._twisted_algebra
+
+    def build(system):
+        algebra = real(system)
+        rng = random.Random(seed)
+        odd = [i for i, d in enumerate(algebra.degrees) if sum(d) % 2]
+        i, j = rng.choice(odd), rng.choice(odd)
+        table = [list(row) for row in algebra.table]
+        table[i][j] = _bump(table[i][j], rng.randrange(algebra.dim))
+        return GradedAlgebra(algebra.labels, table, algebra.unit,
+                             algebra.degrees, algebra.group_rank)
+
+    patch.setattr(twist, "_twisted_algebra", build)
+
+
+def test_strong_grading_mutants_fail_as_under_the_product_scans(knorrer_inputs):
+    """Bump an odd-by-odd product of the twisted table before it is
+    certified, on every input, or corrupt mu or replace it by another
+    involution on every minus input.  The pipelines, which read strong
+    grading off y2^2 = 1 and t t = 1, and the reference, which also scans
+    the odd-by-odd products of the target, reject the same mutants at the
+    same stage with the same message, so with the same exit code."""
+    stages = Counter()
+    for name, data, lift in knorrer_inputs:
+        kinds = ["target"]
+        if p12_classify(data) == CaseKind.MINUS:
+            kinds += ["mu", "involution"]
+        for kind in kinds:
+            for n in range(1 if name.startswith("big") else 3):
+                seed = f"graded-mutant:{name}:{kind}:{n}"
+                outcomes = []
+                for reference in (False, True):
+                    with pytest.MonkeyPatch.context() as patch:
+                        if kind == "target":
+                            _odd_product_mutant(patch, seed)
+                        else:
+                            _mutate_minus(patch, kind, seed)
+                        if reference:
+                            _with_the_scans(patch)
+                        outcomes.append(_outcome(data, lift))
+                assert outcomes[0] == outcomes[1], (name, kind, n, outcomes)
+                stages[kind, (outcomes[0] or "accepted").partition(":")[0]] += 1
+    # the twisted certificate rejects 38 table bumps; it certifies the
+    # table's formula, so 3 bumps of cells that no later check reads pass
+    # both routes.  Corrupted mu fails semitrivial_mu, and the other
+    # involutions keep t t = 1 but break a relation at the oracle step.
+    assert stages == {("target", "PipelineError"): 38, ("target", "accepted"): 3,
+                      ("mu", "PipelineError"): 19,
+                      ("involution", "RelationViolated"): 19}, stages
