@@ -432,9 +432,6 @@ class GradedLinMap:
             elim.add(col)
         return elim.rank
 
-    def is_invertible(self):
-        return self.source.dim == self.target.dim and self.rank() == self.source.dim
-
     def __repr__(self):
         return f"GradedLinMap({self.source.dim} -> {self.target.dim})"
 
@@ -571,27 +568,20 @@ def extend_on_generators(relations, target, images):
     return image
 
 
-def _iso_on_pairs(linmap, middles):
-    """Whether ``linmap`` is a bijection that preserves the unit and every
-    degree and satisfies f(e_i e_s) = f(e_i) f(e_s) for every basis index i
-    and every s in ``middles``."""
+def _preserves_degrees(linmap):
+    """Whether ``linmap`` sends each basis vector into the target component
+    of its degree."""
     source, target = linmap.source, linmap.target
-    if source.dim != target.dim or not linmap.is_invertible():
-        return False
-    if not vec_eq(linmap.apply(source.unit), target.unit):
-        return False
-    for i in range(source.dim):
-        for k in linmap.cols[i]:
-            if target.degrees[k] != source.degrees[i]:
-                return False
-    for i in range(source.dim):
-        fi = linmap.cols[i]
-        for s in middles:
-            lhs = linmap.apply(source.table[i][s])
-            rhs = target.mul(fi, linmap.cols[s])
-            if not vec_eq(lhs, rhs):
-                return False
-    return True
+    return all(target.degrees[k] == source.degrees[i]
+               for i, col in enumerate(linmap.cols) for k in col)
+
+
+def _multiplicative_on(linmap, middles):
+    """Whether f(e_i e_s) = f(e_i) f(e_s) for every basis index i and every
+    s in ``middles``."""
+    source, target, cols = linmap.source, linmap.target, linmap.cols
+    return all(vec_eq(linmap.apply(source.table[i][s]), target.mul(fi, cols[s]))
+               for i, fi in enumerate(cols) for s in middles)
 
 
 def verify_iso(linmap):
@@ -608,32 +598,46 @@ def verify_iso(linmap):
     in the first step and of the target in the fourth; so T is closed under
     products, holds every product 1 e_s1 ... e_sk, and is all of the source.
     """
-    return _iso_on_pairs(linmap, generating_set(linmap.source))
+    source, target = linmap.source, linmap.target
+    return (source.dim == target.dim == linmap.rank()
+            and vec_eq(linmap.apply(source.unit), target.unit)
+            and _preserves_degrees(linmap)
+            and _multiplicative_on(linmap, generating_set(source)))
 
 
-def certify_by_iso(linmap):
-    """Whether ``linmap`` is an isomorphism onto a certified target, checked
-    on every basis pair; when it is, the source table passes every item of
-    ``verify_algebra`` too.
+def certify_by_iso(linmap, image):
+    """Whether ``linmap`` is an isomorphism onto the subspace ``image`` of a
+    certified target, checked on every basis pair; when it is, the source
+    table passes every item of ``verify_algebra`` too.
 
     Precondition: the target is certified by ``verify_algebra`` (unit,
-    grading, associativity); nothing is assumed of the source.  Checked: f
-    is a bijection, f(1) = 1, f sends each basis vector into the target
-    component of its degree, and f(e_i e_j) = f(e_i) f(e_j) on all dim^2
-    basis pairs, so f(x y) = f(x) f(y) for all x, y by bilinearity.  Proof
-    that the source is then a certified algebra.  Unit: f(1 x) = f(1) f(x)
-    = f(x), and likewise f(x 1) = f(x), so 1 x = x = x 1 as f is injective.
+    grading, associativity); nothing is assumed of the source or of
+    ``image``.  Checked: f is a bijection onto ``image``, f(1) is a
+    two-sided unit of ``image`` (on the columns, which span it), f sends
+    each basis vector into the target component of its degree, and
+    f(e_i e_j) = f(e_i) f(e_j) on all dim^2 basis pairs, so
+    f(x y) = f(x) f(y) for all x, y by bilinearity.  Proof that the source
+    is then a certified algebra; it uses only that f is injective.  Unit:
+    f(1 x) = f(1) f(x) = f(x), and likewise f(x 1) = f(x), so 1 x = x = x 1.
     Associativity: f((x y) z) = (f(x) f(y)) f(z) = f(x) (f(y) f(z))
     = f(x (y z)) by associativity of the target, so (x y) z = x (y z).
     Grading: f maps each source component into the target component of the
-    same degree and is bijective, so it maps each component onto its
-    counterpart and f^-1 preserves degrees; f(e_i) f(e_j) lies in the
-    component of deg e_i + deg e_j, since the target is graded, and so
-    does e_i e_j = f^-1(f(e_i) f(e_j)).  No reduction of the pairs is
-    possible here: the generating-set argument of ``verify_iso`` needs the
-    source associative, which is what this check establishes.
+    same degree, and the target's components are independent, so a vector
+    of ``image`` in the target component of degree d is f of a source
+    vector of degree d.  f(e_i) f(e_j) = f(e_i e_j) lies in ``image`` and,
+    as the target is graded, in the component of deg e_i + deg e_j; so
+    e_i e_j has that degree.  No reduction of the pairs is possible here:
+    the generating-set argument of ``verify_iso`` needs the source
+    associative, which is what this check establishes.
     """
-    return _iso_on_pairs(linmap, range(linmap.source.dim))
+    source, target, cols = linmap.source, linmap.target, linmap.cols
+    one = linmap.apply(source.unit)
+    return (image.dim == source.dim
+            and Subspace.from_rows(cols, target.dim) == image
+            and all(vec_eq(target.mul(one, c), c) and vec_eq(target.mul(c, one), c)
+                    for c in cols)
+            and _preserves_degrees(linmap)
+            and _multiplicative_on(linmap, range(source.dim)))
 
 
 def xi_automorphism(algebra, k):
@@ -839,40 +843,29 @@ def restrict(algebra, space, unit):
     sum of its degree parts, whose supports are disjoint, so the union of
     their reduced bases is reduced for the whole span and is its basis by
     uniqueness (see ``exactlin``).
-
-    On a span of basis vectors no product is computed: row k is the basis
-    vector at pivots[k], so the product of rows k and l is the table's
-    entry at their pivots.
     """
     degrees = [algebra.element_degree(row) for row in space.basis]
     if None in degrees:
         raise DimensionMismatch("subspace basis is not homogeneous")
-    if len(space.standard_pivots) == space.dim:
-        products = ((algebra.table[p][q] for q in space.pivots)
-                    for p in space.pivots)
-    else:
-        products = ((algebra.mul(u, v) for v in space.basis)
-                    for u in space.basis)
-    table = [[space.coords(vec, "a product lies outside the subspace")
-              for vec in row] for row in products]
+    table = [[space.coords(algebra.mul(u, v), "a product lies outside the subspace")
+              for v in space.basis] for u in space.basis]
     return GradedAlgebra([f"s{k}" for k in range(space.dim)], table,
                          space.coords(unit, "the unit lies outside the subspace"),
                          degrees, algebra.group_rank)
 
 
 def corner_embedding(algebra, e):
-    """The corner algebra e A e with unit e, and the subspace e A e of A
-    whose reduced row echelon basis is the corner's basis."""
+    """The corner e A e, as the subspace of A spanned by the e e_i e; the
+    idempotent e is its unit."""
     if not vec_eq(algebra.mul(e, e), e):
         raise NotIdempotent("corner requires an idempotent")
     degree_of_e = algebra.element_degree(e)
     if degree_of_e is None or any(degree_of_e):
         raise NotIdempotent("corner requires a homogeneous degree-0 idempotent")
     # e e_i e is homogeneous, as e has degree 0
-    space = Subspace.from_rows(
+    return Subspace.from_rows(
         [algebra.mul(algebra.mul(e, algebra.basis_vec(i)), e)
          for i in range(algebra.dim)], algebra.dim)
-    return restrict(algebra, space, e), space
 
 
 def is_commutative(algebra):
@@ -889,5 +882,5 @@ def strongly_graded_check(algebra):
     elim = SparseEliminator()
     for i in odd:
         for j in odd:
-            elim.add(dict(algebra.table[i][j]))
+            elim.add(algebra.table[i][j])
     return elim.rank == len(even)

@@ -79,14 +79,12 @@ class IsoFailed(PipelineError):
 
 @dataclass
 class PlusCaseResult:
-    sigma_dual: MatrixHom
     twisted: GradedAlgebra          # total-degree regrading
     twisted_bigraded: GradedAlgebra
     oracle: object                  # CliffordData of the big deformation
     base: object                    # CliffordData of the small deformation
     xi1: GradedLinMap
     xi2: GradedLinMap
-    phi1: GradedLinMap
     phi2: GradedLinMap
     S: Subspace
     M: Subspace
@@ -101,13 +99,11 @@ class PlusCaseResult:
 
 @dataclass
 class MinusCaseResult:
-    sigma_dual: MatrixHom
     theta_prod: TwistingSystemM2
     Gamma: GradedAlgebra
     mu: GradedLinMap
     semitrivial: GradedAlgebra      # forget-first regrading
     semitrivial_bigraded: GradedAlgebra
-    ST0: GradedAlgebra              # the degree-0 part, total-degree graded
     oracle: object
     base: object
     zhang: GradedAlgebra
@@ -118,29 +114,22 @@ class MinusCaseResult:
         return "minus"
 
 
-def _plus_theta(sd, E):
+def _thetas(sd, E, p12):
+    """The tables of the case's twisting system, from sigma^! = s:
+    theta^(0), whose entry (2, 2) is s22 s11 - p12 s12 s21, and for
+    p12 = 1 also theta^(1), with entries s_ij xi."""
     s = sd.entries
-    ident = GradedLinMap.identity(E)
-    zero = GradedLinMap.zero(E)
-    xi = xi_automorphism(E, Scalar(-1))
     theta0 = MatrixHom([
-        [ident, s[0][1].compose(s[0][0]) + s[1][1].compose(s[1][0])],
-        [zero, s[1][1].compose(s[0][0]) - s[0][1].compose(s[1][0])],
+        [GradedLinMap.identity(E),
+         s[0][1].compose(s[0][0]) + s[1][1].compose(s[1][0])],
+        [GradedLinMap.zero(E),
+         s[1][1].compose(s[0][0]) - s[0][1].compose(s[1][0]).scale(p12)],
     ])
-    theta1 = MatrixHom([[s[i][j].compose(xi) for j in range(2)]
-                        for i in range(2)])
-    return theta0, theta1
-
-
-def _minus_theta(sd, E):
-    s = sd.entries
-    ident = GradedLinMap.identity(E)
-    zero = GradedLinMap.zero(E)
-    theta = MatrixHom([
-        [ident, s[0][1].compose(s[0][0]) + s[1][1].compose(s[1][0])],
-        [zero, s[1][1].compose(s[0][0]) + s[0][1].compose(s[1][0])],
-    ])
-    return theta
+    if p12 != ONE:
+        return (theta0,)
+    xi = xi_automorphism(E, Scalar(-1))
+    return theta0, MatrixHom([[s[i][j].compose(xi) for j in range(2)]
+                              for i in range(2)])
 
 
 def _lemma46_suite(xi1, xi2, phi1, phi2, theta0, theta1, E):
@@ -318,7 +307,7 @@ def run_plus_case(data, lift):
     base, sd = _prologue(checks, data, lift, CaseKind.PLUS)
     E = base.algebra
 
-    theta0, theta1 = _plus_theta(sd, E)
+    theta0, theta1 = _thetas(sd, E, data.p12)
     basis = standard_basis_m2()
     Theta = TwistingSystemM2(E, (theta0, theta1), basis)
     rep = verify_twisting_M2(Theta)
@@ -388,28 +377,20 @@ def run_plus_case(data, lift):
     Lambda_big = build_semitrivial(st_data)
     Lambda = Lambda_big.forget_first_regrade()
 
-    # corner at e matches the semi-trivial extension
-    corner_alg, corner_space = corner_embedding(twisted, e)
-    corner_ok = corner_alg.dim == Lambda.dim
-    if corner_ok:
-        # s goes to I(0)_1 s/2 + I(0)_2 i s/2, m to I(1)_1 m/2 - I(1)_2 i m/2
-        def column(i, vec, phase):
-            col = {}
-            for b, coeff in vec.items():
-                col[layout.index(i, 1, b)] = coeff * HALF
-                col[layout.index(i, 2, b)] = coeff * HALF * phase
-            return corner_space.coords(col)
+    # corner at e matches the semi-trivial extension: s goes to
+    # I(0)_1 s/2 + I(0)_2 i s/2, m to I(1)_1 m/2 - I(1)_2 i m/2
+    def column(i, vec, phase):
+        col = {}
+        for b, coeff in vec.items():
+            col[layout.index(i, 1, b)] = coeff * HALF
+            col[layout.index(i, 2, b)] = coeff * HALF * phase
+        return col
 
-        try:
-            corner_cols = ([column(0, vec, I) for vec in s_rows]
-                           + [column(1, vec, -I) for vec in m_rows])
-        except DimensionMismatch:
-            corner_ok = False
-        else:
-            corner_ok = certify_by_iso(
-                GradedLinMap(Lambda, corner_alg, corner_cols))
-    # The corner restricts the certified twisted algebra to e A e, with the
-    # idempotent e as its unit, so it is certified as certify_by_iso needs.
+    corner_cols = ([column(0, vec, I) for vec in s_rows]
+                   + [column(1, vec, -I) for vec in m_rows])
+    corner_ok = certify_by_iso(GradedLinMap(Lambda, twisted, corner_cols),
+                               corner_embedding(twisted, e))
+    # twisted regrades the certified twisted_big, as certify_by_iso needs.
     # A passing check certifies Lambda, and so Lambda_big: the two share
     # their table and unit, and the ring/module half of Lambda_big's Z2^2
     # grading holds by the block layout of build_semitrivial (ring times
@@ -426,8 +407,8 @@ def run_plus_case(data, lift):
         raise IsoFailed("the corner does not realize the semi-trivial extension")
 
     return PlusCaseResult(
-        sigma_dual=sd, twisted=twisted, twisted_bigraded=twisted_big,
-        oracle=oracle, base=base, xi1=xi1, xi2=xi2, phi1=phi1, phi2=phi2,
+        twisted=twisted, twisted_bigraded=twisted_big,
+        oracle=oracle, base=base, xi1=xi1, xi2=xi2, phi2=phi2,
         S=S, M=M, Lambda=Lambda, Lambda_bigraded=Lambda_big, checks=checks,
     )
 
@@ -465,10 +446,9 @@ def run_minus_case(data, lift):
     base, sd = _prologue(checks, data, lift, CaseKind.MINUS)
     E = base.algebra
 
-    theta = _minus_theta(sd, E)
     basis = GradedBasisM2({(0, 1): ((ONE, ZERO), (ZERO, ONE)),
                            (0, 2): ((ONE, ZERO), (ZERO, Scalar(-1)))})
-    system = TwistingSystemM2(E, (theta,), basis)
+    system = TwistingSystemM2(E, _thetas(sd, E, data.p12), basis)
     rep = verify_twisting_prod(system)
     checks.add("twisting-system", rep.ok,
                "" if rep.ok else str(rep.first_failure()))
@@ -507,21 +487,15 @@ def run_minus_case(data, lift):
 
     # semitrivial_mu accepted mu above, as zhang_twist needs
     NG = zhang_twist(Gamma, mu)
-    # ST0 is the exact restriction of the certified ST_big to a
-    # multiplication-closed span of basis vectors, so certified as
-    # certify_by_iso needs; there the total degree is the first one
-    zero_idx = ST.component_indices((0,))
-    ST0 = restrict(ST_big, Subspace.from_rows([{i: ONE} for i in zero_idx],
-                                              ST_big.dim),
-                   ST_big.unit).total_degree_regrade()
-    # e_i of NG goes to e_i in ST0 when even, else to m_i
-    where = {i: n for n, i in enumerate(zero_idx)}
-    iso_zero = GradedLinMap(NG, ST0, [
-        {where[i if Gamma.degrees[i] == (0,) else Gamma.dim + i]: ONE}
+    # e_i of NG goes to e_i when even, else to m_i, onto the span of ST's
+    # degree-0 basis vectors in the certified ST_big, on which the total
+    # degree is the first one.  A passing check certifies NG; a failing one
+    # first asks verify_algebra whether NG itself is invalid
+    iso_zero = GradedLinMap(NG, ST_big.total_degree_regrade(), [
+        {i if Gamma.degrees[i] == (0,) else Gamma.dim + i: ONE}
         for i in range(Gamma.dim)])
-    # a passing check certifies NG; a failing one first asks verify_algebra
-    # whether NG itself is invalid
-    zero_ok = certify_by_iso(iso_zero)
+    zero_ok = certify_by_iso(iso_zero, Subspace.from_rows(
+        [{i: ONE} for i in ST.component_indices((0,))], ST_big.dim))
     if zero_ok:
         checks.add("zhang-twist-valid", True)
     else:
@@ -531,8 +505,8 @@ def run_minus_case(data, lift):
         raise IsoFailed("the Zhang twist does not match the degree-0 part")
 
     return MinusCaseResult(
-        sigma_dual=sd, theta_prod=system, Gamma=Gamma, mu=mu,
-        semitrivial=ST, semitrivial_bigraded=ST_big, ST0=ST0, oracle=oracle,
+        theta_prod=system, Gamma=Gamma, mu=mu,
+        semitrivial=ST, semitrivial_bigraded=ST_big, oracle=oracle,
         base=base, zhang=NG, checks=checks,
     )
 

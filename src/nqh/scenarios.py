@@ -27,7 +27,7 @@ from .algebra import (
     verify_decomposition,
     verify_iso,
 )
-from .deform import build_clifford, normalize_p11, p12_classify, CaseKind
+from .deform import normalize_p11, p12_classify, CaseKind
 from .errors import DegenerateP11
 from .formats import parse_double_ore
 from .knorrer import (
@@ -164,8 +164,8 @@ def run_ex_4_10():
     checks = []
     lines = []
     data, central = parse_double_ore(EX_4_10)
-    base = build_clifford(data.base, central)
-    C = base.algebra
+    result = run_plus_case(data, central)
+    C = result.base.algebra
     checks.append(ScenarioCheck("clifford-dim", C.dim == 4, str(C.dim),
                                 "published"))
     commutative = is_commutative(C)
@@ -178,7 +178,6 @@ def run_ex_4_10():
     decomposed = verify_decomposition(C, chars, [1, 1, 1, 1])
     checks.append(ScenarioCheck("clifford-four-characters", decomposed,
                                 str(decomposed), "derived"))
-    result = run_plus_case(data, central)
     checks.append(ScenarioCheck("pipeline", result.checks.ok,
                                 f"{sum(c.passed for c in result.checks.items)}"
                                 f"/{len(result.checks.items)} checks",

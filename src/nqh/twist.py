@@ -270,12 +270,15 @@ def _certify_exchange(system, build):
     certificate on the system, and return the first failure of the
     exchange identity (as :func:`_exchange_failure`) or None.
 
-    Precondition: E is certified by ``verify_algebra``, as every E that
-    ``deform.build_clifford`` returns is.  The certificate is
-    ``verify_algebra``'s report item for item, but once the identities of l
-    hold (``basis_identities``; the proof uses l-associativity and
-    l-left-unit), Light's test runs only on the first factors I(0)_j e_b
-    and the last factors I(i'')_j'' e_k, k in the support of 1_E:
+    Preconditions: E is certified by ``verify_algebra``, as every E that
+    ``deform.build_clifford`` returns is, and ``build`` fills the table by
+    ``_twisted_algebra``'s product rule, on which the proof below rests; a
+    table from any other builder is certified only by ``verify_algebra``.
+    The certificate is ``verify_algebra``'s report item for item, but once
+    the identities of l hold (``basis_identities``; the proof uses
+    l-associativity and l-left-unit), Light's test runs only on the first
+    factors I(0)_j e_b and the last factors I(i'')_j'' e_k, k in the
+    support of 1_E:
     2 dim E |S| 2|halves| triples for one unit term, instead of
     (2|halves| dim E)^2 |S|.  When they fail, the full Light's test runs.
     A failing test scans every triple, so the detail names the first
@@ -598,20 +601,16 @@ def build_semitrivial(data):
     """
     E = data.ring
     m = len(data.module_degrees)
-    dim = E.dim + m
     labels = [f"r:{lbl}" for lbl in E.labels] + [f"m{k}" for k in range(m)]
     degrees = ([(0,) + d for d in E.degrees]
                + [(1,) + tuple(d) for d in data.module_degrees])
-    table = [[{} for _ in range(dim)] for _ in range(dim)]
+    # no cell changes once built, so the ring's products and psi are shared
+    table = ([list(row) + [None] * m for row in E.table]
+             + [[None] * E.dim + list(row) for row in data.psi])
     for i in range(E.dim):
-        for j in range(E.dim):
-            table[i][j] = dict(E.table[i][j])
         for b in range(m):
             table[i][E.dim + b] = {E.dim + k: v for k, v in data.left[i][b].items()}
             table[E.dim + b][i] = {E.dim + k: v for k, v in data.right[i][b].items()}
-    for a in range(m):
-        for b in range(m):
-            table[E.dim + a][E.dim + b] = dict(data.psi[a][b])
     unit = dict(E.unit)
     return GradedAlgebra(labels, table, unit, degrees, group_rank=2)
 
@@ -626,7 +625,9 @@ def semitrivial_mu(E, mu):
 
     Claim.  If E passes ``verify_algebra`` and mu passes both checks,
     ``build_semitrivial`` of the returned data passes ``verify_algebra`` on
-    every item, so it needs no certificate of its own.  It is E x| <t> with
+    every item, so it needs no certificate of its own.  Precondition: the
+    table is the one that ``build_semitrivial`` builds from this data; the
+    claim says nothing of any other.  It is E x| <t> with
     t^2 = 1 and t a = mu(a) t, on the basis e_i and m_b = t e_b: then
     e_i m_b = t mu(e_i) e_b, m_b e_i = t e_b e_i and m_a m_b = mu(e_a) e_b.
     Proof.  In the module r . m = mu(r) m, m . r = m r and

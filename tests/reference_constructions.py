@@ -10,8 +10,9 @@ are the checks that the program replaced by cheaper certificates and that
 the tests keep as references: the homomorphism identity of a map
 E -> M_2(E) on every basis pair, the module identity on every triple, the
 normal form bounded by a rewriting system's confluence degree, the
-twisted table formed block by block, and the degree-0 radical by the trace
-form on the degree-0 part.  Last
+twisted table formed block by block, the degree-0 radical by the trace
+form on the degree-0 part, and the certificate of a map onto a subspace
+read through the algebra restricted to that subspace.  Last
 is the dense matrix layer that sigma used before it became a table of
 sparse maps: matrix sums, identities, inverses, and the stacked inverse of
 a 2x2 table of blocks with its check, the references of the sparse
@@ -30,7 +31,7 @@ from nqh.algebra import (
     vec_eq,
     verify_iso,
 )
-from nqh.errors import NotTwistingSystem, NqhError, SingularBasis
+from nqh.errors import DimensionMismatch, NotTwistingSystem, NqhError, SingularBasis
 from nqh.exactlin import ONE, ZERO, Subspace, add_scaled, matrix_mul, rref_rows
 from nqh.twist import BlockLayout, TwistingSystemM2, verify_twisting_M2
 
@@ -186,6 +187,34 @@ def ref_degree0_radical_dim(algebra):
     zero = Subspace.from_rows(
         [{i: ONE} for i in algebra.component_indices((0,))], algebra.dim)
     return radical(restrict(algebra, zero, algebra.unit)).dim
+
+
+def ref_certify_by_iso(linmap):
+    """``certify_by_iso`` as it was while its map went onto a whole
+    certified target: a bijection with f(1) = 1 that preserves degrees and
+    is multiplicative on every basis pair."""
+    source, target, cols = linmap.source, linmap.target, linmap.cols
+    return (source.dim == target.dim == linmap.rank()
+            and vec_eq(linmap.apply(source.unit), target.unit)
+            and all(target.degrees[k] == source.degrees[i]
+                    for i, col in enumerate(cols) for k in col)
+            and all(vec_eq(linmap.apply(source.table[i][j]),
+                           target.mul(cols[i], cols[j]))
+                    for i in range(source.dim) for j in range(source.dim)))
+
+
+def ref_certify_onto(linmap, image, unit):
+    """The certificate of a map onto the subspace ``image`` of its target
+    as ``knorrer`` read it before ``certify_by_iso`` took a subspace: the
+    target restricted to ``image`` with ``unit`` as its unit, the columns
+    read as coordinates there, where a column outside ``image`` fails the
+    check, and ``ref_certify_by_iso`` onto that algebra."""
+    restricted = restrict(linmap.target, image, unit)
+    try:
+        cols = [image.coords(col) for col in linmap.cols]
+    except DimensionMismatch:
+        return False
+    return ref_certify_by_iso(GradedLinMap(linmap.source, restricted, cols))
 
 
 def trivial_system(E, basis):

@@ -46,6 +46,7 @@ from nqh.algebra import (
     t_inverse_table,
     vec_eq,
     verify_algebra,
+    xi_automorphism,
 )
 from nqh.deform import (
     DoubleOreData,
@@ -70,7 +71,7 @@ from nqh.exactlin import (
     word_index,
 )
 from nqh.formats import parse_double_ore
-from nqh.knorrer import _minus_theta, _plus_theta
+from nqh.knorrer import _thetas
 from nqh.scenarios import (
     EX_4_9_1,
     EX_4_9_2,
@@ -763,6 +764,26 @@ def _certificate_items(system):
     return items
 
 
+def test_one_theta_helper_gives_the_tables_of_both_cases(pipeline_inputs):
+    """``_thetas`` gives theta^(0) with the same first row and zero entry
+    (2, 1) in both cases, entry (2, 2) s22 s11 - s12 s21 for p12 = 1 and
+    s22 s11 + s12 s21 for p12 = -1, and theta^(1) = (s_ij xi) only for
+    p12 = 1: the tables of the two former per-case helpers."""
+    for data, _, base, sd in pipeline_inputs:
+        E, s = base.algebra, sd.entries
+        (minus,) = _thetas(sd, E, MINUS_ONE)
+        theta0, theta1 = _thetas(sd, E, ONE)
+        first = (GradedLinMap.identity(E),
+                 s[0][1].compose(s[0][0]) + s[1][1].compose(s[1][0]))
+        assert minus.entries[0] == theta0.entries[0] == first
+        assert minus.entry(2, 1) == theta0.entry(2, 1) == GradedLinMap.zero(E)
+        assert minus.entry(2, 2) == s[1][1].compose(s[0][0]) + s[0][1].compose(s[1][0])
+        assert theta0.entry(2, 2) == s[1][1].compose(s[0][0]) - s[0][1].compose(s[1][0])
+        xi = xi_automorphism(E, MINUS_ONE)
+        assert theta1.entries == tuple(tuple(s[i][j].compose(xi) for j in range(2))
+                                       for i in range(2))
+
+
 def test_product_exchange_loop_matches_the_reference(pipeline_inputs):
     rng = random.Random("product-exchange-mutants")
     basis = epsilon_basis()
@@ -772,7 +793,7 @@ def test_product_exchange_loop_matches_the_reference(pipeline_inputs):
         if data.p12 != MINUS_ONE:
             continue
         E = base.algebra
-        theta = _minus_theta(sd, E)
+        (theta,) = _thetas(sd, E, MINUS_ONE)
         for table in [theta] + [_table_mutant(theta, rng) for _ in range(12)]:
             system = TwistingSystemM2(E, (table,), basis)
             items = _items(verify_twisting_prod(system))
@@ -800,7 +821,7 @@ def m2_tables(pipeline_inputs):
         data, lift = parse_double_ore(json.loads(blob))
         base = build_clifford(data.base, lift)
         inputs.append((data, lift, base, dualize_hom(data, base)))
-    return [(base.algebra, _plus_theta(sd, base.algebra))
+    return [(base.algebra, _thetas(sd, base.algebra, ONE))
             for _, _, base, sd in inputs]
 
 
@@ -853,10 +874,10 @@ def test_twisted_tables_match_the_per_block_loop(pipeline_inputs):
     for data, base, sd in inputs:
         E = base.algebra
         if data.p12 == ONE:
-            tables = _plus_theta(sd, E)
+            tables = _thetas(sd, E, ONE)
             cases = [(tables, standard_basis_m2())]
         else:
-            tables = (_minus_theta(sd, E),)
+            tables = _thetas(sd, E, MINUS_ONE)
             cases = [(tables, epsilon_basis()), (tables, idempotent_basis())]
         cases += [(_table_mutants(theta, rng, 1)[0], basis) for theta, basis in cases]
         for theta, basis in cases:
@@ -1004,7 +1025,7 @@ def test_hand_set_l_sends_the_product_exchange_to_the_loop(monkeypatch,
     assert computed.basis_identities().ok
     assert not hand_set.basis_identities().ok
     sheared = MatrixHom([[ident, zero], [ident, ident]])
-    for theta, basis, loops in ((_minus_theta(sd, E), computed, 0),
+    for theta, basis, loops in ((_thetas(sd, E, MINUS_ONE)[0], computed, 0),
                                 (sheared, hand_set, 1)):
         calls.clear()
         system = TwistingSystemM2(E, (theta,), basis)

@@ -1,9 +1,9 @@
 """No module of the package imports a name it never uses or keeps a
 process-wide cache, only ``exactlin`` reduces a vector against a subspace's
 basis, no module keeps a dense matrix table layer, ``knorrer`` scans no
-product for strong grading, every definition is reached from the command
-line, and every name the bench tracer patches resolves to a function of its
-own.
+product for strong grading, ``restrict`` builds only the eigenspace
+subalgebra, every definition is reached from the command line, and every
+name the bench tracer patches resolves to a function of its own.
 
 The first check reads each module's syntax tree: every name bound by an
 ``import`` or ``from ... import`` must appear as a name somewhere in the
@@ -177,6 +177,55 @@ def test_the_check_finds_a_strong_grading_scan():
 
 def test_knorrer_scans_no_strong_grading():
     assert scanned_strong_grading((PACKAGE / "knorrer.py").read_text()) == []
+
+
+class _CallSites(ast.NodeVisitor):
+    """The innermost function around each call of ``name``, by name or
+    attribute, in visiting order; "<module>" outside every function."""
+
+    def __init__(self, name):
+        self.name, self.stack, self.found = name, ["<module>"], []
+
+    def visit_FunctionDef(self, node):
+        self.stack.append(node.name)
+        self.generic_visit(node)
+        self.stack.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        func = node.func
+        if (func.attr if isinstance(func, ast.Attribute)
+                else getattr(func, "id", None)) == self.name:
+            self.found.append(self.stack[-1])
+        self.generic_visit(node)
+
+
+def restrict_call_sites(source):
+    """The functions of ``source`` that call ``restrict``, once per call.
+    Lambda and the Zhang twist are certified onto subspaces of the big
+    algebras (``algebra.certify_by_iso``), so the corner and the degree-0
+    part get no algebra of their own: the one algebra built on a subspace
+    is the eigenspace subalgebra S of the plus case."""
+    visitor = _CallSites("restrict")
+    visitor.visit(ast.parse(source))
+    return visitor.found
+
+
+def test_the_check_finds_each_restrict_call():
+    source = ("from .algebra import restrict\n"
+              "S = restrict(E, space, unit)\n"
+              "def corner(A, e):\n"
+              "    def inner():\n        return algebra.restrict(A, s, e)\n"
+              "    return restrict(A, s, e), inner\n"
+              "def restricted(): return unrestricted(A)\n")
+    assert restrict_call_sites(source) == ["<module>", "inner", "corner"]
+
+
+def test_restrict_builds_only_the_eigenspace_subalgebra():
+    found = [(path.name, caller) for path in sorted(PACKAGE.glob("*.py"))
+             for caller in restrict_call_sites(path.read_text())]
+    assert found == [("knorrer.py", "run_plus_case")]
 
 
 def mentioned_names(nodes):

@@ -16,6 +16,8 @@ from conftest import (
 )
 from reference_constructions import (
     normal_form,
+    ref_certify_by_iso,
+    ref_certify_onto,
     ref_degree0_radical_dim,
     verify_hom_M2,
     verify_module,
@@ -925,7 +927,7 @@ def ref_build_Bshriek_clifford(data, lift, base):
 def ref_oracle_step(checks, data, lift, base, target, y_images, layout, what):
     """The oracle step while the big deformation had a table: the table is
     extracted from the completed system and checked strongly graded, and
-    certify_by_iso checks the map on every basis pair; when that fails,
+    ref_certify_by_iso checks the map on every basis pair; when that fails,
     verify_algebra names an invalid table first.  Its build computes the
     products of both blocks (``ref_build_Bshriek_clifford``).  An accepted
     map then meets the scan of the target's odd-by-odd products that the
@@ -941,7 +943,7 @@ def ref_oracle_step(checks, data, lift, base, target, y_images, layout, what):
     image = knorrer.extend_on_generators(oracle.relations, target, images)
     iso = GradedLinMap(algebra, target, [image(TensorElement.monomial(w))
                                          for w in algebra.words])
-    iso_ok = certify_by_iso(iso)
+    iso_ok = ref_certify_by_iso(iso)
     if not iso_ok:
         report = verify_algebra(algebra)
         if not report.ok:
@@ -1373,18 +1375,11 @@ def minus_inputs():
 def test_the_minus_extension_passes_verify_algebra(minus_inputs):
     """The conclusion of semitrivial_mu's proof on real data: the
     extension of every minus run passes verify_algebra, which the pipeline
-    no longer runs on it.  Its degree-0 part, built once for the Zhang
-    check, has the table and unit that restricting the extension to its
-    degree-0 component gives."""
+    no longer runs on it."""
     for name, data, lift in minus_inputs:
         result = run_minus_case(data, lift)
         assert result.checks.ok, name
         assert verify_algebra(result.semitrivial_bigraded).ok, name
-        ST = result.semitrivial
-        zero_part = restrict(ST, Subspace.from_rows(
-            [{i: ONE} for i in ST.component_indices((0,))], ST.dim), ST.unit)
-        assert result.ST0.table == zero_part.table, name
-        assert result.ST0.unit == zero_part.unit, name
 
 
 def _bumped_map(linmap, rng):
@@ -1432,9 +1427,9 @@ def _mutate_minus(patch, kind, seed):
         patch.setattr(knorrer, "_slot_exchange",
                       lambda *args: _bumped_map(real(*args), rng))
     else:
-        real = knorrer._minus_theta
-        patch.setattr(knorrer, "_minus_theta",
-                      lambda sd, E: _bumped_table(real(sd, E), rng))
+        real = knorrer._thetas
+        patch.setattr(knorrer, "_thetas",
+                      lambda *args: (_bumped_table(real(*args)[0], rng),))
 
 
 def _certifying_build(patch, certified):
@@ -1721,3 +1716,152 @@ def test_strong_grading_mutants_fail_as_under_the_product_scans(knorrer_inputs):
     assert stages == {("target", "PipelineError"): 38, ("target", "accepted"): 3,
                       ("mu", "PipelineError"): 19,
                       ("involution", "RelationViolated"): 19}, stages
+
+
+# ---------------------------------------------------------------------------
+# Lambda and the Zhang twist, certified onto subspaces of the big algebras
+
+
+@pytest.fixture(scope="module")
+def subspace_certificates(knorrer_inputs):
+    """(name, case, map, image, unit) of each certify_by_iso call on the
+    inputs of ``knorrer_inputs``: Lambda's columns onto the corner e A e,
+    whose unit is e, and the Zhang twist's onto the span of ST's degree-0
+    basis vectors, whose unit is ST's."""
+    found = []
+    corners = []
+    real_corner = knorrer.corner_embedding
+    real_certify = knorrer.certify_by_iso
+
+    def corner(algebra, e):
+        corners.append(e)
+        return real_corner(algebra, e)
+
+    def certify(linmap, image):
+        found.append((linmap, image))
+        return real_certify(linmap, image)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(knorrer, "corner_embedding", corner)
+        patch.setattr(knorrer, "certify_by_iso", certify)
+        out = []
+        for name, data, lift in knorrer_inputs:
+            plus = p12_classify(data) == CaseKind.PLUS
+            found.clear()
+            corners.clear()
+            assert (run_plus_case if plus else run_minus_case)(data, lift).checks.ok
+            (linmap, image), = found
+            out.append((name, "corner" if plus else "zhang", linmap, image,
+                        corners[0] if plus else linmap.target.unit))
+    return out
+
+
+def _source_bumped(linmap, rng):
+    """``linmap`` from a copy of its source with one product bumped by 1."""
+    source = linmap.source
+    table = [list(row) for row in source.table]
+    i, j = rng.randrange(source.dim), rng.randrange(source.dim)
+    table[i][j] = _bump(table[i][j], rng.randrange(source.dim))
+    bumped = GradedAlgebra(source.labels, table, source.unit, source.degrees,
+                           source.group_rank)
+    return GradedLinMap(bumped, linmap.target, linmap.cols)
+
+
+def _column_mutant(linmap, image, kind, rng):
+    """``linmap`` with one column moved: a basis row of ``image`` added to
+    it (``"inside"``), a basis vector outside ``image`` added to it
+    (``"outside"``), or two columns swapped (``"swapped"``).  Or
+    ``linmap`` followed by the grading automorphism of the target, which
+    keeps the graded ``image`` (``"xi"``): another isomorphism onto it."""
+    cols = list(linmap.cols)
+    i, j = rng.sample(range(len(cols)), 2)
+    if kind == "xi":
+        cols = [vec_scale(col, MINUS_ONE) if linmap.target.element_degree(col) == (1,)
+                else col for col in cols]
+    elif kind == "swapped":
+        cols[i], cols[j] = cols[j], cols[i]
+    elif kind == "inside":
+        cols[i] = vec_add(cols[i], rng.choice(image.basis))
+    else:
+        cols[i] = vec_add(cols[i], {rng.choice(
+            [k for k in range(image.ambient) if not image.contains({k: ONE})]): ONE})
+    return GradedLinMap(linmap.source, linmap.target, cols)
+
+
+def test_subspace_certificates_match_the_restricted_route(subspace_certificates):
+    """certify_by_iso onto a subspace gives the verdict of the old route,
+    which restricted the target to that subspace and certified onto the
+    restricted algebra, on Lambda's map onto e A e and the Zhang twist's
+    onto ST's degree-0 part on every input, and on mutants of each: a
+    bumped product of Lambda's or the Zhang twist's table, a column moved
+    inside or outside the subspace, two columns swapped, and the map
+    followed by the target's grading automorphism, which both accept."""
+    verdicts = Counter()
+    for name, case, linmap, image, unit in subspace_certificates:
+        assert certify_by_iso(linmap, image) and ref_certify_onto(linmap, image, unit)
+        rng = random.Random(f"subspace-certificate:{name}")
+        mutants = [("table", _source_bumped(linmap, rng)) for _ in range(3)]
+        mutants += [(kind, _column_mutant(linmap, image, kind, rng))
+                    for kind in ("inside", "outside", "swapped") for _ in range(2)]
+        mutants.append(("xi", _column_mutant(linmap, image, "xi", rng)))
+        for kind, mutant in mutants:
+            verdict = certify_by_iso(mutant, image)
+            assert verdict == ref_certify_onto(mutant, image, unit), (name, kind)
+            verdicts[case, kind, verdict] += 1
+    assert verdicts == {
+        **{(case, kind, False): n for case, n in (("corner", 16), ("zhang", 14))
+           for kind in ("inside", "outside", "swapped")},
+        ("corner", "table", False): 24, ("zhang", "table", False): 21,
+        ("corner", "xi", True): 8, ("zhang", "xi", True): 7}, verdicts
+
+
+def test_restrict_builds_only_the_eigenspace_subalgebra(monkeypatch):
+    """A plus run restricts once, to the eigenspace subalgebra S, and a
+    minus run never: the corner is a subspace, with no algebra of its own,
+    and the minus result keeps no degree-0 algebra.  The extension shares
+    the ring's product dicts rather than copying them."""
+    calls = []
+    built = []
+    inside = []
+    real_restrict = algebra_module.restrict
+    real_init = GradedAlgebra.__init__
+    real_corner = knorrer.corner_embedding
+
+    def restrict_counting(*args):
+        calls.append(args[1])
+        return real_restrict(*args)
+
+    def init(self, *args, **kwargs):
+        if inside:
+            built.append(self)
+        real_init(self, *args, **kwargs)
+
+    def corner(*args):
+        inside.append(True)
+        try:
+            return real_corner(*args)
+        finally:
+            inside.pop()
+
+    for module in (algebra_module, knorrer):
+        monkeypatch.setattr(module, "restrict", restrict_counting)
+    monkeypatch.setattr(GradedAlgebra, "__init__", init)
+    monkeypatch.setattr(knorrer, "corner_embedding", corner)
+    assert not {"ST0", "sigma_dual"} & {
+        f.name for f in dataclasses.fields(knorrer.MinusCaseResult)}
+    assert not {"phi1", "sigma_dual"} & {
+        f.name for f in dataclasses.fields(knorrer.PlusCaseResult)}
+    for name, blob in sorted(generate("skew3", 1).items()):
+        data, lift = parse_double_ore(json.loads(blob))
+        calls.clear()
+        if name == "plus.json":
+            result = run_plus_case(data, lift)
+            assert calls == [result.S], name
+        else:
+            result = run_minus_case(data, lift)
+            assert calls == [], name
+            Gamma, ST_big = result.Gamma, result.semitrivial_bigraded
+            assert all(ST_big.table[i][j] is Gamma.table[i][j]
+                       for i in range(Gamma.dim) for j in range(Gamma.dim))
+        assert result.checks.ok and built == [], name
+    assert isinstance(real_corner(result.twisted, result.twisted.unit), Subspace)
