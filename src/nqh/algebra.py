@@ -73,14 +73,20 @@ class GradedAlgebra:
         self.degrees = tuple(tuple(d) for d in degrees)
         self.group_rank = group_rank
         self.words = tuple(words) if words is not None else None
-        if len(self.table) != self.dim or len(self.degrees) != self.dim:
+        if len(table) != self.dim or len(self.degrees) != self.dim:
             raise DimensionMismatch("structure data sizes disagree")
 
+    def row(self, i):
+        """The products e_i e_j for every j: the stored ones, shared, which
+        no caller changes.  Outside this class, products are read only here
+        or through ``mul``."""
+        return self.table[i]
+
     def mul(self, u, v):
-        table = self.table
+        row_of = self.row
         out = {}
         for i, ci in u.items():
-            row = table[i]
+            row = row_of(i)
             for j, cj in v.items():
                 add_scaled(out, row[j], ci * cj)
         return out
@@ -91,10 +97,6 @@ class GradedAlgebra:
     def element_degree(self, vec):
         degs = {self.degrees[i] for i in vec}
         return degs.pop() if len(degs) == 1 else None
-
-    def trace_left_mult(self, i):
-        return sum((self.table[i][j].get(j, ZERO) for j in range(self.dim)),
-                   start=ZERO)
 
     def regrade(self, degrees, group_rank):
         return GradedAlgebra(self.labels, self.table, self.unit, degrees,
@@ -161,7 +163,6 @@ def generating_set(algebra):
     Once the unit axiom holds, 1 e_i = e_i, so the closure reaches every
     basis vector and S is returned when it spans A.
     """
-    table = algebra.table
     elim = SparseEliminator()
     elim.add(algebra.unit)
     found = [algebra.unit]
@@ -175,34 +176,27 @@ def generating_set(algebra):
         work = [(vec, i) for vec in found]
         while work:
             vec, s = work.pop()
-            image = {}
-            for l, c in vec.items():
-                add_scaled(image, table[l][s], c)
+            image = algebra.mul(vec, {s: ONE})
             if elim.add(image):
                 found.append(image)
                 work.extend((image, t) for t in gens)
     return gens
 
 
-def _associativity_failure(table, middles, firsts=None, lasts=None):
+def _associativity_failure(algebra, middles, firsts=None, lasts=None):
     """The first (i, j, k), j in ``middles``, i in ``firsts`` and k in
     ``lasts`` (every index when None), where (e_i e_j) e_k and
     e_i (e_j e_k) differ, or None."""
-    everything = range(len(table))
+    everything = range(algebra.dim)
     firsts = everything if firsts is None else firsts
     lasts = everything if lasts is None else lasts
     for i in firsts:
-        row = table[i]
+        left = algebra.row(i)
+        e_i = {i: ONE}
         for j in middles:
-            left = row[j]
+            right = algebra.row(j)
             for k in lasts:
-                lhs = {}
-                for l, c in left.items():
-                    add_scaled(lhs, table[l][k], c)
-                rhs = {}
-                for m, c in table[j][k].items():
-                    add_scaled(rhs, row[m], c)
-                if lhs != rhs:
+                if algebra.mul(left[j], {k: ONE}) != algebra.mul(e_i, right[k]):
                     return (i, j, k)
     return None
 
@@ -210,12 +204,10 @@ def _associativity_failure(table, middles, firsts=None, lasts=None):
 def verify_algebra(algebra, system=None):
     """Unit, associativity and grading checks with first counterexamples.
 
-    Every product is summed straight from the table rows by the kernel
-    ``add_scaled``: 1 e_i and e_i 1 are sum_u c_u table[u][i] and
-    sum_u c_u table[i][u] over the unit, (e_i e_j) e_k is sum_l c_l
-    table[l][k] over table[i][j], and e_i (e_j e_k) is sum_m c_m table[i][m]
-    over table[j][k].  Kernel-built dicts never store a zero coefficient, so
-    plain dict comparison is exact.
+    Every product is the algebra's own (``GradedAlgebra.mul``), summed by
+    the kernel ``add_scaled`` from the stored products: 1 e_i, e_i 1,
+    (e_i e_j) e_k and e_i (e_j e_k).  Kernel-built dicts never store a zero
+    coefficient, so plain dict comparison is exact.
 
     Once the unit item passes, associativity is checked only on the triples
     (e_i e_s) e_k = e_i (e_s e_k) with s in S = ``generating_set``: dim^2 |S|
@@ -234,7 +226,7 @@ def verify_algebra(algebra, system=None):
     Given the rewriting ``system`` whose normal words index the table, as
     ``rewrite.extract_algebra`` builds it, a rule certificate replaces
     Light's test.  Let W = ``algebra.words``, T[u][v] = e_u e_v, L_a the
-    left multiplication given by the row of the letter a, and
+    left multiplication given by the products of the letter a, and
     phi(w) = L_w1 ... L_wk in End(K^W).  Checked: (a) the unit is e_() and
     W is the set of irreducible words: () is in W, each member is normal
     and each normal one-letter extension of a member is a member; (b) every
@@ -272,8 +264,7 @@ def _rules_certify(algebra, system):
     words = algebra.words
     if words is None or () not in words:
         return False
-    table = algebra.table
-    rows = dict(zip(words, table))
+    rows = dict(zip(words, map(algebra.row, range(algebra.dim))))
     letters = [(a,) for a in range(system.nletters)]
     if (len(rows) != len(words) or len(words) != algebra.dim
             or algebra.unit != {words.index(()): ONE}
@@ -283,7 +274,7 @@ def _rules_certify(algebra, system):
             or not all(a in rows for a in letters)):
         return False
     if any(row != [apply_row(rows[w[:1]], vec) for vec in rows[w[1:]]]
-           for w, row in zip(words, table) if w):
+           for w, row in rows.items() if w):
         return False
 
     def act(word):
@@ -316,16 +307,11 @@ def _algebra_report(algebra, firsts=None, lasts=None, system=None):
     test."""
     report = Report()
     dim = algebra.dim
-    table = algebra.table
     unit_ok = True
     unit_detail = ""
     for i in range(dim):
-        left = {}
-        right = {}
-        for u, c in algebra.unit.items():
-            add_scaled(left, table[u][i], c)
-            add_scaled(right, table[i][u], c)
-        if left != {i: ONE} or right != {i: ONE}:
+        e_i = {i: ONE}
+        if algebra.mul(algebra.unit, e_i) != e_i or algebra.mul(e_i, algebra.unit) != e_i:
             unit_ok = False
             unit_detail = f"unit axiom fails at basis {i}"
             break
@@ -334,9 +320,9 @@ def _algebra_report(algebra, firsts=None, lasts=None, system=None):
     grading_ok = True
     grading_detail = ""
     for i in range(dim):
-        for j in range(dim):
+        for j, prod in enumerate(algebra.row(i)):
             target = add_degrees(algebra.degrees[i], algebra.degrees[j])
-            for k in table[i][j]:
+            for k in prod:
                 if algebra.degrees[k] != target:
                     grading_ok = False
                     grading_detail = f"product ({i},{j}) hits degree of basis {k}"
@@ -352,9 +338,9 @@ def _algebra_report(algebra, firsts=None, lasts=None, system=None):
         certified = unit_ok and _rules_certify(algebra, system)
     else:
         certified = unit_ok and not _associativity_failure(
-            table, generating_set(algebra), firsts, lasts)
+            algebra, generating_set(algebra), firsts, lasts)
     if not certified:
-        failure = _associativity_failure(table, range(dim))
+        failure = _associativity_failure(algebra, range(dim))
         if failure:
             assoc_detail = "associativity fails at ({},{},{})".format(*failure)
     report.add("associativity", not assoc_detail, assoc_detail)
@@ -580,7 +566,7 @@ def _multiplicative_on(linmap, middles):
     """Whether f(e_i e_s) = f(e_i) f(e_s) for every basis index i and every
     s in ``middles``."""
     source, target, cols = linmap.source, linmap.target, linmap.cols
-    return all(vec_eq(linmap.apply(source.table[i][s]), target.mul(fi, cols[s]))
+    return all(vec_eq(linmap.apply(source.row(i)[s]), target.mul(fi, cols[s]))
                for i, fi in enumerate(cols) for s in middles)
 
 
@@ -654,20 +640,23 @@ def xi_automorphism(algebra, k):
 
 
 def radical(algebra):
-    """Jacobson radical via the trace form of left multiplication."""
+    """Jacobson radical via the trace form of left multiplication: the
+    trace of L_{e_i} is the sum of the e_j coefficients of e_i e_j."""
     dim = algebra.dim
-    traces = [algebra.trace_left_mult(i) for i in range(dim)]
+    rows = [algebra.row(i) for i in range(dim)]
+    traces = [sum((row[j].get(j, ZERO) for j in range(dim)), start=ZERO)
+              for row in rows]
     gram = []
-    for i in range(dim):
-        row = {}
-        for j in range(dim):
+    for row in rows:
+        form = {}
+        for j, prod in enumerate(row):
             acc = ZERO
-            for k, c in algebra.table[i][j].items():
+            for k, c in prod.items():
                 if traces[k]:
                     acc = acc + c * traces[k]
             if acc:
-                row[j] = acc
-        gram.append(row)
+                form[j] = acc
+        gram.append(form)
     return nullspace(gram, dim)
 
 
@@ -695,10 +684,9 @@ class RightModule:
 
     @classmethod
     def regular(cls, algebra):
-        """e_r . e_j is table[r][j]: the rows are the table's own."""
-        table = algebra.table
-        return cls(algebra, algebra.dim,
-                   [[row[j] for row in table] for j in range(algebra.dim)])
+        """e_r . e_j is the stored product, shared with the algebra."""
+        return cls(algebra, algebra.dim, [[algebra.row(r)[j] for r in range(algebra.dim)]
+                                          for j in range(algebra.dim)])
 
     @classmethod
     def from_invariant_subspace(cls, algebra, subspace):
@@ -869,8 +857,7 @@ def corner_embedding(algebra, e):
 
 
 def is_commutative(algebra):
-    table = algebra.table
-    return all(vec_eq(table[i][j], table[j][i])
+    return all(vec_eq(algebra.row(i)[j], algebra.row(j)[i])
                for i in range(algebra.dim) for j in range(i))
 
 
@@ -882,5 +869,5 @@ def strongly_graded_check(algebra):
     elim = SparseEliminator()
     for i in odd:
         for j in odd:
-            elim.add(algebra.table[i][j])
+            elim.add(algebra.row(i)[j])
     return elim.rank == len(even)

@@ -160,9 +160,8 @@ def _lemma46_suite(xi1, xi2, phi1, phi2, theta0, theta1, E):
         va = E.basis_vec(a)
         xi1_a, xi2_a = xi1.cols[a], xi2.cols[a]
         phi1_a, phi2_a = phi1.cols[a], phi2.cols[a]
-        for b in range(E.dim):
+        for b, prod in enumerate(E.row(a)):
             vb = E.basis_vec(b)
-            prod = E.table[a][b]
             xi1_b, xi2_b = xi1.cols[b], xi2.cols[b]
             phi1_b, phi2_b = phi1.cols[b], phi2.cols[b]
             a_xi2_b = E.mul(va, xi2_b)
@@ -538,25 +537,34 @@ def singularity_report(result, blocks=None):
     in the minus case the Zhang twist, which ``run_minus_case`` certified
     isomorphic to the degree-0 part, gets that part's radical dimension.
 
-    The degree-0 radical is read off J = J(A) of the big algebra A.  Proof.
-    The grading automorphism xi preserves J, so J is graded and its reduced
-    basis is homogeneous (see ``restrict``): its degree-0 rows span
-    J cap A_0, which is J(A_0) as 2 is invertible (Cohen-Montgomery,
-    Trans. AMS 282, 1984).
+    In the plus case the degree-0 radical is read off J = J(A) of the big
+    algebra A.  Proof.  The grading automorphism xi preserves J, so J is
+    graded and its reduced basis is homogeneous (see ``restrict``): its
+    degree-0 rows span J cap A_0, which is J(A_0) as 2 is invertible
+    (Cohen-Montgomery, Trans. AMS 282, 1984).
+
+    In the minus case both are read off J = J(Gamma): dim J(ST) = 2 dim J
+    and dim J(ST_0) = dim J.  Proof.  ST = Gamma x| <mu> with 2 invertible,
+    so J(ST) = J + J t (Reiten-Riedtmann, J. Algebra 92, 1985).  As
+    e_i m_b = m_{mu(e_i) e_b}, J t = m_{mu(J)} = m_J.  J is xi-stable, so
+    graded, and m_b has degree deg e_b + 1; by Cohen-Montgomery
+    J(ST_0) = J_0 + m_{J_1}, of dimension dim J.
     """
     lines = []
     if result.case == "plus":
         big = result.twisted
         small = result.Lambda
         small_name = "corner extension"
+        J = radical(big)
+        big_rad = J.dim
+        zero_rad = sum(big.element_degree(row) == (0,) for row in J.basis)
+        small_rad = radical(small).dim
     else:
         big = result.semitrivial
         small = result.zhang
         small_name = "twisted-product Zhang twist"
-    J = radical(big)
-    big_rad = J.dim
-    zero_rad = sum(big.element_degree(row) == (0,) for row in J.basis)
-    small_rad = radical(small).dim if result.case == "plus" else zero_rad
+        zero_rad = small_rad = radical(result.Gamma).dim
+        big_rad = 2 * zero_rad
     lines.append("regularity of the central element: assumed (not computed)")
     lines.append(f"big deformation dim: {big.dim}, radical dim: {big_rad}")
     lines.append(f"degree-0 part dim: {len(big.component_indices((0,)))},"

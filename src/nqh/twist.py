@@ -228,6 +228,14 @@ class BlockLayout:
         return {k: v for k, v in out.items() if v}
 
 
+def _require_kind(system, halves):
+    """NotTwistingSystem unless the basis has ``halves``, (0, 1) for M_2(E)
+    or (0,) for E x E, and there is one theta table per half."""
+    if system.basis.halves != halves or len(system.theta) != len(halves):
+        raise NotTwistingSystem(f"{len(system.theta)} theta tables over halves"
+                                f" {system.basis.halves}, not {halves}")
+
+
 def _unit_value_invertible(table):
     """Whether the table sends 1 to an invertible 2x2 scalar matrix."""
     v = table.value_at_unit()
@@ -350,6 +358,7 @@ def verify_twisting_M2(system):
     once, and the exchange identity is read off its certificate
     (:func:`_certify_exchange`).
     """
+    _require_kind(system, (0, 1))
     report = Report()
     report.add("basis-identities", system.basis.basis_identities().ok)
     inverses = []
@@ -396,6 +405,7 @@ def verify_twisting_suite(system):
     family collapses both sides back to the exchange identity.  A phi that
     fails the check is not the t-inverse, and the item fails.
     """
+    _require_kind(system, (0, 1))
     report = Report()
     E = system.algebra
     basis = system.basis
@@ -532,6 +542,7 @@ def verify_twisting_prod(system):
     ``TwistingSystemM2`` with one table over a basis of k x k; as for
     M_2(E), the twisted product is built and certified once, and the
     exchange identity is read off its certificate (:func:`_certify_exchange`)."""
+    _require_kind(system, (0,))
     report = Report()
     theta = system.theta[0]
     inv = t_inverse_table(theta)
@@ -605,7 +616,7 @@ def build_semitrivial(data):
     degrees = ([(0,) + d for d in E.degrees]
                + [(1,) + tuple(d) for d in data.module_degrees])
     # no cell changes once built, so the ring's products and psi are shared
-    table = ([list(row) + [None] * m for row in E.table]
+    table = ([list(E.row(i)) + [None] * m for i in range(E.dim)]
              + [[None] * E.dim + list(row) for row in data.psi])
     for i in range(E.dim):
         for b in range(m):
@@ -660,11 +671,11 @@ def semitrivial_mu(E, mu):
 def _skew_group_data(E, mu):
     """``semitrivial_mu``'s package without its checks of mu: the dim E^2
     products mu(e_i) e_b serve as both the left action and psi, and the
-    right action is read off E's table."""
+    right action is read off E's stored products."""
     assert E.group_rank == 1
     left = tuple(tuple(E.mul(mu.cols[i], E.basis_vec(b))
                        for b in range(E.dim)) for i in range(E.dim))
-    right = tuple(tuple(E.table[b][i] for b in range(E.dim)) for i in range(E.dim))
+    right = tuple(tuple(E.row(b)[i] for b in range(E.dim)) for i in range(E.dim))
     shifted = tuple(((d[0] + 1) % 2,) for d in E.degrees)
     return SemiTrivialData(E, shifted, left, right, left)
 

@@ -11,7 +11,8 @@ the tests keep as references: the homomorphism identity of a map
 E -> M_2(E) on every basis pair, the module identity on every triple, the
 normal form bounded by a rewriting system's confluence degree, the
 twisted table formed block by block, the degree-0 radical by the trace
-form on the degree-0 part, and the certificate of a map onto a subspace
+form on the degree-0 part, both radicals of the minus case by the trace
+form on its extension, and the certificate of a map onto a subspace
 read through the algebra restricted to that subspace.  Last
 is the dense matrix layer that sigma used before it became a table of
 sparse maps: matrix sums, identities, inverses, and the stacked inverse of
@@ -187,6 +188,15 @@ def ref_degree0_radical_dim(algebra):
     zero = Subspace.from_rows(
         [{i: ONE} for i in algebra.component_indices((0,))], algebra.dim)
     return radical(restrict(algebra, zero, algebra.unit)).dim
+
+
+def ref_radical_dims(algebra):
+    """(dim J(A), dim J(A_0)) as ``singularity_report`` read them in the
+    minus case before it read them off J(Gamma): the trace form on the
+    whole Z2-graded ``algebra``, and the degree-0 rows of its radical's
+    reduced basis."""
+    J = radical(algebra)
+    return J.dim, sum(algebra.element_degree(row) == (0,) for row in J.basis)
 
 
 def ref_certify_by_iso(linmap):

@@ -972,3 +972,60 @@ def test_certify_by_iso_checks_image_unit_and_degrees():
     assert not verify_algebra(flipped).ok
     assert not certify_by_iso(GradedLinMap(flipped, group, [{0: ONE}, {1: ONE}]),
                               _whole(group))
+
+
+class ProductsOnDemand(GradedAlgebra):
+    """An algebra that keeps its products in a dict keyed by (i, j) and
+    forms each row only when asked.  Reading ``table`` raises, so any
+    consumer that reads the stored table, not ``row`` or ``mul``, fails."""
+
+    __slots__ = ("products",)
+
+    def _refuse(self):
+        raise AssertionError("the structure table was read")
+
+    def _keep(self, table):
+        self.products = {(i, j): prod for i, row in enumerate(table)
+                         for j, prod in enumerate(row)}
+
+    table = property(_refuse, _keep)
+
+    def row(self, i):
+        return [self.products[i, j] for j in range(self.dim)]
+
+
+def _verdicts(algebra, system, other):
+    """What each product consumer says of ``algebra``, and of the identity
+    maps between it and ``other``, an algebra on the same basis."""
+    maps = [GradedLinMap(algebra, other, [{i: ONE} for i in range(algebra.dim)]),
+            GradedLinMap(other, algebra, [{i: ONE} for i in range(algebra.dim)])]
+    return (_items(verify_algebra(algebra)), _items(verify_algebra(algebra, system)),
+            generating_set(algebra), radical(algebra).basis,
+            strongly_graded_check(algebra), RightModule.regular(algebra).action,
+            [verify_iso(m) for m in maps],
+            [certify_by_iso(m, _whole(m.target)) for m in maps])
+
+
+def test_every_consumer_reads_products_through_row_and_mul(base_deformations):
+    """An algebra that stores its products another way gets the verdicts of
+    its table-backed twin from every consumer: verify_algebra with and
+    without the rules, generating_set, radical, strongly_graded_check,
+    RightModule.regular, verify_iso and certify_by_iso.  On the registry
+    and skew3 base deformations, and on a copy of each with one constant
+    bumped in a letter row, compared against the deformation itself."""
+    rng = random.Random("products-on-demand")
+    failed = Counter()
+    compared = 0
+    for name, E, system in base_deformations:
+        if name.startswith(("big:", "presentations:")):
+            continue
+        letters = [w for w in E.words if len(w) == 1]
+        for algebra in (E, _row_bumped(E, rng.choice(letters), rng)):
+            on_demand = ProductsOnDemand(algebra.labels, algebra.table, algebra.unit,
+                                         algebra.degrees, algebra.group_rank,
+                                         words=algebra.words)
+            verdicts = _verdicts(algebra, system, E)
+            assert _verdicts(on_demand, system, E) == verdicts, name
+            failed[algebra is E] += not verdicts[0][2][1]
+            compared += 1
+    assert compared == 2 * 10 and failed == {True: 0, False: 10}, (compared, failed)

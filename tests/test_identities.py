@@ -902,7 +902,7 @@ def _restricted_scan(system, first_pairs=(1, 2), last_halves=(0, 1)):
     firsts = [layout.index(0, j, b) for j in first_pairs for b in range(E.dim)]
     lasts = [layout.index(i, j, k) for i in layout.halves if i in last_halves
              for j in (1, 2) for k in E.unit]
-    return _associativity_failure(twisted.table, generating_set(twisted),
+    return _associativity_failure(twisted, generating_set(twisted),
                                   firsts, lasts)
 
 

@@ -2,8 +2,9 @@
 process-wide cache, only ``exactlin`` reduces a vector against a subspace's
 basis, no module keeps a dense matrix table layer, ``knorrer`` scans no
 product for strong grading, ``restrict`` builds only the eigenspace
-subalgebra, every definition is reached from the command line, and every
-name the bench tracer patches resolves to a function of its own.
+subalgebra, only ``GradedAlgebra``'s methods read a structure table, every
+definition is reached from the command line, and every name the bench
+tracer patches resolves to a function of its own.
 
 The first check reads each module's syntax tree: every name bound by an
 ``import`` or ``from ... import`` must appear as a name somewhere in the
@@ -226,6 +227,38 @@ def test_restrict_builds_only_the_eigenspace_subalgebra():
     found = [(path.name, caller) for path in sorted(PACKAGE.glob("*.py"))
              for caller in restrict_call_sites(path.read_text())]
     assert found == [("knorrer.py", "run_plus_case")]
+
+
+def table_reads(source):
+    """The line numbers at which ``source`` reads an attribute ``table``
+    outside the methods of a class ``GradedAlgebra``.  Every other reader
+    multiplies through ``GradedAlgebra.mul`` or ``GradedAlgebra.row``, so
+    the storage of the products is known to that class alone."""
+    tree = ast.parse(source)
+    inside = {id(sub) for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) and node.name == "GradedAlgebra"
+              for method in node.body if isinstance(method, DEFINITIONS)
+              for sub in ast.walk(method)}
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr == "table"
+                   and id(node) not in inside})
+
+
+def test_the_check_finds_a_table_read():
+    source = ("class GradedAlgebra:\n"
+              "    table = None\n"
+              "    def row(self, i):\n        return self.table[i]\n"
+              "def radical(algebra):\n    return algebra.table[0][0]\n"
+              "class Other:\n    def row(self, i):\n        return self.table[i]\n"
+              "rows = [r for r in E.table]\n"
+              "table = E.row(0)\n")
+    assert table_reads(source) == [6, 9, 10]
+
+
+def test_only_graded_algebra_reads_its_table():
+    found = [(path.name, line) for path in sorted(PACKAGE.glob("*.py"))
+             for line in table_reads(path.read_text())]
+    assert found == []
 
 
 def mentioned_names(nodes):

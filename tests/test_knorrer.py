@@ -19,6 +19,7 @@ from reference_constructions import (
     ref_certify_by_iso,
     ref_certify_onto,
     ref_degree0_radical_dim,
+    ref_radical_dims,
     verify_hom_M2,
     verify_module,
 )
@@ -72,7 +73,7 @@ from nqh.scenarios import (
     PROP_5_10,
     run_scenario,
 )
-from nqh.twist import BlockLayout, SemiTrivialData, build_semitrivial
+from nqh.twist import BlockLayout, SemiTrivialData, build_semitrivial, semitrivial_mu
 
 MINUS_ONE = Scalar(-1)
 
@@ -475,10 +476,10 @@ def test_scenarios_read_radicals_off_the_singularity_report(monkeypatch):
     """ex-4.10 reads the corner extension's radical, and ex-5.9 and
     prop-5.10 the Zhang twist's, off the singularity report, which computes
     them: the Zhang twist is certified isomorphic to the degree-0 part, whose
-    radical the report reads off the big radical.  The trace-form radicals
-    each scenario computes, counted where every module binds ``radical``:
-    two per plus run (the big algebra and the corner extension) and one per
-    minus run (the big algebra); prop-5.1 computes its witness's once, in
+    radical the report reads off J(Gamma).  The trace-form radicals each
+    scenario computes, counted where every module binds ``radical``: two
+    per plus run (the big algebra and the corner extension) and one per
+    minus run (Gamma); prop-5.1 computes its witness's once, in
     ``prop51_scenario``, which returns it."""
     calls = Counter()
     real = algebra_module.radical
@@ -737,12 +738,12 @@ def test_each_run_builds_and_certifies_each_twisted_table_once(monkeypatch):
     monkeypatch.setattr(twist, "verify_iso", recording(isos, twist.verify_iso))
     real_scan = algebra_module._associativity_failure
 
-    def scanning(table, middles, firsts=None, lasts=None):
+    def scanning(algebra, middles, firsts=None, lasts=None):
         # a passing scan evaluates every triple it is given
-        everything = range(len(table))
-        scans.append((table, len(everything if firsts is None else firsts)
-                      * len(middles) * len(everything if lasts is None else lasts)))
-        return real_scan(table, middles, firsts, lasts)
+        everything = range(algebra.dim)
+        scans.append((algebra, len(everything if firsts is None else firsts)
+                       * len(middles) * len(everything if lasts is None else lasts)))
+        return real_scan(algebra, middles, firsts, lasts)
 
     monkeypatch.setattr(algebra_module, "_associativity_failure", scanning)
     for name, blob in sorted(generate("skew3", 7).items()):
@@ -762,7 +763,7 @@ def test_each_run_builds_and_certifies_each_twisted_table_once(monkeypatch):
         halves = 2 if plus else 1
         assert products and all(a is E for a in products), name
         assert len(products) <= 4 * halves * E.dim ** 2, name
-        triples = [n for table, n in scans if table is twisted.table]
+        triples = [n for algebra, n in scans if algebra is twisted]
         assert len(triples) == 1, name
         assert triples[0] <= 2 * E.dim * len(generating_set(twisted)) * 2 * halves, name
         assert plus or not [a for a in elsewhere if a is result.zhang], name
@@ -1602,14 +1603,18 @@ def knorrer_inputs():
 
 def test_the_degree0_radical_is_read_off_the_big_radical(knorrer_inputs):
     """On every input, the degree-0 radical that singularity_report counts
-    in the big radical's reduced basis is the one the trace form gives on
-    the degree-0 part.  prop-5.10's radicals are 8 and 4."""
+    is the one the trace form gives on the degree-0 part, and in the minus
+    case both radicals that it reads off J(Gamma) are the ones the trace
+    form gives on the extension.  prop-5.10's radicals are 8 and 4."""
     dims = {}
     for name, data, lift in knorrer_inputs:
         result = _run(data, lift)
         report = singularity_report(result)
         big = result.twisted if result.case == "plus" else result.semitrivial
         assert report.degree0_radical_dim == ref_degree0_radical_dim(big), name
+        if result.case == "minus":
+            assert (report.big_radical_dim,
+                    report.degree0_radical_dim) == ref_radical_dims(big), name
         dims[name] = (report.big_radical_dim, report.degree0_radical_dim)
     assert len(dims) == 15
     assert {name: d for name, d in dims.items() if d != (0, 0)} == {
@@ -1633,19 +1638,27 @@ def _truncated_times_triangular():
 
 def test_the_degree0_radical_is_read_off_both_degrees_of_a_radical():
     """On a hand-built algebra whose radical has odd and even parts, read as
-    the big algebra of either case, the report counts the even rows of the
-    big radical: 1 of 3, as the trace form on the degree-0 part gives."""
+    the big algebra of the plus case, the report counts the even rows of
+    the big radical: 1 of 3, as the trace form on the degree-0 part gives.
+    Read as Gamma of the minus case, with mu = id, the report reads 6 and 3
+    off J(Gamma), as the trace form on Gamma x| <mu> gives."""
     algebra = _truncated_times_triangular()
     assert verify_algebra(algebra).ok
     J = radical(algebra)
     assert sorted(algebra.element_degree(row) for row in J.basis) == [
         (0,), (1,), (1,)]
     assert ref_degree0_radical_dim(algebra) == 1
-    for result in (SimpleNamespace(case="plus", twisted=algebra, Lambda=algebra),
-                   SimpleNamespace(case="minus", semitrivial=algebra, zhang=algebra)):
-        report = singularity_report(result)
-        assert (report.big_radical_dim, report.degree0_radical_dim) == (3, 1)
-        assert "degree-0 part dim: 4, radical dim: 1" in report.lines
+    report = singularity_report(
+        SimpleNamespace(case="plus", twisted=algebra, Lambda=algebra))
+    assert (report.big_radical_dim, report.degree0_radical_dim) == (3, 1)
+    assert "degree-0 part dim: 4, radical dim: 1" in report.lines
+    ST = build_semitrivial(semitrivial_mu(
+        algebra, GradedLinMap.identity(algebra))).forget_first_regrade()
+    assert ref_radical_dims(ST) == (6, 3)
+    report = singularity_report(
+        SimpleNamespace(case="minus", Gamma=algebra, semitrivial=ST, zhang=algebra))
+    assert (report.big_radical_dim, report.degree0_radical_dim) == (6, 3)
+    assert "degree-0 part dim: 6, radical dim: 3" in report.lines
 
 
 def _with_the_scans(patch):

@@ -44,7 +44,8 @@ from nqh.twist import (
     verify_twisting_suite,
     zhang_twist,
 )
-from nqh.scenarios import run_scenario
+from nqh.formats import parse_double_ore
+from nqh.scenarios import EX_5_9, run_scenario
 
 MINUS_ONE = Scalar(-1)
 
@@ -806,6 +807,29 @@ def test_zhang_twist_by_sign(clifford_km1):
     for degree in ((0,), (1,)):
         assert (len(twisted.component_indices(degree))
                 == len(E.component_indices(degree)))
+
+
+def test_each_verifier_rejects_a_system_of_the_other_kind(plus_system):
+    """verify_twisting_M2 and verify_twisting_suite take M_2(E) systems,
+    verify_twisting_prod takes E x E systems, and each raises
+    NotTwistingSystem on the other kind and on a system whose number of
+    theta tables does not match its basis.  ex-5.9's own E x E system once
+    made the first two fail with an IndexError, and verify_twisting_prod
+    once built an M_2(E) table from the class-Z system."""
+    prod = knorrer.run_minus_case(*parse_double_ore(EX_5_9)).theta_prod
+    for verify in (verify_twisting_M2, verify_twisting_suite):
+        with pytest.raises(NotTwistingSystem, match=r"not \(0, 1\)"):
+            verify(prod)
+    m2 = dataclasses.replace(plus_system, t_inverses=None)
+    with pytest.raises(NotTwistingSystem, match=r"not \(0,\)"):
+        verify_twisting_prod(m2)
+    mismatched = (dataclasses.replace(m2, theta=m2.theta[:1]),
+                  dataclasses.replace(prod, theta=prod.theta * 2))
+    for system in mismatched:
+        for verify in (verify_twisting_M2, verify_twisting_suite,
+                       verify_twisting_prod):
+            with pytest.raises(NotTwistingSystem):
+                verify(system)
 
 
 def test_semitrivial_mu_rejects_a_shear(clifford_km1):
