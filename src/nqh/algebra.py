@@ -186,17 +186,23 @@ def generating_set(algebra):
 def _associativity_failure(algebra, middles, firsts=None, lasts=None):
     """The first (i, j, k), j in ``middles``, i in ``firsts`` and k in
     ``lasts`` (every index when None), where (e_i e_j) e_k and
-    e_i (e_j e_k) differ, or None."""
+    e_i (e_j e_k) differ, or None.  The two sides are read off stored
+    products: sum_m c_m (e_m e_k) over e_i e_j = sum_m c_m e_m, and the
+    left multiplication by e_i applied to e_j e_k."""
     everything = range(algebra.dim)
     firsts = everything if firsts is None else firsts
     lasts = everything if lasts is None else lasts
+    row = algebra.row
     for i in firsts:
-        left = algebra.row(i)
-        e_i = {i: ONE}
+        left = row(i)
         for j in middles:
-            right = algebra.row(j)
+            right = row(j)
+            product = [(row(m), c) for m, c in left[j].items()]
             for k in lasts:
-                if algebra.mul(left[j], {k: ONE}) != algebra.mul(e_i, right[k]):
+                outer = {}
+                for row_m, c in product:
+                    add_scaled(outer, row_m[k], c)
+                if outer != apply_row(left, right[k]):
                     return (i, j, k)
     return None
 
@@ -204,10 +210,10 @@ def _associativity_failure(algebra, middles, firsts=None, lasts=None):
 def verify_algebra(algebra, system=None):
     """Unit, associativity and grading checks with first counterexamples.
 
-    Every product is the algebra's own (``GradedAlgebra.mul``), summed by
-    the kernel ``add_scaled`` from the stored products: 1 e_i, e_i 1,
-    (e_i e_j) e_k and e_i (e_j e_k).  Kernel-built dicts never store a zero
-    coefficient, so plain dict comparison is exact.
+    Every product is the algebra's own, summed by the kernel ``add_scaled``
+    from the stored products that ``GradedAlgebra.row`` and ``mul`` read:
+    1 e_i, e_i 1, (e_i e_j) e_k and e_i (e_j e_k).  Kernel-built dicts
+    never store a zero coefficient, so plain dict comparison is exact.
 
     Once the unit item passes, associativity is checked only on the triples
     (e_i e_s) e_k = e_i (e_s e_k) with s in S = ``generating_set``: dim^2 |S|

@@ -43,7 +43,6 @@ from .exactlin import (
     add_scaled,
     pairing,
     sqrt_in_K,
-    subspace_intersection,
     word_index,
 )
 from .algebra import (
@@ -148,35 +147,6 @@ def clifford_theta(dual, lift):
     return tuple(values), relations
 
 
-def _compatibility_holds(dual, lift):
-    """(theta (x) 1 - 1 (x) theta) vanishes on V*R^perp  intersect  R^perp V*."""
-    g = dual.ngens
-    relations = dual.relation_elements()
-    left_rows = []
-    right_rows = []
-    for a in range(g):
-        unit_vec = TensorElement.monomial((a,))
-        for f in relations:
-            left_rows.append(unit_vec.concat(f).coordinates(g, 3))
-            right_rows.append(f.concat(unit_vec).coordinates(g, 3))
-    left = Subspace.from_rows(left_rows, g ** 3)
-    right = Subspace.from_rows(right_rows, g ** 3)
-    meet = subspace_intersection(left, right)
-    zmat = [[ZERO] * g for _ in range(g)]
-    for (a, b), c in lift.terms.items():
-        zmat[a][b] = c
-    for row in meet.basis:
-        t = TensorElement.from_coordinates(row, g, 3)
-        contract_12 = [ZERO] * g  # theta on the first two letters
-        contract_23 = [ZERO] * g  # theta on the last two letters
-        for (a, b, c), coeff in t.terms.items():
-            contract_12[c] = contract_12[c] + coeff * zmat[a][b]
-            contract_23[a] = contract_23[a] + coeff * zmat[b][c]
-        if any(x - y for x, y in zip(contract_12, contract_23)):
-            return False
-    return True
-
-
 def dual_dims(presentation):
     """The graded dimensions of a finite-dimensional quadratic quotient, from
     degree 0 up to its top degree; BoundExceeded as soon as their running
@@ -220,12 +190,21 @@ def complete_deformation(dual, deformed, central_lift, theta_values,
 def build_clifford(presentation, lift):
     """The Clifford deformation of the dual of a quadratic presentation,
     with its structure table certified by ``verify_algebra`` from its
-    completed rules."""
+    completed rules.
+
+    The one compatibility check is ``check_central``: theta (x) 1 - 1 (x)
+    theta, with theta(f) = <f, lift> on the dual relations R^perp, vanishes
+    on M = V* R^perp  intersect  R^perp V* exactly when the lift is central
+    in A_3.  Proof.  Under the straight pairing of V*^(x)3 with V^(x)3 the
+    annihilator of V* R^perp is V R and that of R^perp V* is R V, so
+    M^perp = V R + R V = I_3.  Component k of theta (x) 1 - 1 (x) theta is
+    the pairing with z x_k - x_k z, for z the lift, so it vanishes on M
+    exactly when z x_k - x_k z lies in M^perp = I_3 for every generator:
+    when z is central in A_3.
+    """
     if not check_central(presentation, lift):
         raise CompatibilityFailed("the lift is not central")
     dual = koszul_dual(presentation)
-    if not _compatibility_holds(dual, lift):
-        raise CompatibilityFailed("the Clifford compatibility condition fails")
     theta_values, deformed = clifford_theta(dual, lift)
     out = complete_deformation(dual, deformed, lift, theta_values)
     out.algebra = extract_algebra(out.system, out.words)

@@ -823,29 +823,6 @@ def nullspace(rows, ncols):
     return Subspace.from_rows(kernel.values(), ncols)
 
 
-def subspace_intersection(u, w):
-    """Intersection of two subspaces of the same ambient space K^n.
-
-    Zassenhaus: the rows (x | x), x in the basis of u, and (y | 0), y in the
-    basis of w, span {(x + y | x)}, whose vectors that vanish on the first
-    half are (0 | x) with x = -y in u and w.  The rows of a row echelon
-    basis that lead in the second half span exactly those vectors.
-    """
-    if u.ambient != w.ambient:
-        raise DimensionMismatch("subspaces of different ambient spaces")
-    n = u.ambient
-    elim = SparseEliminator()
-    for x in u.basis:
-        row = dict(x)
-        row.update((c + n, v) for c, v in x.items())
-        elim.add(row)
-    for y in w.basis:
-        elim.add(y)
-    meet = [{c - n: v for c, v in row.items()}
-            for lead, row in elim.pivots.items() if lead >= n]
-    return Subspace.from_rows(meet, n)
-
-
 # ---------------------------------------------------------------------------
 # 2x2 scalar matrices
 

@@ -273,10 +273,12 @@ def _exchange_failure(system):
     return None
 
 
-def _certify_exchange(system, build):
+def _certify_exchange(system, build, l_holds):
     """Build the twisted algebra of ``system`` once, keep it and its
     certificate on the system, and return the first failure of the
-    exchange identity (as :func:`_exchange_failure`) or None.
+    exchange identity (as :func:`_exchange_failure`) or None.  ``l_holds``
+    is the verdict of ``system.basis.basis_identities()``, which the
+    caller has already evaluated.
 
     Preconditions: E is certified by ``verify_algebra``, as every E that
     ``deform.build_clifford`` returns is, and ``build`` fills the table by
@@ -337,7 +339,6 @@ def _certify_exchange(system, build):
     """
     E = system.algebra
     system.twisted = build(system)
-    l_holds = system.basis.basis_identities().ok
     firsts = lasts = None
     if l_holds:
         layout = BlockLayout(E, system.basis)
@@ -360,7 +361,8 @@ def verify_twisting_M2(system):
     """
     _require_kind(system, (0, 1))
     report = Report()
-    report.add("basis-identities", system.basis.basis_identities().ok)
+    l_holds = system.basis.basis_identities().ok
+    report.add("basis-identities", l_holds)
     inverses = []
     for i in (0, 1):
         inv = t_inverse_table(system.theta[i])
@@ -372,7 +374,7 @@ def verify_twisting_M2(system):
     report.add("theta1-unit-invertible", _unit_value_invertible(system.theta[1]))
     report.add("theta0-unit-invertible", _unit_value_invertible(system.theta[0]))
 
-    failure = _certify_exchange(system, build_twisted_M2)
+    failure = _certify_exchange(system, build_twisted_M2, l_holds)
     system.exchange_ok = failure is None
     detail = "" if failure is None else (
         "first failure at i'={} i''={} j'={} j''={} p={} x={} y={}".format(*failure))
@@ -551,7 +553,8 @@ def verify_twisting_prod(system):
         return report
     system.t_inverses = (inv,)
     report.add("theta-unit-invertible", _unit_value_invertible(theta))
-    failure = _certify_exchange(system, build_twisted_prod)
+    failure = _certify_exchange(system, build_twisted_prod,
+                                system.basis.basis_identities().ok)
     detail = "" if failure is None else (
         "fails at j={} j'={} p={} x={} y={}".format(*failure[2:]))
     report.add("product-exchange-identity", failure is None, detail)

@@ -12,8 +12,11 @@ E -> M_2(E) on every basis pair, the module identity on every triple, the
 normal form bounded by a rewriting system's confluence degree, the
 twisted table formed block by block, the degree-0 radical by the trace
 form on the degree-0 part, both radicals of the minus case by the trace
-form on its extension, and the certificate of a map onto a subspace
-read through the algebra restricted to that subspace.  Last
+form on its extension, the certificate of a map onto a subspace
+read through the algebra restricted to that subspace, and the Clifford
+compatibility condition on V* R^perp  intersect  R^perp V*, with the
+Zassenhaus subspace intersection it is computed by, which
+``check_central`` decides (the proof is in ``deform.build_clifford``).  Last
 is the dense matrix layer that sigma used before it became a table of
 sparse maps: matrix sums, identities, inverses, and the stacked inverse of
 a 2x2 table of blocks with its check, the references of the sparse
@@ -33,7 +36,16 @@ from nqh.algebra import (
     verify_iso,
 )
 from nqh.errors import DimensionMismatch, NotTwistingSystem, NqhError, SingularBasis
-from nqh.exactlin import ONE, ZERO, Subspace, add_scaled, matrix_mul, rref_rows
+from nqh.exactlin import (
+    ONE,
+    ZERO,
+    SparseEliminator,
+    Subspace,
+    TensorElement,
+    add_scaled,
+    matrix_mul,
+    rref_rows,
+)
 from nqh.twist import BlockLayout, TwistingSystemM2, verify_twisting_M2
 
 
@@ -225,6 +237,59 @@ def ref_certify_onto(linmap, image, unit):
     except DimensionMismatch:
         return False
     return ref_certify_by_iso(GradedLinMap(linmap.source, restricted, cols))
+
+
+def subspace_intersection(u, w):
+    """Intersection of two subspaces of the same ambient space K^n.
+
+    Zassenhaus: the rows (x | x), x in the basis of u, and (y | 0), y in the
+    basis of w, span {(x + y | x)}, whose vectors that vanish on the first
+    half are (0 | x) with x = -y in u and w.  The rows of a row echelon
+    basis that lead in the second half span exactly those vectors.
+    """
+    if u.ambient != w.ambient:
+        raise DimensionMismatch("subspaces of different ambient spaces")
+    n = u.ambient
+    elim = SparseEliminator()
+    for x in u.basis:
+        row = dict(x)
+        row.update((c + n, v) for c, v in x.items())
+        elim.add(row)
+    for y in w.basis:
+        elim.add(y)
+    meet = [{c - n: v for c, v in row.items()}
+            for lead, row in elim.pivots.items() if lead >= n]
+    return Subspace.from_rows(meet, n)
+
+
+def compatibility_holds(dual, lift):
+    """(theta (x) 1 - 1 (x) theta) vanishes on V*R^perp  intersect  R^perp V*,
+    for theta(f) = <f, lift> on the relations of ``dual``."""
+    g = dual.ngens
+    relations = dual.relation_elements()
+    left_rows = []
+    right_rows = []
+    for a in range(g):
+        unit_vec = TensorElement.monomial((a,))
+        for f in relations:
+            left_rows.append(unit_vec.concat(f).coordinates(g, 3))
+            right_rows.append(f.concat(unit_vec).coordinates(g, 3))
+    left = Subspace.from_rows(left_rows, g ** 3)
+    right = Subspace.from_rows(right_rows, g ** 3)
+    meet = subspace_intersection(left, right)
+    zmat = [[ZERO] * g for _ in range(g)]
+    for (a, b), c in lift.terms.items():
+        zmat[a][b] = c
+    for row in meet.basis:
+        t = TensorElement.from_coordinates(row, g, 3)
+        contract_12 = [ZERO] * g  # theta on the first two letters
+        contract_23 = [ZERO] * g  # theta on the last two letters
+        for (a, b, c), coeff in t.terms.items():
+            contract_12[c] = contract_12[c] + coeff * zmat[a][b]
+            contract_23[a] = contract_23[a] + coeff * zmat[b][c]
+        if any(x - y for x, y in zip(contract_12, contract_23)):
+            return False
+    return True
 
 
 def trivial_system(E, basis):

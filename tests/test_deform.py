@@ -1,10 +1,13 @@
 import dataclasses
+import json
 import math
+import random
 
 import pytest
 
 from conftest import class_t_sigma, dense_table, diagonal_sigma, scalar_matrix, sigma_table
-from reference_constructions import verify_hom_M2
+from reference_constructions import compatibility_holds, verify_hom_M2
+from test_quadratic import random_presentation
 
 from nqh.errors import (
     BoundExceeded,
@@ -16,7 +19,16 @@ from nqh.errors import (
     WrongP,
 )
 from nqh import deform
-from nqh.exactlin import I, ONE, Scalar, TensorElement, ZERO
+from nqh.exactlin import (
+    I,
+    ONE,
+    Scalar,
+    TensorElement,
+    ZERO,
+    add_scaled,
+    nullspace,
+    words_of_length,
+)
 from nqh.algebra import GradedLinMap, radical, strongly_graded_check
 from nqh.quadratic import (
     QuadraticPresentation,
@@ -126,6 +138,89 @@ def test_ten_letter_skew_dual_fills_the_budget():
 def test_build_clifford_rejects_noncentral(km1):
     with pytest.raises(CompatibilityFailed):
         build_clifford(km1, TensorElement({(0, 1): ONE}))
+
+
+def _compatibility_inputs():
+    """(name, presentation, lift) for the differential test of
+    ``check_central`` against the compatibility condition: every pair that
+    ``check_central`` meets in the six registry scenarios, the base and B
+    of the skew3 inputs of seeds 1 to 4 with their lifts, and the bases of
+    the presentations inputs of seeds 1 to 3."""
+    from nqh.formats import parse_double_ore, parse_presentation
+    from nqh.scenarios import REGISTRY, run_scenario
+    from perfbench.workloads import generate
+
+    out = []
+    real = deform.check_central
+
+    def record(presentation, lift):
+        out.append((f"registry:{len(out)}", presentation, lift))
+        return real(presentation, lift)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(deform, "check_central", record)
+        for scenario_id in sorted(REGISTRY):
+            assert run_scenario(scenario_id).ok
+    assert out
+    for seed in (1, 2, 3, 4):
+        for name, blob in sorted(generate("skew3", seed).items()):
+            data, central = parse_double_ore(json.loads(blob))
+            out.append((f"skew3:{seed}:{name}", data.base, central))
+            out.append((f"skew3:{seed}:{name}:B", b_presentation(data),
+                        central_lift_in_b(data, central)))
+    for seed in (1, 2, 3):
+        base = json.loads(generate("presentations", seed)["base.json"])
+        out.append((f"presentations:{seed}", *parse_presentation(base)))
+    return out
+
+
+def _central_lifts(presentation):
+    """The lifts z in V (x) V with z x_k - x_k z in I_3 for every k, as
+    the kernel of the linear map from the degree-2 words to A_3^g."""
+    g = presentation.ngens
+    rows = {}
+    for idx, word in enumerate(words_of_length(g, 2)):
+        z = TensorElement.monomial(word)
+        for k in range(g):
+            gen = TensorElement.monomial((k,))
+            residue = presentation.reduce_mod_ideal(z.concat(gen) - gen.concat(z), 3)
+            for pos, c in residue.items():
+                rows.setdefault((k, pos), {})[idx] = c
+    return nullspace(list(rows.values()), g * g)
+
+
+def test_check_central_decides_the_compatibility_condition():
+    """``build_clifford`` checks only ``check_central``: on every input it
+    agrees with the compatibility condition on V* R^perp  intersect
+    R^perp V* that it replaced (the proof is in its docstring).  The
+    inputs are the registry, skew3 and presentations bases with their
+    lifts and with each lift plus a mixed word, and seeded random 2- and
+    3-letter presentations with a central lift drawn from the kernel of
+    the commutator map and a random lift."""
+    cases = []
+    for name, pres, lift in _compatibility_inputs():
+        cases.append((name, pres, lift))
+        cases.append((f"{name}+x1x2", pres, lift + TensorElement.monomial((0, 1))))
+    for seed in range(60):
+        rng = random.Random(f"compatibility:{seed}")
+        pres = random_presentation(rng)
+        g = pres.ngens
+        central = {}
+        for row in _central_lifts(pres).basis:
+            add_scaled(central, row, Scalar(rng.choice((-1, 1, 2))))
+        cases.append((f"random:{seed}:central",
+                      pres, TensorElement.from_coordinates(central, g, 2)))
+        cases.append((f"random:{seed}:random", pres, TensorElement(
+            {(rng.randrange(g), rng.randrange(g)): Scalar(rng.choice((-1, 1, 3)))
+             for _ in range(3)})))
+    verdicts = set()
+    for name, pres, lift in cases:
+        verdict = check_central(pres, lift)
+        assert compatibility_holds(koszul_dual(pres), lift) == verdict, name
+        verdicts.add((name.split(":")[0], verdict))
+    assert verdicts == {(kind, verdict) for kind in
+                        ("registry", "skew3", "presentations", "random")
+                        for verdict in (True, False)}
 
 
 def test_validate_class_z(double_ore_class_z):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from reference_constructions import matrix_inverse
+from reference_constructions import matrix_inverse, subspace_intersection
 
 from nqh import exactlin
 from nqh.errors import DegreeMismatch, DimensionMismatch, ParseError
@@ -26,7 +26,6 @@ from nqh.exactlin import (
     pairing,
     rref_rows,
     sqrt_in_K,
-    subspace_intersection,
     words_of_length,
 )
 

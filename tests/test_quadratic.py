@@ -1,6 +1,10 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
+
+from nqh import quadratic
 
 from nqh.errors import BoundExceeded, DegreeMismatch
 from nqh.exactlin import (
@@ -117,6 +121,16 @@ def test_quotient_dimension_consistency(km1):
         assert km1.component_dim(n) + ideal_rank == g ** n
 
 
+def _not_pbw():
+    """K<x,y>/(x^2 + y^2), dims 1, 2, ..., 7 through degree 6, and
+    K<x,y>/(x^2 + yx): the lead x^2 overlaps itself in x^3, and neither
+    relation set is a Groebner basis."""
+    return [("x2+y2", QuadraticPresentation(
+                ["x", "y"], [TensorElement({(0, 0): ONE, (1, 1): ONE})])),
+            ("x2+yx", QuadraticPresentation(
+                ["x", "y"], [TensorElement({(0, 0): ONE, (1, 0): ONE})]))]
+
+
 def _differential_inputs():
     km1 = QuadraticPresentation(
         ["x1", "x2"], [TensorElement({(0, 1): ONE, (1, 0): ONE})])
@@ -125,6 +139,8 @@ def _differential_inputs():
     inputs = [("km1", km1), ("km1-dual", koszul_dual(km1)),
               ("free", QuadraticPresentation(["a", "b"], [])),
               ("plane", plane)]
+    for name, pres in _not_pbw():
+        inputs += [(name, pres), (f"{name}-dual", koszul_dual(pres))]
     for seed in range(4):
         skew = skew_presentation(seed)
         inputs.append((f"skew3-{seed}", skew))
@@ -132,10 +148,8 @@ def _differential_inputs():
     return [pytest.param(name, pres, id=name) for name, pres in inputs]
 
 
-@pytest.mark.parametrize("name,pres", _differential_inputs())
-def test_components_match_tensor_power_oracle(name, pres):
+def assert_matches_tensor_power_oracle(pres, rng):
     g = pres.ngens
-    rng = random.Random(name)
     for n in range(ORACLE_MAX_DEGREE + 1):
         elim = tensor_power_ideal(pres, n)
         expected_words = [w for i, w in enumerate(words_of_length(g, n))
@@ -152,6 +166,84 @@ def test_components_match_tensor_power_oracle(name, pres):
             normal = TensorElement(dict(zip(expected_words, vec)))
             assert pres.in_ideal(element - normal, n)
             assert elim.contains(word_row(element - normal, g))
+
+
+@pytest.mark.parametrize("name,pres", _differential_inputs())
+def test_components_match_tensor_power_oracle(name, pres):
+    assert_matches_tensor_power_oracle(pres, random.Random(name))
+
+
+def random_presentation(rng):
+    """2 or 3 letters and fewer than g^2 random relations of 1 to 3 terms."""
+    g = rng.choice((2, 3))
+    relations = [random_tensor(rng, g, 2, rng.randrange(1, 4))
+                 for _ in range(rng.randrange(g * g))]
+    return QuadraticPresentation([f"x{k}" for k in range(g)], relations)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32))
+def test_random_presentations_match_tensor_power_oracle(seed):
+    """Random 2- and 3-letter presentations, PBW or not, through degree 5."""
+    rng = random.Random(seed)
+    assert_matches_tensor_power_oracle(random_presentation(rng), rng)
+
+
+class SkipsOverlapsUnconditionally(QuadraticPresentation):
+    """A mutant that skips the overlap rows from degree 4 on whether or
+    not degree 3 certified the presentation PBW."""
+
+    __slots__ = ()
+    _pbw = property(lambda self: len(self._components) > 3,
+                    lambda self, value: None)
+
+
+def test_the_skip_waits_for_the_pbw_certificate():
+    """Skipping overlap rows without the degree-3 certificate gives wrong
+    dimensions on a presentation that is not PBW, which the oracle sees."""
+    for name, pres in _not_pbw():
+        mutant = SkipsOverlapsUnconditionally(pres.generators, pres.relations)
+        oracle = [pres.ngens ** n - tensor_power_ideal(pres, n).rank
+                  for n in range(ORACLE_MAX_DEGREE + 1)]
+        assert hilbert_profile(pres, ORACLE_MAX_DEGREE) == oracle, name
+        assert hilbert_profile(mutant, ORACLE_MAX_DEGREE) != oracle, name
+    x2y2 = _not_pbw()[0][1]
+    assert hilbert_profile(x2y2, 6) == [1, 2, 3, 4, 5, 6, 7]
+    mutant = SkipsOverlapsUnconditionally(x2y2.generators, x2y2.relations)
+    assert hilbert_profile(mutant, 6) == [1, 2, 3, 4, 6, 10, 16]
+
+
+class CountingEliminator(SparseEliminator):
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        super().__init__()
+        self.rows = 0
+
+    def add(self, row):
+        self.rows += 1
+        return super().add(row)
+
+
+def test_a_pbw_presentation_forms_only_its_plain_rows(monkeypatch):
+    """The 5-generator skew base of the presentations workload (seed 1) is
+    PBW: degree 3 forms all 5 * 10 rows, and degrees 4 to 6 form only the
+    plain ones, 105, 224 and 420 of the 150, 350 and 700 rows of
+    A_{n-2} (x) R.  Its dual forms every row up to degree 3 and skips
+    overlaps from there too."""
+    from nqh.formats import parse_presentation
+    from perfbench.workloads import generate
+
+    monkeypatch.setattr(quadratic, "SparseEliminator", CountingEliminator)
+    base, _ = parse_presentation(json.loads(generate("presentations", 1)["base.json"]))
+    assert hilbert_profile(base, 6) == [1, 5, 15, 35, 70, 126, 210]
+    assert [base._component(n).elim.rows for n in range(2, 7)] == [10, 50, 105, 224, 420]
+    dual = koszul_dual(base)
+    assert hilbert_profile(dual, 6) == [1, 5, 10, 10, 5, 1, 0]
+    assert [dual._component(n).elim.rows for n in range(2, 7)] == [15, 75, 45, 24, 5]
+    for name, pres in _not_pbw():
+        pres = QuadraticPresentation(pres.generators, pres.relations)
+        hilbert_profile(pres, 6)
+        assert [pres._component(n).elim.rows for n in range(2, 7)] == [1, 2, 3, 4, 5], name
 
 
 def test_koszul_dual_relations(km1):

@@ -832,6 +832,28 @@ def test_each_verifier_rejects_a_system_of_the_other_kind(plus_system):
                 verify(system)
 
 
+def test_each_verifier_evaluates_the_l_identities_once(plus_system, monkeypatch):
+    """verify_twisting_M2 reports the l identities and hands the same
+    verdict to _certify_exchange; verify_twisting_prod evaluates them only
+    for it."""
+    from nqh.twist import GradedBasisM2
+
+    prod = knorrer.run_minus_case(*parse_double_ore(EX_5_9)).theta_prod
+    calls = []
+    real = GradedBasisM2.basis_identities
+
+    def counting(basis):
+        calls.append(basis)
+        return real(basis)
+
+    monkeypatch.setattr(GradedBasisM2, "basis_identities", counting)
+    m2 = dataclasses.replace(plus_system, t_inverses=None)
+    for verify, system in ((verify_twisting_M2, m2), (verify_twisting_prod, prod)):
+        calls.clear()
+        assert verify(system).ok
+        assert calls == [system.basis]
+
+
 def test_semitrivial_mu_rejects_a_shear(clifford_km1):
     """The minus case checks its involution once, in semitrivial_mu, and
     zhang_twist relies on that check: a shear that is no twisting system
