@@ -50,6 +50,19 @@ every row.  Proof that the plain rows span the image of A_{n-2} (x) R:
 - So the plain rows are independent, lie in the image, and number its
   rank: they span it.  The span is I_n's, so by the paragraph above the
   basis words and normal forms are those of the full row set.
+
+Lead enumeration.  From degree 4 on, a certified presentation reads its
+basis words off the leads, forming no row: they are the words w b, for w a
+basis word of A_{n-1} in order and b a letter, with w[-1] b not a lead.
+Each plain row leads at (u a, b) with coefficient 1, and the leads are
+distinct, so each enters the eliminator as a fresh pivot at its own lead.
+Basis words are closed under prefixes (a lead w' of f in I_{n-2} makes
+w' b the lead of f (x) b in I_{n-1}), so (u, r) runs over the plain rows
+exactly when u a runs over the basis words w of A_{n-1} with w[-1] = a.
+The pivot set is therefore {w b : w a basis word of A_{n-1}, w[-1] b a
+lead}, and its complement among the words w b is the enumerated list, in
+the same order.  The eliminator, with the same plain rows, is formed only
+when a normal form in that degree is asked for.
 """
 
 from __future__ import annotations
@@ -71,15 +84,22 @@ DEGREE_BOUND = 8
 class _Component:
     """One graded component: basis words, their positions keyed by word
     index, the eliminator of the relation image, and memoised normal forms
-    of words ({word index: coefficient} over the basis words)."""
+    of words ({word index: coefficient} over the basis words).  The
+    eliminator may be given as a function that forms it on first use."""
 
-    __slots__ = ("words", "position", "elim", "normal_forms")
+    __slots__ = ("words", "position", "_elim", "normal_forms")
 
     def __init__(self, words, g, elim):
         self.words = words
         self.position = {word_index(w, g): k for k, w in enumerate(words)}
-        self.elim = elim
+        self._elim = elim
         self.normal_forms = {}
+
+    @property
+    def elim(self):
+        if callable(self._elim):
+            self._elim = self._elim()
+        return self._elim
 
 
 class QuadraticPresentation:
@@ -122,6 +142,8 @@ class QuadraticPresentation:
         return self.generators.index(name)
 
     def _component(self, n):
+        if n < 0:
+            raise DegreeMismatch("negative degree")
         components = self._components
         while len(components) <= n:
             components.append(self._next_component(len(components)))
@@ -129,14 +151,32 @@ class QuadraticPresentation:
 
     def _next_component(self, n):
         """Degree n from degrees n-1 and n-2, which must already be built;
-        from degree 4 on, only the plain rows of a PBW-certified
-        presentation (module docstring)."""
+        from degree 4 on, a PBW-certified presentation reads its words off
+        the relation leads (module docstring)."""
         g = self.ngens
-        elim = SparseEliminator()
         if n < 2:
-            comp = _Component(words_of_length(g, n), g, elim)
+            comp = _Component(words_of_length(g, n), g, SparseEliminator())
             comp.normal_forms = {w: {word_index(w, g): ONE} for w in comp.words}
             return comp
+        previous = self._components[n - 1].words
+        if self._pbw:
+            leads = {min(row) for row in self.relations.basis}
+            words = [w + (b,) for w in previous for b in range(g)
+                     if w[-1] * g + b not in leads]
+            return _Component(words, g, lambda: self._eliminator(n)[0])
+        elim, plain = self._eliminator(n)
+        if n == 3:
+            self._pbw = elim.rank == plain
+        words = [w + (b,) for w in previous for b in range(g)
+                 if word_index(w, g) * g + b not in elim.pivots]
+        return _Component(words, g, elim)
+
+    def _eliminator(self, n):
+        """The degree-n eliminator of the rows u (x) r and the number of
+        its plain rows; a PBW-certified presentation forms only the plain
+        ones (module docstring)."""
+        g = self.ngens
+        elim = SparseEliminator()
         relations = [(min(row) // g, [(divmod(idx, g), c) for idx, c in row.items()])
                      for row in self.relations.basis]
         previous = self._components[n - 1].position
@@ -149,12 +189,7 @@ class QuadraticPresentation:
                 elif self._pbw:
                     continue
                 elim.add(self._image((u + ab, c) for ab, c in rel))
-        if n == 3:
-            self._pbw = elim.rank == plain
-        pivots = elim.pivots
-        words = [w + (b,) for w in self._components[n - 1].words for b in range(g)
-                 if word_index(w, g) * g + b not in pivots]
-        return _Component(words, g, elim)
+        return elim, plain
 
     def _image(self, terms):
         """The image of sum c * w in A_{n-1} (x) V, for (w, c) pairs with
@@ -188,8 +223,6 @@ class QuadraticPresentation:
         return comp.elim.reduce(self._image(element.terms.items()))
 
     def component_dim(self, n):
-        if n < 0:
-            raise DegreeMismatch("negative degree")
         return len(self._component(n).words)
 
     def component_basis_words(self, n):

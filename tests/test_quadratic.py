@@ -213,37 +213,131 @@ def test_the_skip_waits_for_the_pbw_certificate():
 
 
 class CountingEliminator(SparseEliminator):
+    """Counts its rows, and records itself in ``formed`` when it is made."""
+
     __slots__ = ("rows",)
+    formed = None
 
     def __init__(self):
         super().__init__()
         self.rows = 0
+        self.formed.append(self)
 
     def add(self, row):
         self.rows += 1
         return super().add(row)
 
 
-def test_a_pbw_presentation_forms_only_its_plain_rows(monkeypatch):
-    """The 5-generator skew base of the presentations workload (seed 1) is
-    PBW: degree 3 forms all 5 * 10 rows, and degrees 4 to 6 form only the
-    plain ones, 105, 224 and 420 of the 150, 350 and 700 rows of
-    A_{n-2} (x) R.  Its dual forms every row up to degree 3 and skips
-    overlaps from there too."""
+def rows_formed(run):
+    """The rows of each eliminator formed while run() runs, in order."""
+    CountingEliminator.formed.clear()
+    run()
+    return [elim.rows for elim in CountingEliminator.formed]
+
+
+def big_double_ore(g):
+    from nqh.formats import parse_double_ore
+    from perfbench.workloads import skew_double_ore
+
+    return parse_double_ore(skew_double_ore(random.Random(f"big:{g}"), g, 1))[0]
+
+
+def presentations_base():
     from nqh.formats import parse_presentation
     from perfbench.workloads import generate
 
+    return parse_presentation(json.loads(generate("presentations", 1)["base.json"]))[0]
+
+
+def test_a_pbw_presentation_forms_only_its_plain_rows(monkeypatch):
+    """The 5-generator skew base of the presentations workload (seed 1) is
+    PBW: degree 3 forms all 5 * 10 rows, and degrees 4 to 6 read their words
+    off the relation leads with no row formed.  Reading the eliminators then
+    forms only the plain rows, 105, 224 and 420 of the 150, 350 and 700 rows
+    of A_{n-2} (x) R.  Its dual forms every row up to degree 3 and none
+    above until asked; so does the dual of big:6's B in dual_dims."""
+    from nqh.deform import dual_dims
+
     monkeypatch.setattr(quadratic, "SparseEliminator", CountingEliminator)
-    base, _ = parse_presentation(json.loads(generate("presentations", 1)["base.json"]))
+    monkeypatch.setattr(CountingEliminator, "formed", [])
+    base = presentations_base()
+    assert rows_formed(lambda: hilbert_profile(base, 6)) == [0, 0, 10, 50]
     assert hilbert_profile(base, 6) == [1, 5, 15, 35, 70, 126, 210]
+    assert rows_formed(lambda: [base._component(n).elim for n in range(2, 7)]) == [
+        105, 224, 420]
     assert [base._component(n).elim.rows for n in range(2, 7)] == [10, 50, 105, 224, 420]
     dual = koszul_dual(base)
+    assert rows_formed(lambda: hilbert_profile(dual, 6)) == [0, 0, 15, 75]
     assert hilbert_profile(dual, 6) == [1, 5, 10, 10, 5, 1, 0]
+    assert rows_formed(lambda: [dual._component(n).elim for n in range(2, 7)]) == [
+        45, 24, 5]
     assert [dual._component(n).elim.rows for n in range(2, 7)] == [15, 75, 45, 24, 5]
     for name, pres in _not_pbw():
         pres = QuadraticPresentation(pres.generators, pres.relations)
-        hilbert_profile(pres, 6)
-        assert [pres._component(n).elim.rows for n in range(2, 7)] == [1, 2, 3, 4, 5], name
+        assert rows_formed(lambda: hilbert_profile(pres, 6)) == [0, 0, 1, 2, 3, 4, 5], name
+    b_dual = big_double_ore(6).b_dual
+    assert rows_formed(lambda: dual_dims(b_dual)) == [0, 0, 36, 288]
+
+
+class FormsEveryRow(QuadraticPresentation):
+    """A reference that never takes the PBW certificate: every degree forms
+    every row of A_{n-2} (x) R and reads its words off the pivots."""
+
+    __slots__ = ()
+    _pbw = property(lambda self: False, lambda self, value: None)
+
+
+def _certified(pres):
+    """Whether degree 3 certifies the presentation PBW."""
+    pres.component_dim(3)
+    return pres._pbw
+
+
+def _enumeration_inputs():
+    """The PBW-certified presentations of the differential inputs, the
+    presentations workload's base (seed 1) and its dual, and big:4's B and
+    B^!."""
+    inputs = [(param.id, param.values[1]) for param in _differential_inputs()]
+    base = presentations_base()
+    data = big_double_ore(4)
+    inputs += [("presentations:1", base), ("presentations:1-dual", koszul_dual(base)),
+               ("big:4-B", data.b), ("big:4-B-dual", data.b_dual)]
+    return [pytest.param(name, pres, id=name) for name, pres in inputs
+            if _certified(pres)]
+
+
+@pytest.mark.parametrize("name,pres", _enumeration_inputs())
+def test_lead_enumeration_matches_every_row(name, pres):
+    """From degree 4 to DEGREE_BOUND the words read off the leads are the
+    words that forming every row leaves, and normal forms and ideal
+    membership agree with that reference on seeded random tensors."""
+    rng = random.Random(name)
+    g = pres.ngens
+    pres = QuadraticPresentation(pres.generators, pres.relations)
+    reference = FormsEveryRow(pres.generators, pres.relations)
+    for n in range(4, quadratic.DEGREE_BOUND + 1):
+        words = pres.component_basis_words(n)
+        assert words == reference.component_basis_words(n), n
+        for _ in range(3):
+            element = random_tensor(rng, g, n)
+            coords = pres.reduce_mod_ideal(element, n)
+            assert coords == reference.reduce_mod_ideal(element, n), n
+            normal = TensorElement({words[k]: c for k, c in coords.items()})
+            for tensor in (element, element - normal):
+                assert pres.in_ideal(tensor, n) == reference.in_ideal(tensor, n), n
+            assert pres.in_ideal(element - normal, n)
+    assert pres._pbw and not reference._pbw
+
+
+def test_every_accessor_rejects_a_negative_degree(km1):
+    """A negative degree raises, even once higher degrees are built."""
+    assert km1.component_dim(3) == 4
+    element = TensorElement({(0,): ONE})
+    for read in (km1.component_dim, km1.component_basis_words,
+                 lambda n: km1.reduce_mod_ideal(element, n),
+                 lambda n: km1.in_ideal(element, n)):
+        with pytest.raises(DegreeMismatch, match="negative degree"):
+            read(-1)
 
 
 def test_koszul_dual_relations(km1):
