@@ -60,6 +60,13 @@ def add_degrees(d1, d2):
     return tuple((a + b) % 2 for a, b in zip(d1, d2))
 
 
+def require_group_rank(algebra, rank, what):
+    """DimensionMismatch unless ``algebra`` is graded over Z2^rank."""
+    if algebra.group_rank != rank:
+        raise DimensionMismatch(f"{what} needs a Z2^{rank} grading,"
+                                f" not Z2^{algebra.group_rank}")
+
+
 class GradedAlgebra:
     """A unital associative algebra on a homogeneous basis."""
 
@@ -104,11 +111,11 @@ class GradedAlgebra:
 
     def total_degree_regrade(self):
         """Z2^2 -> Z2 by summing the two components."""
-        assert self.group_rank == 2
+        require_group_rank(self, 2, "the total-degree regrading")
         return self.regrade([( (d[0] + d[1]) % 2 ,) for d in self.degrees], 1)
 
     def forget_first_regrade(self):
-        assert self.group_rank == 2
+        require_group_rank(self, 2, "the forget-first regrading")
         return self.regrade([(d[1],) for d in self.degrees], 1)
 
     def component_indices(self, degree):
@@ -637,7 +644,7 @@ def xi_automorphism(algebra, k):
     k = k if isinstance(k, Scalar) else Scalar.of(k)
     if not k:
         raise ZeroScale("xi requires a nonzero scale")
-    assert algebra.group_rank == 1
+    require_group_rank(algebra, 1, "xi")
     cols = []
     for i in range(algebra.dim):
         factor = k if algebra.degrees[i][0] == 1 else ONE
@@ -677,7 +684,9 @@ def is_nilpotent_element(algebra, vec):
 
 class RightModule:
     """A right module by sparse action rows: ``action[j][r]`` is m_r . e_j,
-    the image of the module's basis vector r under algebra basis vector j."""
+    the image of the module's basis vector r under algebra basis vector j.
+    The rows are checked for shape only: one row per module basis vector,
+    each supported on the module's basis."""
 
     __slots__ = ("algebra", "dim", "action")
 
@@ -687,6 +696,10 @@ class RightModule:
         self.action = [tuple(rows) for rows in action]
         if len(self.action) != algebra.dim:
             raise DimensionMismatch("one action per algebra basis element")
+        if any(len(rows) != dim for rows in self.action):
+            raise DimensionMismatch("one action row per module basis vector")
+        if any(not 0 <= r < dim for rows in self.action for row in rows for r in row):
+            raise DimensionMismatch("an action row leaves the module's basis")
 
     @classmethod
     def regular(cls, algebra):
@@ -713,16 +726,21 @@ class RightModule:
         return out
 
 
-def spin(module, seeds):
+def spin(module, seeds, gens):
     """Smallest action-invariant subspace containing the sparse seed
     vectors: each vector that raises the rank is queued once, and its
-    images under the basis of the algebra are added in turn."""
+    images under the basis vectors e_s, s in ``gens``, are added in turn.
+
+    Precondition: ``module`` is a module, and the right products
+    1 e_s1 ... e_sk span the algebra, as for ``generating_set``.  A subspace
+    closed under each e_s is then closed under their products, whose
+    actions are the composites, and so under the whole algebra."""
     elim = SparseEliminator()
     work = [seed for seed in seeds if elim.add(seed)]
     while work:
         vec = work.pop()
-        for j in range(module.algebra.dim):
-            image = module.act(vec, module.algebra.basis_vec(j))
+        for s in gens:
+            image = module.act(vec, {s: ONE})
             if elim.add(image):
                 work.append(image)
     return Subspace.from_eliminator(elim, module.dim)
@@ -739,14 +757,20 @@ def is_absolutely_simple(module):
     return elim.rank == module.dim * module.dim
 
 
-def hom_dim(m, n):
+def hom_dim(m, n, gens):
     """Dimension of the space of module intertwiners m -> n: the matrices X
-    with (A^m X)[r][c] = (X A^n)[r][c] for every action pair A^m, A^n."""
+    with (A^m X)[r][c] = (X A^n)[r][c] for the action pair A^m, A^n of each
+    e_a, a in ``gens``.
+
+    Precondition: m and n are modules, and the right products
+    1 e_s1 ... e_sk, s_i in ``gens``, span the algebra.  An X that commutes
+    with the actions of the e_s commutes with their composites, the actions
+    of those products, and so with the action of every element."""
     if m.algebra is not n.algebra:
         raise DimensionMismatch("modules over different algebras")
     unknowns = m.dim * n.dim
     elim = SparseEliminator()
-    for a in range(m.algebra.dim):
+    for a in gens:
         columns = [{} for _ in range(n.dim)]
         for s, row in enumerate(n.action[a]):
             for c, v in row.items():
@@ -761,14 +785,34 @@ def hom_dim(m, n):
     return unknowns - elim.rank
 
 
+def _is_module(module, gens):
+    """Whether the unit acts as the identity and
+    m_r . (e_i e_s) = (m_r . e_i) . e_s for every r, i and s in ``gens``.
+
+    Precondition: the algebra is associative, and the right products
+    1 e_s1 ... e_sk, s_i in ``gens``, span it.  Then the action is a module
+    action.  Proof, as for ``verify_iso``: the y with
+    rho(x) rho(y) = rho(x y) for all x form a subspace that holds 1 and
+    each e_s.  For y, y' in it, rho(y y') = rho(y) rho(y'), so
+    rho(x) rho(y y') = rho(x y) rho(y') = rho(x y y'): it is closed under
+    products, and so it is the whole algebra."""
+    algebra = module.algebra
+    return (all(module.act({r: ONE}, algebra.unit) == {r: ONE}
+                for r in range(module.dim))
+            and all(module.act(row, {s: ONE}) == module.act({r: ONE}, algebra.row(i)[s])
+                    for i, rows in enumerate(module.action)
+                    for r, row in enumerate(rows) for s in gens))
+
+
 def verify_decomposition(algebra, simples, multiplicities):
     """Certify a full decomposition of the regular module.
 
-    Requires that each listed module is over this algebra and absolutely
-    simple, no intertwiners between distinct listed modules, the prescribed
-    multiplicities in the regular module, and a total dimension match.
-    Precondition: the algebra is associative with its unit, and each listed
-    module is a module.
+    Requires that each listed module is a module over this algebra
+    (``_is_module``) and absolutely simple, no intertwiners between
+    distinct listed modules, the prescribed multiplicities in the regular
+    module, and a total dimension match.  Precondition: the algebra is
+    associative with its unit.  The module and intertwiner checks run
+    through S = ``generating_set(algebra)``, computed once.
 
     These force the radical J(A) to be 0, so it is not computed.  Proof.
     By Burnside, End(S_i) = K, so the S_i-isotypic part of soc(A_A), the sum
@@ -784,46 +828,65 @@ def verify_decomposition(algebra, simples, multiplicities):
     if (len(simples) != len(multiplicities)
             or any(s.algebra is not algebra for s in simples)):
         return False
+    gens = generating_set(algebra)
     regular = RightModule.regular(algebra)
     total = 0
     for s, m in zip(simples, multiplicities):
-        if not is_absolutely_simple(s):
+        if not _is_module(s, gens) or not is_absolutely_simple(s):
             return False
-        if hom_dim(s, regular) != m:
+        if hom_dim(s, regular, gens) != m:
             return False
         total += m * s.dim
     for a in range(len(simples)):
         for b in range(len(simples)):
-            if a != b and hom_dim(simples[a], simples[b]) != 0:
+            if a != b and hom_dim(simples[a], simples[b], gens) != 0:
                 return False
     return total == algebra.dim
 
 
-def full_idempotent_check(algebra, e):
-    """e is idempotent and the two-sided ideal it generates is everything.
+def ideal_closure(algebra, elim, seeds):
+    """Grow ``elim`` to the two-sided ideal A X A generated by the vectors
+    ``seeds``, yielding after each vector that raises its rank.
 
     Precondition: the algebra is associative (certified by
-    ``verify_algebra``).  The ideal A e A is computed as the span closure I
-    of e under left and right multiplication by the basis vectors of
-    S = ``generating_set(algebra)``.  Proof.  I lies in A e A, since each of
-    its vectors is a sum of products a e b.  By associativity, left
-    multiplication by a product e_s1 ... e_sk is the composite of left
-    multiplications by the e_s, so I is closed under it; these products
-    span A by the choice of S, so A I lies in I, and likewise I A.  So I is
-    a two-sided ideal containing e, and I = A e A.
+    ``verify_algebra``).  The ideal is the span closure I of the seeds
+    under left and right multiplication by the basis vectors of
+    S = ``generating_set(algebra)``.  Proof.  I lies in A X A, since each
+    of its vectors is a sum of products a x b; so does each partial span.
+    By associativity, left multiplication by a product e_s1 ... e_sk is the
+    composite of left multiplications by the e_s, so I is closed under it;
+    these products span A by the choice of S, so A I lies in I, and
+    likewise I A.  So I is a two-sided ideal containing X, and I = A X A.
     """
-    if not vec_eq(algebra.mul(e, e), e):
-        return False
-    gens = [algebra.basis_vec(s) for s in generating_set(algebra)]
-    elim = SparseEliminator()
-    work = [e] if elim.add(e) else []
+    gens = [{s: ONE} for s in generating_set(algebra)]
+    work = []
+    for seed in seeds:
+        if elim.add(seed):
+            work.append(seed)
+            yield
     while work:
         vec = work.pop()
         for g in gens:
-            for image in (algebra.mul(g, vec), algebra.mul(vec, g)):
+            for left, right in ((g, vec), (vec, g)):
+                image = algebra.mul(left, right)
                 if elim.add(image):
                     work.append(image)
-    return elim.rank == algebra.dim
+                    yield
+
+
+def full_idempotent_check(algebra, e):
+    """e is idempotent and the two-sided ideal A e A is everything.
+
+    Precondition: the algebra is associative.  The check grows A e A by
+    ``ideal_closure`` and stops once the unit lies in the span: every
+    partial span lies in A e A, and 1 in A e A gives A e A = A.  Only a
+    False verdict runs the closure to completion.
+    """
+    if not vec_eq(algebra.mul(e, e), e):
+        return False
+    elim = SparseEliminator()
+    return any(elim.contains(algebra.unit)
+               for _ in ideal_closure(algebra, elim, [e]))
 
 
 def restrict(algebra, space, unit):
@@ -869,7 +932,7 @@ def is_commutative(algebra):
 
 def strongly_graded_check(algebra):
     """For a Z2-grading: the degree-1 part squares onto the degree-0 part."""
-    assert algebra.group_rank == 1
+    require_group_rank(algebra, 1, "the strong-grading check")
     odd = algebra.component_indices((1,))
     even = set(algebra.component_indices((0,)))
     elim = SparseEliminator()

@@ -16,7 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DimensionMismatch, MuNotInvolution, NqhError, WrongP
-from .exactlin import HALF, I, ONE, ZERO, Scalar, Subspace, TensorElement, nullspace
+from .exactlin import (
+    HALF,
+    I,
+    ONE,
+    ZERO,
+    Scalar,
+    SparseEliminator,
+    Subspace,
+    TensorElement,
+    nullspace,
+)
 from .algebra import (
     GradedAlgebra,
     GradedLinMap,
@@ -26,6 +36,7 @@ from .algebra import (
     corner_embedding,
     extend_on_generators,
     full_idempotent_check,
+    ideal_closure,
     is_commutative,
     is_nilpotent_element,
     radical,
@@ -90,6 +101,7 @@ class PlusCaseResult:
     M: Subspace
     Lambda: GradedAlgebra
     Lambda_bigraded: GradedAlgebra
+    corner: GradedLinMap            # Lambda onto the corner e A e of twisted
     checks: Report = field(default_factory=Report)
 
     @property
@@ -332,7 +344,11 @@ def run_plus_case(data, lift):
 
     e = {layout.index(0, 1, unit_index): HALF,
          layout.index(0, 2, unit_index): HALF * I}
-    checks.add("full-idempotent", full_idempotent_check(twisted, e))
+    full = full_idempotent_check(twisted, e)
+    checks.add("full-idempotent", full)
+    if not full:
+        # singularity_report reads the big radical off Lambda through A e A = A
+        raise PipelineError("the corner idempotent is not full")
 
     xi1 = (GradedLinMap.identity(E) + theta0.entry(1, 2).scale(I)
            + theta0.entry(2, 2)).scale(HALF)
@@ -387,8 +403,8 @@ def run_plus_case(data, lift):
 
     corner_cols = ([column(0, vec, I) for vec in s_rows]
                    + [column(1, vec, -I) for vec in m_rows])
-    corner_ok = certify_by_iso(GradedLinMap(Lambda, twisted, corner_cols),
-                               corner_embedding(twisted, e))
+    corner = GradedLinMap(Lambda, twisted, corner_cols)
+    corner_ok = certify_by_iso(corner, corner_embedding(twisted, e))
     # twisted regrades the certified twisted_big, as certify_by_iso needs.
     # A passing check certifies Lambda, and so Lambda_big: the two share
     # their table and unit, and the ring/module half of Lambda_big's Z2^2
@@ -408,7 +424,8 @@ def run_plus_case(data, lift):
     return PlusCaseResult(
         twisted=twisted, twisted_bigraded=twisted_big,
         oracle=oracle, base=base, xi1=xi1, xi2=xi2, phi2=phi2,
-        S=S, M=M, Lambda=Lambda, Lambda_bigraded=Lambda_big, checks=checks,
+        S=S, M=M, Lambda=Lambda, Lambda_bigraded=Lambda_big, corner=corner,
+        checks=checks,
     )
 
 
@@ -537,11 +554,18 @@ def singularity_report(result, blocks=None):
     in the minus case the Zhang twist, which ``run_minus_case`` certified
     isomorphic to the degree-0 part, gets that part's radical dimension.
 
-    In the plus case the degree-0 radical is read off J = J(A) of the big
-    algebra A.  Proof.  The grading automorphism xi preserves J, so J is
-    graded and its reduced basis is homogeneous (see ``restrict``): its
-    degree-0 rows span J cap A_0, which is J(A_0) as 2 is invertible
-    (Cohen-Montgomery, Trans. AMS 282, 1984).
+    In the plus case the trace form runs once, on Lambda, and the big
+    algebra A's radicals are read off J(Lambda).  Proof.
+    ``corner-matches-semitrivial`` certifies that the corner map takes
+    Lambda onto e A e, and ``full-idempotent`` that A e A = A.  As
+    J(e A e) = e J(A) e (Lam, *A First Course in Noncommutative Rings*,
+    section 21), J(A) = (A e A) J(A) (A e A) lies in A e J(A) e A, which
+    lies in J(A): J(A) is the ideal that the image of J(Lambda) generates,
+    built by ``ideal_closure``, and it is 0 when J(Lambda) is.  The grading
+    automorphism xi preserves J(A), so J(A) is graded and its reduced basis
+    is homogeneous (see ``restrict``): its degree-0 rows span
+    J(A) cap A_0, which is J(A_0) as 2 is invertible (Cohen-Montgomery,
+    Trans. AMS 282, 1984).
 
     In the minus case both are read off J = J(Gamma): dim J(ST) = 2 dim J
     and dim J(ST_0) = dim J.  Proof.  ST = Gamma x| <mu> with 2 invertible,
@@ -555,10 +579,16 @@ def singularity_report(result, blocks=None):
         big = result.twisted
         small = result.Lambda
         small_name = "corner extension"
-        J = radical(big)
-        big_rad = J.dim
-        zero_rad = sum(big.element_degree(row) == (0,) for row in J.basis)
-        small_rad = radical(small).dim
+        small_J = radical(small)
+        small_rad = small_J.dim
+        big_rad = zero_rad = 0
+        if small_rad:
+            elim = SparseEliminator()
+            for _ in ideal_closure(big, elim, map(result.corner.apply, small_J.basis)):
+                pass
+            J = Subspace.from_eliminator(elim, big.dim)
+            big_rad = J.dim
+            zero_rad = sum(big.element_degree(row) == (0,) for row in J.basis)
     else:
         big = result.semitrivial
         small = result.zhang

@@ -16,6 +16,7 @@ from .exactlin import I, ONE, add_scaled
 from .algebra import (
     GradedLinMap,
     RightModule,
+    generating_set,
     is_commutative,
     is_nilpotent_element,
     radical,
@@ -288,9 +289,10 @@ def run_ex_5_9():
         [pair({}, vec_sub(vec_add(one_v, w_v), vec_add(u_v, v_v)))],
     ]
 
+    gens = generating_set(NG)
     modules = []
     for seed_list in seeds:
-        space = spin(regular, seed_list)
+        space = spin(regular, seed_list, gens)
         modules.append(RightModule.from_invariant_subspace(NG, space))
     decomposition = verify_decomposition(NG, modules, [2, 1, 1, 1, 1])
     blocks = ["M2(k)", "k", "k", "k", "k"] if decomposition else None

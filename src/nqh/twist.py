@@ -43,6 +43,7 @@ from .algebra import (
     _algebra_report,
     _scalar_multiple,
     is_t_inverse,
+    require_group_rank,
     t_inverse_table,
     vec_eq,
     vec_scale,
@@ -675,7 +676,7 @@ def _skew_group_data(E, mu):
     """``semitrivial_mu``'s package without its checks of mu: the dim E^2
     products mu(e_i) e_b serve as both the left action and psi, and the
     right action is read off E's stored products."""
-    assert E.group_rank == 1
+    require_group_rank(E, 1, "the skew group extension")
     left = tuple(tuple(E.mul(mu.cols[i], E.basis_vec(b))
                        for b in range(E.dim)) for i in range(E.dim))
     right = tuple(tuple(E.row(b)[i] for b in range(E.dim)) for i in range(E.dim))
@@ -697,7 +698,7 @@ def zhang_twist(E, mu):
     l = 1 and h = 1, multiplicativity gives mu(mu(x) y) = mu^2(x) mu(y),
     which is x mu(y) = nu_0(x) nu_1(y) since mu^2 = id.
     """
-    assert E.group_rank == 1
+    require_group_rank(E, 1, "the Zhang twist")
     table = []
     for i in range(E.dim):
         bx = E.basis_vec(i)

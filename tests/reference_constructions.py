@@ -30,6 +30,7 @@ from nqh.algebra import (
     GradedLinMap,
     MatrixHom,
     _scalar_multiple,
+    ideal_closure,
     radical,
     restrict,
     vec_eq,
@@ -209,6 +210,17 @@ def ref_radical_dims(algebra):
     reduced basis."""
     J = radical(algebra)
     return J.dim, sum(algebra.element_degree(row) == (0,) for row in J.basis)
+
+
+def ref_full_idempotent_check(algebra, e):
+    """``full_idempotent_check`` as it was before it stopped at the unit:
+    the whole closure of e, then its rank."""
+    if not vec_eq(algebra.mul(e, e), e):
+        return False
+    elim = SparseEliminator()
+    for _ in ideal_closure(algebra, elim, [e]):
+        pass
+    return elim.rank == algebra.dim
 
 
 def ref_certify_by_iso(linmap):

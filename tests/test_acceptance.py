@@ -24,6 +24,7 @@ from nqh.algebra import (
     GradedLinMap,
     MatrixHom,
     RightModule,
+    generating_set,
     is_absolutely_simple,
     is_nilpotent_element,
     radical,
@@ -197,8 +198,9 @@ def test_criterion_5_class_t_pipeline(double_ore_class_t, z_lift):
         [pair({}, vec_add(vec_add(one_v, w_v), vec_add(u_v, v_v)))],
         [pair({}, vec_sub(vec_add(one_v, w_v), vec_add(u_v, v_v)))],
     ]
+    gens = generating_set(NG)
     modules = [RightModule.from_invariant_subspace(
-        NG, spin(regular, seed_list))
+        NG, spin(regular, seed_list, gens))
         for seed_list in seeds]
     ok &= [m.dim for m in modules] == [2, 1, 1, 1, 1]
     ok &= verify_decomposition(NG, modules, [2, 1, 1, 1, 1])

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -290,8 +291,9 @@ def test_regular_module_verifies(clifford_km1):
 def test_spin_examples():
     algebra = group_algebra_z2()
     regular = RightModule.regular(algebra)
-    assert spin(regular, [{}]).dim == 0
-    assert spin(regular, [{0: ONE}]).dim == 2
+    gens = generating_set(algebra)
+    assert spin(regular, [{}], gens).dim == 0
+    assert spin(regular, [{0: ONE}], gens).dim == 2
 
 
 def test_burnside_criterion():
@@ -311,9 +313,10 @@ def test_hom_dim_and_decomposition():
     regular = RightModule.regular(algebra)
     plus = RightModule(algebra, 1, [[{0: ONE}], [{0: ONE}]])
     minus = RightModule(algebra, 1, [[{0: ONE}], [{0: -ONE}]])
-    assert hom_dim(plus, plus) == 1
-    assert hom_dim(plus, minus) == 0
-    assert hom_dim(plus, regular) == 1
+    gens = generating_set(algebra)
+    assert hom_dim(plus, plus, gens) == 1
+    assert hom_dim(plus, minus, gens) == 0
+    assert hom_dim(plus, regular, gens) == 1
     assert verify_decomposition(algebra, [plus, minus], [1, 1])
     assert not verify_decomposition(algebra, [plus, minus], [1, 2])
     assert not verify_decomposition(dual_numbers(), [plus], [2])
@@ -322,12 +325,13 @@ def test_hom_dim_and_decomposition():
 def test_matrix_algebra_decomposition():
     algebra = matrix_algebra_2x2()
     regular = RightModule.regular(algebra)
-    row = spin(regular, [{0: ONE}])
+    gens = generating_set(algebra)
+    row = spin(regular, [{0: ONE}], gens)
     assert row.dim == 2
     simple = RightModule.from_invariant_subspace(algebra, row)
     assert verify_module(simple)
     assert is_absolutely_simple(simple)
-    assert hom_dim(simple, regular) == 2
+    assert hom_dim(simple, regular, gens) == 2
     assert verify_decomposition(algebra, [simple], [2])
     # E11 E12 = E12 leaves the column span(E11, E21), and
     # (E11 + E12) E21 = E11 leaves span(E11 + E12)
@@ -347,7 +351,16 @@ def test_module_verify_rejects_a_left_action():
     assert not verify_module(left)
 
 
-def test_full_idempotent():
+def upper_triangular_2x2():
+    """The upper triangular 2x2 matrices on E11, E12, E22, all even."""
+    table = [[{} for _ in range(3)] for _ in range(3)]
+    for (a, b), c in {(0, 0): 0, (0, 1): 1, (1, 2): 1, (2, 2): 2}.items():
+        table[a][b] = {c: ONE}
+    return GradedAlgebra(["E11", "E12", "E22"], table, {0: ONE, 2: ONE},
+                         [(0,)] * 3)
+
+
+def test_full_idempotent(monkeypatch):
     algebra = matrix_algebra_2x2()
     assert full_idempotent_check(algebra, dict(algebra.unit))
     assert not full_idempotent_check(algebra, {})
@@ -355,6 +368,65 @@ def test_full_idempotent():
     split = group_algebra_z2()
     idem = {0: HALF, 1: HALF}
     assert not full_idempotent_check(split, idem)
+    # E11 in the upper triangular matrices generates span{E11, E12}: the
+    # unit never enters the span, so the check forms every product of the
+    # closure, two per generator on each of its two vectors, and says no
+    triangular = upper_triangular_2x2()
+    assert verify_algebra(triangular).ok
+    e = {0: ONE}
+    elim = SparseEliminator()
+    assert len(list(algebra_module.ideal_closure(triangular, elim, [e]))) == 2
+    assert Subspace.from_eliminator(elim, 3) == Subspace.from_rows(
+        [{0: ONE}, {1: ONE}], 3)
+    gens = generating_set(triangular)
+    assert gens == [0, 1]
+    products = []
+    real = GradedAlgebra.mul
+    monkeypatch.setattr(algebra_module, "generating_set", lambda _: gens)
+    monkeypatch.setattr(GradedAlgebra, "mul",
+                        lambda self, u, v: products.append(1) or real(self, u, v))
+    assert not full_idempotent_check(triangular, e)
+    # e e, then 2 sides x 2 generators x 2 closure vectors
+    assert len(products) == 1 + 2 * 2 * 2
+
+
+def _rank2(algebra):
+    return algebra.regrade([(0,) + d for d in algebra.degrees], 2)
+
+
+@pytest.mark.parametrize("site", [
+    "total_degree_regrade", "forget_first_regrade", "xi_automorphism",
+    "strongly_graded_check", "skew_group_data", "zhang_twist"])
+def test_a_wrong_group_rank_raises(site):
+    """Each guard on the grading group raises DimensionMismatch, which
+    ``python -O`` keeps, where an assert would vanish."""
+    z2 = group_algebra_z2()
+    z2sq = _rank2(z2)
+    calls = {
+        "total_degree_regrade": (z2.total_degree_regrade, "Z2^2"),
+        "forget_first_regrade": (z2.forget_first_regrade, "Z2^2"),
+        "xi_automorphism": (lambda: xi_automorphism(z2sq, Scalar(-1)), "Z2^1"),
+        "strongly_graded_check": (lambda: strongly_graded_check(z2sq), "Z2^1"),
+        "skew_group_data": (lambda: twist._skew_group_data(
+            z2sq, GradedLinMap.identity(z2sq)), "Z2^1"),
+        "zhang_twist": (lambda: twist.zhang_twist(
+            z2sq, GradedLinMap.identity(z2sq)), "Z2^1"),
+    }
+    call, wanted = calls[site]
+    with pytest.raises(DimensionMismatch, match=f"needs a {re.escape(wanted)} grading"):
+        call()
+
+
+def test_a_module_with_misshapen_rows_is_refused():
+    """One row per module basis vector, each supported on that basis."""
+    algebra = group_algebra_z2()
+    with pytest.raises(DimensionMismatch, match="^one action row per module"):
+        RightModule(algebra, 2, [[{0: ONE}, {1: ONE}], [{1: ONE}]])
+    with pytest.raises(DimensionMismatch, match="^an action row leaves"):
+        RightModule(algebra, 1, [[{0: ONE}], [{1: ONE}]])
+    with pytest.raises(DimensionMismatch, match="^an action row leaves"):
+        RightModule(algebra, 1, [[{0: ONE}], [{-1: ONE}]])
+    assert RightModule(algebra, 1, [[{0: ONE}], [{0: -ONE}]]).dim == 1
 
 
 def test_corner_examples():

@@ -2,9 +2,10 @@
 process-wide cache, only ``exactlin`` reduces a vector against a subspace's
 basis, no module keeps a dense matrix table layer, ``knorrer`` scans no
 product for strong grading, ``restrict`` builds only the eigenspace
-subalgebra, only ``GradedAlgebra``'s methods read a structure table, every
-definition is reached from the command line, and every name the bench
-tracer patches resolves to a function of its own.
+subalgebra, only ``GradedAlgebra``'s methods read a structure table, no
+module holds an ``assert`` statement, every definition is reached from the
+command line, and every name the bench tracer patches resolves to a
+function of its own.
 
 The first check reads each module's syntax tree: every name bound by an
 ``import`` or ``from ... import`` must appear as a name somewhere in the
@@ -258,6 +259,29 @@ def test_the_check_finds_a_table_read():
 def test_only_graded_algebra_reads_its_table():
     found = [(path.name, line) for path in sorted(PACKAGE.glob("*.py"))
              for line in table_reads(path.read_text())]
+    assert found == []
+
+
+def assert_statements(source):
+    """The line numbers of the ``assert`` statements in ``source``.  Python
+    drops them under ``-O``, so an input guard written as one vanishes;
+    the package raises its own errors instead."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Assert))
+
+
+def test_the_check_finds_an_assert():
+    source = ("def f(algebra):\n"
+              "    assert algebra.group_rank == 1\n"
+              "    if algebra.dim:\n        assert algebra.dim > 0, 'empty'\n"
+              "    return 'assert'\n"
+              "class C:\n    def g(self):\n        assert self\n")
+    assert assert_statements(source) == [2, 4, 8]
+
+
+def test_the_package_guards_no_input_with_assert():
+    found = [(path.name, line) for path in sorted(PACKAGE.glob("*.py"))
+             for line in assert_statements(path.read_text())]
     assert found == []
 
 

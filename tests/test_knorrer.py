@@ -16,9 +16,11 @@ from conftest import (
 )
 from reference_constructions import (
     normal_form,
+    plain_m2,
     ref_certify_by_iso,
     ref_certify_onto,
     ref_degree0_radical_dim,
+    ref_full_idempotent_check,
     ref_radical_dims,
     verify_hom_M2,
     verify_module,
@@ -32,7 +34,7 @@ from nqh.cli import main
 from nqh.formats import parse_double_ore
 
 from nqh.errors import DimensionMismatch, NqhError, RelationViolated, WrongP
-from nqh.exactlin import I, ONE, Scalar, Subspace, TensorElement, ZERO
+from nqh.exactlin import HALF, I, ONE, Scalar, Subspace, TensorElement, ZERO
 from nqh.algebra import (
     GradedAlgebra,
     GradedLinMap,
@@ -40,6 +42,8 @@ from nqh.algebra import (
     Report,
     RightModule,
     certify_by_iso,
+    corner_embedding,
+    full_idempotent_check,
     generating_set,
     hom_dim,
     is_absolutely_simple,
@@ -73,7 +77,13 @@ from nqh.scenarios import (
     PROP_5_10,
     run_scenario,
 )
-from nqh.twist import BlockLayout, SemiTrivialData, build_semitrivial, semitrivial_mu
+from nqh.twist import (
+    BlockLayout,
+    SemiTrivialData,
+    build_semitrivial,
+    semitrivial_mu,
+    standard_basis_m2,
+)
 
 MINUS_ONE = Scalar(-1)
 
@@ -367,7 +377,8 @@ def spun_modules(result):
         [pair({}, vec_add(vec_add(one_v, w_v), vec_add(u_v, v_v)))],
         [pair({}, vec_sub(vec_add(one_v, w_v), vec_add(u_v, v_v)))],
     ]
-    return [RightModule.from_invariant_subspace(NG, spin(regular, seed_list))
+    gens = generating_set(NG)
+    return [RightModule.from_invariant_subspace(NG, spin(regular, seed_list, gens))
             for seed_list in seeds]
 
 
@@ -379,8 +390,9 @@ def test_minus_class_t_decomposition(minus_class_t):
     assert [m.dim for m in modules] == [2, 1, 1, 1, 1]
     assert all(verify_module(m) for m in modules)
     assert all(is_absolutely_simple(m) for m in modules)
-    assert hom_dim(modules[1], modules[2]) == 0
-    assert hom_dim(modules[0], regular) == 2
+    gens = generating_set(NG)
+    assert hom_dim(modules[1], modules[2], gens) == 0
+    assert hom_dim(modules[0], regular, gens) == 2
     assert verify_decomposition(NG, modules, [2, 1, 1, 1, 1])
     report = singularity_report(minus_class_t,
                                 blocks=["M2(k)", "k", "k", "k", "k"])
@@ -390,22 +402,24 @@ def test_minus_class_t_decomposition(minus_class_t):
 
 
 def ref_verify_decomposition(algebra, simples, multiplicities):
-    """verify_decomposition as it was while it computed the radical first."""
+    """verify_decomposition as it was while it computed the radical first
+    and wrote intertwiner equations for every basis element."""
     if radical(algebra).dim != 0:
         return False
     if len(simples) != len(multiplicities):
         return False
     regular = RightModule.regular(algebra)
+    everything = range(algebra.dim)
     total = 0
     for s, m in zip(simples, multiplicities):
         if not is_absolutely_simple(s):
             return False
-        if hom_dim(s, regular) != m:
+        if hom_dim(s, regular, everything) != m:
             return False
         total += m * s.dim
     for a in range(len(simples)):
         for b in range(len(simples)):
-            if a != b and hom_dim(simples[a], simples[b]) != 0:
+            if a != b and hom_dim(simples[a], simples[b], everything) != 0:
                 return False
     return total == algebra.dim
 
@@ -453,7 +467,8 @@ def test_verify_decomposition_needs_no_radical(monkeypatch):
     assert radical(NG).dim == 4
     regular = RightModule.regular(NG)
     spun = spun_modules(twist_10)
-    recorded["prop-5.10"] = (NG, spun, [hom_dim(m, regular) for m in spun])
+    recorded["prop-5.10"] = (NG, spun, [hom_dim(m, regular, range(NG.dim))
+                                        for m in spun])
     assert [len(args[1]) for args in recorded.values()] == [4, 5, 5]
     verdicts = Counter()
     for name, (algebra, simples, multiplicities) in recorded.items():
@@ -477,10 +492,11 @@ def test_scenarios_read_radicals_off_the_singularity_report(monkeypatch):
     prop-5.10 the Zhang twist's, off the singularity report, which computes
     them: the Zhang twist is certified isomorphic to the degree-0 part, whose
     radical the report reads off J(Gamma).  The trace-form radicals each
-    scenario computes, counted where every module binds ``radical``: two
-    per plus run (the big algebra and the corner extension) and one per
-    minus run (Gamma); prop-5.1 computes its witness's once, in
-    ``prop51_scenario``, which returns it."""
+    scenario computes, counted where every module binds ``radical``: one
+    per plus run (the corner extension, off which the big radical is read)
+    and one per minus run (Gamma); ex-4.10 adds its base algebra's, and
+    prop-5.1 computes its witness's once, in ``prop51_scenario``, which
+    returns it."""
     calls = Counter()
     real = algebra_module.radical
 
@@ -492,7 +508,7 @@ def test_scenarios_read_radicals_off_the_singularity_report(monkeypatch):
         monkeypatch.setattr(module, "radical", counting)
     for scenario_id in scenarios.REGISTRY:
         assert run_scenario(scenario_id).ok, scenario_id
-    assert calls == {"ex-4.9-1": 2, "ex-4.9-2": 2, "ex-4.10": 3, "ex-5.9": 1,
+    assert calls == {"ex-4.9-1": 1, "ex-4.9-2": 1, "ex-4.10": 2, "ex-5.9": 1,
                      "prop-5.1": 1, "prop-5.10": 1}, calls
 
 
@@ -1603,18 +1619,20 @@ def knorrer_inputs():
 
 def test_the_degree0_radical_is_read_off_the_big_radical(knorrer_inputs):
     """On every input, the degree-0 radical that singularity_report counts
-    is the one the trace form gives on the degree-0 part, and in the minus
-    case both radicals that it reads off J(Gamma) are the ones the trace
-    form gives on the extension.  prop-5.10's radicals are 8 and 4."""
+    is the one the trace form gives on the degree-0 part, and both radicals
+    that it reads off J(Lambda) in the plus case, or off J(Gamma) in the
+    minus case, are the ones the trace form gives on the big algebra.
+    prop-5.10's radicals are 8 and 4."""
     dims = {}
     for name, data, lift in knorrer_inputs:
         result = _run(data, lift)
         report = singularity_report(result)
         big = result.twisted if result.case == "plus" else result.semitrivial
         assert report.degree0_radical_dim == ref_degree0_radical_dim(big), name
-        if result.case == "minus":
-            assert (report.big_radical_dim,
-                    report.degree0_radical_dim) == ref_radical_dims(big), name
+        assert (report.big_radical_dim,
+                report.degree0_radical_dim) == ref_radical_dims(big), name
+        if result.case == "plus":
+            assert report.small_radical_dim == radical(result.Lambda).dim, name
         dims[name] = (report.big_radical_dim, report.degree0_radical_dim)
     assert len(dims) == 15
     assert {name: d for name, d in dims.items() if d != (0, 0)} == {
@@ -1637,21 +1655,35 @@ def _truncated_times_triangular():
 
 
 def test_the_degree0_radical_is_read_off_both_degrees_of_a_radical():
-    """On a hand-built algebra whose radical has odd and even parts, read as
-    the big algebra of the plus case, the report counts the even rows of
-    the big radical: 1 of 3, as the trace form on the degree-0 part gives.
-    Read as Gamma of the minus case, with mu = id, the report reads 6 and 3
-    off J(Gamma), as the trace form on Gamma x| <mu> gives."""
+    """On a hand-built algebra R whose radical has odd and even parts: as
+    Lambda of a plus case, the corner of the plain M_2(R) on the plus
+    case's basis at its full idempotent e = E11, the report closes the
+    image of J(R) to J(M_2(R)) and reads 12 and 6, as the trace form on
+    M_2(R) gives.  Read as Gamma of the minus case, with mu = id, the
+    report reads 6 and 3 off J(Gamma), as the trace form on
+    Gamma x| <mu> gives."""
     algebra = _truncated_times_triangular()
     assert verify_algebra(algebra).ok
     J = radical(algebra)
     assert sorted(algebra.element_degree(row) for row in J.basis) == [
         (0,), (1,), (1,)]
     assert ref_degree0_radical_dim(algebra) == 1
+    layout = BlockLayout(algebra, standard_basis_m2())
+    big = plain_m2(algebra, layout.basis).total_degree_regrade()
+    assert verify_algebra(big).ok
+    e = {layout.index(0, 1, b): c * HALF for b, c in algebra.unit.items()}
+    e.update((layout.index(0, 2, b), c * HALF * I) for b, c in algebra.unit.items())
+    assert full_idempotent_check(big, e)
+    corner = GradedLinMap(algebra, big, [
+        {layout.index(0, 1, b): HALF, layout.index(0, 2, b): HALF * I}
+        for b in range(algebra.dim)])
+    assert certify_by_iso(corner, corner_embedding(big, e))
+    assert ref_radical_dims(big) == (12, 6)
     report = singularity_report(
-        SimpleNamespace(case="plus", twisted=algebra, Lambda=algebra))
-    assert (report.big_radical_dim, report.degree0_radical_dim) == (3, 1)
-    assert "degree-0 part dim: 4, radical dim: 1" in report.lines
+        SimpleNamespace(case="plus", twisted=big, Lambda=algebra, corner=corner))
+    assert (report.big_radical_dim, report.degree0_radical_dim,
+            report.small_radical_dim) == (12, 6, 3)
+    assert "degree-0 part dim: 12, radical dim: 6" in report.lines
     ST = build_semitrivial(semitrivial_mu(
         algebra, GradedLinMap.identity(algebra))).forget_first_regrade()
     assert ref_radical_dims(ST) == (6, 3)
@@ -1677,22 +1709,24 @@ def _with_the_scans(patch):
     patch.setattr(knorrer, "_oracle_step", step)
 
 
+def _bump_odd_product(algebra, seed):
+    """``algebra`` with one coefficient of a product of two basis vectors
+    of odd total degree bumped by 1, drawn from ``seed``."""
+    rng = random.Random(seed)
+    odd = [i for i, d in enumerate(algebra.degrees) if sum(d) % 2]
+    i, j = rng.choice(odd), rng.choice(odd)
+    table = [list(row) for row in algebra.table]
+    table[i][j] = _bump(table[i][j], rng.randrange(algebra.dim))
+    return GradedAlgebra(algebra.labels, table, algebra.unit,
+                         algebra.degrees, algebra.group_rank)
+
+
 def _odd_product_mutant(patch, seed):
     """Patch the twisted table's build, before its certificate, to bump by
     1 one coefficient of a product of two odd basis vectors."""
     real = twist._twisted_algebra
-
-    def build(system):
-        algebra = real(system)
-        rng = random.Random(seed)
-        odd = [i for i, d in enumerate(algebra.degrees) if sum(d) % 2]
-        i, j = rng.choice(odd), rng.choice(odd)
-        table = [list(row) for row in algebra.table]
-        table[i][j] = _bump(table[i][j], rng.randrange(algebra.dim))
-        return GradedAlgebra(algebra.labels, table, algebra.unit,
-                             algebra.degrees, algebra.group_rank)
-
-    patch.setattr(twist, "_twisted_algebra", build)
+    patch.setattr(twist, "_twisted_algebra",
+                  lambda system: _bump_odd_product(real(system), seed))
 
 
 def test_strong_grading_mutants_fail_as_under_the_product_scans(knorrer_inputs):
@@ -1826,6 +1860,141 @@ def test_subspace_certificates_match_the_restricted_route(subspace_certificates)
            for kind in ("inside", "outside", "swapped")},
         ("corner", "table", False): 24, ("zhang", "table", False): 21,
         ("corner", "xi", True): 8, ("zhang", "xi", True): 7}, verdicts
+
+
+def _corner_idempotents(subspace_certificates):
+    """(name, twisted algebra A, e) of every plus input."""
+    return [(name, linmap.target, e)
+            for name, case, linmap, _, e in subspace_certificates
+            if case == "corner"]
+
+
+def test_the_full_idempotent_check_stops_with_the_closure_verdict(
+        subspace_certificates):
+    """On each plus input's twisted algebra at its e, and on the mutants of
+    it that test_strong_grading_mutants_fail_as_under_the_product_scans
+    builds, with one odd-by-odd product bumped, the check that stops at
+    the unit gives the verdict of the whole closure."""
+    verdicts = Counter()
+    for name, A, e in _corner_idempotents(subspace_certificates):
+        seeds = range(1 if name.startswith("big") else 3)
+        for kind, algebra in [("as built", A)] + [
+                ("mutant", _bump_odd_product(A, f"graded-mutant:{name}:target:{n}"))
+                for n in seeds]:
+            verdict = full_idempotent_check(algebra, e)
+            assert verdict == ref_full_idempotent_check(algebra, e), (name, kind)
+            verdicts[kind, verdict] += 1
+    # 7 inputs with 3 mutants and big:4 with 1: every bump keeps e full
+    assert verdicts == {("as built", True): 8, ("mutant", True): 22}, verdicts
+
+
+def test_the_full_idempotent_check_stops_at_the_unit(subspace_certificates,
+                                                     monkeypatch):
+    """The check forms e e and then the closure's products only until the
+    unit enters the span.  On skew3:1 plus that is 19 of the 320 products
+    of the whole closure (32 vectors, 5 generators, 2 sides), and on each
+    registry plus input 15 of 128."""
+    products = []
+    real = GradedAlgebra.mul
+    counts = {}
+    for name, A, e in _corner_idempotents(subspace_certificates):
+        gens = generating_set(A)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(algebra_module, "generating_set", lambda _: gens)
+            patch.setattr(GradedAlgebra, "mul",
+                          lambda self, u, v: products.append(1) or real(self, u, v))
+            for check in (full_idempotent_check, ref_full_idempotent_check):
+                products.clear()
+                assert check(A, e), name
+                counts[name, check is full_idempotent_check] = len(products)
+    # e e, then the closure's products
+    for name in ("ex-4.10", "ex-4.9-1", "ex-4.9-2"):
+        assert (counts[name, True], counts[name, False]) == (1 + 15, 1 + 128)
+    for seed in range(1, 5):
+        name = f"skew3:{seed}:plus.json"
+        assert (counts[name, True], counts[name, False]) == (1 + 19, 1 + 320)
+    assert (counts["big:4:1", True], counts["big:4:1", False]) == (1 + 23, 1 + 768)
+
+
+def test_spin_through_a_generating_set_spins_through_every_basis_vector(
+        subspace_certificates):
+    """On the regular modules of the registry's corner extensions, Zhang
+    twists and big algebras, spinning each basis vector, and a seeded
+    random vector, through the generating set gives the subspace that
+    spinning through every basis vector gives."""
+    checked = Counter()
+    for name, case, linmap, _, _ in subspace_certificates[:5]:
+        for algebra in (linmap.source, linmap.target):
+            regular = RightModule.regular(algebra)
+            gens = generating_set(algebra)
+            rng = random.Random(f"spin:{name}:{algebra.dim}")
+            seeds = [{i: ONE} for i in range(algebra.dim)]
+            seeds.append({i: Scalar(rng.randrange(-3, 4)) for i in range(algebra.dim)
+                          if rng.random() < 0.3})
+            for seed in seeds:
+                assert spin(regular, [seed], gens) == spin(
+                    regular, [seed], range(algebra.dim)), (name, seed)
+            checked[case, len(gens) < algebra.dim] += len(seeds)
+    # every generating set is a proper subset of the basis
+    assert checked == {("corner", True): 66, ("zhang", True): 52}, checked
+
+
+def test_a_plus_run_stops_when_the_idempotent_is_not_full(monkeypatch):
+    """The plus report reads the big radical off Lambda through A e A = A,
+    so a run whose full-idempotent check fails raises, after recording the
+    failed item, instead of returning a result."""
+    checks = []
+    real = knorrer.Report.add
+
+    def add(self, name, passed, detail=""):
+        checks.append((name, passed))
+        return real(self, name, passed, detail)
+
+    monkeypatch.setattr(knorrer, "full_idempotent_check", lambda algebra, e: False)
+    monkeypatch.setattr(knorrer.Report, "add", add)
+    with pytest.raises(knorrer.PipelineError, match="^the corner idempotent is not full$"):
+        run_plus_case(*parse_double_ore(EX_4_10))
+    assert checks[-1] == ("full-idempotent", False)
+
+
+def test_module_bumps_that_the_full_route_rejects_stay_rejected(monkeypatch):
+    """Bump one action entry of one listed module of ex-4.10's four
+    characters or ex-5.9's five spun modules, over several seeds.  Every
+    list that verify_decomposition's old route, intertwiner equations on
+    every basis element and no module check, rejects is still rejected.
+    The module check through the generating set, [1, 2] of 4 on ex-4.10's
+    algebra and [1, 2, 4] of 8 on ex-5.9's, agrees with the check on every
+    product on each bumped module."""
+    recorded = {}
+    real = scenarios.verify_decomposition
+    for scenario_id in ("ex-4.10", "ex-5.9"):
+        def record(*args, name=scenario_id):
+            recorded[name] = args
+            return real(*args)
+
+        monkeypatch.setattr(scenarios, "verify_decomposition", record)
+        assert run_scenario(scenario_id).ok
+    verdicts = Counter()
+    for name, (algebra, simples, multiplicities) in recorded.items():
+        gens = generating_set(algebra)
+        assert gens == {"ex-4.10": [1, 2], "ex-5.9": [1, 2, 4]}[name]
+        for k, module in enumerate(simples):
+            for n in range(4):
+                rng = random.Random(f"module-bump:{name}:{k}:{n}")
+                action = [list(rows) for rows in module.action]
+                j, r = rng.randrange(algebra.dim), rng.randrange(module.dim)
+                action[j][r] = _bump(action[j][r], rng.randrange(module.dim))
+                listed = list(simples)
+                listed[k] = RightModule(algebra, module.dim, action)
+                assert algebra_module._is_module(listed[k], gens) == verify_module(
+                    listed[k]), (name, k, n)
+                old = ref_verify_decomposition(algebra, listed, multiplicities)
+                new = verify_decomposition(algebra, listed, multiplicities)
+                assert new <= old, (name, k, n)
+                verdicts[name, old, new] += 1
+    # no bump keeps a listed module a module, so both routes reject each
+    assert verdicts == {("ex-4.10", False, False): 16,
+                        ("ex-5.9", False, False): 20}, verdicts
 
 
 def test_restrict_builds_only_the_eigenspace_subalgebra(monkeypatch):
