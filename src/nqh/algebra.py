@@ -257,7 +257,8 @@ def verify_algebra(algebra, system=None):
     phi(w) e_v as T[w][v] on W, and as L_a phi(w') e_v for any other a w'.
     When a check fails, the full scan decides as above.
     """
-    return _algebra_report(algebra, system=system)
+    return _algebra_report(algebra, None if system else generating_set(algebra),
+                           system=system)
 
 
 def apply_row(row, vec):
@@ -309,15 +310,16 @@ def _rules_certify(algebra, system):
     return True
 
 
-def _algebra_report(algebra, firsts=None, lasts=None, system=None):
-    """``verify_algebra``'s report, with Light's test run on the first
-    factors ``firsts`` and last factors ``lasts`` only (every index when
-    None).  The caller must prove that a passing restricted test makes the
-    table associative; ``twist._certify_exchange`` does so for the twisted
-    algebras it builds.  The full scan that names a failure is the same
-    either way, so the report is ``verify_algebra``'s item for item.  With
-    a ``system``, ``verify_algebra``'s rule certificate replaces Light's
-    test."""
+def _algebra_report(algebra, gens, firsts=None, lasts=None, system=None):
+    """``verify_algebra``'s report, with Light's test run on the middle
+    factors ``gens``, the indices of ``generating_set(algebra)``, and on the
+    first factors ``firsts`` and last factors ``lasts`` only (every index
+    when None).  The caller must prove that a passing restricted test makes
+    the table associative; ``twist._certify_exchange`` does so for the
+    twisted algebras it builds.  The full scan that names a failure is the
+    same either way, so the report is ``verify_algebra``'s item for item.
+    With a ``system``, ``verify_algebra``'s rule certificate replaces
+    Light's test, and ``gens`` is None."""
     report = Report()
     dim = algebra.dim
     unit_ok = True
@@ -351,7 +353,7 @@ def _algebra_report(algebra, firsts=None, lasts=None, system=None):
         certified = unit_ok and _rules_certify(algebra, system)
     else:
         certified = unit_ok and not _associativity_failure(
-            algebra, generating_set(algebra), firsts, lasts)
+            algebra, gens, firsts, lasts)
     if not certified:
         failure = _associativity_failure(algebra, range(dim))
         if failure:
@@ -844,21 +846,22 @@ def verify_decomposition(algebra, simples, multiplicities):
     return total == algebra.dim
 
 
-def ideal_closure(algebra, elim, seeds):
+def ideal_closure(algebra, elim, seeds, gens):
     """Grow ``elim`` to the two-sided ideal A X A generated by the vectors
     ``seeds``, yielding after each vector that raises its rank.
 
     Precondition: the algebra is associative (certified by
     ``verify_algebra``).  The ideal is the span closure I of the seeds
-    under left and right multiplication by the basis vectors of
-    S = ``generating_set(algebra)``.  Proof.  I lies in A X A, since each
-    of its vectors is a sum of products a x b; so does each partial span.
+    under left and right multiplication by the basis vectors of S = ``gens``,
+    the indices of ``generating_set(algebra)``.  Proof.  I lies in A X A,
+    since each of its vectors is a sum of products a x b; so does each
+    partial span.
     By associativity, left multiplication by a product e_s1 ... e_sk is the
     composite of left multiplications by the e_s, so I is closed under it;
     these products span A by the choice of S, so A I lies in I, and
     likewise I A.  So I is a two-sided ideal containing X, and I = A X A.
     """
-    gens = [{s: ONE} for s in generating_set(algebra)]
+    gens = [{s: ONE} for s in gens]
     work = []
     for seed in seeds:
         if elim.add(seed):
@@ -874,10 +877,11 @@ def ideal_closure(algebra, elim, seeds):
                     yield
 
 
-def full_idempotent_check(algebra, e):
+def full_idempotent_check(algebra, e, gens):
     """e is idempotent and the two-sided ideal A e A is everything.
 
-    Precondition: the algebra is associative.  The check grows A e A by
+    Precondition: the algebra is associative, and ``gens`` is
+    ``generating_set(algebra)``.  The check grows A e A by
     ``ideal_closure`` and stops once the unit lies in the span: every
     partial span lies in A e A, and 1 in A e A gives A e A = A.  Only a
     False verdict runs the closure to completion.
@@ -886,7 +890,7 @@ def full_idempotent_check(algebra, e):
         return False
     elim = SparseEliminator()
     return any(elim.contains(algebra.unit)
-               for _ in ideal_closure(algebra, elim, [e]))
+               for _ in ideal_closure(algebra, elim, [e], gens))
 
 
 def restrict(algebra, space, unit):

@@ -44,6 +44,7 @@ format of its work, and a report built from them keeps its bytes.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -52,6 +53,10 @@ from .errors import DegreeMismatch, DimensionMismatch, ParseError
 Rational = Fraction
 
 _UNIT_SUFFIX = ("", "*i", "*r2", "*i*r2")
+# one term of a scalar: a sign, then a coefficient p or p/q, a unit or both
+_SCALAR_TERM = re.compile(
+    r"([+-]?)(?:([0-9]+)(?:/([0-9]+))?\*?(i\*r2|r2|i)?|\*?(i\*r2|r2|i))")
+_UNIT_SLOT = {None: 0, "i": 1, "r2": 2, "i*r2": 3}
 
 
 def _normalize(n0, n1, n2, n3, d):
@@ -269,56 +274,35 @@ class Scalar:
     def parse(cls, text):
         """Parse the textual form emitted by :meth:`text`.
 
-        Accepts bare symbols (``i``, ``-r2``, ``i*r2``) as coefficient 1
-        shorthands and arbitrary whitespace around ``+``.
+        The grammar, whitespace ignored: terms joined by ``+`` or ``-``,
+        each an optional sign, an optional integer or ``p/q`` coefficient,
+        an optional ``*`` and an optional unit ``i``, ``r2`` or ``i*r2``,
+        with a coefficient or a unit; so ``i``, ``-r2`` and ``1 + -2*i``
+        parse.  Anything else, exponents and decimals included, raises
+        ParseError.
         """
-        s = text.replace(" ", "")
-        if not s:
-            raise ParseError("empty scalar")
-        if s == "0":
-            return ZERO
+        s = "".join(text.split())
         coeffs = [Fraction(0)] * 4
-        # split into signed terms
-        terms = []
-        current = ""
-        for ch in s:
-            if ch in "+-" and current and current[-1] not in "+-/*":
-                terms.append(current)
-                current = ch if ch == "-" else ""
-            else:
-                current += ch
-        if current:
-            terms.append(current)
-        for term in terms:
-            if not term or term in ("+", "-"):
-                raise ParseError(f"bad scalar term in {text!r}")
-            body = term
-            sign = 1
-            if body[0] == "+":
-                body = body[1:]
-            elif body[0] == "-":
-                sign = -1
-                body = body[1:]
-            slot = 0
-            if body.endswith("i*r2"):
-                slot = 3
-                body = body[: -len("i*r2")]
-            elif body.endswith("r2"):
-                slot = 2
-                body = body[: -len("r2")]
-            elif body.endswith("i"):
-                slot = 1
-                body = body[:-1]
-            body = body.rstrip("*")
-            if body == "":
-                value = Fraction(1)
-            else:
-                try:
-                    value = Fraction(body)
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise ParseError(f"bad scalar {text!r}") from exc
-            coeffs[slot] += sign * value
-        return cls.from_rationals(*coeffs)
+        pos, sign = 0, 1
+        while True:
+            term = _SCALAR_TERM.match(s, pos)
+            if term is None:
+                raise ParseError(f"bad scalar {text!r}")
+            term_sign, num, den = term.group(1, 2, 3)
+            try:
+                value = Fraction(int(num or 1), int(den or 1))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(f"bad scalar {text!r}") from exc
+            if term_sign == "-":
+                value = -value
+            coeffs[_UNIT_SLOT[term.group(4) or term.group(5)]] += sign * value
+            pos = term.end()
+            if pos == len(s):
+                return cls.from_rationals(*coeffs)
+            if s[pos] not in "+-":
+                raise ParseError(f"bad scalar {text!r}")
+            sign = 1 if s[pos] == "+" else -1
+            pos += 1
 
     def __repr__(self):
         return f"Scalar({self.text()})"

@@ -200,7 +200,9 @@ def load_json(path):
             return json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, a non-UTF-8 file, or an integer literal past
+        # CPython's 4,300-digit conversion limit
         raise ParseError(f"bad JSON in {path}: {exc}") from exc
 
 

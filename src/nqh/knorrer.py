@@ -102,6 +102,7 @@ class PlusCaseResult:
     Lambda: GradedAlgebra
     Lambda_bigraded: GradedAlgebra
     corner: GradedLinMap            # Lambda onto the corner e A e of twisted
+    generators: list                # generating_set(twisted)
     checks: Report = field(default_factory=Report)
 
     @property
@@ -344,7 +345,8 @@ def run_plus_case(data, lift):
 
     e = {layout.index(0, 1, unit_index): HALF,
          layout.index(0, 2, unit_index): HALF * I}
-    full = full_idempotent_check(twisted, e)
+    # twisted shares twisted_big's table and unit, and so its generating set
+    full = full_idempotent_check(twisted, e, Theta.generators)
     checks.add("full-idempotent", full)
     if not full:
         # singularity_report reads the big radical off Lambda through A e A = A
@@ -425,7 +427,7 @@ def run_plus_case(data, lift):
         twisted=twisted, twisted_bigraded=twisted_big,
         oracle=oracle, base=base, xi1=xi1, xi2=xi2, phi2=phi2,
         S=S, M=M, Lambda=Lambda, Lambda_bigraded=Lambda_big, corner=corner,
-        checks=checks,
+        generators=Theta.generators, checks=checks,
     )
 
 
@@ -584,7 +586,8 @@ def singularity_report(result, blocks=None):
         big_rad = zero_rad = 0
         if small_rad:
             elim = SparseEliminator()
-            for _ in ideal_closure(big, elim, map(result.corner.apply, small_J.basis)):
+            seeds = map(result.corner.apply, small_J.basis)
+            for _ in ideal_closure(big, elim, seeds, result.generators):
                 pass
             J = Subspace.from_eliminator(elim, big.dim)
             big_rad = J.dim

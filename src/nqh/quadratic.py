@@ -79,6 +79,10 @@ from .exactlin import (
 )
 
 DEGREE_BOUND = 8
+# The most candidate words g dim A_{n-1} that one component may have: about
+# 20 times the most that any registry, benchmark, big:<=8 or test input
+# reaches (5,082)
+COMPONENT_BUDGET = 100_000
 
 
 class _Component:
@@ -152,8 +156,15 @@ class QuadraticPresentation:
     def _next_component(self, n):
         """Degree n from degrees n-1 and n-2, which must already be built;
         from degree 4 on, a PBW-certified presentation reads its words off
-        the relation leads (module docstring)."""
+        the relation leads (module docstring).  BoundExceeded, before any
+        word is built, when the g dim A_{n-1} candidate words pass
+        COMPONENT_BUDGET."""
         g = self.ngens
+        candidates = g * len(self._components[n - 1].words) if n else 1
+        if candidates > COMPONENT_BUDGET:
+            raise BoundExceeded(
+                f"degree {n} has {candidates} candidate words, past the"
+                f" component budget {COMPONENT_BUDGET}")
         if n < 2:
             comp = _Component(words_of_length(g, n), g, SparseEliminator())
             comp.normal_forms = {w: {word_index(w, g): ONE} for w in comp.words}

@@ -41,12 +41,10 @@ from .algebra import (
     GradedLinMap,
     Report,
     _algebra_report,
-    _scalar_multiple,
+    generating_set,
     is_t_inverse,
     require_group_rank,
     t_inverse_table,
-    vec_eq,
-    vec_scale,
     verify_iso,
 )
 
@@ -161,8 +159,10 @@ class TwistingSystemM2:
 
     ``verify_twisting_M2`` or ``verify_twisting_prod`` fills in the
     t-inverses, the twisted algebra with its certificate (``verify_algebra``'s
-    items), and (for M_2(E)) the exchange verdict.  Both need ``algebra``
-    certified by ``verify_algebra`` (see :func:`_certify_exchange`).
+    items) and the generating set S of it that the certificate used, the
+    verdict of the basis's l identities, and (for M_2(E)) the exchange
+    verdict.  Both need ``algebra`` certified by
+    ``verify_algebra`` (see :func:`_certify_exchange`).
     """
 
     algebra: GradedAlgebra
@@ -171,6 +171,8 @@ class TwistingSystemM2:
     t_inverses: tuple = None
     twisted: GradedAlgebra = None
     certificate: Report = None
+    generators: list = None     # generating_set(twisted)
+    l_holds: bool = None        # basis.basis_identities().ok
     exchange_ok: bool = None
 
 
@@ -275,11 +277,12 @@ def _exchange_failure(system):
 
 
 def _certify_exchange(system, build, l_holds):
-    """Build the twisted algebra of ``system`` once, keep it and its
-    certificate on the system, and return the first failure of the
-    exchange identity (as :func:`_exchange_failure`) or None.  ``l_holds``
-    is the verdict of ``system.basis.basis_identities()``, which the
-    caller has already evaluated.
+    """Build the twisted algebra of ``system`` once, keep it, its
+    generating set, its certificate and ``l_holds`` on the system, and
+    return the first failure of the exchange identity (as
+    :func:`_exchange_failure`) or None.  ``l_holds`` is the verdict of
+    ``system.basis.basis_identities()``, which the caller has already
+    evaluated.
 
     Preconditions: E is certified by ``verify_algebra``, as every E that
     ``deform.build_clifford`` returns is, and ``build`` fills the table by
@@ -340,13 +343,16 @@ def _certify_exchange(system, build, l_holds):
     """
     E = system.algebra
     system.twisted = build(system)
+    system.generators = generating_set(system.twisted)
+    system.l_holds = l_holds
     firsts = lasts = None
     if l_holds:
         layout = BlockLayout(E, system.basis)
         firsts = [layout.index(0, j, b) for j in (1, 2) for b in range(E.dim)]
         lasts = [layout.index(i, j, k) for i in layout.halves for j in (1, 2)
                  for k in E.unit]
-    system.certificate = _algebra_report(system.twisted, firsts, lasts)
+    system.certificate = _algebra_report(system.twisted, system.generators,
+                                         firsts, lasts)
     passed = {item.name: item.passed for item in system.certificate.items}
     if passed["associativity"] and l_holds:
         return None
@@ -384,7 +390,9 @@ def verify_twisting_M2(system):
 
 
 def verify_twisting_suite(system):
-    """The derived identities that hold on every accepted system.
+    """The derived identities that hold on every accepted system, read off
+    the verdicts of ``verify_twisting_M2`` on it, with no product of E; a
+    system that carries no certificate is verified first.
 
     ``theta-phi-exchange`` is the l-weighted exchange law between theta and
     its t-inverses phi: for all i, i', p, q, r and x, y in E,
@@ -407,80 +415,43 @@ def verify_twisting_suite(system):
     and y -> theta^(i')_{rj}(y) in the law and sum over q and r; the second
     family collapses both sides back to the exchange identity.  A phi that
     fails the check is not the t-inverse, and the item fails.
+
+    The gamma items.  With both checks and ``units-invertible`` passing,
+    T^(i) = theta^(i)(1) is an invertible scalar matrix,
+    phi^(i)(1) = Phi^(i) = ((T^(i))^-1)^t, and phi, as t-inverses are
+    unique, is the solved one from which ``_twisted_algebra`` built the
+    unit sum_j c_j I(0)_j 1, c_j = sum_r gamma_r Phi^(0)_rj.  Each item reads False when a premise
+    of its proof fails.
+    - ``gamma-phi-relation``, sum_p Phi^(i+i')_ps l^(ii')_pqr
+      = sum_j Phi^(i)_qj l^(ii')_sjr.  The exchange identity at
+      (i, i') and x = y = 1, with T^(i') cancelled, reads
+      L_u T^(i) = T^(i+i') L_u for (L_u)_ps = l^(ii')_psu, so
+      (T^(i+i'))^-1 L_r = L_r (T^(i))^-1: the item, entry for entry.
+    - ``gamma-absorption``, sum_j c_j theta^(0)_vj(x) = gamma_v x.  The
+      certificate's ``unit`` item gives (I(0)_j x) 1 = I(0)_j x, whose
+      I(0)_t coefficient is sum_s l^(00)_tjs sum_j' c_j' theta^(0)_sj'(x)
+      = delta_tj x; contracted with gamma_j, l-left-unit leaves the item.
+    - ``gamma-unit-contraction``, sum_{j,t} c_j l^(0i)_sjt T^(i)_tq
+      = delta_sq: the coefficient of I(i)_s 1 in 1 (I(i)_q 1), which the
+      ``unit`` item makes delta_sq.
     """
     _require_kind(system, (0, 1))
     report = Report()
-    E = system.algebra
-    basis = system.basis
-    if system.t_inverses is None and not verify_twisting_M2(system).ok:
+    if system.certificate is None and not verify_twisting_M2(system).ok:
         report.add("prerequisites", False, "system fails the defining checks")
         return report
     phis = system.t_inverses
-
     inverse_ok = all(is_t_inverse(theta, phi)
                      for theta, phi in zip(system.theta, phis))
     report.add("theta-phi-exchange", system.exchange_ok and inverse_ok)
-
-    # invertibility of the values at 1 propagates to the t-inverses
-    ok2 = all(_unit_value_invertible(table) for table in (*system.theta, *phis))
-    report.add("units-invertible", ok2)
-
-    # gamma relations against theta(1) and phi(1)
-    ok3 = True
-    for i in (0, 1):
-        for ip in (0, 1):
-            for q in (1, 2):
-                for r in (1, 2):
-                    for s in (1, 2):
-                        lhs = {}
-                        for p in (1, 2):
-                            add_scaled(lhs, phis[(i + ip) % 2].entry(p, s).apply(E.unit),
-                                       basis.lval(i, ip, p, q, r))
-                        rhs = {}
-                        for j in (1, 2):
-                            add_scaled(rhs, phis[i].entry(q, j).apply(E.unit),
-                                       basis.lval(i, ip, s, j, r))
-                        if not vec_eq(lhs, rhs):
-                            ok3 = False
-    report.add("gamma-phi-relation", ok3)
-
-    ok4 = True
-    phi0_at_1 = {(r, j): phis[0].entry(r, j).apply(E.unit)
-                 for r, j in product((1, 2), repeat=2)}
-    for x in range(E.dim):
-        bx = E.basis_vec(x)
-        for v in (1, 2):
-            lhs = {}
-            for r in (1, 2):
-                for j in (1, 2):
-                    inner = E.mul(bx, phi0_at_1[(r, j)])
-                    add_scaled(lhs, system.theta[0].entry(v, j).apply(inner),
-                               basis.gamma[r - 1])
-            rhs = vec_scale(bx, basis.gamma[v - 1])
-            if not vec_eq(lhs, rhs):
-                ok4 = False
-    report.add("gamma-absorption", ok4)
-
-    ok5 = True
-    for i in (0, 1):
-        for s in (1, 2):
-            for q in (1, 2):
-                total = ZERO
-                for t in (1, 2):
-                    for j in (1, 2):
-                        for u in (1, 2):
-                            lcoeff = basis.lval(0, i, s, j, t)
-                            if not lcoeff:
-                                continue
-                            phi1 = _scalar_multiple(
-                                E, phis[0].entry(u, j).apply(E.unit))
-                            th1 = _scalar_multiple(
-                                E, system.theta[i].entry(t, q).apply(E.unit))
-                            total = total + basis.gamma[u - 1] * lcoeff * phi1 * th1
-                want = ONE if s == q else ZERO
-                if total != want:
-                    ok5 = False
-    report.add("gamma-unit-contraction", ok5)
+    units_ok = report.add("units-invertible", all(
+        _unit_value_invertible(table) for table in (*system.theta, *phis)))
+    scalar_ok = inverse_ok and units_ok
+    passed = {item.name: item.passed for item in system.certificate.items}
+    unit_ok = scalar_ok and passed["unit"]
+    report.add("gamma-phi-relation", scalar_ok and system.exchange_ok)
+    report.add("gamma-absorption", unit_ok and system.l_holds)
+    report.add("gamma-unit-contraction", unit_ok)
     return report
 
 

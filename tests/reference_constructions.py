@@ -10,7 +10,8 @@ are the checks that the program replaced by cheaper certificates and that
 the tests keep as references: the homomorphism identity of a map
 E -> M_2(E) on every basis pair, the module identity on every triple, the
 normal form bounded by a rewriting system's confluence degree, the
-twisted table formed block by block, the degree-0 radical by the trace
+twisted table formed block by block, the twisting suite's gamma identities
+by loops of their own, the degree-0 radical by the trace
 form on the degree-0 part, both radicals of the minus case by the trace
 form on its extension, the certificate of a map onto a subspace
 read through the algebra restricted to that subspace, and the Clifford
@@ -26,20 +27,33 @@ Methods of ``nqh`` classes are functions of their object here:
 ``verify_module(module)``, ``L_matrix(basis, i, ip, j)``.
 """
 
+import itertools
+from fractions import Fraction
+
 from nqh.algebra import (
     GradedLinMap,
     MatrixHom,
+    Report,
     _scalar_multiple,
     ideal_closure,
+    is_t_inverse,
     radical,
     restrict,
     vec_eq,
+    vec_scale,
     verify_iso,
 )
-from nqh.errors import DimensionMismatch, NotTwistingSystem, NqhError, SingularBasis
+from nqh.errors import (
+    DimensionMismatch,
+    NotTwistingSystem,
+    NqhError,
+    ParseError,
+    SingularBasis,
+)
 from nqh.exactlin import (
     ONE,
     ZERO,
+    Scalar,
     SparseEliminator,
     Subspace,
     TensorElement,
@@ -47,7 +61,13 @@ from nqh.exactlin import (
     matrix_mul,
     rref_rows,
 )
-from nqh.twist import BlockLayout, TwistingSystemM2, verify_twisting_M2
+from nqh.twist import (
+    BlockLayout,
+    TwistingSystemM2,
+    _require_kind,
+    _unit_value_invertible,
+    verify_twisting_M2,
+)
 
 
 class DegreeExceedsConfluence(NqhError):
@@ -194,6 +214,63 @@ def ref_twisted_algebra(system):
     return layout.algebra_on(table, unit)
 
 
+def ref_verify_twisting_suite(system):
+    """``twist.verify_twisting_suite`` as it was while it derived its three
+    gamma items by loops of its own: theta(1), phi(1), l and gamma on the
+    scalars, and the absorption identity on every basis vector of E."""
+    _require_kind(system, (0, 1))
+    report = Report()
+    E = system.algebra
+    basis = system.basis
+    if system.t_inverses is None and not verify_twisting_M2(system).ok:
+        report.add("prerequisites", False, "system fails the defining checks")
+        return report
+    phis = system.t_inverses
+    inverse_ok = all(is_t_inverse(theta, phi)
+                     for theta, phi in zip(system.theta, phis))
+    report.add("theta-phi-exchange", system.exchange_ok and inverse_ok)
+    report.add("units-invertible", all(
+        _unit_value_invertible(table) for table in (*system.theta, *phis)))
+    ok3 = True
+    for i, ip, q, r, s in itertools.product((0, 1), (0, 1), (1, 2), (1, 2), (1, 2)):
+        lhs = {}
+        for p in (1, 2):
+            add_scaled(lhs, phis[(i + ip) % 2].entry(p, s).apply(E.unit),
+                       basis.lval(i, ip, p, q, r))
+        rhs = {}
+        for j in (1, 2):
+            add_scaled(rhs, phis[i].entry(q, j).apply(E.unit),
+                       basis.lval(i, ip, s, j, r))
+        ok3 &= vec_eq(lhs, rhs)
+    report.add("gamma-phi-relation", ok3)
+    ok4 = True
+    phi0_at_1 = {(r, j): phis[0].entry(r, j).apply(E.unit)
+                 for r, j in itertools.product((1, 2), repeat=2)}
+    for x in range(E.dim):
+        bx = E.basis_vec(x)
+        for v in (1, 2):
+            lhs = {}
+            for r, j in itertools.product((1, 2), repeat=2):
+                inner = E.mul(bx, phi0_at_1[(r, j)])
+                add_scaled(lhs, system.theta[0].entry(v, j).apply(inner),
+                           basis.gamma[r - 1])
+            ok4 &= vec_eq(lhs, vec_scale(bx, basis.gamma[v - 1]))
+    report.add("gamma-absorption", ok4)
+    ok5 = True
+    for i, s, q in itertools.product((0, 1), (1, 2), (1, 2)):
+        total = ZERO
+        for t, j, u in itertools.product((1, 2), repeat=3):
+            lcoeff = basis.lval(0, i, s, j, t)
+            if not lcoeff:
+                continue
+            phi1 = _scalar_multiple(E, phis[0].entry(u, j).apply(E.unit))
+            th1 = _scalar_multiple(E, system.theta[i].entry(t, q).apply(E.unit))
+            total = total + basis.gamma[u - 1] * lcoeff * phi1 * th1
+        ok5 &= total == (ONE if s == q else ZERO)
+    report.add("gamma-unit-contraction", ok5)
+    return report
+
+
 def ref_degree0_radical_dim(algebra):
     """dim J(A_0) as ``singularity_report`` computed it before reading it
     off J(A): the trace form on the restriction of the Z2-graded
@@ -212,13 +289,13 @@ def ref_radical_dims(algebra):
     return J.dim, sum(algebra.element_degree(row) == (0,) for row in J.basis)
 
 
-def ref_full_idempotent_check(algebra, e):
+def ref_full_idempotent_check(algebra, e, gens):
     """``full_idempotent_check`` as it was before it stopped at the unit:
     the whole closure of e, then its rank."""
     if not vec_eq(algebra.mul(e, e), e):
         return False
     elim = SparseEliminator()
-    for _ in ideal_closure(algebra, elim, [e]):
+    for _ in ideal_closure(algebra, elim, [e], gens):
         pass
     return elim.rank == algebra.dim
 
@@ -405,6 +482,59 @@ def rebase_omega(system, new_basis):
     omega = TwistingSystemM2(E, tuple(new_tables), new_basis)
     return _block_iso(system, omega, lambda i, j, s: U[i][j - 1][s - 1],
                       ("rebased", "rebase"))
+
+
+def ref_scalar_parse(text):
+    """``Scalar.parse`` as it was while it handed each term to ``Fraction``,
+    which also takes exponents, decimals and underscores: the reference on
+    the documented grammar only, since an exponent such as 1e300000000
+    makes it build a huge integer."""
+    s = text.replace(" ", "")
+    if not s:
+        raise ParseError("empty scalar")
+    if s == "0":
+        return ZERO
+    coeffs = [Fraction(0)] * 4
+    terms = []
+    current = ""
+    for ch in s:
+        if ch in "+-" and current and current[-1] not in "+-/*":
+            terms.append(current)
+            current = ch if ch == "-" else ""
+        else:
+            current += ch
+    if current:
+        terms.append(current)
+    for term in terms:
+        if not term or term in ("+", "-"):
+            raise ParseError(f"bad scalar term in {text!r}")
+        body = term
+        sign = 1
+        if body[0] == "+":
+            body = body[1:]
+        elif body[0] == "-":
+            sign = -1
+            body = body[1:]
+        slot = 0
+        if body.endswith("i*r2"):
+            slot = 3
+            body = body[: -len("i*r2")]
+        elif body.endswith("r2"):
+            slot = 2
+            body = body[: -len("r2")]
+        elif body.endswith("i"):
+            slot = 1
+            body = body[:-1]
+        body = body.rstrip("*")
+        if body == "":
+            value = Fraction(1)
+        else:
+            try:
+                value = Fraction(body)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(f"bad scalar {text!r}") from exc
+        coeffs[slot] += sign * value
+    return Scalar.from_rationals(*coeffs)
 
 
 # ---------------------------------------------------------------------------

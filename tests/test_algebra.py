@@ -362,30 +362,30 @@ def upper_triangular_2x2():
 
 def test_full_idempotent(monkeypatch):
     algebra = matrix_algebra_2x2()
-    assert full_idempotent_check(algebra, dict(algebra.unit))
-    assert not full_idempotent_check(algebra, {})
-    assert full_idempotent_check(algebra, {0: ONE})  # E11 is full in M_2
+    gens = generating_set(algebra)
+    assert full_idempotent_check(algebra, dict(algebra.unit), gens)
+    assert not full_idempotent_check(algebra, {}, gens)
+    assert full_idempotent_check(algebra, {0: ONE}, gens)  # E11 is full in M_2
     split = group_algebra_z2()
     idem = {0: HALF, 1: HALF}
-    assert not full_idempotent_check(split, idem)
+    assert not full_idempotent_check(split, idem, generating_set(split))
     # E11 in the upper triangular matrices generates span{E11, E12}: the
     # unit never enters the span, so the check forms every product of the
     # closure, two per generator on each of its two vectors, and says no
     triangular = upper_triangular_2x2()
     assert verify_algebra(triangular).ok
     e = {0: ONE}
-    elim = SparseEliminator()
-    assert len(list(algebra_module.ideal_closure(triangular, elim, [e]))) == 2
-    assert Subspace.from_eliminator(elim, 3) == Subspace.from_rows(
-        [{0: ONE}, {1: ONE}], 3)
     gens = generating_set(triangular)
     assert gens == [0, 1]
+    elim = SparseEliminator()
+    assert len(list(algebra_module.ideal_closure(triangular, elim, [e], gens))) == 2
+    assert Subspace.from_eliminator(elim, 3) == Subspace.from_rows(
+        [{0: ONE}, {1: ONE}], 3)
     products = []
     real = GradedAlgebra.mul
-    monkeypatch.setattr(algebra_module, "generating_set", lambda _: gens)
     monkeypatch.setattr(GradedAlgebra, "mul",
                         lambda self, u, v: products.append(1) or real(self, u, v))
-    assert not full_idempotent_check(triangular, e)
+    assert not full_idempotent_check(triangular, e, gens)
     # e e, then 2 sides x 2 generators x 2 closure vectors
     assert len(products) == 1 + 2 * 2 * 2
 

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import resource
 import subprocess
 import sys
 
@@ -33,6 +34,37 @@ def double_ore_file(tmp_path):
     path = tmp_path / "classz.json"
     path.write_text(json.dumps(EX_4_10))
     return str(path)
+
+
+HOSTILE_INPUTS = {
+    "exponent-scalar": ("double-ore", json.dumps({**EX_4_10, "p11": "1e300000000"})),
+    "long-json-integer": (
+        "check-presentation",
+        '{"generators": ["x1", "x2"], "relations": [{"x1 x2": 1' + "0" * 4999 + "}]}"),
+    "free-16-generators": ("check-presentation", json.dumps(
+        {"generators": [f"x{k}" for k in range(1, 17)], "relations": []})),
+}
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("command, text", HOSTILE_INPUTS.values(),
+                         ids=list(HOSTILE_INPUTS))
+def test_hostile_input_exits_2_fast(nqh_env, tmp_path, command, text):
+    """Each input once hung, ended in a traceback or ran out of memory: a
+    scalar with an exponent, which Fraction expanded; an integer literal
+    past CPython's 4,300-digit limit; and 16 free generators, whose degree-6
+    component has 16^6 words.  Each must exit 2 with an error line, in 10 s
+    and 1 GB of address space."""
+    path = tmp_path / "hostile.json"
+    path.write_text(text)
+    run = subprocess.run([sys.executable, "-m", "nqh", command, str(path)],
+                         capture_output=True, env=nqh_env, timeout=10,
+                         preexec_fn=_limit_address_space)
+    assert run.returncode == 2, run.stderr[-300:]
+    assert b"error:" in run.stderr
 
 
 def test_check_presentation(capsys, presentation_file):

@@ -3,7 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from reference_constructions import matrix_inverse, subspace_intersection
+from reference_constructions import (
+    matrix_inverse,
+    ref_scalar_parse,
+    subspace_intersection,
+)
 
 from nqh import exactlin
 from nqh.errors import DegreeMismatch, DimensionMismatch, ParseError
@@ -89,6 +93,48 @@ def test_parse_shorthands():
         Scalar.parse("")
     with pytest.raises(ParseError):
         Scalar.parse("x")
+
+
+SHORTHANDS = ("i", "-r2", "i*r2", "1/2 + -3/2*i + r2", "+1", "2i", "2 * r2",
+              "1 - i", "-1/2-i*r2", "0", "0/5", "3/6*i", " 1 + -1*i ")
+
+fractions_ = st.fractions(max_denominator=10 ** 6).filter(
+    lambda f: abs(f.numerator) < 10 ** 30)
+
+
+@given(st.tuples(fractions_, fractions_, fractions_, fractions_))
+def test_the_grammar_parses_as_the_fraction_route(coeffs):
+    """On every ``text()`` output the parser agrees with the earlier one,
+    which handed each term to Fraction."""
+    text = Scalar.from_rationals(*coeffs).text()
+    assert Scalar.parse(text) == ref_scalar_parse(text) == Scalar.from_rationals(*coeffs)
+
+
+@pytest.mark.parametrize("text", SHORTHANDS)
+def test_shorthands_parse_as_the_fraction_route(text):
+    assert Scalar.parse(text) == ref_scalar_parse(text)
+
+
+def test_every_whitespace_is_ignored():
+    """The Fraction route dropped only spaces, and rejected this tab."""
+    assert Scalar.parse("1 +\t-1*i\n") == ONE - I
+    with pytest.raises(ParseError):
+        ref_scalar_parse("1 +\t-1*i\n")
+
+
+FRACTION_ONLY = ("1e3", "1E3", "1e400", "2.5", "1_000", "--1", "1+--1", "+-1", "٣")
+
+
+@pytest.mark.parametrize("text", FRACTION_ONLY + (
+    "1/0", "1/-2", "1+", "*", "2i2", "i r 2", "x", "", "  ", "1/2/3"))
+def test_text_outside_the_grammar_is_a_parse_error(text):
+    """Exponents, decimals, underscores, doubled signs, non-ASCII digits
+    and the rest.  The Fraction route accepted the first of these, and
+    1e300000000 made it build a 300-million-digit integer."""
+    with pytest.raises(ParseError):
+        Scalar.parse(text)
+    if text in FRACTION_ONLY:
+        ref_scalar_parse(text)
 
 
 def test_sqrt_in_K():

@@ -29,6 +29,7 @@ from reference_constructions import (
     is_stacked_inverse,
     matrix_add,
     ref_twisted_algebra,
+    ref_verify_twisting_suite,
     stacked_inverse,
     trivial_system,
 )
@@ -996,6 +997,65 @@ def test_theta_phi_exchange_matches_the_loop(m2_tables):
                 assert items["theta-phi-exchange"] == ref_theta_phi_exchange(candidate)
                 verdicts.append(items["theta-phi-exchange"])
     assert verdicts.count(True) >= 10 and verdicts.count(False) >= 50
+
+
+def test_the_suite_reads_its_gamma_items_off_the_certificate(m2_tables):
+    """The suite reads its gamma items off the exchange verdict and the
+    twisted algebra's unit item; ``ref_verify_twisting_suite`` derives
+    them by the loops that this replaced.  On each m2_tables system, on 12
+    one-coefficient theta mutants of each, and on 3 phi mutants of each
+    verified one: the verdicts are equal, no item passes where the loop's
+    fails, and on a system accepted with its solved t-inverses the items
+    are equal."""
+    rng = random.Random("gamma-read-off-mutants")
+    basis = standard_basis_m2()
+    counts = Counter()
+    for E, tables in m2_tables:
+        for theta in [tables] + _table_mutants(tables, rng, 12):
+            system = TwistingSystemM2(E, theta, basis)
+            accepted = verify_twisting_M2(system).ok
+            if system.t_inverses is None:
+                counts["no t-inverse"] += 1
+                continue
+            counts["verified", accepted] += 1
+            candidates = [system] + [
+                dataclasses.replace(system, t_inverses=phis)
+                for phis in _table_mutants(system.t_inverses, rng, 3)]
+            for candidate in candidates:
+                items = _items(verify_twisting_suite(candidate))
+                ref = _items(ref_verify_twisting_suite(candidate))
+                assert [name for name, _, _ in items] == [name for name, _, _ in ref]
+                assert all(theirs or not ours
+                           for (_, ours, _), (_, theirs, _) in zip(items, ref))
+                ok = all(passed for _, passed, _ in items)
+                assert ok == all(passed for _, passed, _ in ref)
+                if candidate is system and accepted:
+                    assert items == ref
+                counts[candidate is system, ok] += 1
+    # 13 systems and 156 theta mutants, of which 2 have no t-inverse; every
+    # phi mutant is rejected
+    assert counts == {"no t-inverse": 2, ("verified", True): 12,
+                      ("verified", False): 155, (True, True): 12,
+                      (True, False): 155, (False, False): 501}, counts
+
+
+def test_the_suite_forms_no_product(m2_tables, monkeypatch):
+    """On every accepted m2_tables system the suite passes without
+    multiplying in any algebra: its items are read off checks already
+    made."""
+    basis = standard_basis_m2()
+    systems = [TwistingSystemM2(E, tables, basis) for E, tables in m2_tables]
+    systems = [system for system in systems if verify_twisting_M2(system).ok]
+    calls = []
+    for name in ("mul", "row"):
+        real = getattr(GradedAlgebra, name)
+        monkeypatch.setattr(GradedAlgebra, name,
+                            lambda self, *args, real=real: calls.append(self)
+                            or real(self, *args))
+    assert len(systems) >= 10
+    for system in systems:
+        assert verify_twisting_suite(system).ok
+    assert calls == []
 
 
 def test_hand_set_l_sends_the_product_exchange_to_the_loop(monkeypatch,

@@ -1673,14 +1673,16 @@ def test_the_degree0_radical_is_read_off_both_degrees_of_a_radical():
     assert verify_algebra(big).ok
     e = {layout.index(0, 1, b): c * HALF for b, c in algebra.unit.items()}
     e.update((layout.index(0, 2, b), c * HALF * I) for b, c in algebra.unit.items())
-    assert full_idempotent_check(big, e)
+    gens = generating_set(big)
+    assert full_idempotent_check(big, e, gens)
     corner = GradedLinMap(algebra, big, [
         {layout.index(0, 1, b): HALF, layout.index(0, 2, b): HALF * I}
         for b in range(algebra.dim)])
     assert certify_by_iso(corner, corner_embedding(big, e))
     assert ref_radical_dims(big) == (12, 6)
     report = singularity_report(
-        SimpleNamespace(case="plus", twisted=big, Lambda=algebra, corner=corner))
+        SimpleNamespace(case="plus", twisted=big, Lambda=algebra, corner=corner,
+                        generators=gens))
     assert (report.big_radical_dim, report.degree0_radical_dim,
             report.small_radical_dim) == (12, 6, 3)
     assert "degree-0 part dim: 12, radical dim: 6" in report.lines
@@ -1881,8 +1883,9 @@ def test_the_full_idempotent_check_stops_with_the_closure_verdict(
         for kind, algebra in [("as built", A)] + [
                 ("mutant", _bump_odd_product(A, f"graded-mutant:{name}:target:{n}"))
                 for n in seeds]:
-            verdict = full_idempotent_check(algebra, e)
-            assert verdict == ref_full_idempotent_check(algebra, e), (name, kind)
+            gens = generating_set(algebra)
+            verdict = full_idempotent_check(algebra, e, gens)
+            assert verdict == ref_full_idempotent_check(algebra, e, gens), (name, kind)
             verdicts[kind, verdict] += 1
     # 7 inputs with 3 mutants and big:4 with 1: every bump keeps e full
     assert verdicts == {("as built", True): 8, ("mutant", True): 22}, verdicts
@@ -1900,12 +1903,11 @@ def test_the_full_idempotent_check_stops_at_the_unit(subspace_certificates,
     for name, A, e in _corner_idempotents(subspace_certificates):
         gens = generating_set(A)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(algebra_module, "generating_set", lambda _: gens)
             patch.setattr(GradedAlgebra, "mul",
                           lambda self, u, v: products.append(1) or real(self, u, v))
             for check in (full_idempotent_check, ref_full_idempotent_check):
                 products.clear()
-                assert check(A, e), name
+                assert check(A, e, gens), name
                 counts[name, check is full_idempotent_check] = len(products)
     # e e, then the closure's products
     for name in ("ex-4.10", "ex-4.9-1", "ex-4.9-2"):
@@ -1914,6 +1916,30 @@ def test_the_full_idempotent_check_stops_at_the_unit(subspace_certificates,
         name = f"skew3:{seed}:plus.json"
         assert (counts[name, True], counts[name, False]) == (1 + 19, 1 + 320)
     assert (counts["big:4:1", True], counts["big:4:1", False]) == (1 + 23, 1 + 768)
+
+
+def test_a_plus_run_computes_the_twisted_generating_set_once(monkeypatch):
+    """The twisted algebra's certificate computes its generating set, and
+    the full-idempotent check, on the total-degree regrading that shares
+    its table, is handed the same one: one call on that table for a plus
+    run and its report, on ex-4.10 and skew3:1."""
+    tables = []
+    real = algebra_module.generating_set
+
+    def counting(algebra):
+        tables.append(algebra.table)
+        return real(algebra)
+
+    for module in (algebra_module, twist, knorrer, scenarios):
+        if hasattr(module, "generating_set"):
+            monkeypatch.setattr(module, "generating_set", counting)
+    docs = [EX_4_10, json.loads(generate("skew3", 1)["plus.json"])]
+    for doc in docs:
+        tables.clear()
+        result = run_plus_case(*parse_double_ore(doc))
+        singularity_report(result)
+        assert result.generators == real(result.twisted)
+        assert [t for t in tables if t is result.twisted.table] == [result.twisted.table]
 
 
 def test_spin_through_a_generating_set_spins_through_every_basis_vector(
@@ -1950,7 +1976,8 @@ def test_a_plus_run_stops_when_the_idempotent_is_not_full(monkeypatch):
         checks.append((name, passed))
         return real(self, name, passed, detail)
 
-    monkeypatch.setattr(knorrer, "full_idempotent_check", lambda algebra, e: False)
+    monkeypatch.setattr(knorrer, "full_idempotent_check",
+                        lambda algebra, e, gens: False)
     monkeypatch.setattr(knorrer.Report, "add", add)
     with pytest.raises(knorrer.PipelineError, match="^the corner idempotent is not full$"):
         run_plus_case(*parse_double_ore(EX_4_10))

@@ -114,6 +114,18 @@ def test_profile_bound(km1):
         hilbert_profile(km1, 9)
 
 
+def test_a_component_past_the_budget_is_refused(monkeypatch):
+    """The budget bounds the candidate words g dim A_{n-1} of a component,
+    checked before any of them is built: a budget of 27 admits the free
+    algebra on three generators up to degree 3, not degree 4."""
+    free = QuadraticPresentation(["x", "y", "z"], [])
+    monkeypatch.setattr(quadratic, "COMPONENT_BUDGET", 27)
+    assert hilbert_profile(free, 3) == [1, 3, 9, 27]
+    with pytest.raises(BoundExceeded, match="^degree 4 has 81 candidate words"):
+        free.component_dim(4)
+    assert free.component_dim(3) == 27
+
+
 def test_quotient_dimension_consistency(km1):
     g = km1.ngens
     for n in range(2, ORACLE_MAX_DEGREE + 1):

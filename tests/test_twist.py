@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from reference_constructions import (
     normalize_upsilon,
     plain_m2,
     rebase_omega,
+    ref_verify_twisting_suite,
     trivial_system,
 )
 
@@ -890,3 +892,86 @@ def test_semitrivial_mu_rejects_an_order_4_automorphism(clifford_km1):
     assert [(item.name, item.passed) for item in report.items] == [
         ("unit", True), ("grading", True), ("associativity", False)]
     assert report.first_failure().detail == "associativity fails at (1,4,4)"
+
+
+def test_the_suite_reads_off_rebased_and_trivial_systems(plus_system, clifford_km1):
+    """On the systems of acceptance criterion 8 (the paper's plus system,
+    its transports to 20 random graded bases, each transport normalized at
+    1, and the trivial system on each basis) the suite's items are those
+    of the loops it replaced, ``ref_verify_twisting_suite``, and pass."""
+    E = clifford_km1.algebra
+    rng = random.Random(20260809)
+    systems = [plus_system]
+    for _ in range(20):
+        basis = random_graded_basis(rng)
+        omega, _ = rebase_omega(plus_system, basis)
+        trivial = trivial_system(E, basis)
+        assert verify_twisting_M2(trivial).ok
+        systems += [omega, normalize_upsilon(omega)[0], trivial]
+    for system in systems:
+        items = [(item.name, item.passed) for item in verify_twisting_suite(system).items]
+        assert items == [(item.name, item.passed)
+                         for item in ref_verify_twisting_suite(system).items]
+        assert all(passed for _, passed in items)
+
+
+def test_a_hand_set_l_is_only_rejected_more_often(plus_system):
+    """Each coefficient of the standard basis's l, moved by 1 or -1, under
+    the paper's plus tables and the trivial ones.  The moved l fails its
+    identities, on which the gamma-absorption proof rests, so the suite may
+    reject where the loops accept, but no item passes where the loop's
+    fails.  The loops accept 52 of the 128 systems, which the suite
+    rejects."""
+    E = plus_system.algebra
+    verdicts = Counter()
+    for key in sorted(standard_basis_m2().l):
+        for delta in (ONE, MINUS_ONE):
+            basis = standard_basis_m2()
+            basis.l = {**basis.l, key: basis.l[key] + delta}
+            assert not basis.basis_identities().ok
+            for kind, theta in (("plus", plus_system.theta),
+                                ("trivial", trivial_system(E, basis).theta)):
+                system = TwistingSystemM2(E, theta, basis)
+                verify_twisting_M2(system)
+                ours = verify_twisting_suite(system)
+                theirs = ref_verify_twisting_suite(system)
+                assert all(b.passed or not a.passed
+                           for a, b in zip(ours.items, theirs.items, strict=True))
+                verdicts[kind, ours.ok, theirs.ok] += 1
+    assert verdicts == {("plus", False, False): 60, ("plus", False, True): 4,
+                        ("trivial", False, False): 16,
+                        ("trivial", False, True): 48}, verdicts
+
+
+def test_the_gamma_items_need_scalar_values_at_1():
+    """theta^(0) = theta^(1) = diag(c, c), with c the multiplication by
+    2 e1 + e2 on k x k: t-invertible, and its twisted product, c times the
+    plain one, is associative with unit c^-1, so only the values at 1 fail,
+    for they are not scalar.  The suite's proofs read theta(1) and phi(1)
+    as scalar matrices, so its gamma items fail with units-invertible,
+    where the loops, which read the e1 coordinate, pass them."""
+    E = GradedAlgebra(["e1", "e2"], [[{0: ONE}, {}], [{}, {1: ONE}]],
+                      {0: ONE, 1: ONE}, [(0,), (0,)])
+    c = GradedLinMap(E, E, [{0: Scalar(2)}, {1: ONE}])
+    zero = GradedLinMap.zero(E)
+    table = MatrixHom([[c, zero], [zero, c]])
+    system = TwistingSystemM2(E, (table, table), standard_basis_m2())
+    assert [item.name for item in verify_twisting_M2(system).items
+            if not item.passed] == ["theta1-unit-invertible", "theta0-unit-invertible"]
+    assert system.certificate.ok
+    ours = [(item.name, item.passed) for item in verify_twisting_suite(system).items]
+    theirs = [(item.name, item.passed)
+              for item in ref_verify_twisting_suite(system).items]
+    assert ours == [("theta-phi-exchange", True), ("units-invertible", False),
+                    ("gamma-phi-relation", False), ("gamma-absorption", False),
+                    ("gamma-unit-contraction", False)]
+    assert theirs == ours[:2] + [(name, True) for name, _ in ours[2:]]
+
+
+def test_the_suite_verifies_a_system_that_carries_no_certificate(plus_system):
+    """A system given its t-inverses but not verified carries none of the
+    verdicts that the suite reads: the suite verifies it first."""
+    bare = TwistingSystemM2(plus_system.algebra, plus_system.theta,
+                            plus_system.basis, t_inverses=plus_system.t_inverses)
+    assert verify_twisting_suite(bare).ok
+    assert bare.certificate.ok and bare.exchange_ok
