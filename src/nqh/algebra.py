@@ -67,8 +67,34 @@ def require_group_rank(algebra, rank, what):
                                 f" not Z2^{algebra.group_rank}")
 
 
+class RowsOnDemand:
+    """A structure table whose row i is ``form(i)``, formed when it is first
+    read and then kept: the products of an algebra given by a product rule.
+    The memo belongs to this table alone, and no cell is stored before its
+    row is read."""
+
+    __slots__ = ("form", "rows")
+
+    def __init__(self, dim, form):
+        self.form = form
+        self.rows = [None] * dim
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        row = self.rows[i]
+        if row is None:
+            row = self.rows[i] = self.form(i)
+        return row
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.rows)))
+
+
 class GradedAlgebra:
-    """A unital associative algebra on a homogeneous basis."""
+    """A unital associative algebra on a homogeneous basis.  ``table`` is a
+    list of rows, or a ``RowsOnDemand``."""
 
     __slots__ = ("labels", "dim", "table", "unit", "degrees", "group_rank", "words")
 
@@ -310,6 +336,28 @@ def _rules_certify(algebra, system):
     return True
 
 
+def _grading_failure(algebra):
+    """The first (i, j, k), in row, column and then e_i e_j's key order,
+    where e_k lies in the support of e_i e_j but not in the component of
+    deg e_i + deg e_j, or None.  Each cell is one set containment, against
+    the component set of its degree pair, formed once per pair."""
+    degrees = algebra.degrees
+    components = {}
+    for k, d in enumerate(degrees):
+        components.setdefault(d, set()).add(k)
+    allowed = {}      # deg e_i -> [component of deg e_i + deg e_j for each j]
+    for i, d in enumerate(degrees):
+        cells = allowed.get(d)
+        if cells is None:
+            by_degree = {dj: components.get(add_degrees(d, dj), set())
+                         for dj in components}
+            cells = allowed[d] = [by_degree[dj] for dj in degrees]
+        for j, (prod, component) in enumerate(zip(algebra.row(i), cells)):
+            if not prod.keys() <= component:
+                return i, j, next(k for k in prod if k not in component)
+    return None
+
+
 def _algebra_report(algebra, gens, firsts=None, lasts=None, system=None):
     """``verify_algebra``'s report, with Light's test run on the middle
     factors ``gens``, the indices of ``generating_set(algebra)``, and on the
@@ -332,21 +380,9 @@ def _algebra_report(algebra, gens, firsts=None, lasts=None, system=None):
             break
     report.add("unit", unit_ok, unit_detail)
 
-    grading_ok = True
-    grading_detail = ""
-    for i in range(dim):
-        for j, prod in enumerate(algebra.row(i)):
-            target = add_degrees(algebra.degrees[i], algebra.degrees[j])
-            for k in prod:
-                if algebra.degrees[k] != target:
-                    grading_ok = False
-                    grading_detail = f"product ({i},{j}) hits degree of basis {k}"
-                    break
-            if not grading_ok:
-                break
-        if not grading_ok:
-            break
-    report.add("grading", grading_ok, grading_detail)
+    failure = _grading_failure(algebra)
+    report.add("grading", not failure,
+               "product ({},{}) hits degree of basis {}".format(*failure) if failure else "")
 
     assoc_detail = ""
     if system is not None:
@@ -585,60 +621,48 @@ def _multiplicative_on(linmap, middles):
                for i, fi in enumerate(cols) for s in middles)
 
 
-def verify_iso(linmap):
-    """Bijective, multiplicative, unit- and degree-preserving.
+def verify_iso(linmap, gens, image=None):
+    """Whether ``linmap`` is an isomorphism onto its target, or onto the
+    subspace ``image`` of its target when one is given.
 
-    Precondition: source and target are both associative (certified by
-    ``verify_algebra``).  Multiplicativity is then checked only on the pairs
-    f(e_i e_s) = f(e_i) f(e_s) with s in S = ``generating_set(source)``:
-    dim |S| pairs instead of dim^2.  Proof.  Let
+    Preconditions: the source is associative and x 1 = x for every x,
+    certified by ``verify_algebra`` or by a proof, and ``gens`` is its
+    ``generating_set``; the target is certified by ``verify_algebra``.
+    Checked: f is a bijection onto the target, or onto ``image``; f(1) is
+    the target's unit, or a two-sided unit of ``image`` (on the columns,
+    which span it); f sends each basis vector into the target component of
+    its degree; and f(e_i e_s) = f(e_i) f(e_s) for every i and s in
+    ``gens``: dim |S| pairs instead of dim^2.  Proof.  Let
     T = {y : f(x y) = f(x) f(y) for all x}, a subspace by bilinearity.  It
-    contains 1 because f(1) = 1 is checked first, and it contains S.  For
-    y, y' in T, f(x (y y')) = f((x y) y') = f(x y) f(y') = (f(x) f(y)) f(y')
-    = f(x) (f(y) f(y')) = f(x) f(y y'), using associativity of the source
-    in the first step and of the target in the fourth; so T is closed under
-    products, holds every product 1 e_s1 ... e_sk, and is all of the source.
-    """
-    source, target = linmap.source, linmap.target
-    return (source.dim == target.dim == linmap.rank()
-            and vec_eq(linmap.apply(source.unit), target.unit)
-            and _preserves_degrees(linmap)
-            and _multiplicative_on(linmap, generating_set(source)))
+    contains 1, as f(x 1) = f(x) = f(x) f(1) with f(x) in the image, and it
+    contains S.  For y, y' in T, f(x (y y')) = f((x y) y') = f(x y) f(y')
+    = (f(x) f(y)) f(y') = f(x) (f(y) f(y')) = f(x) f(y y'), using
+    associativity of the source in the first step and of the target in the
+    fourth; so T is closed under products and holds every product
+    1 e_s1 ... e_sk.  ``generating_set`` puts each basis index in S or
+    finds e_i in the span of such products, so T is all of the source.  A
+    passing check also makes 1 a left unit of the source, as
+    f(1 x) = f(1) f(x) = f(x) and f is injective, and gives the source the
+    target's grading: f maps each source component into the target
+    component of the same degree, the target's components are independent,
+    so f(e_i e_j) = f(e_i) f(e_j), which lies in the component of
+    deg e_i + deg e_j, is f of a vector of that degree.
 
-
-def certify_by_iso(linmap, image):
-    """Whether ``linmap`` is an isomorphism onto the subspace ``image`` of a
-    certified target, checked on every basis pair; when it is, the source
-    table passes every item of ``verify_algebra`` too.
-
-    Precondition: the target is certified by ``verify_algebra`` (unit,
-    grading, associativity); nothing is assumed of the source or of
-    ``image``.  Checked: f is a bijection onto ``image``, f(1) is a
-    two-sided unit of ``image`` (on the columns, which span it), f sends
-    each basis vector into the target component of its degree, and
-    f(e_i e_j) = f(e_i) f(e_j) on all dim^2 basis pairs, so
-    f(x y) = f(x) f(y) for all x, y by bilinearity.  Proof that the source
-    is then a certified algebra; it uses only that f is injective.  Unit:
-    f(1 x) = f(1) f(x) = f(x), and likewise f(x 1) = f(x), so 1 x = x = x 1.
-    Associativity: f((x y) z) = (f(x) f(y)) f(z) = f(x) (f(y) f(z))
-    = f(x (y z)) by associativity of the target, so (x y) z = x (y z).
-    Grading: f maps each source component into the target component of the
-    same degree, and the target's components are independent, so a vector
-    of ``image`` in the target component of degree d is f of a source
-    vector of degree d.  f(e_i) f(e_j) = f(e_i e_j) lies in ``image`` and,
-    as the target is graded, in the component of deg e_i + deg e_j; so
-    e_i e_j has that degree.  No reduction of the pairs is possible here:
-    the generating-set argument of ``verify_iso`` needs the source
-    associative, which is what this check establishes.
+    With ``gens`` every index, dim^2 pairs, nothing is assumed of the
+    source, and a passing check certifies it: f is injective and
+    multiplicative, so f(1) a unit on the image makes 1 x = x = x 1, and
+    f((x y) z) = f(x (y z)) by the target's associativity.
     """
     source, target, cols = linmap.source, linmap.target, linmap.cols
     one = linmap.apply(source.unit)
-    return (image.dim == source.dim
-            and Subspace.from_rows(cols, target.dim) == image
-            and all(vec_eq(target.mul(one, c), c) and vec_eq(target.mul(c, one), c)
-                    for c in cols)
-            and _preserves_degrees(linmap)
-            and _multiplicative_on(linmap, range(source.dim)))
+    if image is None:
+        bijective = source.dim == target.dim == linmap.rank() and vec_eq(one, target.unit)
+    else:
+        bijective = (image.dim == source.dim
+                     and Subspace.from_rows(cols, target.dim) == image
+                     and all(vec_eq(target.mul(one, c), c) and vec_eq(target.mul(c, one), c)
+                             for c in cols))
+    return bijective and _preserves_degrees(linmap) and _multiplicative_on(linmap, gens)
 
 
 def xi_automorphism(algebra, k):

@@ -59,6 +59,15 @@ _SCALAR_TERM = re.compile(
 _UNIT_SLOT = {None: 0, "i": 1, "r2": 2, "i*r2": 3}
 
 
+def _quote_input(text, limit=40):
+    """``text`` for an error line: quoted whole when it is short, else its
+    first ``limit`` characters quoted and its length, so that a hostile
+    input never fills the line."""
+    if len(text) <= limit:
+        return repr(text)
+    return f"{text[:limit]!r}... ({len(text)} characters)"
+
+
 def _normalize(n0, n1, n2, n3, d):
     if d == 0:
         raise ZeroDivisionError("zero denominator")
@@ -287,12 +296,12 @@ class Scalar:
         while True:
             term = _SCALAR_TERM.match(s, pos)
             if term is None:
-                raise ParseError(f"bad scalar {text!r}")
+                raise ParseError(f"bad scalar {_quote_input(text)}")
             term_sign, num, den = term.group(1, 2, 3)
             try:
                 value = Fraction(int(num or 1), int(den or 1))
             except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"bad scalar {text!r}") from exc
+                raise ParseError(f"bad scalar {_quote_input(text)}") from exc
             if term_sign == "-":
                 value = -value
             coeffs[_UNIT_SLOT[term.group(4) or term.group(5)]] += sign * value
@@ -300,7 +309,7 @@ class Scalar:
             if pos == len(s):
                 return cls.from_rationals(*coeffs)
             if s[pos] not in "+-":
-                raise ParseError(f"bad scalar {text!r}")
+                raise ParseError(f"bad scalar {_quote_input(text)}")
             sign = 1 if s[pos] == "+" else -1
             pos += 1
 

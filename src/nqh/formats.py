@@ -11,6 +11,7 @@ presentation plus ``p12``, ``p11`` and the four generator-image tables
 from __future__ import annotations
 
 import json
+import sys
 
 from .errors import ParseError
 from .exactlin import Scalar, TensorElement
@@ -200,10 +201,13 @@ def load_json(path):
             return json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        # JSONDecodeError, a non-UTF-8 file, or an integer literal past
-        # CPython's 4,300-digit conversion limit
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"bad JSON in {path}: {exc}") from exc
+    except ValueError as exc:
+        # an integer literal past CPython's conversion limit, whose message
+        # tells a program how to raise the limit
+        raise ParseError(f"bad JSON in {path}: an integer literal has more than"
+                         f" {sys.get_int_max_str_digits()} digits") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from .algebra import (
     GradedAlgebra,
     GradedLinMap,
     Report,
+    RowsOnDemand,
     _algebra_report,
     generating_set,
     is_t_inverse,
@@ -61,12 +62,13 @@ class GradedBasisM2:
     ``mats[(i, j)]`` is I(i)_j: the degree-0 pair is diagonal, the degree-1
     pair anti-diagonal.  A basis eps_j = (u_j, v_j) of k x k is the pair
     diag(u_j, v_j), and ``halves`` is then (0,), else (0, 1).  Carries the
-    derived data: gamma (coordinates of the identity in the degree-0 pair)
-    and the structure tensor l with
-    I(i)_j I(i')_j' = sum_s I(i+i')_s l^(ii')_{s j j'}.
+    derived data: gamma (coordinates of the identity in the degree-0 pair),
+    the structure tensor l with
+    I(i)_j I(i')_j' = sum_s I(i+i')_s l^(ii')_{s j j'}, and the inverse of
+    each degree's determinant, which ``coords`` multiplies by.
     """
 
-    __slots__ = ("mats", "halves", "gamma", "l")
+    __slots__ = ("mats", "halves", "gamma", "l", "inverse_dets")
 
     # the two nonzero cells of a degree-i member, i = 0 then i = 1
     CELLS = (((0, 0), (1, 1)), ((0, 1), (1, 0)))
@@ -86,11 +88,14 @@ class GradedBasisM2:
                                     else "degree-1 members must be anti-diagonal")
             if not (m[r1][c1] and m[r2][c2]):
                 raise SingularBasis(f"degree-{i} members must be invertible")
+        self.inverse_dets = {}
         for i in halves:
             (r1, c1), (r2, c2) = self.CELLS[i]
             a, b = self.mats[(i, 1)], self.mats[(i, 2)]
-            if not a[r1][c1] * b[r2][c2] - b[r1][c1] * a[r2][c2]:
+            det = a[r1][c1] * b[r2][c2] - b[r1][c1] * a[r2][c2]
+            if not det:
                 raise SingularBasis("graded pairs must be linearly independent")
+            self.inverse_dets[i] = det.inverse()
         self.gamma = self.coords(((ONE, ZERO), (ZERO, ONE)), 0)
         self.l = {}
         for i, ip in product(halves, repeat=2):
@@ -108,10 +113,10 @@ class GradedBasisM2:
         if m[r1][c2] or m[r2][c1]:
             raise SingularBasis(f"the matrix leaves the degree-{i} cells")
         a, b = self.mats[(i, 1)], self.mats[(i, 2)]
-        det = a[r1][c1] * b[r2][c2] - b[r1][c1] * a[r2][c2]
+        inv = self.inverse_dets[i]
         x, y = m[r1][c1], m[r2][c2]
-        return ((x * b[r2][c2] - b[r1][c1] * y) / det,
-                (a[r1][c1] * y - x * a[r2][c2]) / det)
+        return ((x * b[r2][c2] - b[r1][c1] * y) * inv,
+                (a[r1][c1] * y - x * a[r2][c2]) * inv)
 
     def lval(self, i, ip, s, j, jp):
         return self.l[(i % 2, ip % 2, s, j, jp)]
@@ -158,7 +163,9 @@ class TwistingSystemM2:
     twisting system of E x E is the degree-0 half of that of M_2(E).
 
     ``verify_twisting_M2`` or ``verify_twisting_prod`` fills in the
-    t-inverses, the twisted algebra with its certificate (``verify_algebra``'s
+    t-inverses (kept twice: ``verified_inverses`` is the tuple that
+    ``t_inverse_table`` checked, so a later swap of ``t_inverses`` shows),
+    the twisted algebra with its certificate (``verify_algebra``'s
     items) and the generating set S of it that the certificate used, the
     verdict of the basis's l identities, and (for M_2(E)) the exchange
     verdict.  Both need ``algebra`` certified by
@@ -169,6 +176,7 @@ class TwistingSystemM2:
     theta: tuple     # theta[i] = MatrixHom-shaped table (not nec. multiplicative)
     basis: GradedBasisM2
     t_inverses: tuple = None
+    verified_inverses: tuple = None
     twisted: GradedAlgebra = None
     certificate: Report = None
     generators: list = None     # generating_set(twisted)
@@ -377,7 +385,7 @@ def verify_twisting_M2(system):
         report.add(f"theta{i}-t-invertible", inv is not None)
     if any(inv is None for inv in inverses):
         return report
-    system.t_inverses = tuple(inverses)
+    system.t_inverses = system.verified_inverses = tuple(inverses)
     report.add("theta1-unit-invertible", _unit_value_invertible(system.theta[1]))
     report.add("theta0-unit-invertible", _unit_value_invertible(system.theta[0]))
 
@@ -414,7 +422,10 @@ def verify_twisting_suite(system):
     leaves the law above.  Conversely substitute x -> theta^(i)_{qj'}(x)
     and y -> theta^(i')_{rj}(y) in the law and sum over q and r; the second
     family collapses both sides back to the exchange identity.  A phi that
-    fails the check is not the t-inverse, and the item fails.
+    fails the check is not the t-inverse, and the item fails.  The check
+    runs only when ``t_inverses`` is not the tuple that ``t_inverse_table``
+    returned and checked (``verified_inverses``), so a swapped phi is
+    checked.
 
     The gamma items.  With both checks and ``units-invertible`` passing,
     T^(i) = theta^(i)(1) is an invertible scalar matrix,
@@ -441,8 +452,8 @@ def verify_twisting_suite(system):
         report.add("prerequisites", False, "system fails the defining checks")
         return report
     phis = system.t_inverses
-    inverse_ok = all(is_t_inverse(theta, phi)
-                     for theta, phi in zip(system.theta, phis))
+    inverse_ok = phis is system.verified_inverses or all(
+        is_t_inverse(theta, phi) for theta, phi in zip(system.theta, phis))
     report.add("theta-phi-exchange", system.exchange_ok and inverse_ok)
     units_ok = report.add("units-invertible", all(
         _unit_value_invertible(table) for table in (*system.theta, *phis)))
@@ -523,7 +534,7 @@ def verify_twisting_prod(system):
     report.add("theta-t-invertible", inv is not None)
     if inv is None:
         return report
-    system.t_inverses = (inv,)
+    system.t_inverses = system.verified_inverses = (inv,)
     report.add("theta-unit-invertible", _unit_value_invertible(theta))
     failure = _certify_exchange(system, build_twisted_prod,
                                 system.basis.basis_identities().ok)
@@ -548,7 +559,9 @@ class SemiTrivialData:
     """A ring, a bimodule given by sparse action columns, and a pairing psi.
 
     The module has basis m_0, ..., m_{len(module_degrees) - 1}; the
-    vectors below are sparse coordinate dicts.
+    vectors below are sparse coordinate dicts, read as ``left[i][b]``: each
+    of ``left``, ``right`` and ``psi`` is a tuple of rows or a
+    ``RowsOnDemand``.
     """
 
     ring: GradedAlgebra
@@ -584,27 +597,37 @@ def build_semitrivial(data):
 
     The unit is R's unit, so the unit triples 1 r = r = r 1 and
     1 m = m = m 1 are R's unit axiom and the unit axioms of the bimodule.
+
+    Each row is formed from the data when it is first read
+    (``RowsOnDemand``); the ring's products and psi are shared, since no
+    cell changes once formed.
     """
     E = data.ring
+    n = E.dim
     m = len(data.module_degrees)
     labels = [f"r:{lbl}" for lbl in E.labels] + [f"m{k}" for k in range(m)]
     degrees = ([(0,) + d for d in E.degrees]
                + [(1,) + tuple(d) for d in data.module_degrees])
-    # no cell changes once built, so the ring's products and psi are shared
-    table = ([list(E.row(i)) + [None] * m for i in range(E.dim)]
-             + [[None] * E.dim + list(row) for row in data.psi])
-    for i in range(E.dim):
-        for b in range(m):
-            table[i][E.dim + b] = {E.dim + k: v for k, v in data.left[i][b].items()}
-            table[E.dim + b][i] = {E.dim + k: v for k, v in data.right[i][b].items()}
-    unit = dict(E.unit)
-    return GradedAlgebra(labels, table, unit, degrees, group_rank=2)
+
+    def shifted(vec):
+        return {n + k: v for k, v in vec.items()}
+
+    def form(i):
+        if i < n:
+            return list(E.row(i)) + [shifted(vec) for vec in data.left[i]]
+        b = i - n
+        return ([shifted(data.right[j][b]) for j in range(n)]
+                + list(data.psi[b]))
+
+    return GradedAlgebra(labels, RowsOnDemand(n + m, form), E.unit, degrees,
+                         group_rank=2)
 
 
-def semitrivial_mu(E, mu):
+def semitrivial_mu(E, mu, gens):
     """The bimodule-and-psi package of the skew group algebra E x| <mu>:
     the module is E twisted by mu on the left and shifted, and psi is
-    (a, b) -> mu(a) b.  E must be certified associative (``verify_iso``).
+    (a, b) -> mu(a) b.  E must be certified associative, and ``gens`` must
+    be its ``generating_set`` (``verify_iso``).
 
     This is the one check of mu: MuNotInvolution unless mu is a graded
     automorphism with mu^2 = id, which is also what ``zhang_twist`` needs.
@@ -636,7 +659,7 @@ def semitrivial_mu(E, mu):
     without it they fail, as they do for an order-4 rotation of a Clifford
     algebra's generators.
     """
-    if not verify_iso(mu):
+    if not verify_iso(mu, gens):
         raise MuNotInvolution("mu must be a graded algebra automorphism")
     if not mu.compose(mu) == GradedLinMap.identity(E):
         raise MuNotInvolution("mu must be an involution: mu^2 is not the identity")
@@ -645,8 +668,9 @@ def semitrivial_mu(E, mu):
 
 def _skew_group_data(E, mu):
     """``semitrivial_mu``'s package without its checks of mu: the dim E^2
-    products mu(e_i) e_b serve as both the left action and psi, and the
-    right action is read off E's stored products."""
+    products mu(e_i) e_b serve as both the left action and psi, and as the
+    odd products of ``zhang_twist``; the right action is read off E's
+    stored products."""
     require_group_rank(E, 1, "the skew group extension")
     left = tuple(tuple(E.mul(mu.cols[i], E.basis_vec(b))
                        for b in range(E.dim)) for i in range(E.dim))
@@ -655,11 +679,15 @@ def _skew_group_data(E, mu):
     return SemiTrivialData(E, shifted, left, right, left)
 
 
-def zhang_twist(E, mu):
-    """The left Zhang twist of a Z2-graded algebra E by an involutive graded
-    automorphism mu: the product x * y = nu_{deg y}(x) y of the twisting
-    system nu = (id, mu).  E must be certified associative, and mu must be
-    accepted by ``semitrivial_mu``'s check, which is not repeated here.
+def zhang_twist(data):
+    """The left Zhang twist of a Z2-graded algebra E = ``data.ring`` by an
+    involutive graded automorphism mu: the product x * y = nu_{deg y}(x) y
+    of the twisting system nu = (id, mu).  ``data`` is ``semitrivial_mu``'s
+    package, whose check accepted mu, and is not repeated here; E must be
+    certified associative.  Row i is formed when it is first read
+    (``RowsOnDemand``), from E's row i and the products mu(e_i) e_j of
+    ``data.left``, shared: e_i * e_j is e_i e_j for even e_j and
+    mu(e_i) e_j for odd e_j.
 
     nu is a left twisting system when, for y of degree h and every l,
     nu_l(nu_h(x) y) = nu_{h+l}(x) nu_l(y).  The two checks of mu, that it
@@ -667,14 +695,16 @@ def zhang_twist(E, mu):
     Proof.  For l = 0, nu_0 = id and both sides are nu_h(x) y.  For l = 1 and
     h = 0 the identity is mu(x y) = mu(x) mu(y), multiplicativity.  For
     l = 1 and h = 1, multiplicativity gives mu(mu(x) y) = mu^2(x) mu(y),
-    which is x mu(y) = nu_0(x) nu_1(y) since mu^2 = id.
+    which is x mu(y) = nu_0(x) nu_1(y) since mu^2 = id.  So the twist is
+    associative, and unital with E's unit, as mu(1) = 1 and 1 is even.
     """
+    E = data.ring
     require_group_rank(E, 1, "the Zhang twist")
-    table = []
-    for i in range(E.dim):
-        bx = E.basis_vec(i)
-        nu_x = (bx, mu.apply(bx))
-        table.append([E.mul(nu_x[E.degrees[j][0]], E.basis_vec(j))
-                      for j in range(E.dim)])
-    return GradedAlgebra(E.labels, table, dict(E.unit), E.degrees, 1,
+    odd = [d == (1,) for d in E.degrees]
+
+    def form(i):
+        return [twisted if is_odd else plain
+                for plain, twisted, is_odd in zip(E.row(i), data.left[i], odd)]
+
+    return GradedAlgebra(E.labels, RowsOnDemand(E.dim, form), E.unit, E.degrees, 1,
                          words=E.words)

@@ -14,7 +14,9 @@ twisted table formed block by block, the twisting suite's gamma identities
 by loops of their own, the degree-0 radical by the trace
 form on the degree-0 part, both radicals of the minus case by the trace
 form on its extension, the certificate of a map onto a subspace
-read through the algebra restricted to that subspace, and the Clifford
+read through the algebra restricted to that subspace and on every basis
+pair, the Zhang twist as a stored table, the Lemma 4.6 suite's pair loop,
+the grading item's scan key by key, and the Clifford
 compatibility condition on V* R^perp  intersect  R^perp V*, with the
 Zassenhaus subspace intersection it is computed by, which
 ``check_central`` decides (the proof is in ``deform.build_clifford``).  Last
@@ -31,14 +33,18 @@ import itertools
 from fractions import Fraction
 
 from nqh.algebra import (
+    GradedAlgebra,
     GradedLinMap,
     MatrixHom,
     Report,
     _scalar_multiple,
+    add_degrees,
+    generating_set,
     ideal_closure,
     is_t_inverse,
     radical,
     restrict,
+    vec_add,
     vec_eq,
     vec_scale,
     verify_iso,
@@ -328,6 +334,83 @@ def ref_certify_onto(linmap, image, unit):
     return ref_certify_by_iso(GradedLinMap(linmap.source, restricted, cols))
 
 
+def certify_by_iso(linmap, image):
+    """The all-pairs certificate of a map onto the subspace ``image`` of a
+    certified target, as ``knorrer`` ran it on Lambda and the Zhang twist
+    before their products followed a proved rule: a bijection onto
+    ``image``, f(1) a two-sided unit of ``image``, degrees kept and
+    f(e_i e_j) = f(e_i) f(e_j) on all dim^2 basis pairs.  It assumes nothing
+    of the source; when it passes, the source table passes every item of
+    ``verify_algebra`` too, since f is injective."""
+    source, target, cols = linmap.source, linmap.target, linmap.cols
+    one = linmap.apply(source.unit)
+    return (image.dim == source.dim
+            and Subspace.from_rows(cols, target.dim) == image
+            and all(vec_eq(target.mul(one, c), c) and vec_eq(target.mul(c, one), c)
+                    for c in cols)
+            and all(target.degrees[k] == source.degrees[i]
+                    for i, col in enumerate(cols) for k in col)
+            and all(vec_eq(linmap.apply(source.row(i)[j]), target.mul(cols[i], cols[j]))
+                    for i in range(source.dim) for j in range(source.dim)))
+
+
+def ref_zhang_twist(E, mu):
+    """``twist.zhang_twist`` as a stored table: e_i * e_j = nu_{deg e_j}(e_i) e_j
+    with nu = (id, mu), each product formed by ``E.mul``."""
+    table = []
+    for i in range(E.dim):
+        bx = E.basis_vec(i)
+        nu_x = (bx, mu.apply(bx))
+        table.append([E.mul(nu_x[E.degrees[j][0]], E.basis_vec(j))
+                      for j in range(E.dim)])
+    return GradedAlgebra(E.labels, table, dict(E.unit), E.degrees, 1, words=E.words)
+
+
+def ref_lemma46_pairs(xi1, xi2, phi1, phi2, theta0, E):
+    """The verdicts of ``xi1-product-rule``, ``xi2-product-rule``,
+    ``phi1-two-argument`` and ``phi2-two-argument`` as the Lemma 4.6 suite
+    reached them in one loop over every basis pair (a, b), with the second
+    forms of the product rules folded into xi1 - xi2 = th22."""
+    th22 = theta0.entry(2, 2)
+    phi1_xi1 = phi1.compose(xi1)
+    ok2 = ok3 = xi1 - xi2 == th22
+    ok6 = ok7 = True
+    for a in range(E.dim):
+        va = E.basis_vec(a)
+        xi1_a, xi2_a = xi1.cols[a], xi2.cols[a]
+        phi1_a, phi2_a = phi1.cols[a], phi2.cols[a]
+        for b, prod in enumerate(E.row(a)):
+            vb = E.basis_vec(b)
+            xi1_b, xi2_b = xi1.cols[b], xi2.cols[b]
+            phi1_b, phi2_b = phi1.cols[b], phi2.cols[b]
+            a_xi2_b = E.mul(va, xi2_b)
+            ok2 = ok2 and vec_eq(xi1.apply(prod),
+                                 vec_add(a_xi2_b, E.mul(xi1_a, th22.cols[b])))
+            ok3 = ok3 and vec_eq(xi2.apply(prod),
+                                 vec_add(a_xi2_b, E.mul(xi2_a, th22.cols[b])))
+            ok6 = (ok6 and vec_eq(phi1.apply(E.mul(xi1_a, vb)), E.mul(phi1_a, phi1_b))
+                   and vec_eq(phi1.apply(E.mul(va, xi1_b)),
+                              E.mul(phi1_a, phi1_xi1.cols[b]))
+                   and vec_eq(phi1.apply(E.mul(phi2_a, xi2_b)), E.mul(xi2_a, phi2_b)))
+            ok7 = (ok7 and vec_eq(phi2.apply(E.mul(xi2_a, vb)), E.mul(phi2_a, phi1_b))
+                   and vec_eq(phi2.apply(E.mul(phi1_a, xi2_b)), E.mul(xi1_a, phi2_b)))
+    return {"xi1-product-rule": ok2, "xi2-product-rule": ok3,
+            "phi1-two-argument": ok6, "phi2-two-argument": ok7}
+
+
+def ref_grading_failure(algebra):
+    """The grading item's scan key by key: the first (i, j, k) where e_k,
+    in the support of e_i e_j, has a degree other than deg e_i + deg e_j,
+    or None."""
+    for i in range(algebra.dim):
+        for j, prod in enumerate(algebra.row(i)):
+            target = add_degrees(algebra.degrees[i], algebra.degrees[j])
+            for k in prod:
+                if algebra.degrees[k] != target:
+                    return i, j, k
+    return None
+
+
 def subspace_intersection(u, w):
     """Intersection of two subspaces of the same ambient space K^n.
 
@@ -415,7 +498,7 @@ def _block_iso(system, new_system, coeff, names):
             for b in range(layout.algebra.dim):
                 cols.append({layout.index(i, s, b): c for s, c in coeffs if c})
     iso = GradedLinMap(system.twisted, new_system.twisted, cols)
-    if not verify_iso(iso):
+    if not verify_iso(iso, generating_set(iso.source)):
         raise NotTwistingSystem(f"{names[1]} map is not an isomorphism")
     return new_system, iso
 

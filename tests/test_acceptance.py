@@ -139,7 +139,7 @@ def test_criterion_3_double_cover_base_case(km1, z_lift):
     E = result.base.algebra
     cols = result.S.basis
     iso = GradedLinMap(result.Lambda, E, cols)
-    ok &= verify_iso(iso)
+    ok &= verify_iso(iso, generating_set(iso.source))
     elapsed = time.time() - start
     ok &= elapsed < 5.0
     verdict(3, ok, f"identity cover: module part 0, extension is the base"
@@ -160,7 +160,7 @@ def test_criterion_4_sign_twisted_cover(km1, z_lift):
     lam_first = result.Lambda_bigraded.regrade(
         [(d[0],) for d in result.Lambda_bigraded.degrees], 1)
     cols = result.S.basis + result.M.basis
-    ok &= verify_iso(GradedLinMap(lam_first, E, cols))
+    ok &= verify_iso(GradedLinMap(lam_first, E, cols), generating_set(lam_first))
     elapsed = time.time() - start
     ok &= elapsed < 5.0
     verdict(4, ok, f"sign-twisted cover: concentrated in degree 0,"
@@ -351,7 +351,7 @@ def test_criterion_8_twist_property_suite(clifford_km1, double_ore_class_z,
         # transported system: still a twisting system (checked inside the
         # transport, which raises otherwise), isomorphic build
         omega, iso = rebase_omega(plus, basis)
-        ok &= verify_iso(iso)
+        ok &= verify_iso(iso, generating_set(iso.source))
         built = iso.target
         ok &= verify_twisting_suite(omega).ok
         # the unit formula holds: 1 e_i = e_i = e_i 1 for every basis i
@@ -362,7 +362,7 @@ def test_criterion_8_twist_property_suite(clifford_km1, double_ore_class_z,
         ident = [[ONE, ZERO], [ZERO, ONE]]
         ok &= upsilon.theta[0].value_at_unit() == ident
         ok &= upsilon.theta[1].value_at_unit() == ident
-        ok &= verify_iso(unital_iso)
+        ok &= verify_iso(unital_iso, generating_set(unital_iso.source))
         trivial = trivial_system(E, basis)
         ok &= verify_twisting_M2(trivial).ok
         flat = build_twisted_M2(trivial)

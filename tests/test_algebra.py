@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from conftest import recording_output
 from reference_constructions import (
+    certify_by_iso,
     is_stacked_inverse,
     stacked_inverse,
     transpose,
@@ -35,7 +36,6 @@ from nqh.algebra import (
     GradedLinMap,
     MatrixHom,
     RightModule,
-    certify_by_iso,
     corner_embedding,
     extend_on_generators,
     full_idempotent_check,
@@ -138,7 +138,7 @@ def test_xi_automorphism(clifford_km1):
     algebra = clifford_km1.algebra
     assert xi_automorphism(algebra, ONE) == GradedLinMap.identity(algebra)
     xi = xi_automorphism(algebra, Scalar(-1))
-    assert verify_iso(xi)
+    assert verify_iso(xi, generating_set(xi.source))
     assert xi.compose(xi) == GradedLinMap.identity(algebra)
     odd = algebra.component_indices((1,))[0]
     assert xi.cols[odd] == {odd: Scalar(-1)}
@@ -254,7 +254,7 @@ def test_extend_on_generators(clifford_km1):
     identity = GradedLinMap(algebra, algebra, [
         image(TensorElement.monomial(w)) for w in algebra.words])
     assert identity == GradedLinMap.identity(algebra)
-    assert verify_iso(identity)
+    assert verify_iso(identity, generating_set(identity.source))
     # sending both generators to the same image kills no relation here?
     # the first generator square maps to the second generator square: fine;
     # but swapping one sign breaks the mixed relation
@@ -269,14 +269,14 @@ def test_verify_iso_rejects_non_multiplicative(clifford_km1):
     cols = [algebra.basis_vec(i) for i in range(algebra.dim)]
     cols[algebra.words.index((0,))] = {1: Scalar(2)}
     stretched = GradedLinMap(algebra, algebra, cols)
-    assert not verify_iso(stretched)
+    assert not verify_iso(stretched, generating_set(stretched.source))
     # doubling the normal words with an odd count of letter a commutes with
     # right multiplication by the other generator, so only a pair through
     # a itself shows that the map is not multiplicative
     for a in range(2):
         cols = [{i: Scalar(2) if algebra.words[i].count(a) % 2 else ONE}
                 for i in range(algebra.dim)]
-        assert not verify_iso(GradedLinMap(algebra, algebra, cols))
+        assert not verify_iso(GradedLinMap(algebra, algebra, cols), generating_set(algebra))
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +409,8 @@ def test_a_wrong_group_rank_raises(site):
         "strongly_graded_check": (lambda: strongly_graded_check(z2sq), "Z2^1"),
         "skew_group_data": (lambda: twist._skew_group_data(
             z2sq, GradedLinMap.identity(z2sq)), "Z2^1"),
-        "zhang_twist": (lambda: twist.zhang_twist(
-            z2sq, GradedLinMap.identity(z2sq)), "Z2^1"),
+        "zhang_twist": (lambda: twist.zhang_twist(twist.SemiTrivialData(
+            z2sq, (), (), (), ())), "Z2^1"),
     }
     call, wanted = calls[site]
     with pytest.raises(DimensionMismatch, match=f"needs a {re.escape(wanted)} grading"):
@@ -542,32 +542,33 @@ def _capture_certified(patch, algebras, maps=None):
     """Record in ``algebras`` every algebra that the pipelines certify: the
     argument of each verify_algebra call, each twisted algebra that
     _twisted_algebra builds, whose certificate twist computes without
-    verify_algebra, the source of each certify_by_iso call, which certifies
-    the Zhang tables and the plus case's Lambda, and each build_semitrivial
-    output, which the minus case certifies through its ring and involution
-    and the plus case through Lambda.
-    With ``maps``, record there the argument of each verify_iso call, and
-    each certify_by_iso map read onto its image (``_onto_image``)."""
+    verify_algebra, the source of each verify_iso call onto a subspace,
+    which certifies the Zhang twists and the plus case's Lambda, and each
+    build_semitrivial output, which the minus case certifies through its
+    ring and involution and the plus case through Lambda.
+    With ``maps``, record there the argument of each verify_iso call of
+    nqh.twist, and each map onto a subspace read onto its image
+    (``_onto_image``)."""
     _capture(patch, "verify_algebra", algebras, (deform, knorrer))
     for module, name in ((knorrer, "build_semitrivial"), (twist, "_twisted_algebra")):
         patch.setattr(module, name, recording_output(getattr(module, name), algebras))
-    real = algebra_module.certify_by_iso
+    real = algebra_module.verify_iso
 
-    def transport(linmap, image):
+    def transport(linmap, gens, image):
         algebras.append(linmap.source)
         if maps is not None:
             maps.append(_onto_image(linmap, image))
-        return real(linmap, image)
+        return real(linmap, gens, image)
 
-    patch.setattr(knorrer, "certify_by_iso", transport)
+    patch.setattr(knorrer, "verify_iso", transport)
     if maps is not None:
         _capture(patch, "verify_iso", maps, (twist,))
 
 
 def _onto_image(linmap, image):
     """``linmap`` onto the algebra that restricting its target to
-    ``image`` gives, with f(1) as its unit: for a map that certify_by_iso
-    accepts, the map it checked before it took a subspace."""
+    ``image`` gives, with f(1) as its unit: for a map that verify_iso
+    accepts onto ``image``, the map it checked before it took a subspace."""
     restricted = restrict(linmap.target, image, linmap.apply(linmap.source.unit))
     return GradedLinMap(linmap.source, restricted,
                         [image.coords(col) for col in linmap.cols])
@@ -987,12 +988,12 @@ def test_verify_iso_matches_the_reference_on_pipeline_maps(registry_isos,
     rng = random.Random("verify-iso-mutants")
     verdicts = {}
     for n, linmap in enumerate(maps):
-        assert verify_iso(linmap) and reference_verify_iso(linmap) == "iso"
+        assert verify_iso(linmap, generating_set(linmap.source)) and reference_verify_iso(linmap) == "iso"
         assert certify_by_iso(linmap, _whole(linmap.target))
         for _ in range(10):
             mutant = _column_mutant(linmap, rng)
             verdict = reference_verify_iso(mutant)
-            assert verify_iso(mutant) == (verdict == "iso"), (n, verdict)
+            assert verify_iso(mutant, generating_set(mutant.source)) == (verdict == "iso"), (n, verdict)
             assert certify_by_iso(mutant, _whole(mutant.target)) == (
                 verdict == "iso"), (n, verdict)
             verdicts[verdict] = verdicts.get(verdict, 0) + 1
@@ -1015,7 +1016,7 @@ def test_certify_by_iso_checks_the_pairs_a_generating_set_skips():
     assert verify_algebra(group).ok and not verify_algebra(flipped).ok
     assert generating_set(flipped) == [1, 2]
     identity = GradedLinMap(flipped, group, [{i: ONE} for i in range(4)])
-    assert verify_iso(identity)
+    assert verify_iso(identity, generating_set(identity.source))
     assert reference_verify_iso(identity) == "multiplicative"
     assert not certify_by_iso(identity, _whole(group))
 
@@ -1074,7 +1075,7 @@ def _verdicts(algebra, system, other):
     return (_items(verify_algebra(algebra)), _items(verify_algebra(algebra, system)),
             generating_set(algebra), radical(algebra).basis,
             strongly_graded_check(algebra), RightModule.regular(algebra).action,
-            [verify_iso(m) for m in maps],
+            [verify_iso(m, generating_set(m.source)) for m in maps],
             [certify_by_iso(m, _whole(m.target)) for m in maps])
 
 

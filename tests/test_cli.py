@@ -38,6 +38,7 @@ def double_ore_file(tmp_path):
 
 HOSTILE_INPUTS = {
     "exponent-scalar": ("double-ore", json.dumps({**EX_4_10, "p11": "1e300000000"})),
+    "long-scalar": ("double-ore", json.dumps({**EX_4_10, "p11": "1" * 5000})),
     "long-json-integer": (
         "check-presentation",
         '{"generators": ["x1", "x2"], "relations": [{"x1 x2": 1' + "0" * 4999 + "}]}"),
@@ -53,18 +54,20 @@ def _limit_address_space():
 @pytest.mark.parametrize("command, text", HOSTILE_INPUTS.values(),
                          ids=list(HOSTILE_INPUTS))
 def test_hostile_input_exits_2_fast(nqh_env, tmp_path, command, text):
-    """Each input once hung, ended in a traceback or ran out of memory: a
-    scalar with an exponent, which Fraction expanded; an integer literal
-    past CPython's 4,300-digit limit; and 16 free generators, whose degree-6
-    component has 16^6 words.  Each must exit 2 with an error line, in 10 s
+    """Each input once hung, ended in a traceback, ran out of memory or
+    filled the error line: a scalar with an exponent, which Fraction
+    expanded; a 5,000-digit scalar and an integer literal past CPython's
+    4,300-digit limit, each quoted whole, the integer with advice for
+    programs; and 16 free generators, whose degree-6 component has 16^6
+    words.  Each must exit 2 with an error line under 200 bytes, in 10 s
     and 1 GB of address space."""
-    path = tmp_path / "hostile.json"
-    path.write_text(text)
-    run = subprocess.run([sys.executable, "-m", "nqh", command, str(path)],
-                         capture_output=True, env=nqh_env, timeout=10,
+    (tmp_path / "hostile.json").write_text(text)
+    run = subprocess.run([sys.executable, "-m", "nqh", command, "hostile.json"],
+                         capture_output=True, env=nqh_env, timeout=10, cwd=tmp_path,
                          preexec_fn=_limit_address_space)
     assert run.returncode == 2, run.stderr[-300:]
-    assert b"error:" in run.stderr
+    assert run.stderr.startswith(b"error:") and len(run.stderr) < 200, run.stderr[:300]
+    assert b"set_int_max_str_digits" not in run.stderr
 
 
 def test_check_presentation(capsys, presentation_file):

@@ -15,13 +15,17 @@ from conftest import (
     table_entries,
 )
 from reference_constructions import (
+    certify_by_iso,
     normal_form,
     plain_m2,
     ref_certify_by_iso,
     ref_certify_onto,
     ref_degree0_radical_dim,
     ref_full_idempotent_check,
+    ref_grading_failure,
+    ref_lemma46_pairs,
     ref_radical_dims,
+    ref_zhang_twist,
     verify_hom_M2,
     verify_module,
 )
@@ -41,7 +45,7 @@ from nqh.algebra import (
     MatrixHom,
     Report,
     RightModule,
-    certify_by_iso,
+    add_degrees,
     corner_embedding,
     full_idempotent_check,
     generating_set,
@@ -171,7 +175,7 @@ def test_plus_diagonal_identity_case(km1, z_lift):
     E = result.base.algebra
     cols = result.S.basis
     iso = GradedLinMap(result.Lambda, E, cols)
-    assert verify_iso(iso)
+    assert verify_iso(iso, generating_set(iso.source))
     report = singularity_report(result)
     assert report.isolated
 
@@ -188,7 +192,7 @@ def test_plus_sign_and_identity_case(km1, z_lift):
         [(d[0],) for d in result.Lambda_bigraded.degrees], 1)
     cols = result.S.basis + result.M.basis
     iso = GradedLinMap(lam_first, E, cols)
-    assert verify_iso(iso)
+    assert verify_iso(iso, generating_set(iso.source))
 
 
 def test_a_non_homogeneous_eigenspace_basis_is_rejected(
@@ -830,13 +834,13 @@ def test_every_twisted_certificate_rests_on_a_certified_algebra(
 
 def test_the_big_deformation_is_certified_without_a_table(monkeypatch):
     """On a passing run the big deformation never reaches extract_algebra,
-    verify_algebra or certify_by_iso, and not one of its normal forms is
+    verify_algebra or verify_iso, and not one of its normal forms is
     computed, where a table needs (4 dim E)^2: the oracle step certifies
     both of its blocks.  Nor does the mixing block J reach extract_algebra
     or verify_algebra.  E's completed rules certify sigma^!, so
     verify_hom_M2 never runs.  Nor does either semi-trivial extension reach
     verify_algebra: in the minus case Gamma's certificate and the checks of
-    mu certify it, in the plus case certify_by_iso of the corner map.
+    mu certify it, in the plus case verify_iso of the corner map.
     Each run certifies E exactly once, in deform, which the twisted
     certificate takes as its precondition, and its twisted algebra exactly
     once."""
@@ -865,8 +869,8 @@ def test_the_big_deformation_is_certified_without_a_table(monkeypatch):
     # twist certifies the twisted algebra it builds without verify_algebra
     monkeypatch.setattr(twist, "_twisted_algebra",
                         recording_output(twist._twisted_algebra, certified))
-    monkeypatch.setattr(knorrer, "certify_by_iso",
-                        recording(transported, knorrer.certify_by_iso))
+    monkeypatch.setattr(knorrer, "verify_iso",
+                        recording(transported, knorrer.verify_iso))
     monkeypatch.setattr(RewriteSystem, "_nf_word", counting_nf_word)
     # the check of sigma^! on every basis pair is a test reference only
     assert not [module for module in (algebra_module, deform, knorrer, twist)
@@ -1687,7 +1691,8 @@ def test_the_degree0_radical_is_read_off_both_degrees_of_a_radical():
             report.small_radical_dim) == (12, 6, 3)
     assert "degree-0 part dim: 12, radical dim: 6" in report.lines
     ST = build_semitrivial(semitrivial_mu(
-        algebra, GradedLinMap.identity(algebra))).forget_first_regrade()
+        algebra, GradedLinMap.identity(algebra),
+        generating_set(algebra))).forget_first_regrade()
     assert ref_radical_dims(ST) == (6, 3)
     report = singularity_report(
         SimpleNamespace(case="minus", Gamma=algebra, semitrivial=ST, zhang=algebra))
@@ -1773,26 +1778,26 @@ def test_strong_grading_mutants_fail_as_under_the_product_scans(knorrer_inputs):
 
 @pytest.fixture(scope="module")
 def subspace_certificates(knorrer_inputs):
-    """(name, case, map, image, unit) of each certify_by_iso call on the
-    inputs of ``knorrer_inputs``: Lambda's columns onto the corner e A e,
+    """(name, case, map, image, unit) of each verify_iso call of nqh.knorrer
+    on the inputs of ``knorrer_inputs``: Lambda's columns onto the corner e A e,
     whose unit is e, and the Zhang twist's onto the span of ST's degree-0
     basis vectors, whose unit is ST's."""
     found = []
     corners = []
     real_corner = knorrer.corner_embedding
-    real_certify = knorrer.certify_by_iso
+    real_certify = knorrer.verify_iso
 
     def corner(algebra, e):
         corners.append(e)
         return real_corner(algebra, e)
 
-    def certify(linmap, image):
+    def certify(linmap, gens, image):
         found.append((linmap, image))
-        return real_certify(linmap, image)
+        return real_certify(linmap, gens, image)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(knorrer, "corner_embedding", corner)
-        patch.setattr(knorrer, "certify_by_iso", certify)
+        patch.setattr(knorrer, "verify_iso", certify)
         out = []
         for name, data, lift in knorrer_inputs:
             plus = p12_classify(data) == CaseKind.PLUS
@@ -1838,23 +1843,31 @@ def _column_mutant(linmap, image, kind, rng):
 
 
 def test_subspace_certificates_match_the_restricted_route(subspace_certificates):
-    """certify_by_iso onto a subspace gives the verdict of the old route,
+    """verify_iso onto a subspace gives the verdict of the old route,
     which restricted the target to that subspace and certified onto the
     restricted algebra, on Lambda's map onto e A e and the Zhang twist's
     onto ST's degree-0 part on every input, and on mutants of each: a
-    bumped product of Lambda's or the Zhang twist's table, a column moved
-    inside or outside the subspace, two columns swapped, and the map
-    followed by the target's grading automorphism, which both accept."""
+    bumped product of the Zhang twist's table, a column moved inside or
+    outside the subspace, two columns swapped, and the map followed by the
+    target's grading automorphism, which both accept.  The pipeline checks
+    the corner map on a generating set of Lambda, which it proves
+    associative, and the Zhang twist's on every pair.  A bumped product of
+    Lambda's table is no input of the pipeline; the all-pairs
+    certify_by_iso, which assumes nothing of its source, rejects it as the
+    old route does."""
     verdicts = Counter()
     for name, case, linmap, image, unit in subspace_certificates:
-        assert certify_by_iso(linmap, image) and ref_certify_onto(linmap, image, unit)
+        corner = case == "corner"
+        gens = generating_set(linmap.source) if corner else range(linmap.source.dim)
+        assert verify_iso(linmap, gens, image) and ref_certify_onto(linmap, image, unit)
         rng = random.Random(f"subspace-certificate:{name}")
         mutants = [("table", _source_bumped(linmap, rng)) for _ in range(3)]
         mutants += [(kind, _column_mutant(linmap, image, kind, rng))
                     for kind in ("inside", "outside", "swapped") for _ in range(2)]
         mutants.append(("xi", _column_mutant(linmap, image, "xi", rng)))
         for kind, mutant in mutants:
-            verdict = certify_by_iso(mutant, image)
+            verdict = (certify_by_iso(mutant, image) if corner and kind == "table"
+                       else verify_iso(mutant, gens, image))
             assert verdict == ref_certify_onto(mutant, image, unit), (name, kind)
             verdicts[case, kind, verdict] += 1
     assert verdicts == {
@@ -2074,3 +2087,229 @@ def test_restrict_builds_only_the_eigenspace_subalgebra(monkeypatch):
                        for i in range(Gamma.dim) for j in range(Gamma.dim))
         assert result.checks.ok and built == [], name
     assert isinstance(real_corner(result.twisted, result.twisted.unit), Subspace)
+
+
+def test_a_minus_run_computes_the_twisted_generating_set_once(monkeypatch):
+    """The twisted product's certificate computes its generating set, and
+    semitrivial_mu's check of mu is handed the same one: one call on
+    Gamma's table for a minus run and its report, on ex-5.9 and skew3:1."""
+    tables = []
+    real = algebra_module.generating_set
+
+    def counting(algebra):
+        tables.append(algebra.table)
+        return real(algebra)
+
+    for module in (algebra_module, twist, knorrer, scenarios):
+        if hasattr(module, "generating_set"):
+            monkeypatch.setattr(module, "generating_set", counting)
+    docs = [EX_5_9, json.loads(generate("skew3", 1)["minus.json"])]
+    for doc in docs:
+        tables.clear()
+        result = run_minus_case(*parse_double_ore(doc))
+        singularity_report(result)
+        assert result.theta_prod.generators == real(result.Gamma)
+        assert [t for t in tables if t is result.Gamma.table] == [result.Gamma.table]
+
+
+def test_the_zhang_rows_are_the_table_builder(minus_inputs):
+    """The Zhang twist forms each row on demand from Gamma's row and the
+    products mu(e_i) e_b of the extension's data, shared with it.  Its rows
+    equal those of the table builder it replaced, entry for entry and in
+    key order, on every minus input.  Its even products are Gamma's own
+    dicts, and its odd ones are the extension's left action e_i . m_j."""
+    for name, data, lift in minus_inputs:
+        result = run_minus_case(data, lift)
+        Gamma, NG = result.Gamma, result.zhang
+        ref = ref_zhang_twist(Gamma, result.mu)
+        assert table_entries(NG) == table_entries(ref), name
+        assert (NG.unit, NG.degrees, NG.words) == (ref.unit, ref.degrees, ref.words)
+        ST_big = result.semitrivial_bigraded
+        n = Gamma.dim
+        for i in range(n):
+            for j, cell in enumerate(NG.row(i)):
+                if Gamma.degrees[j] == (0,):
+                    assert cell is Gamma.row(i)[j], name
+                else:
+                    assert {n + k: c for k, c in cell.items()} == ST_big.row(i)[n + j], name
+
+
+def _lemma46_args(knorrer_inputs):
+    """The arguments of the Lemma 4.6 suite on every plus input."""
+    found = []
+    real = knorrer._lemma46_suite
+
+    def record(*args):
+        found.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(knorrer, "_lemma46_suite", record)
+        for name, data, lift in knorrer_inputs:
+            if p12_classify(data) == CaseKind.PLUS:
+                assert run_plus_case(data, lift).checks.ok, name
+    return found
+
+
+def test_the_lemma46_suite_matches_the_pair_loop(knorrer_inputs):
+    """Once xi1 - xi2 = th22, the suite checks the xi product rules on {1}
+    and generating_set(E) only, and scans every pair when one fails there.
+    On each plus input, and on mutants with one coefficient of xi1, xi2,
+    phi1, phi2 or theta^(0) bumped, or the same one of xi1 and xi2, its
+    product-rule and two-argument items equal the one pair loop the suite
+    ran before."""
+    routes = Counter()
+    verdicts = Counter()
+    real_rules = knorrer._xi_product_rules
+    for n, args in enumerate(_lemma46_args(knorrer_inputs)):
+        for kind in ("none", "xi1", "xi2", "both xi", "phi1", "phi2", "theta0"):
+            for k in range(1 if kind == "none" else 3):
+                rng = random.Random(f"lemma46-pairs:{n}:{kind}:{k}")
+                xi1, xi2, phi1, phi2, theta0, theta1, E = args
+                maps = {"xi1": xi1, "xi2": xi2, "phi1": phi1, "phi2": phi2}
+                if kind == "theta0":
+                    theta0 = _bumped_table(theta0, rng)
+                elif kind == "both xi":
+                    # the same bump of both keeps xi1 - xi2 = th22
+                    b, key = rng.randrange(E.dim), rng.randrange(E.dim)
+                    for name in ("xi1", "xi2"):
+                        cols = list(maps[name].cols)
+                        cols[b] = _bump(cols[b], key)
+                        maps[name] = GradedLinMap(E, E, cols)
+                elif kind != "none":
+                    cols = list(maps[kind].cols)
+                    b = rng.randrange(E.dim)
+                    cols[b] = _bump(cols[b], rng.randrange(E.dim))
+                    maps[kind] = GradedLinMap(E, E, cols)
+                scanned = []
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(knorrer, "_xi_product_rules",
+                                  lambda *a: scanned.append(len(a[4])) or real_rules(*a))
+                    report = knorrer._lemma46_suite(
+                        maps["xi1"], maps["xi2"], maps["phi1"], maps["phi2"],
+                        theta0, theta1, E)
+                items = {item.name: item.passed for item in report.items}
+                want = ref_lemma46_pairs(maps["xi1"], maps["xi2"], maps["phi1"],
+                                         maps["phi2"], theta0, E)
+                assert {name: items[name] for name in want} == want, (n, kind, k)
+                routes[kind, ("map identity", "reduced", "scan")[len(scanned)]] += 1
+                verdicts[kind, report.ok] += 1
+    # a bumped xi fails xi1 - xi2 = th22, as a theta^(0) bump that moves
+    # th22 does; the same bump of both fails a rule on {1} or S
+    assert routes == {("none", "reduced"): 8, ("xi1", "map identity"): 24,
+                      ("xi2", "map identity"): 24, ("both xi", "scan"): 24,
+                      ("phi1", "reduced"): 24, ("phi2", "reduced"): 24,
+                      ("theta0", "reduced"): 17, ("theta0", "map identity"): 7}, routes
+    assert verdicts == {("none", True): 8, ("xi1", False): 24, ("xi2", False): 24,
+                        ("both xi", False): 24, ("phi1", False): 24, ("phi2", False): 24,
+                        ("theta0", True): 17, ("theta0", False): 7}, verdicts
+
+
+def _grading_mutant(algebra, rng, bumps):
+    """``algebra`` with ``bumps`` products each given one or two more keys,
+    of a degree other than its product's, each placed first or last in the
+    dict."""
+    table = [list(row) for row in algebra.table]
+    for _ in range(bumps):
+        i, j = rng.randrange(algebra.dim), rng.randrange(algebra.dim)
+        target = add_degrees(algebra.degrees[i], algebra.degrees[j])
+        wrong = [k for k, d in enumerate(algebra.degrees) if d != target]
+        for k in rng.sample(wrong, rng.choice((1, 2))):
+            cell = {key: c for key, c in table[i][j].items() if key != k}
+            table[i][j] = {k: ONE, **cell} if rng.random() < 0.5 else {**cell, k: ONE}
+    return GradedAlgebra(algebra.labels, table, algebra.unit, algebra.degrees,
+                         algebra.group_rank)
+
+
+def test_the_grading_item_names_the_scan_failure(knorrer_inputs):
+    """The grading item tests each product with one set containment.  On
+    E, Gamma and the twisted M_2(E) of the registry inputs and the skew3
+    inputs of seeds 1 to 4, as built and with one or two products bumped
+    onto one or two keys of the wrong degree, its verdict and detail are
+    those of the key-by-key scan."""
+    checked = Counter()
+    for name, data, lift in knorrer_inputs:
+        if name.startswith("big"):
+            continue
+        plus = p12_classify(data) == CaseKind.PLUS
+        result = (run_plus_case if plus else run_minus_case)(data, lift)
+        twisted = result.twisted_bigraded if plus else result.Gamma
+        for label, algebra in (("E", result.base.algebra), ("twisted", twisted)):
+            rng = random.Random(f"grading-mutant:{name}:{label}")
+            for bumps in (0, 1, 1, 2):
+                mutant = _grading_mutant(algebra, rng, bumps)
+                item = algebra_module._algebra_report(mutant, []).items[1]
+                failure = ref_grading_failure(mutant)
+                assert (item.name, item.passed) == ("grading", failure is None)
+                assert item.detail == ("" if failure is None else
+                                       "product ({},{}) hits degree of basis {}"
+                                       .format(*failure)), (name, label, bumps)
+                checked[label, item.passed] += 1
+    assert checked == {("E", True): 13, ("E", False): 39,
+                       ("twisted", True): 13, ("twisted", False): 39}, checked
+
+
+def test_a_plus_run_checks_the_corner_on_every_pair_when_the_suite_fails(
+        monkeypatch):
+    """Lambda's associativity rests on the Lemma 4.6 suite.  A passing run
+    checks the corner map on generating_set(Lambda).  A run whose suite
+    fails records the item and goes on, as before, with the map checked on
+    every basis pair, which assumes nothing of Lambda."""
+    real_suite = knorrer._lemma46_suite
+    real_iso = knorrer.verify_iso
+    calls = []
+
+    def recording(linmap, gens, image):
+        calls.append((linmap.source, list(gens)))
+        return real_iso(linmap, gens, image)
+
+    monkeypatch.setattr(knorrer, "verify_iso", recording)
+    data = parse_double_ore(EX_4_10)
+    assert run_plus_case(*data).checks.ok
+    (Lambda, gens), = calls
+    assert gens == generating_set(Lambda) and len(gens) < Lambda.dim
+    calls.clear()
+    monkeypatch.setattr(knorrer, "_lemma46_suite",
+                        lambda xi1, xi2, phi1, *rest: real_suite(xi1, xi2, phi1.scale(Scalar(2)),
+                                                                 *rest))
+    checks = run_plus_case(*data).checks
+    (Lambda, gens), = calls
+    assert gens == list(range(Lambda.dim))
+    assert [item.name for item in checks.items if not item.passed] == [
+        "projection-identity-suite"]
+
+
+def test_a_bumped_degree0_product_of_the_extension_fails_the_zhang_check(
+        minus_inputs):
+    """The Zhang certificate checks every pair of ST's degree-0 part, so a
+    fault of build_semitrivial's rule there is caught, also at a pair that
+    the generating-set check would not read.  On each minus input, a
+    stored copy of ST_big with one product e_a e_b bumped by 1, for e_a
+    and e_b of degree 0 and e_b not the image of generating_set(NG), fails
+    the run."""
+    real_build = knorrer.build_semitrivial
+    outcomes = Counter()
+    for name, data, lift in minus_inputs:
+        result = run_minus_case(data, lift)
+        n, NG = result.Gamma.dim, result.zhang
+        image = [i if result.Gamma.degrees[i] == (0,) else n + i for i in range(n)]
+        gens = {image[s] for s in generating_set(NG)}
+        rng = random.Random(f"st-degree0-bump:{name}")
+        for _ in range(3):
+            a = rng.choice(image)
+            b = rng.choice([k for k in image if k not in gens])
+
+            def bumped(st_data):
+                algebra = real_build(st_data)
+                table = [list(row) for row in algebra.table]
+                table[a][b] = _bump(table[a][b], rng.randrange(algebra.dim))
+                return GradedAlgebra(algebra.labels, table, algebra.unit,
+                                     algebra.degrees, algebra.group_rank)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(knorrer, "build_semitrivial", bumped)
+                with pytest.raises(NqhError) as failure:
+                    run_minus_case(data, lift)
+            outcomes[str(failure.value)] += 1
+    assert outcomes == {"the Zhang twist does not match the degree-0 part":
+                        3 * len(minus_inputs)}, outcomes

@@ -23,6 +23,7 @@ from nqh.algebra import (
     GradedLinMap,
     MatrixHom,
     extend_on_generators,
+    generating_set,
     vec_add,
     vec_eq,
     vec_scale,
@@ -254,7 +255,7 @@ def test_normalize_upsilon_fixed_point(plus_system):
     upsilon, iso = normalize_upsilon(plus_system)
     assert upsilon.theta[0].value_at_unit() == [[ONE, ZERO], [ZERO, ONE]]
     assert upsilon.theta[1].value_at_unit() == [[ONE, ZERO], [ZERO, ONE]]
-    assert verify_iso(iso)
+    assert verify_iso(iso, generating_set(iso.source))
 
 
 def test_normalize_upsilon_nontrivial(clifford_km1):
@@ -273,12 +274,12 @@ def test_normalize_upsilon_nontrivial(clifford_km1):
     upsilon, iso = normalize_upsilon(candidate)
     assert upsilon.theta[0].value_at_unit() == [[ONE, ZERO], [ZERO, ONE]]
     assert upsilon.theta[1].value_at_unit() == [[ONE, ZERO], [ZERO, ONE]]
-    assert verify_iso(iso)
+    assert verify_iso(iso, generating_set(iso.source))
 
 
 def test_rebase_identity_basis(plus_system):
     omega, iso = rebase_omega(plus_system, plus_system.basis)
-    assert verify_iso(iso)
+    assert verify_iso(iso, generating_set(iso.source))
     for i in (0, 1):
         for a in range(2):
             for b in range(2):
@@ -294,7 +295,7 @@ def test_rebase_to_real_basis(plus_system):
         (1, 2): ((ZERO, ONE), (MINUS_ONE, ZERO)),
     })
     omega, iso = rebase_omega(plus_system, target)
-    assert verify_iso(iso)
+    assert verify_iso(iso, generating_set(iso.source))
     assert verify_twisting_M2(omega).ok
 
 
@@ -488,6 +489,69 @@ def test_coords_recombine_and_reject_other_cells(data):
         m[r][c] = data.draw(SCALARS.filter(bool))
         with pytest.raises(SingularBasis):
             basis.coords(m, i)
+
+
+def ref_coords(basis, m, i):
+    """``GradedBasisM2.coords`` as it was while it formed the degree's
+    determinant on every call and divided by it twice."""
+    i %= 2
+    (r1, c1), (r2, c2) = basis.CELLS[i]
+    if m[r1][c2] or m[r2][c1]:
+        raise SingularBasis(f"the matrix leaves the degree-{i} cells")
+    a, b = basis.mats[(i, 1)], basis.mats[(i, 2)]
+    det = a[r1][c1] * b[r2][c2] - b[r1][c1] * a[r2][c2]
+    x, y = m[r1][c1], m[r2][c2]
+    return ((x * b[r2][c2] - b[r1][c1] * y) / det,
+            (a[r1][c1] * y - x * a[r2][c2]) / det)
+
+
+def test_coords_through_the_kept_inverse_match_the_division(monkeypatch):
+    """A basis inverts each degree's determinant once, when it is built, and
+    coords multiplies by the inverse.  On the standard basis, the k x k
+    basis of the minus case, 20 random graded bases and the bases of
+    ``diagonal_basis``, coords gives the old formula's coordinates on each
+    member, the identity and seeded matrices, and gamma and l are
+    unchanged.  Building the standard basis inverts 2 scalars, not 34."""
+    from nqh import exactlin
+
+    inverses = []
+    real = exactlin.Scalar.inverse
+    monkeypatch.setattr(exactlin.Scalar, "inverse",
+                        lambda self: inverses.append(self) or real(self))
+    standard = standard_basis_m2()
+    assert len(inverses) == 2
+    monkeypatch.undo()
+    rng = random.Random("kept-inverse-determinants")
+    pool = [ONE, MINUS_ONE, I, -I, Scalar(2), HALF, Scalar(1, 1), Scalar(0, 0, 1)]
+    bases = [standard,
+             GradedBasisM2({(0, 1): ((ONE, ZERO), (ZERO, ONE)),
+                            (0, 2): ((ONE, ZERO), (ZERO, MINUS_ONE))})]
+    bases += [random_graded_basis(rng) for _ in range(20)]
+    while len(bases) < 42:
+        try:
+            bases.append(diagonal_basis(*[(rng.choice(pool), rng.choice(pool))
+                                          for _ in (1, 2)]))
+        except SingularBasis:
+            continue
+    checked = 0
+    for basis in bases:
+        for i in basis.halves:
+            cells = GradedBasisM2.CELLS[i]
+            mats = [basis.mats[(i, 1)], basis.mats[(i, 2)]]
+            for _ in range(5):
+                m = [[ZERO, ZERO], [ZERO, ZERO]]
+                for r, c in cells:
+                    m[r][c] = rng.choice(pool)
+                mats.append(m)
+            for m in mats + [((ONE, ZERO), (ZERO, ONE))] * (i == 0):
+                for degree in (i, i + 2):
+                    got, want = basis.coords(m, degree), ref_coords(basis, m, degree)
+                    assert got == want and [c.text() for c in got] == [
+                        c.text() for c in want]
+                    checked += 1
+        assert basis.gamma == ref_coords(basis, ((ONE, ZERO), (ZERO, ONE)), 0)
+    # 21 four-member bases with 15 matrices, 21 of k x k with 8, two degrees each
+    assert checked == 2 * (21 * 15 + 21 * 8), checked
 
 
 @settings(max_examples=10)
@@ -756,15 +820,15 @@ def test_semitrivial_mu_requires_involution():
     E = group_algebra()
     doubling = GradedLinMap(E, E, [{0: ONE}, {1: Scalar(2)}])
     with pytest.raises(MuNotInvolution):
-        semitrivial_mu(E, doubling)
+        semitrivial_mu(E, doubling, generating_set(E))
     non_iso = GradedLinMap(E, E, [{0: ONE}, {}])
     with pytest.raises(MuNotInvolution):
-        semitrivial_mu(E, non_iso)
+        semitrivial_mu(E, non_iso, generating_set(E))
 
 
 def test_semitrivial_mu_identity():
     E = group_algebra()
-    data = semitrivial_mu(E, GradedLinMap.identity(E))
+    data = semitrivial_mu(E, GradedLinMap.identity(E), generating_set(E))
     extension = build_semitrivial(data)
     assert verify_algebra(extension).ok
     assert extension.dim == 4
@@ -793,7 +857,7 @@ def ref_left_twisting_identity(E, mu):
 def test_zhang_twist_identity(clifford_km1):
     E = clifford_km1.algebra
     ident = GradedLinMap.identity(E)
-    twisted = zhang_twist(E, ident)
+    twisted = zhang_twist(_skew_group_data(E, ident))
     for i in range(E.dim):
         for j in range(E.dim):
             assert vec_eq(twisted.table[i][j], E.table[i][j])
@@ -803,7 +867,7 @@ def test_zhang_twist_by_sign(clifford_km1):
     E = clifford_km1.algebra
     xi = xi_automorphism(E, MINUS_ONE)
     assert ref_left_twisting_identity(E, xi)
-    twisted = zhang_twist(E, xi)
+    twisted = zhang_twist(_skew_group_data(E, xi))
     assert verify_algebra(twisted).ok
     assert twisted.dim == E.dim
     for degree in ((0,), (1,)):
@@ -868,7 +932,7 @@ def test_semitrivial_mu_rejects_a_shear(clifford_km1):
     shear = GradedLinMap(E, E, cols)
     assert not ref_left_twisting_identity(E, shear)
     with pytest.raises(NotTwistingSystem):
-        semitrivial_mu(E, shear)
+        semitrivial_mu(E, shear, generating_set(E))
 
 
 def test_semitrivial_mu_rejects_an_order_4_automorphism(clifford_km1):
@@ -882,10 +946,10 @@ def test_semitrivial_mu_rejects_an_order_4_automorphism(clifford_km1):
                                  [{index["x2*"]: ONE}, {index["x1*"]: MINUS_ONE}])
     rotation = GradedLinMap(E, E, [image(TensorElement.monomial(w))
                                    for w in E.words])
-    assert verify_iso(rotation)
+    assert verify_iso(rotation, generating_set(rotation.source))
     assert not ref_left_twisting_identity(E, rotation)
     with pytest.raises(NotTwistingSystem, match="involution"):
-        semitrivial_mu(E, rotation)
+        semitrivial_mu(E, rotation, generating_set(E))
     # with semitrivial_mu's formulas but no mu^2 check, the extension is not
     # associative: mu^2 = id carries the proof in semitrivial_mu's docstring
     report = verify_algebra(build_semitrivial(_skew_group_data(E, rotation)))
@@ -975,3 +1039,32 @@ def test_the_suite_verifies_a_system_that_carries_no_certificate(plus_system):
                             plus_system.basis, t_inverses=plus_system.t_inverses)
     assert verify_twisting_suite(bare).ok
     assert bare.certificate.ok and bare.exchange_ok
+
+
+def test_the_suite_rechecks_only_swapped_t_inverses(clifford_km1, double_ore_class_z,
+                                                   monkeypatch):
+    """verify_twisting_M2 keeps the tuple of t-inverses that
+    t_inverse_table checked, so the suite of a verified plus system, and of
+    each plus run of the registry, makes no is_t_inverse call.  A system
+    whose t_inverses were swapped, for an equal copy or for a mutant, is
+    checked again, and the mutant fails theta-phi-exchange."""
+    from nqh import twist
+
+    calls = []
+    real = twist.is_t_inverse
+    monkeypatch.setattr(twist, "is_t_inverse",
+                        lambda theta, phi: calls.append(phi) or real(theta, phi))
+    system = paper_plus_system(clifford_km1, double_ore_class_z)
+    assert verify_twisting_M2(system).ok
+    assert verify_twisting_suite(system).ok and calls == []
+    for scenario_id in ("ex-4.10", "ex-4.9-1", "ex-4.9-2"):
+        assert run_scenario(scenario_id).ok and calls == [], scenario_id
+    copy = dataclasses.replace(system, t_inverses=tuple(list(system.t_inverses)))
+    assert verify_twisting_suite(copy).ok and len(calls) == 2
+    phi0, phi1 = system.t_inverses
+    doubled = MatrixHom([[phi0.entry(1, 1).scale(Scalar(2)), phi0.entry(1, 2)],
+                         [phi0.entry(2, 1), phi0.entry(2, 2)]])
+    calls.clear()
+    report = verify_twisting_suite(dataclasses.replace(system, t_inverses=(doubled, phi1)))
+    assert calls == [doubled]
+    assert [item.name for item in report.items if not item.passed][0] == "theta-phi-exchange"
