@@ -67,29 +67,30 @@ def require_group_rank(algebra, rank, what):
                                 f" not Z2^{algebra.group_rank}")
 
 
-class RowsOnDemand:
+class RowsOnDemand(dict):
     """A structure table whose row i is ``form(i)``, formed when it is first
-    read and then kept: the products of an algebra given by a product rule.
-    The memo belongs to this table alone, and no cell is stored before its
-    row is read."""
+    read and then kept: the products of an algebra given by a product rule,
+    or one row of them.  The memo belongs to this table alone and maps each
+    index read so far to its entry, so no entry is stored before it is read
+    and a kept entry is read by a plain dict lookup."""
 
-    __slots__ = ("form", "rows")
+    __slots__ = ("form", "dim")
 
     def __init__(self, dim, form):
         self.form = form
-        self.rows = [None] * dim
+        self.dim = dim
 
-    def __len__(self):
-        return len(self.rows)
-
-    def __getitem__(self, i):
-        row = self.rows[i]
-        if row is None:
-            row = self.rows[i] = self.form(i)
+    def __missing__(self, i):
+        if not 0 <= i < self.dim:
+            raise IndexError(f"index {i} outside a table of {self.dim}")
+        row = self[i] = self.form(i)
         return row
 
+    def __len__(self):
+        return self.dim
+
     def __iter__(self):
-        return map(self.__getitem__, range(len(self.rows)))
+        return map(self.__getitem__, range(self.dim))
 
 
 class GradedAlgebra:
@@ -123,6 +124,13 @@ class GradedAlgebra:
             for j, cj in v.items():
                 add_scaled(out, row[j], ci * cj)
         return out
+
+    def held_products(self):
+        """(i, j, e_i e_j) for each nonzero product the table holds now,
+        forming none: of a ``RowsOnDemand``, only those already formed."""
+        def held(rows):
+            return rows.items() if isinstance(rows, RowsOnDemand) else enumerate(rows)
+        return [(i, j, prod) for i, row in held(self.table) for j, prod in held(row) if prod]
 
     def basis_vec(self, i):
         return {i: ONE}
@@ -336,29 +344,32 @@ def _rules_certify(algebra, system):
     return True
 
 
-def _grading_failure(algebra):
-    """The first (i, j, k), in row, column and then e_i e_j's key order,
-    where e_k lies in the support of e_i e_j but not in the component of
-    deg e_i + deg e_j, or None.  Each cell is one set containment, against
-    the component set of its degree pair, formed once per pair."""
+def _grading_failure(algebra, cells=None):
+    """The first (i, j, k) of ``cells``, (i, j, e_i e_j) triples, where e_k
+    lies in the support of e_i e_j but not in the component of
+    deg e_i + deg e_j, or None; every product, in row, column and then
+    e_i e_j's key order, when ``cells`` is None.  Each cell is one set
+    containment, against the component set of its degree pair, formed once
+    per pair."""
     degrees = algebra.degrees
     components = {}
     for k, d in enumerate(degrees):
         components.setdefault(d, set()).add(k)
     allowed = {}      # deg e_i -> [component of deg e_i + deg e_j for each j]
-    for i, d in enumerate(degrees):
-        cells = allowed.get(d)
-        if cells is None:
-            by_degree = {dj: components.get(add_degrees(d, dj), set())
-                         for dj in components}
-            cells = allowed[d] = [by_degree[dj] for dj in degrees]
-        for j, (prod, component) in enumerate(zip(algebra.row(i), cells)):
-            if not prod.keys() <= component:
-                return i, j, next(k for k in prod if k not in component)
+    for d in components:
+        by_degree = {dj: components.get(add_degrees(d, dj), set()) for dj in components}
+        allowed[d] = [by_degree[dj] for dj in degrees]
+    if cells is None:
+        cells = ((i, j, prod) for i in range(algebra.dim)
+                 for j, prod in enumerate(algebra.row(i)))
+    for i, j, prod in cells:
+        component = allowed[degrees[i]][j]
+        if not prod.keys() <= component:
+            return i, j, next(k for k in prod if k not in component)
     return None
 
 
-def _algebra_report(algebra, gens, firsts=None, lasts=None, system=None):
+def _algebra_report(algebra, gens, firsts=None, lasts=None, system=None, theta=None):
     """``verify_algebra``'s report, with Light's test run on the middle
     factors ``gens``, the indices of ``generating_set(algebra)``, and on the
     first factors ``firsts`` and last factors ``lasts`` only (every index
@@ -367,7 +378,29 @@ def _algebra_report(algebra, gens, firsts=None, lasts=None, system=None):
     twisted algebras it builds.  The full scan that names a failure is the
     same either way, so the report is ``verify_algebra``'s item for item.
     With a ``system``, ``verify_algebra``'s rule certificate replaces
-    Light's test, and ``gens`` is None."""
+    Light's test, and ``gens`` is None.
+
+    With ``theta``, the tables of a twisting system over an algebra E whose
+    own grading item passes, every cell that the table forms after this
+    report must be formed by the product rule of ``twist._twisted_algebra``.
+    The grading item is then read off theta's columns and the products the
+    table already holds (``held_products``): it passes when each entry of
+    each table sends every basis vector of E into E's component of its
+    degree and no held product leaves its component.  Only otherwise does
+    the full scan run, which decides and names the failure, so verdict and
+    detail are the scan's on every such table.  Proof that a passing check
+    makes the scan pass.  A held product passed its containment.  Any other
+    cell, of (I(i)_j e_b, I(i')_j' e_b') with factors of degrees
+    (i, deg e_b) and (i', deg e_b'), is formed by the rule as
+    sum_{s,t} l^(ii')_{tjs} I(i+i')_t theta^(i')_{sj'}(e_b) e_b'.
+    theta^(i')_{sj'}(e_b) is a combination of basis vectors e_k of degree
+    deg e_b, and by E's grading item each e_k e_b' lies in the component
+    of deg e_b + deg e_b'.  The basis vector I(i+i')_t e_m has degree
+    (i+i', deg e_m), so every key of the cell has degree
+    (i+i', deg e_b + deg e_b'), the sum of its factors' degrees.  On E x E
+    only i = i' = 0 occur, eps_t e_m has degree deg e_m, and the proof is
+    the same.
+    """
     report = Report()
     dim = algebra.dim
     unit_ok = True
@@ -380,7 +413,10 @@ def _algebra_report(algebra, gens, firsts=None, lasts=None, system=None):
             break
     report.add("unit", unit_ok, unit_detail)
 
-    failure = _grading_failure(algebra)
+    graded = theta is not None and all(
+        _preserves_degrees(entry) for table in theta for row in table.entries
+        for entry in row) and not _grading_failure(algebra, algebra.held_products())
+    failure = None if graded else _grading_failure(algebra)
     report.add("grading", not failure,
                "product ({},{}) hits degree of basis {}".format(*failure) if failure else "")
 
@@ -850,6 +886,14 @@ def verify_decomposition(algebra, simples, multiplicities):
     J(A) = 0.  The pairwise check is what makes the S_i non-isomorphic:
     without it, a list that names one simple module in place of another of
     the same dimension, multiplicities unchanged, still totals dim A.
+
+    It checks each unordered pair once, and only pairs of equal dimension.
+    Proof that this decides Hom-orthogonality of every ordered pair, once
+    each S_i is checked simple.  By Schur, a nonzero map f: S -> T of
+    simple modules is an isomorphism: its kernel is a proper submodule of
+    S, so 0, and its image a nonzero submodule of T, so T.  Then f^-1 is a
+    nonzero map T -> S, so Hom(S, T) = 0 exactly when Hom(T, S) = 0, and
+    both vanish when dim S != dim T, as no isomorphism exists.
     """
     if (len(simples) != len(multiplicities)
             or any(s.algebra is not algebra for s in simples)):
@@ -864,8 +908,8 @@ def verify_decomposition(algebra, simples, multiplicities):
             return False
         total += m * s.dim
     for a in range(len(simples)):
-        for b in range(len(simples)):
-            if a != b and hom_dim(simples[a], simples[b], gens) != 0:
+        for b in range(a):
+            if simples[a].dim == simples[b].dim and hom_dim(simples[a], simples[b], gens):
                 return False
     return total == algebra.dim
 

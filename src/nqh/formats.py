@@ -14,7 +14,7 @@ import json
 import sys
 
 from .errors import ParseError
-from .exactlin import Scalar, TensorElement
+from .exactlin import Scalar, TensorElement, _quote_input
 from .quadratic import QuadraticPresentation
 from .algebra import GradedLinMap, MatrixHom, Space, radical
 from .deform import DoubleOreData, build_clifford
@@ -44,7 +44,7 @@ def _parse_word(key, presentation_names):
     try:
         return tuple(index[p] for p in parts)
     except KeyError as exc:
-        raise ParseError(f"unknown generator in word {key!r}") from exc
+        raise ParseError(f"unknown generator in word {_quote_input(key)}") from exc
 
 
 def parse_tensor(obj, names, degree=None):
@@ -52,9 +52,9 @@ def parse_tensor(obj, names, degree=None):
     for key, value in obj.items():
         word = _parse_word(key, names)
         if degree is not None and len(word) != degree:
-            raise ParseError(f"word {key!r} must have degree {degree}")
+            raise ParseError(f"word {_quote_input(key)} must have degree {degree}")
         if word in terms:
-            raise ParseError(f"word {key!r} is written twice")
+            raise ParseError(f"word {_quote_input(key)} is written twice")
         terms[word] = parse_scalar(value)
     return TensorElement(terms)
 
@@ -102,12 +102,13 @@ def parse_double_ore(doc):
             for src, image in _expect(sigma_doc[key], dict,
                                       f"sigma table {key}").items():
                 if src not in presentation.generators:
-                    raise ParseError(f"unknown generator {src!r} in sigma {key}")
+                    raise ParseError(f"unknown generator {_quote_input(src)} in sigma {key}")
                 col = cols[presentation.index_of(src)]
                 for dst, coeff in _expect(image, dict,
                                           f"sigma {key} image of {src}").items():
                     if dst not in presentation.generators:
-                        raise ParseError(f"unknown generator {dst!r} in sigma {key}")
+                        raise ParseError(
+                            f"unknown generator {_quote_input(dst)} in sigma {key}")
                     col[presentation.index_of(dst)] = parse_scalar(coeff)
             # no zero stored: map equality needs it
             row.append(GradedLinMap(space, space, [
@@ -146,7 +147,7 @@ def parse_twist_file(doc):
 
     def index(label):
         if label not in label_index:
-            raise ParseError(f"unknown basis label {label!r}")
+            raise ParseError(f"unknown basis label {_quote_input(label)}")
         return label_index[label]
 
     tables = []
@@ -180,7 +181,7 @@ def _theta_block(doc, name):
         for entry in block_row:
             mapping = {}
             for src, image in _expect(entry, dict, f"{name} entry").items():
-                image = _expect(image, dict, f"{name} image of {src}")
+                image = _expect(image, dict, f"{name} image of {_quote_input(src)}")
                 mapping[src] = {dst: parse_scalar(c) for dst, c in image.items()}
             row.append(mapping)
         entries.append(row)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from types import MappingProxyType
 
 from .errors import (
     MuNotInvolution,
@@ -64,11 +65,12 @@ class GradedBasisM2:
     diag(u_j, v_j), and ``halves`` is then (0,), else (0, 1).  Carries the
     derived data: gamma (coordinates of the identity in the degree-0 pair),
     the structure tensor l with
-    I(i)_j I(i')_j' = sum_s I(i+i')_s l^(ii')_{s j j'}, and the inverse of
-    each degree's determinant, which ``coords`` multiplies by.
+    I(i)_j I(i')_j' = sum_s I(i+i')_s l^(ii')_{s j j'}, read-only, and the
+    inverse of each degree's determinant, which ``coords`` multiplies by.
+    ``derived`` keeps the l and gamma that construction computed.
     """
 
-    __slots__ = ("mats", "halves", "gamma", "l", "inverse_dets")
+    __slots__ = ("mats", "halves", "gamma", "l", "inverse_dets", "derived")
 
     # the two nonzero cells of a degree-i member, i = 0 then i = 1
     CELLS = (((0, 0), (1, 1)), ((0, 1), (1, 0)))
@@ -97,12 +99,14 @@ class GradedBasisM2:
                 raise SingularBasis("graded pairs must be linearly independent")
             self.inverse_dets[i] = det.inverse()
         self.gamma = self.coords(((ONE, ZERO), (ZERO, ONE)), 0)
-        self.l = {}
+        l = {}
         for i, ip in product(halves, repeat=2):
             for j, jp in product((1, 2), repeat=2):
                 prod = matrix_mul(self.mats[(i, j)], self.mats[(ip, jp)])
                 for s, c in zip((1, 2), self.coords(prod, i + ip)):
-                    self.l[(i, ip, s, j, jp)] = c
+                    l[(i, ip, s, j, jp)] = c
+        self.l = MappingProxyType(l)
+        self.derived = (self.l, self.gamma)
 
     def coords(self, m, i):
         """(c_1, c_2) with c_1 I(i)_1 + c_2 I(i)_2 = m for a 2x2 matrix m,
@@ -125,21 +129,39 @@ class GradedBasisM2:
         """The relations of l over ``halves``, with gamma the coordinates of
         the identity: l-associativity, the coordinate form of
         (I(i)_j I(i')_j') I(i'')_j'' = I(i)_j (I(i')_j' I(i'')_j''), and
-        l-right-unit and l-left-unit, those of I(i)_j 1 = I(i)_j = 1 I(i)_j."""
+        l-right-unit and l-left-unit, those of I(i)_j 1 = I(i)_j = 1 I(i)_j.
+
+        The loops run only when l or gamma has been replaced since
+        construction (l is read-only, gamma a tuple, so replacing is the one
+        way to change them).  Proof that the l and gamma ``__init__``
+        computed pass all three items.  l^(ii')_{sjj'} are the coordinates
+        of I(i)_j I(i')_j' in the degree-(i+i') pair, which ``coords``
+        solves uniquely, as each pair has a nonzero determinant.  Expanding
+        both sides of the associativity of 2x2 matrix multiplication,
+        (I(i)_j I(i')_j') I(i'')_j'' = I(i)_j (I(i')_j' I(i'')_j''), gives
+        sum_t I(i+i'+i'')_t times each side of l-associativity at t, and
+        unique coordinates make the two sides equal.  gamma is the
+        coordinate vector of the identity in the degree-0 pair, so
+        sum_t l^(i0)_{sjt} gamma_t is the I(i)_s coordinate of
+        I(i)_j 1 = I(i)_j, which is delta_sj (l-right-unit), and
+        sum_j l^(0i)_{sjt} gamma_j that of 1 I(i)_t = I(i)_t, which is
+        delta_st (l-left-unit).  On k x k only i = 0 occurs; the proof is
+        the same."""
         lval, halves, gamma = self.lval, self.halves, self.gamma
+        derived = self.l is self.derived[0] and gamma is self.derived[1]
         report = Report()
-        report.add("l-associativity", all(
+        report.add("l-associativity", derived or all(
             sum((lval(i, ip + ipp, t, j, s) * lval(ip, ipp, s, jp, jpp)
                  for s in (1, 2)), start=ZERO)
             == sum((lval(i + ip, ipp, t, s, jpp) * lval(i, ip, s, j, jp)
                     for s in (1, 2)), start=ZERO)
             for i in halves for ip in halves for ipp in halves
             for j in (1, 2) for jp in (1, 2) for jpp in (1, 2) for t in (1, 2)))
-        report.add("l-right-unit", all(
+        report.add("l-right-unit", derived or all(
             sum((lval(i, 0, s, j, t) * gamma[t - 1] for t in (1, 2)), start=ZERO)
             == (ONE if s == j else ZERO)
             for i in halves for s in (1, 2) for j in (1, 2)))
-        report.add("l-left-unit", all(
+        report.add("l-left-unit", derived or all(
             sum((lval(0, i, s, j, t) * gamma[j - 1] for j in (1, 2)), start=ZERO)
             == (ONE if s == t else ZERO)
             for i in halves for s in (1, 2) for t in (1, 2)))
@@ -293,9 +315,14 @@ def _certify_exchange(system, build, l_holds):
     evaluated.
 
     Preconditions: E is certified by ``verify_algebra``, as every E that
-    ``deform.build_clifford`` returns is, and ``build`` fills the table by
-    ``_twisted_algebra``'s product rule, on which the proof below rests; a
-    table from any other builder is certified only by ``verify_algebra``.
+    ``deform.build_clifford`` returns is, and every cell of the algebra that
+    ``build`` returns is the one ``_twisted_algebra``'s product rule forms,
+    whenever it is read: before this certificate (by ``generating_set``),
+    during it, or after it.  The proof below and the grading item rest on
+    this; a table from any other builder is certified only by
+    ``verify_algebra``.  The grading item is read off theta's columns and
+    also tests each product the table holds when it runs, so a held cell of
+    the wrong degree fails it whatever formed it (``algebra._algebra_report``).
     The certificate is ``verify_algebra``'s report item for item, but once
     the identities of l hold (``basis_identities``; the proof uses
     l-associativity and l-left-unit), Light's test runs only on the first
@@ -360,7 +387,7 @@ def _certify_exchange(system, build, l_holds):
         lasts = [layout.index(i, j, k) for i in layout.halves for j in (1, 2)
                  for k in E.unit]
     system.certificate = _algebra_report(system.twisted, system.generators,
-                                         firsts, lasts)
+                                         firsts, lasts, theta=system.theta)
     passed = {item.name: item.passed for item in system.certificate.items}
     if passed["associativity"] and l_holds:
         return None
@@ -467,40 +494,66 @@ def verify_twisting_suite(system):
 
 
 def _twisted_algebra(system):
-    """The twisted product of a verified system and its unit.
+    """The twisted product of a verified system, as a rule, and its unit.
 
     I(i)_j e_b * I(i')_j' e_b' = sum_{s,t} l^(ii')_{tjs} I(i+i')_t
     theta^(i')_{sj'}(e_b) e_b' with l^(ii')_{tjs} = lval(i, i', t, j, s), and
     the unit is sum_{j,s} gamma_s I(0)_j phi0_{sj}(1) with phi0 the t-inverse
     of theta^(0).  On E x E only i = 0 occurs and I(0)_j reads eps_j.
 
-    Each product theta^(i')_{sj'}(e_b) e_b' is formed once, shifted to each
-    block I(i+i')_t and added with weight l^(ii')_{tjs} into the cell of
-    every left factor I(i)_j e_b: at most 4 |halves| dim E^2 products of E.
+    Each cell is formed by this rule the first time it is read and then
+    kept: the table and each of its rows are ``RowsOnDemand``.  The
+    products theta^(i')_{sj'}(e_b) e_b' are shared by the cells of every
+    left block I(i)_j.  When the column theta^(i')_{sj'}(e_b) is a basis
+    vector e_k, they are E's stored products e_k e_b'; any other column's
+    are formed by ``E.mul`` when first read and kept, at most
+    4 |halves| dim E^2 however many cells are read.  A cell sums its terms
+    in the order of s, then t.
     """
     if system.t_inverses is None:
         raise NotTwistingSystem("verify the system before building")
     E, theta, basis = system.algebra, system.theta, system.basis
     layout = BlockLayout(E, basis)
-    table = [[{} for _ in range(layout.dim)] for _ in range(layout.dim)]
-    for ip, jp, s in product(layout.halves, (1, 2), (1, 2)):
-        # (offset of I(i+i')_t, [(row of I(i)_j e_0, l^(ii')_{tjs})]), l nonzero
-        weights = []
-        for i, t in product(layout.halves, (1, 2)):
-            rows = [(layout.index(i, j, 0), basis.lval(i, ip, t, j, s)) for j in (1, 2)]
-            rows = [(row, coeff) for row, coeff in rows if coeff]
-            if rows:
-                weights.append((layout.index((i + ip) % 2, t, 0), rows))
-        for b, image in enumerate(theta[ip].entry(s, jp).cols):
-            if not image:
-                continue
-            for bp in range(E.dim):
-                prod = E.mul(image, {bp: ONE})
-                col = layout.index(ip, jp, bp)
-                for offset, rows in weights:
-                    shifted = {offset + k: c for k, c in prod.items()}
-                    for row, coeff in rows:
-                        add_scaled(table[row + b][col], shifted, coeff)
+    n = E.dim
+
+    def products(col):
+        """The products col e_b' for each b': E's stored row of e_k when
+        col = e_k, else formed by ``E.mul`` when first read and kept."""
+        if list(col.values()) == [ONE]:
+            return E.row(next(iter(col)))
+        return RowsOnDemand(n, lambda bp: E.mul(col, {bp: ONE}))
+
+    # shared[i', j', s][b]: products(theta^(i')_{sj'}(e_b))
+    shared = {(ip, jp, s): RowsOnDemand(n, lambda b, cols=entry.cols: products(cols[b]))
+              for ip, jp, s in product(layout.halves, (1, 2), (1, 2))
+              for entry in [theta[ip].entry(s, jp)] if not entry.is_zero()}
+    blocks = [(i, j) for i in layout.halves for j in (1, 2)]   # at 2i + j - 1
+    # terms[left block][right block]: (shared[i', j', s], offset of
+    # I(i+i')_t, l^(ii')_{tjs}) for each nonzero term; a coefficient 1 is
+    # the object ONE, so a cell of one such term is its shifted product
+    terms = [[[(shared[ip, jp, s], layout.index((i + ip) % 2, t, 0),
+                ONE if coeff == ONE else coeff)
+               for s, t in product((1, 2), (1, 2)) if (ip, jp, s) in shared
+               for coeff in [basis.lval(i, ip, t, j, s)] if coeff]
+              for ip, jp in blocks] for i, j in blocks]
+
+    def form(r):
+        left, b = divmod(r, n)
+        row_terms = [[(rows[b], offset, coeff) for rows, offset, coeff in block]
+                     for block in terms[left]]
+
+        def cell(c):
+            right, bp = divmod(c, n)
+            out = {}
+            for products_b, offset, coeff in row_terms[right]:
+                shifted = {offset + k: v for k, v in products_b[bp].items()}
+                out = (add_scaled(out, shifted, coeff) if out or coeff is not ONE
+                       else shifted)
+            return out
+
+        return RowsOnDemand(layout.dim, cell)
+
+    table = RowsOnDemand(layout.dim, form)
     unit = {}
     for j in (1, 2):
         part = {}

@@ -22,12 +22,13 @@ from collections import Counter
 
 import pytest
 
-from conftest import dense_table, sigma_table
+from conftest import dense_table, sigma_table, table_entries
 from perfbench.workloads import generate, skew_double_ore
 from reference_constructions import (
     identity_matrix,
     is_stacked_inverse,
     matrix_add,
+    ref_grading_failure,
     ref_twisted_algebra,
     ref_verify_twisting_suite,
     stacked_inverse,
@@ -35,12 +36,13 @@ from reference_constructions import (
 )
 from test_algebra import _bumped, reference_verify_algebra
 
-from nqh import deform, twist
+from nqh import algebra as algebra_module, deform, twist
 from nqh.algebra import (
     GradedAlgebra,
     GradedLinMap,
     MatrixHom,
     Report,
+    _algebra_report,
     _associativity_failure,
     generating_set,
     is_t_inverse,
@@ -855,9 +857,11 @@ def test_m2_exchange_certificate_matches_the_loop(m2_tables):
 
 
 def test_twisted_tables_match_the_per_block_loop(pipeline_inputs):
-    """_twisted_algebra, which forms each product theta^(i')_{sj'}(e_b) e_b'
-    once, gives the table and unit of the loop that formed them again for
-    each left block, entry for entry: on the registry, skew3 seeds 1-7 and
+    """_twisted_algebra, whose rule forms each cell when it is read, from
+    products theta^(i')_{sj'}(e_b) e_b' shared between the left blocks,
+    gives the cells and unit of the loop that formed every product again
+    for each left block, entry for entry and in key order, with every cell
+    read: on the registry, skew3 seeds 1-7 and
     big:4, plus and minus, through the case's own construction, on
     M_2(E) over the standard basis or on E x E over the epsilon basis and
     the hand-set idempotent one, and on a one-coefficient mutant of each
@@ -887,11 +891,65 @@ def test_twisted_tables_match_the_per_block_loop(pipeline_inputs):
             if None in system.t_inverses:
                 continue
             new, ref = twist._twisted_algebra(system), ref_twisted_algebra(system)
-            assert new.table == ref.table and new.unit == ref.unit
+            assert table_entries(new) == table_entries(ref)
+            assert new.unit == ref.unit
             assert (new.labels, new.degrees) == (ref.labels, ref.degrees)
             compared[len(basis.halves), theta is tables] += 1
     assert compared[2, True] == 11 and compared[1, True] == 20
     assert compared[2, False] >= 10 and compared[1, False] >= 18
+
+
+def _degree_breaking_mutant(tables, rng):
+    """``tables`` with one column of one entry given one more key, a basis
+    vector of a degree other than the column's."""
+    k, i, j = rng.randrange(len(tables)), rng.randrange(2), rng.randrange(2)
+    entry = tables[k].entries[i][j]
+    E = entry.source
+    b = rng.randrange(E.dim)
+    cols = [dict(col) for col in entry.cols]
+    cols[b][rng.choice([c for c in range(E.dim) if E.degrees[c] != E.degrees[b]])] = ONE
+    entries = [list(row) for row in tables[k].entries]
+    entries[i][j] = GradedLinMap(E, E, cols)
+    return tables[:k] + (MatrixHom(entries),) + tables[k + 1:]
+
+
+def test_the_grading_item_read_off_theta_is_the_scans(pipeline_inputs, monkeypatch):
+    """The twisted algebra's grading item is read off theta's columns and
+    the products held when it runs, and the full scan runs only when that
+    check fails.  On each pipeline input's twisting system, as built and
+    with three mutants whose theta sends one basis vector off its degree,
+    the item's verdict and detail are those of the key-by-key scan of every
+    cell (``ref_grading_failure``), and only the mutants are scanned."""
+    scans = []
+    real = algebra_module._grading_failure
+
+    def recording(algebra, cells=None):
+        scans.append(cells is None)
+        return real(algebra, cells)
+
+    monkeypatch.setattr(algebra_module, "_grading_failure", recording)
+    rng = random.Random("theta-degree-mutants")
+    verdicts = Counter()
+    for data, _, base, sd in pipeline_inputs:
+        E = base.algebra
+        plus = data.p12 == ONE
+        tables = _thetas(sd, E, data.p12)
+        basis = standard_basis_m2() if plus else epsilon_basis()
+        inverses = tuple(map(t_inverse_table, tables))
+        for n in range(4):
+            theta = _degree_breaking_mutant(tables, rng) if n else tables
+            twisted = twist._twisted_algebra(
+                TwistingSystemM2(E, theta, basis, t_inverses=inverses))
+            scans.clear()
+            item = _algebra_report(twisted, generating_set(twisted), theta=theta).items[1]
+            failure = ref_grading_failure(twisted)
+            assert (item.name, item.passed) == ("grading", failure is None)
+            assert item.detail == ("" if failure is None else
+                                   "product ({},{}) hits degree of basis {}"
+                                   .format(*failure))
+            assert any(scans) == bool(n), (n, scans)
+            verdicts[bool(n), item.passed] += 1
+    assert verdicts == {(False, True): 11, (True, False): 33}, verdicts
 
 
 def _restricted_scan(system, first_pairs=(1, 2), last_halves=(0, 1)):

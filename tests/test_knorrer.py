@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import re
+import sys
 from collections import Counter
 from types import SimpleNamespace
 
@@ -491,6 +492,47 @@ def test_verify_decomposition_needs_no_radical(monkeypatch):
                         ("prop-5.10", False, False): 35}, verdicts
 
 
+def test_verify_decomposition_checks_each_pair_of_equal_dimension_once(
+        monkeypatch):
+    """verify_decomposition computes Hom between two listed simples once per
+    unordered pair of equal dimension (Schur; proof in its docstring): 6
+    calls on ex-5.9's five modules, of dimensions 2, 1, 1, 1, 1, where each
+    ordered pair took 20.  A list that names one simple twice, first or
+    last, or that swaps in for one simple a copy of another of the same
+    dimension, a module equal to it but not the same object, still fails,
+    as under the reference that checks every ordered pair."""
+    recorded = []
+    real = scenarios.verify_decomposition
+    monkeypatch.setattr(scenarios, "verify_decomposition",
+                        lambda *args: recorded.append(args) or real(*args))
+    assert run_scenario("ex-5.9").ok
+    (algebra, simples, multiplicities), = recorded
+    simples, multiplicities = list(simples), list(multiplicities)
+    assert [s.dim for s in simples] == [2, 1, 1, 1, 1]
+    pairs = []
+    real_hom = algebra_module.hom_dim
+
+    def counting(m, n, gens):
+        if n in simples:
+            pairs.append((m, n))
+        return real_hom(m, n, gens)
+
+    monkeypatch.setattr(algebra_module, "hom_dim", counting)
+    assert verify_decomposition(algebra, simples, multiplicities)
+    assert len(pairs) == 6 and len(set(map(frozenset, pairs))) == 6
+    variants = []
+    for k, (s, m) in enumerate(zip(simples, multiplicities)):
+        variants += [([s] + simples, [m] + multiplicities),
+                     (simples + [s], multiplicities + [m])]
+        copy = RightModule(algebra, s.dim, s.action)
+        variants += [(simples[:j] + [copy] + simples[j + 1:], multiplicities)
+                     for j in range(len(simples)) if j != k and simples[j].dim == s.dim]
+    assert len(variants) == 2 * 5 + 4 * 3
+    for args in variants:
+        assert not verify_decomposition(algebra, *args)
+        assert not ref_verify_decomposition(algebra, *args)
+
+
 def test_scenarios_read_radicals_off_the_singularity_report(monkeypatch):
     """ex-4.10 reads the corner extension's radical, and ex-5.9 and
     prop-5.10 the Zhang twist's, off the singularity report, which computes
@@ -697,9 +739,10 @@ def test_each_run_descends_sigma_once_and_never_its_inverse(monkeypatch,
 
 
 def test_each_run_builds_and_certifies_each_twisted_table_once(monkeypatch):
-    """One run builds its twisted table once, from at most
-    4 |halves| dim E^2 products of E (the per-block loop formed up to
-    8 |halves|^2 dim E^2), and certifies it once, on at most
+    """One run builds its twisted table once, and its rule forms at most
+    4 |halves| dim E^2 products of E over the whole run, even with every
+    cell read (the per-block loop formed up to 8 |halves|^2 dim E^2), and
+    it certifies the table once, on at most
     2 dim E |S| 2|halves| triples with S = generating_set of the twisted
     algebra: the first factors in the I(0) half, the last factors
     I(i'')_j'' 1.  The exchange identity is read off that certificate, so
@@ -726,29 +769,22 @@ def test_each_run_builds_and_certifies_each_twisted_table_once(monkeypatch):
         monkeypatch.setattr(twist, name, counting(name, getattr(twist, name)))
 
     def recording(sink, real):
-        def wrapper(arg, *rest):
+        def wrapper(arg, *rest, **options):
             sink.append(arg)
-            return real(arg, *rest)
+            return real(arg, *rest, **options)
         return wrapper
 
     real_mul = GradedAlgebra.mul
-    building = []
 
     def counting_mul(algebra, u, v):
-        if building:
+        # the rule's products are formed by code defined in _twisted_algebra
+        if "_twisted_algebra" in sys._getframe(1).f_code.co_qualname:
             products.append(algebra)
         return real_mul(algebra, u, v)
 
-    def build(system):
-        building.append(system)
-        try:
-            return real_build(system)
-        finally:
-            building.pop()
-
-    real_build = recording_output(twist._twisted_algebra, built)
     monkeypatch.setattr(GradedAlgebra, "mul", counting_mul)
-    monkeypatch.setattr(twist, "_twisted_algebra", build)
+    monkeypatch.setattr(twist, "_twisted_algebra",
+                        recording_output(twist._twisted_algebra, built))
     monkeypatch.setattr(twist, "_algebra_report",
                         recording(reports, twist._algebra_report))
     assert not hasattr(twist, "verify_algebra")
@@ -783,12 +819,27 @@ def test_each_run_builds_and_certifies_each_twisted_table_once(monkeypatch):
         halves = 2 if plus else 1
         assert products and all(a is E for a in products), name
         assert len(products) <= 4 * halves * E.dim ** 2, name
+        table_entries(twisted)      # every cell, each product still formed once
+        assert len(products) <= 4 * halves * E.dim ** 2, name
         triples = [n for algebra, n in scans if algebra is twisted]
         assert len(triples) == 1, name
         assert triples[0] <= 2 * E.dim * len(generating_set(twisted)) * 2 * halves, name
         assert plus or not [a for a in elsewhere if a is result.zhang], name
         if not plus:
             assert [m for m in isos if m is result.mu] == [result.mu]
+
+
+def test_a_plus_run_forms_a_fraction_of_the_twisted_cells():
+    """The twisted M_2(E) forms a cell only when a check reads it: a plus
+    run forms at most half of its 1,024 cells on skew3 seed 1 (472) and at
+    most a fifth of its 16,384 on big:5 (2,788), where a stored table held
+    every one."""
+    docs = [(json.loads(generate("skew3", 1)["plus.json"]), 0.5),
+            (skew_double_ore(random.Random("big:5"), 5, 1), 0.2)]
+    for doc, share in docs:
+        twisted = run_plus_case(*parse_double_ore(doc)).twisted_bigraded
+        formed = sum(len(row.keys()) for row in twisted.table.values())
+        assert 0 < formed <= share * twisted.dim ** 2, (formed, twisted.dim)
 
 
 def test_every_twisted_certificate_rests_on_a_certified_algebra(
@@ -1716,29 +1767,45 @@ def _with_the_scans(patch):
     patch.setattr(knorrer, "_oracle_step", step)
 
 
-def _bump_odd_product(algebra, seed):
-    """``algebra`` with one coefficient of a product of two basis vectors
-    of odd total degree bumped by 1, drawn from ``seed``."""
+def _odd_product_bump(algebra, seed):
+    """(i, j, k), drawn from ``seed``: the coefficient of e_k in the product
+    of two basis vectors e_i, e_j of odd total degree."""
     rng = random.Random(seed)
     odd = [i for i, d in enumerate(algebra.degrees) if sum(d) % 2]
     i, j = rng.choice(odd), rng.choice(odd)
+    return i, j, rng.randrange(algebra.dim)
+
+
+def _bump_odd_product(algebra, seed):
+    """A stored copy of ``algebra`` with the coefficient of
+    ``_odd_product_bump`` bumped by 1."""
+    i, j, k = _odd_product_bump(algebra, seed)
     table = [list(row) for row in algebra.table]
-    table[i][j] = _bump(table[i][j], rng.randrange(algebra.dim))
+    table[i][j] = _bump(table[i][j], k)
     return GradedAlgebra(algebra.labels, table, algebra.unit,
                          algebra.degrees, algebra.group_rank)
 
 
 def _odd_product_mutant(patch, seed):
-    """Patch the twisted table's build, before its certificate, to bump by
-    1 one coefficient of a product of two odd basis vectors."""
+    """Patch the twisted algebra's build, before its certificate, to form
+    the cell of ``_odd_product_bump`` and keep it bumped by 1 in the rule's
+    memo, so every later read sees the bump."""
     real = twist._twisted_algebra
-    patch.setattr(twist, "_twisted_algebra",
-                  lambda system: _bump_odd_product(real(system), seed))
+
+    def build(system):
+        algebra = real(system)
+        i, j, k = _odd_product_bump(algebra, seed)
+        row = algebra.row(i)
+        row[j] = _bump(row[j], k)
+        return algebra
+
+    patch.setattr(twist, "_twisted_algebra", build)
 
 
 def test_strong_grading_mutants_fail_as_under_the_product_scans(knorrer_inputs):
-    """Bump an odd-by-odd product of the twisted table before it is
-    certified, on every input, or corrupt mu or replace it by another
+    """Bump an odd-by-odd product of the twisted algebra, kept in its
+    rule's memo before it is certified, on every input, or corrupt mu or
+    replace it by another
     involution on every minus input.  The pipelines, which read strong
     grading off y2^2 = 1 and t t = 1, and the reference, which also scans
     the odd-by-odd products of the target, reject the same mutants at the
@@ -1763,9 +1830,9 @@ def test_strong_grading_mutants_fail_as_under_the_product_scans(knorrer_inputs):
                         outcomes.append(_outcome(data, lift))
                 assert outcomes[0] == outcomes[1], (name, kind, n, outcomes)
                 stages[kind, (outcomes[0] or "accepted").partition(":")[0]] += 1
-    # the twisted certificate rejects 38 table bumps; it certifies the
-    # table's formula, so 3 bumps of cells that no later check reads pass
-    # both routes.  Corrupted mu fails semitrivial_mu, and the other
+    # the twisted certificate rejects 38 bumps, those of the wrong degree
+    # by its scan of the products held when it runs; it certifies the
+    # rule, so 3 bumps of cells that no later check reads pass both routes.  Corrupted mu fails semitrivial_mu, and the other
     # involutions keep t t = 1 but break a relation at the oracle step.
     assert stages == {("target", "PipelineError"): 38, ("target", "accepted"): 3,
                       ("mu", "PipelineError"): 19,

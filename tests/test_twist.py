@@ -78,9 +78,18 @@ def plus_system(clifford_km1, double_ore_class_z):
     return system
 
 
+def looped_identities(basis):
+    """``basis.basis_identities()`` with its loops run, on a copy of the
+    basis whose l is replaced by an equal dict, so the report is the loops'
+    and not the construction's."""
+    copy = GradedBasisM2(basis.mats)
+    copy.l, copy.gamma = dict(basis.l), basis.gamma
+    return copy.basis_identities()
+
+
 def test_standard_basis_tensors():
     basis = standard_basis_m2()
-    assert basis.basis_identities().ok
+    assert basis.basis_identities().ok and looped_identities(basis).ok
     assert basis.gamma == (ONE, ZERO)
     ident = [[ONE, ZERO], [ZERO, ONE]]
     for i in (0, 1):
@@ -112,7 +121,7 @@ def test_random_bases_satisfy_tensor_identities():
     rng = random.Random(2024)
     for _ in range(10):
         basis = random_graded_basis(rng)
-        assert basis.basis_identities().ok
+        assert basis.basis_identities().ok and looped_identities(basis).ok
 
 
 def test_degenerate_basis_rejected():
@@ -461,7 +470,7 @@ def test_basis_coordinates_match_the_hand_solves(data):
         assert got is SingularBasis
     else:
         assert (got.gamma, got.l) == want
-        assert got.basis_identities().ok
+        assert got.basis_identities().ok and looped_identities(got).ok
     eps = [(data.draw(SCALARS), data.draw(SCALARS)) for _ in (1, 2)]
     got = _outcome(lambda: diagonal_basis(*eps))
     want = _outcome(lambda: ref_product_l_tensor(eps))
@@ -472,7 +481,7 @@ def test_basis_coordinates_match_the_hand_solves(data):
     assert got.gamma == ref_eps_coords(eps, ONE, ONE)
     assert got.coords(((ONE, ZERO), (ZERO, ZERO)), 0) == ref_eps_coords(eps, ONE, ZERO)
     assert got.coords(((ZERO, ZERO), (ZERO, ONE)), 0) == ref_eps_coords(eps, ZERO, ONE)
-    assert got.basis_identities().ok
+    assert got.basis_identities().ok and looped_identities(got).ok
 
 
 @given(st.data())
@@ -977,6 +986,42 @@ def test_the_suite_reads_off_rebased_and_trivial_systems(plus_system, clifford_k
         assert items == [(item.name, item.passed)
                          for item in ref_verify_twisting_suite(system).items]
         assert all(passed for _, passed in items)
+
+
+def test_the_l_identities_hold_by_construction(monkeypatch):
+    """A basis as constructed, of M_2(k) or of k x k, passes its three l
+    identities with no coefficient of l read; its l cannot be changed in
+    place.  Once l or gamma is replaced the loops run: they pass on an
+    equal copy of either, and fail on each coefficient of l or gamma moved
+    by 1 or -1, but for the 4 moves of eps_2 eps_2 on k x k, which leave
+    the structure tensor of k[x]/(x^2 - a - b x), unital and associative."""
+    reads = []
+    real = GradedBasisM2.lval
+    monkeypatch.setattr(GradedBasisM2, "lval",
+                        lambda basis, *key: reads.append(key) or real(basis, *key))
+    failed = Counter()
+    for make in (standard_basis_m2, lambda: EPSILON_BASIS):
+        basis = make()
+        reads.clear()
+        assert basis.basis_identities().ok and not reads
+        with pytest.raises(TypeError):
+            basis.l[next(iter(basis.l))] = ONE
+        built_l, built_gamma = basis.l, basis.gamma
+        for l, gamma in ((dict(built_l), built_gamma), (built_l, tuple(list(built_gamma)))):
+            basis.l, basis.gamma = l, gamma
+            reads.clear()
+            assert basis.basis_identities().ok and reads
+        for delta in (ONE, MINUS_ONE):
+            for key in sorted(built_l):
+                basis.l, basis.gamma = {**built_l, key: built_l[key] + delta}, built_gamma
+                failed["l", basis.basis_identities().ok] += 1
+            for k in (0, 1):
+                moved = list(built_gamma)
+                moved[k] += delta
+                basis.l, basis.gamma = built_l, tuple(moved)
+                failed["gamma", basis.basis_identities().ok] += 1
+    assert failed == {("l", False): 2 * (32 + 8) - 4, ("l", True): 4,
+                      ("gamma", False): 2 * 4}, failed
 
 
 def test_a_hand_set_l_is_only_rejected_more_often(plus_system):
