@@ -34,7 +34,9 @@ def parse_scalar(text):
         # bool is an int subclass, but a JSON true/false is not a scalar
         if isinstance(text, int) and not isinstance(text, bool):
             return Scalar(text)
-        raise ParseError(f"scalar must be a string, got {text!r}")
+        shown = repr(text)
+        raise ParseError("scalar must be a string, got "
+                         + (shown if len(shown) <= 40 else _quote_input(shown)))
     return Scalar.parse(text)
 
 
@@ -104,8 +106,8 @@ def parse_double_ore(doc):
                 if src not in presentation.generators:
                     raise ParseError(f"unknown generator {_quote_input(src)} in sigma {key}")
                 col = cols[presentation.index_of(src)]
-                for dst, coeff in _expect(image, dict,
-                                          f"sigma {key} image of {src}").items():
+                what = f"sigma {key} image of {_quote_input(src)}"
+                for dst, coeff in _expect(image, dict, what).items():
                     if dst not in presentation.generators:
                         raise ParseError(
                             f"unknown generator {_quote_input(dst)} in sigma {key}")

@@ -5,9 +5,11 @@ system on one fixed graded basis, so no ``nqh`` command changes that basis
 or normalizes theta(1).  These are the constructions the tests check those
 lemmas with (acceptance criterion 8 and the twist suites): the plain matrix
 product and the trivial system on any graded basis, the normalization of
-the unit values and the transport to another graded basis.  Next to them
-are the checks that the program replaced by cheaper certificates and that
-the tests keep as references: the homomorphism identity of a map
+the unit values and the transport to another graded basis, and a basis
+fake whose l and gamma are set by hand.  Next to them
+are the checks that the program replaced by cheaper certificates or by
+proofs and that the tests keep as references: the three identities of a
+basis's structure tensor l by loops, the homomorphism identity of a map
 E -> M_2(E) on every basis pair, the module identity on every triple, the
 normal form bounded by a rewriting system's confluence degree, the
 twisted table formed block by block, the twisting suite's gamma identities
@@ -129,6 +131,55 @@ def verify_module(module):
                 if module.act(row, {j: ONE}) != module.act({r: ONE}, product):
                     return False
     return True
+
+
+def ref_basis_identities(basis):
+    """The relations of l over ``basis.halves``, with gamma the coordinates
+    of the identity, by loops: l-associativity, the coordinate form of
+    (I(i)_j I(i')_j') I(i'')_j'' = I(i)_j (I(i')_j' I(i'')_j''), and
+    l-right-unit and l-left-unit, those of I(i)_j 1 = I(i)_j = 1 I(i)_j.
+    ``GradedBasisM2`` proves all three of the l and gamma it computes."""
+    lval, halves, gamma = basis.lval, basis.halves, basis.gamma
+    report = Report()
+    report.add("l-associativity", all(
+        sum((lval(i, ip + ipp, t, j, s) * lval(ip, ipp, s, jp, jpp)
+             for s in (1, 2)), start=ZERO)
+        == sum((lval(i + ip, ipp, t, s, jpp) * lval(i, ip, s, j, jp)
+                for s in (1, 2)), start=ZERO)
+        for i in halves for ip in halves for ipp in halves
+        for j in (1, 2) for jp in (1, 2) for jpp in (1, 2) for t in (1, 2)))
+    report.add("l-right-unit", all(
+        sum((lval(i, 0, s, j, t) * gamma[t - 1] for t in (1, 2)), start=ZERO)
+        == (ONE if s == j else ZERO)
+        for i in halves for s in (1, 2) for j in (1, 2)))
+    report.add("l-left-unit", all(
+        sum((lval(0, i, s, j, t) * gamma[j - 1] for j in (1, 2)), start=ZERO)
+        == (ONE if s == t else ZERO)
+        for i in halves for s in (1, 2) for t in (1, 2)))
+    return report
+
+
+class HandSetBasis:
+    """A test fake of ``GradedBasisM2`` whose ``l`` and ``gamma`` are given
+    rather than solved from matrices: the structure tensors that no
+    invertible graded basis has, such as one with a coefficient moved, or
+    that of a basis ``GradedBasisM2`` rejects.  It carries what the
+    twisting verifiers and ``ref_basis_identities`` read."""
+
+    def __init__(self, halves, l, gamma):
+        self.halves, self.l, self.gamma = halves, l, gamma
+
+    def lval(self, i, ip, s, j, jp):
+        return self.l[(i % 2, ip % 2, s, j, jp)]
+
+
+def idempotent_basis():
+    """The idempotent basis diag(1, 0), diag(0, 1) of k x k, which
+    ``GradedBasisM2`` rejects as singular: eps_j eps_j' = delta_jj' eps_j
+    and 1 = eps_1 + eps_2."""
+    l = {(0, 0, s, j, jp): ONE if s == j == jp else ZERO
+         for s, j, jp in itertools.product((1, 2), repeat=3)}
+    return HandSetBasis((0,), l, (ONE, ONE))
 
 
 def L_matrix(basis, i, ip, j):

@@ -46,6 +46,7 @@ HOSTILE_INPUTS = {
         {"generators": [f"x{k}" for k in range(1, 17)], "relations": []})),
     "long-word-key": ("check-presentation", json.dumps(
         {"generators": ["x1", "x2"], "relations": [{"x1 " + "y" * 3000: "1"}]})),
+    "list-scalar": ("double-ore", json.dumps({**EX_4_10, "p11": list(range(3000))})),
 }
 
 
@@ -61,8 +62,9 @@ def test_hostile_input_exits_2_fast(nqh_env, tmp_path, command, text):
     expanded; a 5,000-digit scalar and an integer literal past CPython's
     4,300-digit limit, each quoted whole, the integer with advice for
     programs; 16 free generators, whose degree-6 component has 16^6
-    words; and a relation whose 3,003-character word key was quoted
-    whole.  Each must exit 2 with an error line under 200 bytes, in 10 s
+    words; a relation whose 3,003-character word key was quoted whole;
+    and a p11 given as a list of 3,000 numbers, printed whole.  Each must
+    exit 2 with an error line under 200 bytes, in 10 s
     and 1 GB of address space."""
     (tmp_path / "hostile.json").write_text(text)
     run = subprocess.run([sys.executable, "-m", "nqh", command, "hostile.json"],

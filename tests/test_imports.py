@@ -2,7 +2,8 @@
 process-wide cache, only ``exactlin`` reduces a vector against a subspace's
 basis, no module keeps a dense matrix table layer, ``knorrer`` scans no
 product for strong grading, ``restrict`` builds only the eigenspace
-subalgebra, only ``GradedAlgebra``'s methods read a structure table, no
+subalgebra, only ``GradedAlgebra``'s methods read a structure table, only
+the twisting verifiers fill a twisting system's verified fields, no
 module holds an ``assert`` statement, every definition is reached from the
 command line, and every name the bench tracer patches resolves to a
 function of its own.
@@ -259,6 +260,61 @@ def test_the_check_finds_a_table_read():
 def test_only_graded_algebra_reads_its_table():
     found = [(path.name, line) for path in sorted(PACKAGE.glob("*.py"))
              for line in table_reads(path.read_text())]
+    assert found == []
+
+
+VERIFIER_FIELDS = ("t_inverses", "twisted", "certificate", "generators", "exchange_ok")
+VERIFIERS = ("verify_twisting_M2", "verify_twisting_prod", "_certify_exchange")
+
+
+def verifier_field_writes(source, module):
+    """The line numbers at which ``source``, the module file ``module``,
+    sets or deletes an attribute named like a field that the twisting
+    verifiers fill, by assignment or by ``setattr``, outside those
+    verifiers in ``twist.py``.  A twisting system is fixed once verified,
+    so nothing else may write them.  ``self.<name>`` in a method of a class
+    other than ``TwistingSystemM2`` is that class's own attribute (such as
+    ``QuadraticPresentation.generators``), and is allowed."""
+    tree = ast.parse(source)
+    allowed = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.FunctionDef) and module == "twist.py"
+                and node.name in VERIFIERS):
+            allowed.update(id(sub) for sub in ast.walk(node))
+        elif isinstance(node, ast.ClassDef) and node.name != "TwistingSystemM2":
+            allowed.update(id(sub) for sub in ast.walk(node)
+                           if isinstance(sub, ast.Attribute)
+                           and getattr(sub.value, "id", None) == "self")
+    found = set()
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if (isinstance(node, ast.Attribute) and node.attr in VERIFIER_FIELDS
+                and isinstance(node.ctx, (ast.Store, ast.Del))):
+            found.add(node.lineno)
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setattr"
+              and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+              and node.args[1].value in VERIFIER_FIELDS):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_the_check_finds_a_verifier_field_write():
+    source = ("def verify_twisting_M2(system):\n    system.t_inverses = ()\n"
+              "def run(system):\n    system.twisted = None\n"
+              "    n, system.generators = 1, [0]\n"
+              "class QuadraticPresentation:\n"
+              "    def __init__(self, generators):\n        self.generators = generators\n"
+              "class TwistingSystemM2:\n    def reset(self):\n        del self.certificate\n"
+              "setattr(system, 'exchange_ok', True)\n"
+              "ok = system.exchange_ok or system.twisted\n")
+    assert verifier_field_writes(source, "twist.py") == [4, 5, 11, 12]
+    assert verifier_field_writes(source, "knorrer.py") == [2, 4, 5, 11, 12]
+
+
+def test_only_the_twisting_verifiers_fill_a_system():
+    found = [(path.name, line) for path in sorted(PACKAGE.glob("*.py"))
+             for line in verifier_field_writes(path.read_text(), path.name)]
     assert found == []
 
 

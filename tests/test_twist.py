@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference_constructions import (
+    HandSetBasis,
     L_matrix,
     matrix_inverse,
     normalize_upsilon,
     plain_m2,
     rebase_omega,
+    ref_basis_identities,
     ref_verify_twisting_suite,
     trivial_system,
 )
@@ -78,18 +80,9 @@ def plus_system(clifford_km1, double_ore_class_z):
     return system
 
 
-def looped_identities(basis):
-    """``basis.basis_identities()`` with its loops run, on a copy of the
-    basis whose l is replaced by an equal dict, so the report is the loops'
-    and not the construction's."""
-    copy = GradedBasisM2(basis.mats)
-    copy.l, copy.gamma = dict(basis.l), basis.gamma
-    return copy.basis_identities()
-
-
 def test_standard_basis_tensors():
     basis = standard_basis_m2()
-    assert basis.basis_identities().ok and looped_identities(basis).ok
+    assert ref_basis_identities(basis).ok
     assert basis.gamma == (ONE, ZERO)
     ident = [[ONE, ZERO], [ZERO, ONE]]
     for i in (0, 1):
@@ -121,7 +114,7 @@ def test_random_bases_satisfy_tensor_identities():
     rng = random.Random(2024)
     for _ in range(10):
         basis = random_graded_basis(rng)
-        assert basis.basis_identities().ok and looped_identities(basis).ok
+        assert ref_basis_identities(basis).ok
 
 
 def test_degenerate_basis_rejected():
@@ -470,7 +463,7 @@ def test_basis_coordinates_match_the_hand_solves(data):
         assert got is SingularBasis
     else:
         assert (got.gamma, got.l) == want
-        assert got.basis_identities().ok and looped_identities(got).ok
+        assert ref_basis_identities(got).ok
     eps = [(data.draw(SCALARS), data.draw(SCALARS)) for _ in (1, 2)]
     got = _outcome(lambda: diagonal_basis(*eps))
     want = _outcome(lambda: ref_product_l_tensor(eps))
@@ -481,7 +474,7 @@ def test_basis_coordinates_match_the_hand_solves(data):
     assert got.gamma == ref_eps_coords(eps, ONE, ONE)
     assert got.coords(((ONE, ZERO), (ZERO, ZERO)), 0) == ref_eps_coords(eps, ONE, ZERO)
     assert got.coords(((ZERO, ZERO), (ZERO, ONE)), 0) == ref_eps_coords(eps, ZERO, ONE)
-    assert got.basis_identities().ok and looped_identities(got).ok
+    assert ref_basis_identities(got).ok
 
 
 @given(st.data())
@@ -895,7 +888,7 @@ def test_each_verifier_rejects_a_system_of_the_other_kind(plus_system):
     for verify in (verify_twisting_M2, verify_twisting_suite):
         with pytest.raises(NotTwistingSystem, match=r"not \(0, 1\)"):
             verify(prod)
-    m2 = dataclasses.replace(plus_system, t_inverses=None)
+    m2 = dataclasses.replace(plus_system)   # unverified: no field a verifier fills
     with pytest.raises(NotTwistingSystem, match=r"not \(0,\)"):
         verify_twisting_prod(m2)
     mismatched = (dataclasses.replace(m2, theta=m2.theta[:1]),
@@ -907,26 +900,19 @@ def test_each_verifier_rejects_a_system_of_the_other_kind(plus_system):
                 verify(system)
 
 
-def test_each_verifier_evaluates_the_l_identities_once(plus_system, monkeypatch):
-    """verify_twisting_M2 reports the l identities and hands the same
-    verdict to _certify_exchange; verify_twisting_prod evaluates them only
-    for it."""
-    from nqh.twist import GradedBasisM2
-
+def test_each_verifier_takes_the_l_identities_from_the_basis(plus_system):
+    """The l identities hold by construction for every ``GradedBasisM2``:
+    verify_twisting_M2 reports them passed and verify_twisting_prod has no
+    item for them, and the loops of ``ref_basis_identities`` pass on both
+    systems' bases."""
     prod = knorrer.run_minus_case(*parse_double_ore(EX_5_9)).theta_prod
-    calls = []
-    real = GradedBasisM2.basis_identities
-
-    def counting(basis):
-        calls.append(basis)
-        return real(basis)
-
-    monkeypatch.setattr(GradedBasisM2, "basis_identities", counting)
-    m2 = dataclasses.replace(plus_system, t_inverses=None)
-    for verify, system in ((verify_twisting_M2, m2), (verify_twisting_prod, prod)):
-        calls.clear()
-        assert verify(system).ok
-        assert calls == [system.basis]
+    m2_items = verify_twisting_M2(dataclasses.replace(plus_system)).items
+    prod_items = verify_twisting_prod(dataclasses.replace(prod)).items
+    assert all(item.passed for item in m2_items + prod_items)
+    assert m2_items[0].name == "basis-identities"
+    assert "basis-identities" not in [item.name for item in prod_items]
+    for system in (plus_system, prod):
+        assert ref_basis_identities(system.basis).ok
 
 
 def test_semitrivial_mu_rejects_a_shear(clifford_km1):
@@ -988,68 +974,77 @@ def test_the_suite_reads_off_rebased_and_trivial_systems(plus_system, clifford_k
         assert all(passed for _, passed in items)
 
 
-def test_the_l_identities_hold_by_construction(monkeypatch):
-    """A basis as constructed, of M_2(k) or of k x k, passes its three l
-    identities with no coefficient of l read; its l cannot be changed in
-    place.  Once l or gamma is replaced the loops run: they pass on an
-    equal copy of either, and fail on each coefficient of l or gamma moved
-    by 1 or -1, but for the 4 moves of eps_2 eps_2 on k x k, which leave
-    the structure tensor of k[x]/(x^2 - a - b x), unital and associative."""
-    reads = []
-    real = GradedBasisM2.lval
-    monkeypatch.setattr(GradedBasisM2, "lval",
-                        lambda basis, *key: reads.append(key) or real(basis, *key))
+def test_the_l_identities_hold_by_construction():
+    """A basis as constructed, of M_2(k) or of k x k, passes the three l
+    identities of ``ref_basis_identities``, and its l and gamma can be
+    neither replaced nor changed in place.  The loops pass on a fake basis
+    that carries an equal copy of l or gamma, and fail on each coefficient
+    of l or gamma moved by 1 or -1, but for the 4 moves of eps_2 eps_2 on
+    k x k, which leave the structure tensor of k[x]/(x^2 - a - b x), unital
+    and associative."""
     failed = Counter()
-    for make in (standard_basis_m2, lambda: EPSILON_BASIS):
-        basis = make()
-        reads.clear()
-        assert basis.basis_identities().ok and not reads
+    for basis in (standard_basis_m2(), EPSILON_BASIS):
+        assert ref_basis_identities(basis).ok
         with pytest.raises(TypeError):
             basis.l[next(iter(basis.l))] = ONE
         built_l, built_gamma = basis.l, basis.gamma
-        for l, gamma in ((dict(built_l), built_gamma), (built_l, tuple(list(built_gamma)))):
-            basis.l, basis.gamma = l, gamma
-            reads.clear()
-            assert basis.basis_identities().ok and reads
+        for name, value in (("l", dict(built_l)), ("gamma", built_gamma)):
+            with pytest.raises(AttributeError):
+                setattr(basis, name, value)
+        assert (basis.l, basis.gamma) == (built_l, built_gamma)
+
+        def identities(l, gamma, halves=basis.halves):
+            return ref_basis_identities(HandSetBasis(halves, l, gamma)).ok
+
+        assert identities(dict(built_l), built_gamma)
+        assert identities(built_l, tuple(list(built_gamma)))
         for delta in (ONE, MINUS_ONE):
             for key in sorted(built_l):
-                basis.l, basis.gamma = {**built_l, key: built_l[key] + delta}, built_gamma
-                failed["l", basis.basis_identities().ok] += 1
+                failed["l", identities({**built_l, key: built_l[key] + delta},
+                                       built_gamma)] += 1
             for k in (0, 1):
                 moved = list(built_gamma)
                 moved[k] += delta
-                basis.l, basis.gamma = built_l, tuple(moved)
-                failed["gamma", basis.basis_identities().ok] += 1
+                failed["gamma", identities(built_l, tuple(moved))] += 1
     assert failed == {("l", False): 2 * (32 + 8) - 4, ("l", True): 4,
                       ("gamma", False): 2 * 4}, failed
 
 
-def test_a_hand_set_l_is_only_rejected_more_often(plus_system):
-    """Each coefficient of the standard basis's l, moved by 1 or -1, under
-    the paper's plus tables and the trivial ones.  The moved l fails its
-    identities, on which the gamma-absorption proof rests, so the suite may
-    reject where the loops accept, but no item passes where the loop's
-    fails.  The loops accept 52 of the 128 systems, which the suite
-    rejects."""
-    E = plus_system.algebra
-    verdicts = Counter()
-    for key in sorted(standard_basis_m2().l):
-        for delta in (ONE, MINUS_ONE):
-            basis = standard_basis_m2()
-            basis.l = {**basis.l, key: basis.l[key] + delta}
-            assert not basis.basis_identities().ok
-            for kind, theta in (("plus", plus_system.theta),
-                                ("trivial", trivial_system(E, basis).theta)):
-                system = TwistingSystemM2(E, theta, basis)
-                verify_twisting_M2(system)
-                ours = verify_twisting_suite(system)
-                theirs = ref_verify_twisting_suite(system)
-                assert all(b.passed or not a.passed
-                           for a, b in zip(ours.items, theirs.items, strict=True))
-                verdicts[kind, ours.ok, theirs.ok] += 1
-    assert verdicts == {("plus", False, False): 60, ("plus", False, True): 4,
-                        ("trivial", False, False): 16,
-                        ("trivial", False, True): 48}, verdicts
+def test_every_basis_the_program_builds_passes_the_reference_identities(
+        clifford_km1):
+    """The differential of the proof in ``GradedBasisM2``: the loops of
+    ``ref_basis_identities`` pass on the bases the commands build, the
+    plus case's standard basis, the minus case's (1, 1), (1, -1) and the
+    basis that ``parse_twist_file`` reads from the CLI test's twist
+    document.  The random graded bases run them in
+    test_random_bases_satisfy_tensor_identities and in acceptance
+    criterion 8."""
+    from test_cli import _twist_doc
+
+    from nqh.formats import parse_twist_file
+
+    minus = knorrer.run_minus_case(*parse_double_ore(EX_5_9)).theta_prod.basis
+    read, _ = parse_twist_file(_twist_doc(clifford_km1.algebra.labels))
+    bases = [standard_basis_m2(), minus, read.basis]
+    assert [basis.halves for basis in bases] == [(0, 1), (0,), (0, 1)]
+    for basis in bases:
+        assert ref_basis_identities(basis).ok
+
+
+def test_a_twisting_system_is_fixed_once_built(plus_system):
+    """The fields the verifiers fill are not constructor arguments:
+    ``dataclasses.replace`` refuses each of them, and a replaced system
+    starts unverified, with the algebra, theta and basis it was given."""
+    for name in ("t_inverses", "twisted", "certificate", "generators", "exchange_ok"):
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(plus_system, **{name: getattr(plus_system, name)})
+        with pytest.raises(TypeError):
+            TwistingSystemM2(plus_system.algebra, plus_system.theta, plus_system.basis,
+                             **{name: None})
+    fresh = dataclasses.replace(plus_system)
+    assert (fresh.algebra, fresh.theta, fresh.basis) == (
+        plus_system.algebra, plus_system.theta, plus_system.basis)
+    assert fresh.t_inverses is fresh.certificate is fresh.exchange_ok is None
 
 
 def test_the_gamma_items_need_scalar_values_at_1():
@@ -1078,38 +1073,28 @@ def test_the_gamma_items_need_scalar_values_at_1():
 
 
 def test_the_suite_verifies_a_system_that_carries_no_certificate(plus_system):
-    """A system given its t-inverses but not verified carries none of the
-    verdicts that the suite reads: the suite verifies it first."""
-    bare = TwistingSystemM2(plus_system.algebra, plus_system.theta,
-                            plus_system.basis, t_inverses=plus_system.t_inverses)
+    """A system built but not verified carries none of the verdicts that
+    the suite reads: the suite verifies it first."""
+    bare = TwistingSystemM2(plus_system.algebra, plus_system.theta, plus_system.basis)
     assert verify_twisting_suite(bare).ok
     assert bare.certificate.ok and bare.exchange_ok
 
 
-def test_the_suite_rechecks_only_swapped_t_inverses(clifford_km1, double_ore_class_z,
-                                                   monkeypatch):
-    """verify_twisting_M2 keeps the tuple of t-inverses that
-    t_inverse_table checked, so the suite of a verified plus system, and of
-    each plus run of the registry, makes no is_t_inverse call.  A system
-    whose t_inverses were swapped, for an equal copy or for a mutant, is
-    checked again, and the mutant fails theta-phi-exchange."""
-    from nqh import twist
+def test_the_suite_checks_no_t_inverse_again(clifford_km1, double_ore_class_z,
+                                             monkeypatch):
+    """verify_twisting_M2 keeps the t-inverses that t_inverse_table solved
+    and checked, one is_t_inverse call per table, and no code swaps them,
+    so the suite of a verified plus system makes no is_t_inverse call, and
+    ``nqh.twist`` does not import it."""
+    from nqh import algebra, twist
 
     calls = []
-    real = twist.is_t_inverse
-    monkeypatch.setattr(twist, "is_t_inverse",
+    real = algebra.is_t_inverse
+    monkeypatch.setattr(algebra, "is_t_inverse",
                         lambda theta, phi: calls.append(phi) or real(theta, phi))
     system = paper_plus_system(clifford_km1, double_ore_class_z)
     assert verify_twisting_M2(system).ok
-    assert verify_twisting_suite(system).ok and calls == []
-    for scenario_id in ("ex-4.10", "ex-4.9-1", "ex-4.9-2"):
-        assert run_scenario(scenario_id).ok and calls == [], scenario_id
-    copy = dataclasses.replace(system, t_inverses=tuple(list(system.t_inverses)))
-    assert verify_twisting_suite(copy).ok and len(calls) == 2
-    phi0, phi1 = system.t_inverses
-    doubled = MatrixHom([[phi0.entry(1, 1).scale(Scalar(2)), phi0.entry(1, 2)],
-                         [phi0.entry(2, 1), phi0.entry(2, 2)]])
+    assert [id(phi) for phi in calls] == [id(phi) for phi in system.t_inverses]
     calls.clear()
-    report = verify_twisting_suite(dataclasses.replace(system, t_inverses=(doubled, phi1)))
-    assert calls == [doubled]
-    assert [item.name for item in report.items if not item.passed][0] == "theta-phi-exchange"
+    assert verify_twisting_suite(system).ok and calls == []
+    assert not hasattr(twist, "is_t_inverse")
