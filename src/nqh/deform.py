@@ -201,6 +201,14 @@ def build_clifford(presentation, lift):
     the pairing with z x_k - x_k z, for z the lift, so it vanishes on M
     exactly when z x_k - x_k z lies in M^perp = I_3 for every generator:
     when z is central in A_3.
+
+    Strong grading, E_1 E_1 = E_0, is read off one product once the table
+    is certified, when a letter a has e_a e_a = c 1 with c != 0
+    (``unit_square_letter``).  Proof.  For x in E_0, e_a x lies in E_1 by
+    the grading item, and e_a (c^-1 e_a x) = x by associativity, so
+    E_0 = e_a (e_a E_0) lies in E_1 E_1, which lies in E_0 by the grading
+    item.  That is ``strongly_graded_check``'s verdict, and its rank pass
+    runs only when no letter is such a witness.
     """
     if not check_central(presentation, lift):
         raise CompatibilityFailed("the lift is not central")
@@ -208,12 +216,20 @@ def build_clifford(presentation, lift):
     theta_values, deformed = clifford_theta(dual, lift)
     out = complete_deformation(dual, deformed, lift, theta_values)
     out.algebra = extract_algebra(out.system, out.words)
-    if not strongly_graded_check(out.algebra):
-        raise DimensionMismatch("deformation is not strongly Z2-graded")
     report = verify_algebra(out.algebra, out.system)
     if not report.ok:
         raise DimensionMismatch(f"oracle output invalid: {report.first_failure()}")
+    if unit_square_letter(out.algebra) is None and not strongly_graded_check(out.algebra):
+        raise DimensionMismatch("deformation is not strongly Z2-graded")
     return out
+
+
+def unit_square_letter(E):
+    """The index of the first letter a of E's words with e_a e_a = c 1 and
+    c != 0, or None; E's unit is e_()."""
+    one = E.words.index(())
+    return next((k for k, w in enumerate(E.words) if len(w) == 1
+                 and E.row(k)[k].keys() == {one} and E.row(k)[k][one]), None)
 
 
 # ---------------------------------------------------------------------------

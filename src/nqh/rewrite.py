@@ -241,10 +241,11 @@ def extract_algebra(system, words):
     ``normal_words`` enumerates them, graded by word-length parity.
 
     Only the rows of 1 and of the letters, e_a e_v = NF(a v), are
-    rewritten.  The row of a longer word a u' is the letter row L_a applied
-    to the row of u', which comes earlier in deglex order: confluence up to
-    twice the longest word makes that NF(a NF(u' v)) = NF(a u' v)."""
-    from .algebra import GradedAlgebra, apply_row
+    rewritten.  The row of a longer word a u' is formed by the letter rule,
+    L_a applied to the row of u', when it is first read
+    (``algebra.LetterRuleRows``): confluence up to twice the longest word
+    makes that NF(a NF(u' v)) = NF(a u' v)."""
+    from .algebra import GradedAlgebra, LetterRuleRows
 
     if 2 * max(map(len, words)) > system.confluent_up_to:
         raise NotConfluent("products of normal words exceed the confluence bound")
@@ -261,13 +262,9 @@ def extract_algebra(system, words):
             raise NotConfluent("normal form left the normal-word basis")
         return k
 
-    table = []
-    for w in words:
-        if len(w) < 2:
-            table.append([{position(u): c for u, c in system._nf_word(w + v).terms.items()}
-                          for v in words])
-        else:
-            letter_row = table[position(w[:1])]
-            table.append([apply_row(letter_row, vec) for vec in table[position(w[1:])]])
+    short = {i: [{position(u): c for u, c in system._nf_word(w + v).terms.items()}
+                 for v in words]
+             for i, w in enumerate(words) if len(w) < 2}
     unit = {index[()]: ONE}
-    return GradedAlgebra(labels, table, unit, degrees, 1, words=words)
+    return GradedAlgebra(labels, LetterRuleRows(words, short), unit, degrees, 1,
+                         words=words)

@@ -734,6 +734,44 @@ def test_rule_certificate_mutants_report_as_verify_algebra(base_deformations):
     assert +failed == {"letter-row": 36, "built-row": 36, "rule-extracted": 18}
 
 
+def test_only_a_letter_rule_table_on_its_own_words_skips_check_c(base_deformations):
+    """Every base deformation's table is formed by the letter rule on its
+    words, and so is its regrading's; a copy as a list of rows, or the same
+    table under its words with two swapped, gets check (c) on every word."""
+    rng = random.Random("letter-rule-words")
+    for name, E, _ in base_deformations:
+        swapped = list(E.words)
+        i, j = rng.sample(range(1, E.dim), 2)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        assert E.by_letter_rule and E.regrade(E.degrees, 1).by_letter_rule, name
+        assert not _with(E, table=list(E.table)).by_letter_rule, name
+        assert not _with(E, words=swapped).by_letter_rule, name
+
+
+def test_rule_extracted_mutants_of_the_dim32_bases_report_as_the_full_scan(
+        base_deformations):
+    """The tables extracted from a copy of the rules of each presentations
+    base (dim 32) with one right-hand side bumped are formed by the letter
+    rule, so the rule certificate checks (c) on their letters alone; each
+    gets verify_algebra's report, item for item.  The 5 that pass bump
+    x_i x_i -> 1 to 2: the Clifford algebra of another form."""
+    failed = Counter()
+    for name, E, system in base_deformations:
+        if not name.startswith("presentations:"):
+            continue
+        rng = random.Random(f"rule-certificate:{name}")
+        for _ in range(3):
+            lhs = rng.choice(sorted(system.rules))
+            word = rng.choice(sorted(system.rules[lhs].terms) + [()])
+            bumped = _rule_bumped(system, lhs, word)
+            algebra = extract_algebra(bumped, E.words)
+            assert algebra.dim == 32 and algebra.by_letter_rule, name
+            got, expected = _certificate_items(algebra, bumped)
+            assert got == expected and list(algebra.table) != list(E.table), name
+            failed[name] += not all(item.passed for item in expected)
+    assert failed == {"presentations:1": 1, "presentations:2": 2, "presentations:3": 1}
+
+
 def _stopped_by_one_check(check, base_deformations):
     """(table, rules) that pass the unit item and every check of the rule
     certificate but ``check``, and are not associative.  (a) The free

@@ -530,6 +530,96 @@ def test_registry_report_bytes_match_recorded_digest(capsys, scenario_id):
             == REGISTRY_DIGESTS[scenario_id])
 
 
+# sha256 of the stdout of ``nqh [--json] clifford BASE [--dump-rules]`` on the
+# presentations bases of seeds 1-3 and the big:4-big:6 bases: how E's table
+# is formed and certified must not change a byte
+CLIFFORD_DIGESTS = {
+    "presentations:1":
+        "dcd5faf4fbcbe55e212fe936f1653e5541ee0e908bd36b94ebdcdc276748f3e0",
+    "presentations:1 --dump-rules":
+        "f7261123bef75bd12b00563716ce2560a1b6b97ffac000b48f79109ac25cc3fc",
+    "presentations:1 --json":
+        "95d805bda01784396606a9847a985e7b5edf316c6eef28dc8ffc7bbe3b531cf4",
+    "presentations:1 --json --dump-rules":
+        "95d805bda01784396606a9847a985e7b5edf316c6eef28dc8ffc7bbe3b531cf4",
+    "presentations:2":
+        "dcd5faf4fbcbe55e212fe936f1653e5541ee0e908bd36b94ebdcdc276748f3e0",
+    "presentations:2 --dump-rules":
+        "9c63e7918f8136943381655425f1a6f60710133916aad0ef638a4c72a6c9679a",
+    "presentations:2 --json":
+        "95d805bda01784396606a9847a985e7b5edf316c6eef28dc8ffc7bbe3b531cf4",
+    "presentations:2 --json --dump-rules":
+        "95d805bda01784396606a9847a985e7b5edf316c6eef28dc8ffc7bbe3b531cf4",
+    "presentations:3":
+        "dcd5faf4fbcbe55e212fe936f1653e5541ee0e908bd36b94ebdcdc276748f3e0",
+    "presentations:3 --dump-rules":
+        "b34403cab1676dece631911b8634d2293277052a219c6e002e1853c28cd7e0f4",
+    "presentations:3 --json":
+        "95d805bda01784396606a9847a985e7b5edf316c6eef28dc8ffc7bbe3b531cf4",
+    "presentations:3 --json --dump-rules":
+        "95d805bda01784396606a9847a985e7b5edf316c6eef28dc8ffc7bbe3b531cf4",
+    "big:4":
+        "a2fe9091dc984a789de89eba30e536c770113af166d3484ea0d94b2eecc42159",
+    "big:4 --dump-rules":
+        "75fb1d5741608db943e2567961495e61290a447a7c9f17c91cf6d64f2c6721aa",
+    "big:4 --json":
+        "b3b3f34c6871a9a59dd2c345f6eb599762eba68a56807a51cd45fe331bec7165",
+    "big:4 --json --dump-rules":
+        "b3b3f34c6871a9a59dd2c345f6eb599762eba68a56807a51cd45fe331bec7165",
+    "big:5":
+        "dcd5faf4fbcbe55e212fe936f1653e5541ee0e908bd36b94ebdcdc276748f3e0",
+    "big:5 --dump-rules":
+        "edeedf1373c55fa513df14e99237432d589d542f23ddb62444de7e59c379bf9f",
+    "big:5 --json":
+        "95d805bda01784396606a9847a985e7b5edf316c6eef28dc8ffc7bbe3b531cf4",
+    "big:5 --json --dump-rules":
+        "95d805bda01784396606a9847a985e7b5edf316c6eef28dc8ffc7bbe3b531cf4",
+    "big:6":
+        "b1a85daf51b6c48403b7f215982faa79ac5344359292a3f7140b43f17f1582bb",
+    "big:6 --dump-rules":
+        "13dfd478e4019308c2731425f6a013480158ce477418ed14107fb8786ed2d787",
+    "big:6 --json":
+        "4ea8149012c3c75a3b9654f0d28101eeed310c5e5fe219cc615b6e61df6cd241",
+    "big:6 --json --dump-rules":
+        "4ea8149012c3c75a3b9654f0d28101eeed310c5e5fe219cc615b6e61df6cd241",
+}
+
+
+def _clifford_base(name):
+    """The base presentation document named ``presentations:<seed>`` or
+    ``big:<g>`` (the plus file's base)."""
+    kind, _, n = name.partition(":")
+    if kind == "presentations":
+        return json.loads(generate("presentations", int(n))["base.json"])
+    doc = skew_double_ore(random.Random(name), int(n), 1)
+    return {key: doc[key] for key in ("generators", "relations", "central")}
+
+
+@pytest.mark.parametrize("name", sorted({key.split()[0] for key in CLIFFORD_DIGESTS}))
+def test_clifford_report_bytes_match_recorded_digest(capsys, tmp_path, name):
+    path = tmp_path / "base.json"
+    path.write_bytes(encode(_clifford_base(name)))
+    for flags in ([], ["--json"]):
+        for dump in ([], ["--dump-rules"]):
+            assert main([*flags, "clifford", str(path), *dump]) == 0
+            out = capsys.readouterr().out
+            assert (hashlib.sha256(out.encode("utf-8")).hexdigest()
+                    == CLIFFORD_DIGESTS[" ".join([name, *flags, *dump])])
+
+
+def test_clifford_strong_grading_without_a_letter_witness(capsys, tmp_path):
+    """x1 x2 = x2 x1 deformed at z = x1 x2 + x2 x1 squares no letter to a
+    nonzero scalar and is strongly graded; at z = 0 it is not."""
+    doc = {"generators": ["x1", "x2"], "relations": [{"x1 x2": "1", "x2 x1": "-1"}]}
+    path = tmp_path / "commuting.json"
+    path.write_text(json.dumps({**doc, "central": {"x1 x2": "1", "x2 x1": "1"}}))
+    assert main(["clifford", str(path)]) == 0
+    assert "strongly graded: yes" in capsys.readouterr().out.splitlines()
+    path.write_text(json.dumps({**doc, "central": {}}))
+    assert main(["clifford", str(path)]) == 1
+    assert capsys.readouterr().err == "check failed: deformation is not strongly Z2-graded\n"
+
+
 def test_json_outputs_have_stable_key_order(capsys):
     assert main(["--json", "reproduce", "prop-5.1"]) == 0
     first = capsys.readouterr().out

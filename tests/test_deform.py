@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,7 +19,7 @@ from nqh.errors import (
     RelationViolated,
     WrongP,
 )
-from nqh import deform
+from nqh import algebra as algebra_module, deform
 from nqh.exactlin import (
     I,
     ONE,
@@ -431,3 +432,73 @@ def test_dual_relation_space_matches_block_assembly(double_ore_class_r,
         double_ore_class_r, z_lift,
         build_clifford(double_ore_class_r.base, z_lift))
     assert len(result.words) == 16
+
+
+def _clifford_inputs():
+    """(name, presentation, lift) of the presentations base of seed 1 and of
+    the plus and minus bases of skew3 seed 1."""
+    from nqh.formats import parse_double_ore, parse_presentation
+    from perfbench.workloads import generate
+
+    base = json.loads(generate("presentations", 1)["base.json"])
+    out = [("presentations:1", *parse_presentation(base))]
+    for name, blob in sorted(generate("skew3", 1).items()):
+        data, central = parse_double_ore(json.loads(blob))
+        out.append((f"skew3:1:{name}", data.base, central))
+    return out
+
+
+def test_build_clifford_derives_each_longer_row_once(monkeypatch):
+    """The row of each normal word a u' of length >= 2 is derived once, by
+    the letter rule, entry v as apply_row(row of a, entry v of the row of
+    u'); the rule certificate derives none of them again.  Each input has
+    a letter that squares to 1, so strongly_graded_check never runs."""
+    calls, scans = [], []
+    real = algebra_module.apply_row
+
+    def counted(row, vec):
+        calls.append((row, vec))
+        return real(row, vec)
+
+    monkeypatch.setattr(algebra_module, "apply_row", counted)
+    monkeypatch.setattr(deform, "strongly_graded_check", scans.append)
+    for name, presentation, lift in _clifford_inputs():
+        calls.clear()
+        E = build_clifford(presentation, lift).algebra
+        made = Counter((id(row), id(vec)) for row, vec in calls)
+        index = {w: i for i, w in enumerate(E.words)}
+        derived = [made[id(E.row(index[w[:1]])), id(vec)]
+                   for w in E.words if len(w) > 1 for vec in E.row(index[w[1:]])]
+        assert len(derived) > E.dim and set(derived) == {1}, name
+    assert scans == []
+
+
+def test_the_letter_square_witness_gives_the_rank_verdict(base_deformations):
+    """On every base deformation some letter squares to a nonzero scalar,
+    and strongly_graded_check agrees that E is strongly graded (proof in
+    ``build_clifford``)."""
+    for name, E, _ in base_deformations:
+        k = deform.unit_square_letter(E)
+        assert k is not None and len(E.words[k]) == 1, name
+        assert strongly_graded_check(E), name
+
+
+def test_strong_grading_without_a_letter_witness_runs_the_rank_check(monkeypatch):
+    """x1 x2 = x2 x1 deformed at z = x1 x2 + x2 x1 squares no letter to a
+    nonzero scalar (x1*^2 = x2*^2 = 0) yet is strongly graded, and at z = 0
+    is not: both verdicts come from strongly_graded_check."""
+    commuting = QuadraticPresentation(
+        ["x1", "x2"], [TensorElement({(0, 1): ONE, (1, 0): MINUS_ONE})])
+    verdicts = []
+
+    def scan(algebra):
+        verdicts.append(strongly_graded_check(algebra))
+        return verdicts[-1]
+
+    monkeypatch.setattr(deform, "strongly_graded_check", scan)
+    E = build_clifford(commuting, TensorElement({(0, 1): ONE, (1, 0): ONE})).algebra
+    assert deform.unit_square_letter(E) is None and verdicts == [True]
+    with pytest.raises(DimensionMismatch,
+                       match="^deformation is not strongly Z2-graded$"):
+        build_clifford(commuting, TensorElement())
+    assert verdicts == [True, False]
