@@ -35,12 +35,16 @@ from .quadratic import DEGREE_BOUND, check_central, hilbert_profile, koszul_dual
 from .twist import verify_twisting_M2
 
 
-def _emit(args, lines, payload):
+def _render(args, lines, payload):
+    """The report: the sorted, indented JSON payload with --json, else the
+    lines, each ended by a newline."""
     if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return "".join(line + "\n" for line in lines)
+
+
+def _emit(args, lines, payload):
+    sys.stdout.write(_render(args, lines, payload))
 
 
 def _degree_bound(args):
@@ -179,13 +183,10 @@ def cmd_knorrer(args):
         "isolated": report.isolated,
         "report": report.lines,
     }
-    text = "\n".join(lines) + "\n"
     if args.report:
-        body = (text if not args.json
-                else json.dumps(payload, indent=2, sort_keys=True) + "\n")
         try:
             with open(args.report, "w", encoding="utf-8") as handle:
-                handle.write(body)
+                handle.write(_render(args, lines, payload))
         except OSError as exc:
             raise ParseError(f"cannot write report: {exc}") from exc
     _emit(args, lines, payload)

@@ -26,7 +26,9 @@ Free-algebra elements (TensorElement) map words to scalars with no zero
 coefficients stored.  Every sparse vector of the package (a dict from keys
 to scalars) is summed by one in-place kernel, ``add_scaled``, which never
 stores a zero coefficient and adds or subtracts with no product when the
-coefficient is +-1.
+coefficient is +-1, so two vectors are compared by ``==``.  The one other
+sum is the hot loop ``quadratic._image``, whose rows only
+``SparseEliminator`` reads, and it drops zeros itself.
 
 All elimination runs in one loop, ``SparseEliminator``: incremental rank
 and membership on its row echelon rows, and, after back-substitution, the
@@ -525,15 +527,7 @@ class TensorElement:
         """Tensor-algebra product."""
         out = {}
         for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                word = w1 + w2
-                coeff = c1 * c2
-                acc = out.get(word)
-                acc = coeff if acc is None else acc + coeff
-                if acc:
-                    out[word] = acc
-                else:
-                    out.pop(word, None)
+            add_scaled(out, {w1 + w2: c2 for w2, c2 in other.terms.items()}, c1)
         result = TensorElement.__new__(TensorElement)
         result.terms = out
         return result

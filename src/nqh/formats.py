@@ -49,12 +49,13 @@ def _parse_word(key, presentation_names):
         raise ParseError(f"unknown generator in word {_quote_input(key)}") from exc
 
 
-def parse_tensor(obj, names, degree=None):
+def parse_tensor(obj, names):
+    """The degree-2 element whose words are the keys of ``obj``."""
     terms = {}
     for key, value in obj.items():
         word = _parse_word(key, names)
-        if degree is not None and len(word) != degree:
-            raise ParseError(f"word {_quote_input(key)} must have degree {degree}")
+        if len(word) != 2:
+            raise ParseError(f"word {_quote_input(key)} must have degree 2")
         if word in terms:
             raise ParseError(f"word {_quote_input(key)} is written twice")
         terms[word] = parse_scalar(value)
@@ -71,7 +72,12 @@ def parse_presentation(doc):
         raise ParseError("missing generators") from exc
     if not names or not all(isinstance(n, str) for n in names):
         raise ParseError("generators must be a nonempty list of names")
-    relations = [parse_tensor(_expect(rel, dict, "a relation"), names, degree=2)
+    for name in names:
+        # words are split on whitespace, so such a name could never be read
+        if name.split() != [name]:
+            raise ParseError(f"generator name {_quote_input(name)} is empty"
+                             " or holds whitespace")
+    relations = [parse_tensor(_expect(rel, dict, "a relation"), names)
                  for rel in _expect(doc.get("relations", []), list, "relations")]
     try:
         presentation = QuadraticPresentation(names, relations)
@@ -79,8 +85,7 @@ def parse_presentation(doc):
         raise ParseError(f"bad presentation: {exc}") from exc
     central = None
     if "central" in doc and doc["central"] is not None:
-        central = parse_tensor(_expect(doc["central"], dict, "central"), names,
-                               degree=2)
+        central = parse_tensor(_expect(doc["central"], dict, "central"), names)
     return presentation, central
 
 
@@ -217,17 +222,13 @@ def load_json(path):
 # serialization helpers
 
 
-def presentation_doc(presentation, central=None):
+def presentation_doc(presentation):
     names = presentation.generators
     rels = []
     for element in presentation.relation_elements():
         rels.append({" ".join(names[a] for a in word): coeff.text()
                      for word, coeff in element.items()})
-    doc = {"generators": list(names), "relations": rels}
-    if central is not None:
-        doc["central"] = {" ".join(names[a] for a in word): coeff.text()
-                          for word, coeff in central.items()}
-    return doc
+    return {"generators": list(names), "relations": rels}
 
 
 def algebra_summary(clifford):

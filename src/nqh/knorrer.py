@@ -42,7 +42,6 @@ from .algebra import (
     radical,
     restrict,
     vec_add,
-    vec_eq,
     vec_sub,
     verify_algebra,
     verify_iso,
@@ -156,10 +155,8 @@ def _xi_product_rules(xi1, xi2, th22, E, firsts):
         for b in range(E.dim):
             prod = E.mul(a, {b: ONE})
             a_xi2_b = E.mul(a, xi2.cols[b])
-            ok2 = ok2 and vec_eq(xi1.apply(prod),
-                                 vec_add(a_xi2_b, E.mul(xi1_a, th22.cols[b])))
-            ok3 = ok3 and vec_eq(xi2.apply(prod),
-                                 vec_add(a_xi2_b, E.mul(xi2_a, th22.cols[b])))
+            ok2 = ok2 and xi1.apply(prod) == vec_add(a_xi2_b, E.mul(xi1_a, th22.cols[b]))
+            ok3 = ok3 and xi2.apply(prod) == vec_add(a_xi2_b, E.mul(xi2_a, th22.cols[b]))
     return ok2, ok3
 
 
@@ -220,12 +217,11 @@ def _lemma46_suite(xi1, xi2, phi1, phi2, theta0, theta1, E):
             vb = E.basis_vec(b)
             xi1_b, xi2_b = xi1.cols[b], xi2.cols[b]
             phi1_b, phi2_b = phi1.cols[b], phi2.cols[b]
-            ok6 = (ok6 and vec_eq(phi1.apply(E.mul(xi1_a, vb)), E.mul(phi1_a, phi1_b))
-                   and vec_eq(phi1.apply(E.mul(va, xi1_b)),
-                              E.mul(phi1_a, phi1_xi1.cols[b]))
-                   and vec_eq(phi1.apply(E.mul(phi2_a, xi2_b)), E.mul(xi2_a, phi2_b)))
-            ok7 = (ok7 and vec_eq(phi2.apply(E.mul(xi2_a, vb)), E.mul(phi2_a, phi1_b))
-                   and vec_eq(phi2.apply(E.mul(phi1_a, xi2_b)), E.mul(xi1_a, phi2_b)))
+            ok6 = (ok6 and phi1.apply(E.mul(xi1_a, vb)) == E.mul(phi1_a, phi1_b)
+                   and phi1.apply(E.mul(va, xi1_b)) == E.mul(phi1_a, phi1_xi1.cols[b])
+                   and phi1.apply(E.mul(phi2_a, xi2_b)) == E.mul(xi2_a, phi2_b))
+            ok7 = (ok7 and phi2.apply(E.mul(xi2_a, vb)) == E.mul(phi2_a, phi1_b)
+                   and phi2.apply(E.mul(phi1_a, xi2_b)) == E.mul(xi1_a, phi2_b))
 
     report.add("xi1-phi1", xi1.compose(phi1) == th22.compose(phi1))
     report.add("phi1-xi1", phi1_xi1 == phi1)
@@ -568,7 +564,7 @@ def run_minus_case(data, lift):
     # t, the odd module copy of Gamma's unit, has t t = mu(1) 1 = 1 once
     # verify_iso(mu) passed, so ST_0 = t (t ST_0) lies in ST_1 ST_1
     t = {Gamma.dim + k: c for k, c in Gamma.unit.items()}
-    checks.add("semitrivial-strongly-graded", vec_eq(ST.mul(t, t), ST.unit))
+    checks.add("semitrivial-strongly-graded", ST.mul(t, t) == ST.unit)
 
     unit_index = E.words.index(())
     oracle = _oracle_step(

@@ -22,7 +22,6 @@ from .algebra import (
     radical,
     spin,
     vec_add,
-    vec_eq,
     vec_scale,
     vec_sub,
     verify_decomposition,
@@ -374,7 +373,7 @@ def run_prop_5_10():
     matched = 0
     all_ok = True
     for label, x, y, want in printed:
-        got = vec_eq(star(x, y), want)
+        got = star(x, y) == want
         matched += got
         all_ok &= got
     checks.append(ScenarioCheck("printed-products", all_ok and matched >= 6,
@@ -383,8 +382,7 @@ def run_prop_5_10():
     family_ok = True
     E = result.base.algebra
     for b in range(E.dim):
-        if not vec_eq(star(pair(one_v, {}), pair({b: ONE}, {})),
-                      pair({b: ONE}, {})):
+        if star(pair(one_v, {}), pair({b: ONE}, {})) != pair({b: ONE}, {}):
             family_ok = False
         if star(pair(one_v, {}), pair({}, {b: ONE})):
             family_ok = False

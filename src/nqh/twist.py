@@ -234,11 +234,10 @@ class BlockLayout:
         for vec, slot in ((a, ((ONE, ZERO), (ZERO, ZERO))),
                           (b, ((ZERO, ZERO), (ZERO, ONE)))):
             coords = self.basis.coords(slot, 0)
-            for k, v in vec.items():
-                for j in (1, 2):
-                    key = self.index(0, j, k)
-                    out[key] = out.get(key, ZERO) + v * coords[j - 1]
-        return {k: v for k, v in out.items() if v}
+            for j in (1, 2):
+                add_scaled(out, {self.index(0, j, k): v for k, v in vec.items()},
+                           coords[j - 1])
+        return out
 
 
 def _require_kind(system, halves):

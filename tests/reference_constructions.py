@@ -18,7 +18,9 @@ form on the degree-0 part, both radicals of the minus case by the trace
 form on its extension, the certificate of a map onto a subspace
 read through the algebra restricted to that subspace and on every basis
 pair, the Zhang twist as a stored table, the Lemma 4.6 suite's pair loop,
-the grading item's scan key by key, and the Clifford
+the grading item's scan key by key, vector equality over the union of
+keys, the loops that summed a tensor product and a pair of E x E before
+``exactlin.add_scaled`` did, and the Clifford
 compatibility condition on V* R^perp  intersect  R^perp V*, with the
 Zassenhaus subspace intersection it is computed by, which
 ``check_central`` decides (the proof is in ``deform.build_clifford``).  Last
@@ -47,7 +49,6 @@ from nqh.algebra import (
     radical,
     restrict,
     vec_add,
-    vec_eq,
     vec_scale,
     verify_iso,
 )
@@ -82,6 +83,44 @@ class DegreeExceedsConfluence(NqhError):
     pass
 
 
+def ref_vec_eq(a, b):
+    """Equality of sparse vectors over the union of their keys, a missing
+    key read as 0: the verdict ``==`` must give on the program's vectors,
+    which store no zero coefficient."""
+    return all(a.get(k, ZERO) == b.get(k, ZERO) for k in a.keys() | b.keys())
+
+
+def ref_concat_terms(left, right):
+    """The terms of ``left.concat(right)`` by the loop that summed them
+    inline, in its key order."""
+    out = {}
+    for w1, c1 in left.terms.items():
+        for w2, c2 in right.terms.items():
+            word = w1 + w2
+            coeff = c1 * c2
+            acc = out.get(word)
+            acc = coeff if acc is None else acc + coeff
+            if acc:
+                out[word] = acc
+            else:
+                out.pop(word, None)
+    return out
+
+
+def ref_pair(layout, a, b):
+    """``layout.pair(a, b)`` by the loop that summed it inline, then
+    dropped its zeros."""
+    out = {}
+    for vec, slot in ((a, ((ONE, ZERO), (ZERO, ZERO))),
+                      (b, ((ZERO, ZERO), (ZERO, ONE)))):
+        coords = layout.basis.coords(slot, 0)
+        for k, v in vec.items():
+            for j in (1, 2):
+                key = layout.index(0, j, k)
+                out[key] = out.get(key, ZERO) + v * coords[j - 1]
+    return {k: v for k, v in out.items() if v}
+
+
 def transpose(a):
     return [list(col) for col in zip(*a)]
 
@@ -112,7 +151,7 @@ def verify_hom_M2(hom):
                     for k in range(2):
                         add_scaled(via, E.mul(images_x[i][k],
                                               hom.entries[k][j].apply(by)), ONE)
-                    if not vec_eq(direct, via):
+                    if direct != via:
                         return False
     return True
 
@@ -298,7 +337,7 @@ def ref_verify_twisting_suite(system):
         for j in (1, 2):
             add_scaled(rhs, phis[i].entry(q, j).apply(E.unit),
                        basis.lval(i, ip, s, j, r))
-        ok3 &= vec_eq(lhs, rhs)
+        ok3 &= lhs == rhs
     report.add("gamma-phi-relation", ok3)
     ok4 = True
     phi0_at_1 = {(r, j): phis[0].entry(r, j).apply(E.unit)
@@ -311,7 +350,7 @@ def ref_verify_twisting_suite(system):
                 inner = E.mul(bx, phi0_at_1[(r, j)])
                 add_scaled(lhs, system.theta[0].entry(v, j).apply(inner),
                            basis.gamma[r - 1])
-            ok4 &= vec_eq(lhs, vec_scale(bx, basis.gamma[v - 1]))
+            ok4 &= lhs == vec_scale(bx, basis.gamma[v - 1])
     report.add("gamma-absorption", ok4)
     ok5 = True
     for i, s, q in itertools.product((0, 1), (1, 2), (1, 2)):
@@ -349,7 +388,7 @@ def ref_radical_dims(algebra):
 def ref_full_idempotent_check(algebra, e, gens):
     """``full_idempotent_check`` as it was before it stopped at the unit:
     the whole closure of e, then its rank."""
-    if not vec_eq(algebra.mul(e, e), e):
+    if algebra.mul(e, e) != e:
         return False
     elim = SparseEliminator()
     for _ in ideal_closure(algebra, elim, [e], gens):
@@ -363,11 +402,10 @@ def ref_certify_by_iso(linmap):
     is multiplicative on every basis pair."""
     source, target, cols = linmap.source, linmap.target, linmap.cols
     return (source.dim == target.dim == linmap.rank()
-            and vec_eq(linmap.apply(source.unit), target.unit)
+            and linmap.apply(source.unit) == target.unit
             and all(target.degrees[k] == source.degrees[i]
                     for i, col in enumerate(cols) for k in col)
-            and all(vec_eq(linmap.apply(source.table[i][j]),
-                           target.mul(cols[i], cols[j]))
+            and all(linmap.apply(source.table[i][j]) == target.mul(cols[i], cols[j])
                     for i in range(source.dim) for j in range(source.dim)))
 
 
@@ -397,11 +435,11 @@ def certify_by_iso(linmap, image):
     one = linmap.apply(source.unit)
     return (image.dim == source.dim
             and Subspace.from_rows(cols, target.dim) == image
-            and all(vec_eq(target.mul(one, c), c) and vec_eq(target.mul(c, one), c)
+            and all(target.mul(one, c) == c and target.mul(c, one) == c
                     for c in cols)
             and all(target.degrees[k] == source.degrees[i]
                     for i, col in enumerate(cols) for k in col)
-            and all(vec_eq(linmap.apply(source.row(i)[j]), target.mul(cols[i], cols[j]))
+            and all(linmap.apply(source.row(i)[j]) == target.mul(cols[i], cols[j])
                     for i in range(source.dim) for j in range(source.dim)))
 
 
@@ -435,16 +473,13 @@ def ref_lemma46_pairs(xi1, xi2, phi1, phi2, theta0, E):
             xi1_b, xi2_b = xi1.cols[b], xi2.cols[b]
             phi1_b, phi2_b = phi1.cols[b], phi2.cols[b]
             a_xi2_b = E.mul(va, xi2_b)
-            ok2 = ok2 and vec_eq(xi1.apply(prod),
-                                 vec_add(a_xi2_b, E.mul(xi1_a, th22.cols[b])))
-            ok3 = ok3 and vec_eq(xi2.apply(prod),
-                                 vec_add(a_xi2_b, E.mul(xi2_a, th22.cols[b])))
-            ok6 = (ok6 and vec_eq(phi1.apply(E.mul(xi1_a, vb)), E.mul(phi1_a, phi1_b))
-                   and vec_eq(phi1.apply(E.mul(va, xi1_b)),
-                              E.mul(phi1_a, phi1_xi1.cols[b]))
-                   and vec_eq(phi1.apply(E.mul(phi2_a, xi2_b)), E.mul(xi2_a, phi2_b)))
-            ok7 = (ok7 and vec_eq(phi2.apply(E.mul(xi2_a, vb)), E.mul(phi2_a, phi1_b))
-                   and vec_eq(phi2.apply(E.mul(phi1_a, xi2_b)), E.mul(xi1_a, phi2_b)))
+            ok2 = ok2 and xi1.apply(prod) == vec_add(a_xi2_b, E.mul(xi1_a, th22.cols[b]))
+            ok3 = ok3 and xi2.apply(prod) == vec_add(a_xi2_b, E.mul(xi2_a, th22.cols[b]))
+            ok6 = (ok6 and phi1.apply(E.mul(xi1_a, vb)) == E.mul(phi1_a, phi1_b)
+                   and phi1.apply(E.mul(va, xi1_b)) == E.mul(phi1_a, phi1_xi1.cols[b])
+                   and phi1.apply(E.mul(phi2_a, xi2_b)) == E.mul(xi2_a, phi2_b))
+            ok7 = (ok7 and phi2.apply(E.mul(xi2_a, vb)) == E.mul(phi2_a, phi1_b)
+                   and phi2.apply(E.mul(phi1_a, xi2_b)) == E.mul(xi1_a, phi2_b))
     return {"xi1-product-rule": ok2, "xi2-product-rule": ok3,
             "phi1-two-argument": ok6, "phi2-two-argument": ok7}
 

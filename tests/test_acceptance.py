@@ -32,7 +32,6 @@ from nqh.algebra import (
     spin,
     strongly_graded_check,
     vec_add,
-    vec_eq,
     vec_scale,
     vec_sub,
     verify_algebra,
@@ -88,7 +87,7 @@ def test_criterion_1_base_deformation(km1, z_lift):
     deformation = build_clifford(km1, z_lift)
     algebra = deformation.algebra
     ok = algebra.dim == 4
-    ok &= all(vec_eq(algebra.table[i][j], algebra.table[j][i])
+    ok &= all(algebra.table[i][j] == algebra.table[j][i]
               for i in range(4) for j in range(4))
     ok &= radical(algebra).dim == 0
     modules = character_modules(algebra)
@@ -115,7 +114,7 @@ def test_criterion_2_class_z_pipeline(double_ore_class_z, z_lift):
     ok &= lam.dim == 4
     ok &= all(degree == (0,) for degree in lam.degrees)
     ok &= radical(lam).dim == 0
-    ok &= all(vec_eq(lam.table[i][j], lam.table[j][i])
+    ok &= all(lam.table[i][j] == lam.table[j][i]
               for i in range(lam.dim) for j in range(lam.dim))
     report = singularity_report(result)
     text = report.text()
@@ -244,7 +243,7 @@ def test_criterion_6_class_r_products(double_ore_class_r, z_lift):
         (pair(u_v, {}), pair(w_v, {}), pair(v_v, {})),
         (pair(w_v, {}), pair(u_v, {}), pair(u_v, {})),
     ]
-    matched = sum(vec_eq(star(x, y), want) for x, y, want in printed)
+    matched = sum(star(x, y) == want for x, y, want in printed)
     ok &= matched == len(printed) and matched >= 6
     witness = pair(vec_sub(one_v, w_v), {})
     ok &= not star(witness, witness)
@@ -356,8 +355,8 @@ def test_criterion_8_twist_property_suite(clifford_km1, double_ore_class_z,
         built = iso.target
         ok &= verify_twisting_suite(omega).ok
         # the unit formula holds: 1 e_i = e_i = e_i 1 for every basis i
-        ok &= all(vec_eq(built.mul(built.unit, {i: ONE}), {i: ONE})
-                  and vec_eq(built.mul({i: ONE}, built.unit), {i: ONE})
+        ok &= all(built.mul(built.unit, {i: ONE}) == {i: ONE}
+                  and built.mul({i: ONE}, built.unit) == {i: ONE}
                   for i in range(built.dim))
         upsilon, unital_iso = normalize_upsilon(omega)
         ident = [[ONE, ZERO], [ZERO, ONE]]
@@ -369,7 +368,7 @@ def test_criterion_8_twist_property_suite(clifford_km1, double_ore_class_z,
         flat = build_twisted_M2(trivial)
         plain = plain_m2(E, basis)
         ok &= flat.unit == plain.unit
-        ok &= all(vec_eq(flat.table[i][j], plain.table[i][j])
+        ok &= all(flat.table[i][j] == plain.table[i][j]
                   for i in range(flat.dim) for j in range(flat.dim))
         if not ok:
             print(f"failure at randomized trial {trial}")

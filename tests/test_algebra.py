@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import re
@@ -10,6 +11,7 @@ from conftest import recording_output
 from reference_constructions import (
     certify_by_iso,
     is_stacked_inverse,
+    ref_vec_eq,
     stacked_inverse,
     transpose,
     verify_hom_M2,
@@ -48,7 +50,6 @@ from nqh.algebra import (
     spin,
     strongly_graded_check,
     t_inverse_table,
-    vec_eq,
     vec_sub,
     verify_algebra,
     verify_decomposition,
@@ -435,7 +436,7 @@ def test_corner_examples():
     assert at_unit.dim == algebra.dim
     assert verify_algebra(restrict(algebra, at_unit, algebra.unit)).ok
     small = corner_embedding(algebra, {0: ONE})
-    assert small.dim == 1 and vec_eq(small.basis[0], {0: ONE})
+    assert small.dim == 1 and small.basis[0] == {0: ONE}
     assert verify_algebra(restrict(algebra, small, {0: ONE})).ok
 
 
@@ -465,7 +466,7 @@ def test_corner_unit_and_rank_property():
     images = [algebra.mul(algebra.mul(e, algebra.basis_vec(i)), e)
               for i in range(algebra.dim)]
     assert corner == Subspace.from_rows(images, algebra.dim)
-    assert all(vec_eq(algebra.mul(e, v), v) and vec_eq(algebra.mul(v, e), v)
+    assert all(algebra.mul(e, v) == v and algebra.mul(v, e) == v
                for v in corner.basis)
 
 
@@ -737,7 +738,7 @@ def test_rule_certificate_mutants_report_as_verify_algebra(base_deformations):
 def test_only_a_letter_rule_table_on_its_own_words_skips_check_c(base_deformations):
     """Every base deformation's table is formed by the letter rule on its
     words, and so is its regrading's; a copy as a list of rows, or the same
-    table under its words with two swapped, gets check (c) on every word."""
+    table under its words with two swapped, is not, and gets Light's test."""
     rng = random.Random("letter-rule-words")
     for name, E, _ in base_deformations:
         swapped = list(E.words)
@@ -752,7 +753,7 @@ def test_rule_extracted_mutants_of_the_dim32_bases_report_as_the_full_scan(
         base_deformations):
     """The tables extracted from a copy of the rules of each presentations
     base (dim 32) with one right-hand side bumped are formed by the letter
-    rule, so the rule certificate checks (c) on their letters alone; each
+    rule, so the rule certificate decides them; each
     gets verify_algebra's report, item for item.  The 5 that pass bump
     x_i x_i -> 1 to 2: the Clifford algebra of another form."""
     failed = Counter()
@@ -774,7 +775,8 @@ def test_rule_extracted_mutants_of_the_dim32_bases_report_as_the_full_scan(
 
 def _stopped_by_one_check(check, base_deformations):
     """(table, rules) that pass the unit item and every check of the rule
-    certificate but ``check``, and are not associative.  (a) The free
+    certificate but ``check``, and are not associative; for (c), a list
+    table, which gets Light's test.  (a) The free
     algebra on x, y, with no rules, cut to the words 1, x, y with xx = y
     and yx = x: (xx)x = x but x(xx) = 0.  (c) skew3 seed 1's plus base with
     one constant bumped in the row of x1* x2* x3*, which no rule reads.
@@ -864,11 +866,11 @@ def test_restrict_coordinates_recombine_to_each_product(pipeline_algebras, data)
         return out
 
     assert restricted.dim == space.dim
-    assert vec_eq(recombine(restricted.unit), algebra.unit)
+    assert recombine(restricted.unit) == algebra.unit
     for k, u in enumerate(space.basis):
         assert restricted.degrees[k] == algebra.element_degree(u)
         for l, v in enumerate(space.basis):
-            assert vec_eq(recombine(restricted.table[k][l]), algebra.mul(u, v))
+            assert recombine(restricted.table[k][l]) == algebra.mul(u, v)
     assert verify_algebra(restricted).ok
 
 
@@ -944,6 +946,60 @@ def skew3_certified():
     return algebras, maps
 
 
+def _held_vectors(obj, found, seen):
+    """Append to ``found`` every sparse vector that ``obj`` reaches through
+    dataclass fields, tuples, lists and map tables: each product of a
+    GradedAlgebra read through ``row`` and its unit, the columns of a
+    GradedLinMap, the rows of a Subspace and the terms of a TensorElement."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    parts = ()
+    if isinstance(obj, GradedAlgebra):
+        found.append(obj.unit)
+        found.extend(prod for i in range(obj.dim) for prod in obj.row(i))
+    elif isinstance(obj, GradedLinMap):
+        found.extend(obj.cols)
+        parts = (obj.source, obj.target)
+    elif isinstance(obj, Subspace):
+        found.extend(obj.basis)
+    elif isinstance(obj, TensorElement):
+        found.append(obj.terms)
+    elif isinstance(obj, MatrixHom):
+        parts = obj.entries
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        parts = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    elif isinstance(obj, (list, tuple)):
+        parts = obj
+    for part in parts:
+        _held_vectors(part, found, seen)
+
+
+def test_no_vector_stores_a_zero_so_eq_is_vector_equality(pipeline_algebras):
+    """The registry algebras and everything a skew3:1 plus and minus run
+    holds store no zero coefficient, so on them ``==`` gives the verdict of
+    equality over the union of keys: checked on sampled pairs, most of them
+    with one support, where the two verdicts could differ."""
+    found, seen = [], set()
+    _held_vectors(pipeline_algebras, found, seen)
+    for name, blob in sorted(generate("skew3", 1).items()):
+        data, central = parse_double_ore(json.loads(blob))
+        run = knorrer.run_plus_case if name == "plus.json" else knorrer.run_minus_case
+        _held_vectors(run(data, central), found, seen)
+    assert len(found) > 5000
+    assert all(v for vec in found for v in vec.values())
+    rng = random.Random("one-vector-equality")
+    by_support = {}
+    for vec in found:
+        by_support.setdefault(frozenset(vec), []).append(vec)
+    groups = [group for group in by_support.values() if len(group) > 1]
+    pairs = [rng.sample(rng.choice(groups), 2) for _ in range(3000)]
+    pairs += [rng.sample(found, 2) for _ in range(1000)]
+    verdicts = Counter(a == b for a, b in pairs)
+    assert all((a == b) == ref_vec_eq(a, b) for a, b in pairs)
+    assert verdicts[True] > 100 and verdicts[False] > 100
+
+
 def test_verify_algebra_matches_the_reference_on_skew3_mutants(skew3_certified):
     algebras, _ = skew3_certified
     rng = random.Random("verify-algebra-skew3-mutants")
@@ -977,15 +1033,15 @@ def reference_verify_iso(linmap):
     source, target = linmap.source, linmap.target
     if not source.dim == target.dim == linmap.rank():
         return "bijective"
-    if not vec_eq(linmap.apply(source.unit), target.unit):
+    if linmap.apply(source.unit) != target.unit:
         return "unit"
     for i in range(source.dim):
         if any(target.degrees[k] != source.degrees[i] for k in linmap.cols[i]):
             return "degree"
     for i in range(source.dim):
         for j in range(source.dim):
-            if not vec_eq(linmap.apply(source.table[i][j]),
-                          target.mul(linmap.cols[i], linmap.cols[j])):
+            if (linmap.apply(source.table[i][j])
+                    != target.mul(linmap.cols[i], linmap.cols[j])):
                 return "multiplicative"
     return "iso"
 

@@ -19,6 +19,8 @@ from perfbench.workloads import (
 
 from nqh import scenarios
 from nqh.cli import main
+from nqh.formats import parse_presentation
+from nqh.quadratic import koszul_dual
 from nqh.scenarios import EX_4_10, EX_5_9, KM1_PRESENTATION, ScenarioCheck
 
 
@@ -47,6 +49,9 @@ HOSTILE_INPUTS = {
     "long-word-key": ("check-presentation", json.dumps(
         {"generators": ["x1", "x2"], "relations": [{"x1 " + "y" * 3000: "1"}]})),
     "list-scalar": ("double-ore", json.dumps({**EX_4_10, "p11": list(range(3000))})),
+    "generator-with-space": ("koszul-dual", json.dumps(
+        {"generators": ["a b", "c"], "relations": []})),
+    "empty-generator": ("koszul-dual", json.dumps({"generators": [""], "relations": []})),
 }
 
 
@@ -63,7 +68,9 @@ def test_hostile_input_exits_2_fast(nqh_env, tmp_path, command, text):
     4,300-digit limit, each quoted whole, the integer with advice for
     programs; 16 free generators, whose degree-6 component has 16^6
     words; a relation whose 3,003-character word key was quoted whole;
-    and a p11 given as a list of 3,000 numbers, printed whole.  Each must
+    a p11 given as a list of 3,000 numbers, printed whole; and generator
+    names that are empty or hold a space, which no word can spell, and
+    whose dual was printed as relations no parser reads.  Each must
     exit 2 with an error line under 200 bytes, in 10 s
     and 1 GB of address space."""
     (tmp_path / "hostile.json").write_text(text)
@@ -253,6 +260,18 @@ def test_koszul_dual_command(capsys, presentation_file):
     assert "[1, 2, 1, 0" in out
 
 
+@pytest.mark.parametrize("name", ["km1", "presentations:1", "presentations:2",
+                                  "presentations:3"])
+def test_koszul_dual_json_parses_back_to_the_dual(capsys, tmp_path, name):
+    doc = (KM1_PRESENTATION if name == "km1"
+           else json.loads(generate("presentations", int(name[-1]))["base.json"]))
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--json", "koszul-dual", str(path)]) == 0
+    again, _ = parse_presentation(json.loads(capsys.readouterr().out))
+    assert again == koszul_dual(parse_presentation(doc)[0])
+
+
 def test_clifford_command(capsys, presentation_file):
     assert main(["clifford", presentation_file, "--dump-rules"]) == 0
     out = capsys.readouterr().out
@@ -333,6 +352,10 @@ def test_knorrer_command(capsys, double_ore_file, tmp_path):
     assert "isolated singularity: yes" in out
     assert report_path.read_text() == "".join(
         line + "\n" for line in out.splitlines())
+    assert main(["--json", "knorrer", double_ore_file, "--report", str(report_path)]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["isolated"] is True
+    assert report_path.read_text() == out
 
 
 @pytest.mark.parametrize("where", ["directory", "missing-parent"])

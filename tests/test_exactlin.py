@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from reference_constructions import (
     matrix_inverse,
+    ref_concat_terms,
     ref_scalar_parse,
     subspace_intersection,
 )
@@ -746,6 +747,19 @@ def test_pairing_bilinear(a, b):
     primal = TensorElement({(0, 1): a, (1, 1): b})
     combo = d1 + d2
     assert pairing(combo, primal) == a + b
+
+
+words_of_two_letters = st.sampled_from([(), (0,), (1,), (0, 1), (1, 0), (0, 0)])
+tensor_elements = st.dictionaries(words_of_two_letters, small_scalar).map(TensorElement)
+
+
+@given(tensor_elements, tensor_elements)
+def test_concat_sums_as_its_inline_loop_did(left, right):
+    """Words of mixed lengths collide, (0,) + (1,) = (0, 1) + (), so terms
+    add up and cancel; the kernel gives the old loop's terms in its key
+    order."""
+    got = left.concat(right).terms
+    assert list(got.items()) == list(ref_concat_terms(left, right).items())
 
 
 def test_tensor_element_basics():

@@ -25,7 +25,10 @@ def test_parse_scalar_accepts_int():
 
 def test_parse_presentation_round_trip():
     presentation, central = parse_presentation(KM1_PRESENTATION)
-    doc = presentation_doc(presentation, central)
+    names = presentation.generators
+    doc = {**presentation_doc(presentation),
+           "central": {" ".join(names[a] for a in word): coeff.text()
+                       for word, coeff in central.items()}}
     again, central_again = parse_presentation(doc)
     assert again == presentation
     assert central_again == central

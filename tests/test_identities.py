@@ -49,7 +49,6 @@ from nqh.algebra import (
     generating_set,
     is_t_inverse,
     t_inverse_table,
-    vec_eq,
     verify_algebra,
     xi_automorphism,
 )
@@ -345,7 +344,7 @@ def ref_verify_twisting_prod(system):
                                 term = E.mul(theta.entry(p, t).apply(bx),
                                              theta.entry(u, jp).apply(by))
                                 add_scaled(rhs, term, coeff)
-                        if not vec_eq(lhs, rhs):
+                        if lhs != rhs:
                             ok = False
                             if not detail:
                                 detail = f"fails at j={j} j'={jp} p={p} x={x} y={y}"
@@ -382,7 +381,7 @@ def ref_verify_twisting_M2(system):
                     outer = theta[(ip + ipp) % 2].entry(p, s).apply({x: ONE})
                     add_scaled(rhs, E.mul(outer, theta[ipp].entry(u, jpp).apply({y: ONE})),
                                basis.lval(ip, ipp, s, jp, u))
-            if not vec_eq(lhs, rhs):
+            if lhs != rhs:
                 detail = (f"first failure at i'={ip} i''={ipp} j'={jp} j''={jpp}"
                           f" p={p} x={x} y={y}")
                 break
@@ -439,7 +438,7 @@ def ref_theta_phi_exchange(system):
                                         add_scaled(
                                             rhs, rhs_app[p - 1][t - 1][q - 1][j - 1],
                                             basis.lval(i, ip, t, j, r))
-                                if not vec_eq(lhs, rhs):
+                                if lhs != rhs:
                                     ok = False
     return ok
 

@@ -1,8 +1,8 @@
 """No module of the package imports a name it never uses or keeps a
 process-wide cache, only ``exactlin`` reduces a vector against a subspace's
 basis, no module keeps a dense matrix table layer, ``knorrer`` scans no
-product for strong grading, ``restrict`` builds only the eigenspace
-subalgebra, only ``GradedAlgebra``'s methods read a structure table, only
+product for strong grading, sparse vectors have one equality and one
+summing kernel, ``restrict`` builds only the eigenspace subalgebra, only ``GradedAlgebra``'s methods read a structure table, only
 the twisting verifiers fill a twisting system's verified fields, no
 module holds an ``assert`` statement, every definition is reached from the
 command line, and every name the bench tracer patches resolves to a
@@ -180,6 +180,56 @@ def test_the_check_finds_a_strong_grading_scan():
 
 def test_knorrer_scans_no_strong_grading():
     assert scanned_strong_grading((PACKAGE / "knorrer.py").read_text()) == []
+
+
+def second_vector_kernels(source, module):
+    """The line numbers at which ``source``, the module file ``module``,
+    defines, imports or names ``vec_eq``, or takes the kernel's cancel step
+    ``<dict>.pop(<key>, None)`` outside ``add_scaled`` in ``exactlin.py``.
+    A sparse vector stores no zero coefficient, so ``==`` compares two of
+    them, and every sum goes through ``exactlin.add_scaled``."""
+    tree = ast.parse(source)
+    kernel = {id(sub) for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == "add_scaled"
+              and module == "exactlin.py" for sub in ast.walk(node)}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [n for a in node.names for n in (a.name, a.asname) if n]
+        elif isinstance(node, DEFINITIONS):
+            names = [node.name]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        else:
+            names = []
+        if any(n.rpartition(".")[2] == "vec_eq" for n in names):
+            found.add(node.lineno)
+        elif (isinstance(node, ast.Call) and id(node) not in kernel
+              and isinstance(node.func, ast.Attribute) and node.func.attr == "pop"
+              and len(node.args) == 2 and isinstance(node.args[1], ast.Constant)
+              and node.args[1].value is None):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_the_check_finds_a_second_vector_kernel():
+    source = ("from .algebra import vec_eq as same\n"
+              "def add_scaled(out, vec, coeff):\n"
+              "    out.pop(k, None)\n"
+              "def vec_eq(a, b):\n    return a == b\n"
+              "def concat(out):\n    out.pop(word, None)\n"
+              "ok = algebra.vec_eq(x, y)\n"
+              "out.pop(k)\nout.pop(k, 0)\n")
+    assert second_vector_kernels(source, "exactlin.py") == [1, 4, 7, 8]
+    assert second_vector_kernels(source, "algebra.py") == [1, 3, 4, 7, 8]
+
+
+def test_vectors_have_one_equality_and_one_kernel():
+    found = [(path.name, line) for path in sorted(PACKAGE.glob("*.py"))
+             for line in second_vector_kernels(path.read_text(), path.name)]
+    assert found == []
 
 
 class _CallSites(ast.NodeVisitor):

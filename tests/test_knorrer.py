@@ -58,7 +58,6 @@ from nqh.algebra import (
     spin,
     strongly_graded_check,
     vec_add,
-    vec_eq,
     vec_scale,
     vec_sub,
     verify_algebra,
@@ -144,7 +143,7 @@ def test_plus_class_z_extension_structure(plus_class_z):
     assert radical(lam).dim == 0
     for i in range(lam.dim):
         for j in range(lam.dim):
-            assert vec_eq(lam.table[i][j], lam.table[j][i])
+            assert lam.table[i][j] == lam.table[j][i]
 
 
 def test_plus_class_z_projection_values(plus_class_z):
@@ -154,18 +153,18 @@ def test_plus_class_z_projection_values(plus_class_z):
     even = E.component_indices((0,))
     odd = E.component_indices((1,))
     for k in even:
-        assert vec_eq(plus_class_z.xi1.apply(E.basis_vec(k)), E.basis_vec(k))
+        assert plus_class_z.xi1.apply(E.basis_vec(k)) == E.basis_vec(k)
         assert not plus_class_z.xi2.apply(E.basis_vec(k))
     for k in odd:
-        assert vec_eq(plus_class_z.xi2.apply(E.basis_vec(k)), E.basis_vec(k))
+        assert plus_class_z.xi2.apply(E.basis_vec(k)) == E.basis_vec(k)
         assert not plus_class_z.xi1.apply(E.basis_vec(k))
     index = {lbl: k for k, lbl in enumerate(E.labels)}
     h = Scalar(0, 0, 1, 0, 2)
     image = plus_class_z.phi2.apply(E.basis_vec(index["x1*"]))
     expected = {index["x1*"]: -h, index["x2*"]: I * h}
-    assert vec_eq(image, expected)
+    assert image == expected
     printed = vec_scale(expected, Scalar(2))
-    assert not vec_eq(image, printed)  # the printed images carry a spare 2
+    assert image != printed  # the printed images carry a spare 2
 
 
 def test_plus_diagonal_identity_case(km1, z_lift):
@@ -566,17 +565,12 @@ def test_minus_class_r_products_and_radical(minus_class_r):
     u_v = {index["x1*"]: ONE}
     v_v = {index["x2*"]: ONE}
     star = NG.mul
-    assert vec_eq(star(pair(v_v, {}), pair(u_v, {})),
-                  pair({index["1"]: MINUS_ONE}, {}))
-    assert vec_eq(star(pair(v_v, {}), pair(one_v, {})),
-                  pair(u_v, {}))
-    assert vec_eq(star(pair(w_v, {}), pair({}, one_v)),
-                  pair(vec_sub(w_v, one_v), {}))
+    assert star(pair(v_v, {}), pair(u_v, {})) == pair({index["1"]: MINUS_ONE}, {})
+    assert star(pair(v_v, {}), pair(one_v, {})) == pair(u_v, {})
+    assert star(pair(w_v, {}), pair({}, one_v)) == pair(vec_sub(w_v, one_v), {})
     # oracle-certified corrections of two misprinted row entries
-    assert vec_eq(star(pair(u_v, {}), pair(u_v, {})),
-                  pair({index["1"]: MINUS_ONE}, {}))
-    assert vec_eq(star(pair(u_v, {}), pair(v_v, {})),
-                  pair({index["x1*x2*"]: MINUS_ONE}, {}))
+    assert star(pair(u_v, {}), pair(u_v, {})) == pair({index["1"]: MINUS_ONE}, {})
+    assert star(pair(u_v, {}), pair(v_v, {})) == pair({index["x1*x2*"]: MINUS_ONE}, {})
     witness = pair(vec_sub(one_v, w_v), {})
     assert not star(witness, witness)
     assert is_nilpotent_element(NG, witness)
@@ -605,10 +599,10 @@ def test_minus_diagonal_involutions_factor(km1, z_lift):
         for bp in range(E.dim):
             left = pair({b: ONE}, {})
             right = pair({bp: ONE}, {})
-            assert vec_eq(NG.mul(left, right), pair(E.table[b][bp], {}))
+            assert NG.mul(left, right) == pair(E.table[b][bp], {})
             left = pair({}, {b: ONE})
             right = pair({}, {bp: ONE})
-            assert vec_eq(NG.mul(left, right), pair({}, E.table[b][bp]))
+            assert NG.mul(left, right) == pair({}, E.table[b][bp])
             assert not NG.mul(pair({b: ONE}, {}), pair({}, {bp: ONE}))
 
 
@@ -1596,7 +1590,7 @@ def ref_product_rules(xi1, xi2, th22, E):
                 alt = vec_sub(vec_add(E.mul(va, xi1.apply(vb)),
                                       E.mul(xi_a, th22_b)),
                               E.mul(va, th22_b))
-                if not (vec_eq(lhs, rhs) and vec_eq(lhs, alt)):
+                if not (lhs == rhs and lhs == alt):
                     if ok == 2:
                         ok2 = False
                     else:

@@ -13,6 +13,7 @@ from reference_constructions import (
     plain_m2,
     rebase_omega,
     ref_basis_identities,
+    ref_pair,
     ref_verify_twisting_suite,
     trivial_system,
 )
@@ -27,7 +28,6 @@ from nqh.algebra import (
     extend_on_generators,
     generating_set,
     vec_add,
-    vec_eq,
     vec_scale,
     verify_algebra,
     verify_iso,
@@ -144,7 +144,7 @@ def test_trivial_system_gives_plain_matrix_algebra(clifford_km1):
     assert twisted.unit == plain.unit
     for i in range(twisted.dim):
         for j in range(twisted.dim):
-            assert vec_eq(twisted.table[i][j], plain.table[i][j])
+            assert twisted.table[i][j] == plain.table[i][j]
 
 
 def test_paper_system_passes_all_conditions(plus_system):
@@ -244,8 +244,7 @@ def test_twisted_matrix_multiplication_table(plus_system, clifford_km1):
                                     want[key] = want.get(key, ZERO) + sign * c
                             row = layout.index(i, j, x_idx)
                             got = twisted.table[row][layout.index(ip, jp, y_idx)]
-                            assert vec_eq(
-                                got, {k: v for k, v in want.items() if v})
+                            assert got == {k: v for k, v in want.items() if v}
 
 
 def test_unit_of_paper_build_is_identity_matrix(plus_system):
@@ -638,7 +637,7 @@ def test_diagonal_theta_gives_direct_product(clifford_km1):
         for bp in range(dim):
             want = {k: v for k, v in E.table[b][bp].items()}
             got = product.table[b][bp]
-            assert vec_eq(got, want)
+            assert got == want
 
 
 def test_paper_minus_system(clifford_km1, double_ore_class_t):
@@ -657,9 +656,9 @@ def test_paper_minus_system(clifford_km1, double_ore_class_t):
         for bp in range(dim):
             col1, col2 = layout.index(0, 1, bp), layout.index(0, 2, bp)
             want = {layout.index(0, 1, k): v for k, v in E.table[b][bp].items()}
-            assert vec_eq(product.table[row1][col1], want)
+            assert product.table[row1][col1] == want
             want = {layout.index(0, 2, k): v for k, v in E.table[b][bp].items()}
-            assert vec_eq(product.table[row2][col1], want)
+            assert product.table[row2][col1] == want
             x = E.basis_vec(b)
             y = E.basis_vec(bp)
             t12 = E.mul(theta.entries[0][1].apply(x), y)
@@ -669,8 +668,7 @@ def test_paper_minus_system(clifford_km1, double_ore_class_t):
                 for k, v in second.items():
                     key = layout.index(0, 2, k)
                     want[key] = want.get(key, ZERO) + v
-                assert vec_eq(product.table[row][col2],
-                              {k: v for k, v in want.items() if v})
+                assert product.table[row][col2] == {k: v for k, v in want.items() if v}
 
 
 def test_block_layout_labels_both_builds(plus_system, clifford_km1,
@@ -709,8 +707,24 @@ def test_pair_decodes_under_a_non_standard_epsilon(clifford_km1):
                 for slot in (0, 1):
                     slots[slot] = vec_add(slots[slot],
                                           vec_scale(c_j, basis.mats[(0, j)][slot][slot]))
-            assert vec_eq(slots[0], E.basis_vec(a))
-            assert vec_eq(slots[1], E.basis_vec(b))
+            assert slots[0] == E.basis_vec(a)
+            assert slots[1] == E.basis_vec(b)
+
+
+def test_pair_sums_as_its_inline_loop_did(clifford_km1):
+    """Random pairs (a, b) over E, with b[k] often +-a[k] so that a key of
+    the pair cancels, on the paper's epsilon basis and a non-standard one:
+    the kernel gives the dict of the old loop."""
+    E = clifford_km1.algebra
+    rng = random.Random("pair-kernel")
+    scalars = [ONE, -ONE, HALF, I, Scalar(2)]
+    for basis in (EPSILON_BASIS, diagonal_basis((ONE, Scalar(2)), (ONE, -ONE))):
+        layout = BlockLayout(E, basis)
+        for _ in range(200):
+            a = {k: rng.choice(scalars) for k in rng.sample(range(E.dim), 3)}
+            b = {k: rng.choice([a.get(k, ONE), -a.get(k, ONE), rng.choice(scalars)])
+                 for k in rng.sample(range(E.dim), 3)}
+            assert layout.pair(a, b) == ref_pair(layout, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -851,7 +865,7 @@ def ref_left_twisting_identity(E, mu):
                     by = E.basis_vec(y)
                     lhs = maps[ell].apply(E.mul(maps[h].apply(bx), by))
                     rhs = E.mul(maps[(h + ell) % 2].apply(bx), maps[ell].apply(by))
-                    if not vec_eq(lhs, rhs):
+                    if lhs != rhs:
                         return False
     return True
 
@@ -862,7 +876,7 @@ def test_zhang_twist_identity(clifford_km1):
     twisted = zhang_twist(_skew_group_data(E, ident))
     for i in range(E.dim):
         for j in range(E.dim):
-            assert vec_eq(twisted.table[i][j], E.table[i][j])
+            assert twisted.table[i][j] == E.table[i][j]
 
 
 def test_zhang_twist_by_sign(clifford_km1):
