@@ -215,9 +215,6 @@ def cmd_reproduce(args):
             raise ParseError(f"unknown scenario {args.id!r}; known:"
                              f" {', '.join(sorted(registry))}")
         ids = [args.id]
-    if not ids:
-        print("warning: scenario registry is empty")
-        return 0
     results = {scenario_id: scenario_registry.run_scenario(scenario_id)
                for scenario_id in ids}
     all_ok = True

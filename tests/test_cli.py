@@ -529,12 +529,6 @@ def test_corrupted_expectation_names_scenario(capsys, monkeypatch):
     assert "[FAIL] deliberately-corrupted" in captured.out
 
 
-def test_empty_registry_warns(capsys, monkeypatch):
-    monkeypatch.setattr(scenarios, "REGISTRY", {})
-    assert main(["reproduce", "all"]) == 0
-    assert "warning" in capsys.readouterr().out
-
-
 def test_reproduce_all_is_deterministic(nqh_env):
     first = subprocess.run(
         [sys.executable, "-m", "nqh", "reproduce", "all"],

@@ -24,7 +24,7 @@ from reference_constructions import (
     ref_degree0_radical_dim,
     ref_full_idempotent_check,
     ref_grading_failure,
-    ref_lemma46_pairs,
+    ref_lemma46_suite,
     ref_radical_dims,
     ref_zhang_twist,
     verify_hom_M2,
@@ -84,9 +84,11 @@ from nqh.scenarios import (
 from nqh.twist import (
     BlockLayout,
     SemiTrivialData,
+    TwistingSystemM2,
     build_semitrivial,
     semitrivial_mu,
     standard_basis_m2,
+    verify_twisting_M2,
 )
 
 MINUS_ONE = Scalar(-1)
@@ -276,24 +278,22 @@ def _plus_inputs():
 def _lambda_both_ways(data, central, mutate):
     """(reference, pipeline) Lambda_big of one plus run, each None when its
     closure check rejects, with ``mutate(phi1, phi2, S, M)`` applied to the
-    projections once the projection suite has read them."""
+    projections as ``_lambda_data`` receives them."""
     seen = {}
-    real_suite = knorrer._lemma46_suite
+    real_data = knorrer._lambda_data
     real_build = knorrer.build_semitrivial
 
-    def suite(xi1, xi2, phi1, phi2, theta0, theta1, E):
-        report = real_suite(xi1, xi2, phi1, phi2, theta0, theta1, E)
-        S, M = knorrer._eigenspace(E, xi1), knorrer._eigenspace(E, xi2)
+    def lambda_data(E, ring, S, M, phi1, phi2, module_degrees):
         mutate(phi1, phi2, S, M)
         seen["inputs"] = E, S, M, phi1, phi2
-        return report
+        return real_data(E, ring, S, M, phi1, phi2, module_degrees)
 
     def build(st_data):
         seen["built"] = real_build(st_data)
         return seen["built"]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(knorrer, "_lemma46_suite", suite)
+        patch.setattr(knorrer, "_lambda_data", lambda_data)
         patch.setattr(knorrer, "build_semitrivial", build)
         try:
             run_plus_case(data, central)
@@ -644,22 +644,44 @@ def test_singularity_report_shapes(plus_class_z, minus_class_t):
     assert minus_report.isolated
 
 
+def _knorrer_digest(capsys, path, key):
+    """sha256 of the stdout of `nqh [--json] knorrer path`, which must exit
+    0: `--json` for the key "plus" or "minus", text for "plus:text" or
+    "minus:text"."""
+    form = ["--json"] if ":" not in key else []
+    assert main(form + ["knorrer", str(path)]) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+
+def _big_input(tmp_path, g, key):
+    """The g-generator input drawn from random.Random("big:<g>"), of the
+    case of ``key``, written under ``tmp_path``."""
+    case = key.partition(":")[0]
+    path = tmp_path / f"{case}.json"
+    path.write_bytes(encode(skew_double_ore(
+        random.Random(f"big:{g}"), g, 1 if case == "plus" else -1)))
+    return path
+
+
 # sha256 of `nqh --json knorrer` on the skew3 inputs of seed 7, recorded
 # before the two pipelines shared their prologue: 3-generator reports must
-# stay byte-identical, check items and their order included.
+# stay byte-identical, check items and their order included.  The text
+# reports, and the entries of BIG4_DIGESTS and BIG5_DIGESTS that came with
+# them, were recorded while the plus case still scanned E x E for the
+# Lemma 4.6 identities.
 SKEW3_SEED7_DIGESTS = {
     "plus": "2b1275a683579dfe583d8e446085935b6f6342573b01c640320e331baff67b79",
     "minus": "b11231c3fb6ac9416ed242fb0d2882594e89a165cea7fb58aaca8150300139cc",
+    "plus:text": "87ef614c5f8cab70b402b048be41ca98699494484269590e55a56ee929d15a46",
+    "minus:text": "ee5ad89ebcd8079bd85e029cec51f879dcc8cad907e25b05d17b1f0d5c975f78",
 }
 
 
 @pytest.mark.parametrize("case", sorted(SKEW3_SEED7_DIGESTS))
 def test_skew3_report_bytes_match_recorded_digest(capsys, tmp_path, case):
     write_inputs(generate("skew3", 7), tmp_path)
-    assert main(["--json", "knorrer", str(tmp_path / f"{case}.json")]) == 0
-    out = capsys.readouterr().out
-    assert (hashlib.sha256(out.encode("utf-8")).hexdigest()
-            == SKEW3_SEED7_DIGESTS[case])
+    path = tmp_path / f"{case.partition(':')[0]}.json"
+    assert _knorrer_digest(capsys, path, case) == SKEW3_SEED7_DIGESTS[case]
 
 
 # sha256 of `nqh --json knorrer` on the 4-generator input drawn from
@@ -668,17 +690,28 @@ def test_skew3_report_bytes_match_recorded_digest(capsys, tmp_path, case):
 BIG4_DIGESTS = {
     "plus": "8becef3385b8f881813cdd96c6c05dee681fbe0eb492f7dc51832dcc88b6c026",
     "minus": "0ce815d73f0bfedcaf6f3ab5c49099f9724eecf4a1e28ef52f6450a63a562a15",
+    "plus:text": "f2d7f09d3e7bff243309d2fd50c775ecf1235619938996fd1599e78baf3c526c",
+    "minus:text": "d28fa58a3b224c68f5482db8ca65e1e8bbc52583885932bfed87b6c8dfa0ca23",
+}
+
+BIG5_DIGESTS = {
+    "plus": "f264bbefd90cd0ce1089f3fb98b84244f7e8ba712dfd4a79c4ab42d05e0c93fd",
+    "minus": "c8a30e3b3dbc568d860858a228b4a3163c695ce3079dbdc4a775653405340562",
+    "plus:text": "d17509fc00371049bd348d0ca20a1b4c31cf7bae487756fe120ccc99f7b94270",
+    "minus:text": "f75484ad5867502d9dc53103c0ec7de78099389ed254493799ee5685c1788f2a",
 }
 
 
 @pytest.mark.parametrize("case", sorted(BIG4_DIGESTS))
 def test_big4_report_bytes_match_recorded_digest(capsys, tmp_path, case):
-    path = tmp_path / f"{case}.json"
-    path.write_bytes(encode(skew_double_ore(
-        random.Random("big:4"), 4, 1 if case == "plus" else -1)))
-    assert main(["--json", "knorrer", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == BIG4_DIGESTS[case]
+    path = _big_input(tmp_path, 4, case)
+    assert _knorrer_digest(capsys, path, case) == BIG4_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(BIG5_DIGESTS))
+def test_big5_report_bytes_match_recorded_digest(capsys, tmp_path, case):
+    path = _big_input(tmp_path, 5, case)
+    assert _knorrer_digest(capsys, path, case) == BIG5_DIGESTS[case]
 
 
 def test_each_run_builds_each_dual_and_deformation_once(monkeypatch):
@@ -1567,84 +1600,166 @@ def test_minus_extension_mutants_fail_as_under_its_own_certificate(
 
 
 # ---------------------------------------------------------------------------
-# the Lemma 4.6 suite, with the second forms of the product rules folded
-# into one map identity
+# the Lemma 4.6 identities, read off the verified twisting system
 
 
-def ref_product_rules(xi1, xi2, th22, E):
-    """The verdicts of ``xi1-product-rule`` and ``xi2-product-rule`` as the
-    suite reached them while it compared each basis pair with both forms
-    of each rule."""
-    ok2 = ok3 = True
-    for a in range(E.dim):
-        va = E.basis_vec(a)
-        xi1_a = xi1.apply(va)
-        xi2_a = xi2.apply(va)
-        for b in range(E.dim):
-            vb = E.basis_vec(b)
-            prod = E.table[a][b]
-            th22_b = th22.apply(vb)
-            for xi, xi_a, ok in ((xi1, xi1_a, 2), (xi2, xi2_a, 3)):
-                lhs = xi.apply(prod)
-                rhs = vec_add(E.mul(va, xi2.apply(vb)), E.mul(xi_a, th22_b))
-                alt = vec_sub(vec_add(E.mul(va, xi1.apply(vb)),
-                                      E.mul(xi_a, th22_b)),
-                              E.mul(va, th22_b))
-                if not (lhs == rhs and lhs == alt):
-                    if ok == 2:
-                        ok2 = False
-                    else:
-                        ok3 = False
-    return ok2, ok3
+def _projections(E, theta0, theta1):
+    """xi1, xi2, phi1 and phi2 of a plus run with tables theta0, theta1."""
+    t11, t12 = theta1.entry(1, 1), theta1.entry(1, 2).scale(I)
+    t21, t22 = theta1.entry(2, 1).scale(I), theta1.entry(2, 2)
+    even = GradedLinMap.identity(E) + theta0.entry(1, 2).scale(I)
+    return ((even + theta0.entry(2, 2)).scale(HALF),
+            (even - theta0.entry(2, 2)).scale(HALF),
+            (t11 - t12 + t21 + t22).scale(HALF),
+            (t11 - t12 - t21 - t22).scale(HALF))
 
 
-def test_lemma46_suite_mutants_get_the_verdicts_of_both_forms():
-    """Mutate xi1 alone, xi2 alone or theta^(0) by one coefficient, on the
-    suite of every plus run of the registry and of the skew3 inputs of
-    seeds 1 to 4.  Each item of the suite, which checks the second forms of
-    the product rules as the map identity xi1 - xi2 = th22, gets the
-    verdict of the reference, which compares every pair with both forms."""
-    found = []
-    real = knorrer._lemma46_suite
+def _bumped_entry(table, i, j, rng):
+    """``table`` with the coefficient of e_k in the image of e_b under
+    entry (i, j) increased by 1, for b and k drawn from ``rng``; the entry
+    may be 0."""
+    entries = [list(row) for row in table.entries]
+    linmap = entries[i - 1][j - 1]
+    cols = list(linmap.cols)
+    b = rng.randrange(len(cols))
+    cols[b] = _bump(cols[b], rng.randrange(len(cols)))
+    entries[i - 1][j - 1] = GradedLinMap(linmap.source, linmap.target, cols)
+    return MatrixHom(entries)
 
-    def record(*args):
-        found.append(args)
-        return real(*args)
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(knorrer, "_lemma46_suite", record)
-        for scenario_id in ("ex-4.10", "ex-4.9-1", "ex-4.9-2", "ex-5.9",
-                            "prop-5.10"):
-            assert run_scenario(scenario_id).ok
-        for seed in range(1, 5):
-            data, central = parse_double_ore(
-                json.loads(generate("skew3", seed)["plus.json"]))
-            assert run_plus_case(data, central).checks.ok
-    failed = Counter()
-    for n, args in enumerate(found):
-        for kind in ("xi1", "xi2", "theta0"):
-            for k in range(4):
-                rng = random.Random(f"lemma46-mutant:{n}:{kind}:{k}")
-                xi1, xi2, phi1, phi2, theta0, theta1, E = args
-                if kind != "theta0":
-                    # xi1 or xi2 may be 0: bump any coefficient
-                    linmap = xi1 if kind == "xi1" else xi2
-                    cols = list(linmap.cols)
-                    b = rng.randrange(E.dim)
-                    cols[b] = _bump(cols[b], rng.randrange(E.dim))
-                    linmap = GradedLinMap(E, E, cols)
-                    xi1, xi2 = (linmap, xi2) if kind == "xi1" else (xi1, linmap)
-                else:
-                    theta0 = _bumped_table(theta0, rng)
-                items = [(item.name, item.passed) for item in knorrer._lemma46_suite(
-                    xi1, xi2, phi1, phi2, theta0, theta1, E).items]
-                rules = dict(zip(("xi1-product-rule", "xi2-product-rule"),
-                                 ref_product_rules(xi1, xi2, theta0.entry(2, 2), E)))
-                assert items == [(name, rules.get(name, passed))
-                                 for name, passed in items], (n, kind, k)
-                failed.update(name for name, passed in items if not passed)
-    assert len(found) == 7
-    assert failed["xi1-product-rule"] and failed["xi2-product-rule"], failed
+def _hand_system(products, theta0_cols, theta1_cols):
+    """(E, (theta0, theta1)) on E = span(e0 = 1, e1, ...), all of degree
+    0, with e_a e_b = c e_k for ``products[a, b] = (k, c)`` (0 when absent)
+    and the entries of theta0 and theta1 given by their columns, each a
+    dict {k: (re, im)} of integer parts of the coefficient of e_k."""
+    n = 1 + max(max(pair) for pair in products)
+    table = [[{a + b: ONE} if 0 in (a, b) else
+              ({products[a, b][0]: Scalar(products[a, b][1])} if (a, b) in products else {})
+              for b in range(n)] for a in range(n)]
+    E = GradedAlgebra([f"e{b}" for b in range(n)], table, {0: ONE}, [(0,)] * n)
+
+    def table_of(entries):
+        return MatrixHom([[GradedLinMap(E, E, [
+            {k: Scalar(re, im) for k, (re, im) in col.items()} for col in cols])
+            for cols in row] for row in entries])
+
+    return E, (table_of(theta0_cols), table_of(theta1_cols))
+
+
+def _twisting_examples():
+    """Two twisting systems of M_2(E) over the standard basis, with
+    theta^(0)_11 = id, theta^(0)_21 = 0 and th12 not 0, built as
+    ``_hand_system``s: the system of M_2(E) with E embedded as
+    x -> u [[x0, x1], [x1, x0]] u^-1, where x0 and x1 are the even and odd
+    parts of x for a Z2-grading of E named below, and u is the
+    unitriangular matrix 1 + e21 r, r odd; writing x I(i)_j as
+    sum_s I(i)_s theta^(i)_sj(x) gives the tables.
+
+    - "split quaternions": e1^2 = -1, e2^2 = e3^2 = 1,
+      e3 = e2 e1 = -e1 e2, with e2 and e3 odd, and r = e2 + e3.  It fails
+      phi1(a xi1(b)) = phi1(a) phi1(xi1(b)).
+    - "quiver": e1^2 = e1, e1 e2 = e2 e1 = e2, e1 e3 = e3, e4 e1 = e4,
+      e3 e4 = e2, and every other product of e1, ..., e4 is 0: the path
+      algebra of the 2-cycle through the idempotents e1 and 1 - e1, with
+      arrows e3 and e4, modulo e4 e3; e3 and e4 are odd, and r = e3.  It
+      passes that form."""
+    one = {0: (1, 0)}
+    ident4 = [{k: (1, 0)} for k in range(4)]
+    zero4 = [{}] * 4
+    n22 = [one, {1: (-3, 0), 2: (-2, 0), 3: (2, 0)},
+           {1: (2, 0), 2: (1, 0), 3: (-2, 0)}, {1: (-2, 0), 2: (-2, 0), 3: (1, 0)}]
+    quaternions = _hand_system(
+        {(1, 1): (0, -1), (1, 2): (3, -1), (1, 3): (2, 1),
+         (2, 1): (3, 1), (2, 2): (0, 1), (2, 3): (1, 1),
+         (3, 1): (2, -1), (3, 2): (1, -1), (3, 3): (0, 1)},
+        [[ident4, [{}, {1: (0, -4), 2: (0, -2), 3: (0, 2)},
+                   {0: (0, 2), 1: (0, 4), 2: (0, 2), 3: (0, -2)},
+                   {0: (0, 2), 1: (0, -4), 2: (0, -2), 3: (0, 2)}]],
+         [zero4, n22]],
+        [[n22, [{}, {1: (0, -4), 2: (0, -2), 3: (0, 2)},
+                {0: (0, -2), 1: (0, 4), 2: (0, 2), 3: (0, -2)},
+                {0: (0, -2), 1: (0, -4), 2: (0, -2), 3: (0, 2)}]],
+         [zero4, ident4]])
+    ident5 = [{k: (1, 0)} for k in range(5)]
+    zero5 = [{}] * 5
+    m22 = [one, {1: (1, 0), 3: (1, 0)}, {2: (1, 0)}, {3: (-1, 0)}, {2: (1, 0), 4: (-1, 0)}]
+    quiver = _hand_system(
+        {(1, 1): (1, 1), (1, 2): (2, 1), (2, 1): (2, 1), (1, 3): (3, 1),
+         (4, 1): (4, 1), (3, 4): (2, 1)},
+        [[ident5, [{}, {3: (0, 1)}, {}, {}, {2: (0, 1)}]], [zero5, m22]],
+        [[ident5, zero5], [[{}, {3: (0, -1)}, {}, {}, {2: (0, 1)}], m22]])
+    return {"split quaternions": quaternions, "quiver": quiver}
+
+
+def _accepted(E, theta):
+    """Whether a plus run goes on past the twisting checks with ``theta``:
+    ``verify_twisting_M2`` accepts it and its twisted algebra is certified."""
+    system = TwistingSystemM2(E, theta, standard_basis_m2())
+    return verify_twisting_M2(system).ok and system.certificate.ok
+
+
+def _lemma46_verdicts(E, theta):
+    """(reference items, the run's verdict) of the Lemma 4.6 suite."""
+    xi1, xi2, phi1, phi2 = _projections(E, *theta)
+    items = {item.name: item.passed for item in ref_lemma46_suite(
+        xi1, xi2, phi1, phi2, *theta, E).items}
+    return items, knorrer._projection_identities(E, xi1, phi2, theta[1])
+
+
+def test_every_accepted_system_passes_the_lemma46_loops(knorrer_inputs):
+    """The proof in knorrer._projection_identities, checked against the
+    loops the runs ran before.  On the 13 systems _thetas(sigma^!, E, 1) of
+    the registry inputs and the skew3 inputs of seeds 1 to 4, plus and
+    minus, and on one-coefficient bumps of theta^(1) and of theta^(0)'s
+    entries (1, 2) and (2, 2), every system that a plus run accepts passes
+    the fourteen derived items of the reference loops, and
+    phi1-two-argument gets the verdict of the run's one check.  12 base
+    systems are accepted and prop-5.10's is not; no bump is accepted."""
+    counts = Counter()
+    for name, data, lift in knorrer_inputs:
+        if name.startswith("big"):
+            continue
+        base = deform.build_clifford(data.base, lift)
+        E = base.algebra
+        tables = knorrer._thetas(deform.dualize_hom(data, base), E, ONE)
+        rng = random.Random(f"lemma46-bumps:{name}")
+        cases = [("base", tables)]
+        for _ in range(2):
+            cases += [("theta1", (tables[0], _bumped_table(tables[1], rng))),
+                      ("theta0_12", (_bumped_entry(tables[0], 1, 2, rng), tables[1])),
+                      ("theta0_22", (_bumped_entry(tables[0], 2, 2, rng), tables[1]))]
+        for kind, theta in cases:
+            accepted = _accepted(E, theta)
+            counts[kind, accepted] += 1
+            if accepted:
+                items, held = _lemma46_verdicts(E, theta)
+                assert len(items) == 15 and items.pop("phi1-two-argument") == held
+                assert all(items.values()), (name, kind, items)
+                assert held, (name, kind)
+    assert counts == {("base", True): 12, ("base", False): 1,
+                      ("theta1", False): 26, ("theta0_12", False): 26,
+                      ("theta0_22", False): 26}, counts
+
+
+@pytest.mark.parametrize("name", ["split quaternions", "quiver"])
+def test_the_one_phi1_check_is_the_loops_verdict_where_th12_is_not_0(name):
+    """phi1(a xi1(b)) = phi1(a) phi1(xi1(b)) does not follow from the
+    twisting-system checks.  On two accepted systems whose phi2 xi1 is not
+    0, so that the run's check forms products, the reference loops fail
+    phi1-two-argument on the split quaternions and pass it on the quiver
+    system, and the run's check agrees.  The other fourteen items hold on
+    both, as proved.  On both, the products in the other order,
+    phi2(xi1(b)) phi3(a), are not all 0, so the check's order matters."""
+    E, theta = _twisting_examples()[name]
+    xi1, _, _, phi2 = _projections(E, *theta)
+    assert verify_algebra(E).ok and _accepted(E, theta)
+    assert not phi2.compose(xi1).is_zero() and not theta[0].entry(1, 2).is_zero()
+    items, held = _lemma46_verdicts(E, theta)
+    assert items.pop("phi1-two-argument") == held == (name == "quiver")
+    assert all(items.values()) and len(items) == 14
+    t = theta[1].entry
+    phi3 = (t(1, 1) + t(1, 2).scale(I) + t(2, 1).scale(I) - t(2, 2)).scale(HALF)
+    assert any(E.mul(v, u) for v in phi2.compose(xi1).cols for u in phi3.cols)
 
 
 # ---------------------------------------------------------------------------
@@ -2195,77 +2310,6 @@ def test_the_zhang_rows_are_the_table_builder(minus_inputs):
                     assert {n + k: c for k, c in cell.items()} == ST_big.row(i)[n + j], name
 
 
-def _lemma46_args(knorrer_inputs):
-    """The arguments of the Lemma 4.6 suite on every plus input."""
-    found = []
-    real = knorrer._lemma46_suite
-
-    def record(*args):
-        found.append(args)
-        return real(*args)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(knorrer, "_lemma46_suite", record)
-        for name, data, lift in knorrer_inputs:
-            if p12_classify(data) == CaseKind.PLUS:
-                assert run_plus_case(data, lift).checks.ok, name
-    return found
-
-
-def test_the_lemma46_suite_matches_the_pair_loop(knorrer_inputs):
-    """Once xi1 - xi2 = th22, the suite checks the xi product rules on {1}
-    and generating_set(E) only, and scans every pair when one fails there.
-    On each plus input, and on mutants with one coefficient of xi1, xi2,
-    phi1, phi2 or theta^(0) bumped, or the same one of xi1 and xi2, its
-    product-rule and two-argument items equal the one pair loop the suite
-    ran before."""
-    routes = Counter()
-    verdicts = Counter()
-    real_rules = knorrer._xi_product_rules
-    for n, args in enumerate(_lemma46_args(knorrer_inputs)):
-        for kind in ("none", "xi1", "xi2", "both xi", "phi1", "phi2", "theta0"):
-            for k in range(1 if kind == "none" else 3):
-                rng = random.Random(f"lemma46-pairs:{n}:{kind}:{k}")
-                xi1, xi2, phi1, phi2, theta0, theta1, E = args
-                maps = {"xi1": xi1, "xi2": xi2, "phi1": phi1, "phi2": phi2}
-                if kind == "theta0":
-                    theta0 = _bumped_table(theta0, rng)
-                elif kind == "both xi":
-                    # the same bump of both keeps xi1 - xi2 = th22
-                    b, key = rng.randrange(E.dim), rng.randrange(E.dim)
-                    for name in ("xi1", "xi2"):
-                        cols = list(maps[name].cols)
-                        cols[b] = _bump(cols[b], key)
-                        maps[name] = GradedLinMap(E, E, cols)
-                elif kind != "none":
-                    cols = list(maps[kind].cols)
-                    b = rng.randrange(E.dim)
-                    cols[b] = _bump(cols[b], rng.randrange(E.dim))
-                    maps[kind] = GradedLinMap(E, E, cols)
-                scanned = []
-                with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(knorrer, "_xi_product_rules",
-                                  lambda *a: scanned.append(len(a[4])) or real_rules(*a))
-                    report = knorrer._lemma46_suite(
-                        maps["xi1"], maps["xi2"], maps["phi1"], maps["phi2"],
-                        theta0, theta1, E)
-                items = {item.name: item.passed for item in report.items}
-                want = ref_lemma46_pairs(maps["xi1"], maps["xi2"], maps["phi1"],
-                                         maps["phi2"], theta0, E)
-                assert {name: items[name] for name in want} == want, (n, kind, k)
-                routes[kind, ("map identity", "reduced", "scan")[len(scanned)]] += 1
-                verdicts[kind, report.ok] += 1
-    # a bumped xi fails xi1 - xi2 = th22, as a theta^(0) bump that moves
-    # th22 does; the same bump of both fails a rule on {1} or S
-    assert routes == {("none", "reduced"): 8, ("xi1", "map identity"): 24,
-                      ("xi2", "map identity"): 24, ("both xi", "scan"): 24,
-                      ("phi1", "reduced"): 24, ("phi2", "reduced"): 24,
-                      ("theta0", "reduced"): 17, ("theta0", "map identity"): 7}, routes
-    assert verdicts == {("none", True): 8, ("xi1", False): 24, ("xi2", False): 24,
-                        ("both xi", False): 24, ("phi1", False): 24, ("phi2", False): 24,
-                        ("theta0", True): 17, ("theta0", False): 7}, verdicts
-
-
 def _grading_mutant(algebra, rng, bumps):
     """``algebra`` with ``bumps`` products each given one or two more keys,
     of a degree other than its product's, each placed first or last in the
@@ -2310,13 +2354,12 @@ def test_the_grading_item_names_the_scan_failure(knorrer_inputs):
                        ("twisted", True): 13, ("twisted", False): 39}, checked
 
 
-def test_a_plus_run_checks_the_corner_on_every_pair_when_the_suite_fails(
-        monkeypatch):
-    """Lambda's associativity rests on the Lemma 4.6 suite.  A passing run
-    checks the corner map on generating_set(Lambda).  A run whose suite
-    fails records the item and goes on, as before, with the map checked on
-    every basis pair, which assumes nothing of Lambda."""
-    real_suite = knorrer._lemma46_suite
+def test_a_plus_run_checks_the_corner_on_a_generating_set(monkeypatch):
+    """Lambda is associative with a right unit on every plus run that
+    builds it (proof in knorrer._lambda_data), so the corner map is checked
+    on generating_set(Lambda) only.  A run whose projection check fails
+    records the item, names its one form, and checks the map on the same
+    generating set."""
     real_iso = knorrer.verify_iso
     calls = []
 
@@ -2326,18 +2369,16 @@ def test_a_plus_run_checks_the_corner_on_every_pair_when_the_suite_fails(
 
     monkeypatch.setattr(knorrer, "verify_iso", recording)
     data = parse_double_ore(EX_4_10)
-    assert run_plus_case(*data).checks.ok
-    (Lambda, gens), = calls
-    assert gens == generating_set(Lambda) and len(gens) < Lambda.dim
-    calls.clear()
-    monkeypatch.setattr(knorrer, "_lemma46_suite",
-                        lambda xi1, xi2, phi1, *rest: real_suite(xi1, xi2, phi1.scale(Scalar(2)),
-                                                                 *rest))
-    checks = run_plus_case(*data).checks
-    (Lambda, gens), = calls
-    assert gens == list(range(Lambda.dim))
-    assert [item.name for item in checks.items if not item.passed] == [
-        "projection-identity-suite"]
+    for held in (True, False):
+        if not held:
+            monkeypatch.setattr(knorrer, "_projection_identities", lambda *args: False)
+        checks = run_plus_case(*data).checks
+        (Lambda, gens), = calls
+        calls.clear()
+        assert gens == generating_set(Lambda) and len(gens) < Lambda.dim
+        failed = [str(item) for item in checks.items if not item.passed]
+        assert failed == ([] if held else
+                          ["projection-identity-suite: phi1-two-argument"])
 
 
 def test_a_bumped_degree0_product_of_the_extension_fails_the_zhang_check(
