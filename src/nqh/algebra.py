@@ -988,28 +988,6 @@ def full_idempotent_check(algebra, e, gens):
                for _ in ideal_closure(algebra, elim, [e], gens))
 
 
-def restrict(algebra, space, unit):
-    """The algebra on a homogeneous, multiplication-closed subspace, on its
-    reduced row echelon basis, with ``unit`` as its unit.
-
-    Structure constants are the coordinates ``space.coords`` reads off each
-    product.  A basis row that is not homogeneous, or a product or the unit
-    outside the subspace, raises DimensionMismatch.  A span of homogeneous
-    vectors has a homogeneous reduced row echelon basis: it is the direct
-    sum of its degree parts, whose supports are disjoint, so the union of
-    their reduced bases is reduced for the whole span and is its basis by
-    uniqueness (see ``exactlin``).
-    """
-    degrees = [algebra.element_degree(row) for row in space.basis]
-    if None in degrees:
-        raise DimensionMismatch("subspace basis is not homogeneous")
-    table = [[space.coords(algebra.mul(u, v), "a product lies outside the subspace")
-              for v in space.basis] for u in space.basis]
-    return GradedAlgebra([f"s{k}" for k in range(space.dim)], table,
-                         space.coords(unit, "the unit lies outside the subspace"),
-                         degrees, algebra.group_rank)
-
-
 def corner_embedding(algebra, e):
     """The corner e A e, as the subspace of A spanned by the e e_i e; the
     idempotent e is its unit."""

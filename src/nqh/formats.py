@@ -63,13 +63,12 @@ def parse_tensor(obj, names):
 
 
 def parse_presentation(doc):
-    try:
-        names = doc["generators"]
-        if isinstance(names, str):
-            raise ParseError("generators must be a list of names, not a string")
-        names = list(names)
-    except (KeyError, TypeError) as exc:
-        raise ParseError("missing generators") from exc
+    if "generators" not in _expect(doc, dict, "a presentation"):
+        raise ParseError("missing generators")
+    names = doc["generators"]
+    if isinstance(names, str):
+        raise ParseError("generators must be a list of names, not a string")
+    _expect(names, list, "generators")
     if not names or not all(isinstance(n, str) for n in names):
         raise ParseError("generators must be a nonempty list of names")
     for name in names:
@@ -211,6 +210,9 @@ def load_json(path):
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"bad JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"bad JSON in {path}: arrays or objects nested too"
+                         " deeply") from exc
     except ValueError as exc:
         # an integer literal past CPython's conversion limit, whose message
         # tells a program how to raise the limit

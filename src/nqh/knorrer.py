@@ -40,7 +40,6 @@ from .algebra import (
     is_commutative,
     is_nilpotent_element,
     radical,
-    restrict,
     vec_sub,
     verify_algebra,
     verify_iso,
@@ -244,12 +243,13 @@ def _projection_identities(E, xi1, phi2, theta1):
                for u in phi3.cols)
 
 
-def _lambda_data(E, ring, S, M, phi1, phi2, module_degrees):
-    """The semi-trivial data of Lambda = S x M: s . m = phi1(s) m,
-    m . s = m s and psi(m (x) m') = phi2(m) m', products of E read in
-    coordinates of M and of S.  ``ring`` is S with E's products, and S and
-    M are the eigenvalue-1 spaces of xi1 and xi2.  DimensionMismatch when a
-    product leaves M or S.
+def _lambda_data(E, S, M, phi1, phi2):
+    """The semi-trivial data of Lambda = S x M: the ring S with E's
+    products and unit, s . m = phi1(s) m, m . s = m s and
+    psi(m (x) m') = phi2(m) m', products of E read in coordinates of S and
+    of M, the eigenvalue-1 spaces of xi1 and xi2.  PipelineError when a
+    basis of S or M is not homogeneous; DimensionMismatch when a product
+    or the unit leaves S or M.
 
     Claim.  On every plus run that reaches it, ``build_semitrivial`` of
     this data is associative with E's unit as a right unit, so the corner
@@ -277,13 +277,24 @@ def _lambda_data(E, ring, S, M, phi1, phi2, module_degrees):
     map adds (see there).
     """
     s_rows, m_rows = S.basis, M.basis
-    left = tuple(tuple(M.coords(E.mul(phi1_s, m_vec)) for m_vec in m_rows)
-                 for phi1_s in map(phi1.apply, s_rows))
-    right = tuple(tuple(M.coords(E.mul(m_vec, s_vec)) for m_vec in m_rows)
-                  for s_vec in s_rows)
-    psi = tuple(tuple(S.coords(E.mul(phi2_m, m_vec)) for m_vec in m_rows)
-                for phi2_m in map(phi2.apply, m_rows))
-    return SemiTrivialData(ring, module_degrees, left, right, psi)
+    s_degs, m_degs = ([E.element_degree(row) for row in rows]
+                      for rows in (s_rows, m_rows))
+    if None in s_degs + m_degs:
+        raise PipelineError("eigenspace basis is not homogeneous")
+
+    def coords_table(space, firsts, seconds):
+        """Row u: the coordinates in ``space`` of u v for each v."""
+        return tuple(tuple(space.coords(E.mul(u, v)) for v in seconds)
+                     for u in firsts)
+
+    ring = GradedAlgebra([f"s{k}" for k in range(S.dim)],
+                         coords_table(S, s_rows, s_rows), S.coords(E.unit),
+                         s_degs, E.group_rank)
+    left = coords_table(M, map(phi1.apply, s_rows), m_rows)
+    right = coords_table(M, m_rows, s_rows)
+    psi = coords_table(S, map(phi2.apply, m_rows), m_rows)
+    shifted = tuple(((d[0] + 1) % 2,) for d in m_degs)
+    return SemiTrivialData(ring, shifted, left, right, psi)
 
 
 def _eigenspace(E, linmap):
@@ -441,19 +452,14 @@ def run_plus_case(data, lift):
 
     S = _eigenspace(E, xi1)
     M = _eigenspace(E, xi2)
-    S_alg = restrict(E, S, E.unit)
-    s_rows = S.basis
+    # S is closed under E's product by the xi1 product rule, and holds E's
+    # unit as theta^(0)(1) = I (proof in _projection_identities)
     checks.add("eigenspace-subalgebra", True)
 
-    m_rows = M.basis
-    m_degs = [E.element_degree(row) for row in m_rows]
-    if None in m_degs:
-        raise PipelineError("eigenspace basis is not homogeneous")
-    # bimodule structure on M, phi1(s).m and m.s, and the pairing
-    # phi2(m).m' into S
-    shifted = tuple(((d[0] + 1) % 2,) for d in m_degs)
+    # the ring S, the bimodule structure on M, phi1(s).m and m.s, and the
+    # pairing phi2(m).m' into S
     try:
-        st_data = _lambda_data(E, S_alg, S, M, phi1, phi2, shifted)
+        st_data = _lambda_data(E, S, M, phi1, phi2)
         psi_ok = True
     except DimensionMismatch:
         psi_ok = False
@@ -472,8 +478,8 @@ def run_plus_case(data, lift):
             col[layout.index(i, 2, b)] = coeff * HALF * phase
         return col
 
-    corner_cols = ([column(0, vec, I) for vec in s_rows]
-                   + [column(1, vec, -I) for vec in m_rows])
+    corner_cols = ([column(0, vec, I) for vec in S.basis]
+                   + [column(1, vec, -I) for vec in M.basis])
     corner = GradedLinMap(Lambda, twisted, corner_cols)
     # twisted regrades the certified twisted_big, as verify_iso needs.
     # Lambda is associative with a right unit by the proof in _lambda_data,
@@ -638,10 +644,11 @@ def singularity_report(result, blocks=None):
     section 21), J(A) = (A e A) J(A) (A e A) lies in A e J(A) e A, which
     lies in J(A): J(A) is the ideal that the image of J(Lambda) generates,
     built by ``ideal_closure``, and it is 0 when J(Lambda) is.  The grading
-    automorphism xi preserves J(A), so J(A) is graded and its reduced basis
-    is homogeneous (see ``restrict``): its degree-0 rows span
-    J(A) cap A_0, which is J(A_0) as 2 is invertible (Cohen-Montgomery,
-    Trans. AMS 282, 1984).
+    automorphism xi preserves J(A), so J(A) is graded.  Its reduced row
+    echelon basis is then homogeneous: the union of the reduced bases of
+    its degree parts, whose supports are disjoint, is reduced, and so is
+    that basis by uniqueness.  Its degree-0 rows span J(A) cap A_0, which
+    is J(A_0) as 2 is invertible (Cohen-Montgomery, Trans. AMS 282, 1984).
 
     In the minus case both are read off J = J(Gamma): dim J(ST) = 2 dim J
     and dim J(ST_0) = dim J.  Proof.  ST = Gamma x| <mu> with 2 invertible,

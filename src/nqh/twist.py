@@ -458,6 +458,15 @@ def verify_twisting_suite(system):
     return report
 
 
+def products(E, col):
+    """The products col e_b of E for each b: E's stored row of e_k when
+    col = e_k, else a ``RowsOnDemand`` whose cell b is formed by ``E.mul``
+    when first read and kept."""
+    if list(col.values()) == [ONE]:
+        return E.row(next(iter(col)))
+    return RowsOnDemand(E.dim, lambda b: E.mul(col, {b: ONE}))
+
+
 def _twisted_algebra(system):
     """The twisted product of a verified system, as a rule, and its unit.
 
@@ -468,12 +477,10 @@ def _twisted_algebra(system):
 
     Each cell is formed by this rule the first time it is read and then
     kept: the table and each of its rows are ``RowsOnDemand``.  The
-    products theta^(i')_{sj'}(e_b) e_b' are shared by the cells of every
-    left block I(i)_j.  When the column theta^(i')_{sj'}(e_b) is a basis
-    vector e_k, they are E's stored products e_k e_b'; any other column's
-    are formed by ``E.mul`` when first read and kept, at most
-    4 |halves| dim E^2 however many cells are read.  A cell sums its terms
-    in the order of s, then t.
+    products theta^(i')_{sj'}(e_b) e_b' are ``products`` of E, shared by
+    the cells of every left block I(i)_j: at most 4 |halves| dim E^2 are
+    formed however many cells are read.  A cell sums its terms in the
+    order of s, then t.
     """
     if system.t_inverses is None:
         raise NotTwistingSystem("verify the system before building")
@@ -481,15 +488,8 @@ def _twisted_algebra(system):
     layout = BlockLayout(E, basis)
     n = E.dim
 
-    def products(col):
-        """The products col e_b' for each b': E's stored row of e_k when
-        col = e_k, else formed by ``E.mul`` when first read and kept."""
-        if list(col.values()) == [ONE]:
-            return E.row(next(iter(col)))
-        return RowsOnDemand(n, lambda bp: E.mul(col, {bp: ONE}))
-
-    # shared[i', j', s][b]: products(theta^(i')_{sj'}(e_b))
-    shared = {(ip, jp, s): RowsOnDemand(n, lambda b, cols=entry.cols: products(cols[b]))
+    # shared[i', j', s][b]: products(E, theta^(i')_{sj'}(e_b))
+    shared = {(ip, jp, s): RowsOnDemand(n, lambda b, cols=entry.cols: products(E, cols[b]))
               for ip, jp, s in product(layout.halves, (1, 2), (1, 2))
               for entry in [theta[ip].entry(s, jp)] if not entry.is_zero()}
     blocks = [(i, j) for i in layout.halves for j in (1, 2)]   # at 2i + j - 1
@@ -573,18 +573,18 @@ def build_twisted_prod(system):
 
 @dataclass
 class SemiTrivialData:
-    """A ring, a bimodule given by sparse action columns, and a pairing psi.
+    """A ring, a bimodule given by sparse action rows, and a pairing psi.
 
     The module has basis m_0, ..., m_{len(module_degrees) - 1}; the
-    vectors below are sparse coordinate dicts, read as ``left[i][b]``: each
-    of ``left``, ``right`` and ``psi`` is a tuple of rows or a
-    ``RowsOnDemand``.
+    vectors below are sparse coordinate dicts.  Each of ``left``,
+    ``right`` and ``psi`` holds one row per left factor, as a structure
+    table does, and is a tuple of rows or a ``RowsOnDemand``.
     """
 
     ring: GradedAlgebra
     module_degrees: tuple     # Z2 degrees, already shifted if applicable
     left: tuple               # left[i][b]: module vector e_i . m_b
-    right: tuple              # right[i][b]: module vector m_b . e_i
+    right: tuple              # right[b][i]: module vector m_b . e_i
     psi: tuple                # psi[a][b]: ring vector psi(m_a (x) m_b)
 
 
@@ -633,8 +633,7 @@ def build_semitrivial(data):
         if i < n:
             return list(E.row(i)) + [shifted(vec) for vec in data.left[i]]
         b = i - n
-        return ([shifted(data.right[j][b]) for j in range(n)]
-                + list(data.psi[b]))
+        return [shifted(vec) for vec in data.right[b]] + list(data.psi[b])
 
     return GradedAlgebra(labels, RowsOnDemand(n + m, form), E.unit, degrees,
                          group_rank=2)
@@ -684,14 +683,14 @@ def semitrivial_mu(E, mu, gens):
 
 
 def _skew_group_data(E, mu):
-    """``semitrivial_mu``'s package without its checks of mu: the dim E^2
-    products mu(e_i) e_b serve as both the left action and psi, and as the
-    odd products of ``zhang_twist``; the right action is read off E's
-    stored products."""
+    """``semitrivial_mu``'s package without its checks of mu: the products
+    of E that it holds already.  Row i of the left action, which is also
+    psi's row i and the odd products of ``zhang_twist``, is
+    ``products(E, mu(e_i))``: E's stored row of e_k when mu(e_i) = e_k.
+    Row b of the right action, m_b . e_i = e_b e_i, is E's row b."""
     require_group_rank(E, 1, "the skew group extension")
-    left = tuple(tuple(E.mul(mu.cols[i], E.basis_vec(b))
-                       for b in range(E.dim)) for i in range(E.dim))
-    right = tuple(tuple(E.row(b)[i] for b in range(E.dim)) for i in range(E.dim))
+    left = tuple(products(E, col) for col in mu.cols)
+    right = tuple(map(E.row, range(E.dim)))
     shifted = tuple(((d[0] + 1) % 2,) for d in E.degrees)
     return SemiTrivialData(E, shifted, left, right, left)
 
@@ -702,8 +701,8 @@ def zhang_twist(data):
     of the twisting system nu = (id, mu).  ``data`` is ``semitrivial_mu``'s
     package, whose check accepted mu, and is not repeated here; E must be
     certified associative.  Row i is formed when it is first read
-    (``RowsOnDemand``), from E's row i and the products mu(e_i) e_j of
-    ``data.left``, shared: e_i * e_j is e_i e_j for even e_j and
+    (``RowsOnDemand``), from E's row i and row i of ``data.left``, the
+    products mu(e_i) e_j, shared: e_i * e_j is e_i e_j for even e_j and
     mu(e_i) e_j for odd e_j.
 
     nu is a left twisting system when, for y of degree h and every l,

@@ -15,9 +15,10 @@ normal form bounded by a rewriting system's confluence degree, the
 twisted table formed block by block, the twisting suite's gamma identities
 by loops of their own, the degree-0 radical by the trace
 form on the degree-0 part, both radicals of the minus case by the trace
-form on its extension, the certificate of a map onto a subspace
-read through the algebra restricted to that subspace and on every basis
-pair, the Zhang twist as a stored table, the Lemma 4.6 suite's loops,
+form on its extension, the algebra on a subalgebra's subspace
+(``restrict``), the certificate of a map onto a subspace read through
+the algebra restricted to that subspace and on every basis pair, the Zhang twist and the skew group algebra's actions as stored
+tables, the Lemma 4.6 suite's loops,
 the grading item's scan key by key, vector equality over the union of
 keys, the loops that summed a tensor product and a pair of E x E before
 ``exactlin.add_scaled`` did, and the Clifford
@@ -47,7 +48,6 @@ from nqh.algebra import (
     ideal_closure,
     is_t_inverse,
     radical,
-    restrict,
     vec_add,
     vec_scale,
     vec_sub,
@@ -369,6 +369,30 @@ def ref_verify_twisting_suite(system):
     return report
 
 
+def restrict(algebra, space, unit):
+    """The algebra on a homogeneous, multiplication-closed subspace, on its
+    reduced row echelon basis, with ``unit`` as its unit: the plus case's
+    ring S before ``knorrer._lambda_data`` formed it, and the degree-0 part
+    below.
+
+    Structure constants are the coordinates ``space.coords`` reads off each
+    product.  A basis row that is not homogeneous, or a product or the unit
+    outside the subspace, raises DimensionMismatch.  A span of homogeneous
+    vectors has a homogeneous reduced row echelon basis: it is the direct
+    sum of its degree parts, whose supports are disjoint, so the union of
+    their reduced bases is reduced for the whole span and is its basis by
+    uniqueness (see ``exactlin``).
+    """
+    degrees = [algebra.element_degree(row) for row in space.basis]
+    if None in degrees:
+        raise DimensionMismatch("subspace basis is not homogeneous")
+    table = [[space.coords(algebra.mul(u, v), "a product lies outside the subspace")
+              for v in space.basis] for u in space.basis]
+    return GradedAlgebra([f"s{k}" for k in range(space.dim)], table,
+                         space.coords(unit, "the unit lies outside the subspace"),
+                         degrees, algebra.group_rank)
+
+
 def ref_degree0_radical_dim(algebra):
     """dim J(A_0) as ``singularity_report`` computed it before reading it
     off J(A): the trace form on the restriction of the Z2-graded
@@ -455,6 +479,17 @@ def ref_zhang_twist(E, mu):
         table.append([E.mul(nu_x[E.degrees[j][0]], E.basis_vec(j))
                       for j in range(E.dim)])
     return GradedAlgebra(E.labels, table, dict(E.unit), E.degrees, 1, words=E.words)
+
+
+def ref_skew_group_data(E, mu):
+    """The actions of ``twist._skew_group_data`` as stored tables, each
+    product formed by ``E.mul``: (left, right) with left[i][b] = mu(e_i) e_b
+    and right[b][i] = e_b e_i."""
+    left = tuple(tuple(E.mul(mu.cols[i], E.basis_vec(b)) for b in range(E.dim))
+                 for i in range(E.dim))
+    right = tuple(tuple(E.mul(E.basis_vec(b), E.basis_vec(i)) for i in range(E.dim))
+                  for b in range(E.dim))
+    return left, right
 
 
 def ref_lemma46_suite(xi1, xi2, phi1, phi2, theta0, theta1, E):

@@ -12,6 +12,7 @@ from reference_constructions import (
     certify_by_iso,
     is_stacked_inverse,
     ref_vec_eq,
+    restrict,
     stacked_inverse,
     transpose,
     verify_hom_M2,
@@ -46,7 +47,6 @@ from nqh.algebra import (
     is_absolutely_simple,
     is_nilpotent_element,
     radical,
-    restrict,
     spin,
     strongly_graded_check,
     t_inverse_table,

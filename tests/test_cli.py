@@ -52,6 +52,7 @@ HOSTILE_INPUTS = {
     "generator-with-space": ("koszul-dual", json.dumps(
         {"generators": ["a b", "c"], "relations": []})),
     "empty-generator": ("koszul-dual", json.dumps({"generators": [""], "relations": []})),
+    "deep-nesting": ("check-presentation", "[" * 200000 + "]" * 200000),
 }
 
 
@@ -70,9 +71,10 @@ def test_hostile_input_exits_2_fast(nqh_env, tmp_path, command, text):
     words; a relation whose 3,003-character word key was quoted whole;
     a p11 given as a list of 3,000 numbers, printed whole; and generator
     names that are empty or hold a space, which no word can spell, and
-    whose dual was printed as relations no parser reads.  Each must
-    exit 2 with an error line under 200 bytes, in 10 s
-    and 1 GB of address space."""
+    whose dual was printed as relations no parser reads; and arrays nested
+    200,000 deep, past the decoder's recursion limit.  Each must exit 2
+    with an error line under 200 bytes, in 10 s and 1 GB of address
+    space."""
     (tmp_path / "hostile.json").write_text(text)
     run = subprocess.run([sys.executable, "-m", "nqh", command, "hostile.json"],
                          capture_output=True, env=nqh_env, timeout=10, cwd=tmp_path,
@@ -146,8 +148,11 @@ def test_string_generators_is_exit_2(capsys, tmp_path):
     ("double-ore", {**EX_4_10, "sigma": {**EX_4_10["sigma"], "11": ["x1"]}}),
     ("double-ore", {**EX_4_10,
                     "sigma": {**EX_4_10["sigma"], "11": {"x1": ["x1"]}}}),
+    ("check-presentation", {"generators": {"x1": 1}, "relations": []}),
+    ("check-presentation", ["x1", "x2"]),
 ], ids=["relation-string", "relations-string", "central-array", "sigma-array",
-        "sigma-table-array", "sigma-image-array"])
+        "sigma-table-array", "sigma-image-array", "generators-object",
+        "document-array"])
 def test_malformed_container_is_exit_2(capsys, tmp_path, command, doc):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(doc))

@@ -2,7 +2,8 @@
 process-wide cache, only ``exactlin`` reduces a vector against a subspace's
 basis, no module keeps a dense matrix table layer, ``knorrer`` scans no
 product for strong grading, sparse vectors have one equality and one
-summing kernel, ``restrict`` builds only the eigenspace subalgebra, only ``GradedAlgebra``'s methods read a structure table, only
+summing kernel, only ``knorrer._lambda_data`` builds an algebra on a
+subspace, only ``GradedAlgebra``'s methods read a structure table, only
 the twisting verifiers fill a twisting system's verified fields, no
 module holds an ``assert`` statement, every definition is reached from the
 command line, and every name the bench tracer patches resolves to a
@@ -254,31 +255,37 @@ class _CallSites(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def restrict_call_sites(source):
-    """The functions of ``source`` that call ``restrict``, once per call.
-    Lambda and the Zhang twist are certified onto subspaces of the big
-    algebras (``algebra.certify_by_iso``), so the corner and the degree-0
-    part get no algebra of their own: the one algebra built on a subspace
-    is the eigenspace subalgebra S of the plus case."""
-    visitor = _CallSites("restrict")
+def call_sites(source, name):
+    """The functions of ``source`` that call ``name``, once per call."""
+    visitor = _CallSites(name)
     visitor.visit(ast.parse(source))
     return visitor.found
 
 
-def test_the_check_finds_each_restrict_call():
-    source = ("from .algebra import restrict\n"
-              "S = restrict(E, space, unit)\n"
+def test_the_check_finds_each_call_site():
+    source = ("from .algebra import GradedAlgebra\n"
+              "S = GradedAlgebra(labels, table, unit, degrees)\n"
               "def corner(A, e):\n"
-              "    def inner():\n        return algebra.restrict(A, s, e)\n"
-              "    return restrict(A, s, e), inner\n"
-              "def restricted(): return unrestricted(A)\n")
-    assert restrict_call_sites(source) == ["<module>", "inner", "corner"]
+              "    def inner():\n        return algebra.GradedAlgebra(A, s, e)\n"
+              "    return GradedAlgebra(A, s, e), inner\n"
+              "def graded(): return GradedAlgebras(A)\n")
+    assert call_sites(source, "GradedAlgebra") == ["<module>", "inner", "corner"]
 
 
-def test_restrict_builds_only_the_eigenspace_subalgebra():
-    found = [(path.name, caller) for path in sorted(PACKAGE.glob("*.py"))
-             for caller in restrict_call_sites(path.read_text())]
-    assert found == [("knorrer.py", "run_plus_case")]
+def test_only_lambda_data_builds_an_algebra_on_a_subspace():
+    """``knorrer`` works on subspaces (the eigenspaces S and M, the corner,
+    the degree-0 part), and the one algebra it builds on one is the ring S
+    of ``_lambda_data``.  Lambda and the Zhang twist are certified onto
+    subspaces of the big algebras (``algebra.verify_iso``), so the corner
+    and the degree-0 part get no algebra of their own, and no module keeps
+    a ``restrict`` to build one."""
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert call_sites(sources["knorrer.py"], "GradedAlgebra") == ["_lambda_data"]
+    assert [(name, caller) for name, source in sources.items()
+            for caller in call_sites(source, "restrict")] == []
+    assert not [name for name, source in sources.items()
+                for node in ast.walk(ast.parse(source))
+                if isinstance(node, DEFINITIONS) and node.name == "restrict"]
 
 
 def table_reads(source):

@@ -26,7 +26,9 @@ from reference_constructions import (
     ref_grading_failure,
     ref_lemma46_suite,
     ref_radical_dims,
+    ref_skew_group_data,
     ref_zhang_twist,
+    restrict,
     verify_hom_M2,
     verify_module,
 )
@@ -54,7 +56,6 @@ from nqh.algebra import (
     is_absolutely_simple,
     is_nilpotent_element,
     radical,
-    restrict,
     spin,
     strongly_graded_check,
     vec_add,
@@ -222,27 +223,29 @@ def ref_lambda_big(E, S, M, phi1, phi2):
     """Lambda_big = S x M of the plus case as run_plus_case built it, with
     one reduce_with_coords and remainder flag per product of the left
     action phi1(s).m, the right action m.s and the pairing phi2(m).m';
-    None when a product leaves M or S."""
+    None when a product leaves M or S.  The ring S is ``restrict``'s."""
     s_rows = S.basis
     m_rows = list(M.basis)
     m_degs = [E.element_degree(row) for row in m_rows]
     left = []
-    right = []
     psi_ok = True
     for s_vec in s_rows:
         phi1_s = phi1.apply(s_vec)
         lcols = []
-        rcols = []
         for m_vec in m_rows:
             coords, rem = M.reduce_with_coords(E.mul(phi1_s, m_vec))
             if rem:
                 psi_ok = False
             lcols.append(coords)
+        left.append(tuple(lcols))
+    right = []
+    for m_vec in m_rows:
+        rcols = []
+        for s_vec in s_rows:
             coords, rem = M.reduce_with_coords(E.mul(m_vec, s_vec))
             if rem:
                 psi_ok = False
             rcols.append(coords)
-        left.append(tuple(lcols))
         right.append(tuple(rcols))
     psi = []
     for arow in m_rows:
@@ -283,10 +286,10 @@ def _lambda_both_ways(data, central, mutate):
     real_data = knorrer._lambda_data
     real_build = knorrer.build_semitrivial
 
-    def lambda_data(E, ring, S, M, phi1, phi2, module_degrees):
+    def lambda_data(E, S, M, phi1, phi2):
         mutate(phi1, phi2, S, M)
         seen["inputs"] = E, S, M, phi1, phi2
-        return real_data(E, ring, S, M, phi1, phi2, module_degrees)
+        return real_data(E, S, M, phi1, phi2)
 
     def build(st_data):
         seen["built"] = real_build(st_data)
@@ -804,8 +807,10 @@ def test_each_run_builds_and_certifies_each_twisted_table_once(monkeypatch):
     real_mul = GradedAlgebra.mul
 
     def counting_mul(algebra, u, v):
-        # the rule's products are formed by code defined in _twisted_algebra
-        if "_twisted_algebra" in sys._getframe(1).f_code.co_qualname:
+        # the rule's products are formed by code defined in twist.products
+        caller = sys._getframe(1).f_code
+        if (caller.co_filename == twist.__file__
+                and caller.co_qualname.startswith("products.")):
             products.append(algebra)
         return real_mul(algebra, u, v)
 
@@ -844,10 +849,12 @@ def test_each_run_builds_and_certifies_each_twisted_table_once(monkeypatch):
         E = result.base.algebra
         assert [a for a in elsewhere if a is E] == [E], name
         halves = 2 if plus else 1
-        assert products and all(a is E for a in products), name
-        assert len(products) <= 4 * halves * E.dim ** 2, name
+        # the rest are Gamma's products mu(e_i) e_b, of semitrivial_mu
+        assert all(a is E or (not plus and a is twisted) for a in products), name
+        of_E = [a for a in products if a is E]
+        assert of_E and len(of_E) <= 4 * halves * E.dim ** 2, name
         table_entries(twisted)      # every cell, each product still formed once
-        assert len(products) <= 4 * halves * E.dim ** 2, name
+        assert len([a for a in products if a is E]) <= 4 * halves * E.dim ** 2, name
         triples = [n for algebra, n in scans if algebra is twisted]
         assert len(triples) == 1, name
         assert triples[0] <= 2 * E.dim * len(generating_set(twisted)) * 2 * halves, name
@@ -2213,25 +2220,24 @@ def test_module_bumps_that_the_full_route_rejects_stay_rejected(monkeypatch):
                         ("ex-5.9", False, False): 20}, verdicts
 
 
-def test_restrict_builds_only_the_eigenspace_subalgebra(monkeypatch):
-    """A plus run restricts once, to the eigenspace subalgebra S, and a
-    minus run never: the corner is a subspace, with no algebra of its own,
-    and the minus result keeps no degree-0 algebra.  The extension shares
-    the ring's product dicts rather than copying them."""
-    calls = []
+def test_a_plus_run_builds_one_algebra_on_a_subspace(monkeypatch):
+    """Code of ``knorrer`` builds one algebra in a plus run, the ring S of
+    ``_lambda_data``, whose product dicts Lambda shares, and none in a
+    minus run; the corner builds none either: it is a subspace, with no
+    algebra of its own, and the minus result keeps no degree-0 algebra.
+    The minus extension shares Gamma's product dicts rather than copying
+    them."""
     built = []
+    rings = []
     inside = []
-    real_restrict = algebra_module.restrict
     real_init = GradedAlgebra.__init__
     real_corner = knorrer.corner_embedding
-
-    def restrict_counting(*args):
-        calls.append(args[1])
-        return real_restrict(*args)
+    real_data = knorrer._lambda_data
 
     def init(self, *args, **kwargs):
-        if inside:
-            built.append(self)
+        caller = sys._getframe(1).f_code
+        if inside or caller.co_filename == knorrer.__file__:
+            built.append((self, caller.co_name))
         real_init(self, *args, **kwargs)
 
     def corner(*args):
@@ -2241,27 +2247,38 @@ def test_restrict_builds_only_the_eigenspace_subalgebra(monkeypatch):
         finally:
             inside.pop()
 
-    for module in (algebra_module, knorrer):
-        monkeypatch.setattr(module, "restrict", restrict_counting)
+    def lambda_data(*args):
+        data = real_data(*args)
+        rings.append(data.ring)
+        return data
+
     monkeypatch.setattr(GradedAlgebra, "__init__", init)
     monkeypatch.setattr(knorrer, "corner_embedding", corner)
+    monkeypatch.setattr(knorrer, "_lambda_data", lambda_data)
     assert not {"ST0", "sigma_dual"} & {
         f.name for f in dataclasses.fields(knorrer.MinusCaseResult)}
     assert not {"phi1", "sigma_dual"} & {
         f.name for f in dataclasses.fields(knorrer.PlusCaseResult)}
     for name, blob in sorted(generate("skew3", 1).items()):
         data, lift = parse_double_ore(json.loads(blob))
-        calls.clear()
+        built.clear()
+        rings.clear()
         if name == "plus.json":
             result = run_plus_case(data, lift)
-            assert calls == [result.S], name
+            (ring,) = rings
+            assert built == [(ring, "_lambda_data")], name
+            assert ring.dim == result.S.dim and ring.unit == result.S.coords(
+                result.base.algebra.unit), name
+            Lambda_big = result.Lambda_bigraded
+            assert all(Lambda_big.table[i][j] is ring.table[i][j]
+                       for i in range(ring.dim) for j in range(ring.dim))
         else:
             result = run_minus_case(data, lift)
-            assert calls == [], name
+            assert built == [] and rings == [], name
             Gamma, ST_big = result.Gamma, result.semitrivial_bigraded
             assert all(ST_big.table[i][j] is Gamma.table[i][j]
                        for i in range(Gamma.dim) for j in range(Gamma.dim))
-        assert result.checks.ok and built == [], name
+        assert result.checks.ok, name
     assert isinstance(real_corner(result.twisted, result.twisted.unit), Subspace)
 
 
@@ -2308,6 +2325,40 @@ def test_the_zhang_rows_are_the_table_builder(minus_inputs):
                     assert cell is Gamma.row(i)[j], name
                 else:
                     assert {n + k: c for k, c in cell.items()} == ST_big.row(i)[n + j], name
+
+
+def test_the_skew_group_data_hands_over_gammas_own_rows(minus_inputs, monkeypatch):
+    """The minus extension's actions are read off rows Gamma holds: row i
+    of the left action, which is also psi, is Gamma's own row k when
+    mu(e_i) = e_k, and row b of the right action is Gamma's row b.  Every
+    entry is the product that E.mul forms, in key order, on every minus
+    input.  Pinned: mu has 8 such columns of 16 on skew3:1 and 16 of 32 on
+    big:4; the others are -e_k."""
+    captured = []
+    real = knorrer.build_semitrivial
+
+    def capture(data):
+        captured.append(data)
+        return real(data)
+
+    monkeypatch.setattr(knorrer, "build_semitrivial", capture)
+    shared = {}
+    for name, data, lift in minus_inputs:
+        captured.clear()
+        result = run_minus_case(data, lift)
+        (st_data,) = captured
+        Gamma, n = result.Gamma, result.Gamma.dim
+        assert st_data.ring is Gamma and st_data.psi is st_data.left, name
+        assert all(st_data.right[b] is Gamma.row(b) for b in range(n)), name
+        basis_cols = [(i, k) for i, col in enumerate(result.mu.cols)
+                      for k in col if col == {k: ONE}]
+        assert all(st_data.left[i] is Gamma.row(k) for i, k in basis_cols), name
+        shared[name] = len(basis_cols)
+        left, right = ref_skew_group_data(Gamma, result.mu)
+        for got, want in ((st_data.left, left), (st_data.right, right)):
+            assert [[list(v.items()) for v in row] for row in got] == [
+                [list(v.items()) for v in row] for row in want], name
+    assert (shared["skew3:1"], shared["big:4"]) == (8, 16), shared
 
 
 def _grading_mutant(algebra, rng, bumps):

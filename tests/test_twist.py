@@ -741,8 +741,8 @@ def test_semitrivial_zero_pairing():
     m = E.dim
     left = tuple(tuple(E.mul(E.basis_vec(i), E.basis_vec(b)) for b in range(m))
                  for i in range(E.dim))
-    right = tuple(tuple(E.mul(E.basis_vec(b), E.basis_vec(i)) for b in range(m))
-                  for i in range(E.dim))
+    right = tuple(tuple(E.mul(E.basis_vec(b), E.basis_vec(i)) for i in range(E.dim))
+                  for b in range(m))
     psi = tuple(tuple({} for _ in range(m)) for _ in range(m))
     data = SemiTrivialData(E, ((1,), (0,)), left, right, psi)
     extension = build_semitrivial(data)
@@ -777,13 +777,13 @@ def test_semitrivial_non_bimodule_fails_associativity():
         [[{i: ONE} if i == j else {} for j in range(4)] for i in range(4)],
         {i: ONE for i in range(4)}, [(0,)] * 4)
     p_cols = ({0: ONE}, {})               # P = [[1, 0], [0, 0]]
-    q_cols = ({0: ONE}, {0: ONE})         # Q = [[1, 1], [0, 0]]
     p_comp = ({}, {1: ONE})               # 1 - P
-    q_comp = ({}, {0: MINUS_ONE, 1: ONE})  # 1 - Q
     zero = ({}, {})
+    # row b: m_b . e_i, column b of Q = [[1, 1], [0, 0]] at e_2, of 1 - Q at e_3
+    q_rows = (({}, {}, {0: ONE}, {}), ({}, {}, {0: ONE}, {0: MINUS_ONE, 1: ONE}))
     psi = (({}, {}), ({}, {}))
     data = SemiTrivialData(ring, ((1,), (1,)), (p_cols, p_comp, zero, zero),
-                           (zero, zero, q_cols, q_comp), psi)
+                           q_rows, psi)
     report = verify_algebra(build_semitrivial(data))
     assert [item.passed for item in report.items] == [True, True, False]
     assert report.first_failure().detail == "associativity fails at (0,5,2)"
